@@ -2,30 +2,24 @@
 
 Artifacts reference simplicial objects through a small label grammar; the
 checker rebuilds those objects deterministically from the manifest sizes,
-revalidates every stored morphism table against them, and re-verifies all
-claims from file contents alone, never trusting the builder's bookkeeping.
+each label once, revalidates every stored morphism table against them, and
+re-verifies all claims from file contents alone, never trusting the
+builder's bookkeeping.  The claims are evaluated by the condition functions
+of :mod:`fissile.wedge` (``pair_checks`` and ``q_checks``), the same ones the
+builder evaluates while it constructs, so builder and checker cannot drift
+apart.
 """
 
 import json
 import os
 
 from .canon import ckey_b64, jsonable, unjsonable
-from .chained import IdealCertificate, subset_key, subsets_of
-from .ensembles import Ensemble, singleton
-from .layouts import LayoutLattice, layout_key
+from .chained import IdealCertificate, subset_key
+from .ensembles import Ensemble
+from .layouts import layout_key
 from .simplicial import SMorphism, point, wedge
-from .wedge import (
-    WedgeContext,
-    combine_over_layout,
-    restrict_ensemble,
-)
-from .witnesses import (
-    Block,
-    BlockPart,
-    FiltrationWitness,
-    IdealTerm,
-    verify_witness,
-)
+from .wedge import WedgeContext, pair_checks, q_checks
+from .witnesses import Block, BlockPart, FiltrationWitness, IdealTerm
 
 
 class ArtifactError(ValueError):
@@ -35,17 +29,26 @@ class ArtifactError(ValueError):
 # -- object resolution --------------------------------------------------------
 
 
+def _label_key(label):
+    label = unjsonable(label)
+    return label, json.dumps(jsonable(label), sort_keys=True)
+
+
 class LabelResolver:
-    """Rebuild simplicial objects and spaces from their labels."""
+    """Rebuild simplicial objects and spaces from their labels.
+
+    Each label is built once per resolver; a wedge label keeps its
+    insertions alongside its object.
+    """
 
     def __init__(self, ctx: WedgeContext):
         self.ctx = ctx
         self._objs = {}
+        self._insertions = {}
         self._spaces = {}
 
     def obj(self, label):
-        label = unjsonable(label)
-        key = json.dumps(jsonable(label), sort_keys=True)
+        label, key = _label_key(label)
         if key in self._objs:
             return self._objs[key]
         kind = label[0]
@@ -59,13 +62,14 @@ class LabelResolver:
             out.label = ("point",)
         elif kind == "wedgept":
             pt = self.obj(("point",))
-            out = wedge([pt], label=("wedgept",))[0]
+            out, self._insertions[key] = wedge([pt], label=("wedgept",))
         elif kind == "wedge1":
-            out = wedge([self.obj(label[1])], label=label)[0]
+            out, self._insertions[key] = wedge([self.obj(label[1])], label=label)
         elif kind == "wedge":
-            out = wedge([self.obj(sub) for sub in label[1]], label=label)[0]
+            parts = [self.obj(sub) for sub in label[1]]
+            out, self._insertions[key] = wedge(parts, label=label)
         elif kind == "wedgecones":
-            out = ctx.iota(label[1])[1]
+            _iota, out, self._insertions[key] = ctx.iota(label[1])
         elif kind == "W":
             out = ctx.w_obj
         elif kind == "WL":
@@ -83,9 +87,16 @@ class LabelResolver:
         self._objs[key] = out
         return out
 
+    def insertions(self, label):
+        """The insertions of the parts of a wedge label."""
+        self.obj(label)
+        label, key = _label_key(label)
+        if key not in self._insertions:
+            raise ArtifactError(f"label {label!r} is not a wedge")
+        return self._insertions[key]
+
     def space(self, label):
-        label = unjsonable(label)
-        key = json.dumps(jsonable(label), sort_keys=True)
+        label, key = _label_key(label)
         if key in self._spaces:
             return self._spaces[key]
         kind = label[0]
@@ -231,7 +242,7 @@ def witness_from_json(data, store: MorphismStore, resolver: LabelResolver):
     entries = []
     for brec in data["blocks"]:
         wedge_obj = resolver.obj(brec["wedge"])
-        insertions = _wedge_insertions(resolver, brec["wedge"])
+        insertions = resolver.insertions(brec["wedge"])
         space = resolver.space(brec["space"])
         parts = []
         for prec in brec["parts"]:
@@ -272,21 +283,6 @@ def witness_from_json(data, store: MorphismStore, resolver: LabelResolver):
             )
         )
     return FiltrationWitness(int(data["level"]), entries)
-
-
-def _wedge_insertions(resolver: LabelResolver, label):
-    label = unjsonable(label)
-    kind = label[0]
-    ctx = resolver.ctx
-    if kind == "wedgept":
-        return wedge([resolver.obj(("point",))], label=("wedgept",))[1]
-    if kind == "wedge1":
-        return wedge([resolver.obj(label[1])], label=label)[1]
-    if kind == "wedge":
-        return wedge([resolver.obj(sub) for sub in label[1]], label=label)[1]
-    if kind == "wedgecones":
-        return ctx.iota(label[1])[2]
-    raise ArtifactError(f"label {label!r} is not a wedge")
 
 
 # -- writing -------------------------------------------------------------------
@@ -368,14 +364,11 @@ def _load(path):
         return json.load(fh)
 
 
-def check_pair_artifacts(in_dir):
-    """Re-verify a pair-construction dump from files alone.
-
-    Returns a list of (check-name, ok) tuples; everything is recomputed
-    against freshly built spaces.
-    """
+def _open_dump(in_dir, kind):
+    """The manifest of a dump, the context rebuilt from its sizes, a label
+    resolver over that context, and the loaded morphism store."""
     manifest = _load(os.path.join(in_dir, "manifest.json"))
-    if manifest.get("kind") != "pair-construction":
+    if manifest.get("kind") != kind:
         raise ArtifactError("manifest kind mismatch")
     ctx = WedgeContext(
         tuple(manifest["i"]), tuple(manifest["e"]), bound=manifest["bound"]
@@ -384,6 +377,16 @@ def check_pair_artifacts(in_dir):
     store = MorphismStore.load(
         _load(os.path.join(in_dir, "morphisms.json")), resolver
     )
+    return manifest, ctx, resolver, store
+
+
+def check_pair_artifacts(in_dir):
+    """Re-verify a pair-construction dump from files alone.
+
+    Returns a list of (check-name, ok) tuples, one per condition and pair,
+    from the same condition functions the builder evaluates.
+    """
+    manifest, ctx, resolver, store = _open_dump(in_dir, "pair-construction")
     pairs = {}
     witnesses = {}
     for name in manifest["pairs"]:
@@ -395,77 +398,25 @@ def check_pair_artifacts(in_dir):
             payload["alt_witness"], store, resolver
         )
     checks = []
-    for (f, j), p_ens in sorted(pairs.items()):
-        lat = LayoutLattice(f, bound=len(f))
-        t_f = ctx.plus_base_of(f)
-        inc_tf = SMorphism(
-            t_f,
-            ctx.cone_face(f),
-            [{x: x for x in t_f.level(n)} for n in range(ctx.bound + 1)],
-            check=False,
+    for f, j in sorted(pairs):
+        checks.extend(
+            pair_checks(ctx, lambda g, k: pairs[(g, k)], f, j, witnesses[(f, j)])
         )
-        ok1 = restrict_ensemble(p_ens, inc_tf) == singleton(ctx.xi(j, f))
-        checks.append((f"constant-restriction F={f} J={j}", ok1))
-        ok0 = True
-        for b in lat.layouts:
-            got = restrict_ensemble(p_ens, ctx.layout_inclusion(b, lat.top))
-            want = combine_over_layout(
-                ctx, b, {g: pairs[(subset_key(g), j)] for g in b}
-            )
-            ok0 = ok0 and got == want
-        checks.append((f"multiplicative-restriction F={f} J={j}", ok0))
-        alt = Ensemble.zero()
-        for k in subsets_of(j):
-            alt = alt + ((-1) ** (len(j) - len(k))) * pairs[(f, k)]
-        rep = verify_witness(alt, witnesses[(f, j)], len(j), ctx.monoid)
-        checks.append((f"alternating-sum-witness F={f} J={j}", bool(rep)))
     return checks
 
 
 def check_q_artifacts(in_dir):
-    manifest = _load(os.path.join(in_dir, "manifest.json"))
-    if manifest.get("kind") != "almost-fissile":
-        raise ArtifactError("manifest kind mismatch")
-    ctx = WedgeContext(
-        tuple(manifest["i"]), tuple(manifest["e"]), bound=manifest["bound"]
-    )
-    resolver = LabelResolver(ctx)
-    store = MorphismStore.load(
-        _load(os.path.join(in_dir, "morphisms.json")), resolver
-    )
+    """Re-verify an almost-fissile dump: one check per layout defect and
+    one for the boundary defect."""
+    _manifest, ctx, resolver, store = _open_dump(in_dir, "almost-fissile")
     payload = _load(os.path.join(in_dir, "q.json"))
     q_ens = ensemble_from_json(payload["ensemble"], store)
-    lat = LayoutLattice(ctx.e_set, bound=len(ctx.e_set))
-    checks = []
-    for entry in payload["layouts"]:
-        a = layout_key([tuple(g) for g in entry["layout"]])
-        wit = witness_from_json(entry["witness"], store, resolver)
-        combined = combine_over_layout(
-            ctx,
-            a,
-            {
-                g: restrict_ensemble(
-                    q_ens, ctx.layout_inclusion(layout_key([g]), lat.top)
-                )
-                for g in a
-            },
+    layout_witnesses = [
+        (
+            layout_key([tuple(g) for g in entry["layout"]]),
+            witness_from_json(entry["witness"], store, resolver),
         )
-        defect = combined - restrict_ensemble(
-            q_ens, ctx.layout_inclusion(a, lat.top)
-        )
-        rep = verify_witness(defect, wit, len(ctx.i_set), ctx.monoid)
-        checks.append((f"layout-defect-witness A={a}", bool(rep)))
-    t_e = ctx.plus_base_of(ctx.e_set)
-    inc_te = SMorphism(
-        t_e,
-        ctx.cone_face(ctx.e_set),
-        [{x: x for x in t_e.level(n)} for n in range(ctx.bound + 1)],
-        check=False,
-    )
-    boundary = singleton(ctx.xi(ctx.i_set, ctx.e_set)) - restrict_ensemble(
-        q_ens, inc_te
-    )
+        for entry in payload["layouts"]
+    ]
     bwit = witness_from_json(payload["boundary_witness"], store, resolver)
-    rep = verify_witness(boundary, bwit, len(ctx.i_set), ctx.monoid)
-    checks.append(("boundary-witness", bool(rep)))
-    return checks
+    return list(q_checks(ctx, q_ens, layout_witnesses, bwit))

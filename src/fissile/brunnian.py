@@ -4,8 +4,6 @@ truncated noncommutative power-series expansion."""
 
 from itertools import combinations
 
-LETTER_RE = None  # parsing lives in the cli
-
 
 def reduce_word(letters):
     """Free reduction: cancel adjacent inverse pairs until none remain."""

@@ -11,10 +11,16 @@ import re
 import sys
 import time
 
-from .artifacts import check_pair_artifacts, check_q_artifacts, write_pair_artifacts, write_q_artifacts
+from .artifacts import (
+    ArtifactError,
+    check_pair_artifacts,
+    check_q_artifacts,
+    write_pair_artifacts,
+    write_q_artifacts,
+)
 from .brunnian import is_brunnian, lcs_degree, magnus, reduce_word
 from .suites import SUITES, SUITE_NAMES
-from .wedge import GuardExceeded, construct_p, construct_q
+from .wedge import GuardExceeded, VerificationError, construct_p, construct_q
 
 WORD_TOKEN = re.compile(r"^x(\d+)(\^-1)?$")
 
@@ -33,6 +39,14 @@ def parse_word(text):
             )
         letters.append((int(m.group(1)), -1 if m.group(2) else 1))
     return reduce_word(letters)
+
+
+def positive_int(text):
+    """Argument type for sizes and degrees: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _emit(report):
@@ -81,79 +95,52 @@ def cmd_verify(args):
     return 1 if _summary(reports) else 0
 
 
-def cmd_construct_pj(args):
+def _finish_q(result, out):
+    record = construct_q(result)
+    if out:
+        write_q_artifacts(result, record, out)
+
+
+# What each construct command does with the built pair table, and which
+# checker each check command runs.
+FINISH = {"construct-pj": write_pair_artifacts, "construct-q": _finish_q}
+CHECKERS = {"check-pj": check_pair_artifacts, "check-q": check_q_artifacts}
+
+
+def cmd_construct(args):
     report = {
-        "suite": "construct-pj",
+        "suite": args.command,
         "case": {"i": args.i, "e": args.e, "out": args.out},
     }
     t0 = time.monotonic()
     try:
         result = construct_p(tuple(range(1, args.i + 1)), tuple(range(1, args.e + 1)))
-        write_pair_artifacts(result, args.out)
+        FINISH[args.command](result, args.out)
         report["verdict"] = "pass"
-        report["artifacts"] = [args.out]
-    except GuardExceeded:
-        report["verdict"] = "skipped-guard"
-    report["ms"] = int((time.monotonic() - t0) * 1000)
-    _emit(report)
-    return 1 if _summary([report]) else 0
-
-
-def _checked(fn, in_dir):
-    """Run an artifact checker; structural corruption counts as failure."""
-    from .artifacts import ArtifactError
-
-    try:
-        return fn(in_dir)
-    except (ArtifactError, AssertionError, KeyError, OSError, ValueError) as exc:
-        return [(f"artifact-structure ({exc})", False)]
-
-
-def cmd_check_pj(args):
-    t0 = time.monotonic()
-    checks = _checked(check_pair_artifacts, args.in_dir)
-    reports = []
-    for name, ok in checks:
-        reports.append(
-            {
-                "suite": "check-pj",
-                "case": {"check": name, "in": args.in_dir},
-                "verdict": "pass" if ok else "fail",
-                "ms": int((time.monotonic() - t0) * 1000),
-            }
-        )
-        _emit(reports[-1])
-    return 1 if _summary(reports) else 0
-
-
-def cmd_construct_q(args):
-    report = {
-        "suite": "construct-q",
-        "case": {"i": args.i, "e": args.e, "out": args.out},
-    }
-    t0 = time.monotonic()
-    try:
-        result = construct_p(tuple(range(1, args.i + 1)), tuple(range(1, args.e + 1)))
-        record = construct_q(result)
         if args.out:
-            write_q_artifacts(result, record, args.out)
             report["artifacts"] = [args.out]
-        report["verdict"] = "pass"
     except GuardExceeded:
         report["verdict"] = "skipped-guard"
+    except VerificationError as exc:
+        report["verdict"] = "fail"
+        report["error"] = str(exc)
     report["ms"] = int((time.monotonic() - t0) * 1000)
     _emit(report)
     return 1 if _summary([report]) else 0
 
 
-def cmd_check_q(args):
+def cmd_check(args):
+    """Run an artifact checker; structural corruption counts as failure."""
     t0 = time.monotonic()
-    checks = _checked(check_q_artifacts, args.in_dir)
+    try:
+        checks = CHECKERS[args.command](args.in_dir)
+    except (ArtifactError, AssertionError, KeyError, OSError, ValueError) as exc:
+        checks = [(f"artifact-structure ({exc})", False)]
     reports = []
     for name, ok in checks:
         reports.append(
             {
-                "suite": "check-q",
+                "suite": args.command,
                 "case": {"check": name, "in": args.in_dir},
                 "verdict": "pass" if ok else "fail",
                 "ms": int((time.monotonic() - t0) * 1000),
@@ -234,25 +221,23 @@ def build_parser():
     p.add_argument("--bound", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("construct-pj", help="build the pair table and dump it")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_construct_pj)
+    for name, help_text, out_required in (
+        ("construct-pj", "build the pair table and dump it", True),
+        ("construct-q", "build the alternating combination", False),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--i", type=positive_int, required=True)
+        p.add_argument("--e", type=positive_int, required=True)
+        p.add_argument("--out", required=out_required, default=None)
+        p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("check-pj", help="re-verify a pair dump from files")
-    p.add_argument("--in", dest="in_dir", required=True)
-    p.set_defaults(func=cmd_check_pj)
-
-    p = sub.add_parser("construct-q", help="build the alternating combination")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_construct_q)
-
-    p = sub.add_parser("check-q", help="re-verify an alternating-combination dump")
-    p.add_argument("--in", dest="in_dir", required=True)
-    p.set_defaults(func=cmd_check_q)
+    for name, help_text in (
+        ("check-pj", "re-verify a pair dump from files"),
+        ("check-q", "re-verify an alternating-combination dump"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--in", dest="in_dir", required=True)
+        p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("check-brunnian", help="test vanishing under deletions")
     p.add_argument("--word", required=True)
@@ -261,12 +246,14 @@ def build_parser():
 
     p = sub.add_parser("magnus", help="truncated power-series expansion")
     p.add_argument("--word", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=positive_int, required=True)
     p.set_defaults(func=cmd_magnus)
 
     p = sub.add_parser("lcs", help="lower-central depth via the expansion")
     p.add_argument("--word", required=True)
-    p.add_argument("--max-degree", dest="max_degree", type=int, required=True)
+    p.add_argument(
+        "--max-degree", dest="max_degree", type=positive_int, required=True
+    )
     p.set_defaults(func=cmd_lcs)
 
     return parser

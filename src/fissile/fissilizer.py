@@ -243,5 +243,4 @@ __all__ = [
     "check_fissilizer_defect",
     "point_ensemble",
     "SubgroupFamilyReport",
-    "singleton",
 ]

@@ -5,7 +5,7 @@ tuples of subsets."""
 from itertools import product
 
 from .ensembles import Ensemble, combining_product, singleton
-from .chained import subset_key, subsets_of
+from .chained import omega, subset_key, subsets_of
 
 
 def covers(a_size, ground):
@@ -33,23 +33,6 @@ def _tensor(factors):
     return combining_product(factors, lambda tup: tup)
 
 
-def _alternating(j):
-    j = subset_key(j)
-    out = {}
-    for k in subsets_of(j):
-        out[k] = (-1) ** (len(j) - len(k))
-    return Ensemble(out)
-
-
-def _alternating_proper(ground):
-    ground = subset_key(ground)
-    out = {}
-    for j in subsets_of(ground):
-        if j != ground:
-            out[j] = (-1) ** (len(ground) - 1 - len(j))
-    return Ensemble(out)
-
-
 def verify_cover_expansion(a_size, ground) -> bool:
     """The alternating sum of diagonal tensors over all subsets equals the
     cover-indexed sum of tensored alternating sums."""
@@ -60,7 +43,7 @@ def verify_cover_expansion(a_size, ground) -> bool:
         lhs = lhs + sign * _tensor([singleton(j)] * a_size)
     rhs = Ensemble.zero()
     for k in covers(a_size, ground):
-        rhs = rhs + _tensor([_alternating(s) for s in k])
+        rhs = rhs + _tensor([omega(s) for s in k])
     return lhs == rhs
 
 
@@ -68,7 +51,7 @@ def verify_proper_cover_expansion(a_size, ground) -> bool:
     """Same shape over proper subsets: the tensor power of the proper
     alternating sum minus its diagonal version equals the proper-cover sum."""
     ground = subset_key(ground)
-    alt = _alternating_proper(ground)
+    alt = singleton(ground) - omega(ground)
     lhs = _tensor([alt] * a_size)
     for j in subsets_of(ground):
         if j == ground:
@@ -77,7 +60,7 @@ def verify_proper_cover_expansion(a_size, ground) -> bool:
         lhs = lhs - sign * _tensor([singleton(j)] * a_size)
     rhs = Ensemble.zero()
     for k in proper_covers(a_size, ground):
-        rhs = rhs + _tensor([_alternating(s) for s in k])
+        rhs = rhs + _tensor([omega(s) for s in k])
     return lhs == rhs
 
 
@@ -88,7 +71,7 @@ def verify_full_sum_collapse(a_size, ground) -> bool:
     pool = subsets_of(ground)
     total = Ensemble.zero()
     for k in product(pool, repeat=a_size):
-        total = total + _tensor([_alternating(s) for s in k])
+        total = total + _tensor([omega(s) for s in k])
     return total == _tensor([singleton(ground)] * a_size)
 
 
@@ -99,8 +82,8 @@ def verify_proper_sum_collapse(a_size, ground) -> bool:
     pool = [s for s in subsets_of(ground) if s != ground]
     total = Ensemble.zero()
     for k in product(pool, repeat=a_size):
-        total = total + _tensor([_alternating(s) for s in k])
-    return total == _tensor([_alternating_proper(ground)] * a_size)
+        total = total + _tensor([omega(s) for s in k])
+    return total == _tensor([singleton(ground) - omega(ground)] * a_size)
 
 
 def verify_cover_difference(a_size, ground) -> bool:

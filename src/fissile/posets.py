@@ -124,10 +124,6 @@ class IncompatibleSection(ValueError):
     pass
 
 
-def down_set(poset: FinitePoset, p):
-    return poset.down_set(p)
-
-
 def nabla(poset: FinitePoset, restrict, family: Section) -> Section:
     """Triangular transform: output at q sums the restrictions from all p >= q."""
     out = Section()

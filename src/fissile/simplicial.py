@@ -21,16 +21,6 @@ from .canon import ckey, jsonable
 BASE = "*"
 
 
-def _is_degenerate_key(simp_set, n, x):
-    if n == 0:
-        return False
-    for i in range(n):
-        for y in simp_set.simplices[n - 1]:
-            if simp_set.degens[n - 1][y][i] == x:
-                return True
-    return False
-
-
 class FiniteSimplicialSet:
     def __init__(self, bound, simplices, faces, degens, basepoint=None, label=None, check=True):
         self.bound = bound
@@ -282,10 +272,6 @@ def compose(g: SMorphism, f: SMorphism) -> SMorphism:
     return SMorphism(f.domain, g.codomain, maps, check=False)
 
 
-def identity_morphism(u: FiniteSimplicialSet) -> SMorphism:
-    return SMorphism(u, u, [{x: x for x in level} for level in u.simplices], check=False)
-
-
 def constant_morphism(t, z, vertex) -> SMorphism:
     maps = []
     x = vertex
@@ -502,10 +488,6 @@ def cone(u: FiniteSimplicialSet, s: int, check=True) -> FiniteSimplicialSet:
     return out
 
 
-def cone_apex(c: FiniteSimplicialSet):
-    return c.basepoint
-
-
 def base_embedding(u, c, s) -> SMorphism:
     """The inclusion of u as the base of its cone."""
     maps = []
@@ -570,6 +552,8 @@ def subsimplicial(u, member, basepoint=None, label=None, check=True):
 
 
 def inclusion(sub, sup) -> SMorphism:
+    """The identity table of sub into sup, which contains it with the same
+    keys; inclusion(u, u) is the identity of u."""
     return SMorphism(
         sub, sup, [{x: x for x in level} for level in sub.simplices], check=False
     )
@@ -903,7 +887,7 @@ class ContractionTower:
         sigma_bar = induce_through(cq, compose(self.susp_proj, sigma_tilde))
         red, inc, proj, _c = self.reduced
         sigma = induce_through(proj, sigma_bar)
-        assert compose(sigma, inc) == identity_morphism(self.susp)
+        assert compose(sigma, inc) == inclusion(self.susp, self.susp)
         self.contractions[letter] = sigma
         return sigma
 

@@ -40,7 +40,6 @@ from .layouts import enumerate_layouts, layout_meet
 from .posets import Section, check_restriction_square, lift_limit, nabla, nabla_inverse
 from .simplicial import (
     ContractionTower,
-    SMorphism,
     base_embedding,
     barycentric,
     canonical_retraction,
@@ -259,16 +258,11 @@ def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
     for size in range(1, max_a):
         for sub in combinations(big, size):
             tower_sub = ContractionTower(sub, contraction_bound)
-            thick_inc = SMorphism(
-                tower_sub.thick,
-                tower_big.thick,
-                [
-                    {x: x for x in tower_sub.thick.level(m)}
-                    for m in range(contraction_bound + 1)
-                ],
-            )
             cone_inc = cone_map(
-                thick_inc, 1, cdom=tower_sub.hat_cone, ccod=tower_big.hat_cone
+                inclusion(tower_sub.thick, tower_big.thick),
+                1,
+                cdom=tower_sub.hat_cone,
+                ccod=tower_big.hat_cone,
             )
             susp_inc = induce_through(
                 tower_sub.susp_proj, compose(tower_big.susp_proj, cone_inc)

@@ -21,10 +21,16 @@ from .chained import (
     subset_key,
     subsets_of,
 )
-from .ensembles import Ensemble, augmentation, map_ensemble, singleton
+from .ensembles import (
+    Ensemble,
+    augmentation,
+    combining_product,
+    map_ensemble,
+    singleton,
+)
 from .identities import covers, proper_covers
 from .layouts import LayoutLattice, layout_key
-from .posets import Section, nabla_inverse
+from .posets import Section, check_compatible, nabla_inverse
 from .simplicial import (
     ContractionTower,
     SMorphism,
@@ -33,6 +39,8 @@ from .simplicial import (
     compose,
     cone,
     cone_map,
+    constant_morphism,
+    inclusion,
     induce_through,
     layout_complex,
     plus_base,
@@ -42,6 +50,7 @@ from .simplicial import (
     subsimplicial,
     suspension_top_at,
     wedge,
+    wedge_combine,
 )
 from .witnesses import (
     Block,
@@ -101,6 +110,7 @@ class WedgeContext:
         self._susp_maps = {}
         self._spaces = {}
         self._sub_objs = {}
+        self._proper_space = None
         self._cones = {}
         self._plus = {}
         self._plus_iso = {}
@@ -119,16 +129,11 @@ class WedgeContext:
         key = (j_from, j_to)
         if key not in self._susp_maps:
             t_from, t_to = self.towers[j_from], self.towers[j_to]
-            thick_inc = SMorphism(
-                t_from.thick,
-                t_to.thick,
-                [
-                    {x: x for x in t_from.thick.level(n)}
-                    for n in range(self.bound + 1)
-                ],
-            )
             cone_inc = cone_map(
-                thick_inc, 1, cdom=t_from.hat_cone, ccod=t_to.hat_cone
+                inclusion(t_from.thick, t_to.thick),
+                1,
+                cdom=t_from.hat_cone,
+                ccod=t_to.hat_cone,
             )
             self._susp_maps[key] = induce_through(
                 t_from.susp_proj, compose(t_to.susp_proj, cone_inc)
@@ -161,26 +166,35 @@ class WedgeContext:
         action = {k: self._action_table(k) for k in self.monoid.elements}
         return PSpace(self.w_obj, self.monoid, action, label=("WL", self.i_set))
 
+    def _components_obj(self, keep, label):
+        """The wedge of the components at the subsets satisfying ``keep``,
+        inside the full one."""
+        allowed = {idx for idx, j in enumerate(self.components) if keep(j)}
+
+        def member(n, x):
+            return x == self.w_obj.basepoint_at(n) or x[0] in allowed
+
+        return subsimplicial(
+            self.w_obj, member, basepoint=self.w_obj.basepoint, label=label
+        )
+
+    def _restricted_space(self, obj) -> PSpace:
+        """A components subobject with the full action cut down to it."""
+        action = {}
+        for k, big in self.full_space.action.items():
+            maps = [
+                {x: big.maps[n][x] for x in level}
+                for n, level in enumerate(obj.simplices)
+            ]
+            action[k] = SMorphism(obj, obj, maps)
+        return PSpace(obj, self.monoid, action)
+
     def sub_obj(self, l_key):
         """The wedge of the components at subsets of l, inside the full one."""
         l_key = subset_key(l_key)
         if l_key not in self._sub_objs:
-            allowed = {
-                idx
-                for idx, j in enumerate(self.components)
-                if set(j) <= set(l_key)
-            }
-
-            def member(n, x):
-                if x == self.w_obj.basepoint_at(n):
-                    return True
-                return x[0] in allowed
-
-            self._sub_objs[l_key] = subsimplicial(
-                self.w_obj,
-                member,
-                basepoint=self.w_obj.basepoint,
-                label=("WL", l_key),
+            self._sub_objs[l_key] = self._components_obj(
+                lambda j: set(j) <= set(l_key), ("WL", l_key)
             )
         return self._sub_objs[l_key]
 
@@ -189,56 +203,14 @@ class WedgeContext:
         if l_key == self.i_set:
             return self.full_space
         if l_key not in self._spaces:
-            obj = self.sub_obj(l_key)
-            action = {}
-            for k in self.monoid.elements:
-                big = self.full_space.action[k]
-                action[k] = SMorphism(
-                    obj,
-                    obj,
-                    [
-                        {x: big.maps[n][x] for x in obj.level(n)}
-                        for n in range(self.bound + 1)
-                    ],
-                )
-            self._spaces[l_key] = PSpace(
-                obj, self.monoid, action, label=("WL", l_key)
-            )
+            self._spaces[l_key] = self._restricted_space(self.sub_obj(l_key))
         return self._spaces[l_key]
 
     def proper_space(self) -> PSpace:
         """Components at proper subsets only."""
-        if not hasattr(self, "_proper_space"):
-            allowed = {
-                idx
-                for idx, j in enumerate(self.components)
-                if j != self.i_set
-            }
-
-            def member(n, x):
-                if x == self.w_obj.basepoint_at(n):
-                    return True
-                return x[0] in allowed
-
-            obj = subsimplicial(
-                self.w_obj,
-                member,
-                basepoint=self.w_obj.basepoint,
-                label=("Wx", self.i_set),
-            )
-            action = {}
-            for k in self.monoid.elements:
-                big = self.full_space.action[k]
-                action[k] = SMorphism(
-                    obj,
-                    obj,
-                    [
-                        {x: big.maps[n][x] for x in obj.level(n)}
-                        for n in range(self.bound + 1)
-                    ],
-                )
-            self._proper_space = PSpace(
-                obj, self.monoid, action, label=("Wx", self.i_set)
+        if self._proper_space is None:
+            self._proper_space = self._restricted_space(
+                self._components_obj(lambda j: j != self.i_set, ("Wx", self.i_set))
             )
         return self._proper_space
 
@@ -291,15 +263,11 @@ class WedgeContext:
 
     def layout_inclusion(self, b, a) -> SMorphism:
         """Inclusion of coned layout subdivisions for a >= b (shared keys)."""
-        return SMorphism(
-            self.cone_layout(b),
-            self.cone_layout(a),
-            [
-                {x: x for x in self.cone_layout(b).level(n)}
-                for n in range(self.bound + 1)
-            ],
-            check=False,
-        )
+        return inclusion(self.cone_layout(b), self.cone_layout(a))
+
+    def base_inclusion(self, f) -> SMorphism:
+        """Inclusion of the based subdivision of a face into its coned one."""
+        return inclusion(self.plus_base_of(f), self.cone_face(f))
 
     def iota(self, b):
         """Isomorphism from a coned layout subdivision to the wedge of its
@@ -420,23 +388,9 @@ class WedgeContext:
         """Rank-0 witness for coeff * <constant basepoint morphism> on t."""
         pt = point(self.bound)
         pt.label = ("point",)
-        const = SMorphism(
-            pt,
-            space.obj,
-            [
-                {pt.basepoint_at(n): space.obj.basepoint_at(n)}
-                for n in range(self.bound + 1)
-            ],
-        )
+        const = constant_morphism(pt, space.obj, space.obj.basepoint)
         wobj, ins = wedge([pt], label=("wedgept",))
-        f = SMorphism(
-            t_obj,
-            wobj,
-            [
-                {x: wobj.basepoint_at(n) for x in t_obj.level(n)}
-                for n in range(self.bound + 1)
-            ],
-        )
+        f = constant_morphism(t_obj, wobj, wobj.basepoint)
         part = BlockPart(
             level=0,
             terms=[IdealTerm(singleton(self.i_set), self.identity_cert(), const)],
@@ -475,33 +429,13 @@ def combine_over_layout(ctx: WedgeContext, b, parts_by_block) -> Ensemble:
     """Combining product of per-block morphism ensembles, landing on the
     coned subdivision of the layout."""
     b = layout_key(b)
-    iota, wobj, ins = ctx.iota(b) if b else (None, None, None)
     if not b:
-        apex_obj = ctx.cone_layout(())
-        w_space = ctx.full_space
-
-        def const(tup):
-            return SMorphism(
-                apex_obj,
-                w_space.obj,
-                [
-                    {
-                        x: w_space.obj.basepoint_at(n)
-                        for x in apex_obj.level(n)
-                    }
-                    for n in range(ctx.bound + 1)
-                ],
-            )
-
-        from .ensembles import combining_product
-
-        return combining_product([], const)
-    from .simplicial import wedge_combine
-    from .ensembles import combining_product
-
-    factors = [parts_by_block[g] for g in b]
+        return singleton(
+            constant_morphism(ctx.cone_layout(()), ctx.w_obj, ctx.w_obj.basepoint)
+        )
+    iota, wobj, ins = ctx.iota(b)
     return combining_product(
-        factors,
+        [parts_by_block[g] for g in b],
         lambda tup: compose(
             wedge_combine(wobj, ins, list(tup), codomain=ctx.w_obj), iota
         ),
@@ -585,6 +519,96 @@ class MorphismLayoutPresheaf:
         return combine_over_layout(self.ctx, a, parts)
 
 
+# -- the construction conditions -------------------------------------------
+#
+# Each condition has this one definition.  The builder evaluates it on the
+# ensembles it has just made and raises VerificationError when it fails; the
+# artifact checker evaluates it on the ensembles read back from files.
+# ``p(g, k)`` is the pair ensemble at the face g and the index subset k.
+
+
+class VerificationError(Exception):
+    """A construction condition failed; the message names the condition and
+    the pair or layout it failed on."""
+
+
+def extend_over(pi: Ensemble, value_of) -> Ensemble:
+    """Linear extension of ``value_of`` from subsets to the monoid-ring
+    element pi."""
+    total = Ensemble.zero()
+    for k, c in pi.terms.items():
+        total = total + c * value_of(k)
+    return total
+
+
+def boundary_defect(ctx: WedgeContext, s: Ensemble, f, j) -> Ensemble:
+    """The constant morphism at the top vertex of the component at j, minus
+    the restriction of s, on the based subdivision of the face f."""
+    return singleton(ctx.xi(j, f)) - restrict_ensemble(s, ctx.base_inclusion(f))
+
+
+def constant_restriction_holds(ctx: WedgeContext, p, f, j) -> bool:
+    """Condition 1: p(f, j) restricts to the constant morphism on the based
+    subdivision of f."""
+    return not boundary_defect(ctx, p(f, j), f, j)
+
+
+def multiplicative_restriction_holds(ctx: WedgeContext, p, f, j, b) -> bool:
+    """Condition 0 at the layout b of f: p(f, j) restricts to the combining
+    product of the p(g, j) over the blocks g of b."""
+    got = restrict_ensemble(p(f, j), ctx.layout_inclusion(b, layout_key([f])))
+    return got == combine_over_layout(ctx, b, {g: p(g, j) for g in b})
+
+
+def alternating_sum(p, f, j) -> Ensemble:
+    """The sum over subsets k of j of (-1)^(|j|-|k|) p(f, k); condition 2
+    asks for a witness of it at level |j|."""
+    return extend_over(omega(j), lambda k: p(f, k))
+
+
+def layout_defect(ctx: WedgeContext, q: Ensemble, a) -> Ensemble:
+    """The combining product over the layout a of the restrictions of q to
+    its blocks, minus the restriction of q to a."""
+    top = layout_key([ctx.e_set])
+    per_block = {
+        g: restrict_ensemble(q, ctx.layout_inclusion(layout_key([g]), top))
+        for g in a
+    }
+    return combine_over_layout(ctx, a, per_block) - restrict_ensemble(
+        q, ctx.layout_inclusion(a, top)
+    )
+
+
+def pair_checks(ctx: WedgeContext, p, f, j, alt_witness):
+    """Conditions 0, 1 and 2 of the pair (f, j) as (check name, ok)."""
+    tag = f"F={f} J={j}"
+    yield f"constant-restriction {tag}", constant_restriction_holds(ctx, p, f, j)
+    yield f"multiplicative-restriction {tag}", all(
+        multiplicative_restriction_holds(ctx, p, f, j, b)
+        for b in LayoutLattice(f, bound=len(f)).layouts
+    )
+    rep = verify_witness(alternating_sum(p, f, j), alt_witness, len(j), ctx.monoid)
+    yield f"alternating-sum-witness {tag}", bool(rep)
+
+
+def q_checks(ctx: WedgeContext, q: Ensemble, layout_witnesses, boundary_witness):
+    """The layout-defect and boundary-defect claims for q as (check name,
+    ok); ``layout_witnesses`` yields (layout, witness) pairs."""
+    level = len(ctx.i_set)
+    for a, wit in layout_witnesses:
+        rep = verify_witness(layout_defect(ctx, q, a), wit, level, ctx.monoid)
+        yield f"layout-defect-witness A={a}", bool(rep)
+    boundary = boundary_defect(ctx, q, ctx.e_set, ctx.i_set)
+    rep = verify_witness(boundary, boundary_witness, level, ctx.monoid)
+    yield "boundary-witness", bool(rep)
+
+
+def _require_all(checks):
+    for name, ok in checks:
+        if not ok:
+            raise VerificationError(f"{name} failed")
+
+
 @dataclass
 class PairRecord:
     face: tuple
@@ -593,7 +617,6 @@ class PairRecord:
     fissile: bool
     alt_sum: Ensemble
     alt_witness: FiltrationWitness
-    boundary_checked: bool = True
 
 
 @dataclass
@@ -612,7 +635,7 @@ def construct_p(i_set, e_set, bound=None, enforce_guard=True) -> ConstructionRes
     every layout of its face (condition 0), restricts to the constant
     morphism on the based subdivision (condition 1), and its alternating
     sum over subsets carries a verified witness at level the subset size
-    (condition 2).
+    (condition 2).  A failed condition raises VerificationError.
     """
     i_set, e_set = subset_key(i_set), subset_key(e_set)
     if not i_set:
@@ -631,32 +654,18 @@ def construct_p(i_set, e_set, bound=None, enforce_guard=True) -> ConstructionRes
     )
     for f in faces:
         for j in proper:
-            record = _construct_pair(ctx, result.pairs, f, j)
-            result.pairs[(f, j)] = record
+            _construct_pair(ctx, result.pairs, f, j)
     return result
 
 
-def _alt_sum(pairs, f, j, sign_shift=0):
-    """Sum over subsets k of j of (-1)^(|j| - |k| + shift) p_k^f."""
-    total = Ensemble.zero()
-    for k in subsets_of(j):
-        total = total + ((-1) ** (len(j) - len(k) + sign_shift)) * pairs[
-            (f, k)
-        ].ensemble
-    return total
-
-
 def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
+    def p(g, k):
+        return pairs[(g, k)].ensemble
+
     space_j = ctx.space(j)
     lat = LayoutLattice(f, bound=len(f))
-    cone_f = ctx.cone_face(f)
     t_f = ctx.plus_base_of(f)
-    inc_tf = SMorphism(
-        t_f,
-        cone_f,
-        [{x: x for x in t_f.level(n)} for n in range(ctx.bound + 1)],
-        check=False,
-    )
+    inc_tf = ctx.base_inclusion(f)
     top = lat.top
     proper_layouts = [b for b in lat.layouts if b != top]
 
@@ -664,23 +673,20 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     u_vals = Section()
     u_wits = {}
     for b in proper_layouts:
-        val = Ensemble.zero()
-        for k in subsets_of(j):
-            sign = (-1) ** (len(j) - len(k))
-            combined = combine_over_layout(
-                ctx, b, {g: pairs[(g, k)].ensemble for g in b}
-            )
-            val = val + sign * combined
+        val = extend_over(
+            omega(j), lambda k: combine_over_layout(ctx, b, {g: p(g, k) for g in b})
+        )
         cover_wits = []
         for l_fn in covers(len(b), j):
             assignment = dict(zip(b, l_fn))
             per_block = []
             for g in b:
                 rec = pairs[(g, assignment[g])]
+                small = ctx.space(assignment[g])
                 wit = map_witness(
                     rec.alt_witness,
-                    _space_inclusion(ctx, assignment[g], j),
-                    ctx.space(assignment[g]),
+                    inclusion(small.obj, space_j.obj),
+                    small,
                     space_j,
                 )
                 per_block.append(wit)
@@ -702,18 +708,16 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     def restrict_along(a, b, s):
         return restrict_ensemble(s, ctx.layout_inclusion(b, a))
 
-    from .posets import check_compatible
-
     check_compatible(punctured, restrict_along, u_vals)
     v_vals = nabla_inverse(punctured, restrict_along, u_vals)
     v_wits = {}
     for b in reversed(punctured.linear_extension()):
         wit = u_wits[b]
-        for p in punctured.elements:
-            if p != b and punctured.leq(b, p):
+        for p_up in punctured.elements:
+            if p_up != b and punctured.leq(b, p_up):
                 wit = wit.plus(
                     restrict_witness(
-                        v_wits[p], ctx.layout_inclusion(b, p)
+                        v_wits[p_up], ctx.layout_inclusion(b, p_up)
                     ).scaled(-1)
                 )
         v_wits[b] = compact_witness(wit)
@@ -742,15 +746,11 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
         assert got == u_vals.value(b), "lift does not restrict to the family"
 
     # bend the boundary defect flat with the filling
-    q_ens = Ensemble.zero()
-    for k in subsets_of(j):
-        if k == j:
-            continue
-        q_ens = q_ens + ((-1) ** (len(j) - 1 - len(k))) * pairs[(f, k)].ensemble
+    q_ens = extend_over(singleton(j) - omega(j), lambda k: p(f, k))
     r_ens = q_ens + u_lift
 
     xi_jf = ctx.xi(j, f)
-    delta = singleton(xi_jf) - restrict_ensemble(r_ens, inc_tf)
+    delta = boundary_defect(ctx, r_ens, f, j)
     omega_wit = ctx.singleton_block_witness(
         omega(j), ctx.omega_cert(j), xi_jf, t_f, space_j
     )
@@ -761,7 +761,6 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
 
     letter = sorted(set(ctx.i_set) - set(j))[0]
     chi_delta = map_ensemble(lambda v: ctx.filling(v, letter, j), delta)
-    p_new = r_ens + chi_delta
 
     red_space = ctx.registry.reduced_space(space_j)
     chi_wit = restrict_witness(
@@ -773,49 +772,18 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
         ),
         ctx.plus_iso(f),
     )
-    alt_value = u_lift + chi_delta
-    direct_alt = p_new - q_ens
-    assert direct_alt == alt_value
     alt_wit = compact_witness(u_wit.plus(chi_wit))
-    assert alt_wit.value() == alt_value
-
-    # condition 1: constant restriction
-    assert restrict_ensemble(p_new, inc_tf) == singleton(xi_jf)
-
-    # condition 0: multiplicative restriction to every layout of the face
     record = PairRecord(
         face=f,
         index_subset=j,
-        ensemble=p_new,
+        ensemble=r_ens + chi_delta,
         fissile=True,
-        alt_sum=alt_value,
+        alt_sum=u_lift + chi_delta,
         alt_witness=alt_wit,
     )
     pairs[(f, j)] = record
-    for b in lat.layouts:
-        got = restrict_ensemble(p_new, ctx.layout_inclusion(b, top))
-        want = combine_over_layout(
-            ctx, b, {g: pairs[(g, j)].ensemble for g in b}
-        )
-        assert got == want, f"multiplicative restriction fails at {b!r}"
-
-    check = verify_witness(alt_value, alt_wit, len(j), ctx.monoid)
-    assert check, check.diagnostic
-    full_alt = _alt_sum(pairs, f, j)
-    assert full_alt == alt_value
+    _require_all(pair_checks(ctx, p, f, j, alt_wit))
     return record
-
-
-def _space_inclusion(ctx: WedgeContext, small, big) -> SMorphism:
-    small, big = subset_key(small), subset_key(big)
-    src = ctx.space(small).obj
-    dst = ctx.space(big).obj if big != ctx.i_set else ctx.full_space.obj
-    return SMorphism(
-        src,
-        dst,
-        [{x: x for x in src.level(n)} for n in range(ctx.bound + 1)],
-        check=False,
-    )
 
 
 @dataclass
@@ -830,44 +798,29 @@ class AlmostFissileRecord:
 def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
     """Assemble the alternating combination of the final ensembles; every
     layout defect and the boundary defect receive verified witnesses at
-    level the index-set size."""
+    level the index-set size.  A failed claim raises VerificationError."""
     ctx = result.ctx
     i_set, e_set = ctx.i_set, ctx.e_set
-    w_proper = ctx.proper_space()
-    q_ens = Ensemble.zero()
-    for j in subsets_of(i_set):
-        if j == i_set:
-            continue
-        q_ens = q_ens + ((-1) ** (len(i_set) - 1 - len(j))) * result.final(
-            j
-        ).ensemble
+    q_ens = extend_over(
+        singleton(i_set) - omega(i_set), lambda j: result.final(j).ensemble
+    )
     assert augmentation(q_ens) == 1
 
     lat = LayoutLattice(e_set, bound=len(e_set))
     top = lat.top
     defects, witnesses = {}, {}
     for a in lat.layouts:
-        combined = combine_over_layout(
-            ctx,
-            a,
-            {
-                g: restrict_ensemble(
-                    q_ens, ctx.layout_inclusion(layout_key([g]), top)
-                )
-                for g in a
-            },
-        )
-        defect = combined - restrict_ensemble(q_ens, ctx.layout_inclusion(a, top))
         entries = []
         for k_fn in proper_covers(len(a), i_set):
             assignment = dict(zip(a, k_fn))
             per_block = []
             for g in a:
                 rec = result.pairs[(e_set, assignment[g])]
+                small = ctx.space(assignment[g])
                 wit = map_witness(
                     rec.alt_witness,
-                    _space_inclusion(ctx, assignment[g], i_set),
-                    ctx.space(assignment[g]),
+                    inclusion(small.obj, ctx.full_space.obj),
+                    small,
                     ctx.full_space,
                 )
                 wit = restrict_witness(
@@ -880,28 +833,19 @@ def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
                     ctx, a, per_block, ctx.full_space
                 ).entries
             )
-        wit = compact_witness(FiltrationWitness(len(i_set), entries))
-        assert wit.value() == defect, "layout defect expansion mismatch"
-        check = verify_witness(defect, wit, len(i_set), ctx.monoid)
-        assert check, check.diagnostic
-        defects[a], witnesses[a] = defect, wit
+        defects[a] = layout_defect(ctx, q_ens, a)
+        witnesses[a] = compact_witness(FiltrationWitness(len(i_set), entries))
 
-    t_e = ctx.plus_base_of(e_set)
-    inc_te = SMorphism(
-        t_e,
-        ctx.cone_face(e_set),
-        [{x: x for x in t_e.level(n)} for n in range(ctx.bound + 1)],
-        check=False,
-    )
-    xi_top = ctx.xi(i_set, e_set)
-    boundary = singleton(xi_top) - restrict_ensemble(q_ens, inc_te)
+    boundary = boundary_defect(ctx, q_ens, e_set, i_set)
     bwit = ctx.singleton_block_witness(
-        omega(i_set), ctx.omega_cert(i_set), xi_top, t_e, ctx.full_space
+        omega(i_set),
+        ctx.omega_cert(i_set),
+        ctx.xi(i_set, e_set),
+        ctx.plus_base_of(e_set),
+        ctx.full_space,
     )
     bwit = compact_witness(bwit)
-    assert bwit.value() == boundary, "boundary alternating sum mismatch"
-    check = verify_witness(boundary, bwit, len(i_set), ctx.monoid)
-    assert check, check.diagnostic
+    _require_all(q_checks(ctx, q_ens, witnesses.items(), bwit))
     return AlmostFissileRecord(
         ensemble=q_ens,
         layout_defects=defects,

@@ -16,7 +16,6 @@ from .ensembles import Ensemble, combining_product, map_ensemble
 from .simplicial import (
     SMorphism,
     compose,
-    identity_morphism,
     inclusion,
     reduced_cone,
     reduced_cone_map,
@@ -39,7 +38,7 @@ class PSpace:
     def _validate(self):
         assert set(self.action) == set(self.monoid.elements)
         ident = self.action[self.monoid.identity()]
-        assert ident == identity_morphism(self.obj)
+        assert ident == inclusion(self.obj, self.obj)
         for k in self.monoid.elements:
             act = self.action[k]
             assert act.is_based()
@@ -187,10 +186,6 @@ class WitnessReport:
 
     def __bool__(self):
         return self.ok
-
-
-def single_block(f, wedge_obj, insertions, parts, space) -> Block:
-    return Block(f=f, wedge_obj=wedge_obj, insertions=insertions, parts=parts, space=space)
 
 
 def make_block(monoid, f, wedge_obj, insertions, parts, space):
@@ -432,14 +427,3 @@ def combine_over_wedge(wedge_obj, insertions, ensembles) -> Ensemble:
     return combining_product(
         ensembles, lambda tup: wedge_combine(wedge_obj, insertions, list(tup))
     )
-
-
-def restriction_to_subset(sub, sup):
-    """Restriction homomorphism of morphism ensembles along a simplicial
-    subset inclusion with shared keys: tables are simply cut down."""
-    inc = inclusion(sub, sup)
-
-    def restrict(s: Ensemble) -> Ensemble:
-        return map_ensemble(lambda v: compose(v, inc), s)
-
-    return restrict

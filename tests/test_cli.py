@@ -2,7 +2,13 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
+from fissile import wedge
+from fissile.artifacts import LabelResolver
+from fissile.canon import ckey_b64, jsonable, unjsonable
 from fissile.cli import main, parse_word
+from fissile.wedge import WedgeContext
 
 
 def run_cli(argv):
@@ -125,3 +131,87 @@ def test_check_reports_structural_corruption(tmp_path):
 def test_no_command_usage():
     rc, _out, _err = run_cli([])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct-pj", "--i", "0", "--e", "1", "--out", "unused"],
+        ["construct-q", "--i", "1", "--e", "0"],
+        ["magnus", "--word", "x1", "--degree", "0"],
+        ["lcs", "--word", "x1", "--max-degree", "0"],
+    ],
+)
+def test_zero_sizes_exit_with_usage(argv):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not a positive integer" in err.getvalue()
+
+
+def test_construct_reports_failed_condition(monkeypatch, tmp_path):
+    monkeypatch.setattr(wedge, "constant_restriction_holds", lambda *args: False)
+    rc, out, _err = run_cli(
+        ["construct-pj", "--i", "1", "--e", "1", "--out", str(tmp_path / "pj")]
+    )
+    assert rc == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["error"].startswith("constant-restriction F=(1,) J=()")
+
+
+def test_check_pj_rejects_table_breaking_faces(tmp_path):
+    # a table that commutes with degeneracies but not with faces, stored
+    # under the id recomputed from its rows
+    pj = tmp_path / "pj"
+    run_cli(["construct-pj", "--i", "1", "--e", "1", "--out", str(pj)])
+    manifest = json.loads((pj / "manifest.json").read_text())
+    resolver = LabelResolver(
+        WedgeContext(manifest["i"], manifest["e"], bound=manifest["bound"])
+    )
+    data = json.loads((pj / "morphisms.json").read_text())
+
+    def break_faces(rec):
+        cod = resolver.obj(rec["codomain"])
+        for row in rec["table"]:
+            n, v = row[0], unjsonable(row[2])
+            for y in cod.level(n) if n else ():
+                if any(cod.face(n, i, y) != cod.face(n, i, v) for i in range(n + 1)):
+                    row[2] = jsonable(y)
+                    return True
+        return False
+
+    old_id = next(mid for mid in sorted(data) if break_faces(data[mid]))
+    new_id = ckey_b64(["morphism", data[old_id]["table"]])
+    data[new_id] = data.pop(old_id)
+    (pj / "morphisms.json").write_text(json.dumps(data))
+    for path in pj.glob("pair_*.json"):
+        path.write_text(path.read_text().replace(old_id, new_id))
+
+    rc, out, _err = run_cli(["check-pj", "--in", str(pj)])
+    assert rc == 1
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert lines and all(r["verdict"] == "fail" for r in lines)
+
+
+def test_check_q_rejects_swapped_layout_witnesses(tmp_path):
+    qd = tmp_path / "q"
+    rc, _out, _err = run_cli(["construct-q", "--i", "2", "--e", "2", "--out", str(qd)])
+    assert rc == 0
+    payload = json.loads((qd / "q.json").read_text())
+    by_layout = {json.dumps(e["layout"]): e for e in payload["layouts"]}
+    full, empty = by_layout["[[1], [2]]"], by_layout["[[1]]"]
+    assert full["witness"]["blocks"] and not empty["witness"]["blocks"]
+    full["witness"], empty["witness"] = empty["witness"], full["witness"]
+    (qd / "q.json").write_text(json.dumps(payload))
+
+    rc, out, _err = run_cli(["check-q", "--in", str(qd)])
+    assert rc == 1
+    verdicts = {
+        r["case"]["check"]: r["verdict"]
+        for r in map(json.loads, out.strip().splitlines())
+    }
+    assert verdicts["layout-defect-witness A=((1,), (2,))"] == "fail"
+    assert verdicts["layout-defect-witness A=((1,),)"] == "fail"
+    assert verdicts["boundary-witness"] == "pass"

@@ -21,7 +21,6 @@ from fissile.simplicial import (
     disjoint_basepoint,
     enumerate_based_morphisms,
     full_complex,
-    identity_morphism,
     inclusion,
     kan_suspension,
     layout_complex,
@@ -250,7 +249,7 @@ def test_wedge_insertions_injective_off_basepoint():
 def test_retraction_identity_case():
     k = full_complex((1, 2))
     r = canonical_retraction(k, k, 3)
-    assert r == identity_morphism(r.domain)
+    assert r == inclusion(r.domain, r.domain)
 
 
 def test_retraction_vertex_rule():
@@ -340,7 +339,7 @@ def test_apex_substitution_is_retraction():
         cca = cone(tower.hat_cone, 0)
         sub = apex_substitution(cca, tower.hat_cone, letters[0])
         emb = base_embedding(tower.hat_cone, cca, 0)
-        assert compose(sub, emb) == identity_morphism(tower.hat_cone)
+        assert compose(sub, emb) == inclusion(tower.hat_cone, tower.hat_cone)
         assert sub.maps[0][cca.basepoint] == ((0,), (letters[0],))
 
 

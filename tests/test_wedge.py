@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from fissile import artifacts, simplicial
+from fissile.canon import jsonable
 from fissile.chained import subset_key, subsets_of
 from fissile.ensembles import Ensemble, augmentation, map_ensemble, singleton
 from fissile.layouts import LayoutLattice, layout_key
@@ -418,3 +420,24 @@ def test_final_ensembles_restrict_multiplicatively(built_21):
                 {g: res.pairs[(subset_key(g), j)].ensemble for g in a},
             )
             assert got == want
+
+
+def test_checker_builds_each_wedge_label_once(tmp_path, monkeypatch, built_21):
+    res, qrec = built_21
+    write_q_artifacts(res, qrec, tmp_path)
+    payload = json.loads((tmp_path / "q.json").read_text())
+    witnesses = [e["witness"] for e in payload["layouts"]]
+    witnesses.append(payload["boundary_witness"])
+    stored = {json.dumps(b["wedge"]) for w in witnesses for b in w["blocks"]}
+
+    built = []
+
+    def counting_wedge(parts, label=None):
+        built.append(json.dumps(jsonable(label)))
+        return simplicial.wedge(parts, label=label)
+
+    monkeypatch.setattr(artifacts, "wedge", counting_wedge)
+    assert all(ok for _name, ok in check_q_artifacts(tmp_path))
+    assert stored and built
+    assert len(built) == len(set(built)) <= len(stored)
+    assert set(built) <= stored

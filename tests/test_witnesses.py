@@ -197,10 +197,10 @@ def test_restrict_witness_identity(ctx):
     rng = random.Random(64)
     space = ctx.space((1,))
     t = ctx.plus_base_of((1,))
-    from fissile.simplicial import identity_morphism
+    from fissile.simplicial import inclusion
 
     w = random_witness(rng, ctx, t, space)
-    wr = restrict_witness(w, identity_morphism(t))
+    wr = restrict_witness(w, inclusion(t, t))
     assert verify_witness(w.value(), wr, w.level, ctx.monoid)
 
 
