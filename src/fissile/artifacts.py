@@ -17,7 +17,9 @@ from .canon import ckey_b64, jsonable, unjsonable
 from .chained import IdealCertificate, subset_key
 from .ensembles import Ensemble
 from .layouts import layout_key
-from .simplicial import SMorphism, point, wedge
+# ``wedge`` stays importable here: perfbench/spans.py wraps every binding of
+# it.  Wedges themselves come from the context's registry.
+from .simplicial import SMorphism, wedge  # noqa: F401
 from .wedge import WedgeContext, pair_checks, q_checks
 from .witnesses import Block, BlockPart, FiltrationWitness, IdealTerm
 
@@ -38,7 +40,8 @@ class LabelResolver:
     """Rebuild simplicial objects and spaces from their labels.
 
     Each label is built once per resolver; a wedge label keeps its
-    insertions alongside its object.
+    insertions alongside its object.  Wedges come from the context's
+    registry, the same wedge table the builder uses.
     """
 
     def __init__(self, ctx: WedgeContext):
@@ -58,16 +61,15 @@ class LabelResolver:
         elif kind == "plusbase":
             out = ctx.plus_base_of(label[1])
         elif kind == "point":
-            out = point(ctx.bound)
-            out.label = ("point",)
-        elif kind == "wedgept":
-            pt = self.obj(("point",))
-            out, self._insertions[key] = wedge([pt], label=("wedgept",))
-        elif kind == "wedge1":
-            out, self._insertions[key] = wedge([self.obj(label[1])], label=label)
-        elif kind == "wedge":
-            parts = [self.obj(sub) for sub in label[1]]
-            out, self._insertions[key] = wedge(parts, label=label)
+            out = ctx.point_obj()
+        elif kind in ("wedgept", "wedge1", "wedge"):
+            if kind == "wedgept":
+                parts = [ctx.point_obj()]
+            elif kind == "wedge1":
+                parts = [self.obj(label[1])]
+            else:
+                parts = [self.obj(sub) for sub in label[1]]
+            out, self._insertions[key] = ctx.registry.wedge(parts, label=label)
         elif kind == "wedgecones":
             _iota, out, self._insertions[key] = ctx.iota(label[1])
         elif kind == "W":

@@ -19,8 +19,10 @@ from .artifacts import (
     write_q_artifacts,
 )
 from .brunnian import is_brunnian, lcs_degree, magnus, reduce_word
+from .layouts import GuardExceeded
+from .simplicial import SimplicialError
 from .suites import SUITES, SUITE_NAMES
-from .wedge import GuardExceeded, VerificationError, construct_p, construct_q
+from .wedge import VerificationError, construct_p, construct_q
 
 WORD_TOKEN = re.compile(r"^x(\d+)(\^-1)?$")
 
@@ -29,7 +31,9 @@ class WordSyntaxError(ValueError):
     pass
 
 
-def parse_word(text):
+def parse_word(text, alphabet=None):
+    """The reduced word of a text such as "x1 x2^-1"; with an alphabet size
+    n, every letter must be one of x1..xn."""
     letters = []
     for pos, token in enumerate(text.split()):
         m = WORD_TOKEN.match(token)
@@ -37,7 +41,13 @@ def parse_word(text):
             raise WordSyntaxError(
                 f"cannot parse token {token!r} at position {pos}"
             )
-        letters.append((int(m.group(1)), -1 if m.group(2) else 1))
+        letter = int(m.group(1))
+        if alphabet is not None and not 1 <= letter <= alphabet:
+            raise WordSyntaxError(
+                f"letter x{letter} at position {pos} is outside the alphabet "
+                f"of size {alphabet}"
+            )
+        letters.append((letter, -1 if m.group(2) else 1))
     return reduce_word(letters)
 
 
@@ -82,12 +92,15 @@ def cmd_verify(args):
         t0 = time.monotonic()
         try:
             case, ok = next(gen)
+            verdict = "pass" if ok else "fail"
         except StopIteration:
             break
+        except GuardExceeded as exc:
+            case, verdict = {"guard": str(exc)}, "skipped-guard"
         report = {
             "suite": args.suite,
             "case": case,
-            "verdict": "pass" if ok else "fail",
+            "verdict": verdict,
             "ms": int((time.monotonic() - t0) * 1000),
         }
         reports.append(report)
@@ -134,7 +147,9 @@ def cmd_check(args):
     t0 = time.monotonic()
     try:
         checks = CHECKERS[args.command](args.in_dir)
-    except (ArtifactError, AssertionError, KeyError, OSError, ValueError) as exc:
+    except (
+        ArtifactError, SimplicialError, AssertionError, KeyError, OSError, ValueError
+    ) as exc:
         checks = [(f"artifact-structure ({exc})", False)]
     reports = []
     for name, ok in checks:
@@ -152,7 +167,7 @@ def cmd_check(args):
 
 def cmd_check_brunnian(args):
     t0 = time.monotonic()
-    word = parse_word(args.word)
+    word = parse_word(args.word, args.alphabet)
     alphabet = tuple(range(1, args.alphabet + 1))
     verdict_value = is_brunnian(word, alphabet)
     report = {

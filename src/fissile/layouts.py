@@ -12,6 +12,11 @@ from .posets import FinitePoset
 DEFAULT_GROUND_BOUND = 4
 
 
+class GuardExceeded(ValueError):
+    """A requested size exceeds a configured enumeration or construction
+    guard; commands report it as skipped-guard."""
+
+
 def _ground_bound():
     return int(os.environ.get("FISSILE_MAX_GROUND", DEFAULT_GROUND_BOUND))
 
@@ -48,7 +53,7 @@ def enumerate_layouts(ground, bound=None):
         raise ValueError("ground set must be nonempty")
     limit = _ground_bound() if bound is None else bound
     if len(ground) > limit:
-        raise ValueError(
+        raise GuardExceeded(
             f"ground set of size {len(ground)} exceeds the enumeration bound {limit}"
         )
     seen = set()

@@ -21,10 +21,16 @@ from .canon import ckey, jsonable
 BASE = "*"
 
 
+class SimplicialError(Exception):
+    """A simplicial set or morphism table fails one of its structural
+    checks; the message names the check and the object."""
+
+
 class FiniteSimplicialSet:
     def __init__(self, bound, simplices, faces, degens, basepoint=None, label=None, check=True):
         self.bound = bound
         self.simplices = [tuple(sorted(level, key=ckey)) for level in simplices]
+        self.level_sets = [frozenset(level) for level in self.simplices]
         self.faces = faces
         self.degens = degens
         self.basepoint = basepoint
@@ -46,10 +52,7 @@ class FiniteSimplicialSet:
         return self.simplices[n]
 
     def has(self, n, x):
-        return x in self.faces[n] if n else x in self._level_set(0)
-
-    def _level_set(self, n):
-        return set(self.simplices[n])
+        return x in self.level_sets[n]
 
     def nondegenerate(self, n):
         if self._nondeg is None:
@@ -68,28 +71,22 @@ class FiniteSimplicialSet:
 
     def eilenberg_zilber(self, n, x):
         """Decompose x as iterated degeneracies of a nondegenerate simplex:
-        returns (ops, m, y) with x = s_{ops[0]} ... s_{ops[-1]} y."""
+        returns (ops, m, y) with x = s_{ops[0]} ... s_{ops[-1]} y, where
+        ops[0] is the least i with x in the image of s_i."""
         if self._ez is None:
-            self._ez = {}
-        key = (n, x)
-        if key in self._ez:
-            return self._ez[key]
-        if x in set(self.nondegenerate(n)):
-            out = ((), n, x)
-        else:
-            found = None
-            for i in range(n):
-                for y in self.simplices[n - 1]:
-                    if self.degens[n - 1][y][i] == x:
-                        found = (i, y)
-                        break
-                if found:
-                    break
-            i, y = found
-            ops, m, z = self.eilenberg_zilber(n - 1, y)
-            out = ((i,) + ops, m, z)
-        self._ez[key] = out
-        return out
+            ez = [{y: ((), 0, y) for y in self.simplices[0]}]
+            for m in range(1, self.bound + 1):
+                level = {}
+                for y in self.simplices[m - 1]:
+                    ops, k, z = ez[m - 1][y]
+                    for i, d in enumerate(self.degens[m - 1][y]):
+                        if d not in level or i < level[d][0][0]:
+                            level[d] = ((i,) + ops, k, z)
+                for y in self.simplices[m]:
+                    level.setdefault(y, ((), m, y))
+                ez.append(level)
+            self._ez = ez
+        return self._ez[n][x]
 
     def is_based(self):
         return self.basepoint is not None
@@ -109,62 +106,72 @@ class FiniteSimplicialSet:
 
     # -- validation ------------------------------------------------------
 
+    def _fail(self, check, n):
+        raise SimplicialError(f"{check} in {self.label!r} at dimension {n}")
+
     def _validate(self):
-        assert len(self.simplices) == self.bound + 1
+        if len(self.simplices) != self.bound + 1:
+            self._fail("level count differs from the bound", self.bound)
+        sets, faces, degens = self.level_sets, self.faces, self.degens
         for n in range(self.bound + 1):
-            level = self._level_set(n)
-            assert len(level) == len(self.simplices[n]), "duplicate simplices"
+            level = sets[n]
+            if len(level) != len(self.simplices[n]):
+                self._fail("duplicate simplices", n)
             if n >= 1:
-                assert set(self.faces[n]) == level
-                for x in level:
-                    assert len(self.faces[n][x]) == n + 1
-                    for fx in self.faces[n][x]:
-                        assert fx in self._level_set(n - 1)
+                below = sets[n - 1]
+                if faces[n].keys() != level:
+                    self._fail("face table not total", n)
+                for row in faces[n].values():
+                    if len(row) != n + 1 or not below.issuperset(row):
+                        self._fail("face outside the level below", n)
             if n < self.bound:
-                assert set(self.degens[n]) == level
-                for x in level:
-                    assert len(self.degens[n][x]) == n + 1
-                    for sx in self.degens[n][x]:
-                        assert sx in self._level_set(n + 1)
+                above = sets[n + 1]
+                if degens[n].keys() != level:
+                    self._fail("degeneracy table not total", n)
+                for row in degens[n].values():
+                    if len(row) != n + 1 or not above.issuperset(row):
+                        self._fail("degeneracy outside the level above", n)
         for n in range(2, self.bound + 1):
+            fn, fb = faces[n], faces[n - 1]
             for x in self.simplices[n]:
+                row = fn[x]
                 for j in range(n + 1):
+                    dj = fb[row[j]]
                     for i in range(j):
-                        lhs = self.face(n - 1, i, self.face(n, j, x))
-                        rhs = self.face(n - 1, j - 1, self.face(n, i, x))
-                        assert lhs == rhs, "face identity fails"
+                        if dj[i] != fb[row[i]][j - 1]:
+                            self._fail("face identity fails", n)
         for n in range(self.bound):
+            fa, dn = faces[n + 1], degens[n]
+            fn, db = faces[n], degens[n - 1] if n else None
             for x in self.simplices[n]:
+                srow = dn[x]
                 for j in range(n + 1):
-                    sx = self.degen(n, j, x)
+                    frow = fa[srow[j]]
                     for i in range(n + 2):
-                        fsx = self.face(n + 1, i, sx)
                         if i == j or i == j + 1:
-                            assert fsx == x, "face of degeneracy fails"
+                            ok = frow[i] == x
                         elif i < j:
-                            assert fsx == self.degen(
-                                n - 1, j - 1, self.face(n, i, x)
-                            )
+                            ok = frow[i] == db[fn[x][i]][j - 1]
                         else:
-                            assert fsx == self.degen(
-                                n - 1, j, self.face(n, i - 1, x)
-                            )
+                            ok = frow[i] == db[fn[x][i - 1]][j]
+                        if not ok:
+                            self._fail("face of degeneracy fails", n)
         for n in range(self.bound - 1):
+            dn, da = degens[n], degens[n + 1]
             for x in self.simplices[n]:
+                srow = dn[x]
                 for j in range(n + 1):
+                    sj = da[srow[j]]
                     for i in range(j + 1):
-                        lhs = self.degen(n + 1, i, self.degen(n, j, x))
-                        rhs = self.degen(n + 1, j + 1, self.degen(n, i, x))
-                        assert lhs == rhs, "degeneracy identity fails"
+                        if da[srow[i]][j + 1] != sj[i]:
+                            self._fail("degeneracy identity fails", n)
         for n in range(self.bound):
+            rows = degens[n].values()
             for i in range(n + 1):
-                seen = {}
-                for x in self.simplices[n]:
-                    im = self.degen(n, i, x)
-                    assert im not in seen, "degeneracy not injective"
-                    seen[im] = x
-        if self.basepoint is not None:
-            assert self.basepoint in self._level_set(0)
+                if len({row[i] for row in rows}) != len(rows):
+                    self._fail("degeneracy not injective", n)
+        if self.basepoint is not None and self.basepoint not in sets[0]:
+            self._fail("basepoint outside the vertices", 0)
 
     def to_json(self):
         """Per-dimension simplex tables with face and degeneracy matrices."""
@@ -206,28 +213,33 @@ class SMorphism:
         if check:
             self._validate()
 
+    def _fail(self, check, n):
+        raise SimplicialError(
+            f"morphism {self.domain.label!r} -> {self.codomain.label!r}: "
+            f"{check} at dimension {n}"
+        )
+
     def _validate(self):
         t, z = self.domain, self.codomain
         bound = t.bound
-        assert z.bound >= bound, "codomain truncated below the domain"
+        if z.bound < bound:
+            self._fail("codomain truncated below the domain", bound)
+        maps = self.maps
         for n in range(bound + 1):
-            assert set(self.maps[n]) == set(t.simplices[n]), "table not total"
-            for x in t.simplices[n]:
-                assert z.has(n, self.maps[n][x]) or self.maps[n][x] in set(
-                    z.simplices[n]
-                ), "value outside codomain"
+            if maps[n].keys() != t.level_sets[n]:
+                self._fail("table not total", n)
+            if not z.level_sets[n].issuperset(maps[n].values()):
+                self._fail("value outside codomain", n)
         for n in range(1, bound + 1):
-            for x in t.simplices[n]:
-                for i in range(n + 1):
-                    assert self.maps[n - 1][t.face(n, i, x)] == z.face(
-                        n, i, self.maps[n][x]
-                    ), "morphism does not commute with faces"
+            m, below, tf, zf = maps[n], maps[n - 1], t.faces[n], z.faces[n]
+            for x, row in tf.items():
+                if tuple(map(below.__getitem__, row)) != zf[m[x]]:
+                    self._fail("morphism does not commute with faces", n)
         for n in range(bound):
-            for x in t.simplices[n]:
-                for i in range(n + 1):
-                    assert self.maps[n + 1][t.degen(n, i, x)] == z.degen(
-                        n, i, self.maps[n][x]
-                    ), "morphism does not commute with degeneracies"
+            m, above, td, zd = maps[n], maps[n + 1], t.degens[n], z.degens[n]
+            for x, row in td.items():
+                if tuple(map(above.__getitem__, row)) != zd[m[x]]:
+                    self._fail("morphism does not commute with degeneracies", n)
 
     def is_based(self):
         if self.domain.basepoint is None or self.codomain.basepoint is None:
@@ -238,12 +250,20 @@ class SMorphism:
         return self.maps[n][x]
 
     def table_key(self):
+        """The rows (n, x, value) over the nondegenerate x, in the order of
+        their ckeys, without computing one.  A row encodes as "[n,x,value]":
+        the dimensions order as their decimal text followed by "," (so 10
+        falls between 1 and 2), and within a dimension the domain's level
+        order is the ckey order of x, which stays the row order because x
+        is unique there and "," sorts below every character that can extend
+        a JSON value (only a number can be extended)."""
         if self._key is None:
-            rows = []
-            for n in range(self.domain.bound + 1):
-                for x in self.domain.nondegenerate(n):
-                    rows.append((n, x, self.maps[n][x]))
-            self._key = tuple(sorted(rows, key=ckey))
+            dom = self.domain
+            self._key = tuple(
+                (n, x, self.maps[n][x])
+                for n in sorted(range(dom.bound + 1), key=lambda n: f"{n},")
+                for x in dom.nondegenerate(n)
+            )
         return self._key
 
     def canonical_payload(self):
@@ -600,7 +620,7 @@ def quotient_projection(u, q) -> SMorphism:
     maps = []
     for n in range(u.bound + 1):
         level = {}
-        qlevel = set(q.simplices[n])
+        qlevel = q.level_sets[n]
         for x in u.simplices[n]:
             level[x] = x if x in qlevel else q.basepoint_at(n)
         maps.append(level)
@@ -777,11 +797,13 @@ def wedge_combine(w, insertions, morphisms, codomain=None) -> SMorphism:
     z = codomain if codomain is not None else morphisms[0].codomain
     maps = []
     for n in range(w.bound + 1):
-        level = {w.basepoint_at(n): z.basepoint_at(n)}
+        base = w.basepoint_at(n)
+        level = {base: z.basepoint_at(n)}
         for j, f in enumerate(morphisms):
+            keys = insertions[j].maps[n]
             for x, fx in f.maps[n].items():
-                key = insertions[j].maps[n][x]
-                if key != w.basepoint_at(n):
+                key = keys[x]
+                if key != base:
                     level[key] = fx
         maps.append(level)
     return SMorphism(w, z, maps)
@@ -912,7 +934,7 @@ def count_retractions_with_apex_image(cca, ca, base_incl, apex_image, cap=8):
         if idx == len(slots):
             try:
                 found.append(SMorphism(cca, ca, maps))
-            except AssertionError:
+            except SimplicialError:
                 pass
             return
         n, x = slots[idx]

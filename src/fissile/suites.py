@@ -419,7 +419,7 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
         )
         w2 = random_witness(t_big, pool_big)
         wobj, ins = wedge([t_big, t_big])
-        ww = wedge_witness([w, w2], wobj, ins)
+        ww = wedge_witness([w, w2], wobj, ins, ctx.registry)
         ok = ok and bool(
             verify_witness(
                 combine_over_wedge(wobj, ins, [v, w2.value()]),

@@ -29,7 +29,7 @@ from .ensembles import (
     singleton,
 )
 from .identities import covers, proper_covers
-from .layouts import LayoutLattice, layout_key
+from .layouts import GuardExceeded, LayoutLattice, layout_key
 from .posets import Section, check_compatible, nabla_inverse
 from .simplicial import (
     ContractionTower,
@@ -49,7 +49,7 @@ from .simplicial import (
     reduced_cone_map,
     subsimplicial,
     suspension_top_at,
-    wedge,
+    wedge,  # noqa: F401  (a binding that perfbench/spans.py wraps)
     wedge_combine,
 )
 from .witnesses import (
@@ -65,10 +65,6 @@ from .witnesses import (
     verify_witness,
     wedge_witness,
 )
-
-
-class GuardExceeded(ValueError):
-    pass
 
 
 def construction_guard(i_set, e_set):
@@ -106,7 +102,9 @@ class WedgeContext:
             for j in self.components
         }
         parts = [self.towers[j].susp for j in self.components]
-        self.w_obj, self.w_insertions = wedge(parts, label=("W", self.i_set))
+        self.w_obj, self.w_insertions = self.registry.wedge(
+            parts, label=("W", self.i_set)
+        )
         self._susp_maps = {}
         self._spaces = {}
         self._sub_objs = {}
@@ -120,6 +118,7 @@ class WedgeContext:
         self._xi = {}
         self._identity_cert = None
         self._omega_certs = {}
+        self._point = None
         self.full_space = self._build_full_space()
 
     # -- component plumbing --------------------------------------------
@@ -275,7 +274,7 @@ class WedgeContext:
         b = layout_key(b)
         if b not in self._iota:
             blocks = list(b)
-            wobj, ins = wedge(
+            wobj, ins = self.registry.wedge(
                 [self.cone_face(g) for g in blocks],
                 label=("wedgecones", b),
             )
@@ -384,12 +383,18 @@ class WedgeContext:
 
     # -- witness building blocks --------------------------------------------
 
+    def point_obj(self):
+        """The one-vertex domain of the part of every constant witness."""
+        if self._point is None:
+            self._point = point(self.bound)
+            self._point.label = ("point",)
+        return self._point
+
     def constant_witness(self, t_obj, space: PSpace, coeff=1) -> FiltrationWitness:
         """Rank-0 witness for coeff * <constant basepoint morphism> on t."""
-        pt = point(self.bound)
-        pt.label = ("point",)
+        pt = self.point_obj()
         const = constant_morphism(pt, space.obj, space.obj.basepoint)
-        wobj, ins = wedge([pt], label=("wedgept",))
+        wobj, ins = self.registry.wedge([pt], label=("wedgept",))
         f = constant_morphism(t_obj, wobj, wobj.basepoint)
         part = BlockPart(
             level=0,
@@ -408,7 +413,7 @@ class WedgeContext:
         """Witness for coeff * (pi . <morphism>) as one block of rank
         cert.level over its own domain."""
         dom = morphism.domain
-        wobj, ins = wedge([dom], label=("wedge1", dom.label))
+        wobj, ins = self.registry.wedge([dom], label=("wedge1", dom.label))
         part = BlockPart(
             level=cert.level,
             terms=[IdealTerm(pi, cert, morphism)],
@@ -448,7 +453,7 @@ def combine_witnesses_over_layout(ctx, b, witnesses, space) -> FiltrationWitness
     if not b:
         return ctx.constant_witness(ctx.cone_layout(()), space)
     iota, wobj, ins = ctx.iota(b)
-    wed = wedge_witness(witnesses, wobj, ins)
+    wed = wedge_witness(witnesses, wobj, ins, ctx.registry)
     return restrict_witness(wed, iota)
 
 

@@ -61,12 +61,23 @@ class PSpace:
 
 
 class SpaceRegistry:
-    """Shared reduced-cone bookkeeping for spaces and plain domains."""
+    """Shared reduced-cone bookkeeping for spaces and plain domains, and the
+    one wedge table of a run: builder and checker get every wedge here."""
 
     def __init__(self, monoid: SubsetMonoid):
         self.monoid = monoid
         self._reduced_spaces = {}
         self._reduced_domains = {}
+        self._wedges = {}
+
+    def wedge(self, parts, label=None) -> tuple:
+        """The wedge of these part objects with its insertions, built and
+        validated once per (parts, label).  The entry keeps its parts
+        alive, so no part id in a key can be reused by a new object."""
+        key = (tuple(id(p) for p in parts), label)
+        if key not in self._wedges:
+            self._wedges[key] = (tuple(parts), wedge(parts, label=label))
+        return self._wedges[key][1]
 
     def reduced_space(self, space: PSpace) -> tuple:
         key = id(space.obj)
@@ -306,7 +317,7 @@ def cone_witness(
     for c, b in w.entries:
         red_parts = [registry.reduced_domain(p.domain) for p in b.parts]
         new_domains = [r[0] for r in red_parts]
-        new_wedge, new_ins = wedge(new_domains)
+        new_wedge, new_ins = registry.wedge(new_domains)
         red_w = registry.reduced_domain(b.wedge_obj)
         straighten = wedge_combine(
             new_wedge,
@@ -348,11 +359,14 @@ def cone_witness(
     return FiltrationWitness(w.level, entries)
 
 
-def wedge_witness(witnesses, wedge_obj, insertions) -> FiltrationWitness:
+def wedge_witness(
+    witnesses, wedge_obj, insertions, registry: SpaceRegistry
+) -> FiltrationWitness:
     """Witness for the combining product over a wedge of domains; ranks add.
 
     Expands the product of the input combinations, so each output block
-    concatenates one block choice per slot.
+    concatenates one block choice per slot; the wedges of the concatenated
+    part domains come from the registry.
     """
     total_level = sum(w.level for w in witnesses)
     combos = [(1, [])]
@@ -371,17 +385,19 @@ def wedge_witness(witnesses, wedge_obj, insertions) -> FiltrationWitness:
             offsets.append(len(flat_domains))
             flat_domains.extend(p.domain for p in b.parts)
             flat_parts.extend(b.parts)
-        flat_wedge, flat_ins = wedge(flat_domains)
+        flat_wedge, flat_ins = registry.wedge(flat_domains)
         maps = []
         for n in range(wedge_obj.bound + 1):
-            level = {wedge_obj.basepoint_at(n): flat_wedge.basepoint_at(n)}
+            base, flat_base = wedge_obj.basepoint_at(n), flat_wedge.basepoint_at(n)
+            level = {base: flat_base}
             for i, b in enumerate(blocks):
+                keys, block_base = insertions[i].maps[n], b.wedge_obj.basepoint_at(n)
                 for x, fx in b.f.maps[n].items():
-                    key = insertions[i].maps[n][x]
-                    if key == wedge_obj.basepoint_at(n):
+                    key = keys[x]
+                    if key == base:
                         continue
-                    if fx == b.wedge_obj.basepoint_at(n):
-                        level[key] = flat_wedge.basepoint_at(n)
+                    if fx == block_base:
+                        level[key] = flat_base
                     else:
                         j, y = fx
                         level[key] = (offsets[i] + j, y)

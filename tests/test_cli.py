@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import fissile
 from fissile import wedge
 from fissile.artifacts import LabelResolver
 from fissile.canon import ckey_b64, jsonable, unjsonable
@@ -52,6 +56,27 @@ def test_check_brunnian_verdicts():
     assert json.loads(out)["brunnian"] is True
     rc, out, _err = run_cli(["check-brunnian", "--word", "x1", "--alphabet", "2"])
     assert json.loads(out)["brunnian"] is False
+
+
+@pytest.mark.parametrize(
+    "word, alphabet, letter",
+    [("x1", "0", "x1"), ("x1 x3^-1", "2", "x3"), ("x0", "1", "x0")],
+)
+def test_check_brunnian_rejects_letters_outside_alphabet(word, alphabet, letter):
+    rc, out, err = run_cli(["check-brunnian", "--word", word, "--alphabet", alphabet])
+    assert rc == 2
+    assert not out
+    assert f"letter {letter} " in err
+
+
+def test_verify_beyond_ground_bound_skips():
+    rc, out, err = run_cli(["verify", "nabla", "--max-e", "5", "--cases", "1"])
+    assert rc == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["verdict"] for r in lines[:-1]] == ["pass"] * 8
+    assert lines[-1]["verdict"] == "skipped-guard"
+    assert "size 5" in lines[-1]["case"]["guard"]
+    assert "1 skipped" in err
 
 
 def test_lcs_and_magnus_commands():
@@ -193,6 +218,22 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
     assert rc == 1
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines and all(r["verdict"] == "fail" for r in lines)
+
+
+def test_table_breaking_faces_rejected_under_optimize():
+    # the simplicial checks raise, so they hold without assert statements
+    src = os.path.dirname(os.path.dirname(fissile.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    test_id = f"{__file__}::test_check_pj_rejects_table_breaking_faces"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_check_q_rejects_swapped_layout_witnesses(tmp_path):

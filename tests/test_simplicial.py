@@ -2,11 +2,16 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fissile.canon import ckey
 from fissile.simplicial import (
     AbstractComplex,
     ContractionTower,
     EnumerationGuard,
+    FiniteSimplicialSet,
+    SimplicialError,
     SMorphism,
     apex_substitution,
     barycentric,
@@ -454,7 +459,7 @@ def brute_based_morphisms(t, z):
             maps.append(level)
         try:
             out.append(SMorphism(t, z, maps))
-        except AssertionError:
+        except SimplicialError:
             ok = False
     return out
 
@@ -499,3 +504,95 @@ def test_wedge_combine_roundtrip():
     combined = wedge_combine(w, ins, [fa[0], fb[0]])
     assert compose(combined, ins[0]) == fa[0]
     assert compose(combined, ins[1]) == fb[0]
+
+
+# -- table keys -------------------------------------------------------------------
+
+
+def ckey_sorted_rows(m):
+    """The table key as the rows sorted by their canonical bytes."""
+    rows = [
+        (n, x, m.maps[n][x])
+        for n in range(m.domain.bound + 1)
+        for x in m.domain.nondegenerate(n)
+    ]
+    return tuple(sorted(rows, key=ckey))
+
+
+def test_table_key_matches_ckey_order_on_construction_morphisms(monkeypatch):
+    from fissile.wedge import construct_p
+
+    built = []
+    init = SMorphism.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SMorphism, "__init__", recording_init)
+    construct_p((1, 2), (1, 2))
+    assert len(built) > 1000
+    for m in built:
+        assert m.table_key() == ckey_sorted_rows(m)
+
+
+VERTICES = (1, 2, 10, 12, 21, 100, 123)
+ORDERS = (
+    lambda a, b: a <= b,
+    lambda a, b: b % a == 0,
+    lambda a, b: a == b,
+)
+
+
+@st.composite
+def nerve_to_thick_morphisms(draw):
+    """The morphism from the nerve of a small poset to a thick simplex
+    induced by an arbitrary vertex map."""
+    bound = draw(st.integers(1, 3))
+    elements = draw(st.sets(st.sampled_from(VERTICES), min_size=1, max_size=4))
+    leq = draw(st.sampled_from(ORDERS))
+    letters = draw(
+        st.sampled_from([(0, 1), (1, 10, 2), ("a", "ab"), ("b", "a", "ba")])
+    )
+    image = {v: draw(st.sampled_from(letters)) for v in sorted(elements)}
+    dom = nerve(elements, leq, bound)
+    cod = thick_simplex(letters, bound)
+    maps = [
+        {x: tuple(image[v] for v in x) for x in dom.level(n)}
+        for n in range(bound + 1)
+    ]
+    return SMorphism(dom, cod, maps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nerve_to_thick_morphisms())
+def test_table_key_matches_ckey_order_on_small_morphisms(m):
+    assert m.table_key() == ckey_sorted_rows(m)
+
+
+KEYS = st.one_of(
+    st.integers(-150, 150),
+    st.text("ab,[]\"", max_size=3),
+    st.tuples(st.integers(0, 20), st.sampled_from(["*", "a", None])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda b: st.lists(
+    st.sets(KEYS, max_size=4), min_size=b + 1, max_size=b + 1
+)), st.data())
+def test_table_key_matches_ckey_order_past_ten_dimensions(levels, data):
+    # the row order only reads the levels, so a table over bare keys with
+    # no degenerate simplices exercises dimensions 10 and up, numbers that
+    # extend one another, and strings holding JSON punctuation
+    bound = len(levels) - 1
+    dom = FiniteSimplicialSet(
+        bound,
+        levels,
+        [{} for _ in levels],
+        [{x: () for x in level} for level in levels],
+        check=False,
+    )
+    maps = [{x: data.draw(KEYS) for x in level} for level in dom.simplices]
+    m = SMorphism(dom, dom, maps, check=False)
+    assert m.table_key() == ckey_sorted_rows(m)

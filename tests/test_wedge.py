@@ -1,10 +1,11 @@
 import json
 import os
 import random
+import sys
 
 import pytest
 
-from fissile import artifacts, simplicial
+from fissile import simplicial
 from fissile.canon import jsonable
 from fissile.chained import subset_key, subsets_of
 from fissile.ensembles import Ensemble, augmentation, map_ensemble, singleton
@@ -422,6 +423,22 @@ def test_final_ensembles_restrict_multiplicatively(built_21):
             assert got == want
 
 
+def record_wedge_builds(monkeypatch):
+    """Count calls of simplicial.wedge through every binding of it in the
+    package; each recorded (parts, label) keeps its parts alive."""
+    original = simplicial.wedge
+    calls = []
+
+    def counting_wedge(parts, label=None):
+        calls.append((tuple(parts), label))
+        return original(parts, label=label)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fissile" and getattr(module, "wedge", None) is original:
+            monkeypatch.setattr(module, "wedge", counting_wedge)
+    return calls
+
+
 def test_checker_builds_each_wedge_label_once(tmp_path, monkeypatch, built_21):
     res, qrec = built_21
     write_q_artifacts(res, qrec, tmp_path)
@@ -430,14 +447,20 @@ def test_checker_builds_each_wedge_label_once(tmp_path, monkeypatch, built_21):
     witnesses.append(payload["boundary_witness"])
     stored = {json.dumps(b["wedge"]) for w in witnesses for b in w["blocks"]}
 
-    built = []
-
-    def counting_wedge(parts, label=None):
-        built.append(json.dumps(jsonable(label)))
-        return simplicial.wedge(parts, label=label)
-
-    monkeypatch.setattr(artifacts, "wedge", counting_wedge)
+    calls = record_wedge_builds(monkeypatch)
     assert all(ok for _name, ok in check_q_artifacts(tmp_path))
+    built = [json.dumps(jsonable(label)) for _parts, label in calls]
     assert stored and built
-    assert len(built) == len(set(built)) <= len(stored)
-    assert set(built) <= stored
+    assert len(built) == len(set(built))
+    assert stored <= set(built)
+    # beyond the stored wedges, only the context's own: W and the wedges of
+    # per-block cones that the layout conditions combine over
+    assert {json.loads(b)[0] for b in set(built) - stored} <= {"W", "wedgecones"}
+
+
+def test_builder_builds_each_wedge_once(monkeypatch):
+    calls = record_wedge_builds(monkeypatch)
+    construct_q(construct_p((1, 2), (1, 2)))
+    keys = [(tuple(map(id, parts)), label) for parts, label in calls]
+    assert keys
+    assert len(keys) == len(set(keys))

@@ -275,7 +275,7 @@ def test_wedge_witness_pipeline(ctx):
         w1 = random_witness(rng, ctx, t, space)
         w2 = random_witness(rng, ctx, t, space)
         wobj, ins = wedge([t, t])
-        ww = wedge_witness([w1, w2], wobj, ins)
+        ww = wedge_witness([w1, w2], wobj, ins, ctx.registry)
         assert ww.level == w1.level + w2.level
         expected = combine_over_wedge(wobj, ins, [w1.value(), w2.value()])
         assert verify_witness(expected, ww, ww.level, ctx.monoid)
