@@ -546,23 +546,25 @@ def subsimplicial(u, member, basepoint=None, label=None, check=True):
         [x for x in u.simplices[n] if member(n, x)] for n in range(u.bound + 1)
     ]
     keep = [set(level) for level in simplices]
+
+    def closed(rows, m, ops, n):
+        if not keep[m].issuperset(y for row in rows for y in row):
+            raise SimplicialError(
+                f"subset {label!r} of {u.label!r} not closed under {ops} "
+                f"at dimension {n}"
+            )
+
     faces, degens = [], []
     for n in range(u.bound + 1):
         if n:
-            fc = {}
-            for x in simplices[n]:
-                row = u.faces[n][x]
-                assert all(f in keep[n - 1] for f in row), "subset not closed"
-                fc[x] = row
+            fc = {x: u.faces[n][x] for x in simplices[n]}
+            closed(fc.values(), n - 1, "faces", n)
             faces.append(fc)
         else:
             faces.append({})
         if n < u.bound:
-            dg = {}
-            for x in simplices[n]:
-                row = u.degens[n][x]
-                assert all(d in keep[n + 1] for d in row), "subset not closed"
-                dg[x] = row
+            dg = {x: u.degens[n][x] for x in simplices[n]}
+            closed(dg.values(), n + 1, "degeneracies", n)
             degens.append(dg)
         else:
             degens.append({})
@@ -732,8 +734,11 @@ def suspension_top_at(susp, n):
 def wedge(parts, label=None):
     """Coproduct with basepoints identified; returns (object, insertions)."""
     bound = parts[0].bound
-    assert all(p.bound == bound for p in parts)
-    assert all(p.basepoint is not None for p in parts)
+    for p in parts:
+        if p.bound != bound or p.basepoint is None:
+            raise SimplicialError(
+                f"wedge summand {p.label!r} is unbased or not truncated at {bound}"
+            )
     bps = [p.basepoint_levels() for p in parts]
     simplices, faces, degens = [], [], []
     for n in range(bound + 1):
@@ -793,7 +798,11 @@ def wedge_combine(w, insertions, morphisms, codomain=None) -> SMorphism:
     ``codomain`` may enlarge the target when the parts land in different
     subsets of one ambient simplicial set.
     """
-    assert all(f.is_based() for f in morphisms)
+    for f in morphisms:
+        if not f.is_based():
+            raise SimplicialError(
+                f"wedge part {f.domain.label!r} -> {f.codomain.label!r} is not based"
+            )
     z = codomain if codomain is not None else morphisms[0].codomain
     maps = []
     for n in range(w.bound + 1):

@@ -457,35 +457,17 @@ def combine_witnesses_over_layout(ctx, b, witnesses, space) -> FiltrationWitness
     return restrict_witness(wed, iota)
 
 
-def block_fingerprint(block: Block):
-    rows = [block.f.table_key()]
-    for p in block.parts:
-        terms = tuple(
-            sorted(
-                (
-                    tuple(sorted(t.pi.terms.items())),
-                    t.certificate.level,
-                    t.certificate.combination,
-                    t.morphism.table_key(),
-                )
-                for t in p.terms
-            )
-        )
-        rows.append((p.level, terms))
-    return ckey(repr(rows))
-
-
 def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
+    """Merge the entries whose blocks have equal keys, in first-occurrence
+    order, and drop the ones whose coefficients cancel."""
     merged = {}
-    order = []
     for c, b in w.entries:
-        key = block_fingerprint(b)
-        if key not in merged:
-            merged[key] = [0, b]
-            order.append(key)
-        merged[key][0] += c
-    entries = [(c, b) for c, b in (merged[k] for k in order) if c]
-    return FiltrationWitness(w.level, entries)
+        key = b.key()
+        if key in merged:
+            merged[key][0] += c
+        else:
+            merged[key] = [c, b]
+    return FiltrationWitness(w.level, [(c, b) for c, b in merged.values() if c])
 
 
 class MorphismLayoutPresheaf:
@@ -608,10 +590,14 @@ def q_checks(ctx: WedgeContext, q: Ensemble, layout_witnesses, boundary_witness)
     yield "boundary-witness", bool(rep)
 
 
+def _require(ok, name):
+    if not ok:
+        raise VerificationError(f"{name} failed")
+
+
 def _require_all(checks):
     for name, ok in checks:
-        if not ok:
-            raise VerificationError(f"{name} failed")
+        _require(ok, name)
 
 
 @dataclass
@@ -667,6 +653,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     def p(g, k):
         return pairs[(g, k)].ensemble
 
+    tag = f"F={f} J={j}"
     space_j = ctx.space(j)
     lat = LayoutLattice(f, bound=len(f))
     t_f = ctx.plus_base_of(f)
@@ -702,7 +689,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
         for w in cover_wits:
             entries.extend(w.entries)
         wit = compact_witness(FiltrationWitness(len(j), entries))
-        assert wit.value() == val, "cover expansion mismatch"
+        _require(wit.value() == val, f"cover-expansion {tag} B={b}")
         u_vals[b] = val
         u_wits[b] = wit
 
@@ -726,7 +713,10 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
                     ).scaled(-1)
                 )
         v_wits[b] = compact_witness(wit)
-        assert v_wits[b].value() == v_vals.value(b)
+        _require(
+            v_wits[b].value() == v_vals.value(b),
+            f"inverse-transform-witness {tag} B={b}",
+        )
 
     u_lift = Ensemble.zero()
     lift_entries = []
@@ -744,11 +734,11 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
             restrict_witness(v_wits[b], ctx.retraction(top, b)).entries
         )
     u_wit = compact_witness(FiltrationWitness(len(j), lift_entries))
-    assert u_wit.value() == u_lift
+    _require(u_wit.value() == u_lift, f"lift-witness {tag}")
 
     for b in proper_layouts:
         got = restrict_ensemble(u_lift, ctx.layout_inclusion(b, top))
-        assert got == u_vals.value(b), "lift does not restrict to the family"
+        _require(got == u_vals.value(b), f"lift-restriction {tag} B={b}")
 
     # bend the boundary defect flat with the filling
     q_ens = extend_over(singleton(j) - omega(j), lambda k: p(f, k))
@@ -762,7 +752,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     delta_wit = compact_witness(
         omega_wit.plus(restrict_witness(u_wit, inc_tf).scaled(-1))
     )
-    assert delta_wit.value() == delta, "boundary defect expansion mismatch"
+    _require(delta_wit.value() == delta, f"boundary-defect-expansion {tag}")
 
     letter = sorted(set(ctx.i_set) - set(j))[0]
     chi_delta = map_ensemble(lambda v: ctx.filling(v, letter, j), delta)
@@ -809,7 +799,7 @@ def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
     q_ens = extend_over(
         singleton(i_set) - omega(i_set), lambda j: result.final(j).ensemble
     )
-    assert augmentation(q_ens) == 1
+    _require(augmentation(q_ens) == 1, f"augmentation I={i_set} E={e_set}")
 
     lat = LayoutLattice(e_set, bound=len(e_set))
     top = lat.top

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .chained import IdealCertificate, SubsetMonoid
 from .ensembles import Ensemble, combining_product, map_ensemble
 from .simplicial import (
+    SimplicialError,
     SMorphism,
     compose,
     inclusion,
@@ -152,20 +153,64 @@ class Block:
     def rank(self):
         return sum(p.level for p in self.parts)
 
-    def value(self) -> Ensemble:
-        factors = [p.value() for p in self.parts]
-        return combining_product(
-            factors,
-            lambda tup: compose(
-                wedge_combine(
-                    self.wedge_obj,
-                    self.insertions,
-                    list(tup),
-                    codomain=self.space.obj,
+    def key(self):
+        """The structural key of the block: the table of f, then per part
+        its level and its sorted (pi items, certificate level, certificate
+        combination, morphism table) terms.  Witness compaction merges the
+        blocks with equal keys."""
+        return (self.f.table_key(),) + tuple(
+            (
+                p.level,
+                tuple(
+                    sorted(
+                        (
+                            tuple(sorted(t.pi.terms.items())),
+                            t.certificate.level,
+                            t.certificate.combination,
+                            t.morphism.table_key(),
+                        )
+                        for t in p.terms
+                    )
                 ),
-                self.f,
-            ),
+            )
+            for p in self.parts
         )
+
+    def value(self) -> Ensemble:
+        return evaluate_blocks([(1, self)])
+
+
+def evaluate_blocks(entries) -> Ensemble:
+    """The sum of c * (block value) over the (c, block) entries.
+
+    A block's value is the combining product of its part values, each
+    tuple glued by ``wedge_combine`` and precomposed with the block's f.
+    Within this call each distinct gluing is built and validated once,
+    keyed by the wedge, the codomain, and per part morphism its domain,
+    codomain and table; a valid morphism is determined by these.  The
+    table is local to the call and keeps its keys' objects alive, so no id
+    in a key is reused while it lives."""
+    glued = {}
+    out = {}
+    for c, block in entries:
+        wobj, ins, cod, f = block.wedge_obj, block.insertions, block.space.obj, block.f
+
+        def combiner(tup):
+            key = (id(wobj), id(cod)) + tuple(
+                (id(m.domain), id(m.codomain), m.table_key()) for m in tup
+            )
+            hit = glued.get(key)
+            if hit is None:
+                hit = glued[key] = (
+                    tup,
+                    wedge_combine(wobj, ins, list(tup), codomain=cod),
+                )
+            return compose(hit[1], f)
+
+        value = combining_product([p.value() for p in block.parts], combiner)
+        for el, d in value.terms.items():
+            out[el] = out.get(el, 0) + c * d
+    return Ensemble(out)
 
 
 @dataclass
@@ -174,10 +219,7 @@ class FiltrationWitness:
     entries: list = field(default_factory=list)  # (coeff, Block)
 
     def value(self) -> Ensemble:
-        out = Ensemble.zero()
-        for c, block in self.entries:
-            out = out + c * block.value()
-        return out
+        return evaluate_blocks(self.entries)
 
     def scaled(self, n: int) -> "FiltrationWitness":
         return FiltrationWitness(
@@ -215,8 +257,7 @@ def verify_witness(v: Ensemble, w: FiltrationWitness, s: int, monoid) -> Witness
     and the evaluated combination."""
     if w.level < s:
         return WitnessReport(False, f"witness level {w.level} below requested {s}")
-    total = Ensemble.zero()
-    for c, block in w.entries:
+    for _c, block in w.entries:
         if block.rank() < s:
             return WitnessReport(
                 False, f"block of rank {block.rank()} below level {s}"
@@ -226,8 +267,7 @@ def verify_witness(v: Ensemble, w: FiltrationWitness, s: int, monoid) -> Witness
                 return WitnessReport(False, "ideal certificate failed")
         if not block.f.is_based():
             return WitnessReport(False, "wedge decomposition is not based")
-        total = total + c * block.value()
-    if total != v:
+    if evaluate_blocks(w.entries) != v:
         return WitnessReport(False, "sum mismatch")
     return WitnessReport(True)
 
@@ -238,7 +278,7 @@ def verify_witness(v: Ensemble, w: FiltrationWitness, s: int, monoid) -> Witness
 def restrict_witness(w: FiltrationWitness, k: SMorphism) -> FiltrationWitness:
     """Precompose the wedge decompositions with a based morphism into the
     old domain; parts and ranks are untouched."""
-    assert k.is_based()
+    _require_based(k, "restriction")
     entries = [
         (
             c,
@@ -255,18 +295,28 @@ def restrict_witness(w: FiltrationWitness, k: SMorphism) -> FiltrationWitness:
     return FiltrationWitness(w.level, entries)
 
 
+def _require_based(h: SMorphism, role):
+    if not h.is_based():
+        raise SimplicialError(
+            f"{role} morphism {h.domain.label!r} -> {h.codomain.label!r} "
+            "is not based"
+        )
+
+
 def check_equivariant(h: SMorphism, src: PSpace, dst: PSpace):
     for k in src.monoid.elements:
-        assert compose(h, src.action[k]) == compose(dst.action[k], h), (
-            "morphism is not equivariant"
-        )
+        if compose(h, src.action[k]) != compose(dst.action[k], h):
+            raise SimplicialError(
+                f"morphism {h.domain.label!r} -> {h.codomain.label!r} is not "
+                f"equivariant at the monoid element {k!r}"
+            )
 
 
 def map_witness(
     w: FiltrationWitness, h: SMorphism, src: PSpace, dst: PSpace
 ) -> FiltrationWitness:
     """Push every part through an equivariant based morphism of spaces."""
-    assert h.is_based()
+    _require_based(h, "space")
     check_equivariant(h, src, dst)
     entries = []
     for c, b in w.entries:
@@ -297,9 +347,11 @@ def _invert_iso(e: SMorphism) -> SMorphism:
     for n in range(e.domain.bound + 1):
         inv = {}
         for x, y in e.maps[n].items():
-            assert y not in inv, "not injective"
+            if y in inv:
+                e._fail("inverse of a map that is not injective", n)
             inv[y] = x
-        assert len(inv) == len(e.codomain.simplices[n]), "not surjective"
+        if len(inv) != len(e.codomain.simplices[n]):
+            e._fail("inverse of a map that is not surjective", n)
         maps.append(inv)
     return SMorphism(e.codomain, e.domain, maps, check=False)
 
@@ -366,7 +418,11 @@ def wedge_witness(
 
     Expands the product of the input combinations, so each output block
     concatenates one block choice per slot; the wedges of the concatenated
-    part domains come from the registry.
+    part domains come from the registry.  The new decomposition reads, of
+    each chosen block, only the table of f, the basepoint of its wedge and
+    its part count, so within this call it is built and validated once per
+    distinct (concatenated wedge, per-slot wedge, part count and f table),
+    and reused only where every f table is equal in full.
     """
     total_level = sum(w.level for w in witnesses)
     combos = [(1, [])]
@@ -376,38 +432,27 @@ def wedge_witness(
             for c2, b in w.entries:
                 nxt.append((c * c2, chosen + [b]))
         combos = nxt
+    decompositions = {}
     entries = []
     for c, blocks in combos:
-        flat_domains = []
-        flat_parts = []
-        offsets = []
-        for b in blocks:
-            offsets.append(len(flat_domains))
-            flat_domains.extend(p.domain for p in b.parts)
-            flat_parts.extend(b.parts)
-        flat_wedge, flat_ins = registry.wedge(flat_domains)
-        maps = []
-        for n in range(wedge_obj.bound + 1):
-            base, flat_base = wedge_obj.basepoint_at(n), flat_wedge.basepoint_at(n)
-            level = {base: flat_base}
-            for i, b in enumerate(blocks):
-                keys, block_base = insertions[i].maps[n], b.wedge_obj.basepoint_at(n)
-                for x, fx in b.f.maps[n].items():
-                    key = keys[x]
-                    if key == base:
-                        continue
-                    if fx == block_base:
-                        level[key] = flat_base
-                    else:
-                        j, y = fx
-                        level[key] = (offsets[i] + j, y)
-            maps.append(level)
-        f_new = SMorphism(wedge_obj, flat_wedge, maps)
+        flat_parts = [p for b in blocks for p in b.parts]
+        flat_wedge, flat_ins = registry.wedge([p.domain for p in flat_parts])
+        key = (id(flat_wedge),) + tuple(
+            (id(b.wedge_obj), len(b.parts), b.f.table_key()) for b in blocks
+        )
+        seen = decompositions.get(key)
+        if seen is None or any(b.f.maps != g.maps for b, g in zip(blocks, seen[0])):
+            f_new = SMorphism(
+                wedge_obj,
+                flat_wedge,
+                _concatenated_maps(wedge_obj, insertions, blocks, flat_wedge),
+            )
+            seen = decompositions[key] = ([b.f for b in blocks], f_new)
         entries.append(
             (
                 c,
                 Block(
-                    f=f_new,
+                    f=seen[1],
                     wedge_obj=flat_wedge,
                     insertions=flat_ins,
                     parts=flat_parts,
@@ -416,6 +461,33 @@ def wedge_witness(
             )
         )
     return FiltrationWitness(total_level, entries)
+
+
+def _concatenated_maps(wedge_obj, insertions, blocks, flat_wedge):
+    """The table from the wedge to the concatenated wedge that sends the
+    i-th summand through the f of the i-th block, its parts shifted past
+    those of the blocks before it."""
+    offsets, count = [], 0
+    for b in blocks:
+        offsets.append(count)
+        count += len(b.parts)
+    maps = []
+    for n in range(wedge_obj.bound + 1):
+        base, flat_base = wedge_obj.basepoint_at(n), flat_wedge.basepoint_at(n)
+        level = {base: flat_base}
+        for i, b in enumerate(blocks):
+            keys, block_base = insertions[i].maps[n], b.wedge_obj.basepoint_at(n)
+            for x, fx in b.f.maps[n].items():
+                key = keys[x]
+                if key == base:
+                    continue
+                if fx == block_base:
+                    level[key] = flat_base
+                else:
+                    j, y = fx
+                    level[key] = (offsets[i] + j, y)
+        maps.append(level)
+    return maps
 
 
 class UnregisteredAction(KeyError):

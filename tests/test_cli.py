@@ -1,18 +1,16 @@
 import io
 import json
 import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-import fissile
 from fissile import wedge
 from fissile.artifacts import LabelResolver
 from fissile.canon import ckey_b64, jsonable, unjsonable
 from fissile.cli import main, parse_word
 from fissile.wedge import WedgeContext
+from fissile.witnesses import FiltrationWitness
 
 
 def run_cli(argv):
@@ -186,6 +184,24 @@ def test_construct_reports_failed_condition(monkeypatch, tmp_path):
     assert report["error"].startswith("constant-restriction F=(1,) J=()")
 
 
+def test_construct_reports_failed_self_check(monkeypatch, tmp_path):
+    # a compaction that loses every block breaks the first witness expansion
+    monkeypatch.setattr(
+        wedge, "compact_witness", lambda w: FiltrationWitness(w.level, [])
+    )
+    rc, out, _err = run_cli(
+        ["construct-pj", "--i", "1", "--e", "1", "--out", str(tmp_path / "pj")]
+    )
+    assert rc == 1
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    assert report["error"] == "cover-expansion F=(1,) J=() B=() failed"
+
+
+def test_failed_self_check_reported_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_construct_reports_failed_self_check")
+
+
 def test_check_pj_rejects_table_breaking_faces(tmp_path):
     # a table that commutes with degeneracies but not with faces, stored
     # under the id recomputed from its rows
@@ -220,20 +236,9 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
     assert lines and all(r["verdict"] == "fail" for r in lines)
 
 
-def test_table_breaking_faces_rejected_under_optimize():
+def test_table_breaking_faces_rejected_under_optimize(run_optimized):
     # the simplicial checks raise, so they hold without assert statements
-    src = os.path.dirname(os.path.dirname(fissile.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    test_id = f"{__file__}::test_check_pj_rejects_table_breaking_faces"
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test_id],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    run_optimized(f"{__file__}::test_check_pj_rejects_table_breaking_faces")
 
 
 def test_check_q_rejects_swapped_layout_witnesses(tmp_path):

@@ -407,8 +407,14 @@ def test_quotient_collapses_subset():
 
 def test_subsimplicial_closure_enforced():
     u = standard_simplex(1, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(SimplicialError, match="not closed under faces .* dimension 1"):
         subsimplicial(u, lambda n, x: n == 1)
+    with pytest.raises(SimplicialError, match="not closed under degeneracies"):
+        subsimplicial(u, lambda n, x: n == 0)
+
+
+def test_subsimplicial_closure_enforced_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_subsimplicial_closure_enforced")
 
 
 # -- morphism mechanics -----------------------------------------------------------

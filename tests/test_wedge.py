@@ -5,12 +5,13 @@ import sys
 
 import pytest
 
-from fissile import simplicial
-from fissile.canon import jsonable
+from fissile import simplicial, witnesses
+from fissile import wedge as wedge_module
+from fissile.canon import ckey, jsonable
 from fissile.chained import subset_key, subsets_of
 from fissile.ensembles import Ensemble, augmentation, map_ensemble, singleton
 from fissile.layouts import LayoutLattice, layout_key
-from fissile.simplicial import compose, enumerate_based_morphisms
+from fissile.simplicial import SMorphism, compose, enumerate_based_morphisms
 from fissile.wedge import (
     GuardExceeded,
     WedgeContext,
@@ -423,6 +424,16 @@ def test_final_ensembles_restrict_multiplicatively(built_21):
             assert got == want
 
 
+def patch_bindings(monkeypatch, original, replacement):
+    """Replace a package function at every binding of it in the package."""
+    name = original.__name__
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "fissile":
+            continue
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def record_wedge_builds(monkeypatch):
     """Count calls of simplicial.wedge through every binding of it in the
     package; each recorded (parts, label) keeps its parts alive."""
@@ -433,9 +444,7 @@ def record_wedge_builds(monkeypatch):
         calls.append((tuple(parts), label))
         return original(parts, label=label)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fissile" and getattr(module, "wedge", None) is original:
-            monkeypatch.setattr(module, "wedge", counting_wedge)
+    patch_bindings(monkeypatch, original, counting_wedge)
     return calls
 
 
@@ -464,3 +473,77 @@ def test_builder_builds_each_wedge_once(monkeypatch):
     keys = [(tuple(map(id, parts)), label) for parts, label in calls]
     assert keys
     assert len(keys) == len(set(keys))
+
+
+def test_wedge_witness_validates_each_decomposition_once(monkeypatch):
+    # a decomposition is a table out of the call's wedge; within one call
+    # each distinct one is validated once and every output block uses one
+    original, validate = witnesses.wedge_witness, SMorphism._validate
+    open_calls, finished = [], []
+
+    def recording(ws, wedge_obj, insertions, registry):
+        open_calls.append((wedge_obj, []))
+        out = original(ws, wedge_obj, insertions, registry)
+        finished.append((open_calls.pop()[1], out))
+        return out
+
+    def counting(self):
+        if open_calls and self.domain is open_calls[-1][0]:
+            open_calls[-1][1].append(self)
+        return validate(self)
+
+    patch_bindings(monkeypatch, original, recording)
+    monkeypatch.setattr(SMorphism, "_validate", counting)
+    construct_q(construct_p((1, 2), (1, 2)))
+    assert finished
+    for validated, out in finished:
+        keys = [(id(m.codomain), m.table_key()) for m in validated]
+        assert len(keys) == len(set(keys))
+        assert {id(b.f) for _c, b in out.entries} == set(map(id, validated))
+    blocks = sum(len(out.entries) for _v, out in finished)
+    assert sum(len(v) for v, _out in finished) < blocks
+
+
+def repr_fingerprint(block):
+    """The block fingerprint that witness compaction once merged on."""
+    rows = [block.f.table_key()]
+    for p in block.parts:
+        terms = tuple(
+            sorted(
+                (
+                    tuple(sorted(t.pi.terms.items())),
+                    t.certificate.level,
+                    t.certificate.combination,
+                    t.morphism.table_key(),
+                )
+                for t in p.terms
+            )
+        )
+        rows.append((p.level, terms))
+    return ckey(repr(rows))
+
+
+def test_block_key_merges_as_the_repr_fingerprint(monkeypatch):
+    original = wedge_module.compact_witness
+    compared = []
+
+    def comparing(w):
+        merged, order = {}, []
+        for c, b in w.entries:
+            key = repr_fingerprint(b)
+            if key not in merged:
+                merged[key] = [0, b]
+                order.append(key)
+            merged[key][0] += c
+        expected = [(c, id(b)) for c, b in (merged[k] for k in order) if c]
+        out = original(w)
+        got = [(c, id(b)) for c, b in out.entries]
+        compared.append((len(w.entries), got, expected))
+        return out
+
+    monkeypatch.setattr(wedge_module, "compact_witness", comparing)
+    construct_q(construct_p((1, 2), (1, 2)))
+    assert compared
+    for _n, got, expected in compared:
+        assert got == expected
+    assert sum(len(got) for _n, got, _e in compared) < sum(n for n, _g, _e in compared)

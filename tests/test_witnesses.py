@@ -1,16 +1,28 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from fissile.chained import ideal_membership, omega, ring_product, subsets_of
 from fissile.ensembles import Ensemble, map_ensemble, singleton
-from fissile.simplicial import compose, enumerate_based_morphisms, reduced_cone_map, wedge
+from fissile.simplicial import (
+    SimplicialError,
+    SMorphism,
+    compose,
+    disjoint_basepoint,
+    enumerate_based_morphisms,
+    inclusion,
+    reduced_cone_map,
+    standard_simplex,
+    wedge,
+)
 from fissile.wedge import WedgeContext
 from fissile.witnesses import (
     Block,
     BlockPart,
     FiltrationWitness,
     IdealTerm,
+    PSpace,
     combine_over_wedge,
     cone_witness,
     make_block,
@@ -225,8 +237,6 @@ def test_map_witness_rejects_nonequivariant(ctx):
     full = ctx.full_space
     t = ctx.plus_base_of((1,))
     w = random_witness(rng, ctx, t, full)
-    from fissile.simplicial import SMorphism
-
     perm = {(): (), (1,): (2,), (2,): (1,), (1, 2): (1, 2)}
 
     def swap_letters(z):
@@ -247,8 +257,12 @@ def test_map_witness_rejects_nonequivariant(ctx):
         maps.append(level)
     swap = SMorphism(full.obj, full.obj, maps)
     assert swap.is_based()
-    with pytest.raises(AssertionError):
+    with pytest.raises(SimplicialError, match="not equivariant"):
         map_witness(w, swap, full, full)
+
+
+def test_map_witness_rejects_nonequivariant_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_map_witness_rejects_nonequivariant")
 
 
 def test_cone_witness_pipeline(ctx):
@@ -297,3 +311,79 @@ def test_transform_chain_preserves_validity(ctx):
         red_space = ctx.registry.reduced_space(space)
         v2 = map_ensemble(lambda m: reduced_cone_map(m, red_t, red_space[1]), v1)
         assert verify_witness(v2, step2, w.level, ctx.monoid)
+
+
+# -- evaluation builds each distinct wedge combination once ---------------------
+
+
+def edge():
+    """A based edge: the standard 1-simplex with a disjoint basepoint."""
+    return disjoint_basepoint(standard_simplex(1, 2))
+
+
+def identity_block(ctx, t, part_morphism):
+    """One rank-0 block over the wedge of t alone, with f its insertion,
+    whose part carries ``part_morphism`` into t under the trivial action."""
+    space = PSpace(t, ctx.monoid, {k: inclusion(t, t) for k in ctx.monoid.elements})
+    wobj, ins = wedge([t])
+    pi = singleton(ctx.i_set)
+    term = IdealTerm(pi, ideal_membership(ctx.monoid, pi, 0), part_morphism)
+    part = BlockPart(0, [term], t, space)
+    return Block(f=ins[0], wedge_obj=wobj, insertions=ins, parts=[part], space=space)
+
+
+def count_validations(monkeypatch, domain):
+    """Count SMorphism validations of tables out of ``domain``."""
+    original, seen = SMorphism._validate, []
+
+    def counting(self):
+        if self.domain is domain:
+            seen.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SMorphism, "_validate", counting)
+    return seen
+
+
+def test_verify_witness_rejects_face_breaking_f_beside_its_twin(ctx):
+    # two blocks share wedge and parts; the second one's f breaks faces and
+    # its table key is recomputed from the broken table, so the shared
+    # wedge combination must still be precomposed with each block's own f
+    t = edge()
+    good = identity_block(ctx, t, inclusion(t, t))
+    wobj = good.wedge_obj
+    maps = [dict(m) for m in good.f.maps]
+    x = t.nondegenerate(1)[0]
+    maps[1][x] = next(
+        y for y in wobj.level(1) if wobj.faces[1][y] != wobj.faces[1][maps[1][x]]
+    )
+    with pytest.raises(SimplicialError, match="faces"):
+        SMorphism(t, wobj, maps)
+    broken = Block(
+        f=SMorphism(t, wobj, maps, check=False),
+        wedge_obj=wobj,
+        insertions=good.insertions,
+        parts=good.parts,
+        space=good.space,
+    )
+    assert broken.f.is_based() and broken.f.table_key() != good.f.table_key()
+    v = FiltrationWitness(0, [(1, good), (1, good)]).value()
+    assert v == 2 * singleton(inclusion(t, t))
+    tampered = FiltrationWitness(0, [(1, good), (1, broken)])
+    rep = verify_witness(v, tampered, 0, ctx.monoid)
+    assert not rep and rep.diagnostic == "sum mismatch"
+
+
+def test_equal_part_tables_on_distinct_domains_each_validated(ctx, monkeypatch):
+    t = edge()
+    first = identity_block(ctx, t, inclusion(t, t))
+    seen = count_validations(monkeypatch, first.wedge_obj)
+    for dom, expected in ((t, 1), (edge(), 2)):
+        # an equal table in a new object, out of t itself or out of a copy
+        m = SMorphism(dom, t, inclusion(t, t).maps)
+        term = replace(first.parts[0].terms[0], morphism=m)
+        part = replace(first.parts[0], terms=[term])
+        w = FiltrationWitness(0, [(1, first), (1, replace(first, parts=[part]))])
+        seen.clear()
+        assert verify_witness(2 * singleton(inclusion(t, t)), w, 0, ctx.monoid)
+        assert len(seen) == expected
