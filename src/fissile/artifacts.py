@@ -13,7 +13,7 @@ apart.
 import json
 import os
 
-from .canon import ckey_b64, jsonable, unjsonable
+from .canon import ckey_b64, jsonable, jsonable_b64, unjsonable
 from .chained import IdealCertificate, subset_key
 from .ensembles import Ensemble
 from .layouts import layout_key
@@ -143,19 +143,24 @@ class MorphismStore:
     def __init__(self):
         self.records = {}
         self.loaded = {}
+        self._refs = {}
 
     def ref(self, m: SMorphism) -> str:
-        mid = ckey_b64(m)
+        """The id of m's record: the ``ckey_b64`` of m, encoded once from
+        the rows the record stores, and once per object referenced here
+        (the entry keeps the object alive, so its id is not reused)."""
+        hit = self._refs.get(id(m))
+        if hit is not None:
+            return hit[1]
+        rows = [[n, jsonable(x), jsonable(v)] for (n, x, v) in m.table_key()]
+        mid = jsonable_b64(["morphism", rows])
         if mid not in self.records:
-            rows = [
-                [n, jsonable(x), jsonable(v)]
-                for (n, x, v) in m.table_key()
-            ]
             self.records[mid] = {
                 "domain": jsonable(m.domain.label),
                 "codomain": jsonable(m.codomain.label),
                 "table": rows,
             }
+        self._refs[id(m)] = (m, mid)
         return mid
 
     def to_json(self):

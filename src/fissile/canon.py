@@ -32,13 +32,22 @@ def unjsonable(x):
     return x
 
 
+def _encode(j) -> bytes:
+    return json.dumps(j, sort_keys=True, separators=(",", ":")).encode()
+
+
 def ckey(x) -> bytes:
     """Deterministic byte key of a canonical value."""
-    return json.dumps(jsonable(x), sort_keys=True, separators=(",", ":")).encode()
+    return _encode(jsonable(x))
 
 
 def ckey_b64(x) -> str:
     return base64.b64encode(ckey(x)).decode("ascii")
+
+
+def jsonable_b64(j) -> str:
+    """``ckey_b64`` of the value whose :func:`jsonable` form is j."""
+    return base64.b64encode(_encode(j)).decode("ascii")
 
 
 def sort_canonically(values):

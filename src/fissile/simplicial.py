@@ -203,7 +203,7 @@ class SMorphism:
     """A simplicial morphism as total per-dimension tables; commutation with
     faces and degeneracies is checked exhaustively on construction."""
 
-    __slots__ = ("domain", "codomain", "maps", "_key")
+    __slots__ = ("domain", "codomain", "maps", "_key", "__weakref__")
 
     def __init__(self, domain, codomain, maps, check=True):
         self.domain = domain
@@ -657,12 +657,14 @@ def induce_through(p: SMorphism, g: SMorphism) -> SMorphism:
         for x, px in p.maps[n].items():
             gx = g.maps[n][x]
             if px in level:
-                assert level[px] == gx, "map does not descend through the quotient"
+                if level[px] != gx:
+                    g._fail("map does not descend through the quotient", n)
             else:
                 level[px] = gx
         for y in p.codomain.simplices[n]:
             if y not in level:
-                assert y == p.codomain.basepoint_at(n), "projection not surjective"
+                if y != p.codomain.basepoint_at(n):
+                    p._fail("projection not surjective", n)
                 level[y] = g.codomain.basepoint_at(n)
         maps.append(level)
     return SMorphism(p.codomain, g.codomain, maps)

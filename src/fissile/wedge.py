@@ -46,7 +46,6 @@ from .simplicial import (
     plus_base,
     plus_base_iso,
     point,
-    reduced_cone_map,
     subsimplicial,
     suspension_top_at,
     wedge,  # noqa: F401  (a binding that perfbench/spans.py wraps)
@@ -57,10 +56,12 @@ from .witnesses import (
     BlockPart,
     FiltrationWitness,
     IdealTerm,
+    PairScope,
     PSpace,
     SpaceRegistry,
     cone_witness,
     map_witness,
+    require_based,
     restrict_witness,
     verify_witness,
     wedge_witness,
@@ -317,7 +318,7 @@ class WedgeContext:
                         level[x] = tagged
                 maps.append(level)
             out = SMorphism(t, self.sub_obj(j), maps)
-            assert out.is_based()
+            require_based(out, "top-vertex")
             self._xi[(j, f)] = out
         return self._xi[(j, f)]
 
@@ -351,18 +352,20 @@ class WedgeContext:
                         level[x] = (idx, img)
                 maps.append(level)
             sigma = SMorphism(red_obj, wl, maps)
-            assert sigma.is_based()
+            require_based(sigma, "contraction")
             self._sigma[key] = sigma
         return self._sigma[key]
 
-    def filling(self, v: SMorphism, letter, l_key) -> SMorphism:
+    def filling(self, v: SMorphism, letter, l_key, scope=None) -> SMorphism:
         """Extend a based morphism on a based face subdivision over the whole
-        coned subdivision, contracting along the chosen letter."""
+        coned subdivision, contracting along the chosen letter; the cone of
+        v comes from the scope."""
         l_key = subset_key(l_key)
         f = v.domain.label[1]
         red_t = self.registry.reduced_domain(self.plus_base_of(f))
         red_space_tuple = self.registry.reduced_space(self.space(l_key))
-        cv = reduced_cone_map(v, red_t, red_space_tuple[1])
+        scope = scope if scope is not None else PairScope()
+        cv = scope.reduced_cone_map(v, red_t, red_space_tuple[1])
         sigma = self.contraction(l_key, letter)
         return compose(sigma, compose(cv, self.plus_iso(f)))
 
@@ -566,27 +569,34 @@ def layout_defect(ctx: WedgeContext, q: Ensemble, a) -> Ensemble:
     )
 
 
-def pair_checks(ctx: WedgeContext, p, f, j, alt_witness):
-    """Conditions 0, 1 and 2 of the pair (f, j) as (check name, ok)."""
+def pair_checks(ctx: WedgeContext, p, f, j, alt_witness, scope=None):
+    """Conditions 0, 1 and 2 of the pair (f, j) as (check name, ok); the
+    witness is evaluated through the pair's scope."""
     tag = f"F={f} J={j}"
     yield f"constant-restriction {tag}", constant_restriction_holds(ctx, p, f, j)
     yield f"multiplicative-restriction {tag}", all(
         multiplicative_restriction_holds(ctx, p, f, j, b)
         for b in LayoutLattice(f, bound=len(f)).layouts
     )
-    rep = verify_witness(alternating_sum(p, f, j), alt_witness, len(j), ctx.monoid)
+    rep = verify_witness(
+        alternating_sum(p, f, j), alt_witness, len(j), ctx.monoid, scope
+    )
     yield f"alternating-sum-witness {tag}", bool(rep)
 
 
-def q_checks(ctx: WedgeContext, q: Ensemble, layout_witnesses, boundary_witness):
+def q_checks(
+    ctx: WedgeContext, q: Ensemble, layout_witnesses, boundary_witness, scope=None
+):
     """The layout-defect and boundary-defect claims for q as (check name,
-    ok); ``layout_witnesses`` yields (layout, witness) pairs."""
+    ok); ``layout_witnesses`` yields (layout, witness) pairs.  Every witness
+    is evaluated through one scope, the q run's."""
+    scope = scope if scope is not None else PairScope()
     level = len(ctx.i_set)
     for a, wit in layout_witnesses:
-        rep = verify_witness(layout_defect(ctx, q, a), wit, level, ctx.monoid)
+        rep = verify_witness(layout_defect(ctx, q, a), wit, level, ctx.monoid, scope)
         yield f"layout-defect-witness A={a}", bool(rep)
     boundary = boundary_defect(ctx, q, ctx.e_set, ctx.i_set)
-    rep = verify_witness(boundary, boundary_witness, level, ctx.monoid)
+    rep = verify_witness(boundary, boundary_witness, level, ctx.monoid, scope)
     yield "boundary-witness", bool(rep)
 
 
@@ -650,9 +660,13 @@ def construct_p(i_set, e_set, bound=None, enforce_guard=True) -> ConstructionRes
 
 
 def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
+    """Build the pair (f, j) and check it.  Its transports, self-checks and
+    construction conditions share one scope, dropped when this returns."""
+
     def p(g, k):
         return pairs[(g, k)].ensemble
 
+    scope = PairScope()
     tag = f"F={f} J={j}"
     space_j = ctx.space(j)
     lat = LayoutLattice(f, bound=len(f))
@@ -680,6 +694,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
                     inclusion(small.obj, space_j.obj),
                     small,
                     space_j,
+                    scope,
                 )
                 per_block.append(wit)
             cover_wits.append(
@@ -689,7 +704,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
         for w in cover_wits:
             entries.extend(w.entries)
         wit = compact_witness(FiltrationWitness(len(j), entries))
-        _require(wit.value() == val, f"cover-expansion {tag} B={b}")
+        _require(wit.value(scope) == val, f"cover-expansion {tag} B={b}")
         u_vals[b] = val
         u_wits[b] = wit
 
@@ -714,7 +729,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
                 )
         v_wits[b] = compact_witness(wit)
         _require(
-            v_wits[b].value() == v_vals.value(b),
+            v_wits[b].value(scope) == v_vals.value(b),
             f"inverse-transform-witness {tag} B={b}",
         )
 
@@ -734,7 +749,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
             restrict_witness(v_wits[b], ctx.retraction(top, b)).entries
         )
     u_wit = compact_witness(FiltrationWitness(len(j), lift_entries))
-    _require(u_wit.value() == u_lift, f"lift-witness {tag}")
+    _require(u_wit.value(scope) == u_lift, f"lift-witness {tag}")
 
     for b in proper_layouts:
         got = restrict_ensemble(u_lift, ctx.layout_inclusion(b, top))
@@ -752,18 +767,21 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     delta_wit = compact_witness(
         omega_wit.plus(restrict_witness(u_wit, inc_tf).scaled(-1))
     )
-    _require(delta_wit.value() == delta, f"boundary-defect-expansion {tag}")
+    _require(
+        delta_wit.value(scope) == delta, f"boundary-defect-expansion {tag}"
+    )
 
     letter = sorted(set(ctx.i_set) - set(j))[0]
-    chi_delta = map_ensemble(lambda v: ctx.filling(v, letter, j), delta)
+    chi_delta = map_ensemble(lambda v: ctx.filling(v, letter, j, scope), delta)
 
     red_space = ctx.registry.reduced_space(space_j)
     chi_wit = restrict_witness(
         map_witness(
-            cone_witness(delta_wit, ctx.registry),
+            cone_witness(delta_wit, ctx.registry, scope),
             ctx.contraction(j, letter),
             red_space[0],
             space_j,
+            scope,
         ),
         ctx.plus_iso(f),
     )
@@ -777,7 +795,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
         alt_witness=alt_wit,
     )
     pairs[(f, j)] = record
-    _require_all(pair_checks(ctx, p, f, j, alt_wit))
+    _require_all(pair_checks(ctx, p, f, j, alt_wit, scope))
     return record
 
 
@@ -793,8 +811,10 @@ class AlmostFissileRecord:
 def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
     """Assemble the alternating combination of the final ensembles; every
     layout defect and the boundary defect receive verified witnesses at
-    level the index-set size.  A failed claim raises VerificationError."""
+    level the index-set size.  A failed claim raises VerificationError.
+    The run's transports and checks share one scope."""
     ctx = result.ctx
+    scope = PairScope()
     i_set, e_set = ctx.i_set, ctx.e_set
     q_ens = extend_over(
         singleton(i_set) - omega(i_set), lambda j: result.final(j).ensemble
@@ -817,6 +837,7 @@ def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
                     inclusion(small.obj, ctx.full_space.obj),
                     small,
                     ctx.full_space,
+                    scope,
                 )
                 wit = restrict_witness(
                     wit,
@@ -840,7 +861,7 @@ def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
         ctx.full_space,
     )
     bwit = compact_witness(bwit)
-    _require_all(q_checks(ctx, q_ens, witnesses.items(), bwit))
+    _require_all(q_checks(ctx, q_ens, witnesses.items(), bwit, scope))
     return AlmostFissileRecord(
         ensemble=q_ens,
         layout_defects=defects,

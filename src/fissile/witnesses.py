@@ -36,16 +36,25 @@ class PSpace:
         if check:
             self._validate()
 
+    def _fail(self, check, k):
+        raise SimplicialError(
+            f"space {self.label!r}: {check} at the monoid element {k!r}"
+        )
+
     def _validate(self):
-        assert set(self.action) == set(self.monoid.elements)
-        ident = self.action[self.monoid.identity()]
-        assert ident == inclusion(self.obj, self.obj)
+        if set(self.action) != set(self.monoid.elements):
+            self._fail("action keys differ from the monoid elements", None)
+        ident = self.monoid.identity()
+        if self.action[ident] != inclusion(self.obj, self.obj):
+            self._fail("action is not the identity", ident)
         for k in self.monoid.elements:
             act = self.action[k]
-            assert act.is_based()
+            if not act.is_based():
+                self._fail("action is not based", k)
             for k2 in self.monoid.elements:
                 meet = self.monoid.op(k, k2)
-                assert compose(act, self.action[k2]) == self.action[meet]
+                if compose(act, self.action[k2]) != self.action[meet]:
+                    self._fail(f"action is not multiplicative with {k2!r}", k)
 
     def act_on_morphism(self, k, v: SMorphism) -> SMorphism:
         return compose(self.action[k], v)
@@ -84,8 +93,10 @@ class SpaceRegistry:
         key = id(space.obj)
         if key not in self._reduced_spaces:
             red = reduced_cone(space.obj)
+            # elements acting by equal tables share one cone map
+            scope = PairScope()
             action = {
-                k: reduced_cone_map(space.action[k], red, red)
+                k: scope.reduced_cone_map(space.action[k], red, red)
                 for k in self.monoid.elements
             }
             cspace = PSpace(
@@ -113,10 +124,10 @@ class IdealTerm:
     certificate: IdealCertificate
     morphism: SMorphism
 
-    def value(self, space: PSpace) -> Ensemble:
+    def value(self, space: PSpace, scope: "PairScope") -> Ensemble:
         out = Ensemble.zero()
         for k, c in self.pi.terms.items():
-            out = out + c * Ensemble({space.act_on_morphism(k, self.morphism): 1})
+            out = out + c * Ensemble({scope.act(space, k, self.morphism): 1})
         return out
 
 
@@ -127,10 +138,11 @@ class BlockPart:
     domain: object  # based simplicial set, the wedge summand
     space: PSpace
 
-    def value(self) -> Ensemble:
+    def value(self, scope=None) -> Ensemble:
+        scope = scope if scope is not None else PairScope()
         out = Ensemble.zero()
         for term in self.terms:
-            out = out + term.value(self.space)
+            out = out + term.value(self.space, scope)
         return out
 
     def check_certificates(self, monoid) -> bool:
@@ -176,38 +188,93 @@ class Block:
             for p in self.parts
         )
 
-    def value(self) -> Ensemble:
-        return evaluate_blocks([(1, self)])
+    def value(self, scope=None) -> Ensemble:
+        return evaluate_blocks([(1, self)], scope)
 
 
-def evaluate_blocks(entries) -> Ensemble:
+class PairScope:
+    """The morphism tables of one (face, subset) pair, or of one q run.
+
+    Within a scope each distinct wedge gluing, reduced-cone map and
+    equivariance check is built, validated or run once.  An entry is keyed
+    by the ids of its objects and the table keys of its morphisms, keeps
+    those objects alive so that no id in a key is reused while the scope
+    lives, and is reused only when every full table is equal too.  The
+    action of a monoid element on a part morphism is composed once per
+    (action, morphism) object pair, so equal part values are one object
+    and compare by identity.  The builder drops the scope when its pair
+    ends; a call given no scope gets a fresh one.
+    """
+
+    def __init__(self):
+        self._acted = {}
+        self._glued = {}
+        self._coned = {}
+        self._equivariant = {}
+
+    def act(self, space: PSpace, k, m: SMorphism) -> SMorphism:
+        """``space.act_on_morphism(k, m)``."""
+        action = space.action[k]
+        key = (id(action), id(m))
+        hit = self._acted.get(key)
+        if hit is None:
+            hit = self._acted[key] = (action, m, space.act_on_morphism(k, m))
+        return hit[2]
+
+    def glue(self, wobj, insertions, tup, cod) -> SMorphism:
+        """``wedge_combine`` of the part morphisms into cod."""
+        key = (id(wobj), id(cod)) + tuple(
+            (id(m.domain), id(m.codomain), m.table_key()) for m in tup
+        )
+        hit = self._glued.get(key)
+        if hit is None or not _same_tables(tup, hit[0]):
+            hit = self._glued[key] = (
+                tup,
+                wedge_combine(wobj, insertions, list(tup), codomain=cod),
+            )
+        return hit[1]
+
+    def reduced_cone_map(self, f: SMorphism, rdom, rcod) -> SMorphism:
+        """``reduced_cone_map`` of f between these reduced-cone tuples."""
+        key = (id(f.domain), id(f.codomain), f.table_key(), id(rdom), id(rcod))
+        hit = self._coned.get(key)
+        if hit is None or not _same_tables((f,), hit[0]):
+            hit = self._coned[key] = (
+                (f,),
+                rdom,
+                rcod,
+                reduced_cone_map(f, rdom, rcod),
+            )
+        return hit[3]
+
+    def check_equivariant(self, h: SMorphism, src: PSpace, dst: PSpace):
+        """``check_equivariant`` of h from src to dst."""
+        key = (id(h.domain), id(h.codomain), h.table_key(), id(src), id(dst))
+        hit = self._equivariant.get(key)
+        if hit is None or not _same_tables((h,), hit[0]):
+            check_equivariant(h, src, dst)
+            self._equivariant[key] = ((h,), src, dst)
+
+
+def _same_tables(morphisms, seen) -> bool:
+    return all(m is s or m.maps == s.maps for m, s in zip(morphisms, seen))
+
+
+def evaluate_blocks(entries, scope: PairScope = None) -> Ensemble:
     """The sum of c * (block value) over the (c, block) entries.
 
     A block's value is the combining product of its part values, each
-    tuple glued by ``wedge_combine`` and precomposed with the block's f.
-    Within this call each distinct gluing is built and validated once,
-    keyed by the wedge, the codomain, and per part morphism its domain,
-    codomain and table; a valid morphism is determined by these.  The
-    table is local to the call and keeps its keys' objects alive, so no id
-    in a key is reused while it lives."""
-    glued = {}
+    tuple glued by ``wedge_combine`` and precomposed with the block's f;
+    the actions on part morphisms and the gluings go through the scope."""
+    scope = scope if scope is not None else PairScope()
     out = {}
     for c, block in entries:
         wobj, ins, cod, f = block.wedge_obj, block.insertions, block.space.obj, block.f
 
         def combiner(tup):
-            key = (id(wobj), id(cod)) + tuple(
-                (id(m.domain), id(m.codomain), m.table_key()) for m in tup
-            )
-            hit = glued.get(key)
-            if hit is None:
-                hit = glued[key] = (
-                    tup,
-                    wedge_combine(wobj, ins, list(tup), codomain=cod),
-                )
-            return compose(hit[1], f)
+            return compose(scope.glue(wobj, ins, tup, cod), f)
 
-        value = combining_product([p.value() for p in block.parts], combiner)
+        value = combining_product([p.value(scope) for p in block.parts], combiner)
         for el, d in value.terms.items():
             out[el] = out.get(el, 0) + c * d
     return Ensemble(out)
@@ -218,8 +285,8 @@ class FiltrationWitness:
     level: int
     entries: list = field(default_factory=list)  # (coeff, Block)
 
-    def value(self) -> Ensemble:
-        return evaluate_blocks(self.entries)
+    def value(self, scope=None) -> Ensemble:
+        return evaluate_blocks(self.entries, scope)
 
     def scaled(self, n: int) -> "FiltrationWitness":
         return FiltrationWitness(
@@ -252,9 +319,11 @@ def make_block(monoid, f, wedge_obj, insertions, parts, space):
     return block.value(), block
 
 
-def verify_witness(v: Ensemble, w: FiltrationWitness, s: int, monoid) -> WitnessReport:
+def verify_witness(
+    v: Ensemble, w: FiltrationWitness, s: int, monoid, scope: PairScope = None
+) -> WitnessReport:
     """Re-check a witness from its own data: certificate levels, block ranks,
-    and the evaluated combination."""
+    and the evaluated combination, glued through the scope."""
     if w.level < s:
         return WitnessReport(False, f"witness level {w.level} below requested {s}")
     for _c, block in w.entries:
@@ -267,7 +336,7 @@ def verify_witness(v: Ensemble, w: FiltrationWitness, s: int, monoid) -> Witness
                 return WitnessReport(False, "ideal certificate failed")
         if not block.f.is_based():
             return WitnessReport(False, "wedge decomposition is not based")
-    if evaluate_blocks(w.entries) != v:
+    if evaluate_blocks(w.entries, scope) != v:
         return WitnessReport(False, "sum mismatch")
     return WitnessReport(True)
 
@@ -278,7 +347,7 @@ def verify_witness(v: Ensemble, w: FiltrationWitness, s: int, monoid) -> Witness
 def restrict_witness(w: FiltrationWitness, k: SMorphism) -> FiltrationWitness:
     """Precompose the wedge decompositions with a based morphism into the
     old domain; parts and ranks are untouched."""
-    _require_based(k, "restriction")
+    require_based(k, "restriction")
     entries = [
         (
             c,
@@ -295,7 +364,7 @@ def restrict_witness(w: FiltrationWitness, k: SMorphism) -> FiltrationWitness:
     return FiltrationWitness(w.level, entries)
 
 
-def _require_based(h: SMorphism, role):
+def require_based(h: SMorphism, role):
     if not h.is_based():
         raise SimplicialError(
             f"{role} morphism {h.domain.label!r} -> {h.codomain.label!r} "
@@ -313,11 +382,13 @@ def check_equivariant(h: SMorphism, src: PSpace, dst: PSpace):
 
 
 def map_witness(
-    w: FiltrationWitness, h: SMorphism, src: PSpace, dst: PSpace
+    w: FiltrationWitness, h: SMorphism, src: PSpace, dst: PSpace, scope=None
 ) -> FiltrationWitness:
-    """Push every part through an equivariant based morphism of spaces."""
-    _require_based(h, "space")
-    check_equivariant(h, src, dst)
+    """Push every part through an equivariant based morphism of spaces; the
+    equivariance check runs through the scope."""
+    require_based(h, "space")
+    scope = scope if scope is not None else PairScope()
+    scope.check_equivariant(h, src, dst)
     entries = []
     for c, b in w.entries:
         parts = []
@@ -357,14 +428,16 @@ def _invert_iso(e: SMorphism) -> SMorphism:
 
 
 def cone_witness(
-    w: FiltrationWitness, registry: SpaceRegistry
+    w: FiltrationWitness, registry: SpaceRegistry, scope=None
 ) -> FiltrationWitness:
     """Transport a witness through the reduced-cone functor.
 
     Each part morphism is coned; the new wedge decomposition is the cone of
     the old one, straightened through the canonical isomorphism between the
-    wedge of cones and the cone of the wedge.
+    wedge of cones and the cone of the wedge.  Every reduced-cone map comes
+    from the scope.
     """
+    scope = scope if scope is not None else PairScope()
     entries = []
     for c, b in w.entries:
         red_parts = [registry.reduced_domain(p.domain) for p in b.parts]
@@ -375,13 +448,13 @@ def cone_witness(
             new_wedge,
             new_ins,
             [
-                reduced_cone_map(b.insertions[j], red_parts[j], red_w)
+                scope.reduced_cone_map(b.insertions[j], red_parts[j], red_w)
                 for j in range(len(b.parts))
             ],
         )
         e_inv = _invert_iso(straighten)
         red_t = registry.reduced_domain(b.f.domain)
-        cf = reduced_cone_map(b.f, red_t, red_w)
+        cf = scope.reduced_cone_map(b.f, red_t, red_w)
         g = compose(e_inv, cf)
         parts = []
         for j, p in enumerate(b.parts):
@@ -390,7 +463,7 @@ def cone_witness(
                 IdealTerm(
                     t.pi,
                     t.certificate,
-                    reduced_cone_map(t.morphism, red_parts[j], red_z),
+                    scope.reduced_cone_map(t.morphism, red_parts[j], red_z),
                 )
                 for t in p.terms
             ]

@@ -12,6 +12,7 @@ from fissile.wedge import construct_p, construct_q
 DIGESTS = {
     ("pj", 2, 2): "bb0a2fc72fb65ab642376ed12d62cf473add827d3275697875d8d545b01f5485",
     ("pj", 3, 1): "3eda5c68c43a2214e6beaadbfe928a2c4e34d1a3641bddb834a16fd8803e518e",
+    ("pj", 3, 2): "d0e0dee4a31442a9a7b95dfe60a10f8a51698c6e52e7b858b6fe14ff58b21876",
     ("q", 2, 1): "c54b27ddd0dd5597d4614e1b43bf8e15aa4a8e4267ee0e53423b89f7fca5e7af",
     ("q", 2, 2): "b78b6a66a1220c65934b975177bc709afb31906db71e4bd9554a5a97eeaf22d9",
 }
@@ -27,9 +28,12 @@ def tree_digest(path):
 
 @pytest.fixture(scope="module")
 def pairs():
+    # (3, 2) lies beyond the default construction guard
     return {
-        (i, e): construct_p(tuple(range(1, i + 1)), tuple(range(1, e + 1)))
-        for i, e in ((2, 1), (2, 2), (3, 1))
+        (i, e): construct_p(
+            tuple(range(1, i + 1)), tuple(range(1, e + 1)), enforce_guard=False
+        )
+        for i, e in ((2, 1), (2, 2), (3, 1), (3, 2))
     }
 
 

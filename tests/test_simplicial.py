@@ -27,6 +27,7 @@ from fissile.simplicial import (
     enumerate_based_morphisms,
     full_complex,
     inclusion,
+    induce_through,
     kan_suspension,
     layout_complex,
     nerve,
@@ -34,6 +35,7 @@ from fissile.simplicial import (
     plus_base_iso,
     point,
     quotient,
+    quotient_projection,
     reduced_cone,
     reduced_cone_map,
     standard_simplex,
@@ -385,8 +387,6 @@ def test_contraction_compatible_with_letter_inclusion():
                 thick_inc, 1, cdom=tower_b.hat_cone, ccod=tower_a.hat_cone
             )
             susp_inc = compose(tower_a.susp_proj, cone_inc)
-            from fissile.simplicial import induce_through
-
             susp_inc = induce_through(tower_b.susp_proj, susp_inc)
             red_inc = reduced_cone_map(susp_inc, tower_b.reduced, tower_a.reduced)
             for a in sub:
@@ -415,6 +415,20 @@ def test_subsimplicial_closure_enforced():
 
 def test_subsimplicial_closure_enforced_under_optimize(run_optimized):
     run_optimized(f"{__file__}::test_subsimplicial_closure_enforced")
+
+
+def test_induce_through_rejects_map_not_descending():
+    # the quotient collapses both endpoints of the edge to one basepoint,
+    # but the identity keeps them apart
+    u = standard_simplex(1, 2)
+    ends = [{x for x in u.level(n) if len(set(x)) == 1} for n in range(3)]
+    proj = quotient_projection(u, quotient(u, ends))
+    with pytest.raises(SimplicialError, match="does not descend .* dimension 0"):
+        induce_through(proj, inclusion(u, u))
+
+
+def test_induce_through_rejects_map_not_descending_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_induce_through_rejects_map_not_descending")
 
 
 # -- morphism mechanics -----------------------------------------------------------

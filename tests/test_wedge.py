@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -502,6 +504,92 @@ def test_wedge_witness_validates_each_decomposition_once(monkeypatch):
         assert {id(b.f) for _c, b in out.entries} == set(map(id, validated))
     blocks = sum(len(out.entries) for _v, out in finished)
     assert sum(len(v) for v, _out in finished) < blocks
+
+
+def table_ids(m):
+    return (id(m.domain), id(m.codomain), m.table_key())
+
+
+def split_by_pair(monkeypatch, log):
+    """Open a new list in ``log`` whenever construct_p starts a pair."""
+    original = wedge_module._construct_pair
+
+    def opening(*args):
+        log.append([])
+        return original(*args)
+
+    monkeypatch.setattr(wedge_module, "_construct_pair", opening)
+
+
+def test_pair_scope_runs_each_distinct_morphism_once(monkeypatch):
+    # per pair, (kind, key, objects) of every reduced-cone map, equivariance
+    # check and evaluation gluing; the objects keep every id in a key alive
+    pairs, evaluating = [], []
+    rcm, equivariant = simplicial.reduced_cone_map, witnesses.check_equivariant
+    combine, evaluate = simplicial.wedge_combine, witnesses.evaluate_blocks
+
+    def coning(f, rdom, rcod):
+        key = table_ids(f) + (id(rdom), id(rcod))
+        pairs[-1].append(("reduced_cone_map", key, (f, rdom, rcod)))
+        return rcm(f, rdom, rcod)
+
+    def checking(h, src, dst):
+        key = table_ids(h) + (id(src), id(dst))
+        pairs[-1].append(("check_equivariant", key, (h, src, dst)))
+        return equivariant(h, src, dst)
+
+    def gluing(w, ins, morphisms, codomain=None):
+        if evaluating:
+            key = (id(w), id(codomain)) + tuple(map(table_ids, morphisms))
+            pairs[-1].append(("wedge_combine", key, (w, codomain, tuple(morphisms))))
+        return combine(w, ins, morphisms, codomain=codomain)
+
+    def evaluation(entries, scope=None):
+        evaluating.append(True)
+        try:
+            return evaluate(entries, scope)
+        finally:
+            evaluating.pop()
+
+    for original, replacement in (
+        (rcm, coning),
+        (equivariant, checking),
+        (combine, gluing),
+        (evaluate, evaluation),
+    ):
+        patch_bindings(monkeypatch, original, replacement)
+    split_by_pair(monkeypatch, pairs)
+    construct_p((1, 2), (1, 2))
+    assert pairs
+    kinds = set()
+    for calls in pairs:
+        keys = [(kind, key) for kind, key, _objs in calls]
+        assert len(keys) == len(set(keys))
+        kinds.update(kind for kind, _key in keys)
+    assert kinds == {"reduced_cone_map", "check_equivariant", "wedge_combine"}
+
+
+def test_scoped_gluings_die_with_their_pair(monkeypatch):
+    pairs, glue = [], witnesses.PairScope.glue
+
+    def recording(self, *args):
+        out = glue(self, *args)
+        pairs[-1].append(weakref.ref(out))
+        return out
+
+    def dead(refs):
+        gc.collect()
+        return refs and all(ref() is None for ref in refs)
+
+    monkeypatch.setattr(witnesses.PairScope, "glue", recording)
+    split_by_pair(monkeypatch, pairs)
+    result = construct_p((1, 2), (1,))
+    # a pair's gluings die before the next pair starts, so checking the
+    # lists after the run checks each pair at its end
+    assert len(pairs) == 3 and all(dead(refs) for refs in pairs)
+    pairs.append([])
+    construct_q(result)
+    assert dead(pairs[-1])
 
 
 def repr_fingerprint(block):

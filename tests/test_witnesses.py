@@ -9,9 +9,11 @@ from fissile.simplicial import (
     SimplicialError,
     SMorphism,
     compose,
+    constant_morphism,
     disjoint_basepoint,
     enumerate_based_morphisms,
     inclusion,
+    reduced_cone,
     reduced_cone_map,
     standard_simplex,
     wedge,
@@ -22,6 +24,7 @@ from fissile.witnesses import (
     BlockPart,
     FiltrationWitness,
     IdealTerm,
+    PairScope,
     PSpace,
     combine_over_wedge,
     cone_witness,
@@ -230,13 +233,10 @@ def test_map_witness_pipeline(ctx):
         assert verify_witness(expected, wm, w.level, ctx.monoid)
 
 
-def test_map_witness_rejects_nonequivariant(ctx):
-    # relabeling the two index letters is a valid based morphism of the full
-    # wedge but does not commute with the subset action
-    rng = random.Random(66)
+def letter_swap(ctx):
+    """Relabeling the two index letters: a valid based morphism of the full
+    wedge that does not commute with the subset action."""
     full = ctx.full_space
-    t = ctx.plus_base_of((1,))
-    w = random_witness(rng, ctx, t, full)
     perm = {(): (), (1,): (2,), (2,): (1,), (1, 2): (1, 2)}
 
     def swap_letters(z):
@@ -257,12 +257,48 @@ def test_map_witness_rejects_nonequivariant(ctx):
         maps.append(level)
     swap = SMorphism(full.obj, full.obj, maps)
     assert swap.is_based()
+    return swap
+
+
+def test_map_witness_rejects_nonequivariant(ctx):
+    rng = random.Random(66)
+    full = ctx.full_space
+    w = random_witness(rng, ctx, ctx.plus_base_of((1,)), full)
     with pytest.raises(SimplicialError, match="not equivariant"):
-        map_witness(w, swap, full, full)
+        map_witness(w, letter_swap(ctx), full, full)
 
 
 def test_map_witness_rejects_nonequivariant_under_optimize(run_optimized):
     run_optimized(f"{__file__}::test_map_witness_rejects_nonequivariant")
+
+
+def test_scope_rejects_nonequivariant_after_equivariant(ctx):
+    # the scope has checked the identity between the same two spaces; the
+    # swap has another table, so its check still runs
+    rng = random.Random(66)
+    full = ctx.full_space
+    w = random_witness(rng, ctx, ctx.plus_base_of((1,)), full)
+    scope = PairScope()
+    identity = inclusion(full.obj, full.obj)
+    for _ in range(2):
+        assert map_witness(w, identity, full, full, scope).value() == w.value()
+    with pytest.raises(SimplicialError, match="not equivariant"):
+        map_witness(w, letter_swap(ctx), full, full, scope)
+
+
+def test_pspace_rejects_unbased_action(ctx):
+    # the non-identity elements act by the constant map at the free
+    # vertex of the edge, which moves the basepoint
+    t = edge()
+    free = next(x for x in t.level(0) if x != t.basepoint)
+    action = {k: constant_morphism(t, t, free) for k in ctx.monoid.elements}
+    action[ctx.monoid.identity()] = inclusion(t, t)
+    with pytest.raises(SimplicialError, match="action is not based at the monoid"):
+        PSpace(t, ctx.monoid, action, label="edge")
+
+
+def test_pspace_rejects_unbased_action_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_pspace_rejects_unbased_action")
 
 
 def test_cone_witness_pipeline(ctx):
@@ -345,7 +381,7 @@ def count_validations(monkeypatch, domain):
     return seen
 
 
-def test_verify_witness_rejects_face_breaking_f_beside_its_twin(ctx):
+def assert_face_breaking_twin_rejected(ctx, scope):
     # two blocks share wedge and parts; the second one's f breaks faces and
     # its table key is recomputed from the broken table, so the shared
     # wedge combination must still be precomposed with each block's own f
@@ -367,11 +403,58 @@ def test_verify_witness_rejects_face_breaking_f_beside_its_twin(ctx):
         space=good.space,
     )
     assert broken.f.is_based() and broken.f.table_key() != good.f.table_key()
-    v = FiltrationWitness(0, [(1, good), (1, good)]).value()
+    v = FiltrationWitness(0, [(1, good), (1, good)]).value(scope)
     assert v == 2 * singleton(inclusion(t, t))
     tampered = FiltrationWitness(0, [(1, good), (1, broken)])
-    rep = verify_witness(v, tampered, 0, ctx.monoid)
+    rep = verify_witness(v, tampered, 0, ctx.monoid, scope)
     assert not rep and rep.diagnostic == "sum mismatch"
+
+
+def test_verify_witness_rejects_face_breaking_f_beside_its_twin(ctx):
+    assert_face_breaking_twin_rejected(ctx, None)
+
+
+def test_face_breaking_twin_rejected_in_a_shared_scope(ctx):
+    # the good witness is evaluated first, in the scope the check reuses
+    assert_face_breaking_twin_rejected(ctx, PairScope())
+
+
+def degenerate_row_broken(t):
+    """inclusion(t, t) with the degenerate edge at the vertex (0,) sent to
+    the one at (1,): its table key is that of the identity, its faces break."""
+    maps = [dict(level) for level in inclusion(t, t).maps]
+    maps[1][(0, 0)] = (1, 1)
+    broken = SMorphism(t, t, maps, check=False)
+    assert broken.table_key() == inclusion(t, t).table_key()
+    return broken
+
+
+def test_scope_reglues_part_with_equal_key_but_other_table(ctx):
+    t = edge()
+    good = identity_block(ctx, t, inclusion(t, t))
+    bad = replace(
+        good,
+        parts=[
+            replace(
+                good.parts[0],
+                terms=[replace(good.parts[0].terms[0], morphism=degenerate_row_broken(t))],
+            )
+        ],
+    )
+    scope = PairScope()
+    assert good.value(scope) == singleton(inclusion(t, t))
+    with pytest.raises(SimplicialError, match="faces"):
+        bad.value(scope)
+
+
+def test_scope_recones_map_with_equal_key_but_other_table():
+    t = edge()
+    red = reduced_cone(t)
+    scope = PairScope()
+    ident = inclusion(t, t)
+    assert scope.reduced_cone_map(ident, red, red) == reduced_cone_map(ident, red, red)
+    with pytest.raises(SimplicialError):
+        scope.reduced_cone_map(degenerate_row_broken(t), red, red)
 
 
 def test_equal_part_tables_on_distinct_domains_each_validated(ctx, monkeypatch):
