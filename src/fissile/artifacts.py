@@ -32,8 +32,15 @@ class ArtifactError(ValueError):
 
 
 def _label_key(label):
+    """The label as a tuple, which keys the resolver's caches."""
     label = unjsonable(label)
-    return label, json.dumps(jsonable(label), sort_keys=True)
+    if not isinstance(label, tuple) or not label:
+        raise ArtifactError(f"malformed label {label!r}")
+    try:
+        hash(label)
+    except TypeError:
+        raise ArtifactError(f"malformed label {label!r}") from None
+    return label
 
 
 class LabelResolver:
@@ -41,7 +48,8 @@ class LabelResolver:
 
     Each label is built once per resolver; a wedge label keeps its
     insertions alongside its object.  Wedges come from the context's
-    registry, the same wedge table the builder uses.
+    registry, the same wedge table the builder uses.  A label whose
+    arguments do not fit its kind raises ArtifactError.
     """
 
     def __init__(self, ctx: WedgeContext):
@@ -51,9 +59,17 @@ class LabelResolver:
         self._spaces = {}
 
     def obj(self, label):
-        label, key = _label_key(label)
-        if key in self._objs:
-            return self._objs[key]
+        label = _label_key(label)
+        if label in self._objs:
+            return self._objs[label]
+        try:
+            out = self._build_obj(label)
+        except (TypeError, IndexError) as exc:
+            raise ArtifactError(f"malformed object label {label!r}: {exc}") from None
+        self._objs[label] = out
+        return out
+
+    def _build_obj(self, label):
         kind = label[0]
         ctx = self.ctx
         if kind == "conelayout":
@@ -69,9 +85,9 @@ class LabelResolver:
                 parts = [self.obj(label[1])]
             else:
                 parts = [self.obj(sub) for sub in label[1]]
-            out, self._insertions[key] = ctx.registry.wedge(parts, label=label)
+            out, self._insertions[label] = ctx.registry.wedge(parts, label=label)
         elif kind == "wedgecones":
-            _iota, out, self._insertions[key] = ctx.iota(label[1])
+            _iota, out, self._insertions[label] = ctx.iota(label[1])
         elif kind == "W":
             out = ctx.w_obj
         elif kind == "WL":
@@ -79,28 +95,35 @@ class LabelResolver:
         elif kind == "Wx":
             out = ctx.proper_space().obj
         elif kind == "redcone":
-            inner_label = unjsonable(label[1])
-            if inner_label[0] in ("WL", "Wx", "W"):
-                out = self.ctx.registry.reduced_space(self.space(inner_label))[1][0]
+            inner = label[1]
+            if inner[0] in ("WL", "Wx", "W"):
+                out = ctx.registry.reduced_space(self.space(inner))[1][0]
             else:
-                out = self.ctx.registry.reduced_domain(self.obj(inner_label))[0]
+                out = ctx.registry.reduced_domain(self.obj(inner))[0]
         else:
             raise ArtifactError(f"unknown object label {label!r}")
-        self._objs[key] = out
         return out
 
     def insertions(self, label):
         """The insertions of the parts of a wedge label."""
+        label = _label_key(label)
         self.obj(label)
-        label, key = _label_key(label)
-        if key not in self._insertions:
+        if label not in self._insertions:
             raise ArtifactError(f"label {label!r} is not a wedge")
-        return self._insertions[key]
+        return self._insertions[label]
 
     def space(self, label):
-        label, key = _label_key(label)
-        if key in self._spaces:
-            return self._spaces[key]
+        label = _label_key(label)
+        if label in self._spaces:
+            return self._spaces[label]
+        try:
+            out = self._build_space(label)
+        except (TypeError, IndexError) as exc:
+            raise ArtifactError(f"malformed space label {label!r}: {exc}") from None
+        self._spaces[label] = out
+        return out
+
+    def _build_space(self, label):
         kind = label[0]
         if kind in ("WL", "W"):
             out = self.ctx.space(label[1]) if kind == "WL" else self.ctx.full_space
@@ -110,30 +133,21 @@ class LabelResolver:
             out = self.ctx.registry.reduced_space(self.space(label[1]))[0]
         else:
             raise ArtifactError(f"unknown space label {label!r}")
-        self._spaces[key] = out
         return out
 
 
 def morphism_from_nondegenerate(dom, cod, rows) -> SMorphism:
-    """Rebuild a full morphism table from its nondegenerate rows."""
-    assigned = {}
-    for n, x, v in rows:
-        assigned[(n, x)] = v
-    maps = []
-    for n in range(dom.bound + 1):
-        level = {}
-        for x in dom.level(n):
-            ops, m, y = dom.eilenberg_zilber(n, x)
-            if (m, y) not in assigned:
-                raise ArtifactError("morphism table misses a nondegenerate simplex")
-            v = assigned[(m, y)]
-            mm = m
-            for i in reversed(ops):
-                v = cod.degen(mm, i, v)
-                mm += 1
-            level[x] = v
-        maps.append(level)
-    return SMorphism(dom, cod, maps)
+    """The morphism with these (n, x, value) rows, validated; they must be
+    exactly the rows of the nondegenerate simplices of dom."""
+    maps = [{} for _ in range(dom.bound + 1)]
+    try:
+        for n, x, v in rows:
+            if not (type(n) is int and 0 <= n <= dom.bound):
+                raise ArtifactError(f"morphism row at dimension {n!r} outside the bound")
+            maps[n][x] = v
+        return SMorphism(dom, cod, maps)
+    except TypeError as exc:
+        raise ArtifactError(f"malformed morphism row: {exc}") from None
 
 
 # -- morphism registry ---------------------------------------------------------

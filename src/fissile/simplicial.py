@@ -4,6 +4,9 @@ Every simplicial set stores, per dimension up to an explicit bound, the full
 (finite) simplex list together with total face and degeneracy tables; the
 simplicial identities are checked exhaustively on construction.  Simplex
 keys are nested tuples of primitives so that they serialize canonically.
+A morphism stores one row per nondegenerate simplex of its domain: by the
+Eilenberg-Zilber lemma every simplex is uniquely s_I y with y nondegenerate,
+so those rows fix the map, and the value at s_I y is s_I of the row of y.
 
 Cone simplices are pairs (t, y): t is a monotone 0/1 tuple recording, slot
 by slot, whether the simplex runs along the apex or the base, and y is the
@@ -14,7 +17,7 @@ the 1s.  Quotients keep survivor keys and collapse the removed subset to a
 disjoint basepoint.
 """
 
-from itertools import product
+from itertools import product, repeat
 
 from .canon import ckey, jsonable
 
@@ -36,6 +39,8 @@ class FiniteSimplicialSet:
         self.basepoint = basepoint
         self.label = label
         self._nondeg = None
+        self._nondeg_sets = None
+        self._key_levels = None
         self._ez = None
         if check:
             self._validate()
@@ -67,12 +72,30 @@ class FiniteSimplicialSet:
                 self._nondeg.append(
                     tuple(x for x in self.simplices[m] if x not in degenerate)
                 )
+            self._nondeg_sets = [frozenset(level) for level in self._nondeg]
+            # the row order of SMorphism.table_key
+            self._key_levels = tuple(
+                (m, self._nondeg[m])
+                for m in sorted(range(self.bound + 1), key=lambda m: f"{m},")
+            )
         return self._nondeg[n]
 
-    def eilenberg_zilber(self, n, x):
-        """Decompose x as iterated degeneracies of a nondegenerate simplex:
-        returns (ops, m, y) with x = s_{ops[0]} ... s_{ops[-1]} y, where
-        ops[0] is the least i with x in the image of s_i."""
+    def nondegenerate_sets(self):
+        """The nondegenerate simplices of every dimension, as frozensets."""
+        self.nondegenerate(0)
+        return self._nondeg_sets
+
+    def key_levels(self):
+        """(n, nondegenerate simplices) with n in the order of its text
+        followed by ",", the dimension order of ``SMorphism.table_key``."""
+        self.nondegenerate(0)
+        return self._key_levels
+
+    def normal_forms(self, n):
+        """The Eilenberg-Zilber normal form of every simplex of dimension n:
+        x maps to (ops, m, y) with y nondegenerate of dimension m and
+        x = s_{ops[0]} ... s_{ops[-1]} y, where ops[0] is the least i with x
+        in the image of s_i."""
         if self._ez is None:
             ez = [{y: ((), 0, y) for y in self.simplices[0]}]
             for m in range(1, self.bound + 1):
@@ -86,7 +109,7 @@ class FiniteSimplicialSet:
                     level.setdefault(y, ((), m, y))
                 ez.append(level)
             self._ez = ez
-        return self._ez[n][x]
+        return self._ez[n]
 
     def is_based(self):
         return self.basepoint is not None
@@ -199,17 +222,58 @@ class FiniteSimplicialSet:
         return out
 
 
-class SMorphism:
-    """A simplicial morphism as total per-dimension tables; commutation with
-    faces and degeneracies is checked exhaustively on construction."""
+def _values(dom, cod, maps, n, xs):
+    """The values at the simplices xs of dimension n of the simplicial map
+    whose nondegenerate rows are ``maps``: s_I maps[m][y] for the normal
+    form x = s_I y, y of dimension m."""
+    forms, degens, out = dom.normal_forms(n), cod.degens, []
+    for x in xs:
+        ops, m, y = forms[x]
+        v = maps[m][y]
+        for i in reversed(ops):
+            v = degens[m][v][i]
+            m += 1
+        out.append(v)
+    return out
 
-    __slots__ = ("domain", "codomain", "maps", "_key", "__weakref__")
+
+class SMorphism:
+    """A simplicial morphism stored as its rows on the nondegenerate
+    simplices of the domain, one dict per dimension; ``m(n, x)`` answers
+    every simplex, degenerate ones through the domain's Eilenberg-Zilber
+    normal form.  The constructor copies the rows, rejects a table whose
+    keys are not exactly the nondegenerate simplices, and with ``check``
+    validates it: every value lies in the codomain and d_i m(x) ==
+    m(n - 1, d_i x) for every nondegenerate x.
+
+    Those checks make the extension M(s_I y) = s_I m(y) a simplicial map.
+    M is well defined because the normal form s_I y of a simplex is unique
+    (y and the degeneracy operator s_I; two words for s_I act alike by the
+    codomain's simplicial identities).  It commutes with degeneracies by
+    construction: s_j s_I y rewrites to a normal form s_J y by those
+    identities, and the same rewriting turns s_j s_I m(y) into s_J m(y).
+    It commutes with faces: d_i s_I y is either s_J y, when the face
+    cancels a degeneracy, or s_J d_k y, and then M(s_J d_k y) =
+    s_J M(d_k y) = s_J d_k m(y) by the checked row of y, which is
+    d_i s_I m(y) by the same identities in the codomain.  So the proof
+    rests on the uniqueness of the normal form and on the simplicial
+    identities of both sets, which ``FiniteSimplicialSet._validate`` checks.
+    """
+
+    __slots__ = ("domain", "codomain", "maps", "_key", "_hash", "__weakref__")
 
     def __init__(self, domain, codomain, maps, check=True):
         self.domain = domain
         self.codomain = codomain
-        self.maps = tuple(dict(m) for m in maps)
+        self.maps = tuple(map(dict, maps))
         self._key = None
+        self._hash = None
+        nondeg = domain.nondegenerate_sets()
+        if [row.keys() for row in self.maps] != nondeg:
+            if len(self.maps) != len(nondeg):
+                self._fail("table dimensions differ from the bound", domain.bound)
+            n = next(n for n, row in enumerate(self.maps) if row.keys() != nondeg[n])
+            self._fail("table rows differ from the nondegenerate simplices", n)
         if check:
             self._validate()
 
@@ -226,20 +290,17 @@ class SMorphism:
             self._fail("codomain truncated below the domain", bound)
         maps = self.maps
         for n in range(bound + 1):
-            if maps[n].keys() != t.level_sets[n]:
-                self._fail("table not total", n)
             if not z.level_sets[n].issuperset(maps[n].values()):
                 self._fail("value outside codomain", n)
         for n in range(1, bound + 1):
-            m, below, tf, zf = maps[n], maps[n - 1], t.faces[n], z.faces[n]
-            for x, row in tf.items():
-                if tuple(map(below.__getitem__, row)) != zf[m[x]]:
+            get, tf, zf = maps[n - 1].get, t.faces[n], z.faces[n]
+            for x, v in maps[n].items():
+                row = tuple(map(get, tf[x]))
+                if None in row:
+                    # a degenerate face: read it through its normal form
+                    row = tuple(_values(t, z, maps, n - 1, tf[x]))
+                if row != zf[v]:
                     self._fail("morphism does not commute with faces", n)
-        for n in range(bound):
-            m, above, td, zd = maps[n], maps[n + 1], t.degens[n], z.degens[n]
-            for x, row in td.items():
-                if tuple(map(above.__getitem__, row)) != zd[m[x]]:
-                    self._fail("morphism does not commute with degeneracies", n)
 
     def is_based(self):
         if self.domain.basepoint is None or self.codomain.basepoint is None:
@@ -247,7 +308,11 @@ class SMorphism:
         return self.maps[0][self.domain.basepoint] == self.codomain.basepoint
 
     def __call__(self, n, x):
-        return self.maps[n][x]
+        # no simplex is None, so a missing row reads as None
+        v = self.maps[n].get(x)
+        if v is None:
+            v = _values(self.domain, self.codomain, self.maps, n, (x,))[0]
+        return v
 
     def table_key(self):
         """The rows (n, x, value) over the nondegenerate x, in the order of
@@ -258,12 +323,10 @@ class SMorphism:
         is unique there and "," sorts below every character that can extend
         a JSON value (only a number can be extended)."""
         if self._key is None:
-            dom = self.domain
-            self._key = tuple(
-                (n, x, self.maps[n][x])
-                for n in sorted(range(dom.bound + 1), key=lambda n: f"{n},")
-                for x in dom.nondegenerate(n)
-            )
+            key = []
+            for n, xs in self.domain.key_levels():
+                key.extend(zip(repeat(n), xs, map(self.maps[n].__getitem__, xs)))
+            self._key = tuple(key)
         return self._key
 
     def canonical_payload(self):
@@ -273,22 +336,36 @@ class SMorphism:
         return isinstance(other, SMorphism) and self.table_key() == other.table_key()
 
     def __hash__(self):
-        return hash(self.table_key())
+        if self._hash is None:
+            self._hash = hash(self.table_key())
+        return self._hash
 
     def __repr__(self):
         return f"SMorphism({jsonable(self.table_key())!r})"
 
     def is_injective(self):
+        """Injective on the nondegenerate rows with every value
+        nondegenerate, which for a simplicial map is injectivity on every
+        simplex: a value s_i y at a nondegenerate x is also the value at the
+        other simplex s_i d_i x, and nondegenerate values have distinct
+        normal forms."""
         return all(
-            len(set(self.maps[n].values())) == len(self.maps[n])
-            for n in range(self.domain.bound + 1)
+            len(set(row.values())) == len(row) and nondeg.issuperset(row.values())
+            for row, nondeg in zip(self.maps, self.codomain.nondegenerate_sets())
         )
 
 
 def compose(g: SMorphism, f: SMorphism) -> SMorphism:
     maps = []
-    for n in range(f.domain.bound + 1):
-        maps.append({x: g.maps[n][y] for x, y in f.maps[n].items()})
+    for n, row in enumerate(f.maps):
+        level = dict(zip(row, map(g.maps[n].get, row.values())))
+        if None in level.values():
+            # f lands on degenerate simplices there: read g through their
+            # normal forms
+            xs = [x for x, v in level.items() if v is None]
+            ys = _values(g.domain, g.codomain, g.maps, n, [row[x] for x in xs])
+            level.update(zip(xs, ys))
+        maps.append(level)
     return SMorphism(f.domain, g.codomain, maps, check=False)
 
 
@@ -296,7 +373,7 @@ def constant_morphism(t, z, vertex) -> SMorphism:
     maps = []
     x = vertex
     for n in range(t.bound + 1):
-        maps.append({s: x for s in t.simplices[n]})
+        maps.append({s: x for s in t.nondegenerate(n)})
         if n < t.bound:
             x = z.degen(n, 0, x)
     return SMorphism(t, z, maps)
@@ -513,7 +590,7 @@ def base_embedding(u, c, s) -> SMorphism:
     maps = []
     for n in range(u.bound + 1):
         t = ((1 - s),) * (n + 1)
-        maps.append({x: (t, x) for x in u.simplices[n]})
+        maps.append({x: (t, x) for x in u.nondegenerate(n)})
     return SMorphism(u, c, maps)
 
 
@@ -522,7 +599,7 @@ def cone_projection(c, s) -> SMorphism:
     interval = standard_simplex(1, c.bound)
     maps = []
     for n in range(c.bound + 1):
-        maps.append({(t, y): t for (t, y) in c.simplices[n]})
+        maps.append({(t, y): t for (t, y) in c.nondegenerate(n)})
     return SMorphism(c, interval, maps)
 
 
@@ -533,9 +610,9 @@ def cone_map(f: SMorphism, s, cdom=None, ccod=None) -> SMorphism:
     maps = []
     for n in range(cdom.bound + 1):
         level = {}
-        for t, y in cdom.simplices[n]:
+        for t, y in cdom.nondegenerate(n):
             base = _cone_slots(t, s)
-            level[(t, y)] = (t, f.maps[len(base) - 1][y]) if base else (t, None)
+            level[(t, y)] = (t, f(len(base) - 1, y)) if base else (t, None)
         maps.append(level)
     return SMorphism(cdom, ccod, maps)
 
@@ -577,7 +654,10 @@ def inclusion(sub, sup) -> SMorphism:
     """The identity table of sub into sup, which contains it with the same
     keys; inclusion(u, u) is the identity of u."""
     return SMorphism(
-        sub, sup, [{x: x for x in level} for level in sub.simplices], check=False
+        sub,
+        sup,
+        [{x: x for x in sub.nondegenerate(n)} for n in range(sub.bound + 1)],
+        check=False,
     )
 
 
@@ -623,7 +703,7 @@ def quotient_projection(u, q) -> SMorphism:
     for n in range(u.bound + 1):
         level = {}
         qlevel = q.level_sets[n]
-        for x in u.simplices[n]:
+        for x in u.nondegenerate(n):
             level[x] = x if x in qlevel else q.basepoint_at(n)
         maps.append(level)
     return SMorphism(u, q, maps)
@@ -650,24 +730,35 @@ def generated_subset_levels(u, seeds):
 def induce_through(p: SMorphism, g: SMorphism) -> SMorphism:
     """The morphism h with h . p == g for levelwise-surjective p; when the
     target has a free basepoint outside the image, it goes to the basepoint
-    (both sides must then be based)."""
-    maps = []
-    for n in range(p.codomain.bound + 1):
-        level = {}
+    (both sides must then be based).
+
+    A nondegenerate y = p(x) needs x nondegenerate, so h is read off the
+    nondegenerate rows of p that land on nondegenerate simplices; h . p
+    and g then agree on every row of p, checked for the rows landing on
+    degenerate simplices too, hence everywhere."""
+    cod = p.codomain
+    maps, degenerate = [], []
+    for n in range(cod.bound + 1):
+        nondeg, level = cod.nondegenerate_sets()[n], {}
         for x, px in p.maps[n].items():
             gx = g.maps[n][x]
-            if px in level:
+            if px not in nondeg:
+                degenerate.append((n, px, gx))
+            elif px in level:
                 if level[px] != gx:
                     g._fail("map does not descend through the quotient", n)
             else:
                 level[px] = gx
-        for y in p.codomain.simplices[n]:
+        for y in cod.nondegenerate(n):
             if y not in level:
-                if y != p.codomain.basepoint_at(n):
+                if y != cod.basepoint_at(n):
                     p._fail("projection not surjective", n)
                 level[y] = g.codomain.basepoint_at(n)
         maps.append(level)
-    return SMorphism(p.codomain, g.codomain, maps)
+    for n, px, gx in degenerate:
+        if _values(cod, g.codomain, maps, n, (px,))[0] != gx:
+            g._fail("map does not descend through the quotient", n)
+    return SMorphism(cod, g.codomain, maps)
 
 
 # -- named compound constructions ------------------------------------------
@@ -695,7 +786,7 @@ def reduced_cone(t: FiniteSimplicialSet, label=None):
     inc_maps = []
     for n in range(t.bound + 1):
         tt = (1,) * (n + 1)
-        inc_maps.append({x: proj.maps[n][(tt, x)] for x in t.simplices[n]})
+        inc_maps.append({x: proj(n, (tt, x)) for x in t.nondegenerate(n)})
     inc = SMorphism(t, q, inc_maps)
     return q, inc, proj, c
 
@@ -722,7 +813,8 @@ def kan_suspension(u: FiniteSimplicialSet):
     q = quotient(c, removed, label=("suspension", u.label))
     proj = quotient_projection(c, q)
     top = ((1,), None)
-    assert q.has(0, top)
+    if not q.has(0, top):
+        raise SimplicialError(f"suspension of {u.label!r} has no top vertex")
     return q, proj, top
 
 
@@ -787,7 +879,7 @@ def wedge(parts, label=None):
             maps.append(
                 {
                     x: (BASE if x == bps[j][n] else (j, x))
-                    for x in p.simplices[n]
+                    for x in p.nondegenerate(n)
                 }
             )
         insertions.append(SMorphism(p, w, maps))
@@ -809,7 +901,7 @@ def wedge_combine(w, insertions, morphisms, codomain=None) -> SMorphism:
     maps = []
     for n in range(w.bound + 1):
         base = w.basepoint_at(n)
-        level = {base: z.basepoint_at(n)}
+        level = {} if n else {base: z.basepoint}
         for j, f in enumerate(morphisms):
             keys = insertions[j].maps[n]
             for x, fx in f.maps[n].items():
@@ -855,18 +947,23 @@ def plus_base_iso(c: FiniteSimplicialSet, rplus) -> SMorphism:
     maps = []
     for n in range(c.bound + 1):
         level = {}
-        for t, y in c.simplices[n]:
+        for t, y in c.nondegenerate(n):
             if y is None:
                 level[(t, y)] = q.basepoint_at(n)
             else:
                 base_len = sum(1 for v in t if v == 1)
                 inner = ((1,) * base_len, y)
-                level[(t, y)] = proj.maps[n][(t, inner)]
+                level[(t, y)] = proj(n, (t, inner))
         maps.append(level)
     out = SMorphism(c, q, maps)
-    for n in range(c.bound + 1):
-        values = set(out.maps[n].values())
-        assert len(values) == len(q.simplices[n]) == len(c.simplices[n])
+    # bijective on nondegenerate simplices, hence an isomorphism
+    same_size = all(
+        len(q.nondegenerate(n)) == len(c.nondegenerate(n)) for n in range(c.bound + 1)
+    )
+    if not (same_size and out.is_injective()):
+        raise SimplicialError(
+            f"plus-base map {c.label!r} -> {q.label!r} is not an isomorphism"
+        )
     return out
 
 
@@ -877,7 +974,7 @@ def apex_substitution(cca, ca, letter) -> SMorphism:
     maps = []
     for n in range(cca.bound + 1):
         level = {}
-        for t, y in cca.simplices[n]:
+        for t, y in cca.nondegenerate(n):
             outer = sum(1 for v in t if v == 0)
             if y is None:
                 level[(t, y)] = ((0,) * (n + 1), (letter,) * (n + 1))
@@ -920,7 +1017,11 @@ class ContractionTower:
         sigma_bar = induce_through(cq, compose(self.susp_proj, sigma_tilde))
         red, inc, proj, _c = self.reduced
         sigma = induce_through(proj, sigma_bar)
-        assert compose(sigma, inc) == inclusion(self.susp, self.susp)
+        if compose(sigma, inc) != inclusion(self.susp, self.susp):
+            raise SimplicialError(
+                f"contraction of {self.susp.label!r} at {letter!r} does not "
+                "restrict to the identity"
+            )
         self.contractions[letter] = sigma
         return sigma
 
@@ -929,15 +1030,17 @@ def count_retractions_with_apex_image(cca, ca, base_incl, apex_image, cap=8):
     """Diagnostic search: how many retractions of the 0-cone send the apex to
     the prescribed vertex.  Exhaustive, so keep the bound tiny."""
     found = []
-    base_fixed = {}
-    for n in range(cca.bound + 1):
-        for x in base_incl.domain.simplices[n]:
-            base_fixed[(n, base_incl.maps[n][x])] = x
-    slots = []
-    for n in range(cca.bound + 1):
-        for x in cca.nondegenerate(n):
-            if (n, x) not in base_fixed:
-                slots.append((n, x))
+    start = [{} for _ in range(cca.bound + 1)]
+    for n, row in enumerate(base_incl.maps):
+        for x, y in row.items():
+            start[n][y] = x
+    start[0][cca.basepoint] = apex_image
+    slots = [
+        (n, x)
+        for n in range(cca.bound + 1)
+        for x in cca.nondegenerate(n)
+        if x not in start[n]
+    ]
 
     def rec(idx, maps):
         if len(found) >= cap:
@@ -950,34 +1053,21 @@ def count_retractions_with_apex_image(cca, ca, base_incl, apex_image, cap=8):
             return
         n, x = slots[idx]
         for val in ca.simplices[n]:
-            ok = n == 0 or all(
-                cca.face(n, i, x) not in maps[n - 1]
-                or maps[n - 1][cca.face(n, i, x)] == ca.face(n, i, val)
-                for i in range(n + 1)
-            )
-            if not ok:
-                continue
-            trial = [dict(level) for level in maps]
-            trial[n][x] = val
-            for m in range(cca.bound):
-                for y, v in list(trial[m].items()):
-                    for i in range(m + 1):
-                        dy = cca.degen(m, i, y)
-                        trial[m + 1].setdefault(dy, ca.degen(m, i, v))
-            rec(idx + 1, trial)
+            if _faces_agree(cca, ca, maps, n, x, val):
+                maps[n][x] = val
+                rec(idx + 1, maps)
+        maps[n].pop(x, None)
 
-    start = [dict() for _ in range(cca.bound + 1)]
-    for n in range(cca.bound + 1):
-        for x in base_incl.domain.simplices[n]:
-            start[n][base_incl.maps[n][x]] = x
-    start[0][cca.basepoint] = apex_image
-    for m in range(cca.bound):
-        for y, v in list(start[m].items()):
-            for i in range(m + 1):
-                dy = cca.degen(m, i, y)
-                start[m + 1].setdefault(dy, ca.degen(m, i, v))
     rec(0, start)
     return found
+
+
+def _faces_agree(t, z, maps, n, x, val):
+    """Whether sending x to val commutes with faces, given the rows of every
+    nondegenerate simplex below dimension n."""
+    if n == 0:
+        return True
+    return tuple(_values(t, z, maps, n - 1, t.faces[n][x])) == z.faces[n][val]
 
 
 def complex_intersection(k: AbstractComplex, l: AbstractComplex) -> AbstractComplex:
@@ -1004,7 +1094,7 @@ def canonical_retraction(k: AbstractComplex, l: AbstractComplex, bound,
     maps = []
     for n in range(ck.bound + 1):
         level = {}
-        for t, chain in ck.simplices[n]:
+        for t, chain in ck.nondegenerate(n):
             if chain is None:
                 level[(t, chain)] = (t, None)
                 continue
@@ -1042,45 +1132,20 @@ def enumerate_based_morphisms(t, z, cap=200000):
 
     results = []
 
-    def extend_tables(maps, n, x, val):
-        maps[n][x] = val
-        for m in range(n, t.bound):
-            newly = {}
-            for y, v in list(maps[m].items()):
-                for i in range(m + 1):
-                    dy = t.degen(m, i, y)
-                    if dy not in maps[m + 1]:
-                        dv = z.degen(m, i, v)
-                        assert newly.setdefault(dy, dv) == dv
-                        newly[dy] = dv
-            if not newly:
-                break
-            maps[m + 1].update(newly)
-
-    def admissible(maps, n, x, val):
-        if n == 0:
-            return True
-        for i in range(n + 1):
-            fx = t.face(n, i, x)
-            if fx in maps[n - 1] and maps[n - 1][fx] != z.face(n, i, val):
-                return False
-        return True
-
     def rec(idx, maps):
         if len(results) > cap:
             raise EnumerationGuard("morphism enumeration exceeded the cap")
         if idx == len(slots):
-            tables = [dict(maps[n]) for n in range(t.bound + 1)]
-            results.append(SMorphism(t, z, tables))
+            results.append(SMorphism(t, z, maps))
             return
         n, x = slots[idx]
         for val in z.simplices[n]:
-            if admissible(maps, n, x, val):
-                trial = [dict(level) for level in maps]
-                extend_tables(trial, n, x, val)
-                rec(idx + 1, trial)
+            if _faces_agree(t, z, maps, n, x, val):
+                maps[n][x] = val
+                rec(idx + 1, maps)
+        maps[n].pop(x, None)
 
-    start = [dict() for _ in range(t.bound + 1)]
-    extend_tables(start, 0, t.basepoint, z.basepoint)
+    start = [{} for _ in range(t.bound + 1)]
+    start[0][t.basepoint] = z.basepoint
     rec(0, start)
     return results

@@ -223,10 +223,10 @@ def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
             emb = base_embedding(u, c, s)
             for m in range(u.bound + 1):
                 fiber_label = ((1 - s),) * (m + 1)
-                fiber = {x for x in c.level(m) if p.maps[m][x] == fiber_label}
-                image = {emb.maps[m][x] for x in u.level(m)}
+                fiber = {x for x in c.level(m) if p(m, x) == fiber_label}
+                image = {emb(m, x) for x in u.level(m)}
                 ok = ok and fiber == image
-            lifts = [x for x in c.level(0) if p.maps[0][x] == (s,)]
+            lifts = [x for x in c.level(0) if p(0, x) == (s,)]
             ok = ok and lifts == [c.basepoint]
     yield {"check": "cone-universal-property"}, ok
 

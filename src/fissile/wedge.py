@@ -49,7 +49,6 @@ from .simplicial import (
     subsimplicial,
     suspension_top_at,
     wedge,  # noqa: F401  (a binding that perfbench/spans.py wraps)
-    wedge_combine,
 )
 from .witnesses import (
     Block,
@@ -143,22 +142,19 @@ class WedgeContext:
     def _action_table(self, k):
         maps = []
         for n in range(self.bound + 1):
-            level = {self.w_obj.basepoint_at(n): self.w_obj.basepoint_at(n)}
+            base = self.w_obj.basepoint_at(n)
+            level = {} if n else {base: base}
             for idx, j in enumerate(self.components):
                 j2 = self.monoid.op(k, j)
                 idx2 = self.components.index(j2)
                 smap = self._susp_map(j, j2)
                 target = self.towers[j2].susp
-                for x in self.towers[j].susp.level(n):
+                for x in self.towers[j].susp.nondegenerate(n):
                     key = self.w_insertions[idx].maps[n][x]
-                    if key == self.w_obj.basepoint_at(n):
+                    if key == base:
                         continue
-                    y = smap.maps[n][x]
-                    level[key] = (
-                        self.w_obj.basepoint_at(n)
-                        if y == target.basepoint_at(n)
-                        else (idx2, y)
-                    )
+                    y = smap(n, x)
+                    level[key] = base if y == target.basepoint_at(n) else (idx2, y)
             maps.append(level)
         return SMorphism(self.w_obj, self.w_obj, maps)
 
@@ -183,8 +179,8 @@ class WedgeContext:
         action = {}
         for k, big in self.full_space.action.items():
             maps = [
-                {x: big.maps[n][x] for x in level}
-                for n, level in enumerate(obj.simplices)
+                {x: big.maps[n][x] for x in obj.nondegenerate(n)}
+                for n in range(obj.bound + 1)
             ]
             action[k] = SMorphism(obj, obj, maps)
         return PSpace(obj, self.monoid, action)
@@ -283,7 +279,7 @@ class WedgeContext:
             maps = []
             for n in range(self.bound + 1):
                 level = {}
-                for t, chain in src.level(n):
+                for t, chain in src.nondegenerate(n):
                     if chain is None:
                         level[(t, chain)] = wobj.basepoint_at(n)
                         continue
@@ -291,7 +287,7 @@ class WedgeContext:
                     gi = next(
                         i for i, g in enumerate(blocks) if head <= set(g)
                     )
-                    level[(t, chain)] = ins[gi].maps[n][(t, chain)]
+                    level[(t, chain)] = ins[gi](n, (t, chain))
                 maps.append(level)
             self._iota[b] = (SMorphism(src, wobj, maps), wobj, ins)
         return self._iota[b]
@@ -308,10 +304,9 @@ class WedgeContext:
             susp = self.towers[j].susp
             maps = []
             for n in range(self.bound + 1):
-                top = suspension_top_at(susp, n)
-                tagged = self.w_insertions[idx].maps[n][top]
+                tagged = self.w_insertions[idx](n, suspension_top_at(susp, n))
                 level = {}
-                for x in t.level(n):
+                for x in t.nondegenerate(n):
                     if x == t.basepoint_at(n):
                         level[x] = self.w_obj.basepoint_at(n)
                     else:
@@ -336,7 +331,7 @@ class WedgeContext:
             maps = []
             for n in range(self.bound + 1):
                 level = {}
-                for x in red_obj.level(n):
+                for x in red_obj.nondegenerate(n):
                     if x == red_obj.basepoint_at(n):
                         level[x] = wl.basepoint_at(n)
                         continue
@@ -344,8 +339,8 @@ class WedgeContext:
                     idx, z = y
                     j = self.components[idx]
                     tower = self.towers[j]
-                    cls = tower.reduced[2].maps[n][(t, z)]
-                    img = tower.contraction(letter).maps[n][cls]
+                    cls = tower.reduced[2](n, (t, z))
+                    img = tower.contraction(letter)(n, cls)
                     if img == tower.susp.basepoint_at(n):
                         level[x] = wl.basepoint_at(n)
                     else:
@@ -433,20 +428,19 @@ def restrict_ensemble(s: Ensemble, k: SMorphism) -> Ensemble:
     return map_ensemble(lambda v: compose(v, k), s)
 
 
-def combine_over_layout(ctx: WedgeContext, b, parts_by_block) -> Ensemble:
+def combine_over_layout(ctx: WedgeContext, b, parts_by_block, scope=None) -> Ensemble:
     """Combining product of per-block morphism ensembles, landing on the
-    coned subdivision of the layout."""
+    coned subdivision of the layout; the gluings come from the scope."""
     b = layout_key(b)
     if not b:
         return singleton(
             constant_morphism(ctx.cone_layout(()), ctx.w_obj, ctx.w_obj.basepoint)
         )
     iota, wobj, ins = ctx.iota(b)
+    scope = scope if scope is not None else PairScope()
     return combining_product(
         [parts_by_block[g] for g in b],
-        lambda tup: compose(
-            wedge_combine(wobj, ins, list(tup), codomain=ctx.w_obj), iota
-        ),
+        lambda tup: scope.compose(scope.glue(wobj, ins, tup, ctx.w_obj), iota),
     )
 
 
@@ -543,11 +537,11 @@ def constant_restriction_holds(ctx: WedgeContext, p, f, j) -> bool:
     return not boundary_defect(ctx, p(f, j), f, j)
 
 
-def multiplicative_restriction_holds(ctx: WedgeContext, p, f, j, b) -> bool:
+def multiplicative_restriction_holds(ctx: WedgeContext, p, f, j, b, scope=None) -> bool:
     """Condition 0 at the layout b of f: p(f, j) restricts to the combining
-    product of the p(g, j) over the blocks g of b."""
+    product of the p(g, j) over the blocks g of b, glued in the scope."""
     got = restrict_ensemble(p(f, j), ctx.layout_inclusion(b, layout_key([f])))
-    return got == combine_over_layout(ctx, b, {g: p(g, j) for g in b})
+    return got == combine_over_layout(ctx, b, {g: p(g, j) for g in b}, scope)
 
 
 def alternating_sum(p, f, j) -> Ensemble:
@@ -556,26 +550,27 @@ def alternating_sum(p, f, j) -> Ensemble:
     return extend_over(omega(j), lambda k: p(f, k))
 
 
-def layout_defect(ctx: WedgeContext, q: Ensemble, a) -> Ensemble:
+def layout_defect(ctx: WedgeContext, q: Ensemble, a, scope=None) -> Ensemble:
     """The combining product over the layout a of the restrictions of q to
-    its blocks, minus the restriction of q to a."""
+    its blocks, glued in the scope, minus the restriction of q to a."""
     top = layout_key([ctx.e_set])
     per_block = {
         g: restrict_ensemble(q, ctx.layout_inclusion(layout_key([g]), top))
         for g in a
     }
-    return combine_over_layout(ctx, a, per_block) - restrict_ensemble(
+    return combine_over_layout(ctx, a, per_block, scope) - restrict_ensemble(
         q, ctx.layout_inclusion(a, top)
     )
 
 
 def pair_checks(ctx: WedgeContext, p, f, j, alt_witness, scope=None):
     """Conditions 0, 1 and 2 of the pair (f, j) as (check name, ok); the
-    witness is evaluated through the pair's scope."""
+    layout gluings and the witness go through the pair's scope."""
+    scope = scope if scope is not None else PairScope()
     tag = f"F={f} J={j}"
     yield f"constant-restriction {tag}", constant_restriction_holds(ctx, p, f, j)
     yield f"multiplicative-restriction {tag}", all(
-        multiplicative_restriction_holds(ctx, p, f, j, b)
+        multiplicative_restriction_holds(ctx, p, f, j, b, scope)
         for b in LayoutLattice(f, bound=len(f)).layouts
     )
     rep = verify_witness(
@@ -593,7 +588,9 @@ def q_checks(
     scope = scope if scope is not None else PairScope()
     level = len(ctx.i_set)
     for a, wit in layout_witnesses:
-        rep = verify_witness(layout_defect(ctx, q, a), wit, level, ctx.monoid, scope)
+        rep = verify_witness(
+            layout_defect(ctx, q, a, scope), wit, level, ctx.monoid, scope
+        )
         yield f"layout-defect-witness A={a}", bool(rep)
     boundary = boundary_defect(ctx, q, ctx.e_set, ctx.i_set)
     rep = verify_witness(boundary, boundary_witness, level, ctx.monoid, scope)
@@ -680,7 +677,8 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     u_wits = {}
     for b in proper_layouts:
         val = extend_over(
-            omega(j), lambda k: combine_over_layout(ctx, b, {g: p(g, k) for g in b})
+            omega(j),
+            lambda k: combine_over_layout(ctx, b, {g: p(g, k) for g in b}, scope),
         )
         cover_wits = []
         for l_fn in covers(len(b), j):
@@ -849,7 +847,7 @@ def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
                     ctx, a, per_block, ctx.full_space
                 ).entries
             )
-        defects[a] = layout_defect(ctx, q_ens, a)
+        defects[a] = layout_defect(ctx, q_ens, a, scope)
         witnesses[a] = compact_witness(FiltrationWitness(len(i_set), entries))
 
     boundary = boundary_defect(ctx, q_ens, e_set, i_set)

@@ -195,31 +195,36 @@ class Block:
 class PairScope:
     """The morphism tables of one (face, subset) pair, or of one q run.
 
-    Within a scope each distinct wedge gluing, reduced-cone map and
-    equivariance check is built, validated or run once.  An entry is keyed
-    by the ids of its objects and the table keys of its morphisms, keeps
-    those objects alive so that no id in a key is reused while the scope
-    lives, and is reused only when every full table is equal too.  The
-    action of a monoid element on a part morphism is composed once per
-    (action, morphism) object pair, so equal part values are one object
-    and compare by identity.  The builder drops the scope when its pair
-    ends; a call given no scope gets a fresh one.
+    Within a scope each distinct wedge gluing, reduced-cone map, cone
+    straightening and equivariance check is built, validated or run once.
+    An entry is keyed by the ids of its objects and the table keys of its
+    morphisms, which hold every row of the table, and keeps those objects
+    alive so that no id in a key is reused while the scope lives.  Two
+    morphism objects are composed once per pair of objects, so the action
+    of a monoid element on a part morphism, or a gluing precomposed with a
+    block's decomposition, is one object each time it recurs.  The builder
+    drops the scope when its pair ends; a call given no scope gets a fresh
+    one.
     """
 
     def __init__(self):
-        self._acted = {}
+        self._composed = {}
         self._glued = {}
         self._coned = {}
+        self._straightened = {}
         self._equivariant = {}
+
+    def compose(self, g: SMorphism, f: SMorphism) -> SMorphism:
+        """``compose(g, f)``."""
+        key = (id(g), id(f))
+        hit = self._composed.get(key)
+        if hit is None:
+            hit = self._composed[key] = (g, f, compose(g, f))
+        return hit[2]
 
     def act(self, space: PSpace, k, m: SMorphism) -> SMorphism:
         """``space.act_on_morphism(k, m)``."""
-        action = space.action[k]
-        key = (id(action), id(m))
-        hit = self._acted.get(key)
-        if hit is None:
-            hit = self._acted[key] = (action, m, space.act_on_morphism(k, m))
-        return hit[2]
+        return self.compose(space.action[k], m)
 
     def glue(self, wobj, insertions, tup, cod) -> SMorphism:
         """``wedge_combine`` of the part morphisms into cod."""
@@ -227,7 +232,7 @@ class PairScope:
             (id(m.domain), id(m.codomain), m.table_key()) for m in tup
         )
         hit = self._glued.get(key)
-        if hit is None or not _same_tables(tup, hit[0]):
+        if hit is None:
             hit = self._glued[key] = (
                 tup,
                 wedge_combine(wobj, insertions, list(tup), codomain=cod),
@@ -238,26 +243,29 @@ class PairScope:
         """``reduced_cone_map`` of f between these reduced-cone tuples."""
         key = (id(f.domain), id(f.codomain), f.table_key(), id(rdom), id(rcod))
         hit = self._coned.get(key)
-        if hit is None or not _same_tables((f,), hit[0]):
-            hit = self._coned[key] = (
-                (f,),
-                rdom,
-                rcod,
-                reduced_cone_map(f, rdom, rcod),
-            )
+        if hit is None:
+            hit = self._coned[key] = (f, rdom, rcod, reduced_cone_map(f, rdom, rcod))
         return hit[3]
+
+    def straightening(self, wobj, insertions, coned, red_w) -> SMorphism:
+        """The inverse of the gluing of the coned insertions ``coned`` over
+        the wedge of the reduced part cones: the canonical isomorphism from
+        the reduced cone of the old wedge (``red_w``) to the new wedge."""
+        key = (id(wobj), id(red_w)) + tuple(map(id, insertions)) + tuple(map(id, coned))
+        hit = self._straightened.get(key)
+        if hit is None:
+            glued = wedge_combine(wobj, insertions, list(coned))
+            hit = self._straightened[key] = (
+                wobj, insertions, coned, red_w, _invert_iso(glued)
+            )
+        return hit[4]
 
     def check_equivariant(self, h: SMorphism, src: PSpace, dst: PSpace):
         """``check_equivariant`` of h from src to dst."""
         key = (id(h.domain), id(h.codomain), h.table_key(), id(src), id(dst))
-        hit = self._equivariant.get(key)
-        if hit is None or not _same_tables((h,), hit[0]):
+        if key not in self._equivariant:
             check_equivariant(h, src, dst)
-            self._equivariant[key] = ((h,), src, dst)
-
-
-def _same_tables(morphisms, seen) -> bool:
-    return all(m is s or m.maps == s.maps for m, s in zip(morphisms, seen))
+            self._equivariant[key] = (h, src, dst)
 
 
 def evaluate_blocks(entries, scope: PairScope = None) -> Ensemble:
@@ -272,7 +280,7 @@ def evaluate_blocks(entries, scope: PairScope = None) -> Ensemble:
         wobj, ins, cod, f = block.wedge_obj, block.insertions, block.space.obj, block.f
 
         def combiner(tup):
-            return compose(scope.glue(wobj, ins, tup, cod), f)
+            return scope.compose(scope.glue(wobj, ins, tup, cod), f)
 
         value = combining_product([p.value(scope) for p in block.parts], combiner)
         for el, d in value.terms.items():
@@ -414,14 +422,14 @@ def map_witness(
 
 
 def _invert_iso(e: SMorphism) -> SMorphism:
+    """The inverse of an isomorphism, which is a bijection between the
+    nondegenerate simplices of its domain and codomain."""
     maps = []
-    for n in range(e.domain.bound + 1):
-        inv = {}
-        for x, y in e.maps[n].items():
-            if y in inv:
-                e._fail("inverse of a map that is not injective", n)
-            inv[y] = x
-        if len(inv) != len(e.codomain.simplices[n]):
+    for n, (row, nondeg) in enumerate(zip(e.maps, e.codomain.nondegenerate_sets())):
+        inv = {y: x for x, y in row.items()}
+        if len(inv) != len(row) or not nondeg.issuperset(inv):
+            e._fail("inverse of a map that is not injective", n)
+        if len(inv) != len(nondeg):
             e._fail("inverse of a map that is not surjective", n)
         maps.append(inv)
     return SMorphism(e.codomain, e.domain, maps, check=False)
@@ -434,8 +442,8 @@ def cone_witness(
 
     Each part morphism is coned; the new wedge decomposition is the cone of
     the old one, straightened through the canonical isomorphism between the
-    wedge of cones and the cone of the wedge.  Every reduced-cone map comes
-    from the scope.
+    wedge of cones and the cone of the wedge.  Every reduced-cone map and
+    straightening comes from the scope.
     """
     scope = scope if scope is not None else PairScope()
     entries = []
@@ -444,15 +452,11 @@ def cone_witness(
         new_domains = [r[0] for r in red_parts]
         new_wedge, new_ins = registry.wedge(new_domains)
         red_w = registry.reduced_domain(b.wedge_obj)
-        straighten = wedge_combine(
-            new_wedge,
-            new_ins,
-            [
-                scope.reduced_cone_map(b.insertions[j], red_parts[j], red_w)
-                for j in range(len(b.parts))
-            ],
+        coned = tuple(
+            scope.reduced_cone_map(b.insertions[j], red_parts[j], red_w)
+            for j in range(len(b.parts))
         )
-        e_inv = _invert_iso(straighten)
+        e_inv = scope.straightening(new_wedge, new_ins, coned, red_w)
         red_t = registry.reduced_domain(b.f.domain)
         cf = scope.reduced_cone_map(b.f, red_t, red_w)
         g = compose(e_inv, cf)
@@ -494,8 +498,7 @@ def wedge_witness(
     part domains come from the registry.  The new decomposition reads, of
     each chosen block, only the table of f, the basepoint of its wedge and
     its part count, so within this call it is built and validated once per
-    distinct (concatenated wedge, per-slot wedge, part count and f table),
-    and reused only where every f table is equal in full.
+    distinct (concatenated wedge, per-slot wedge, part count and f table).
     """
     total_level = sum(w.level for w in witnesses)
     combos = [(1, [])]
@@ -513,19 +516,18 @@ def wedge_witness(
         key = (id(flat_wedge),) + tuple(
             (id(b.wedge_obj), len(b.parts), b.f.table_key()) for b in blocks
         )
-        seen = decompositions.get(key)
-        if seen is None or any(b.f.maps != g.maps for b, g in zip(blocks, seen[0])):
-            f_new = SMorphism(
+        f_new = decompositions.get(key)
+        if f_new is None:
+            f_new = decompositions[key] = SMorphism(
                 wedge_obj,
                 flat_wedge,
                 _concatenated_maps(wedge_obj, insertions, blocks, flat_wedge),
             )
-            seen = decompositions[key] = ([b.f for b in blocks], f_new)
         entries.append(
             (
                 c,
                 Block(
-                    f=seen[1],
+                    f=f_new,
                     wedge_obj=flat_wedge,
                     insertions=flat_ins,
                     parts=flat_parts,
@@ -547,7 +549,7 @@ def _concatenated_maps(wedge_obj, insertions, blocks, flat_wedge):
     maps = []
     for n in range(wedge_obj.bound + 1):
         base, flat_base = wedge_obj.basepoint_at(n), flat_wedge.basepoint_at(n)
-        level = {base: flat_base}
+        level = {} if n else {base: flat_base}
         for i, b in enumerate(blocks):
             keys, block_base = insertions[i].maps[n], b.wedge_obj.basepoint_at(n)
             for x, fx in b.f.maps[n].items():

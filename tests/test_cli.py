@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from fissile import wedge
-from fissile.artifacts import LabelResolver
+from fissile.artifacts import ArtifactError, LabelResolver
 from fissile.canon import ckey_b64, jsonable, unjsonable
 from fissile.cli import main, parse_word
 from fissile.wedge import WedgeContext
@@ -149,6 +149,31 @@ def test_check_reports_structural_corruption(tmp_path):
     assert rc == 1
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert any(r["verdict"] == "fail" for r in lines)
+
+
+MALFORMED_LABELS = [{"kind": "W"}, ["WL", [{"x": 1}]], [], "W", ["WL"], ["redcone"], ["wedge", 3]]
+
+
+@pytest.mark.parametrize("label", MALFORMED_LABELS, ids=json.dumps)
+def test_malformed_label_is_an_artifact_error(label):
+    resolver = LabelResolver(WedgeContext((1,), (1,)))
+    with pytest.raises(ArtifactError):
+        resolver.obj(label)
+    with pytest.raises(ArtifactError):
+        resolver.space(label)
+
+
+def test_check_reports_unhashable_label(tmp_path):
+    pj = tmp_path / "pj"
+    run_cli(["construct-pj", "--i", "1", "--e", "1", "--out", str(pj)])
+    data = json.loads((pj / "morphisms.json").read_text())
+    data[next(iter(data))]["domain"] = {"kind": ["W"]}
+    (pj / "morphisms.json").write_text(json.dumps(data))
+    rc, out, _err = run_cli(["check-pj", "--in", str(pj)])
+    assert rc == 1
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(lines) == 1 and lines[0]["verdict"] == "fail"
+    assert "malformed label" in lines[0]["case"]["check"]
 
 
 def test_no_command_usage():

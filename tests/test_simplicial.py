@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fissile.canon import ckey
 from fissile.simplicial import (
+    BASE,
     AbstractComplex,
     ContractionTower,
     EnumerationGuard,
@@ -130,13 +131,13 @@ def test_cone_cartesian_fiber_and_unique_lift(s):
         emb = base_embedding(u, c, s)
         for n in range(u.bound + 1):
             fiber_label = ((1 - s),) * (n + 1)
-            fiber = [x for x in c.level(n) if p.maps[n][x] == fiber_label]
+            fiber = [x for x in c.level(n) if p(n, x) == fiber_label]
             assert sorted(map(repr, fiber)) == sorted(
-                repr(emb.maps[n][x]) for x in u.level(n)
+                repr(emb(n, x)) for x in u.level(n)
             )
         # unique lift of the opposite vertex: exactly one vertex over it
         apex_label = (s,)
-        lifts = [x for x in c.level(0) if p.maps[0][x] == apex_label]
+        lifts = [x for x in c.level(0) if p(0, x) == apex_label]
         assert lifts == [c.basepoint]
 
 
@@ -145,7 +146,7 @@ def test_cone_preserves_injective_morphisms():
     u = thick_simplex((0, 1), 3)
     v = thick_simplex((0, 1, 2), 3)
     # letter inclusion is injective, its cone must be too
-    inc = SMorphism(u, v, [{x: x for x in u.level(n)} for n in range(4)])
+    inc = SMorphism(u, v, [{x: x for x in u.nondegenerate(n)} for n in range(4)])
     assert inc.is_injective()
     for s in (0, 1):
         ci = cone_map(inc, s)
@@ -156,8 +157,8 @@ def test_cone_functoriality_composes():
     u = point(2, based=False)
     v = thick_simplex((0, 1), 2)
     w = thick_simplex((0,), 2)
-    f = SMorphism(u, v, [{x: ((0,) * (n + 1)) for x in u.level(n)} for n in range(3)])
-    g = SMorphism(v, w, [{x: ((0,) * (n + 1)) for x in v.level(n)} for n in range(3)])
+    f = SMorphism(u, v, [{x: ((0,) * (n + 1)) for x in u.nondegenerate(n)} for n in range(3)])
+    g = SMorphism(v, w, [{x: ((0,) * (n + 1)) for x in v.nondegenerate(n)} for n in range(3)])
     for s in (0, 1):
         cu, cv, cw = cone(u, s), cone(v, s), cone(w, s)
         lhs = cone_map(compose(g, f), s, cdom=cu, ccod=cw)
@@ -226,7 +227,7 @@ def test_wedge_single_part_is_copy():
     w, ins = wedge([a])
     for n in range(4):
         assert len(w.level(n)) == len(a.level(n))
-        vals = set(ins[0].maps[n].values())
+        vals = {ins[0](n, x) for x in a.level(n)}
         assert len(vals) == len(a.level(n))
 
 
@@ -245,7 +246,7 @@ def test_wedge_insertions_injective_off_basepoint():
     for j, part in enumerate((a, b)):
         for n in range(4):
             nonbp = [x for x in part.level(n) if x != part.basepoint_at(n)]
-            vals = [ins[j].maps[n][x] for x in nonbp]
+            vals = [ins[j](n, x) for x in nonbp]
             assert len(set(vals)) == len(vals)
             assert all(v != w.basepoint_at(n) for v in vals)
 
@@ -272,7 +273,7 @@ def test_retraction_vertex_rule():
     cl = r.codomain
     for n in range(4):
         for x in cl.level(n):
-            assert r.maps[n][x] == x
+            assert r(n, x) == x
 
 
 def all_subcomplexes(k):
@@ -381,7 +382,7 @@ def test_contraction_compatible_with_letter_inclusion():
             thick_inc = SMorphism(
                 tower_b.thick,
                 tower_a.thick,
-                [{x: x for x in tower_b.thick.level(n)} for n in range(bound + 1)],
+                [{x: x for x in tower_b.thick.nondegenerate(n)} for n in range(bound + 1)],
             )
             cone_inc = cone_map(
                 thick_inc, 1, cdom=tower_b.hat_cone, ccod=tower_a.hat_cone
@@ -434,23 +435,113 @@ def test_induce_through_rejects_map_not_descending_under_optimize(run_optimized)
 # -- morphism mechanics -----------------------------------------------------------
 
 
+def full_table(m):
+    """The value of m at every simplex, as the full tables once stored it:
+    level by level, s_i y takes s_i of the value at y, and every way of
+    reaching a degenerate simplex must give the same value.  The faces of
+    the full table must commute, the check those tables once passed."""
+    t, z = m.domain, m.codomain
+    table = [dict(m.maps[0])]
+    for n in range(1, t.bound + 1):
+        level = dict(m.maps[n])
+        for y, v in table[n - 1].items():
+            for d, zd in zip(t.degens[n - 1][y], z.degens[n - 1][v]):
+                assert level.setdefault(d, zd) == zd
+        assert level.keys() == t.level_sets[n]
+        table.append(level)
+    for n in range(1, t.bound + 1):
+        for x, v in table[n].items():
+            assert tuple(table[n - 1][y] for y in t.faces[n][x]) == z.faces[n][v]
+    return table
+
+
+def assert_agrees_with_full_table(m):
+    table = full_table(m)
+    for n in range(m.domain.bound + 1):
+        for x in m.domain.level(n):
+            assert m(n, x) == table[n][x]
+
+
 def test_morphism_determined_by_nondegenerate_values():
     t = disjoint_basepoint(point(2, based=False))
     z, _ = wedge([t, disjoint_basepoint(point(2, based=False))])
     for f in enumerate_based_morphisms(t, z):
-        rebuilt = []
-        for n in range(t.bound + 1):
-            level = {}
-            for x in t.level(n):
-                ops, m, y = t.eilenberg_zilber(n, x)
-                v = f.maps[m][y]
-                mm = m
-                for i in reversed(ops):
-                    v = z.degen(mm, i, v)
-                    mm += 1
-                level[x] = v
-            rebuilt.append(level)
-        assert SMorphism(t, z, rebuilt) == f
+        assert_agrees_with_full_table(f)
+
+
+def test_degenerate_values_match_full_tables_in_the_construction(monkeypatch):
+    from fissile.wedge import construct_p
+
+    built = []
+    init = SMorphism.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SMorphism, "__init__", recording_init)
+    construct_p((1, 2), (1, 2))
+    monkeypatch.undo()
+    assert len(built) > 1000
+    seen = set()
+    for m in built:
+        key = (id(m.domain), id(m.codomain), m.table_key())
+        if key not in seen:
+            seen.add(key)
+            assert_agrees_with_full_table(m)
+
+
+def test_table_with_a_degenerate_row_rejected():
+    t = disjoint_basepoint(standard_simplex(1, 2))
+    rows = inclusion(t, t).maps
+    degenerate = t.degen(0, 0, (0,))
+    for check in (True, False):
+        extra = [dict(level) for level in rows]
+        extra[1][degenerate] = degenerate
+        with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
+            SMorphism(t, t, extra, check=check)
+        missing = [dict(level) for level in rows]
+        del missing[1][(0, 1)]
+        with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
+            SMorphism(t, t, missing, check=check)
+
+
+def test_face_breaking_row_rejected():
+    t = disjoint_basepoint(standard_simplex(1, 2))
+    maps = [dict(level) for level in inclusion(t, t).maps]
+    maps[1][(0, 1)] = t.degen(0, 0, (1,))
+    with pytest.raises(SimplicialError, match="does not commute with faces .* dimension 1"):
+        SMorphism(t, t, maps)
+
+
+def test_face_breaking_row_rejected_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_face_breaking_row_rejected")
+
+
+def test_injective_needs_nondegenerate_values():
+    # the circle (an edge with its ends collapsed) onto the point: injective
+    # on the nondegenerate rows, but the edge goes to the degenerate edge,
+    # which is also the value of the degenerate edge at the basepoint
+    u = standard_simplex(1, 2)
+    ends = [{x for x in u.level(n) if len(set(x)) == 1} for n in range(3)]
+    circle, z = quotient(u, ends), point(2)
+    f = SMorphism(circle, z, [{BASE: (0,)}, {(0, 1): (0, 0)}, {}])
+    assert all(len(set(row.values())) == len(row) for row in f.maps)
+    assert not f.is_injective()
+    assert f(1, (0, 1)) == f(1, circle.degen(0, 0, BASE))
+
+
+def test_plus_base_iso_rejects_a_larger_reduced_cone():
+    # the reduced cone of the plus base over a larger simplex receives the
+    # cone over the smaller one injectively, but not onto
+    c = cone(standard_simplex(1, 2), 0)
+    bigger = reduced_cone(plus_base(cone(standard_simplex(2, 2), 0)))
+    with pytest.raises(SimplicialError, match="is not an isomorphism"):
+        plus_base_iso(c, bigger)
+
+
+def test_plus_base_iso_rejects_a_larger_reduced_cone_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_plus_base_iso_rejects_a_larger_reduced_cone")
 
 
 def brute_based_morphisms(t, z):
@@ -464,23 +555,14 @@ def brute_based_morphisms(t, z):
     for combo in product(*[z.level(n) for n, _x in slots]):
         assigned = dict(zip(slots, combo))
         assigned[(0, t.basepoint)] = z.basepoint
-        maps = []
-        ok = True
-        for n in range(t.bound + 1):
-            level = {}
-            for x in t.level(n):
-                ops, m, y = t.eilenberg_zilber(n, x)
-                v = assigned[(m, y)]
-                mm = m
-                for i in reversed(ops):
-                    v = z.degen(mm, i, v)
-                    mm += 1
-                level[x] = v
-            maps.append(level)
+        maps = [
+            {x: assigned[(n, x)] for x in t.nondegenerate(n)}
+            for n in range(t.bound + 1)
+        ]
         try:
             out.append(SMorphism(t, z, maps))
         except SimplicialError:
-            ok = False
+            pass
     return out
 
 
@@ -578,7 +660,7 @@ def nerve_to_thick_morphisms(draw):
     dom = nerve(elements, leq, bound)
     cod = thick_simplex(letters, bound)
     maps = [
-        {x: tuple(image[v] for v in x) for x in dom.level(n)}
+        {x: tuple(image[v] for v in x) for x in dom.nondegenerate(n)}
         for n in range(bound + 1)
     ]
     return SMorphism(dom, cod, maps)

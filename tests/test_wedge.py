@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from fissile import artifacts as artifacts_module
 from fissile import simplicial, witnesses
 from fissile import wedge as wedge_module
 from fissile.canon import ckey, jsonable
@@ -84,7 +85,7 @@ def test_action_of_empty_collapses_components(ctx):
     idx_empty = ctx.components.index(())
     for n in range(ctx.bound + 1):
         for x in ctx.w_obj.level(n):
-            y = act.maps[n][x]
+            y = act(n, x)
             if y != ctx.w_obj.basepoint_at(n):
                 assert y[0] == idx_empty
 
@@ -96,9 +97,7 @@ def test_invariant_subsets(ctx):
             act = ctx.full_space.action[k]
             for n in range(ctx.bound + 1):
                 for x in obj.level(n):
-                    assert obj.has(n, act.maps[n][x]) or act.maps[n][x] in set(
-                        obj.level(n)
-                    )
+                    assert obj.has(n, act(n, x))
 
 
 def test_xi_action_relation(ctx):
@@ -122,7 +121,7 @@ def test_xi_restricts_to_constants(ctx):
         inc = SMorphism(
             sub,
             big.plus_base_of((1, 2)),
-            [{x: x for x in sub.level(n)} for n in range(big.bound + 1)],
+            [{x: x for x in sub.nondegenerate(n)} for n in range(big.bound + 1)],
             check=False,
         )
         assert compose(xi_big, inc) == big.xi((), f)
@@ -140,7 +139,7 @@ def test_filling_restriction_identity(ctx):
     inc = SMorphism(
         t,
         cone_f,
-        [{x: x for x in t.level(n)} for n in range(ctx.bound + 1)],
+        [{x: x for x in t.nondegenerate(n)} for n in range(ctx.bound + 1)],
         check=False,
     )
     for v in pool:
@@ -158,7 +157,7 @@ def test_filling_constant_stays_constant(ctx):
     filled = ctx.filling(const, 2, l_key)
     for n in range(ctx.bound + 1):
         for x in ctx.cone_face((1,)).level(n):
-            assert filled.maps[n][x] == space.obj.basepoint_at(n)
+            assert filled(n, x) == space.obj.basepoint_at(n)
 
 
 def test_filling_equivariant(ctx):
@@ -347,7 +346,7 @@ def test_act_commutes_with_domain_restriction(ctx):
     inc = SMorphism(
         t_small,
         t,
-        [{x: x for x in t_small.level(n)} for n in range(ctx.bound + 1)],
+        [{x: x for x in t_small.nondegenerate(n)} for n in range(ctx.bound + 1)],
         check=False,
     )
     pool = enumerate_based_morphisms(t, ctx.full_space.obj)
@@ -567,6 +566,84 @@ def test_pair_scope_runs_each_distinct_morphism_once(monkeypatch):
         assert len(keys) == len(set(keys))
         kinds.update(kind for kind, _key in keys)
     assert kinds == {"reduced_cone_map", "check_equivariant", "wedge_combine"}
+
+
+def record_scoped_gluings(monkeypatch, pairs):
+    """Log every wedge_combine in the open pair as (kind, key, scope,
+    objects): a cone straightening has no codomain, a layout gluing runs
+    inside combine_over_layout, and scope is the PairScope whose method
+    made the call, or None.  The objects keep every id in a key alive."""
+    combine, over_layout = simplicial.wedge_combine, wedge_module.combine_over_layout
+    in_layout, scopes = [], []
+
+    def gluing(w, ins, morphisms, codomain=None):
+        kind = "layout" if in_layout else "straightening" if codomain is None else None
+        if kind is not None:
+            key = (id(w), id(codomain)) + tuple(map(table_ids, morphisms))
+            scope = scopes[-1] if scopes else None
+            pairs[-1].append((kind, key, scope, (w, codomain, tuple(morphisms))))
+        return combine(w, ins, morphisms, codomain=codomain)
+
+    def layout(*args, **kwargs):
+        in_layout.append(True)
+        try:
+            return over_layout(*args, **kwargs)
+        finally:
+            in_layout.pop()
+
+    def scoped(method):
+        def run(self, *args):
+            scopes.append(self)
+            try:
+                return method(self, *args)
+            finally:
+                scopes.pop()
+
+        return run
+
+    patch_bindings(monkeypatch, combine, gluing)
+    patch_bindings(monkeypatch, over_layout, layout)
+    for name in ("glue", "straightening"):
+        monkeypatch.setattr(
+            witnesses.PairScope, name, scoped(getattr(witnesses.PairScope, name))
+        )
+
+
+def assert_each_gluing_once_in_its_pair_scope(pairs, kinds):
+    assert pairs
+    seen, pair_scopes = set(), []
+    for calls in pairs:
+        keys = [(kind, key) for kind, key, _scope, _objs in calls]
+        assert len(keys) == len(set(keys))
+        seen.update(kind for kind, _key in keys)
+        scopes = {id(scope) for _kind, _key, scope, _objs in calls}
+        assert len(scopes) == 1 and id(None) not in scopes
+        pair_scopes.append(calls[0][2])
+    assert seen == kinds
+    assert len(set(map(id, pair_scopes))) == len(pairs)
+
+
+def test_pair_scope_glues_each_straightening_and_layout_once(monkeypatch):
+    pairs = []
+    record_scoped_gluings(monkeypatch, pairs)
+    split_by_pair(monkeypatch, pairs)
+    construct_p((1, 2), (1, 2))
+    assert_each_gluing_once_in_its_pair_scope(pairs, {"straightening", "layout"})
+
+
+def test_checker_glues_layouts_in_a_fresh_scope_per_pair(tmp_path, monkeypatch):
+    write_pair_artifacts(construct_p((1, 2), (1, 2)), tmp_path)
+    pairs, checks = [], artifacts_module.pair_checks
+
+    def opening(*args, **kwargs):
+        pairs.append([])
+        yield from checks(*args, **kwargs)
+
+    record_scoped_gluings(monkeypatch, pairs)
+    monkeypatch.setattr(artifacts_module, "pair_checks", opening)
+    assert all(ok for _name, ok in check_pair_artifacts(tmp_path))
+    assert len(pairs) == 9
+    assert_each_gluing_once_in_its_pair_scope(pairs, {"layout"})
 
 
 def test_scoped_gluings_die_with_their_pair(monkeypatch):

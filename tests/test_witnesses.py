@@ -6,6 +6,7 @@ import pytest
 from fissile.chained import ideal_membership, omega, ring_product, subsets_of
 from fissile.ensembles import Ensemble, map_ensemble, singleton
 from fissile.simplicial import (
+    BASE,
     SimplicialError,
     SMorphism,
     compose,
@@ -13,7 +14,7 @@ from fissile.simplicial import (
     disjoint_basepoint,
     enumerate_based_morphisms,
     inclusion,
-    reduced_cone,
+    quotient,
     reduced_cone_map,
     standard_simplex,
     wedge,
@@ -26,6 +27,7 @@ from fissile.witnesses import (
     IdealTerm,
     PairScope,
     PSpace,
+    _invert_iso,
     combine_over_wedge,
     cone_witness,
     make_block,
@@ -247,7 +249,7 @@ def letter_swap(ctx):
     maps = []
     for n in range(ctx.bound + 1):
         level = {}
-        for x in full.obj.level(n):
+        for x in full.obj.nondegenerate(n):
             if x == full.obj.basepoint_at(n):
                 level[x] = x
                 continue
@@ -419,42 +421,38 @@ def test_face_breaking_twin_rejected_in_a_shared_scope(ctx):
     assert_face_breaking_twin_rejected(ctx, PairScope())
 
 
-def degenerate_row_broken(t):
-    """inclusion(t, t) with the degenerate edge at the vertex (0,) sent to
-    the one at (1,): its table key is that of the identity, its faces break."""
+def test_forged_degenerate_row_rejected_at_construction(ctx):
+    # a table holds the nondegenerate rows only, so the scope's keys, which
+    # hold every row, cannot meet an equal key over another table: the
+    # identity with its degenerate edge at (0,) sent to the one at (1,) is
+    # rejected at construction, unchecked too
+    t = edge()
     maps = [dict(level) for level in inclusion(t, t).maps]
     maps[1][(0, 0)] = (1, 1)
-    broken = SMorphism(t, t, maps, check=False)
-    assert broken.table_key() == inclusion(t, t).table_key()
-    return broken
+    for check in (True, False):
+        with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
+            SMorphism(t, t, maps, check=check)
 
 
-def test_scope_reglues_part_with_equal_key_but_other_table(ctx):
+def test_invert_iso_needs_a_bijection_of_nondegenerate_simplices():
     t = edge()
-    good = identity_block(ctx, t, inclusion(t, t))
-    bad = replace(
-        good,
-        parts=[
-            replace(
-                good.parts[0],
-                terms=[replace(good.parts[0].terms[0], morphism=degenerate_row_broken(t))],
-            )
-        ],
+    assert _invert_iso(inclusion(t, t)) == inclusion(t, t)
+    # the edge onto the degenerate edge of the point: one value per row, but
+    # a degenerate one
+    u = standard_simplex(1, 2)
+    ends = [{x for x in u.level(n) if len(set(x)) == 1} for n in range(3)]
+    circle = quotient(u, ends)
+    to_point = SMorphism(circle, standard_simplex(0, 2), [{BASE: (0,)}, {(0, 1): (0, 0)}, {}])
+    with pytest.raises(SimplicialError, match="not injective at dimension 1"):
+        _invert_iso(to_point)
+    # the basepoint and one end of the edge: injective, not onto
+    ends_only = SMorphism(
+        disjoint_basepoint(standard_simplex(0, 2)),
+        t,
+        [{BASE: BASE, (0,): (0,)}, {}, {}],
     )
-    scope = PairScope()
-    assert good.value(scope) == singleton(inclusion(t, t))
-    with pytest.raises(SimplicialError, match="faces"):
-        bad.value(scope)
-
-
-def test_scope_recones_map_with_equal_key_but_other_table():
-    t = edge()
-    red = reduced_cone(t)
-    scope = PairScope()
-    ident = inclusion(t, t)
-    assert scope.reduced_cone_map(ident, red, red) == reduced_cone_map(ident, red, red)
-    with pytest.raises(SimplicialError):
-        scope.reduced_cone_map(degenerate_row_broken(t), red, red)
+    with pytest.raises(SimplicialError, match="not surjective at dimension 0"):
+        _invert_iso(ends_only)
 
 
 def test_equal_part_tables_on_distinct_domains_each_validated(ctx, monkeypatch):
