@@ -15,6 +15,7 @@ from fissile.simplicial import (
     enumerate_based_morphisms,
     inclusion,
     quotient,
+    reduced_cone,
     reduced_cone_map,
     standard_simplex,
     wedge,
@@ -421,17 +422,67 @@ def test_face_breaking_twin_rejected_in_a_shared_scope(ctx):
     assert_face_breaking_twin_rejected(ctx, PairScope())
 
 
+def degenerate_row_forged(t):
+    """The rows of inclusion(t, t) plus the degenerate edge at the vertex
+    (0,) sent to the one at (1,): a table whose nondegenerate rows, and so
+    whose key, are those of the identity, but whose faces break."""
+    maps = [dict(level) for level in inclusion(t, t).maps]
+    maps[1][(0, 0)] = (1, 1)
+    return maps
+
+
+def edge_row_broken(t):
+    """inclusion(t, t) with the edge sent to the degenerate edge at (0,):
+    a table over the identity's objects that differs in one row and whose
+    faces break."""
+    maps = [dict(level) for level in inclusion(t, t).maps]
+    maps[1][(0, 1)] = (0, 0)
+    return SMorphism(t, t, maps, check=False)
+
+
 def test_forged_degenerate_row_rejected_at_construction(ctx):
     # a table holds the nondegenerate rows only, so the scope's keys, which
     # hold every row, cannot meet an equal key over another table: the
-    # identity with its degenerate edge at (0,) sent to the one at (1,) is
-    # rejected at construction, unchecked too
+    # forged table is rejected at construction, unchecked too
     t = edge()
-    maps = [dict(level) for level in inclusion(t, t).maps]
-    maps[1][(0, 0)] = (1, 1)
     for check in (True, False):
         with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
-            SMorphism(t, t, maps, check=check)
+            SMorphism(t, t, degenerate_row_forged(t), check=check)
+
+
+def test_scope_reglues_part_with_equal_key_but_other_table(ctx):
+    t = edge()
+    with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
+        SMorphism(t, t, degenerate_row_forged(t), check=False)
+    # the nearest table that can be built differs from the identity's in a
+    # row, so its key does too: the scope glues it afresh, over the same
+    # objects, and the gluing fails
+    good = identity_block(ctx, t, inclusion(t, t))
+    bad = replace(
+        good,
+        parts=[
+            replace(
+                good.parts[0],
+                terms=[replace(good.parts[0].terms[0], morphism=edge_row_broken(t))],
+            )
+        ],
+    )
+    scope = PairScope()
+    assert good.value(scope) == singleton(inclusion(t, t))
+    with pytest.raises(SimplicialError, match="faces"):
+        bad.value(scope)
+
+
+def test_scope_recones_map_with_equal_key_but_other_table():
+    t = edge()
+    with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
+        SMorphism(t, t, degenerate_row_forged(t), check=False)
+    red = reduced_cone(t)
+    scope = PairScope()
+    ident = inclusion(t, t)
+    assert scope.reduced_cone_map(ident, red, red) == reduced_cone_map(ident, red, red)
+    with pytest.raises(SimplicialError):
+        scope.reduced_cone_map(edge_row_broken(t), red, red)
 
 
 def test_invert_iso_needs_a_bijection_of_nondegenerate_simplices():
