@@ -1,13 +1,14 @@
 """Serialization of construction artifacts and their independent re-check.
 
-Artifacts reference simplicial objects through a small label grammar; the
-checker rebuilds those objects deterministically from the manifest sizes,
-each label once, revalidates every stored morphism table against them, and
-re-verifies all claims from file contents alone, never trusting the
-builder's bookkeeping.  The claims are evaluated by the condition functions
-of :mod:`fissile.wedge` (``pair_checks`` and ``q_checks``), the same ones the
-builder evaluates while it constructs, so builder and checker cannot drift
-apart.
+Artifacts reference simplicial objects by their labels, whose grammar
+:class:`fissile.wedge.WedgeContext` documents.  The checker rebuilds those
+objects from the manifest sizes through the context's label entry points,
+the same constructors the builder calls, revalidates every stored morphism
+table against them, and re-verifies all claims from file contents alone,
+never trusting the builder's bookkeeping.  The claims are evaluated by the
+condition functions of :mod:`fissile.wedge` (``pair_checks`` and
+``q_checks``), the same ones the builder evaluates while it constructs, so
+builder and checker cannot drift apart.
 """
 
 import json
@@ -18,7 +19,7 @@ from .chained import IdealCertificate, subset_key
 from .ensembles import Ensemble
 from .layouts import layout_key
 # ``wedge`` stays importable here: perfbench/spans.py wraps every binding of
-# it.  Wedges themselves come from the context's registry.
+# it.  Wedges themselves come from the context.
 from .simplicial import SMorphism, wedge  # noqa: F401
 from .wedge import WedgeContext, pair_checks, q_checks
 from .witnesses import Block, BlockPart, FiltrationWitness, IdealTerm
@@ -32,7 +33,7 @@ class ArtifactError(ValueError):
 
 
 def _label_key(label):
-    """The label as a tuple, which keys the resolver's caches."""
+    """The label as a hashable tuple."""
     label = unjsonable(label)
     if not isinstance(label, tuple) or not label:
         raise ArtifactError(f"malformed label {label!r}")
@@ -43,97 +44,16 @@ def _label_key(label):
     return label
 
 
-class LabelResolver:
-    """Rebuild simplicial objects and spaces from their labels.
-
-    Each label is built once per resolver; a wedge label keeps its
-    insertions alongside its object.  Wedges come from the context's
-    registry, the same wedge table the builder uses.  A label whose
-    arguments do not fit its kind raises ArtifactError.
-    """
-
-    def __init__(self, ctx: WedgeContext):
-        self.ctx = ctx
-        self._objs = {}
-        self._insertions = {}
-        self._spaces = {}
-
-    def obj(self, label):
-        label = _label_key(label)
-        if label in self._objs:
-            return self._objs[label]
-        try:
-            out = self._build_obj(label)
-        except (TypeError, IndexError) as exc:
-            raise ArtifactError(f"malformed object label {label!r}: {exc}") from None
-        self._objs[label] = out
-        return out
-
-    def _build_obj(self, label):
-        kind = label[0]
-        ctx = self.ctx
-        if kind == "conelayout":
-            out = ctx.cone_layout(label[1])
-        elif kind == "plusbase":
-            out = ctx.plus_base_of(label[1])
-        elif kind == "point":
-            out = ctx.point_obj()
-        elif kind in ("wedgept", "wedge1", "wedge"):
-            if kind == "wedgept":
-                parts = [ctx.point_obj()]
-            elif kind == "wedge1":
-                parts = [self.obj(label[1])]
-            else:
-                parts = [self.obj(sub) for sub in label[1]]
-            out, self._insertions[label] = ctx.registry.wedge(parts, label=label)
-        elif kind == "wedgecones":
-            _iota, out, self._insertions[label] = ctx.iota(label[1])
-        elif kind == "W":
-            out = ctx.w_obj
-        elif kind == "WL":
-            out = ctx.full_space.obj if subset_key(label[1]) == ctx.i_set else ctx.sub_obj(label[1])
-        elif kind == "Wx":
-            out = ctx.proper_space().obj
-        elif kind == "redcone":
-            inner = label[1]
-            if inner[0] in ("WL", "Wx", "W"):
-                out = ctx.registry.reduced_space(self.space(inner))[1][0]
-            else:
-                out = ctx.registry.reduced_domain(self.obj(inner))[0]
-        else:
-            raise ArtifactError(f"unknown object label {label!r}")
-        return out
-
-    def insertions(self, label):
-        """The insertions of the parts of a wedge label."""
-        label = _label_key(label)
-        self.obj(label)
-        if label not in self._insertions:
-            raise ArtifactError(f"label {label!r} is not a wedge")
-        return self._insertions[label]
-
-    def space(self, label):
-        label = _label_key(label)
-        if label in self._spaces:
-            return self._spaces[label]
-        try:
-            out = self._build_space(label)
-        except (TypeError, IndexError) as exc:
-            raise ArtifactError(f"malformed space label {label!r}: {exc}") from None
-        self._spaces[label] = out
-        return out
-
-    def _build_space(self, label):
-        kind = label[0]
-        if kind in ("WL", "W"):
-            out = self.ctx.space(label[1]) if kind == "WL" else self.ctx.full_space
-        elif kind == "Wx":
-            out = self.ctx.proper_space()
-        elif kind == "redcone":
-            out = self.ctx.registry.reduced_space(self.space(label[1]))[0]
-        else:
-            raise ArtifactError(f"unknown space label {label!r}")
-        return out
+def resolve(lookup, label):
+    """``lookup(label)`` for a label read from a file, where lookup is one of
+    the context's label entry points (``WedgeContext.obj``,
+    ``labelled_space`` or ``labelled_wedge``): a malformed label or one of
+    an unknown kind is an ArtifactError that names it."""
+    label = _label_key(label)
+    try:
+        return lookup(label)
+    except (TypeError, IndexError) as exc:
+        raise ArtifactError(f"malformed label {label!r}: {exc}") from None
 
 
 def morphism_from_nondegenerate(dom, cod, rows) -> SMorphism:
@@ -181,11 +101,11 @@ class MorphismStore:
         return {mid: rec for mid, rec in sorted(self.records.items())}
 
     @staticmethod
-    def load(data, resolver: LabelResolver):
+    def load(data, ctx: WedgeContext):
         store = MorphismStore()
         for mid, rec in data.items():
-            dom = resolver.obj(rec["domain"])
-            cod = resolver.obj(rec["codomain"])
+            dom = resolve(ctx.obj, rec["domain"])
+            cod = resolve(ctx.obj, rec["codomain"])
             rows = [
                 (n, unjsonable(x), unjsonable(v)) for n, x, v in rec["table"]
             ]
@@ -259,12 +179,11 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
     return {"level": w.level, "blocks": blocks}
 
 
-def witness_from_json(data, store: MorphismStore, resolver: LabelResolver):
+def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
     entries = []
     for brec in data["blocks"]:
-        wedge_obj = resolver.obj(brec["wedge"])
-        insertions = resolver.insertions(brec["wedge"])
-        space = resolver.space(brec["space"])
+        wedge_obj, insertions = resolve(ctx.labelled_wedge, brec["wedge"])
+        space = resolve(ctx.labelled_space, brec["space"])
         parts = []
         for prec in brec["parts"]:
             terms = []
@@ -287,8 +206,8 @@ def witness_from_json(data, store: MorphismStore, resolver: LabelResolver):
                 BlockPart(
                     level=int(prec["level"]),
                     terms=terms,
-                    domain=resolver.obj(prec["domain"]),
-                    space=resolver.space(prec["space"]),
+                    domain=resolve(ctx.obj, prec["domain"]),
+                    space=resolve(ctx.labelled_space, prec["space"]),
                 )
             )
         entries.append(
@@ -386,19 +305,16 @@ def _load(path):
 
 
 def _open_dump(in_dir, kind):
-    """The manifest of a dump, the context rebuilt from its sizes, a label
-    resolver over that context, and the loaded morphism store."""
+    """The manifest of a dump, the context rebuilt from its sizes, and the
+    loaded morphism store."""
     manifest = _load(os.path.join(in_dir, "manifest.json"))
     if manifest.get("kind") != kind:
         raise ArtifactError("manifest kind mismatch")
     ctx = WedgeContext(
         tuple(manifest["i"]), tuple(manifest["e"]), bound=manifest["bound"]
     )
-    resolver = LabelResolver(ctx)
-    store = MorphismStore.load(
-        _load(os.path.join(in_dir, "morphisms.json")), resolver
-    )
-    return manifest, ctx, resolver, store
+    store = MorphismStore.load(_load(os.path.join(in_dir, "morphisms.json")), ctx)
+    return manifest, ctx, store
 
 
 def check_pair_artifacts(in_dir):
@@ -407,7 +323,7 @@ def check_pair_artifacts(in_dir):
     Returns a list of (check-name, ok) tuples, one per condition and pair,
     from the same condition functions the builder evaluates.
     """
-    manifest, ctx, resolver, store = _open_dump(in_dir, "pair-construction")
+    manifest, ctx, store = _open_dump(in_dir, "pair-construction")
     pairs = {}
     witnesses = {}
     for name in manifest["pairs"]:
@@ -415,9 +331,7 @@ def check_pair_artifacts(in_dir):
         f = subset_key(payload["face"])
         j = subset_key(payload["subset"])
         pairs[(f, j)] = ensemble_from_json(payload["ensemble"], store)
-        witnesses[(f, j)] = witness_from_json(
-            payload["alt_witness"], store, resolver
-        )
+        witnesses[(f, j)] = witness_from_json(payload["alt_witness"], store, ctx)
     checks = []
     for f, j in sorted(pairs):
         checks.extend(
@@ -429,15 +343,15 @@ def check_pair_artifacts(in_dir):
 def check_q_artifacts(in_dir):
     """Re-verify an almost-fissile dump: one check per layout defect and
     one for the boundary defect."""
-    _manifest, ctx, resolver, store = _open_dump(in_dir, "almost-fissile")
+    _manifest, ctx, store = _open_dump(in_dir, "almost-fissile")
     payload = _load(os.path.join(in_dir, "q.json"))
     q_ens = ensemble_from_json(payload["ensemble"], store)
     layout_witnesses = [
         (
             layout_key([tuple(g) for g in entry["layout"]]),
-            witness_from_json(entry["witness"], store, resolver),
+            witness_from_json(entry["witness"], store, ctx),
         )
         for entry in payload["layouts"]
     ]
-    bwit = witness_from_json(payload["boundary_witness"], store, resolver)
+    bwit = witness_from_json(payload["boundary_witness"], store, ctx)
     return list(q_checks(ctx, q_ens, layout_witnesses, bwit))

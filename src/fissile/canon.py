@@ -49,6 +49,3 @@ def jsonable_b64(j) -> str:
     """``ckey_b64`` of the value whose :func:`jsonable` form is j."""
     return base64.b64encode(_encode(j)).decode("ascii")
 
-
-def sort_canonically(values):
-    return sorted(values, key=ckey)

@@ -204,12 +204,3 @@ def check_restriction_square(poset, restrict, extend, q, family: Section):
             rhs = rhs + extend(q, p, w[p])
     return lhs == rhs
 
-
-def extender_is_transitive(poset, extend, samples):
-    """Diagnostic only: report whether extend(p,q) . extend(q,r) == extend(p,r)
-    on the supplied (p, q, r, ensemble) samples.  The calculus never relies
-    on this identity."""
-    for p, q, r, s in samples:
-        if extend(p, q, extend(q, r, s)) != extend(p, r, s):
-            return False
-    return True

@@ -17,7 +17,7 @@ the 1s.  Quotients keep survivor keys and collapse the removed subset to a
 disjoint basepoint.
 """
 
-from itertools import product, repeat
+from itertools import combinations, product, repeat
 
 from .canon import ckey, jsonable
 
@@ -196,31 +196,6 @@ class FiniteSimplicialSet:
         if self.basepoint is not None and self.basepoint not in sets[0]:
             self._fail("basepoint outside the vertices", 0)
 
-    def to_json(self):
-        """Per-dimension simplex tables with face and degeneracy matrices."""
-        out = {"bound": self.bound, "levels": []}
-        for n in range(self.bound + 1):
-            out["levels"].append(
-                {
-                    "simplices": [jsonable(x) for x in self.simplices[n]],
-                    "faces": [
-                        [jsonable(x), [jsonable(f) for f in self.faces[n][x]]]
-                        for x in self.simplices[n]
-                    ]
-                    if n
-                    else [],
-                    "degeneracies": [
-                        [jsonable(x), [jsonable(d) for d in self.degens[n][x]]]
-                        for x in self.simplices[n]
-                    ]
-                    if n < self.bound
-                    else [],
-                }
-            )
-        if self.basepoint is not None:
-            out["basepoint"] = jsonable(self.basepoint)
-        return out
-
 
 def _values(dom, cod, maps, n, xs):
     """The values at the simplices xs of dimension n of the simplicial map
@@ -384,27 +359,7 @@ def constant_morphism(t, z, vertex) -> SMorphism:
 
 def standard_simplex(n, bound):
     """Monotone tuples into {0..n}; faces delete slots, degeneracies repeat."""
-    simplices, faces, degens = [], [], []
-    for m in range(bound + 1):
-        level = [
-            t
-            for t in product(range(n + 1), repeat=m + 1)
-            if all(t[i] <= t[i + 1] for i in range(m))
-        ]
-        simplices.append(level)
-        faces.append(
-            {t: tuple(t[:i] + t[i + 1 :] for i in range(m + 1)) for t in level}
-            if m
-            else {}
-        )
-        if m < bound:
-            degens.append(
-                {t: tuple(t[: i + 1] + t[i:] for i in range(m + 1)) for t in level}
-            )
-        else:
-            degens.append({})
-    label = ("standard", n, bound)
-    return FiniteSimplicialSet(bound, simplices, faces, degens, label=label)
+    return nerve(range(n + 1), lambda x, y: x <= y, bound, label=("standard", n, bound))
 
 
 def point(bound, based=True):
@@ -417,28 +372,11 @@ def point(bound, based=True):
 def thick_simplex(letters, bound):
     """All tuples over the letter set; faces delete, degeneracies repeat."""
     letters = tuple(sorted(set(letters)))
-    simplices, faces, degens = [], [], []
-    for m in range(bound + 1):
-        level = list(product(letters, repeat=m + 1))
-        simplices.append(level)
-        faces.append(
-            {t: tuple(t[:i] + t[i + 1 :] for i in range(m + 1)) for t in level}
-            if m
-            else {}
-        )
-        if m < bound:
-            degens.append(
-                {t: tuple(t[: i + 1] + t[i:] for i in range(m + 1)) for t in level}
-            )
-        else:
-            degens.append({})
-    return FiniteSimplicialSet(
-        bound, simplices, faces, degens, label=("thick", letters, bound)
-    )
+    return nerve(letters, lambda x, y: True, bound, label=("thick", letters, bound))
 
 
 def nerve(elements, leq, bound, label=None):
-    """Nerve of a finite poset: monotone chains with repetition."""
+    """Nerve of a finite preorder: monotone chains with repetition."""
     elements = tuple(sorted(elements, key=ckey))
     simplices, faces, degens = [], [], []
     for m in range(bound + 1):
@@ -475,8 +413,6 @@ class AbstractComplex:
             if not s:
                 raise ValueError("complex simplices must be nonempty")
             for k in range(1, len(s) + 1):
-                from itertools import combinations
-
                 simps.update(tuple(sorted(c)) for c in combinations(s, k))
         self.simplices = tuple(sorted(simps, key=ckey))
         self.vertices = tuple(sorted({v for s in self.simplices for v in s}))
@@ -497,14 +433,6 @@ def layout_complex(layout):
 
 def barycentric(k: AbstractComplex, bound):
     """Nerve of the simplices ordered by reverse inclusion: chains descend."""
-    if not k.simplices:
-        return FiniteSimplicialSet(
-            bound,
-            [[] for _ in range(bound + 1)],
-            [{} for _ in range(bound + 1)],
-            [{} for _ in range(bound + 1)],
-            label=("barycentric", (), bound),
-        )
     return nerve(
         k.simplices,
         lambda x, y: set(x) >= set(y),
@@ -1001,9 +929,6 @@ class ContractionTower:
         self.susp, self.susp_proj, self.top = kan_suspension(self.thick)
         self.reduced = reduced_cone(self.susp)
         self.contractions = {}
-
-    def suspension(self):
-        return self.susp
 
     def contraction(self, letter) -> SMorphism:
         if letter not in self.letters and self.letters:

@@ -54,6 +54,7 @@ from .simplicial import (
     induce_through,
     kan_suspension,
     layout_complex,
+    nerve,
     plus_base,
     plus_base_iso,
     point,
@@ -191,15 +192,7 @@ def suite_fissilizer(max_e=3, cases=200, defect_cases=50, seed=0, **_kw):
 
 
 def _empty_simplicial(bound):
-    from .simplicial import FiniteSimplicialSet
-
-    return FiniteSimplicialSet(
-        bound,
-        [[] for _ in range(bound + 1)],
-        [{} for _ in range(bound + 1)],
-        [{} for _ in range(bound + 1)],
-        label=("empty", bound),
-    )
+    return nerve((), lambda x, y: True, bound, label=("empty", bound))
 
 
 def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
@@ -406,9 +399,9 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
                 map_ensemble(lambda m: compose(h, m), v), wm, w.level, ctx.monoid
             )
         )
-        wc = cone_witness(w, ctx.registry)
-        red_t = ctx.registry.reduced_domain(t_big)
-        red_space = ctx.registry.reduced_space(space)
+        wc = cone_witness(w, ctx)
+        red_t = ctx.reduced_domain(t_big)
+        red_space = ctx.reduced_space(space)
         ok = ok and bool(
             verify_witness(
                 map_ensemble(lambda m: reduced_cone_map(m, red_t, red_space[1]), v),
@@ -419,7 +412,7 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
         )
         w2 = random_witness(t_big, pool_big)
         wobj, ins = wedge([t_big, t_big])
-        ww = wedge_witness([w, w2], wobj, ins, ctx.registry)
+        ww = wedge_witness([w, w2], wobj, ins, ctx)
         ok = ok and bool(
             verify_witness(
                 combine_over_wedge(wobj, ins, [v, w2.value()]),
@@ -432,8 +425,6 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
 
 
 def _random_brunnian(rng, alphabet):
-    from .brunnian import enumerate_nestings, nested_commutator
-
     s = len(alphabet)
     out = ()
     for _ in range(rng.randint(1, 3)):

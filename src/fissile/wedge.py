@@ -10,6 +10,7 @@ lift-and-fill induction, into fissile ensembles whose alternating sums are
 certified deep in the block filtration.
 """
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -46,9 +47,10 @@ from .simplicial import (
     plus_base,
     plus_base_iso,
     point,
+    reduced_cone,
     subsimplicial,
     suspension_top_at,
-    wedge,  # noqa: F401  (a binding that perfbench/spans.py wraps)
+    wedge,
 )
 from .witnesses import (
     Block,
@@ -57,7 +59,6 @@ from .witnesses import (
     IdealTerm,
     PairScope,
     PSpace,
-    SpaceRegistry,
     cone_witness,
     map_witness,
     require_based,
@@ -80,12 +81,62 @@ def construction_guard(i_set, e_set):
     )
 
 
+def _entry(kind, *normalise):
+    """Memoise a context method in the run table under (kind, *args), each
+    argument first put in normal form by its function in ``normalise``; the
+    arguments past those are used as they are."""
+
+    def wrap(build):
+        @functools.wraps(build)
+        def method(self, *args):
+            key = (kind,) + tuple(f(a) for f, a in zip(normalise, args))
+            key += args[len(normalise) :]
+            hit = self._table.get(key)
+            if hit is None:
+                hit = self._table[key] = build(self, *key[1:])
+            return hit
+
+        return method
+
+    return wrap
+
+
 class WedgeContext:
-    """All shared objects for one (index set, ground set) run.
+    """All shared objects for one (index set, ground set) run, each built
+    once, in one memo table, whichever of the builder and the checker asks
+    first.
 
     The truncation bound is one above the ground-set size so that every
     reduced-cone domain appearing in witness transports keeps its
     nondegenerate simplices within the stored levels.
+
+    Artifacts name objects by their labels, nested tuples whose first entry
+    is the kind; :meth:`obj`, :meth:`labelled_space` and
+    :meth:`labelled_wedge` rebuild an object from its label through the same
+    constructors the builder calls, so a label resolves to the very object
+    that carries it.  A layout or subset in a label may come in any order.
+    The object labels are
+
+    - ``("conelayout", b)``: the coned subdivision of the layout b;
+    - ``("plusbase", f)``: the based subdivision of the face f in its cone;
+    - ``("point",)``: the one-vertex domain of constant witnesses;
+    - ``("W", I)``, ``("WL", l)``, ``("Wx", I)``: the wedge of all
+      components, of those at subsets of l, of those at proper subsets;
+    - ``("redcone", x)``: the reduced cone of the object labelled x, or of
+      the object of the space labelled x when x is of a space kind;
+    - the wedges ``("wedgept",)`` of the point, ``("wedge1", x)`` of the
+      object labelled x, ``("wedge", (x, ...))`` of the objects so labelled
+      and ``("wedgecones", b)`` of the per-block cones of the layout b.
+
+    The space labels are ``("W", I)`` and ``("WL", l)`` for the full space
+    and the one at l, ``("Wx", I)`` for the proper one, and
+    ``("redcone", x)`` for the reduced cone of the space labelled x.
+
+    An entry is keyed by its kind and normalised arguments, for a labelled
+    object its label, except the wedges and reduced cones of given objects:
+    they are keyed by the ids of those objects, so the hot wedge lookup
+    hashes no nested label, and such an entry keeps the objects its key
+    names alive, so no id in a key is reused while the context lives.
     """
 
     def __init__(self, i_set, e_set, bound=None):
@@ -95,49 +146,117 @@ class WedgeContext:
             raise ValueError("ground set must be nonempty")
         self.bound = (len(self.e_set) + 1) if bound is None else bound
         self.monoid = SubsetMonoid(self.i_set)
-        self.registry = SpaceRegistry(self.monoid)
+        self._table = {}
         self.components = subsets_of(self.i_set)
         self.towers = {
             j: ContractionTower(tuple(sorted(set(self.i_set) - set(j))), self.bound)
             for j in self.components
         }
         parts = [self.towers[j].susp for j in self.components]
-        self.w_obj, self.w_insertions = self.registry.wedge(
-            parts, label=("W", self.i_set)
-        )
-        self._susp_maps = {}
-        self._spaces = {}
-        self._sub_objs = {}
-        self._proper_space = None
-        self._cones = {}
-        self._plus = {}
-        self._plus_iso = {}
-        self._rho = {}
-        self._iota = {}
-        self._sigma = {}
-        self._xi = {}
-        self._identity_cert = None
-        self._omega_certs = {}
-        self._point = None
+        self.w_obj, self.w_insertions = self.wedge_of(parts, label=("W", self.i_set))
         self.full_space = self._build_full_space()
+
+    # -- objects from their labels -----------------------------------------
+
+    def obj(self, label):
+        """The object that carries this label (see the class docstring)."""
+        match label:
+            case ("conelayout", b):
+                return self.cone_layout(b)
+            case ("plusbase", f):
+                return self.plus_base_of(f)
+            case ("point",):
+                return self.point_obj()
+            case ("W", *_):
+                return self.w_obj
+            case ("WL", l_key):
+                return self.sub_obj(l_key)
+            case ("Wx", *_):
+                return self.proper_space().obj
+            case ("redcone", ("WL" | "Wx" | "W", *_) as inner):
+                return self.reduced_space(self.labelled_space(inner))[1][0]
+            case ("redcone", inner):
+                return self.reduced_domain(self.obj(inner))[0]
+            case ("wedgept" | "wedge1" | "wedge" | "wedgecones", *_):
+                return self.labelled_wedge(label)[0]
+        raise TypeError(f"{label!r} names no object")
+
+    def labelled_wedge(self, label):
+        """The wedge that carries this label, with its insertions."""
+        match label:
+            case ("wedgept",):
+                return self.wedge_of([self.point_obj()], label=("wedgept",))
+            case ("wedge1", inner):
+                dom = self.obj(inner)
+                return self.wedge_of([dom], label=("wedge1", dom.label))
+            case ("wedge", (*inners,)):
+                return self.wedge_of([self.obj(x) for x in inners])
+            case ("wedgecones", b):
+                return self.iota(b)[1:]
+        raise TypeError(f"{label!r} names no wedge")
+
+    def labelled_space(self, label) -> PSpace:
+        """The space that carries this label (see the class docstring)."""
+        match label:
+            case ("WL", l_key):
+                return self.space(l_key)
+            case ("W", *_):
+                return self.full_space
+            case ("Wx", *_):
+                return self.proper_space()
+            case ("redcone", inner):
+                return self.reduced_space(self.labelled_space(inner))[0]
+        raise TypeError(f"{label!r} names no space")
+
+    # -- wedges and reduced cones of given objects -------------------------
+
+    def wedge_of(self, parts, label=None) -> tuple:
+        """The wedge of these part objects with its insertions."""
+        key = ("wedge", tuple(map(id, parts)), label)
+        hit = self._table.get(key)
+        if hit is None:
+            hit = self._table[key] = (tuple(parts), wedge(parts, label=label))
+        return hit[1]
+
+    def reduced_domain(self, t) -> tuple:
+        """The ``reduced_cone`` tuple of t."""
+        key = ("redcone", id(t))
+        hit = self._table.get(key)
+        if hit is None:
+            hit = self._table[key] = (t, reduced_cone(t))
+        return hit[1]
+
+    def reduced_space(self, space: PSpace) -> tuple:
+        """The reduced cone of a space, with its ``reduced_cone`` tuple."""
+        key = ("redspace", id(space.obj))
+        hit = self._table.get(key)
+        if hit is None:
+            red = self.reduced_domain(space.obj)
+            # elements acting by equal tables share one cone map
+            scope = PairScope()
+            action = {
+                k: scope.reduced_cone_map(space.action[k], red, red)
+                for k in self.monoid.elements
+            }
+            cspace = PSpace(
+                red[0], self.monoid, action, label=("redcone", space.label), check=False
+            )
+            hit = self._table[key] = (space, (cspace, red))
+        return hit[1]
 
     # -- component plumbing --------------------------------------------
 
+    @_entry("susp")
     def _susp_map(self, j_from, j_to) -> SMorphism:
         """Component map induced by the letter inclusion, for j_to <= j_from."""
-        key = (j_from, j_to)
-        if key not in self._susp_maps:
-            t_from, t_to = self.towers[j_from], self.towers[j_to]
-            cone_inc = cone_map(
-                inclusion(t_from.thick, t_to.thick),
-                1,
-                cdom=t_from.hat_cone,
-                ccod=t_to.hat_cone,
-            )
-            self._susp_maps[key] = induce_through(
-                t_from.susp_proj, compose(t_to.susp_proj, cone_inc)
-            )
-        return self._susp_maps[key]
+        t_from, t_to = self.towers[j_from], self.towers[j_to]
+        cone_inc = cone_map(
+            inclusion(t_from.thick, t_to.thick),
+            1,
+            cdom=t_from.hat_cone,
+            ccod=t_to.hat_cone,
+        )
+        return induce_through(t_from.susp_proj, compose(t_to.susp_proj, cone_inc))
 
     def _action_table(self, k):
         maps = []
@@ -185,77 +304,58 @@ class WedgeContext:
             action[k] = SMorphism(obj, obj, maps)
         return PSpace(obj, self.monoid, action)
 
+    @_entry("WL", subset_key)
     def sub_obj(self, l_key):
         """The wedge of the components at subsets of l, inside the full one."""
-        l_key = subset_key(l_key)
-        if l_key not in self._sub_objs:
-            self._sub_objs[l_key] = self._components_obj(
-                lambda j: set(j) <= set(l_key), ("WL", l_key)
-            )
-        return self._sub_objs[l_key]
+        return self._components_obj(lambda j: set(j) <= set(l_key), ("WL", l_key))
 
+    @_entry("space", subset_key)
     def space(self, l_key) -> PSpace:
-        l_key = subset_key(l_key)
         if l_key == self.i_set:
             return self.full_space
-        if l_key not in self._spaces:
-            self._spaces[l_key] = self._restricted_space(self.sub_obj(l_key))
-        return self._spaces[l_key]
+        return self._restricted_space(self.sub_obj(l_key))
 
+    @_entry("Wx")
     def proper_space(self) -> PSpace:
         """Components at proper subsets only."""
-        if self._proper_space is None:
-            self._proper_space = self._restricted_space(
-                self._components_obj(lambda j: j != self.i_set, ("Wx", self.i_set))
-            )
-        return self._proper_space
+        return self._restricted_space(
+            self._components_obj(lambda j: j != self.i_set, ("Wx", self.i_set))
+        )
 
     # -- domain side -----------------------------------------------------
 
+    @_entry("conelayout", layout_key)
     def cone_layout(self, b):
         """The coned barycentric subdivision of the disjoint faces of b."""
-        b = layout_key(b)
-        if b not in self._cones:
-            self._cones[b] = cone(
-                barycentric(layout_complex(b), self.bound),
-                0,
-                check=False,
-            )
-            self._cones[b].label = ("conelayout", b)
-        return self._cones[b]
+        out = cone(barycentric(layout_complex(b), self.bound), 0, check=False)
+        out.label = ("conelayout", b)
+        return out
 
     def cone_face(self, f):
         return self.cone_layout(layout_key([f]))
 
+    @_entry("plusbase", subset_key)
     def plus_base_of(self, f):
-        f = subset_key(f)
-        if f not in self._plus:
-            self._plus[f] = plus_base(
-                self.cone_face(f), label=("plusbase", f)
-            )
-        return self._plus[f]
+        return plus_base(self.cone_face(f), label=("plusbase", f))
 
+    @_entry("plusiso", subset_key)
     def plus_iso(self, f) -> SMorphism:
         """Isomorphism from the coned subdivision to the reduced cone of its
         base-plus-apex subset."""
-        f = subset_key(f)
-        if f not in self._plus_iso:
-            red = self.registry.reduced_domain(self.plus_base_of(f))
-            self._plus_iso[f] = plus_base_iso(self.cone_face(f), red)
-        return self._plus_iso[f]
+        return plus_base_iso(
+            self.cone_face(f), self.reduced_domain(self.plus_base_of(f))
+        )
 
+    @_entry("retraction", layout_key, layout_key)
     def retraction(self, a, b) -> SMorphism:
         """Canonical retraction between coned layout subdivisions, a >= b."""
-        a, b = layout_key(a), layout_key(b)
-        if (a, b) not in self._rho:
-            self._rho[(a, b)] = canonical_retraction(
-                layout_complex(a),
-                layout_complex(b),
-                self.bound,
-                cone_k=self.cone_layout(a),
-                cone_l=self.cone_layout(b),
-            )
-        return self._rho[(a, b)]
+        return canonical_retraction(
+            layout_complex(a),
+            layout_complex(b),
+            self.bound,
+            cone_k=self.cone_layout(a),
+            cone_l=self.cone_layout(b),
+        )
 
     def layout_inclusion(self, b, a) -> SMorphism:
         """Inclusion of coned layout subdivisions for a >= b (shared keys)."""
@@ -265,134 +365,118 @@ class WedgeContext:
         """Inclusion of the based subdivision of a face into its coned one."""
         return inclusion(self.plus_base_of(f), self.cone_face(f))
 
+    @_entry("wedgecones", layout_key)
     def iota(self, b):
         """Isomorphism from a coned layout subdivision to the wedge of its
         per-block cones; returns (morphism, wedge object, insertions)."""
-        b = layout_key(b)
-        if b not in self._iota:
-            blocks = list(b)
-            wobj, ins = self.registry.wedge(
-                [self.cone_face(g) for g in blocks],
-                label=("wedgecones", b),
-            )
-            src = self.cone_layout(b)
-            maps = []
-            for n in range(self.bound + 1):
-                level = {}
-                for t, chain in src.nondegenerate(n):
-                    if chain is None:
-                        level[(t, chain)] = wobj.basepoint_at(n)
-                        continue
-                    head = set(chain[0])
-                    gi = next(
-                        i for i, g in enumerate(blocks) if head <= set(g)
-                    )
-                    level[(t, chain)] = ins[gi](n, (t, chain))
-                maps.append(level)
-            self._iota[b] = (SMorphism(src, wobj, maps), wobj, ins)
-        return self._iota[b]
+        blocks = list(b)
+        wobj, ins = self.wedge_of(
+            [self.cone_face(g) for g in blocks], label=("wedgecones", b)
+        )
+        src = self.cone_layout(b)
+        maps = []
+        for n in range(self.bound + 1):
+            level = {}
+            for t, chain in src.nondegenerate(n):
+                if chain is None:
+                    level[(t, chain)] = wobj.basepoint_at(n)
+                    continue
+                head = set(chain[0])
+                gi = next(i for i, g in enumerate(blocks) if head <= set(g))
+                level[(t, chain)] = ins[gi](n, (t, chain))
+            maps.append(level)
+        return SMorphism(src, wobj, maps), wobj, ins
 
     # -- morphisms into the wedge -----------------------------------------
 
+    @_entry("xi", subset_key, subset_key)
     def xi(self, j, f) -> SMorphism:
         """Constant morphism at the top vertex of the component at j, on the
         based subdivision of the face f."""
-        j, f = subset_key(j), subset_key(f)
-        if (j, f) not in self._xi:
-            t = self.plus_base_of(f)
-            idx = self.components.index(j)
-            susp = self.towers[j].susp
-            maps = []
-            for n in range(self.bound + 1):
-                tagged = self.w_insertions[idx](n, suspension_top_at(susp, n))
-                level = {}
-                for x in t.nondegenerate(n):
-                    if x == t.basepoint_at(n):
-                        level[x] = self.w_obj.basepoint_at(n)
-                    else:
-                        level[x] = tagged
-                maps.append(level)
-            out = SMorphism(t, self.sub_obj(j), maps)
-            require_based(out, "top-vertex")
-            self._xi[(j, f)] = out
-        return self._xi[(j, f)]
+        t = self.plus_base_of(f)
+        idx = self.components.index(j)
+        susp = self.towers[j].susp
+        maps = []
+        for n in range(self.bound + 1):
+            tagged = self.w_insertions[idx](n, suspension_top_at(susp, n))
+            level = {}
+            for x in t.nondegenerate(n):
+                if x == t.basepoint_at(n):
+                    level[x] = self.w_obj.basepoint_at(n)
+                else:
+                    level[x] = tagged
+            maps.append(level)
+        out = SMorphism(t, self.sub_obj(j), maps)
+        require_based(out, "top-vertex")
+        return out
 
+    @_entry("contraction", subset_key)
     def contraction(self, l_key, letter) -> SMorphism:
         """The componentwise contraction from the reduced cone of the wedge
         at l back to the wedge; the letter must avoid l."""
-        l_key = subset_key(l_key)
         if letter in l_key:
             raise ValueError("contraction letter must lie outside the subset")
-        key = (l_key, letter)
-        if key not in self._sigma:
-            space = self.space(l_key)
-            red_obj = self.registry.reduced_space(space)[1][0]
-            wl = space.obj
-            maps = []
-            for n in range(self.bound + 1):
-                level = {}
-                for x in red_obj.nondegenerate(n):
-                    if x == red_obj.basepoint_at(n):
-                        level[x] = wl.basepoint_at(n)
-                        continue
-                    t, y = x
-                    idx, z = y
-                    j = self.components[idx]
-                    tower = self.towers[j]
-                    cls = tower.reduced[2](n, (t, z))
-                    img = tower.contraction(letter)(n, cls)
-                    if img == tower.susp.basepoint_at(n):
-                        level[x] = wl.basepoint_at(n)
-                    else:
-                        level[x] = (idx, img)
-                maps.append(level)
-            sigma = SMorphism(red_obj, wl, maps)
-            require_based(sigma, "contraction")
-            self._sigma[key] = sigma
-        return self._sigma[key]
+        space = self.space(l_key)
+        red_obj = self.reduced_space(space)[1][0]
+        wl = space.obj
+        maps = []
+        for n in range(self.bound + 1):
+            level = {}
+            for x in red_obj.nondegenerate(n):
+                if x == red_obj.basepoint_at(n):
+                    level[x] = wl.basepoint_at(n)
+                    continue
+                t, y = x
+                idx, z = y
+                j = self.components[idx]
+                tower = self.towers[j]
+                cls = tower.reduced[2](n, (t, z))
+                img = tower.contraction(letter)(n, cls)
+                if img == tower.susp.basepoint_at(n):
+                    level[x] = wl.basepoint_at(n)
+                else:
+                    level[x] = (idx, img)
+            maps.append(level)
+        sigma = SMorphism(red_obj, wl, maps)
+        require_based(sigma, "contraction")
+        return sigma
 
     def filling(self, v: SMorphism, letter, l_key, scope=None) -> SMorphism:
         """Extend a based morphism on a based face subdivision over the whole
         coned subdivision, contracting along the chosen letter; the cone of
         v comes from the scope."""
-        l_key = subset_key(l_key)
         f = v.domain.label[1]
-        red_t = self.registry.reduced_domain(self.plus_base_of(f))
-        red_space_tuple = self.registry.reduced_space(self.space(l_key))
+        red_t = self.reduced_domain(self.plus_base_of(f))
+        red_space = self.reduced_space(self.space(l_key))[1]
         scope = scope if scope is not None else PairScope()
-        cv = scope.reduced_cone_map(v, red_t, red_space_tuple[1])
+        cv = scope.reduced_cone_map(v, red_t, red_space)
         sigma = self.contraction(l_key, letter)
         return compose(sigma, compose(cv, self.plus_iso(f)))
 
     # -- certificates ------------------------------------------------------
 
+    @_entry("identitycert")
     def identity_cert(self):
-        if self._identity_cert is None:
-            self._identity_cert = ideal_membership(
-                self.monoid, singleton(self.i_set), 0
-            )
-        return self._identity_cert
+        return ideal_membership(self.monoid, singleton(self.i_set), 0)
 
+    @_entry("omegacert", subset_key)
     def omega_cert(self, j):
-        j = subset_key(j)
-        if j not in self._omega_certs:
-            self._omega_certs[j] = ideal_membership(self.monoid, omega(j), len(j))
-        return self._omega_certs[j]
+        return ideal_membership(self.monoid, omega(j), len(j))
 
     # -- witness building blocks --------------------------------------------
 
+    @_entry("point")
     def point_obj(self):
         """The one-vertex domain of the part of every constant witness."""
-        if self._point is None:
-            self._point = point(self.bound)
-            self._point.label = ("point",)
-        return self._point
+        out = point(self.bound)
+        out.label = ("point",)
+        return out
 
     def constant_witness(self, t_obj, space: PSpace, coeff=1) -> FiltrationWitness:
         """Rank-0 witness for coeff * <constant basepoint morphism> on t."""
         pt = self.point_obj()
         const = constant_morphism(pt, space.obj, space.obj.basepoint)
-        wobj, ins = self.registry.wedge([pt], label=("wedgept",))
+        wobj, ins = self.wedge_of([pt], label=("wedgept",))
         f = constant_morphism(t_obj, wobj, wobj.basepoint)
         part = BlockPart(
             level=0,
@@ -411,7 +495,7 @@ class WedgeContext:
         """Witness for coeff * (pi . <morphism>) as one block of rank
         cert.level over its own domain."""
         dom = morphism.domain
-        wobj, ins = self.registry.wedge([dom], label=("wedge1", dom.label))
+        wobj, ins = self.wedge_of([dom], label=("wedge1", dom.label))
         part = BlockPart(
             level=cert.level,
             terms=[IdealTerm(pi, cert, morphism)],
@@ -450,7 +534,7 @@ def combine_witnesses_over_layout(ctx, b, witnesses, space) -> FiltrationWitness
     if not b:
         return ctx.constant_witness(ctx.cone_layout(()), space)
     iota, wobj, ins = ctx.iota(b)
-    wed = wedge_witness(witnesses, wobj, ins, ctx.registry)
+    wed = wedge_witness(witnesses, wobj, ins, ctx)
     return restrict_witness(wed, iota)
 
 
@@ -772,10 +856,10 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     letter = sorted(set(ctx.i_set) - set(j))[0]
     chi_delta = map_ensemble(lambda v: ctx.filling(v, letter, j, scope), delta)
 
-    red_space = ctx.registry.reduced_space(space_j)
+    red_space = ctx.reduced_space(space_j)
     chi_wit = restrict_witness(
         map_witness(
-            cone_witness(delta_wit, ctx.registry, scope),
+            cone_witness(delta_wit, ctx, scope),
             ctx.contraction(j, letter),
             red_space[0],
             space_j,

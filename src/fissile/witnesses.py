@@ -18,9 +18,8 @@ from .simplicial import (
     SMorphism,
     compose,
     inclusion,
-    reduced_cone,
     reduced_cone_map,
-    wedge,
+    wedge,  # noqa: F401  (a binding that perfbench/spans.py wraps)
     wedge_combine,
 )
 
@@ -61,59 +60,6 @@ class PSpace:
 
     def act_on_ensemble(self, k, s: Ensemble) -> Ensemble:
         return map_ensemble(lambda v: self.act_on_morphism(k, v), s)
-
-    def module_scale(self, pi: Ensemble, s: Ensemble) -> Ensemble:
-        """The module action of a monoid-ring element on a morphism ensemble."""
-        out = Ensemble.zero()
-        for k, c in pi.terms.items():
-            out = out + c * self.act_on_ensemble(k, s)
-        return out
-
-
-class SpaceRegistry:
-    """Shared reduced-cone bookkeeping for spaces and plain domains, and the
-    one wedge table of a run: builder and checker get every wedge here."""
-
-    def __init__(self, monoid: SubsetMonoid):
-        self.monoid = monoid
-        self._reduced_spaces = {}
-        self._reduced_domains = {}
-        self._wedges = {}
-
-    def wedge(self, parts, label=None) -> tuple:
-        """The wedge of these part objects with its insertions, built and
-        validated once per (parts, label).  The entry keeps its parts
-        alive, so no part id in a key can be reused by a new object."""
-        key = (tuple(id(p) for p in parts), label)
-        if key not in self._wedges:
-            self._wedges[key] = (tuple(parts), wedge(parts, label=label))
-        return self._wedges[key][1]
-
-    def reduced_space(self, space: PSpace) -> tuple:
-        key = id(space.obj)
-        if key not in self._reduced_spaces:
-            red = reduced_cone(space.obj)
-            # elements acting by equal tables share one cone map
-            scope = PairScope()
-            action = {
-                k: scope.reduced_cone_map(space.action[k], red, red)
-                for k in self.monoid.elements
-            }
-            cspace = PSpace(
-                red[0],
-                self.monoid,
-                action,
-                label=("redcone", space.label),
-                check=False,
-            )
-            self._reduced_spaces[key] = (cspace, red, space)
-        return self._reduced_spaces[key]
-
-    def reduced_domain(self, t) -> tuple:
-        key = id(t)
-        if key not in self._reduced_domains:
-            self._reduced_domains[key] = reduced_cone(t)
-        return self._reduced_domains[key]
 
 
 @dataclass
@@ -435,34 +381,33 @@ def _invert_iso(e: SMorphism) -> SMorphism:
     return SMorphism(e.codomain, e.domain, maps, check=False)
 
 
-def cone_witness(
-    w: FiltrationWitness, registry: SpaceRegistry, scope=None
-) -> FiltrationWitness:
+def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
     """Transport a witness through the reduced-cone functor.
 
     Each part morphism is coned; the new wedge decomposition is the cone of
     the old one, straightened through the canonical isomorphism between the
     wedge of cones and the cone of the wedge.  Every reduced-cone map and
-    straightening comes from the scope.
+    straightening comes from the scope, every cone and wedge of objects
+    from the run's context.
     """
     scope = scope if scope is not None else PairScope()
     entries = []
     for c, b in w.entries:
-        red_parts = [registry.reduced_domain(p.domain) for p in b.parts]
+        red_parts = [ctx.reduced_domain(p.domain) for p in b.parts]
         new_domains = [r[0] for r in red_parts]
-        new_wedge, new_ins = registry.wedge(new_domains)
-        red_w = registry.reduced_domain(b.wedge_obj)
+        new_wedge, new_ins = ctx.wedge_of(new_domains)
+        red_w = ctx.reduced_domain(b.wedge_obj)
         coned = tuple(
             scope.reduced_cone_map(b.insertions[j], red_parts[j], red_w)
             for j in range(len(b.parts))
         )
         e_inv = scope.straightening(new_wedge, new_ins, coned, red_w)
-        red_t = registry.reduced_domain(b.f.domain)
+        red_t = ctx.reduced_domain(b.f.domain)
         cf = scope.reduced_cone_map(b.f, red_t, red_w)
         g = compose(e_inv, cf)
         parts = []
         for j, p in enumerate(b.parts):
-            cspace, red_z, _base = registry.reduced_space(p.space)
+            cspace, red_z = ctx.reduced_space(p.space)
             terms = [
                 IdealTerm(
                     t.pi,
@@ -472,7 +417,7 @@ def cone_witness(
                 for t in p.terms
             ]
             parts.append(BlockPart(p.level, terms, new_domains[j], cspace))
-        cspace0 = registry.reduced_space(b.space)[0]
+        cspace0 = ctx.reduced_space(b.space)[0]
         entries.append(
             (
                 c,
@@ -488,14 +433,12 @@ def cone_witness(
     return FiltrationWitness(w.level, entries)
 
 
-def wedge_witness(
-    witnesses, wedge_obj, insertions, registry: SpaceRegistry
-) -> FiltrationWitness:
+def wedge_witness(witnesses, wedge_obj, insertions, ctx) -> FiltrationWitness:
     """Witness for the combining product over a wedge of domains; ranks add.
 
     Expands the product of the input combinations, so each output block
     concatenates one block choice per slot; the wedges of the concatenated
-    part domains come from the registry.  The new decomposition reads, of
+    part domains come from the run's context.  The new decomposition reads, of
     each chosen block, only the table of f, the basepoint of its wedge and
     its part count, so within this call it is built and validated once per
     distinct (concatenated wedge, per-slot wedge, part count and f table).
@@ -512,7 +455,7 @@ def wedge_witness(
     entries = []
     for c, blocks in combos:
         flat_parts = [p for b in blocks for p in b.parts]
-        flat_wedge, flat_ins = registry.wedge([p.domain for p in flat_parts])
+        flat_wedge, flat_ins = ctx.wedge_of([p.domain for p in flat_parts])
         key = (id(flat_wedge),) + tuple(
             (id(b.wedge_obj), len(b.parts), b.f.table_key()) for b in blocks
         )

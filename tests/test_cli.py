@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from fissile import wedge
-from fissile.artifacts import ArtifactError, LabelResolver
+from fissile.artifacts import ArtifactError, resolve
 from fissile.canon import ckey_b64, jsonable, unjsonable
 from fissile.cli import main, parse_word
 from fissile.wedge import WedgeContext
@@ -151,16 +151,22 @@ def test_check_reports_structural_corruption(tmp_path):
     assert any(r["verdict"] == "fail" for r in lines)
 
 
-MALFORMED_LABELS = [{"kind": "W"}, ["WL", [{"x": 1}]], [], "W", ["WL"], ["redcone"], ["wedge", 3]]
+MALFORMED_LABELS = [
+    {"kind": "W"}, ["WL", [{"x": 1}]], [], "W", ["WL"], ["redcone"], ["wedge", 3],
+    ["redcone", "WL"],
+]
 
 
 @pytest.mark.parametrize("label", MALFORMED_LABELS, ids=json.dumps)
 def test_malformed_label_is_an_artifact_error(label):
-    resolver = LabelResolver(WedgeContext((1,), (1,)))
-    with pytest.raises(ArtifactError):
-        resolver.obj(label)
-    with pytest.raises(ArtifactError):
-        resolver.space(label)
+    ctx = WedgeContext((1,), (1,))
+    for lookup in (ctx.obj, ctx.labelled_space, ctx.labelled_wedge):
+        with pytest.raises(ArtifactError):
+            resolve(lookup, label)
+
+
+def test_malformed_label_is_an_artifact_error_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_malformed_label_is_an_artifact_error")
 
 
 def test_check_reports_unhashable_label(tmp_path):
@@ -233,13 +239,11 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
     pj = tmp_path / "pj"
     run_cli(["construct-pj", "--i", "1", "--e", "1", "--out", str(pj)])
     manifest = json.loads((pj / "manifest.json").read_text())
-    resolver = LabelResolver(
-        WedgeContext(manifest["i"], manifest["e"], bound=manifest["bound"])
-    )
+    ctx = WedgeContext(manifest["i"], manifest["e"], bound=manifest["bound"])
     data = json.loads((pj / "morphisms.json").read_text())
 
     def break_faces(rec):
-        cod = resolver.obj(rec["codomain"])
+        cod = ctx.obj(unjsonable(rec["codomain"]))
         for row in rec["table"]:
             n, v = row[0], unjsonable(row[2])
             for y in cod.level(n) if n else ():

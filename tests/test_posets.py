@@ -10,7 +10,6 @@ from fissile.posets import (
     IncompatibleSection,
     Section,
     check_restriction_square,
-    extender_is_transitive,
     lift_limit,
     nabla,
     nabla_inverse,
@@ -239,15 +238,6 @@ def test_extender_axioms_for_tuple_system():
         lhs = sys.restrict(top, p, sys.extend(top, q, s))
         rhs = sys.extend(p, meet, sys.restrict(q, meet, s))
         assert lhs == rhs
-
-
-def test_optional_transitivity_diagnostic():
-    sys = TupleSystem((1, 2))
-    samples = [
-        ((1, 2), (1,), (), singleton(())),
-        ((1, 2), (2,), (), singleton(())),
-    ]
-    assert extender_is_transitive(None, sys.extend, samples) in (True, False)
 
 
 def test_presheaf_and_extender_wrappers():

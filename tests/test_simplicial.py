@@ -81,6 +81,46 @@ def test_standard_simplex_identities_checked():
     nerve((1, 2, 3), lambda a, b: a <= b, 3)
 
 
+def tuple_simplex_tables(points, monotone, bound):
+    """The levels (in ckey order), face and degeneracy tables of the tuple
+    simplex over the points, written out directly: all tuples, or the
+    monotone ones; faces delete a slot and degeneracies repeat one."""
+    simplices, faces, degens = [], [], []
+    for m in range(bound + 1):
+        level = [
+            t
+            for t in product(points, repeat=m + 1)
+            if not monotone or all(t[i] <= t[i + 1] for i in range(m))
+        ]
+        simplices.append(sorted(level, key=ckey))
+        faces.append(
+            {t: tuple(t[:i] + t[i + 1 :] for i in range(m + 1)) for t in level}
+            if m
+            else {}
+        )
+        degens.append(
+            {t: tuple(t[: i + 1] + t[i:] for i in range(m + 1)) for t in level}
+            if m < bound
+            else {}
+        )
+    return simplices, faces, degens
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_standard_and_thick_simplices_are_nerves(n):
+    # both are built through nerve, which orders its elements by ckey; from
+    # 10 on that order differs from the numeric one
+    for bound in range(4):
+        for u, points, monotone, label in (
+            (standard_simplex(n, bound), range(n + 1), True, ("standard", n, bound)),
+            (thick_simplex(range(n), bound), range(n), False, ("thick", tuple(range(n)), bound)),
+        ):
+            simplices, faces, degens = tuple_simplex_tables(points, monotone, bound)
+            assert [list(level) for level in u.simplices] == simplices
+            assert u.faces == faces and u.degens == degens
+            assert u.label == label and u.basepoint is None
+
+
 def test_barycentric_point_and_edge():
     assert barycentric(full_complex((1,)), 2).size() == point(2).size()
     k = full_complex((1, 2))

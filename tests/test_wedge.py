@@ -10,7 +10,7 @@ import pytest
 from fissile import artifacts as artifacts_module
 from fissile import simplicial, witnesses
 from fissile import wedge as wedge_module
-from fissile.canon import ckey, jsonable
+from fissile.canon import ckey, jsonable, unjsonable
 from fissile.chained import subset_key, subsets_of
 from fissile.ensembles import Ensemble, augmentation, map_ensemble, singleton
 from fissile.layouts import LayoutLattice, layout_key
@@ -28,6 +28,7 @@ from fissile.witnesses import verify_witness
 from fissile.artifacts import (
     check_pair_artifacts,
     check_q_artifacts,
+    resolve,
     write_pair_artifacts,
     write_q_artifacts,
 )
@@ -388,24 +389,6 @@ def test_morphism_model_fissilizer(built_21):
         assert fissilize(lp, phi) == phi
 
 
-def test_retraction_extender_transitivity_diagnostic(ctx):
-    # the calculus never relies on this identity; record whether it holds
-    # for the retraction-induced extender on a small lattice
-    from fissile.posets import extender_is_transitive
-
-    lat = LayoutLattice((1,), bound=1)
-    samples = []
-    pool = enumerate_based_morphisms(ctx.cone_layout(()), ctx.full_space.obj)
-    for v in pool[:2]:
-        samples.append((lat.top, (), (), singleton(v)))
-
-    def extend(p, q, s):
-        return restrict_ensemble(s, ctx.retraction(p, q))
-
-    verdict = extender_is_transitive(None, extend, samples)
-    assert verdict in (True, False)
-
-
 def test_final_ensembles_restrict_multiplicatively(built_21):
     # spot-check the headline property on the assembled records
     res, _q = built_21
@@ -437,16 +420,92 @@ def patch_bindings(monkeypatch, original, replacement):
 
 def record_wedge_builds(monkeypatch):
     """Count calls of simplicial.wedge through every binding of it in the
-    package; each recorded (parts, label) keeps its parts alive."""
+    package; each recorded (parts, label of the built wedge) keeps its parts
+    alive."""
     original = simplicial.wedge
     calls = []
 
     def counting_wedge(parts, label=None):
-        calls.append((tuple(parts), label))
-        return original(parts, label=label)
+        out = original(parts, label=label)
+        calls.append((tuple(parts), out[0].label))
+        return out
 
     patch_bindings(monkeypatch, original, counting_wedge)
     return calls
+
+
+def stored_labels(data):
+    """The JSON text of every object, wedge and space label in an artifact."""
+    if isinstance(data, dict):
+        for key, val in data.items():
+            if key in ("domain", "codomain", "wedge", "space"):
+                yield json.dumps(val)
+            else:
+                yield from stored_labels(val)
+    elif isinstance(data, list):
+        for val in data:
+            yield from stored_labels(val)
+
+
+def test_stored_labels_name_the_builders_objects(tmp_path, built_21):
+    # the checker's label factory is the builder's context: there each
+    # stored label resolves to the very object that carries it
+    res, qrec = built_21
+    ctx = res.ctx
+    write_pair_artifacts(res, tmp_path / "pj")
+    write_q_artifacts(res, qrec, tmp_path / "q")
+    ensembles = [rec.ensemble for rec in res.pairs.values()] + [qrec.ensemble]
+    witnesses = [rec.alt_witness for rec in res.pairs.values()]
+    witnesses += [*qrec.layout_witnesses.values(), qrec.boundary_witness]
+    morphs = [m for s in ensembles for m in s.terms]
+    objs, spaces = [], []
+    for w in witnesses:
+        for _c, b in w.entries:
+            wobj, ins = ctx.labelled_wedge(unjsonable(jsonable(b.wedge_obj.label)))
+            assert wobj is b.wedge_obj and ins is b.insertions
+            objs.append(b.wedge_obj)
+            spaces.append(b.space)
+            morphs.append(b.f)
+            for p in b.parts:
+                objs.append(p.domain)
+                spaces.append(p.space)
+                morphs.extend(t.morphism for t in p.terms)
+    objs += [x for m in morphs for x in (m.domain, m.codomain)]
+    for x in objs:
+        assert ctx.obj(unjsonable(jsonable(x.label))) is x
+    for sp in spaces:
+        assert ctx.labelled_space(unjsonable(jsonable(sp.label))) is sp
+    named = {json.dumps(jsonable(x.label)) for x in objs + spaces}
+    stored = set()
+    for path in tmp_path.glob("*/*.json"):
+        if path.name != "manifest.json":
+            stored.update(stored_labels(json.loads(path.read_text())))
+    assert stored and stored <= named
+
+
+def test_wedge_label_resolves_once():
+    ctx = WedgeContext((1, 2), (1, 2))
+    labels = [
+        ("wedgept",),
+        ("wedge1", ("plusbase", (2,))),
+        ("wedge", (("redcone", ("plusbase", (1,))), ("point",))),
+        ("wedgecones", ((1,), (2,))),
+    ]
+    for label in labels:
+        wobj, ins = ctx.labelled_wedge(label)
+        again = ctx.labelled_wedge(label)
+        assert again[0] is wobj and again[1] is ins
+        assert ctx.obj(label) is wobj and wobj.label == label
+
+
+def test_label_in_other_order_resolves_to_the_normal_form():
+    ctx = WedgeContext((1, 2), (1, 2, 3))
+    normal = ctx.obj(("conelayout", ((1, 2), (3,))))
+    assert normal is ctx.cone_layout([(3,), (2, 1)])
+    assert ctx.obj(("conelayout", ((3,), (2, 1)))) is normal
+    assert resolve(ctx.obj, ["conelayout", [[3], [2, 1]]]) is normal
+    assert normal.label == ("conelayout", ((1, 2), (3,)))
+    assert ctx.labelled_space(("WL", (2, 1))) is ctx.space((1, 2))
 
 
 def test_checker_builds_each_wedge_label_once(tmp_path, monkeypatch, built_21):
@@ -482,9 +541,9 @@ def test_wedge_witness_validates_each_decomposition_once(monkeypatch):
     original, validate = witnesses.wedge_witness, SMorphism._validate
     open_calls, finished = [], []
 
-    def recording(ws, wedge_obj, insertions, registry):
+    def recording(ws, wedge_obj, insertions, ctx):
         open_calls.append((wedge_obj, []))
-        out = original(ws, wedge_obj, insertions, registry)
+        out = original(ws, wedge_obj, insertions, ctx)
         finished.append((open_calls.pop()[1], out))
         return out
 

@@ -311,9 +311,9 @@ def test_cone_witness_pipeline(ctx):
     for _ in range(15):
         w = random_witness(rng, ctx, t, space)
         v = w.value()
-        wc = cone_witness(w, ctx.registry)
-        red_t = ctx.registry.reduced_domain(t)
-        red_space = ctx.registry.reduced_space(space)
+        wc = cone_witness(w, ctx)
+        red_t = ctx.reduced_domain(t)
+        red_space = ctx.reduced_space(space)
         expected = map_ensemble(
             lambda m: reduced_cone_map(m, red_t, red_space[1]), v
         )
@@ -328,7 +328,7 @@ def test_wedge_witness_pipeline(ctx):
         w1 = random_witness(rng, ctx, t, space)
         w2 = random_witness(rng, ctx, t, space)
         wobj, ins = wedge([t, t])
-        ww = wedge_witness([w1, w2], wobj, ins, ctx.registry)
+        ww = wedge_witness([w1, w2], wobj, ins, ctx)
         assert ww.level == w1.level + w2.level
         expected = combine_over_wedge(wobj, ins, [w1.value(), w2.value()])
         assert verify_witness(expected, ww, ww.level, ctx.monoid)
@@ -345,9 +345,9 @@ def test_transform_chain_preserves_validity(ctx):
         h = space.action[k]
         step1 = map_witness(w, h, space, space)
         v1 = map_ensemble(lambda m: compose(h, m), v)
-        step2 = cone_witness(step1, ctx.registry)
-        red_t = ctx.registry.reduced_domain(t)
-        red_space = ctx.registry.reduced_space(space)
+        step2 = cone_witness(step1, ctx)
+        red_t = ctx.reduced_domain(t)
+        red_space = ctx.reduced_space(space)
         v2 = map_ensemble(lambda m: reduced_cone_map(m, red_t, red_space[1]), v1)
         assert verify_witness(v2, step2, w.level, ctx.monoid)
 
