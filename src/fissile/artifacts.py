@@ -14,7 +14,7 @@ builder and checker cannot drift apart.
 import json
 import os
 
-from .canon import ckey_b64, jsonable, jsonable_b64, unjsonable
+from .canon import ckey_b64, jsonable, unjsonable
 from .chained import IdealCertificate, subset_key
 from .ensembles import Ensemble
 from .layouts import layout_key
@@ -80,19 +80,19 @@ class MorphismStore:
         self._refs = {}
 
     def ref(self, m: SMorphism) -> str:
-        """The id of m's record: the ``ckey_b64`` of m, encoded once from
-        the rows the record stores, and once per object referenced here
-        (the entry keeps the object alive, so its id is not reused)."""
+        """The id of m's record: the ``ckey_b64`` of m, encoded once per
+        object referenced here (the entry keeps the object alive, so its id
+        is not reused).  The record stores m's table key as it is: the
+        writer prints its tuples as lists, the rows its id encodes."""
         hit = self._refs.get(id(m))
         if hit is not None:
             return hit[1]
-        rows = [[n, jsonable(x), jsonable(v)] for (n, x, v) in m.table_key()]
-        mid = jsonable_b64(["morphism", rows])
+        mid = ckey_b64(m)
         if mid not in self.records:
             self.records[mid] = {
                 "domain": jsonable(m.domain.label),
                 "codomain": jsonable(m.codomain.label),
-                "table": rows,
+                "table": m.table_key(),
             }
         self._refs[id(m)] = (m, mid)
         return mid

@@ -101,7 +101,10 @@ def nested_commutator(t, words):
         return commutator(u, v), end
 
     out, end = rec(t, 0)
-    assert end == len(words)
+    if end != len(words):
+        raise ValueError(
+            f"nested commutator arity: the tree took {end} of {len(words)} words"
+        )
     return out
 
 
@@ -196,5 +199,6 @@ def lcs_degree(word, degree):
     if not word:
         return None
     series = magnus(word, degree)
-    assert series.constant_term() == 1
+    if series.constant_term() != 1:
+        raise ValueError("Magnus constant term: the expansion does not start at 1")
     return series.min_positive_degree()

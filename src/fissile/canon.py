@@ -1,10 +1,22 @@
 """Canonical encodings shared by every universe in the package.
 
-Elements of the free abelian groups handled here are opaque values: ints,
-strings, None, nested tuples of those, or objects exposing a
-``canonical_payload()`` method.  Two elements are equal exactly when their
-canonical byte keys are equal, which is what makes dict-backed formal sums
-safe.
+Elements of the free abelian groups handled here are opaque values: ints
+(bools among them), strings, None, nested tuples and lists of those,
+frozensets of those, or objects exposing a ``canonical_payload()`` method.
+Two elements are equal exactly when their canonical byte keys are equal,
+which is what makes dict-backed formal sums safe.
+
+Every key comes from one prebuilt compact ``json.JSONEncoder``, whose
+``encode`` runs the C encoder.  That encoder writes ints, bools, None and
+ASCII-escaped strings itself, and tuples as lists; its ``default`` hook
+turns a frozenset into its :func:`jsonable` member list, a
+``canonical_payload()`` object into its payload, and refuses anything else
+with a TypeError.  So each key is the text of exactly the structure
+:func:`jsonable` builds, with the same separators, and has the bytes of
+``json.dumps(jsonable(x), sort_keys=True, separators=(",", ":"))``: the
+sort acts on dicts only, and no canonical value holds one.  Floats and
+dicts, which no canonical value holds either, are written as they come
+rather than refused.
 """
 
 import base64
@@ -32,20 +44,25 @@ def unjsonable(x):
     return x
 
 
-def _encode(j) -> bytes:
-    return json.dumps(j, sort_keys=True, separators=(",", ":")).encode()
+def _payload(x):
+    """The value the encoder writes for x, which it cannot write itself."""
+    if isinstance(x, frozenset):
+        return jsonable(x)
+    payload = getattr(x, "canonical_payload", None)
+    if payload is None:
+        raise TypeError(f"no canonical encoding for {type(x)!r}")
+    return payload()
+
+
+_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), check_circular=False, default=_payload
+)
 
 
 def ckey(x) -> bytes:
     """Deterministic byte key of a canonical value."""
-    return _encode(jsonable(x))
+    return _ENCODER.encode(x).encode()
 
 
 def ckey_b64(x) -> str:
     return base64.b64encode(ckey(x)).decode("ascii")
-
-
-def jsonable_b64(j) -> str:
-    """``ckey_b64`` of the value whose :func:`jsonable` form is j."""
-    return base64.b64encode(_encode(j)).decode("ascii")
-

@@ -109,7 +109,8 @@ def ideal_membership(monoid: SubsetMonoid, pi: Ensemble, level: int):
         if c
     )
     cert = IdealCertificate(level=level, combination=combo)
-    assert cert.check(monoid, pi)
+    if not cert.check(monoid, pi):
+        raise ValueError("ideal membership: the certificate fails its own check")
     return cert
 
 

@@ -247,5 +247,6 @@ def subgroup_membership(v: Ensemble, gens: SubgroupGenerators) -> Membership:
     check = Ensemble.zero()
     for c, g in zip(combo, gens.generators):
         check = check + c * g
-    assert check == v, "certificate failed re-evaluation"
+    if check != v:
+        raise ValueError("subgroup membership: the combination fails re-evaluation")
     return Membership(True, tuple(combo), "certified combination")

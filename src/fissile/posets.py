@@ -7,7 +7,7 @@ by back-substitution, uniformly for every finite poset.
 """
 
 from .canon import ckey
-from .ensembles import Ensemble, map_ensemble
+from .ensembles import Ensemble
 
 
 class FinitePoset:
@@ -81,36 +81,6 @@ class FinitePoset:
                     ):
                         covers.append([q, p])
         return {"elements": list(self.elements), "covers": covers}
-
-
-class AbPresheaf:
-    """Ensemble groups indexed by a poset, with contravariant restrictions.
-
-    ``element_map(p, q, x)`` restricts a single universe element; the group
-    homomorphism is its linear extension.
-    """
-
-    def __init__(self, poset: FinitePoset, element_map):
-        self.poset = poset
-        self.element_map = element_map
-
-    def restrict(self, p, q, s: Ensemble) -> Ensemble:
-        if not self.poset.leq(q, p):
-            raise ValueError("restriction requires p >= q")
-        return map_ensemble(lambda x: self.element_map(p, q, x), s)
-
-
-class Extender:
-    """Section-extension maps lam(p, q, x) for p >= q, lifted linearly."""
-
-    def __init__(self, presheaf: AbPresheaf, element_map):
-        self.presheaf = presheaf
-        self.element_map = element_map
-
-    def extend(self, p, q, s: Ensemble) -> Ensemble:
-        if not self.presheaf.poset.leq(q, p):
-            raise ValueError("extension requires p >= q")
-        return map_ensemble(lambda x: self.element_map(p, q, x), s)
 
 
 class Section(dict):

@@ -951,42 +951,6 @@ class ContractionTower:
         return sigma
 
 
-def count_retractions_with_apex_image(cca, ca, base_incl, apex_image, cap=8):
-    """Diagnostic search: how many retractions of the 0-cone send the apex to
-    the prescribed vertex.  Exhaustive, so keep the bound tiny."""
-    found = []
-    start = [{} for _ in range(cca.bound + 1)]
-    for n, row in enumerate(base_incl.maps):
-        for x, y in row.items():
-            start[n][y] = x
-    start[0][cca.basepoint] = apex_image
-    slots = [
-        (n, x)
-        for n in range(cca.bound + 1)
-        for x in cca.nondegenerate(n)
-        if x not in start[n]
-    ]
-
-    def rec(idx, maps):
-        if len(found) >= cap:
-            return
-        if idx == len(slots):
-            try:
-                found.append(SMorphism(cca, ca, maps))
-            except SimplicialError:
-                pass
-            return
-        n, x = slots[idx]
-        for val in ca.simplices[n]:
-            if _faces_agree(cca, ca, maps, n, x, val):
-                maps[n][x] = val
-                rec(idx + 1, maps)
-        maps[n].pop(x, None)
-
-    rec(0, start)
-    return found
-
-
 def _faces_agree(t, z, maps, n, x, val):
     """Whether sending x to val commutes with faces, given the rows of every
     nondegenerate simplex below dimension n."""

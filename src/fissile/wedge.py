@@ -121,7 +121,8 @@ class WedgeContext:
     - ``("plusbase", f)``: the based subdivision of the face f in its cone;
     - ``("point",)``: the one-vertex domain of constant witnesses;
     - ``("W", I)``, ``("WL", l)``, ``("Wx", I)``: the wedge of all
-      components, of those at subsets of l, of those at proper subsets;
+      components, of those at subsets of l, of those at proper subsets,
+      where I is the context's index set and l a subset of it;
     - ``("redcone", x)``: the reduced cone of the object labelled x, or of
       the object of the space labelled x when x is of a space kind;
     - the wedges ``("wedgept",)`` of the point, ``("wedge1", x)`` of the
@@ -167,11 +168,11 @@ class WedgeContext:
                 return self.plus_base_of(f)
             case ("point",):
                 return self.point_obj()
-            case ("W", *_):
+            case ("W", i_key) if self._is_index_set(i_key):
                 return self.w_obj
-            case ("WL", l_key):
+            case ("WL", l_key) if self._within_index_set(l_key):
                 return self.sub_obj(l_key)
-            case ("Wx", *_):
+            case ("Wx", i_key) if self._is_index_set(i_key):
                 return self.proper_space().obj
             case ("redcone", ("WL" | "Wx" | "W", *_) as inner):
                 return self.reduced_space(self.labelled_space(inner))[1][0]
@@ -198,15 +199,23 @@ class WedgeContext:
     def labelled_space(self, label) -> PSpace:
         """The space that carries this label (see the class docstring)."""
         match label:
-            case ("WL", l_key):
+            case ("WL", l_key) if self._within_index_set(l_key):
                 return self.space(l_key)
-            case ("W", *_):
+            case ("W", i_key) if self._is_index_set(i_key):
                 return self.full_space
-            case ("Wx", *_):
+            case ("Wx", i_key) if self._is_index_set(i_key):
                 return self.proper_space()
             case ("redcone", inner):
                 return self.reduced_space(self.labelled_space(inner))[0]
         raise TypeError(f"{label!r} names no space")
+
+    def _is_index_set(self, i_key):
+        """Whether a label's subset is this context's index set."""
+        return subset_key(i_key) == self.i_set
+
+    def _within_index_set(self, l_key):
+        """Whether a label's subset lies within this context's index set."""
+        return set(subset_key(l_key)) <= set(self.i_set)
 
     # -- wedges and reduced cones of given objects -------------------------
 
@@ -539,11 +548,23 @@ def combine_witnesses_over_layout(ctx, b, witnesses, space) -> FiltrationWitness
 
 
 def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
-    """Merge the entries whose blocks have equal keys, in first-occurrence
-    order, and drop the ones whose coefficients cancel."""
+    """Merge the entries whose blocks have equal structural keys (the table
+    of f, then the key of each part), in first-occurrence order, and drop
+    the ones whose coefficients cancel.  The blocks ``wedge_witness``
+    expands share their part objects, so a part stands in a block's key by
+    the index of its part key, which is hashed once per part object (w
+    holds every part, so no id is reused during the call)."""
+    index = {}
+    of_part = {}
     merged = {}
     for c, b in w.entries:
-        key = b.key()
+        parts = []
+        for p in b.parts:
+            i = of_part.get(id(p))
+            if i is None:
+                i = of_part[id(p)] = index.setdefault(p.key(), len(index))
+            parts.append(i)
+        key = (b.f, tuple(parts))
         if key in merged:
             merged[key][0] += c
         else:

@@ -83,6 +83,28 @@ class BlockPart:
     terms: list
     domain: object  # based simplicial set, the wedge summand
     space: PSpace
+    _key: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def key(self):
+        """The structural key of the part: its level and its sorted (pi
+        items, certificate level, certificate combination, morphism table)
+        terms, built once, as a part is not changed once made."""
+        if self._key is None:
+            self._key = (
+                self.level,
+                tuple(
+                    sorted(
+                        (
+                            tuple(sorted(t.pi.terms.items())),
+                            t.certificate.level,
+                            t.certificate.combination,
+                            t.morphism.table_key(),
+                        )
+                        for t in self.terms
+                    )
+                ),
+            )
+        return self._key
 
     def value(self, scope=None) -> Ensemble:
         scope = scope if scope is not None else PairScope()
@@ -110,29 +132,6 @@ class Block:
 
     def rank(self):
         return sum(p.level for p in self.parts)
-
-    def key(self):
-        """The structural key of the block: the table of f, then per part
-        its level and its sorted (pi items, certificate level, certificate
-        combination, morphism table) terms.  Witness compaction merges the
-        blocks with equal keys."""
-        return (self.f.table_key(),) + tuple(
-            (
-                p.level,
-                tuple(
-                    sorted(
-                        (
-                            tuple(sorted(t.pi.terms.items())),
-                            t.certificate.level,
-                            t.certificate.combination,
-                            t.morphism.table_key(),
-                        )
-                        for t in p.terms
-                    )
-                ),
-            )
-            for p in self.parts
-        )
 
     def value(self, scope=None) -> Ensemble:
         return evaluate_blocks([(1, self)], scope)
@@ -260,17 +259,6 @@ class WitnessReport:
 
     def __bool__(self):
         return self.ok
-
-
-def make_block(monoid, f, wedge_obj, insertions, parts, space):
-    """Evaluate a block after checking every part certificate at its rank."""
-    block = Block(
-        f=f, wedge_obj=wedge_obj, insertions=insertions, parts=parts, space=space
-    )
-    for p in parts:
-        if not p.check_certificates(monoid):
-            raise ValueError("ideal decomposition fails verification")
-    return block.value(), block
 
 
 def verify_witness(

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from fissile import brunnian
 from fissile.brunnian import (
     MagnusSeries,
     commutator,
@@ -133,6 +134,26 @@ def test_nested_commutator_shapes():
 def test_nested_commutator_arity_mismatch():
     with pytest.raises(ValueError):
         nested_commutator(("*", "*"), [generator(1)])
+
+
+def test_nested_commutator_arity_check_raises(monkeypatch):
+    # a leaf count that lies past the first check leaves words unconsumed
+    monkeypatch.setattr(brunnian, "nesting_weight", lambda t: 3)
+    with pytest.raises(ValueError, match="nested commutator arity"):
+        nested_commutator("*", [generator(i) for i in (1, 2, 3)])
+
+
+def test_magnus_constant_term_check_raises(monkeypatch):
+    monkeypatch.setattr(MagnusSeries, "constant_term", lambda self: 0)
+    with pytest.raises(ValueError, match="Magnus constant term"):
+        lcs_degree(generator(1), 2)
+
+
+def test_arity_and_constant_term_checks_raise_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_nested_commutator_arity_check_raises",
+        f"{__file__}::test_magnus_constant_term_check_raises",
+    )
 
 
 def test_nested_commutators_of_distinct_generators_brunnian():

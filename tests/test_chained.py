@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from fissile.chained import (
     IdealCertificate,
     SubsetMonoid,
@@ -133,3 +135,14 @@ def test_certificate_rejects_wrong_level():
     m = SubsetMonoid((1, 2))
     cert = IdealCertificate(level=2, combination=(((), (1,), 1),))
     assert not cert.check(m, ring_product(m, singleton(()), omega((1,))))
+
+
+def test_ideal_membership_certificate_check_raises(monkeypatch):
+    m = SubsetMonoid((1, 2))
+    monkeypatch.setattr(IdealCertificate, "check", lambda self, monoid, pi: False)
+    with pytest.raises(ValueError, match="ideal membership"):
+        ideal_membership(m, omega((1,)), 1)
+
+
+def test_ideal_membership_certificate_check_raises_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_ideal_membership_certificate_check_raises")

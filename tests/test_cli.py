@@ -169,6 +169,48 @@ def test_malformed_label_is_an_artifact_error_under_optimize(run_optimized):
     run_optimized(f"{__file__}::test_malformed_label_is_an_artifact_error")
 
 
+@pytest.mark.parametrize("label", [("W", (7, 8)), ("Wx", (7, 8)), ("WL", (1, 5))])
+def test_label_of_another_index_set_is_rejected(label):
+    ctx = WedgeContext((1, 2), (1,))
+    for lookup in (ctx.obj, ctx.labelled_space):
+        with pytest.raises(TypeError):
+            lookup(label)
+        with pytest.raises(ArtifactError):
+            resolve(lookup, label)
+    # the context's own index set and its subsets resolve in any order
+    assert ctx.obj(("W", (2, 1))) is ctx.w_obj
+    assert ctx.labelled_space(("Wx", (2, 1))) is ctx.proper_space()
+    assert ctx.labelled_space(("WL", (2,))) is ctx.space((2,))
+
+
+def _relabel_block_spaces(node, label):
+    """Rewrite the space label of every witness block under node."""
+    if isinstance(node, dict):
+        if "parts" in node and "space" in node:
+            node["space"] = label
+        for child in node.values():
+            _relabel_block_spaces(child, label)
+    elif isinstance(node, list):
+        for child in node:
+            _relabel_block_spaces(child, label)
+
+
+@pytest.mark.parametrize("kind", ["pj", "q"])
+def test_check_rejects_block_space_of_another_index_set(tmp_path, kind):
+    out = tmp_path / kind
+    run_cli([f"construct-{kind}", "--i", "2", "--e", "1", "--out", str(out)])
+    files = [out / "q.json"] if kind == "q" else sorted(out.glob("pair_*.json"))
+    for path in files:
+        data = json.loads(path.read_text())
+        _relabel_block_spaces(data, ["W", [1]])
+        path.write_text(json.dumps(data))
+    rc, out_text, _err = run_cli([f"check-{kind}", "--in", str(out)])
+    assert rc == 1
+    lines = [json.loads(line) for line in out_text.strip().splitlines()]
+    assert len(lines) == 1 and lines[0]["verdict"] == "fail"
+    assert "names no space" in lines[0]["case"]["check"]
+
+
 def test_check_reports_unhashable_label(tmp_path):
     pj = tmp_path / "pj"
     run_cli(["construct-pj", "--i", "1", "--e", "1", "--out", str(pj)])

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from fissile import ensembles
 from fissile.ensembles import (
     Ensemble,
     SubgroupGenerators,
@@ -211,3 +212,20 @@ def test_serialization_sorted_and_deterministic():
     j = s.to_json()
     assert [entry["coeff"] for entry in j] == ["-1", "2"]
     assert s.to_json() == j
+
+
+def test_subgroup_membership_reevaluation_raises(monkeypatch):
+    # a row transform that doubles every combination
+    row_echelon = ensembles._row_echelon
+
+    def doubled(rows):
+        h, u = row_echelon(rows)
+        return h, [[2 * v for v in row] for row in u]
+
+    monkeypatch.setattr(ensembles, "_row_echelon", doubled)
+    with pytest.raises(ValueError, match="subgroup membership"):
+        subgroup_membership(singleton("a"), SubgroupGenerators([singleton("a")]))
+
+
+def test_subgroup_membership_reevaluation_raises_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_subgroup_membership_reevaluation_raises")

