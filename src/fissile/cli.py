@@ -134,7 +134,8 @@ def cmd_construct(args):
             report["artifacts"] = [args.out]
     except GuardExceeded:
         report["verdict"] = "skipped-guard"
-    except VerificationError as exc:
+    except (VerificationError, OSError) as exc:
+        # an unwritable --out raises an OSError whose message names the path
         report["verdict"] = "fail"
         report["error"] = str(exc)
     report["ms"] = int((time.monotonic() - t0) * 1000)
@@ -163,21 +164,25 @@ def cmd_check(args):
     return 1 if _summary(reports) else 0
 
 
+def _one_report(suite, case, t0, **fields):
+    """Emit the single passing report line of a word command."""
+    report = {"suite": suite, "case": case, **fields, "verdict": "pass"}
+    report["ms"] = int((time.monotonic() - t0) * 1000)
+    _emit(report)
+    _summary([report])
+    return 0
+
+
 def cmd_check_brunnian(args):
     t0 = time.monotonic()
     word = parse_word(args.word, args.alphabet)
     alphabet = tuple(range(1, args.alphabet + 1))
-    verdict_value = is_brunnian(word, alphabet)
-    report = {
-        "suite": "check-brunnian",
-        "case": {"word": args.word, "alphabet": args.alphabet},
-        "brunnian": verdict_value,
-        "verdict": "pass",
-        "ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report)
-    _summary([report])
-    return 0
+    return _one_report(
+        "check-brunnian",
+        {"word": args.word, "alphabet": args.alphabet},
+        t0,
+        brunnian=is_brunnian(word, alphabet),
+    )
 
 
 def cmd_magnus(args):
@@ -188,33 +193,22 @@ def cmd_magnus(args):
         {"monomial": list(mon), "coeff": c}
         for mon, c in sorted(series.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
     ]
-    report = {
-        "suite": "magnus",
-        "case": {"word": args.word, "degree": args.degree},
-        "terms": terms,
-        "verdict": "pass",
-        "ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report)
-    _summary([report])
-    return 0
+    return _one_report(
+        "magnus", {"word": args.word, "degree": args.degree}, t0, terms=terms
+    )
 
 
 def cmd_lcs(args):
     t0 = time.monotonic()
     word = parse_word(args.word)
     depth = lcs_degree(word, args.max_degree)
-    report = {
-        "suite": "lcs",
-        "case": {"word": args.word, "max_degree": args.max_degree},
-        "depth": depth,
-        "at_least": args.max_degree + 1 if depth is None and word else None,
-        "verdict": "pass",
-        "ms": int((time.monotonic() - t0) * 1000),
-    }
-    _emit(report)
-    _summary([report])
-    return 0
+    return _one_report(
+        "lcs",
+        {"word": args.word, "max_degree": args.max_degree},
+        t0,
+        depth=depth,
+        at_least=args.max_degree + 1 if depth is None and word else None,
+    )
 
 
 def build_parser():

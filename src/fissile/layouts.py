@@ -102,14 +102,8 @@ class LayoutLattice:
     def geq(self, a, b):
         return layout_geq(a, b)
 
-    def meet(self, a, b):
-        return layout_meet(a, b)
-
     def poset(self):
         return FinitePoset(self.layouts, lambda b, a: layout_geq(a, b))
-
-    def proper(self):
-        return [a for a in self.layouts if a != self.top]
 
     def to_json(self):
         return [list(map(list, a)) for a in self.layouts]

@@ -15,6 +15,10 @@ apex-at-0 cone the apex slots are the 0s; for the apex-at-1 cone they are
 the 1s.  Quotients keep survivor keys and collapse the removed subset to a
 '*' key per dimension; the quotient of anything by the empty subset adds a
 disjoint basepoint.
+
+Only :func:`assemble` (a set from its face and degeneracy rules) and
+:func:`tabulate` (a morphism from its value rule) know these table formats;
+the only other builders derive one table from another.
 """
 
 from itertools import combinations, product, repeat
@@ -27,6 +31,17 @@ BASE = "*"
 class SimplicialError(Exception):
     """A simplicial set or morphism table fails one of its structural
     checks; the message names the check and the object."""
+
+
+def assemble(
+    bound, levels, face_row, degen_row, basepoint=None, label=None, check=True
+):
+    """The simplicial set with these simplex levels, whose x of dimension n
+    has the faces ``face_row(n, x)`` for n >= 1 and the degeneracies
+    ``degen_row(n, x)`` for n < bound, each a tuple of n + 1 simplices."""
+    faces = [{}] + [{x: face_row(n, x) for x in levels[n]} for n in range(1, bound + 1)]
+    degens = [{x: degen_row(n, x) for x in levels[n]} for n in range(bound)] + [{}]
+    return FiniteSimplicialSet(bound, levels, faces, degens, basepoint, label, check)
 
 
 class FiniteSimplicialSet:
@@ -114,12 +129,15 @@ class FiniteSimplicialSet:
     def is_based(self):
         return self.basepoint is not None
 
-    def basepoint_at(self, n):
-        """The n-fold degenerate basepoint."""
-        x = self.basepoint
+    def degenerate_vertex(self, x, n):
+        """s_0 ... s_0 x: the vertex x degenerated up to dimension n."""
         for m in range(n):
             x = self.degens[m][x][0]
         return x
+
+    def basepoint_at(self, n):
+        """The n-fold degenerate basepoint."""
+        return self.degenerate_vertex(self.basepoint, n)
 
     def basepoint_levels(self):
         return tuple(self.basepoint_at(n) for n in range(self.bound + 1))
@@ -344,14 +362,19 @@ def compose(g: SMorphism, f: SMorphism) -> SMorphism:
     return SMorphism(f.domain, g.codomain, maps, check=False)
 
 
+def tabulate(domain, codomain, value) -> SMorphism:
+    """The validated morphism whose row at each nondegenerate simplex x of
+    dimension n of the domain is ``value(n, x)``."""
+    rows = [
+        {x: value(n, x) for x in domain.nondegenerate(n)}
+        for n in range(domain.bound + 1)
+    ]
+    return SMorphism(domain, codomain, rows)
+
+
 def constant_morphism(t, z, vertex) -> SMorphism:
-    maps = []
-    x = vertex
-    for n in range(t.bound + 1):
-        maps.append({s: x for s in t.nondegenerate(n)})
-        if n < t.bound:
-            x = z.degen(n, 0, x)
-    return SMorphism(t, z, maps)
+    xs = [z.degenerate_vertex(vertex, n) for n in range(t.bound + 1)]
+    return tabulate(t, z, lambda n, x: xs[n])
 
 
 # -- basic constructions --------------------------------------------------
@@ -378,26 +401,21 @@ def thick_simplex(letters, bound):
 def nerve(elements, leq, bound, label=None):
     """Nerve of a finite preorder: monotone chains with repetition."""
     elements = tuple(sorted(elements, key=ckey))
-    simplices, faces, degens = [], [], []
-    for m in range(bound + 1):
-        level = [
+    levels = [
+        [
             c
             for c in product(elements, repeat=m + 1)
             if all(leq(c[i], c[i + 1]) for i in range(m))
         ]
-        simplices.append(level)
-        faces.append(
-            {c: tuple(c[:i] + c[i + 1 :] for i in range(m + 1)) for c in level}
-            if m
-            else {}
-        )
-        if m < bound:
-            degens.append(
-                {c: tuple(c[: i + 1] + c[i:] for i in range(m + 1)) for c in level}
-            )
-        else:
-            degens.append({})
-    return FiniteSimplicialSet(bound, simplices, faces, degens, label=label)
+        for m in range(bound + 1)
+    ]
+    return assemble(
+        bound,
+        levels,
+        lambda m, c: tuple(c[:i] + c[i + 1 :] for i in range(m + 1)),
+        lambda m, c: tuple(c[: i + 1] + c[i:] for i in range(m + 1)),
+        label=label,
+    )
 
 
 # -- abstract complexes and barycentric subdivision ------------------------
@@ -428,7 +446,7 @@ def full_complex(vertices):
 
 def layout_complex(layout):
     """Disjoint faces: one full simplex per block of the layout."""
-    return AbstractComplex(list(layout)) if layout else AbstractComplex([])
+    return AbstractComplex(layout)
 
 
 def barycentric(k: AbstractComplex, bound):
@@ -457,125 +475,100 @@ def cone(u: FiniteSimplicialSet, s: int, check=True) -> FiniteSimplicialSet:
     """
     if s not in (0, 1):
         raise ValueError("cone side must be 0 or 1")
-    bound = u.bound
-    simplices, faces, degens = [], [], []
-    for m in range(bound + 1):
-        level = []
+    levels = [[] for _ in range(u.bound + 1)]
+    for m, level in enumerate(levels):
         for t in product((0, 1), repeat=m + 1):
             if any(t[i] > t[i + 1] for i in range(m)):
                 continue
             base = _cone_slots(t, s)
-            if base:
-                level.extend((t, y) for y in u.simplices[len(base) - 1])
+            ys = u.simplices[len(base) - 1] if base else (None,)
+            level.extend((t, y) for y in ys)
+
+    def face_row(m, x):
+        t, y = x
+        base = _cone_slots(t, s)
+        row = []
+        for i in range(m + 1):
+            t2 = t[:i] + t[i + 1 :]
+            if i not in base:
+                row.append((t2, y))
+            elif len(base) == 1:
+                row.append((t2, None))
             else:
-                level.append((t, None))
-        simplices.append(level)
-        fc = {}
-        if m:
-            for t, y in level:
-                base = _cone_slots(t, s)
-                row = []
-                for i in range(m + 1):
-                    t2 = t[:i] + t[i + 1 :]
-                    if i in base:
-                        j = base.index(i)
-                        if len(base) == 1:
-                            row.append((t2, None))
-                        else:
-                            row.append((t2, u.face(len(base) - 1, j, y)))
-                    else:
-                        row.append((t2, y))
-                fc[(t, y)] = tuple(row)
-        faces.append(fc)
-        dg = {}
-        if m < bound:
-            for t, y in level:
-                base = _cone_slots(t, s)
-                row = []
-                for i in range(m + 1):
-                    t2 = t[: i + 1] + t[i:]
-                    if i in base:
-                        j = base.index(i)
-                        row.append((t2, u.degen(len(base) - 1, j, y)))
-                    else:
-                        row.append((t2, y))
-                dg[(t, y)] = tuple(row)
-        degens.append(dg)
-    out = FiniteSimplicialSet(
-        bound,
-        simplices,
-        faces,
-        degens,
+                row.append((t2, u.face(len(base) - 1, base.index(i), y)))
+        return tuple(row)
+
+    def degen_row(m, x):
+        t, y = x
+        base = _cone_slots(t, s)
+        return tuple(
+            (t[: i + 1] + t[i:], u.degen(len(base) - 1, base.index(i), y))
+            if i in base
+            else (t[: i + 1] + t[i:], y)
+            for i in range(m + 1)
+        )
+
+    return assemble(
+        u.bound,
+        levels,
+        face_row,
+        degen_row,
         basepoint=((s,), None),
         label=("cone", s, u.label),
         check=check,
     )
-    return out
 
 
 def base_embedding(u, c, s) -> SMorphism:
     """The inclusion of u as the base of its cone."""
-    maps = []
-    for n in range(u.bound + 1):
-        t = ((1 - s),) * (n + 1)
-        maps.append({x: (t, x) for x in u.nondegenerate(n)})
-    return SMorphism(u, c, maps)
+    return tabulate(u, c, lambda n, x: ((1 - s,) * (n + 1), x))
 
 
 def cone_projection(c, s) -> SMorphism:
     """Projection of the cone to the interval; cone labels are its simplices."""
-    interval = standard_simplex(1, c.bound)
-    maps = []
-    for n in range(c.bound + 1):
-        maps.append({(t, y): t for (t, y) in c.nondegenerate(n)})
-    return SMorphism(c, interval, maps)
+    return tabulate(c, standard_simplex(1, c.bound), lambda n, x: x[0])
 
 
 def cone_map(f: SMorphism, s, cdom=None, ccod=None) -> SMorphism:
     """Functoriality of the cone."""
     cdom = cdom if cdom is not None else cone(f.domain, s)
     ccod = ccod if ccod is not None else cone(f.codomain, s)
-    maps = []
-    for n in range(cdom.bound + 1):
-        level = {}
-        for t, y in cdom.nondegenerate(n):
-            base = _cone_slots(t, s)
-            level[(t, y)] = (t, f(len(base) - 1, y)) if base else (t, None)
-        maps.append(level)
-    return SMorphism(cdom, ccod, maps)
+
+    def value(n, x):
+        t, y = x
+        base = _cone_slots(t, s)
+        return (t, f(len(base) - 1, y)) if base else (t, None)
+
+    return tabulate(cdom, ccod, value)
 
 
 def subsimplicial(u, member, basepoint=None, label=None, check=True):
     """The simplicial subset of all simplices satisfying ``member(n, x)``."""
-    simplices = [
-        [x for x in u.simplices[n] if member(n, x)] for n in range(u.bound + 1)
-    ]
-    keep = [set(level) for level in simplices]
+    out = assemble(
+        u.bound,
+        [[x for x in u.simplices[n] if member(n, x)] for n in range(u.bound + 1)],
+        lambda n, x: u.faces[n][x],
+        lambda n, x: u.degens[n][x],
+        basepoint=basepoint,
+        label=label,
+        check=False,
+    )
 
     def closed(rows, m, ops, n):
-        if not keep[m].issuperset(y for row in rows for y in row):
+        if not out.level_sets[m].issuperset(y for row in rows for y in row):
             raise SimplicialError(
                 f"subset {label!r} of {u.label!r} not closed under {ops} "
                 f"at dimension {n}"
             )
 
-    faces, degens = [], []
     for n in range(u.bound + 1):
         if n:
-            fc = {x: u.faces[n][x] for x in simplices[n]}
-            closed(fc.values(), n - 1, "faces", n)
-            faces.append(fc)
-        else:
-            faces.append({})
+            closed(out.faces[n].values(), n - 1, "faces", n)
         if n < u.bound:
-            dg = {x: u.degens[n][x] for x in simplices[n]}
-            closed(dg.values(), n + 1, "degeneracies", n)
-            degens.append(dg)
-        else:
-            degens.append({})
-    return FiniteSimplicialSet(
-        u.bound, simplices, faces, degens, basepoint=basepoint, label=label, check=check
-    )
+            closed(out.degens[n].values(), n + 1, "degeneracies", n)
+    if check:
+        out._validate()
+    return out
 
 
 def inclusion(sub, sup) -> SMorphism:
@@ -594,47 +587,29 @@ def quotient(u, removed_levels, label=None):
 
     Quotient by the empty subset adds a disjoint basepoint instead.
     """
-    bound = u.bound
     removed = [set(level) for level in removed_levels]
-    simplices, faces, degens = [], [], []
-    for n in range(bound + 1):
-        level = [x for x in u.simplices[n] if x not in removed[n]]
-        level.append(BASE)
-        simplices.append(level)
-        if n:
-            fc = {BASE: (BASE,) * (n + 1)}
-            for x in u.simplices[n]:
-                if x in removed[n]:
-                    continue
-                fc[x] = tuple(
-                    BASE if f in removed[n - 1] else f for f in u.faces[n][x]
-                )
-            faces.append(fc)
-        else:
-            faces.append({})
-        if n < bound:
-            dg = {BASE: (BASE,) * (n + 1)}
-            for x in u.simplices[n]:
-                if x in removed[n]:
-                    continue
-                dg[x] = u.degens[n][x]
-            degens.append(dg)
-        else:
-            degens.append({})
-    return FiniteSimplicialSet(
-        bound, simplices, faces, degens, basepoint=BASE, label=label
+
+    def face_row(n, x):
+        if x == BASE:
+            return (BASE,) * (n + 1)
+        return tuple(BASE if f in removed[n - 1] else f for f in u.faces[n][x])
+
+    return assemble(
+        u.bound,
+        [
+            [x for x in u.simplices[n] if x not in removed[n]] + [BASE]
+            for n in range(u.bound + 1)
+        ],
+        face_row,
+        lambda n, x: (BASE,) * (n + 1) if x == BASE else u.degens[n][x],
+        basepoint=BASE,
+        label=label,
     )
 
 
 def quotient_projection(u, q) -> SMorphism:
-    maps = []
-    for n in range(u.bound + 1):
-        level = {}
-        qlevel = q.level_sets[n]
-        for x in u.nondegenerate(n):
-            level[x] = x if x in qlevel else q.basepoint_at(n)
-        maps.append(level)
-    return SMorphism(u, q, maps)
+    bps = q.basepoint_levels()
+    return tabulate(u, q, lambda n, x: x if x in q.level_sets[n] else bps[n])
 
 
 def generated_subset_levels(u, seeds):
@@ -711,11 +686,7 @@ def reduced_cone(t: FiniteSimplicialSet, label=None):
     levels = generated_subset_levels(c, fixed)
     q = quotient(c, levels, label=("redcone", t.label) if label is None else label)
     proj = quotient_projection(c, q)
-    inc_maps = []
-    for n in range(t.bound + 1):
-        tt = (1,) * (n + 1)
-        inc_maps.append({x: proj(n, (tt, x)) for x in t.nondegenerate(n)})
-    inc = SMorphism(t, q, inc_maps)
+    inc = tabulate(t, q, lambda n, x: proj(n, ((1,) * (n + 1), x)))
     return q, inc, proj, c
 
 
@@ -747,10 +718,7 @@ def kan_suspension(u: FiniteSimplicialSet):
 
 
 def suspension_top_at(susp, n):
-    x = ((1,), None)
-    for m in range(n):
-        x = susp.degen(m, 0, x)
-    return x
+    return susp.degenerate_vertex(((1,), None), n)
 
 
 def wedge(parts, label=None):
@@ -762,55 +730,34 @@ def wedge(parts, label=None):
                 f"wedge summand {p.label!r} is unbased or not truncated at {bound}"
             )
     bps = [p.basepoint_levels() for p in parts]
-    simplices, faces, degens = [], [], []
-    for n in range(bound + 1):
-        level = [BASE]
-        for j, p in enumerate(parts):
+
+    def tag(j, x, m):
+        return BASE if x == bps[j][m] else (j, x)
+
+    def rows(tables, shift):
+        def rule(n, key):
+            if key == BASE:
+                return (BASE,) * (n + 1)
+            j, x = key
+            return tuple(tag(j, y, n + shift) for y in tables[j][n][x])
+
+        return rule
+
+    levels = [[BASE] for _ in range(bound + 1)]
+    for j, p in enumerate(parts):
+        for n, level in enumerate(levels):
             level.extend((j, x) for x in p.simplices[n] if x != bps[j][n])
-        simplices.append(level)
-
-        def tag(j, x, m):
-            return BASE if x == bps[j][m] else (j, x)
-
-        if n:
-            fc = {BASE: (BASE,) * (n + 1)}
-            for j, p in enumerate(parts):
-                for x in p.simplices[n]:
-                    if x == bps[j][n]:
-                        continue
-                    fc[(j, x)] = tuple(tag(j, f, n - 1) for f in p.faces[n][x])
-            faces.append(fc)
-        else:
-            faces.append({})
-        if n < bound:
-            dg = {BASE: (BASE,) * (n + 1)}
-            for j, p in enumerate(parts):
-                for x in p.simplices[n]:
-                    if x == bps[j][n]:
-                        continue
-                    dg[(j, x)] = tuple(tag(j, d, n + 1) for d in p.degens[n][x])
-            degens.append(dg)
-        else:
-            degens.append({})
-    w = FiniteSimplicialSet(
+    w = assemble(
         bound,
-        simplices,
-        faces,
-        degens,
+        levels,
+        rows([p.faces for p in parts], -1),
+        rows([p.degens for p in parts], 1),
         basepoint=BASE,
         label=label if label is not None else ("wedge", tuple(p.label for p in parts)),
     )
-    insertions = []
-    for j, p in enumerate(parts):
-        maps = []
-        for n in range(bound + 1):
-            maps.append(
-                {
-                    x: (BASE if x == bps[j][n] else (j, x))
-                    for x in p.nondegenerate(n)
-                }
-            )
-        insertions.append(SMorphism(p, w, maps))
+    insertions = [
+        tabulate(p, w, lambda n, x: tag(j, x, n)) for j, p in enumerate(parts)
+    ]
     return w, insertions
 
 
@@ -872,18 +819,14 @@ def plus_base_iso(c: FiniteSimplicialSet, rplus) -> SMorphism:
     ``rplus`` is the reduced_cone(...) tuple of :func:`plus_base` of ``c``.
     """
     q, _inc, proj, _ct = rplus
-    maps = []
-    for n in range(c.bound + 1):
-        level = {}
-        for t, y in c.nondegenerate(n):
-            if y is None:
-                level[(t, y)] = q.basepoint_at(n)
-            else:
-                base_len = sum(1 for v in t if v == 1)
-                inner = ((1,) * base_len, y)
-                level[(t, y)] = proj(n, (t, inner))
-        maps.append(level)
-    out = SMorphism(c, q, maps)
+
+    def value(n, x):
+        t, y = x
+        if y is None:
+            return q.basepoint_at(n)
+        return proj(n, (t, ((1,) * t.count(1), y)))
+
+    out = tabulate(c, q, value)
     # bijective on nondegenerate simplices, hence an isomorphism
     same_size = all(
         len(q.nondegenerate(n)) == len(c.nondegenerate(n)) for n in range(c.bound + 1)
@@ -899,22 +842,18 @@ def apex_substitution(cca, ca, letter) -> SMorphism:
     """The retraction of the 0-cone over a 1-cone on a thick simplex back to
     the 1-cone: outer apex slots turn into copies of the given letter,
     which the thick simplex absorbs."""
-    maps = []
-    for n in range(cca.bound + 1):
-        level = {}
-        for t, y in cca.nondegenerate(n):
-            outer = sum(1 for v in t if v == 0)
-            if y is None:
-                level[(t, y)] = ((0,) * (n + 1), (letter,) * (n + 1))
-                continue
-            t_in, z = y
-            inner_base = sum(1 for v in t_in if v == 0)
-            inner_apex = len(t_in) - inner_base
-            zz = (letter,) * outer + (z if z is not None else ())
-            t_new = (0,) * (outer + inner_base) + (1,) * inner_apex
-            level[(t, y)] = (t_new, zz if zz else None)
-        maps.append(level)
-    return SMorphism(cca, ca, maps)
+
+    def value(n, x):
+        t, y = x
+        if y is None:
+            return ((0,) * (n + 1), (letter,) * (n + 1))
+        t_in, z = y
+        outer, inner_base = t.count(0), t_in.count(0)
+        zz = (letter,) * outer + (z if z is not None else ())
+        t_new = (0,) * (outer + inner_base) + (1,) * (len(t_in) - inner_base)
+        return (t_new, zz if zz else None)
+
+    return tabulate(cca, ca, value)
 
 
 class ContractionTower:
@@ -960,11 +899,8 @@ def _faces_agree(t, z, maps, n, x, val):
 
 
 def complex_intersection(k: AbstractComplex, l: AbstractComplex) -> AbstractComplex:
-    common = set(k.simplices) & set(l.simplices)
-    out = AbstractComplex.__new__(AbstractComplex)
-    out.simplices = tuple(sorted(common, key=ckey))
-    out.vertices = tuple(sorted({v for s in common for v in s}))
-    return out
+    # an intersection of closed families is closed, so the closure adds nothing
+    return AbstractComplex(set(k.simplices) & set(l.simplices))
 
 
 def canonical_retraction(k: AbstractComplex, l: AbstractComplex, bound,
@@ -980,21 +916,19 @@ def canonical_retraction(k: AbstractComplex, l: AbstractComplex, bound,
     ck = cone_k if cone_k is not None else cone(barycentric(k, bound), 0)
     cl = cone_l if cone_l is not None else cone(barycentric(l, bound), 0)
     lset = set(l.simplices)
-    maps = []
-    for n in range(ck.bound + 1):
-        level = {}
-        for t, chain in ck.nondegenerate(n):
-            if chain is None:
-                level[(t, chain)] = (t, None)
-                continue
-            keep = 0
-            while keep < len(chain) and chain[keep] not in lset:
-                keep += 1
-            suffix = chain[keep:]
-            new_t = (0,) * (n + 1 - len(suffix)) + (1,) * len(suffix)
-            level[(t, chain)] = (new_t, suffix if suffix else None)
-        maps.append(level)
-    return SMorphism(ck, cl, maps)
+
+    def value(n, x):
+        t, chain = x
+        if chain is None:
+            return (t, None)
+        keep = 0
+        while keep < len(chain) and chain[keep] not in lset:
+            keep += 1
+        suffix = chain[keep:]
+        new_t = (0,) * (n + 1 - len(suffix)) + (1,) * len(suffix)
+        return (new_t, suffix if suffix else None)
+
+    return tabulate(ck, cl, value)
 
 
 # -- morphism enumeration ---------------------------------------------------

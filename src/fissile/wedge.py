@@ -50,6 +50,7 @@ from .simplicial import (
     reduced_cone,
     subsimplicial,
     suspension_top_at,
+    tabulate,
     wedge,
 )
 from .witnesses import (
@@ -304,13 +305,10 @@ class WedgeContext:
 
     def _restricted_space(self, obj) -> PSpace:
         """A components subobject with the full action cut down to it."""
-        action = {}
-        for k, big in self.full_space.action.items():
-            maps = [
-                {x: big.maps[n][x] for x in obj.nondegenerate(n)}
-                for n in range(obj.bound + 1)
-            ]
-            action[k] = SMorphism(obj, obj, maps)
+        action = {
+            k: tabulate(obj, obj, lambda n, x: big.maps[n][x])
+            for k, big in self.full_space.action.items()
+        }
         return PSpace(obj, self.monoid, action)
 
     @_entry("WL", subset_key)
@@ -382,19 +380,16 @@ class WedgeContext:
         wobj, ins = self.wedge_of(
             [self.cone_face(g) for g in blocks], label=("wedgecones", b)
         )
-        src = self.cone_layout(b)
-        maps = []
-        for n in range(self.bound + 1):
-            level = {}
-            for t, chain in src.nondegenerate(n):
-                if chain is None:
-                    level[(t, chain)] = wobj.basepoint_at(n)
-                    continue
-                head = set(chain[0])
-                gi = next(i for i, g in enumerate(blocks) if head <= set(g))
-                level[(t, chain)] = ins[gi](n, (t, chain))
-            maps.append(level)
-        return SMorphism(src, wobj, maps), wobj, ins
+
+        def value(n, x):
+            chain = x[1]
+            if chain is None:
+                return wobj.basepoint_at(n)
+            head = set(chain[0])
+            gi = next(i for i, g in enumerate(blocks) if head <= set(g))
+            return ins[gi](n, x)
+
+        return tabulate(self.cone_layout(b), wobj, value), wobj, ins
 
     # -- morphisms into the wedge -----------------------------------------
 
@@ -403,19 +398,13 @@ class WedgeContext:
         """Constant morphism at the top vertex of the component at j, on the
         based subdivision of the face f."""
         t = self.plus_base_of(f)
-        idx = self.components.index(j)
+        ins = self.w_insertions[self.components.index(j)]
         susp = self.towers[j].susp
-        maps = []
-        for n in range(self.bound + 1):
-            tagged = self.w_insertions[idx](n, suspension_top_at(susp, n))
-            level = {}
-            for x in t.nondegenerate(n):
-                if x == t.basepoint_at(n):
-                    level[x] = self.w_obj.basepoint_at(n)
-                else:
-                    level[x] = tagged
-            maps.append(level)
-        out = SMorphism(t, self.sub_obj(j), maps)
+        tops = [ins(n, suspension_top_at(susp, n)) for n in range(self.bound + 1)]
+        bps, wbps = t.basepoint_levels(), self.w_obj.basepoint_levels()
+        out = tabulate(
+            t, self.sub_obj(j), lambda n, x: wbps[n] if x == bps[n] else tops[n]
+        )
         require_based(out, "top-vertex")
         return out
 
@@ -428,25 +417,18 @@ class WedgeContext:
         space = self.space(l_key)
         red_obj = self.reduced_space(space)[1][0]
         wl = space.obj
-        maps = []
-        for n in range(self.bound + 1):
-            level = {}
-            for x in red_obj.nondegenerate(n):
-                if x == red_obj.basepoint_at(n):
-                    level[x] = wl.basepoint_at(n)
-                    continue
-                t, y = x
-                idx, z = y
-                j = self.components[idx]
-                tower = self.towers[j]
-                cls = tower.reduced[2](n, (t, z))
-                img = tower.contraction(letter)(n, cls)
-                if img == tower.susp.basepoint_at(n):
-                    level[x] = wl.basepoint_at(n)
-                else:
-                    level[x] = (idx, img)
-            maps.append(level)
-        sigma = SMorphism(red_obj, wl, maps)
+
+        def value(n, x):
+            if x == red_obj.basepoint_at(n):
+                return wl.basepoint_at(n)
+            t, (idx, z) = x
+            tower = self.towers[self.components[idx]]
+            img = tower.contraction(letter)(n, tower.reduced[2](n, (t, z)))
+            if img == tower.susp.basepoint_at(n):
+                return wl.basepoint_at(n)
+            return (idx, img)
+
+        sigma = tabulate(red_obj, wl, value)
         require_based(sigma, "contraction")
         return sigma
 
@@ -570,6 +552,21 @@ def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
         else:
             merged[key] = [c, b]
     return FiltrationWitness(w.level, [(c, b) for c, b in merged.values() if c])
+
+
+def cover_witness(ctx, b, cover_fns, witness_at, space, level, scope):
+    """The compacted witness at ``level`` summing, over the cover functions
+    (one subset per block of the layout b), the combining product over b
+    of the witnesses ``witness_at(g, k)`` pushed into the space."""
+    entries = []
+    for fn in cover_fns:
+        per_block = []
+        for g, k in zip(b, fn):
+            small = ctx.space(k)
+            inc = inclusion(small.obj, space.obj)
+            per_block.append(map_witness(witness_at(g, k), inc, small, space, scope))
+        entries.extend(combine_witnesses_over_layout(ctx, b, per_block, space).entries)
+    return compact_witness(FiltrationWitness(level, entries))
 
 
 class MorphismLayoutPresheaf:
@@ -768,6 +765,9 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     def p(g, k):
         return pairs[(g, k)].ensemble
 
+    def alt(g, k):
+        return pairs[(g, k)].alt_witness
+
     scope = PairScope()
     tag = f"F={f} J={j}"
     space_j = ctx.space(j)
@@ -785,28 +785,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
             omega(j),
             lambda k: combine_over_layout(ctx, b, {g: p(g, k) for g in b}, scope),
         )
-        cover_wits = []
-        for l_fn in covers(len(b), j):
-            assignment = dict(zip(b, l_fn))
-            per_block = []
-            for g in b:
-                rec = pairs[(g, assignment[g])]
-                small = ctx.space(assignment[g])
-                wit = map_witness(
-                    rec.alt_witness,
-                    inclusion(small.obj, space_j.obj),
-                    small,
-                    space_j,
-                    scope,
-                )
-                per_block.append(wit)
-            cover_wits.append(
-                combine_witnesses_over_layout(ctx, b, per_block, space_j)
-            )
-        entries = []
-        for w in cover_wits:
-            entries.extend(w.entries)
-        wit = compact_witness(FiltrationWitness(len(j), entries))
+        wit = cover_witness(ctx, b, covers(len(b), j), alt, space_j, len(j), scope)
         _require(wit.value(scope) == val, f"cover-expansion {tag} B={b}")
         u_vals[b] = val
         u_wits[b] = wit
@@ -927,33 +906,21 @@ def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
     lat = LayoutLattice(e_set, bound=len(e_set))
     top = lat.top
     defects, witnesses = {}, {}
+
+    def witness_at(g, k):
+        # restricting before the push gives the same blocks: a restriction
+        # precomposes f and a push maps the parts
+        return restrict_witness(
+            result.pairs[(e_set, k)].alt_witness,
+            ctx.layout_inclusion(layout_key([g]), top),
+        )
+
     for a in lat.layouts:
-        entries = []
-        for k_fn in proper_covers(len(a), i_set):
-            assignment = dict(zip(a, k_fn))
-            per_block = []
-            for g in a:
-                rec = result.pairs[(e_set, assignment[g])]
-                small = ctx.space(assignment[g])
-                wit = map_witness(
-                    rec.alt_witness,
-                    inclusion(small.obj, ctx.full_space.obj),
-                    small,
-                    ctx.full_space,
-                    scope,
-                )
-                wit = restrict_witness(
-                    wit,
-                    ctx.layout_inclusion(layout_key([g]), top),
-                )
-                per_block.append(wit)
-            entries.extend(
-                combine_witnesses_over_layout(
-                    ctx, a, per_block, ctx.full_space
-                ).entries
-            )
+        fns = proper_covers(len(a), i_set)
+        witnesses[a] = cover_witness(
+            ctx, a, fns, witness_at, ctx.full_space, len(i_set), scope
+        )
         defects[a] = layout_defect(ctx, q_ens, a, scope)
-        witnesses[a] = compact_witness(FiltrationWitness(len(i_set), entries))
 
     boundary = boundary_defect(ctx, q_ens, e_set, i_set)
     bwit = ctx.singleton_block_witness(

@@ -332,3 +332,85 @@ def test_check_q_rejects_swapped_layout_witnesses(tmp_path):
     assert verdicts["layout-defect-witness A=((1,), (2,))"] == "fail"
     assert verdicts["layout-defect-witness A=((1,),)"] == "fail"
     assert verdicts["boundary-witness"] == "pass"
+
+
+@pytest.mark.parametrize("command", ["construct-pj", "construct-q"])
+@pytest.mark.parametrize("below_file", [False, True])
+def test_construct_reports_unwritable_out(tmp_path, command, below_file):
+    # an existing file as --out, or a directory below one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = str(blocker / "x" if below_file else blocker)
+    rc, out, err = run_cli([command, "--i", "1", "--e", "1", "--out", out_dir])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert out_dir in report["error"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["check-brunnian", "--word", "x1 x2 x1^-1 x2^-1", "--alphabet", "2"],
+            {
+                "brunnian": True,
+                "case": {"alphabet": 2, "word": "x1 x2 x1^-1 x2^-1"},
+                "suite": "check-brunnian",
+                "verdict": "pass",
+            },
+        ),
+        (
+            ["check-brunnian", "--word", "x1", "--alphabet", "2"],
+            {
+                "brunnian": False,
+                "case": {"alphabet": 2, "word": "x1"},
+                "suite": "check-brunnian",
+                "verdict": "pass",
+            },
+        ),
+        (
+            ["magnus", "--word", "x1 x2 x1^-1 x2^-1", "--degree", "2"],
+            {
+                "case": {"degree": 2, "word": "x1 x2 x1^-1 x2^-1"},
+                "suite": "magnus",
+                "terms": [
+                    {"coeff": 1, "monomial": []},
+                    {"coeff": 1, "monomial": [1, 2]},
+                    {"coeff": -1, "monomial": [2, 1]},
+                ],
+                "verdict": "pass",
+            },
+        ),
+        (
+            ["lcs", "--word", "x1 x2 x1^-1 x2^-1", "--max-degree", "3"],
+            {
+                "at_least": None,
+                "case": {"max_degree": 3, "word": "x1 x2 x1^-1 x2^-1"},
+                "depth": 2,
+                "suite": "lcs",
+                "verdict": "pass",
+            },
+        ),
+        (
+            ["lcs", "--word", "x1 x2 x1^-1 x2^-1", "--max-degree", "1"],
+            {
+                "at_least": 2,
+                "case": {"max_degree": 1, "word": "x1 x2 x1^-1 x2^-1"},
+                "depth": None,
+                "suite": "lcs",
+                "verdict": "pass",
+            },
+        ),
+    ],
+)
+def test_word_command_report_lines(argv, expected):
+    rc, out, err = run_cli(argv)
+    assert rc == 0
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert isinstance(report.pop("ms"), int)
+    assert report == expected
+    assert err == "1 passed, 0 failed, 0 skipped\n"

@@ -1,0 +1,47 @@
+"""Identity of the in-memory tables: every face and degeneracy table of
+every simplicial set and every morphism table that the (2, 2) q run builds,
+pinned by one digest.  The artifact digests pin only the written morphism
+rows; this one also pins the tables that never reach a file."""
+
+import hashlib
+
+from fissile.canon import ckey
+from fissile.simplicial import FiniteSimplicialSet, SMorphism
+from fissile.wedge import construct_p, construct_q
+
+TABLES_DIGEST = "873791925f2d16826a9e1bf6b37d9a3d40a7826e0f957c86aa2feeb3ac9228dd"
+
+
+def _recording(monkeypatch, cls, built):
+    init = cls.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(cls, "__init__", record)
+
+
+def _rows(table):
+    return [sorted(level.items(), key=ckey) for level in table]
+
+
+def test_every_table_of_the_q_run_unchanged(monkeypatch):
+    sets, morphisms = [], []
+    _recording(monkeypatch, FiniteSimplicialSet, sets)
+    _recording(monkeypatch, SMorphism, morphisms)
+    construct_q(construct_p((1, 2), (1, 2)))
+    # labels and basepoints set after construction count too, so the forms
+    # are read once the run is over
+    forms = {
+        ckey((s.label, s.basepoint, s.simplices, _rows(s.faces), _rows(s.degens)))
+        for s in sets
+    }
+    forms.update(
+        ckey((m.domain.label, m.codomain.label, m.table_key())) for m in morphisms
+    )
+    h = hashlib.sha256()
+    for form in sorted(forms):
+        h.update(form + b"\n")
+    assert sets and morphisms
+    assert h.hexdigest() == TABLES_DIGEST
