@@ -46,9 +46,9 @@ def _label_key(label):
 
 def resolve(lookup, label):
     """``lookup(label)`` for a label read from a file, where lookup is one of
-    the context's label entry points (``WedgeContext.obj``,
-    ``labelled_space`` or ``labelled_wedge``): a malformed label or one of
-    an unknown kind is an ArtifactError that names it."""
+    the context's label entry points (``WedgeContext.obj`` or
+    ``labelled_space``): a malformed label or one of an unknown kind is an
+    ArtifactError that names it."""
     label = _label_key(label)
     try:
         return lookup(label)
@@ -182,7 +182,9 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
 def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
     entries = []
     for brec in data["blocks"]:
-        wedge_obj, insertions = resolve(ctx.labelled_wedge, brec["wedge"])
+        wedge_obj = resolve(ctx.obj, brec["wedge"])
+        if wedge_obj.insertions is None:
+            raise ArtifactError(f"block wedge {wedge_obj.label!r} is not a wedge")
         space = resolve(ctx.labelled_space, brec["space"])
         parts = []
         for prec in brec["parts"]:
@@ -210,18 +212,13 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
                     space=resolve(ctx.labelled_space, prec["space"]),
                 )
             )
-        entries.append(
-            (
-                int(brec["coeff"]),
-                Block(
-                    f=store.morph(brec["f"]),
-                    wedge_obj=wedge_obj,
-                    insertions=insertions,
-                    parts=parts,
-                    space=space,
-                ),
+        # simplicial sets compare by identity, and every one comes from ctx
+        if [p.domain for p in parts] != [ins.domain for ins in wedge_obj.insertions]:
+            raise ArtifactError(
+                f"block wedge {wedge_obj.label!r} is not the wedge of its part domains"
             )
-        )
+        block = Block(store.morph(brec["f"]), wedge_obj, parts, space)
+        entries.append((int(brec["coeff"]), block))
     return FiltrationWitness(int(data["level"]), entries)
 
 
@@ -306,13 +303,16 @@ def _load(path):
 
 def _open_dump(in_dir, kind):
     """The manifest of a dump, the context rebuilt from its sizes, and the
-    loaded morphism store."""
+    loaded morphism store.  The truncation bound is the context's, |E| + 1;
+    a manifest naming any other is rejected."""
     manifest = _load(os.path.join(in_dir, "manifest.json"))
     if manifest.get("kind") != kind:
         raise ArtifactError("manifest kind mismatch")
-    ctx = WedgeContext(
-        tuple(manifest["i"]), tuple(manifest["e"]), bound=manifest["bound"]
-    )
+    ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
+    if manifest.get("bound") != ctx.bound:
+        raise ArtifactError(
+            f"manifest bound {manifest.get('bound')!r} is not |E| + 1 = {ctx.bound}"
+        )
     store = MorphismStore.load(_load(os.path.join(in_dir, "morphisms.json")), ctx)
     return manifest, ctx, store
 

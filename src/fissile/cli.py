@@ -7,6 +7,7 @@ Exit codes: 0 all passed, 1 some case failed, 2 usage or parse error.
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -127,6 +128,9 @@ def cmd_construct(args):
     }
     t0 = time.monotonic()
     try:
+        if args.out:
+            # fail on an unwritable --out before building what cannot be written
+            os.makedirs(args.out, exist_ok=True)
         result = construct_p(tuple(range(1, args.i + 1)), tuple(range(1, args.e + 1)))
         FINISH[args.command](result, args.out)
         report["verdict"] = "pass"

@@ -49,9 +49,9 @@ class ProductLayoutPresheaf:
     """Layout presheaf induced by face data: the universe at a layout is the
     product over its blocks, keyed by block-sorted tuples."""
 
-    def __init__(self, face: FunctionFacePresheaf, bound=None):
+    def __init__(self, face: FunctionFacePresheaf):
         self.face = face
-        self.lattice = LayoutLattice(face.ground, bound=bound)
+        self.lattice = LayoutLattice(face.ground)
         self.top = self.lattice.top
 
     def wrap(self, q: Ensemble) -> Ensemble:

@@ -53,6 +53,7 @@ class FiniteSimplicialSet:
         self.degens = degens
         self.basepoint = basepoint
         self.label = label
+        self.insertions = None  # the summand insertions, on a wedge only
         self._nondeg = None
         self._nondeg_sets = None
         self._key_levels = None
@@ -542,7 +543,7 @@ def cone_map(f: SMorphism, s, cdom=None, ccod=None) -> SMorphism:
     return tabulate(cdom, ccod, value)
 
 
-def subsimplicial(u, member, basepoint=None, label=None, check=True):
+def subsimplicial(u, member, basepoint=None, label=None):
     """The simplicial subset of all simplices satisfying ``member(n, x)``."""
     out = assemble(
         u.bound,
@@ -566,8 +567,7 @@ def subsimplicial(u, member, basepoint=None, label=None, check=True):
             closed(out.faces[n].values(), n - 1, "faces", n)
         if n < u.bound:
             closed(out.degens[n].values(), n + 1, "degeneracies", n)
-    if check:
-        out._validate()
+    out._validate()
     return out
 
 
@@ -667,7 +667,7 @@ def induce_through(p: SMorphism, g: SMorphism) -> SMorphism:
 # -- named compound constructions ------------------------------------------
 
 
-def reduced_cone(t: FiniteSimplicialSet, label=None):
+def reduced_cone(t: FiniteSimplicialSet):
     """Cone at the 0 side with the cone over the basepoint collapsed.
 
     Returns (čT, inclusion T -> čT, projection ČT -> čT, ČT).
@@ -684,7 +684,7 @@ def reduced_cone(t: FiniteSimplicialSet, label=None):
             else:
                 fixed.append((n, (tt, t.basepoint_at(n - apexes))))
     levels = generated_subset_levels(c, fixed)
-    q = quotient(c, levels, label=("redcone", t.label) if label is None else label)
+    q = quotient(c, levels, label=("redcone", t.label))
     proj = quotient_projection(c, q)
     inc = tabulate(t, q, lambda n, x: proj(n, ((1,) * (n + 1), x)))
     return q, inc, proj, c
@@ -722,7 +722,8 @@ def suspension_top_at(susp, n):
 
 
 def wedge(parts, label=None):
-    """Coproduct with basepoints identified; returns (object, insertions)."""
+    """Coproduct with basepoints identified: the wedge object, which carries
+    the insertions of its summands as the tuple ``insertions``."""
     bound = parts[0].bound
     for p in parts:
         if p.bound != bound or p.basepoint is None:
@@ -755,13 +756,13 @@ def wedge(parts, label=None):
         basepoint=BASE,
         label=label if label is not None else ("wedge", tuple(p.label for p in parts)),
     )
-    insertions = [
+    w.insertions = tuple(
         tabulate(p, w, lambda n, x: tag(j, x, n)) for j, p in enumerate(parts)
-    ]
-    return w, insertions
+    )
+    return w
 
 
-def wedge_combine(w, insertions, morphisms, codomain=None) -> SMorphism:
+def wedge_combine(w, morphisms, codomain=None) -> SMorphism:
     """The morphism out of a wedge assembled from per-part based morphisms.
 
     ``codomain`` may enlarge the target when the parts land in different
@@ -778,7 +779,7 @@ def wedge_combine(w, insertions, morphisms, codomain=None) -> SMorphism:
         base = w.basepoint_at(n)
         level = {} if n else {base: z.basepoint}
         for j, f in enumerate(morphisms):
-            keys = insertions[j].maps[n]
+            keys = w.insertions[j].maps[n]
             for x, fx in f.maps[n].items():
                 key = keys[x]
                 if key != base:
@@ -787,13 +788,9 @@ def wedge_combine(w, insertions, morphisms, codomain=None) -> SMorphism:
     return SMorphism(w, z, maps)
 
 
-def disjoint_basepoint(u: FiniteSimplicialSet, label=None):
+def disjoint_basepoint(u: FiniteSimplicialSet):
     """u with a free basepoint adjoined (quotient by the empty subset)."""
-    return quotient(
-        u,
-        [set() for _ in range(u.bound + 1)],
-        label=label if label is not None else ("plus", u.label),
-    )
+    return quotient(u, [set() for _ in range(u.bound + 1)], label=("plus", u.label))
 
 
 def plus_base(c: FiniteSimplicialSet, label=None):

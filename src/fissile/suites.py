@@ -369,14 +369,9 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
                 parts.append(
                     BlockPart(level, [IdealTerm(pi, cert, rng.choice(pool))], t, space)
                 )
-            wobj, ins = wedge(domains)
+            wobj = wedge(domains)
             f = rng.choice(enumerate_based_morphisms(t_obj, wobj))
-            entries.append(
-                (
-                    rng.choice((-2, -1, 1, 2)),
-                    Block(f=f, wedge_obj=wobj, insertions=ins, parts=parts, space=space),
-                )
-            )
+            entries.append((rng.choice((-2, -1, 1, 2)), Block(f, wobj, parts, space)))
         return FiltrationWitness(min(b.rank() for _c, b in entries), entries)
 
     ok = True
@@ -411,11 +406,11 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
             )
         )
         w2 = random_witness(t_big, pool_big)
-        wobj, ins = wedge([t_big, t_big])
-        ww = wedge_witness([w, w2], wobj, ins, ctx)
+        wobj = wedge([t_big, t_big])
+        ww = wedge_witness([w, w2], wobj, ctx)
         ok = ok and bool(
             verify_witness(
-                combine_over_wedge(wobj, ins, [v, w2.value()]),
+                combine_over_wedge(wobj, [v, w2.value()]),
                 ww,
                 w.level + w2.level,
                 ctx.monoid,

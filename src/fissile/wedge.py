@@ -62,6 +62,7 @@ from .witnesses import (
     PSpace,
     cone_witness,
     map_witness,
+    once,
     require_based,
     restrict_witness,
     verify_witness,
@@ -92,10 +93,7 @@ def _entry(kind, *normalise):
         def method(self, *args):
             key = (kind,) + tuple(f(a) for f, a in zip(normalise, args))
             key += args[len(normalise) :]
-            hit = self._table.get(key)
-            if hit is None:
-                hit = self._table[key] = build(self, *key[1:])
-            return hit
+            return once(self._table, key, None, lambda: build(self, *key[1:]))
 
         return method
 
@@ -112,11 +110,10 @@ class WedgeContext:
     nondegenerate simplices within the stored levels.
 
     Artifacts name objects by their labels, nested tuples whose first entry
-    is the kind; :meth:`obj`, :meth:`labelled_space` and
-    :meth:`labelled_wedge` rebuild an object from its label through the same
-    constructors the builder calls, so a label resolves to the very object
-    that carries it.  A layout or subset in a label may come in any order.
-    The object labels are
+    is the kind; :meth:`obj` and :meth:`labelled_space` rebuild an object
+    from its label through the same constructors the builder calls, so a
+    label resolves to the very object that carries it.  A layout or subset
+    in a label may come in any order.  The object labels are
 
     - ``("conelayout", b)``: the coned subdivision of the layout b;
     - ``("plusbase", f)``: the based subdivision of the face f in its cone;
@@ -128,7 +125,8 @@ class WedgeContext:
       the object of the space labelled x when x is of a space kind;
     - the wedges ``("wedgept",)`` of the point, ``("wedge1", x)`` of the
       object labelled x, ``("wedge", (x, ...))`` of the objects so labelled
-      and ``("wedgecones", b)`` of the per-block cones of the layout b.
+      and ``("wedgecones", b)`` of the per-block cones of the layout b; a
+      wedge carries the insertions of its summands.
 
     The space labels are ``("W", I)`` and ``("WL", l)`` for the full space
     and the one at l, ``("Wx", I)`` for the proper one, and
@@ -137,16 +135,16 @@ class WedgeContext:
     An entry is keyed by its kind and normalised arguments, for a labelled
     object its label, except the wedges and reduced cones of given objects:
     they are keyed by the ids of those objects, so the hot wedge lookup
-    hashes no nested label, and such an entry keeps the objects its key
-    names alive, so no id in a key is reused while the context lives.
+    hashes no nested label; :func:`~fissile.witnesses.once` keeps those
+    objects alive.
     """
 
-    def __init__(self, i_set, e_set, bound=None):
+    def __init__(self, i_set, e_set):
         self.i_set = subset_key(i_set)
         self.e_set = subset_key(e_set)
         if not self.e_set:
             raise ValueError("ground set must be nonempty")
-        self.bound = (len(self.e_set) + 1) if bound is None else bound
+        self.bound = len(self.e_set) + 1
         self.monoid = SubsetMonoid(self.i_set)
         self._table = {}
         self.components = subsets_of(self.i_set)
@@ -155,7 +153,7 @@ class WedgeContext:
             for j in self.components
         }
         parts = [self.towers[j].susp for j in self.components]
-        self.w_obj, self.w_insertions = self.wedge_of(parts, label=("W", self.i_set))
+        self.w_obj = self.wedge_of(parts, label=("W", self.i_set))
         self.full_space = self._build_full_space()
 
     # -- objects from their labels -----------------------------------------
@@ -175,17 +173,8 @@ class WedgeContext:
                 return self.sub_obj(l_key)
             case ("Wx", i_key) if self._is_index_set(i_key):
                 return self.proper_space().obj
-            case ("redcone", ("WL" | "Wx" | "W", *_) as inner):
-                return self.reduced_space(self.labelled_space(inner))[1][0]
             case ("redcone", inner):
                 return self.reduced_domain(self.obj(inner))[0]
-            case ("wedgept" | "wedge1" | "wedge" | "wedgecones", *_):
-                return self.labelled_wedge(label)[0]
-        raise TypeError(f"{label!r} names no object")
-
-    def labelled_wedge(self, label):
-        """The wedge that carries this label, with its insertions."""
-        match label:
             case ("wedgept",):
                 return self.wedge_of([self.point_obj()], label=("wedgept",))
             case ("wedge1", inner):
@@ -194,8 +183,8 @@ class WedgeContext:
             case ("wedge", (*inners,)):
                 return self.wedge_of([self.obj(x) for x in inners])
             case ("wedgecones", b):
-                return self.iota(b)[1:]
-        raise TypeError(f"{label!r} names no wedge")
+                return self.iota(b).codomain
+        raise TypeError(f"{label!r} names no object")
 
     def labelled_space(self, label) -> PSpace:
         """The space that carries this label (see the class docstring)."""
@@ -220,27 +209,19 @@ class WedgeContext:
 
     # -- wedges and reduced cones of given objects -------------------------
 
-    def wedge_of(self, parts, label=None) -> tuple:
-        """The wedge of these part objects with its insertions."""
+    def wedge_of(self, parts, label=None):
+        """The wedge of these part objects."""
         key = ("wedge", tuple(map(id, parts)), label)
-        hit = self._table.get(key)
-        if hit is None:
-            hit = self._table[key] = (tuple(parts), wedge(parts, label=label))
-        return hit[1]
+        return once(self._table, key, tuple(parts), lambda: wedge(parts, label=label))
 
     def reduced_domain(self, t) -> tuple:
         """The ``reduced_cone`` tuple of t."""
-        key = ("redcone", id(t))
-        hit = self._table.get(key)
-        if hit is None:
-            hit = self._table[key] = (t, reduced_cone(t))
-        return hit[1]
+        return once(self._table, ("redcone", id(t)), t, lambda: reduced_cone(t))
 
     def reduced_space(self, space: PSpace) -> tuple:
         """The reduced cone of a space, with its ``reduced_cone`` tuple."""
-        key = ("redspace", id(space.obj))
-        hit = self._table.get(key)
-        if hit is None:
+
+        def build():
             red = self.reduced_domain(space.obj)
             # elements acting by equal tables share one cone map
             scope = PairScope()
@@ -251,8 +232,9 @@ class WedgeContext:
             cspace = PSpace(
                 red[0], self.monoid, action, label=("redcone", space.label), check=False
             )
-            hit = self._table[key] = (space, (cspace, red))
-        return hit[1]
+            return cspace, red
+
+        return once(self._table, ("redspace", id(space.obj)), space, build)
 
     # -- component plumbing --------------------------------------------
 
@@ -279,7 +261,7 @@ class WedgeContext:
                 smap = self._susp_map(j, j2)
                 target = self.towers[j2].susp
                 for x in self.towers[j].susp.nondegenerate(n):
-                    key = self.w_insertions[idx].maps[n][x]
+                    key = self.w_obj.insertions[idx].maps[n][x]
                     if key == base:
                         continue
                     y = smap(n, x)
@@ -375,11 +357,10 @@ class WedgeContext:
     @_entry("wedgecones", layout_key)
     def iota(self, b):
         """Isomorphism from a coned layout subdivision to the wedge of its
-        per-block cones; returns (morphism, wedge object, insertions)."""
+        per-block cones."""
         blocks = list(b)
-        wobj, ins = self.wedge_of(
-            [self.cone_face(g) for g in blocks], label=("wedgecones", b)
-        )
+        cones = [self.cone_face(g) for g in blocks]
+        wobj = self.wedge_of(cones, label=("wedgecones", b))
 
         def value(n, x):
             chain = x[1]
@@ -387,9 +368,9 @@ class WedgeContext:
                 return wobj.basepoint_at(n)
             head = set(chain[0])
             gi = next(i for i, g in enumerate(blocks) if head <= set(g))
-            return ins[gi](n, x)
+            return wobj.insertions[gi](n, x)
 
-        return tabulate(self.cone_layout(b), wobj, value), wobj, ins
+        return tabulate(self.cone_layout(b), wobj, value)
 
     # -- morphisms into the wedge -----------------------------------------
 
@@ -398,7 +379,7 @@ class WedgeContext:
         """Constant morphism at the top vertex of the component at j, on the
         based subdivision of the face f."""
         t = self.plus_base_of(f)
-        ins = self.w_insertions[self.components.index(j)]
+        ins = self.w_obj.insertions[self.components.index(j)]
         susp = self.towers[j].susp
         tops = [ins(n, suspension_top_at(susp, n)) for n in range(self.bound + 1)]
         bps, wbps = t.basepoint_levels(), self.w_obj.basepoint_levels()
@@ -463,11 +444,11 @@ class WedgeContext:
         out.label = ("point",)
         return out
 
-    def constant_witness(self, t_obj, space: PSpace, coeff=1) -> FiltrationWitness:
-        """Rank-0 witness for coeff * <constant basepoint morphism> on t."""
+    def constant_witness(self, t_obj, space: PSpace) -> FiltrationWitness:
+        """Rank-0 witness for <constant basepoint morphism> on t."""
         pt = self.point_obj()
         const = constant_morphism(pt, space.obj, space.obj.basepoint)
-        wobj, ins = self.wedge_of([pt], label=("wedgept",))
+        wobj = self.wedge_of([pt], label=("wedgept",))
         f = constant_morphism(t_obj, wobj, wobj.basepoint)
         part = BlockPart(
             level=0,
@@ -475,28 +456,24 @@ class WedgeContext:
             domain=pt,
             space=space,
         )
-        block = Block(
-            f=f, wedge_obj=wobj, insertions=ins, parts=[part], space=space
-        )
-        return FiltrationWitness(0, [(coeff, block)])
+        block = Block(f=f, wedge_obj=wobj, parts=[part], space=space)
+        return FiltrationWitness(0, [(1, block)])
 
     def singleton_block_witness(
-        self, pi, cert, morphism, t_obj, space: PSpace, coeff=1
+        self, pi, cert, morphism, t_obj, space: PSpace
     ) -> FiltrationWitness:
-        """Witness for coeff * (pi . <morphism>) as one block of rank
-        cert.level over its own domain."""
+        """Witness for pi . <morphism> as one block of rank cert.level over
+        its own domain."""
         dom = morphism.domain
-        wobj, ins = self.wedge_of([dom], label=("wedge1", dom.label))
+        wobj = self.wedge_of([dom], label=("wedge1", dom.label))
         part = BlockPart(
             level=cert.level,
             terms=[IdealTerm(pi, cert, morphism)],
             domain=dom,
             space=space,
         )
-        block = Block(
-            f=ins[0], wedge_obj=wobj, insertions=ins, parts=[part], space=space
-        )
-        return FiltrationWitness(cert.level, [(coeff, block)])
+        block = Block(f=wobj.insertions[0], wedge_obj=wobj, parts=[part], space=space)
+        return FiltrationWitness(cert.level, [(1, block)])
 
 
 def restrict_ensemble(s: Ensemble, k: SMorphism) -> Ensemble:
@@ -511,11 +488,11 @@ def combine_over_layout(ctx: WedgeContext, b, parts_by_block, scope=None) -> Ens
         return singleton(
             constant_morphism(ctx.cone_layout(()), ctx.w_obj, ctx.w_obj.basepoint)
         )
-    iota, wobj, ins = ctx.iota(b)
+    iota = ctx.iota(b)
     scope = scope if scope is not None else PairScope()
     return combining_product(
         [parts_by_block[g] for g in b],
-        lambda tup: scope.compose(scope.glue(wobj, ins, tup, ctx.w_obj), iota),
+        lambda tup: scope.compose(scope.glue(iota.codomain, tup, ctx.w_obj), iota),
     )
 
 
@@ -524,9 +501,8 @@ def combine_witnesses_over_layout(ctx, b, witnesses, space) -> FiltrationWitness
     b = layout_key(b)
     if not b:
         return ctx.constant_witness(ctx.cone_layout(()), space)
-    iota, wobj, ins = ctx.iota(b)
-    wed = wedge_witness(witnesses, wobj, ins, ctx)
-    return restrict_witness(wed, iota)
+    iota = ctx.iota(b)
+    return restrict_witness(wedge_witness(witnesses, iota.codomain, ctx), iota)
 
 
 def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
@@ -579,9 +555,8 @@ class MorphismLayoutPresheaf:
     tests consume this through the same interface as the synthetic model.
     """
 
-    def __init__(self, ctx: WedgeContext, space=None):
+    def __init__(self, ctx: WedgeContext):
         self.ctx = ctx
-        self.space = space if space is not None else ctx.full_space
         self.lattice = LayoutLattice(ctx.e_set, bound=len(ctx.e_set))
         self.top = self.lattice.top
 
@@ -639,7 +614,7 @@ def constant_restriction_holds(ctx: WedgeContext, p, f, j) -> bool:
     return not boundary_defect(ctx, p(f, j), f, j)
 
 
-def multiplicative_restriction_holds(ctx: WedgeContext, p, f, j, b, scope=None) -> bool:
+def multiplicative_restriction_holds(ctx: WedgeContext, p, f, j, b, scope) -> bool:
     """Condition 0 at the layout b of f: p(f, j) restricts to the combining
     product of the p(g, j) over the blocks g of b, glued in the scope."""
     got = restrict_ensemble(p(f, j), ctx.layout_inclusion(b, layout_key([f])))
@@ -652,7 +627,7 @@ def alternating_sum(p, f, j) -> Ensemble:
     return extend_over(omega(j), lambda k: p(f, k))
 
 
-def layout_defect(ctx: WedgeContext, q: Ensemble, a, scope=None) -> Ensemble:
+def layout_defect(ctx: WedgeContext, q: Ensemble, a, scope) -> Ensemble:
     """The combining product over the layout a of the restrictions of q to
     its blocks, glued in the scope, minus the restriction of q to a."""
     top = layout_key([ctx.e_set])
@@ -728,7 +703,7 @@ class ConstructionResult:
         return self.pairs[(self.ctx.e_set, subset_key(j))]
 
 
-def construct_p(i_set, e_set, bound=None, enforce_guard=True) -> ConstructionResult:
+def construct_p(i_set, e_set, enforce_guard=True) -> ConstructionResult:
     """Run the full induction over (face, subset) pairs.
 
     For each pair the constructed ensemble restricts multiplicatively to
@@ -742,7 +717,7 @@ def construct_p(i_set, e_set, bound=None, enforce_guard=True) -> ConstructionRes
         raise ValueError("the construction needs a nonempty index set")
     if enforce_guard:
         construction_guard(i_set, e_set)
-    ctx = WedgeContext(i_set, e_set, bound=bound)
+    ctx = WedgeContext(i_set, e_set)
     result = ConstructionResult(ctx=ctx)
     faces = sorted(
         [f for f in subsets_of(e_set) if f],

@@ -106,8 +106,7 @@ class BlockPart:
             )
         return self._key
 
-    def value(self, scope=None) -> Ensemble:
-        scope = scope if scope is not None else PairScope()
+    def value(self, scope) -> Ensemble:
         out = Ensemble.zero()
         for term in self.terms:
             out = out + term.value(self.space, scope)
@@ -125,8 +124,7 @@ class BlockPart:
 @dataclass
 class Block:
     f: SMorphism  # T -> wedge of the part domains
-    wedge_obj: object
-    insertions: list
+    wedge_obj: object  # a wedge, carrying the insertions of the part domains
     parts: list
     space: PSpace
 
@@ -134,98 +132,94 @@ class Block:
         return sum(p.level for p in self.parts)
 
     def value(self, scope=None) -> Ensemble:
-        return evaluate_blocks([(1, self)], scope)
+        return evaluate_blocks([(1, self)], scope or PairScope())
+
+
+def once(table, key, keep, build):
+    """``table[key]``, built by ``build()`` on first use.  A key may name
+    objects by their ids, so the entry keeps ``keep``, those objects, alive:
+    no id in a key is reused while the table lives."""
+    hit = table.get(key)
+    if hit is None:
+        hit = table[key] = (keep, build())
+    return hit[1]
+
+
+def _ids(m: SMorphism) -> tuple:
+    """A morphism in a key: the ids of its objects and its table key."""
+    return id(m.domain), id(m.codomain), m.table_key()
 
 
 class PairScope:
     """The morphism tables of one (face, subset) pair, or of one q run.
 
     Within a scope each distinct wedge gluing, reduced-cone map, cone
-    straightening and equivariance check is built, validated or run once.
-    An entry is keyed by the ids of its objects and the table keys of its
-    morphisms, which hold every row of the table, and keeps those objects
-    alive so that no id in a key is reused while the scope lives.  Two
-    morphism objects are composed once per pair of objects, so the action
-    of a monoid element on a part morphism, or a gluing precomposed with a
-    block's decomposition, is one object each time it recurs.  The builder
-    drops the scope when its pair ends; a call given no scope gets a fresh
-    one.
+    straightening and equivariance check is built, validated or run once,
+    through :func:`once` in one table.  An entry is keyed by its kind, the
+    ids of its objects and the table keys of its morphisms, which hold every
+    row of the table.  Two morphism objects are composed once per pair of
+    objects, so the action of a monoid element on a part morphism, or a
+    gluing precomposed with a block's decomposition, is one object each time
+    it recurs.  The builder drops the scope when its pair ends; a call given
+    no scope gets a fresh one.
     """
 
     def __init__(self):
-        self._composed = {}
-        self._glued = {}
-        self._coned = {}
-        self._straightened = {}
-        self._equivariant = {}
+        self._table = {}
 
     def compose(self, g: SMorphism, f: SMorphism) -> SMorphism:
         """``compose(g, f)``."""
-        key = (id(g), id(f))
-        hit = self._composed.get(key)
-        if hit is None:
-            hit = self._composed[key] = (g, f, compose(g, f))
-        return hit[2]
+        key = ("compose", id(g), id(f))
+        return once(self._table, key, (g, f), lambda: compose(g, f))
 
     def act(self, space: PSpace, k, m: SMorphism) -> SMorphism:
         """``space.act_on_morphism(k, m)``."""
         return self.compose(space.action[k], m)
 
-    def glue(self, wobj, insertions, tup, cod) -> SMorphism:
+    def glue(self, wobj, tup, cod) -> SMorphism:
         """``wedge_combine`` of the part morphisms into cod."""
-        key = (id(wobj), id(cod)) + tuple(
-            (id(m.domain), id(m.codomain), m.table_key()) for m in tup
+        key = ("glue", id(wobj), id(cod)) + tuple(map(_ids, tup))
+        return once(
+            self._table, key, tup, lambda: wedge_combine(wobj, list(tup), codomain=cod)
         )
-        hit = self._glued.get(key)
-        if hit is None:
-            hit = self._glued[key] = (
-                tup,
-                wedge_combine(wobj, insertions, list(tup), codomain=cod),
-            )
-        return hit[1]
 
     def reduced_cone_map(self, f: SMorphism, rdom, rcod) -> SMorphism:
         """``reduced_cone_map`` of f between these reduced-cone tuples."""
-        key = (id(f.domain), id(f.codomain), f.table_key(), id(rdom), id(rcod))
-        hit = self._coned.get(key)
-        if hit is None:
-            hit = self._coned[key] = (f, rdom, rcod, reduced_cone_map(f, rdom, rcod))
-        return hit[3]
+        key = ("cone", *_ids(f), id(rdom), id(rcod))
+        return once(
+            self._table, key, (f, rdom, rcod), lambda: reduced_cone_map(f, rdom, rcod)
+        )
 
-    def straightening(self, wobj, insertions, coned, red_w) -> SMorphism:
+    def straightening(self, wobj, coned, red_w) -> SMorphism:
         """The inverse of the gluing of the coned insertions ``coned`` over
         the wedge of the reduced part cones: the canonical isomorphism from
         the reduced cone of the old wedge (``red_w``) to the new wedge."""
-        key = (id(wobj), id(red_w)) + tuple(map(id, insertions)) + tuple(map(id, coned))
-        hit = self._straightened.get(key)
-        if hit is None:
-            glued = wedge_combine(wobj, insertions, list(coned))
-            hit = self._straightened[key] = (
-                wobj, insertions, coned, red_w, _invert_iso(glued)
-            )
-        return hit[4]
+        key = ("straighten", id(wobj), id(red_w)) + tuple(map(id, coned))
+        return once(
+            self._table,
+            key,
+            (wobj, coned, red_w),
+            lambda: _invert_iso(wedge_combine(wobj, list(coned))),
+        )
 
     def check_equivariant(self, h: SMorphism, src: PSpace, dst: PSpace):
         """``check_equivariant`` of h from src to dst."""
-        key = (id(h.domain), id(h.codomain), h.table_key(), id(src), id(dst))
-        if key not in self._equivariant:
-            check_equivariant(h, src, dst)
-            self._equivariant[key] = (h, src, dst)
+        key = ("equivariant", *_ids(h), id(src), id(dst))
+        once(self._table, key, (h, src, dst), lambda: check_equivariant(h, src, dst))
 
 
-def evaluate_blocks(entries, scope: PairScope = None) -> Ensemble:
+def evaluate_blocks(entries, scope: PairScope) -> Ensemble:
     """The sum of c * (block value) over the (c, block) entries.
 
     A block's value is the combining product of its part values, each
     tuple glued by ``wedge_combine`` and precomposed with the block's f;
     the actions on part morphisms and the gluings go through the scope."""
-    scope = scope if scope is not None else PairScope()
     out = {}
     for c, block in entries:
-        wobj, ins, cod, f = block.wedge_obj, block.insertions, block.space.obj, block.f
+        wobj, cod, f = block.wedge_obj, block.space.obj, block.f
 
         def combiner(tup):
-            return scope.compose(scope.glue(wobj, ins, tup, cod), f)
+            return scope.compose(scope.glue(wobj, tup, cod), f)
 
         value = combining_product([p.value(scope) for p in block.parts], combiner)
         for el, d in value.terms.items():
@@ -239,7 +233,7 @@ class FiltrationWitness:
     entries: list = field(default_factory=list)  # (coeff, Block)
 
     def value(self, scope=None) -> Ensemble:
-        return evaluate_blocks(self.entries, scope)
+        return evaluate_blocks(self.entries, scope or PairScope())
 
     def scaled(self, n: int) -> "FiltrationWitness":
         return FiltrationWitness(
@@ -278,7 +272,7 @@ def verify_witness(
                 return WitnessReport(False, "ideal certificate failed")
         if not block.f.is_based():
             return WitnessReport(False, "wedge decomposition is not based")
-    if evaluate_blocks(w.entries, scope) != v:
+    if w.value(scope) != v:
         return WitnessReport(False, "sum mismatch")
     return WitnessReport(True)
 
@@ -291,17 +285,7 @@ def restrict_witness(w: FiltrationWitness, k: SMorphism) -> FiltrationWitness:
     old domain; parts and ranks are untouched."""
     require_based(k, "restriction")
     entries = [
-        (
-            c,
-            Block(
-                f=compose(b.f, k),
-                wedge_obj=b.wedge_obj,
-                insertions=b.insertions,
-                parts=b.parts,
-                space=b.space,
-            ),
-        )
-        for c, b in w.entries
+        (c, Block(compose(b.f, k), b.wedge_obj, b.parts, b.space)) for c, b in w.entries
     ]
     return FiltrationWitness(w.level, entries)
 
@@ -341,16 +325,7 @@ def map_witness(
             ]
             parts.append(BlockPart(p.level, terms, p.domain, dst))
         entries.append(
-            (
-                c,
-                Block(
-                    f=b.f,
-                    wedge_obj=b.wedge_obj,
-                    insertions=b.insertions,
-                    parts=parts,
-                    space=dst,
-                ),
-            )
+            (c, Block(f=b.f, wedge_obj=b.wedge_obj, parts=parts, space=dst))
         )
     return FiltrationWitness(w.level, entries)
 
@@ -383,13 +358,13 @@ def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
     for c, b in w.entries:
         red_parts = [ctx.reduced_domain(p.domain) for p in b.parts]
         new_domains = [r[0] for r in red_parts]
-        new_wedge, new_ins = ctx.wedge_of(new_domains)
+        new_wedge = ctx.wedge_of(new_domains)
         red_w = ctx.reduced_domain(b.wedge_obj)
         coned = tuple(
-            scope.reduced_cone_map(b.insertions[j], red_parts[j], red_w)
+            scope.reduced_cone_map(b.wedge_obj.insertions[j], red_parts[j], red_w)
             for j in range(len(b.parts))
         )
-        e_inv = scope.straightening(new_wedge, new_ins, coned, red_w)
+        e_inv = scope.straightening(new_wedge, coned, red_w)
         red_t = ctx.reduced_domain(b.f.domain)
         cf = scope.reduced_cone_map(b.f, red_t, red_w)
         g = compose(e_inv, cf)
@@ -407,21 +382,12 @@ def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
             parts.append(BlockPart(p.level, terms, new_domains[j], cspace))
         cspace0 = ctx.reduced_space(b.space)[0]
         entries.append(
-            (
-                c,
-                Block(
-                    f=g,
-                    wedge_obj=new_wedge,
-                    insertions=new_ins,
-                    parts=parts,
-                    space=cspace0,
-                ),
-            )
+            (c, Block(f=g, wedge_obj=new_wedge, parts=parts, space=cspace0))
         )
     return FiltrationWitness(w.level, entries)
 
 
-def wedge_witness(witnesses, wedge_obj, insertions, ctx) -> FiltrationWitness:
+def wedge_witness(witnesses, wedge_obj, ctx) -> FiltrationWitness:
     """Witness for the combining product over a wedge of domains; ranks add.
 
     Expands the product of the input combinations, so each output block
@@ -443,33 +409,19 @@ def wedge_witness(witnesses, wedge_obj, insertions, ctx) -> FiltrationWitness:
     entries = []
     for c, blocks in combos:
         flat_parts = [p for b in blocks for p in b.parts]
-        flat_wedge, flat_ins = ctx.wedge_of([p.domain for p in flat_parts])
+        flat_wedge = ctx.wedge_of([p.domain for p in flat_parts])
         key = (id(flat_wedge),) + tuple(
             (id(b.wedge_obj), len(b.parts), b.f.table_key()) for b in blocks
         )
         f_new = decompositions.get(key)
         if f_new is None:
-            f_new = decompositions[key] = SMorphism(
-                wedge_obj,
-                flat_wedge,
-                _concatenated_maps(wedge_obj, insertions, blocks, flat_wedge),
-            )
-        entries.append(
-            (
-                c,
-                Block(
-                    f=f_new,
-                    wedge_obj=flat_wedge,
-                    insertions=flat_ins,
-                    parts=flat_parts,
-                    space=blocks[0].space,
-                ),
-            )
-        )
+            maps = _concatenated_maps(wedge_obj, blocks, flat_wedge)
+            f_new = decompositions[key] = SMorphism(wedge_obj, flat_wedge, maps)
+        entries.append((c, Block(f_new, flat_wedge, flat_parts, blocks[0].space)))
     return FiltrationWitness(total_level, entries)
 
 
-def _concatenated_maps(wedge_obj, insertions, blocks, flat_wedge):
+def _concatenated_maps(wedge_obj, blocks, flat_wedge):
     """The table from the wedge to the concatenated wedge that sends the
     i-th summand through the f of the i-th block, its parts shifted past
     those of the blocks before it."""
@@ -482,7 +434,8 @@ def _concatenated_maps(wedge_obj, insertions, blocks, flat_wedge):
         base, flat_base = wedge_obj.basepoint_at(n), flat_wedge.basepoint_at(n)
         level = {} if n else {base: flat_base}
         for i, b in enumerate(blocks):
-            keys, block_base = insertions[i].maps[n], b.wedge_obj.basepoint_at(n)
+            keys = wedge_obj.insertions[i].maps[n]
+            block_base = b.wedge_obj.basepoint_at(n)
             for x, fx in b.f.maps[n].items():
                 key = keys[x]
                 if key == base:
@@ -516,8 +469,6 @@ def act(space: PSpace, k, target):
     raise TypeError("target must be a morphism or an ensemble of morphisms")
 
 
-def combine_over_wedge(wedge_obj, insertions, ensembles) -> Ensemble:
+def combine_over_wedge(wedge_obj, ensembles) -> Ensemble:
     """The combining product of morphism ensembles over a wedge of domains."""
-    return combining_product(
-        ensembles, lambda tup: wedge_combine(wedge_obj, insertions, list(tup))
-    )
+    return combining_product(ensembles, lambda tup: wedge_combine(wedge_obj, list(tup)))

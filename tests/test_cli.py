@@ -1,11 +1,12 @@
 import io
 import json
 import os
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from fissile import wedge
+from fissile import cli, wedge
 from fissile.artifacts import ArtifactError, resolve
 from fissile.canon import ckey_b64, jsonable, unjsonable
 from fissile.cli import main, parse_word
@@ -160,7 +161,7 @@ MALFORMED_LABELS = [
 @pytest.mark.parametrize("label", MALFORMED_LABELS, ids=json.dumps)
 def test_malformed_label_is_an_artifact_error(label):
     ctx = WedgeContext((1,), (1,))
-    for lookup in (ctx.obj, ctx.labelled_space, ctx.labelled_wedge):
+    for lookup in (ctx.obj, ctx.labelled_space):
         with pytest.raises(ArtifactError):
             resolve(lookup, label)
 
@@ -193,6 +194,92 @@ def _relabel_block_spaces(node, label):
     elif isinstance(node, list):
         for child in node:
             _relabel_block_spaces(child, label)
+
+
+def _blocks(node):
+    """Every witness block under node."""
+    if isinstance(node, dict):
+        if "parts" in node and "wedge" in node:
+            yield node
+        for child in node.values():
+            yield from _blocks(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from _blocks(child)
+
+
+@pytest.mark.parametrize("kind", ["pj", "q"])
+@pytest.mark.parametrize(
+    "label", [["point"], ["plusbase", [1]]], ids=["point", "plusbase"]
+)
+def test_check_rejects_block_wedge_that_is_no_wedge(tmp_path, kind, label):
+    out = tmp_path / kind
+    run_cli([f"construct-{kind}", "--i", "2", "--e", "1", "--out", str(out)])
+    files = [out / "q.json"] if kind == "q" else sorted(out.glob("pair_*.json"))
+    path = next(p for p in files if any(_blocks(json.loads(p.read_text()))))
+    data = json.loads(path.read_text())
+    next(_blocks(data))["wedge"] = label
+    path.write_text(json.dumps(data))
+    rc, out_text, err = run_cli([f"check-{kind}", "--in", str(out)])
+    assert rc == 1
+    (line,) = out_text.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert "is not a wedge" in report["case"]["check"]
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def dumps(tmp_path_factory):
+    """q(2,1), pj(2,2) and q(2,2) dumps, built once for this module."""
+    root = tmp_path_factory.mktemp("dumps")
+    for kind, e in (("q", 1), ("pj", 2), ("q", 2)):
+        argv = [f"construct-{kind}", "--i", "2", "--e", str(e)]
+        assert run_cli(argv + ["--out", str(root / f"{kind}{e}")])[0] == 0
+    return root
+
+
+@pytest.mark.parametrize("kind, e", [("q", 1), ("pj", 2), ("q", 2)])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_check_rejects_bound_other_than_e_plus_one(dumps, tmp_path, kind, e, shift):
+    # the checker truncates at |E| + 1, as the builder does; re-verifying the
+    # claims in a truncation named by the manifest would check another claim
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / f"{kind}{e}", in_dir)
+    manifest = json.loads((in_dir / "manifest.json").read_text())
+    assert manifest["bound"] == e + 1
+    manifest["bound"] = e + 1 + shift
+    (in_dir / "manifest.json").write_text(json.dumps(manifest))
+    rc, out, err = run_cli([f"check-{kind}", "--in", str(in_dir)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert f"manifest bound {e + 1 + shift} " in report["case"]["check"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "summands", [lambda ds: ds[:1], lambda ds: ds[::-1]], ids=["first", "reversed"]
+)
+def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, summands):
+    # a two-part block over the wedge of its first part domain alone, or of
+    # its part domains in the other order
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "q2", in_dir)
+    data = json.loads((in_dir / "q.json").read_text())
+    block = next(b for b in _blocks(data) if len(b["parts"]) == 2)
+    domains = [p["domain"] for p in block["parts"]]
+    assert domains[0] != domains[1]
+    block["wedge"] = ["wedge", summands(domains)]
+    (in_dir / "q.json").write_text(json.dumps(data))
+    rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert "is not the wedge of its part domains" in report["case"]["check"]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", ["pj", "q"])
@@ -281,7 +368,7 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
     pj = tmp_path / "pj"
     run_cli(["construct-pj", "--i", "1", "--e", "1", "--out", str(pj)])
     manifest = json.loads((pj / "manifest.json").read_text())
-    ctx = WedgeContext(manifest["i"], manifest["e"], bound=manifest["bound"])
+    ctx = WedgeContext(manifest["i"], manifest["e"])
     data = json.loads((pj / "morphisms.json").read_text())
 
     def break_faces(rec):
@@ -347,6 +434,25 @@ def test_construct_reports_unwritable_out(tmp_path, command, below_file):
     report = json.loads(line)
     assert report["verdict"] == "fail"
     assert out_dir in report["error"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["construct-pj", "construct-q"])
+def test_construct_rejects_unwritable_out_before_constructing(
+    tmp_path, monkeypatch, command
+):
+    def construct_p(*args, **kwargs):
+        pytest.fail("constructed although --out cannot be written")
+
+    monkeypatch.setattr(cli, "construct_p", construct_p)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc, out, err = run_cli([command, "--i", "2", "--e", "2", "--out", str(blocker)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert str(blocker) in report["error"]
     assert "Traceback" not in err
 
 

@@ -228,11 +228,11 @@ def test_reduced_cone_of_plus_matches_cone():
 def test_reduced_cone_preserves_wedges():
     a = disjoint_basepoint(point(3, based=False))
     b = disjoint_basepoint(standard_simplex(1, 3))
-    w, ins = wedge([a, b])
+    w = wedge([a, b])
     rw, _, _, _ = reduced_cone(w)
     ra, _, _, _ = reduced_cone(a)
     rb, _, _, _ = reduced_cone(b)
-    wr, _ = wedge([ra, rb])
+    wr = wedge([ra, rb])
     for n in range(4):
         assert len(rw.level(n)) == len(wr.level(n))
         assert len(rw.nondegenerate(n)) == len(wr.nondegenerate(n))
@@ -264,7 +264,8 @@ def test_suspension_of_point_is_circle_like():
 
 def test_wedge_single_part_is_copy():
     a = disjoint_basepoint(standard_simplex(1, 3))
-    w, ins = wedge([a])
+    w = wedge([a])
+    ins = w.insertions
     for n in range(4):
         assert len(w.level(n)) == len(a.level(n))
         vals = {ins[0](n, x) for x in a.level(n)}
@@ -275,14 +276,15 @@ def test_wedge_two_two_point_sets():
     a = point(2)
     b = disjoint_basepoint(point(2, based=False))
     aa = disjoint_basepoint(point(2, based=False))
-    w, ins = wedge([aa, b])
+    w = wedge([aa, b])
     assert len(w.level(0)) == 3
 
 
 def test_wedge_insertions_injective_off_basepoint():
     a = disjoint_basepoint(point(3, based=False))
     b = disjoint_basepoint(standard_simplex(1, 3))
-    w, ins = wedge([a, b])
+    w = wedge([a, b])
+    ins = w.insertions
     for j, part in enumerate((a, b)):
         for n in range(4):
             nonbp = [x for x in part.level(n) if x != part.basepoint_at(n)]
@@ -540,7 +542,7 @@ def assert_agrees_with_full_table(m):
 
 def test_morphism_determined_by_nondegenerate_values():
     t = disjoint_basepoint(point(2, based=False))
-    z, _ = wedge([t, disjoint_basepoint(point(2, based=False))])
+    z = wedge([t, disjoint_basepoint(point(2, based=False))])
     for f in enumerate_based_morphisms(t, z):
         assert_agrees_with_full_table(f)
 
@@ -644,7 +646,7 @@ def brute_based_morphisms(t, z):
 
 def test_enumeration_matches_brute_force():
     t = disjoint_basepoint(point(2, based=False))
-    z, _ = wedge(
+    z = wedge(
         [disjoint_basepoint(point(2, based=False)), disjoint_basepoint(point(2, based=False))]
     )
     fast = enumerate_based_morphisms(t, z)
@@ -666,7 +668,7 @@ def test_enumeration_to_point_unique():
 
 
 def test_enumeration_guard():
-    big, _ = wedge(
+    big = wedge(
         [disjoint_basepoint(thick_simplex((0, 1), 2)) for _ in range(3)]
     )
     with pytest.raises(EnumerationGuard):
@@ -676,10 +678,11 @@ def test_enumeration_guard():
 def test_wedge_combine_roundtrip():
     a = disjoint_basepoint(point(2, based=False))
     b = disjoint_basepoint(point(2, based=False))
-    w, ins = wedge([a, b])
+    w = wedge([a, b])
+    ins = w.insertions
     fa = enumerate_based_morphisms(a, w)
     fb = enumerate_based_morphisms(b, w)
-    combined = wedge_combine(w, ins, [fa[0], fb[0]])
+    combined = wedge_combine(w, [fa[0], fb[0]])
     assert compose(combined, ins[0]) == fa[0]
     assert compose(combined, ins[1]) == fb[0]
 

@@ -43,7 +43,7 @@ def test_wedge_lead_vertex_isolated(ctx):
     top_idx = ctx.components.index(ctx.i_set)
     from fissile.simplicial import suspension_top_at
 
-    lead = ctx.w_insertions[top_idx].maps[0][
+    lead = ctx.w_obj.insertions[top_idx].maps[0][
         suspension_top_at(ctx.towers[ctx.i_set].susp, 0)
     ]
     for x in ctx.w_obj.nondegenerate(1):
@@ -427,7 +427,7 @@ def record_wedge_builds(monkeypatch):
 
     def counting_wedge(parts, label=None):
         out = original(parts, label=label)
-        calls.append((tuple(parts), out[0].label))
+        calls.append((tuple(parts), out.label))
         return out
 
     patch_bindings(monkeypatch, original, counting_wedge)
@@ -461,8 +461,7 @@ def test_stored_labels_name_the_builders_objects(tmp_path, built_21):
     objs, spaces = [], []
     for w in witnesses:
         for _c, b in w.entries:
-            wobj, ins = ctx.labelled_wedge(unjsonable(jsonable(b.wedge_obj.label)))
-            assert wobj is b.wedge_obj and ins is b.insertions
+            assert b.wedge_obj.insertions is not None
             objs.append(b.wedge_obj)
             spaces.append(b.space)
             morphs.append(b.f)
@@ -492,10 +491,16 @@ def test_wedge_label_resolves_once():
         ("wedgecones", ((1,), (2,))),
     ]
     for label in labels:
-        wobj, ins = ctx.labelled_wedge(label)
-        again = ctx.labelled_wedge(label)
-        assert again[0] is wobj and again[1] is ins
+        wobj = ctx.obj(label)
+        assert wobj.insertions is not None
         assert ctx.obj(label) is wobj and wobj.label == label
+
+
+def test_reduced_cone_label_resolves_to_the_object_that_carries_it():
+    ctx = WedgeContext((1, 2), (1,))
+    for inner in (("WL", (1, 2)), ("W", (1, 2)), ("Wx", (1, 2)), ("WL", (1,))):
+        label = ("redcone", inner)
+        assert ctx.obj(label).label == label
 
 
 def test_label_in_other_order_resolves_to_the_normal_form():
@@ -541,9 +546,9 @@ def test_wedge_witness_validates_each_decomposition_once(monkeypatch):
     original, validate = witnesses.wedge_witness, SMorphism._validate
     open_calls, finished = [], []
 
-    def recording(ws, wedge_obj, insertions, ctx):
+    def recording(ws, wedge_obj, ctx):
         open_calls.append((wedge_obj, []))
-        out = original(ws, wedge_obj, insertions, ctx)
+        out = original(ws, wedge_obj, ctx)
         finished.append((open_calls.pop()[1], out))
         return out
 
@@ -596,11 +601,11 @@ def test_pair_scope_runs_each_distinct_morphism_once(monkeypatch):
         pairs[-1].append(("check_equivariant", key, (h, src, dst)))
         return equivariant(h, src, dst)
 
-    def gluing(w, ins, morphisms, codomain=None):
+    def gluing(w, morphisms, codomain=None):
         if evaluating:
             key = (id(w), id(codomain)) + tuple(map(table_ids, morphisms))
             pairs[-1].append(("wedge_combine", key, (w, codomain, tuple(morphisms))))
-        return combine(w, ins, morphisms, codomain=codomain)
+        return combine(w, morphisms, codomain=codomain)
 
     def evaluation(entries, scope=None):
         evaluating.append(True)
@@ -635,13 +640,13 @@ def record_scoped_gluings(monkeypatch, pairs):
     combine, over_layout = simplicial.wedge_combine, wedge_module.combine_over_layout
     in_layout, scopes = [], []
 
-    def gluing(w, ins, morphisms, codomain=None):
+    def gluing(w, morphisms, codomain=None):
         kind = "layout" if in_layout else "straightening" if codomain is None else None
         if kind is not None:
             key = (id(w), id(codomain)) + tuple(map(table_ids, morphisms))
             scope = scopes[-1] if scopes else None
             pairs[-1].append((kind, key, scope, (w, codomain, tuple(morphisms))))
-        return combine(w, ins, morphisms, codomain=codomain)
+        return combine(w, morphisms, codomain=codomain)
 
     def layout(*args, **kwargs):
         in_layout.append(True)

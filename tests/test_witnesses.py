@@ -74,9 +74,9 @@ def random_block(rng, ctx, t, space):
         parts.append(
             BlockPart(level=level, terms=[IdealTerm(pi, cert, w)], domain=dom, space=space)
         )
-    wobj, ins = wedge(domains)
+    wobj = wedge(domains)
     f = rng.choice(enumerate_based_morphisms(t, wobj))
-    return Block(f=f, wedge_obj=wobj, insertions=ins, parts=parts, space=space)
+    return Block(f=f, wedge_obj=wobj, parts=parts, space=space)
 
 
 def random_witness(rng, ctx, t, space, n_blocks=2):
@@ -88,11 +88,9 @@ def random_witness(rng, ctx, t, space, n_blocks=2):
     return FiltrationWitness(level, entries)
 
 
-def make_block(monoid, f, wedge_obj, insertions, parts, space):
+def make_block(monoid, f, wedge_obj, parts, space):
     """Evaluate a block after checking every part certificate at its rank."""
-    block = Block(
-        f=f, wedge_obj=wedge_obj, insertions=insertions, parts=parts, space=space
-    )
+    block = Block(f=f, wedge_obj=wedge_obj, parts=parts, space=space)
     for p in parts:
         if not p.check_certificates(monoid):
             raise ValueError("ideal decomposition fails verification")
@@ -105,12 +103,11 @@ def test_make_block_and_trivial_cases(ctx):
     pool = morphism_pool(ctx, t, space)
     w0 = pool[0]
     cert = ideal_membership(ctx.monoid, singleton(ctx.i_set), 0)
-    wobj, ins = wedge([t])
+    wobj = wedge([t])
     value, block = make_block(
         ctx.monoid,
-        ins[0],
+        wobj.insertions[0],
         wobj,
-        ins,
         [
             BlockPart(
                 level=0,
@@ -132,12 +129,11 @@ def test_make_block_zero_part(ctx):
     t = ctx.plus_base_of((1,))
     w0 = morphism_pool(ctx, t, space)[0]
     cert = ideal_membership(ctx.monoid, Ensemble.zero(), 1)
-    wobj, ins = wedge([t])
+    wobj = wedge([t])
     value, block = make_block(
         ctx.monoid,
-        ins[0],
+        wobj.insertions[0],
         wobj,
-        ins,
         [
             BlockPart(
                 level=1,
@@ -156,13 +152,12 @@ def test_make_block_rejects_bad_certificate(ctx):
     t = ctx.plus_base_of((1,))
     w0 = morphism_pool(ctx, t, space)[0]
     good = ideal_membership(ctx.monoid, omega((1,)), 1)
-    wobj, ins = wedge([t])
+    wobj = wedge([t])
     with pytest.raises(ValueError):
         make_block(
             ctx.monoid,
-            ins[0],
+            wobj.insertions[0],
             wobj,
-            ins,
             [
                 BlockPart(
                     level=2,  # claims rank 2 but the certificate is level 1
@@ -337,10 +332,10 @@ def test_wedge_witness_pipeline(ctx):
     for _ in range(15):
         w1 = random_witness(rng, ctx, t, space)
         w2 = random_witness(rng, ctx, t, space)
-        wobj, ins = wedge([t, t])
-        ww = wedge_witness([w1, w2], wobj, ins, ctx)
+        wobj = wedge([t, t])
+        ww = wedge_witness([w1, w2], wobj, ctx)
         assert ww.level == w1.level + w2.level
-        expected = combine_over_wedge(wobj, ins, [w1.value(), w2.value()])
+        expected = combine_over_wedge(wobj, [w1.value(), w2.value()])
         assert verify_witness(expected, ww, ww.level, ctx.monoid)
 
 
@@ -374,11 +369,11 @@ def identity_block(ctx, t, part_morphism):
     """One rank-0 block over the wedge of t alone, with f its insertion,
     whose part carries ``part_morphism`` into t under the trivial action."""
     space = PSpace(t, ctx.monoid, {k: inclusion(t, t) for k in ctx.monoid.elements})
-    wobj, ins = wedge([t])
+    wobj = wedge([t])
     pi = singleton(ctx.i_set)
     term = IdealTerm(pi, ideal_membership(ctx.monoid, pi, 0), part_morphism)
     part = BlockPart(0, [term], t, space)
-    return Block(f=ins[0], wedge_obj=wobj, insertions=ins, parts=[part], space=space)
+    return Block(f=wobj.insertions[0], wedge_obj=wobj, parts=[part], space=space)
 
 
 def count_validations(monkeypatch, domain):
@@ -411,7 +406,6 @@ def assert_face_breaking_twin_rejected(ctx, scope):
     broken = Block(
         f=SMorphism(t, wobj, maps, check=False),
         wedge_obj=wobj,
-        insertions=good.insertions,
         parts=good.parts,
         space=good.space,
     )
