@@ -13,6 +13,7 @@ builder and checker cannot drift apart.
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 
 from .canon import ckey_b64, jsonable, unjsonable
 from .chained import IdealCertificate, subset_key
@@ -87,12 +88,13 @@ class MorphismStore:
         hit = self._refs.get(id(m))
         if hit is not None:
             return hit[1]
-        mid = ckey_b64(m)
+        payload = m.canonical_payload()
+        mid = ckey_b64(payload)
         if mid not in self.records:
             self.records[mid] = {
                 "domain": jsonable(m.domain.label),
                 "codomain": jsonable(m.codomain.label),
-                "table": m.table_key(),
+                "table": payload[1],
             }
         self._refs[id(m)] = (m, mid)
         return mid
@@ -110,7 +112,10 @@ class MorphismStore:
                 (n, unjsonable(x), unjsonable(v)) for n, x, v in rec["table"]
             ]
             m = morphism_from_nondegenerate(dom, cod, rows)
-            if ckey_b64(m) != mid:
+            # the id is checked on the rows as written: a morphism rebuilt
+            # from them would print its values interned, so a 1 written as
+            # true, equal in Python, would pass
+            if ckey_b64(("morphism", tuple(rows))) != mid:
                 raise ArtifactError("morphism id does not match its table")
             store.loaded[mid] = m
         return store
@@ -225,9 +230,37 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
 # -- writing -------------------------------------------------------------------
 
 
+def _json_chunks(x, depth, write):
+    """Pass ``json.dumps(x, sort_keys=True, indent=1)`` at nesting depth
+    ``depth`` to ``write`` chunk by chunk, for str-keyed dicts, lists,
+    tuples, str, int, bool and None: the stdlib's bytes, without its
+    pure-Python indenting encoder."""
+    if isinstance(x, str):
+        write(encode_basestring_ascii(x))
+    elif x is None or x is True or x is False:
+        write("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        write(int.__repr__(x))
+    elif not isinstance(x, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    elif not x:
+        write("{}" if isinstance(x, dict) else "[]")
+    else:
+        is_dict = isinstance(x, dict)
+        if is_dict and not all(isinstance(k, str) for k in x):
+            raise TypeError("keys must be str")
+        sep = inner = "\n" + " " * (depth + 1)
+        write("{" if is_dict else "[")
+        for k in sorted(x) if is_dict else x:
+            write(sep + encode_basestring_ascii(k) + ": " if is_dict else sep)
+            _json_chunks(x[k] if is_dict else k, depth + 1, write)
+            sep = "," + inner
+        write("\n" + " " * depth + ("}" if is_dict else "]"))
+
+
 def _dump(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        _json_chunks(payload, 0, fh.write)
         fh.write("\n")
 
 

@@ -154,18 +154,6 @@ class MagnusSeries:
                 out[mon] = out.get(mon, 0) + c1 * c2
         return MagnusSeries(self.degree, out)
 
-    def substitute_zero(self, killed):
-        """Drop every monomial that mentions a killed generator."""
-        killed = set(killed)
-        return MagnusSeries(
-            self.degree,
-            {
-                mon: c
-                for mon, c in self.terms.items()
-                if not (set(mon) & killed)
-            },
-        )
-
     def min_positive_degree(self):
         degs = [len(mon) for mon, c in self.terms.items() if mon and c]
         return min(degs) if degs else None

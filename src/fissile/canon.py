@@ -6,17 +6,18 @@ frozensets of those, or objects exposing a ``canonical_payload()`` method.
 Two elements are equal exactly when their canonical byte keys are equal,
 which is what makes dict-backed formal sums safe.
 
-Every key comes from one prebuilt compact ``json.JSONEncoder``, whose
-``encode`` runs the C encoder.  That encoder writes ints, bools, None and
-ASCII-escaped strings itself, and tuples as lists; its ``default`` hook
-turns a frozenset into its :func:`jsonable` member list, a
-``canonical_payload()`` object into its payload, and refuses anything else
-with a TypeError.  So each key is the text of exactly the structure
-:func:`jsonable` builds, with the same separators, and has the bytes of
-``json.dumps(jsonable(x), sort_keys=True, separators=(",", ":"))``: the
-sort acts on dicts only, and no canonical value holds one.  Floats and
-dicts, which no canonical value holds either, are written as they come
-rather than refused.
+Every key comes from one prebuilt C encoder object, the one that a
+compact ``json.JSONEncoder`` would build inside each ``encode`` (that
+``encode`` is the fallback where the C module is missing).  It writes
+ints, bools, None and ASCII-escaped strings itself, and tuples as lists;
+its ``default`` hook turns a frozenset into its :func:`jsonable` member
+list, a ``canonical_payload()`` object into its payload, and refuses
+anything else with a TypeError.  So each key is the text of exactly the
+structure :func:`jsonable` builds, with the same separators, and has the
+bytes of ``json.dumps(jsonable(x), sort_keys=True, separators=(",",
+":"))``: the sort acts on dicts only, and no canonical value holds one.
+Floats and dicts, which no canonical value holds either, are written as
+they come rather than refused.
 """
 
 import base64
@@ -57,11 +58,18 @@ def _payload(x):
 _ENCODER = json.JSONEncoder(
     separators=(",", ":"), check_circular=False, default=_payload
 )
+# the C encoder object that ``_ENCODER.encode`` would build on every call
+_ITERENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _payload, json.encoder.encode_basestring_ascii, None, ":", ",",
+    False, False, True,
+)
 
 
 def ckey(x) -> bytes:
     """Deterministic byte key of a canonical value."""
-    return _ENCODER.encode(x).encode()
+    if _ITERENCODE is None:
+        return _ENCODER.encode(x).encode()
+    return "".join(_ITERENCODE(x, 0)).encode()
 
 
 def ckey_b64(x) -> str:

@@ -138,10 +138,10 @@ def cmd_construct(args):
             report["artifacts"] = [args.out]
     except GuardExceeded:
         report["verdict"] = "skipped-guard"
-    except (VerificationError, OSError) as exc:
+    except (VerificationError, OSError, MemoryError) as exc:
         # an unwritable --out raises an OSError whose message names the path
         report["verdict"] = "fail"
-        report["error"] = str(exc)
+        report["error"] = "memory" if isinstance(exc, MemoryError) else str(exc)
     report["ms"] = int((time.monotonic() - t0) * 1000)
     _emit(report)
     return 1 if _summary([report]) else 0
@@ -150,10 +150,13 @@ def cmd_construct(args):
 def cmd_check(args):
     """Run an artifact checker; structural corruption counts as failure."""
     t0 = time.monotonic()
+    error = {}
     try:
         checks = CHECKERS[args.command](args.in_dir)
     except (ArtifactError, SimplicialError, KeyError, OSError, ValueError) as exc:
         checks = [(f"artifact-structure ({exc})", False)]
+    except MemoryError:
+        checks, error = [("artifact-check", False)], {"error": "memory"}
     reports = []
     for name, ok in checks:
         reports.append(
@@ -161,6 +164,7 @@ def cmd_check(args):
                 "suite": args.command,
                 "case": {"check": name, "in": args.in_dir},
                 "verdict": "pass" if ok else "fail",
+                **error,
                 "ms": int((time.monotonic() - t0) * 1000),
             }
         )

@@ -8,6 +8,13 @@ A morphism stores one row per nondegenerate simplex of its domain: by the
 Eilenberg-Zilber lemma every simplex is uniquely s_I y with y nondegenerate,
 so those rows fix the map, and the value at s_I y is s_I of the row of y.
 
+Every simplex key gets a small integer id, once per process, from one
+intern table (as Ripser and the simplex tree index simplices).  A morphism
+holds per dimension the ids of its values in ``domain.nondegenerate(n)``
+order, so composing is a gather and hashing reads only ints; equality does
+not look at the codomain (see :class:`SMorphism`).  Ids never reach a file:
+table keys are rebuilt from them.
+
 Cone simplices are pairs (t, y): t is a monotone 0/1 tuple recording, slot
 by slot, whether the simplex runs along the apex or the base, and y is the
 base-part simplex (None when the slot set is pure apex).  For the
@@ -26,6 +33,27 @@ from itertools import combinations, product, repeat
 from .canon import ckey, jsonable
 
 BASE = "*"
+
+
+# the intern table: the key of each id, and the id of each key.  One per
+# process, since morphisms over separately built equal sets compare by ids.
+_KEYS = []
+_IDS = {}
+_MISSING = object()
+
+
+def _intern(x):
+    i = _IDS.get(x)
+    if i is None:
+        i = _IDS[x] = len(_KEYS)
+        _KEYS.append(x)
+    return i
+
+
+def _intern_all(xs):
+    """The ids of the keys in the sequence xs, as a tuple."""
+    ids = tuple(map(_IDS.get, xs))
+    return tuple(map(_intern, xs)) if None in ids else ids
 
 
 class SimplicialError(Exception):
@@ -55,9 +83,11 @@ class FiniteSimplicialSet:
         self.label = label
         self.insertions = None  # the summand insertions, on a wedge only
         self._nondeg = None
-        self._nondeg_sets = None
+        self._nondeg_ids = None
+        self.level_key = None  # (id of the nondegenerate id levels, their count)
         self._key_levels = None
         self._ez = None
+        self._face_forms = {}
         if check:
             self._validate()
 
@@ -88,7 +118,6 @@ class FiniteSimplicialSet:
                 self._nondeg.append(
                     tuple(x for x in self.simplices[m] if x not in degenerate)
                 )
-            self._nondeg_sets = [frozenset(level) for level in self._nondeg]
             # the row order of SMorphism.table_key
             self._key_levels = tuple(
                 (m, self._nondeg[m])
@@ -96,10 +125,30 @@ class FiniteSimplicialSet:
             )
         return self._nondeg[n]
 
-    def nondegenerate_sets(self):
-        """The nondegenerate simplices of every dimension, as frozensets."""
-        self.nondegenerate(0)
-        return self._nondeg_sets
+    def nondegenerate_ids(self):
+        """The ids of the nondegenerate simplices, one tuple per dimension in
+        the order of ``nondegenerate(n)``; also sets ``level_key``, which
+        leaves out trailing empty levels, as table keys do."""
+        if self._nondeg_ids is None:
+            self.nondegenerate(0)
+            ids = self._nondeg_ids = [_intern_all(level) for level in self._nondeg]
+            dims = max((n + 1 for n, level in enumerate(ids) if level), default=0)
+            self.level_key = (_intern(tuple(ids[:dims])), dims)
+        return self._nondeg_ids
+
+    def face_forms(self, n):
+        """The normal form s_ops y of each face of each nondegenerate simplex
+        of dimension n >= 1, concatenated, as (ops, m, the position of y in
+        ``nondegenerate(m)``)."""
+        if n not in self._face_forms:
+            at = [{y: i for i, y in enumerate(level)} for level in self._nondeg]
+            forms, faces = self.normal_forms(n - 1), self.faces[n]
+            self._face_forms[n] = [
+                (ops, m, at[m][y])
+                for x in self.nondegenerate(n)
+                for ops, m, y in map(forms.__getitem__, faces[x])
+            ]
+        return self._face_forms[n]
 
     def key_levels(self):
         """(n, nondegenerate simplices) with n in the order of its text
@@ -216,14 +265,14 @@ class FiniteSimplicialSet:
             self._fail("basepoint outside the vertices", 0)
 
 
-def _values(dom, cod, maps, n, xs):
+def _values(dom, cod, value_at, n, xs):
     """The values at the simplices xs of dimension n of the simplicial map
-    whose nondegenerate rows are ``maps``: s_I maps[m][y] for the normal
-    form x = s_I y, y of dimension m."""
+    whose value at a nondegenerate y of dimension m is ``value_at(m, y)``:
+    s_I value_at(m, y) for the normal form x = s_I y."""
     forms, degens, out = dom.normal_forms(n), cod.degens, []
     for x in xs:
         ops, m, y = forms[x]
-        v = maps[m][y]
+        v = value_at(m, y)
         for i in reversed(ops):
             v = degens[m][v][i]
             m += 1
@@ -233,12 +282,22 @@ def _values(dom, cod, maps, n, xs):
 
 class SMorphism:
     """A simplicial morphism stored as its rows on the nondegenerate
-    simplices of the domain, one dict per dimension; ``m(n, x)`` answers
-    every simplex, degenerate ones through the domain's Eilenberg-Zilber
-    normal form.  The constructor copies the rows, rejects a table whose
-    keys are not exactly the nondegenerate simplices, and with ``check``
-    validates it: every value lies in the codomain and d_i m(x) ==
-    m(n - 1, d_i x) for every nondegenerate x.
+    simplices of the domain: ``rows[n]`` holds the ids of the values at
+    ``domain.nondegenerate(n)``, in that order.  ``m(n, x)`` answers every
+    simplex, degenerate ones through the domain's Eilenberg-Zilber normal
+    form.  The constructor takes either those id rows or ``maps``, one dict
+    per dimension from the nondegenerate simplices to their values; it
+    rejects a table whose keys or row lengths are not exactly the
+    nondegenerate simplices, and with ``check`` validates it: every value
+    lies in the codomain and d_i m(x) == m(n - 1, d_i x) for every
+    nondegenerate x.
+
+    Two morphisms are equal when their domains have the same nondegenerate
+    levels and their rows are the same, which is equality of their table
+    keys.  The codomain takes no part: an inclusion into a larger set and
+    the identity of the smaller one have one table, and both an ensemble
+    and a written file see one element.  So the rows hold interned ids, not
+    positions in the codomain, whose levels differ between those two.
 
     Those checks make the extension M(s_I y) = s_I m(y) a simplicial map.
     M is well defined because the normal form s_I y of a simplex is unique
@@ -254,22 +313,31 @@ class SMorphism:
     identities of both sets, which ``FiniteSimplicialSet._validate`` checks.
     """
 
-    __slots__ = ("domain", "codomain", "maps", "_key", "_hash", "__weakref__")
+    __slots__ = ("domain", "codomain", "rows", "_tables", "_hash", "__weakref__")
 
-    def __init__(self, domain, codomain, maps, check=True):
-        self.domain = domain
-        self.codomain = codomain
-        self.maps = tuple(map(dict, maps))
-        self._key = None
-        self._hash = None
-        nondeg = domain.nondegenerate_sets()
-        if [row.keys() for row in self.maps] != nondeg:
-            if len(self.maps) != len(nondeg):
-                self._fail("table dimensions differ from the bound", domain.bound)
-            n = next(n for n, row in enumerate(self.maps) if row.keys() != nondeg[n])
+    def __init__(self, domain, codomain, maps=None, check=True, rows=None):
+        self.domain, self.codomain = domain, codomain
+        self._tables = self._hash = None
+        ids = domain.nondegenerate_ids()
+        given = tuple(maps) if rows is None else rows
+        if len(given) != len(ids):
+            self._fail("table dimensions differ from the bound", domain.bound)
+        if rows is None:
+            rows = tuple(map(self._row, range(len(ids)), given))
+        elif list(map(len, rows)) != list(map(len, ids)):
+            n = next(n for n, row in enumerate(rows) if len(row) != len(ids[n]))
             self._fail("table rows differ from the nondegenerate simplices", n)
+        self.rows = rows
         if check:
             self._validate()
+
+    def _row(self, n, row):
+        """The value ids of the dict ``row``, whose keys must be exactly the
+        nondegenerate simplices of dimension n."""
+        values = list(map(row.get, self.domain.nondegenerate(n), repeat(_MISSING)))
+        if len(values) != len(row) or _MISSING in values:
+            self._fail("table rows differ from the nondegenerate simplices", n)
+        return _intern_all(values)
 
     def _fail(self, check, n):
         raise SimplicialError(
@@ -282,31 +350,61 @@ class SMorphism:
         bound = t.bound
         if z.bound < bound:
             self._fail("codomain truncated below the domain", bound)
-        maps = self.maps
-        for n in range(bound + 1):
-            if not z.level_sets[n].issuperset(maps[n].values()):
+        for n, row in enumerate(self.rows):
+            if not z.level_sets[n].issuperset(map(_KEYS.__getitem__, row)):
                 self._fail("value outside codomain", n)
+        # the values at the faces of every nondegenerate x, read through
+        # their normal forms, against the faces of the values at x
         for n in range(1, bound + 1):
-            get, tf, zf = maps[n - 1].get, t.faces[n], z.faces[n]
-            for x, v in maps[n].items():
-                row = tuple(map(get, tf[x]))
-                if None in row:
-                    # a degenerate face: read it through its normal form
-                    row = tuple(_values(t, z, maps, n - 1, tf[x]))
-                if row != zf[v]:
-                    self._fail("morphism does not commute with faces", n)
+            got = []
+            for ops, m, q in t.face_forms(n):
+                v = _KEYS[self.rows[m][q]]
+                for i in reversed(ops):
+                    v = z.degens[m][v][i]
+                    m += 1
+                got.append(v)
+            faces = z.faces[n]
+            if got != [f for v in self.rows[n] for f in faces[_KEYS[v]]]:
+                self._fail("morphism does not commute with faces", n)
+
+    @property
+    def maps(self):
+        """The rows as one dict per dimension from the nondegenerate
+        simplices to their values; a fresh copy on each read."""
+        return tuple(dict(self.items(n)) for n in range(len(self.rows)))
+
+    def items(self, n):
+        """The pairs (x, value) over the nondegenerate x of dimension n."""
+        return zip(self.domain.nondegenerate(n), map(_KEYS.__getitem__, self.rows[n]))
+
+    def _apply(self, n, ids):
+        """The value ids at the simplices with these ids of dimension n,
+        through one table per dimension from simplex ids to value ids: the
+        rows, then each degenerate simplex on its first read."""
+        if self._tables is None:
+            ids_by_dim = self.domain.nondegenerate_ids()
+            self._tables = list(map(dict, map(zip, ids_by_dim, self.rows)))
+        tables = self._tables
+        try:
+            return tuple(map(tables[n].__getitem__, ids))
+        except KeyError:
+            for i in ids:
+                if i not in tables[n]:
+                    v = _values(self.domain, self.codomain, self._value_at, n, [_KEYS[i]])
+                    tables[n][i] = _intern(v[0])
+            return tuple(map(tables[n].__getitem__, ids))
+
+    def _value_at(self, m, y):
+        return _KEYS[self._tables[m][_IDS[y]]]
 
     def is_based(self):
         if self.domain.basepoint is None or self.codomain.basepoint is None:
             return False
-        return self.maps[0][self.domain.basepoint] == self.codomain.basepoint
+        at = self.domain.nondegenerate(0).index(self.domain.basepoint)
+        return _KEYS[self.rows[0][at]] == self.codomain.basepoint
 
     def __call__(self, n, x):
-        # no simplex is None, so a missing row reads as None
-        v = self.maps[n].get(x)
-        if v is None:
-            v = _values(self.domain, self.codomain, self.maps, n, (x,))[0]
-        return v
+        return _KEYS[self._apply(n, (_intern(x),))[0]]
 
     def table_key(self):
         """The rows (n, x, value) over the nondegenerate x, in the order of
@@ -316,22 +414,24 @@ class SMorphism:
         order is the ckey order of x, which stays the row order because x
         is unique there and "," sorts below every character that can extend
         a JSON value (only a number can be extended)."""
-        if self._key is None:
-            key = []
-            for n, xs in self.domain.key_levels():
-                key.extend(zip(repeat(n), xs, map(self.maps[n].__getitem__, xs)))
-            self._key = tuple(key)
-        return self._key
+        key = []
+        for n, xs in self.domain.key_levels():
+            key.extend(zip(repeat(n), xs, map(_KEYS.__getitem__, self.rows[n])))
+        return tuple(key)
 
     def canonical_payload(self):
         return ("morphism", self.table_key())
 
     def __eq__(self, other):
-        return isinstance(other, SMorphism) and self.table_key() == other.table_key()
+        if not isinstance(other, SMorphism):
+            return False
+        key = self.domain.level_key
+        return key == other.domain.level_key and self.rows[: key[1]] == other.rows[: key[1]]
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.table_key())
+            level_id, dims = self.domain.level_key
+            self._hash = hash((level_id, self.rows[:dims]))
         return self._hash
 
     def __repr__(self):
@@ -344,33 +444,25 @@ class SMorphism:
         other simplex s_i d_i x, and nondegenerate values have distinct
         normal forms."""
         return all(
-            len(set(row.values())) == len(row) and nondeg.issuperset(row.values())
-            for row, nondeg in zip(self.maps, self.codomain.nondegenerate_sets())
+            len(set(row)) == len(row) and set(nondeg).issuperset(row)
+            for row, nondeg in zip(self.rows, self.codomain.nondegenerate_ids())
         )
 
 
 def compose(g: SMorphism, f: SMorphism) -> SMorphism:
-    maps = []
-    for n, row in enumerate(f.maps):
-        level = dict(zip(row, map(g.maps[n].get, row.values())))
-        if None in level.values():
-            # f lands on degenerate simplices there: read g through their
-            # normal forms
-            xs = [x for x, v in level.items() if v is None]
-            ys = _values(g.domain, g.codomain, g.maps, n, [row[x] for x in xs])
-            level.update(zip(xs, ys))
-        maps.append(level)
-    return SMorphism(f.domain, g.codomain, maps, check=False)
+    """g . f: each row of f gathered through the id tables of g."""
+    rows = tuple([g._apply(n, row) for n, row in enumerate(f.rows)])
+    return SMorphism(f.domain, g.codomain, rows=rows, check=False)
 
 
 def tabulate(domain, codomain, value) -> SMorphism:
     """The validated morphism whose row at each nondegenerate simplex x of
     dimension n of the domain is ``value(n, x)``."""
-    rows = [
-        {x: value(n, x) for x in domain.nondegenerate(n)}
+    rows = tuple(
+        _intern_all([value(n, x) for x in domain.nondegenerate(n)])
         for n in range(domain.bound + 1)
-    ]
-    return SMorphism(domain, codomain, rows)
+    )
+    return SMorphism(domain, codomain, rows=rows)
 
 
 def constant_morphism(t, z, vertex) -> SMorphism:
@@ -574,12 +666,7 @@ def subsimplicial(u, member, basepoint=None, label=None):
 def inclusion(sub, sup) -> SMorphism:
     """The identity table of sub into sup, which contains it with the same
     keys; inclusion(u, u) is the identity of u."""
-    return SMorphism(
-        sub,
-        sup,
-        [{x: x for x in sub.nondegenerate(n)} for n in range(sub.bound + 1)],
-        check=False,
-    )
+    return SMorphism(sub, sup, rows=tuple(sub.nondegenerate_ids()), check=False)
 
 
 def quotient(u, removed_levels, label=None):
@@ -642,9 +729,9 @@ def induce_through(p: SMorphism, g: SMorphism) -> SMorphism:
     cod = p.codomain
     maps, degenerate = [], []
     for n in range(cod.bound + 1):
-        nondeg, level = cod.nondegenerate_sets()[n], {}
-        for x, px in p.maps[n].items():
-            gx = g.maps[n][x]
+        nondeg, level = set(cod.nondegenerate(n)), {}
+        for x, px in p.items(n):
+            gx = g(n, x)
             if px not in nondeg:
                 degenerate.append((n, px, gx))
             elif px in level:
@@ -659,7 +746,7 @@ def induce_through(p: SMorphism, g: SMorphism) -> SMorphism:
                 level[y] = g.codomain.basepoint_at(n)
         maps.append(level)
     for n, px, gx in degenerate:
-        if _values(cod, g.codomain, maps, n, (px,))[0] != gx:
+        if _values(cod, g.codomain, lambda m, y: maps[m][y], n, (px,))[0] != gx:
             g._fail("map does not descend through the quotient", n)
     return SMorphism(cod, g.codomain, maps)
 
@@ -779,18 +866,13 @@ def wedge_combine(w, morphisms, codomain=None) -> SMorphism:
         base = w.basepoint_at(n)
         level = {} if n else {base: z.basepoint}
         for j, f in enumerate(morphisms):
-            keys = w.insertions[j].maps[n]
-            for x, fx in f.maps[n].items():
-                key = keys[x]
+            ins = w.insertions[j]
+            for x, fx in f.items(n):
+                key = ins(n, x)
                 if key != base:
                     level[key] = fx
         maps.append(level)
     return SMorphism(w, z, maps)
-
-
-def disjoint_basepoint(u: FiniteSimplicialSet):
-    """u with a free basepoint adjoined (quotient by the empty subset)."""
-    return quotient(u, [set() for _ in range(u.bound + 1)], label=("plus", u.label))
 
 
 def plus_base(c: FiniteSimplicialSet, label=None):
@@ -892,7 +974,8 @@ def _faces_agree(t, z, maps, n, x, val):
     nondegenerate simplex below dimension n."""
     if n == 0:
         return True
-    return tuple(_values(t, z, maps, n - 1, t.faces[n][x])) == z.faces[n][val]
+    faces = _values(t, z, lambda m, y: maps[m][y], n - 1, t.faces[n][x])
+    return tuple(faces) == z.faces[n][val]
 
 
 def complex_intersection(k: AbstractComplex, l: AbstractComplex) -> AbstractComplex:

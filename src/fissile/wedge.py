@@ -33,6 +33,7 @@ from .identities import covers, proper_covers
 from .layouts import GuardExceeded, LayoutLattice, layout_key
 from .posets import Section, check_compatible, nabla_inverse
 from .simplicial import (
+    BASE,
     ContractionTower,
     SMorphism,
     barycentric,
@@ -251,23 +252,19 @@ class WedgeContext:
         return induce_through(t_from.susp_proj, compose(t_to.susp_proj, cone_inc))
 
     def _action_table(self, k):
-        maps = []
-        for n in range(self.bound + 1):
-            base = self.w_obj.basepoint_at(n)
-            level = {} if n else {base: base}
-            for idx, j in enumerate(self.components):
-                j2 = self.monoid.op(k, j)
-                idx2 = self.components.index(j2)
-                smap = self._susp_map(j, j2)
-                target = self.towers[j2].susp
-                for x in self.towers[j].susp.nondegenerate(n):
-                    key = self.w_obj.insertions[idx].maps[n][x]
-                    if key == base:
-                        continue
-                    y = smap(n, x)
-                    level[key] = base if y == target.basepoint_at(n) else (idx2, y)
-            maps.append(level)
-        return SMorphism(self.w_obj, self.w_obj, maps)
+        def value(n, key):
+            # the wedge's nondegenerate simplices: its basepoint at
+            # dimension 0, and (idx, x) off the basepoint of component idx
+            if key == BASE:
+                return key
+            idx, x = key
+            j2 = self.monoid.op(k, self.components[idx])
+            y = self._susp_map(self.components[idx], j2)(n, x)
+            if y == self.towers[j2].susp.basepoint_at(n):
+                return self.w_obj.basepoint_at(n)
+            return self.components.index(j2), y
+
+        return tabulate(self.w_obj, self.w_obj, value)
 
     def _build_full_space(self) -> PSpace:
         action = {k: self._action_table(k) for k in self.monoid.elements}
@@ -287,10 +284,7 @@ class WedgeContext:
 
     def _restricted_space(self, obj) -> PSpace:
         """A components subobject with the full action cut down to it."""
-        action = {
-            k: tabulate(obj, obj, lambda n, x: big.maps[n][x])
-            for k, big in self.full_space.action.items()
-        }
+        action = {k: tabulate(obj, obj, big) for k, big in self.full_space.action.items()}
         return PSpace(obj, self.monoid, action)
 
     @_entry("WL", subset_key)
@@ -543,41 +537,6 @@ def cover_witness(ctx, b, cover_fns, witness_at, space, level, scope):
             per_block.append(map_witness(witness_at(g, k), inc, small, space, scope))
         entries.extend(combine_witnesses_over_layout(ctx, b, per_block, space).entries)
     return compact_witness(FiltrationWitness(level, entries))
-
-
-class MorphismLayoutPresheaf:
-    """The layout presheaf of morphism ensembles on coned subdivisions.
-
-    Universes are based morphisms from the coned layout subdivisions into a
-    fixed action space; restriction composes with the inclusion, extension
-    composes with the canonical retraction, and the combining product glues
-    morphisms over the per-block cones.  The repair operator and fissility
-    tests consume this through the same interface as the synthetic model.
-    """
-
-    def __init__(self, ctx: WedgeContext):
-        self.ctx = ctx
-        self.lattice = LayoutLattice(ctx.e_set, bound=len(ctx.e_set))
-        self.top = self.lattice.top
-
-    def wrap(self, q: Ensemble) -> Ensemble:
-        return q
-
-    def unwrap(self, s: Ensemble) -> Ensemble:
-        return s
-
-    def restrict(self, s: Ensemble, a, b) -> Ensemble:
-        if not self.lattice.geq(a, b):
-            raise ValueError("restriction requires a >= b")
-        return restrict_ensemble(s, self.ctx.layout_inclusion(b, a))
-
-    def extend(self, s: Ensemble, a, b) -> Ensemble:
-        if not self.lattice.geq(a, b):
-            raise ValueError("extension requires a >= b")
-        return restrict_ensemble(s, self.ctx.retraction(a, b))
-
-    def combine(self, a, parts) -> Ensemble:
-        return combine_over_layout(self.ctx, a, parts)
 
 
 # -- the construction conditions -------------------------------------------

@@ -12,7 +12,7 @@ explicit certificate and re-verified by evaluation.
 from dataclasses import dataclass, field
 
 from .chained import IdealCertificate, SubsetMonoid
-from .ensembles import Ensemble, combining_product, map_ensemble
+from .ensembles import Ensemble, combining_product
 from .simplicial import (
     SimplicialError,
     SMorphism,
@@ -55,12 +55,6 @@ class PSpace:
                 if compose(act, self.action[k2]) != self.action[meet]:
                     self._fail(f"action is not multiplicative with {k2!r}", k)
 
-    def act_on_morphism(self, k, v: SMorphism) -> SMorphism:
-        return compose(self.action[k], v)
-
-    def act_on_ensemble(self, k, s: Ensemble) -> Ensemble:
-        return map_ensemble(lambda v: self.act_on_morphism(k, v), s)
-
 
 @dataclass
 class IdealTerm:
@@ -86,24 +80,20 @@ class BlockPart:
     _key: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def key(self):
-        """The structural key of the part: its level and its sorted (pi
-        items, certificate level, certificate combination, morphism table)
+        """The structural key of the part: its level and the multiset of its
+        (pi items, certificate level, certificate combination, morphism)
         terms, built once, as a part is not changed once made."""
         if self._key is None:
-            self._key = (
-                self.level,
-                tuple(
-                    sorted(
-                        (
-                            tuple(sorted(t.pi.terms.items())),
-                            t.certificate.level,
-                            t.certificate.combination,
-                            t.morphism.table_key(),
-                        )
-                        for t in self.terms
-                    )
-                ),
-            )
+            count = {}
+            for t in self.terms:
+                term = (
+                    tuple(sorted(t.pi.terms.items())),
+                    t.certificate.level,
+                    t.certificate.combination,
+                    t.morphism,
+                )
+                count[term] = count.get(term, 0) + 1
+            self._key = (self.level, frozenset(count.items()))
         return self._key
 
     def value(self, scope) -> Ensemble:
@@ -146,8 +136,9 @@ def once(table, key, keep, build):
 
 
 def _ids(m: SMorphism) -> tuple:
-    """A morphism in a key: the ids of its objects and its table key."""
-    return id(m.domain), id(m.codomain), m.table_key()
+    """A morphism in a key: the ids of its objects and the morphism, which
+    hashes and compares by its rows."""
+    return id(m.domain), id(m.codomain), m
 
 
 class PairScope:
@@ -156,8 +147,8 @@ class PairScope:
     Within a scope each distinct wedge gluing, reduced-cone map, cone
     straightening and equivariance check is built, validated or run once,
     through :func:`once` in one table.  An entry is keyed by its kind, the
-    ids of its objects and the table keys of its morphisms, which hold every
-    row of the table.  Two morphism objects are composed once per pair of
+    ids of its objects and its morphisms, which compare by every row of
+    their tables.  Two morphism objects are composed once per pair of
     objects, so the action of a monoid element on a part morphism, or a
     gluing precomposed with a block's decomposition, is one object each time
     it recurs.  The builder drops the scope when its pair ends; a call given
@@ -173,7 +164,7 @@ class PairScope:
         return once(self._table, key, (g, f), lambda: compose(g, f))
 
     def act(self, space: PSpace, k, m: SMorphism) -> SMorphism:
-        """``space.act_on_morphism(k, m)``."""
+        """``compose(space.action[k], m)``."""
         return self.compose(space.action[k], m)
 
     def glue(self, wobj, tup, cod) -> SMorphism:
@@ -333,15 +324,16 @@ def map_witness(
 def _invert_iso(e: SMorphism) -> SMorphism:
     """The inverse of an isomorphism, which is a bijection between the
     nondegenerate simplices of its domain and codomain."""
-    maps = []
-    for n, (row, nondeg) in enumerate(zip(e.maps, e.codomain.nondegenerate_sets())):
-        inv = {y: x for x, y in row.items()}
-        if len(inv) != len(row) or not nondeg.issuperset(inv):
+    rows = []
+    pairs = zip(e.rows, e.domain.nondegenerate_ids(), e.codomain.nondegenerate_ids())
+    for n, (row, xs, nondeg) in enumerate(pairs):
+        inv = dict(zip(row, xs))
+        if len(inv) != len(row) or not set(nondeg).issuperset(inv):
             e._fail("inverse of a map that is not injective", n)
         if len(inv) != len(nondeg):
             e._fail("inverse of a map that is not surjective", n)
-        maps.append(inv)
-    return SMorphism(e.codomain, e.domain, maps, check=False)
+        rows.append(tuple(map(inv.__getitem__, nondeg)))
+    return SMorphism(e.codomain, e.domain, rows=tuple(rows), check=False)
 
 
 def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
@@ -395,7 +387,7 @@ def wedge_witness(witnesses, wedge_obj, ctx) -> FiltrationWitness:
     part domains come from the run's context.  The new decomposition reads, of
     each chosen block, only the table of f, the basepoint of its wedge and
     its part count, so within this call it is built and validated once per
-    distinct (concatenated wedge, per-slot wedge, part count and f table).
+    distinct (concatenated wedge, per-slot wedge, part count and f).
     """
     total_level = sum(w.level for w in witnesses)
     combos = [(1, [])]
@@ -411,7 +403,7 @@ def wedge_witness(witnesses, wedge_obj, ctx) -> FiltrationWitness:
         flat_parts = [p for b in blocks for p in b.parts]
         flat_wedge = ctx.wedge_of([p.domain for p in flat_parts])
         key = (id(flat_wedge),) + tuple(
-            (id(b.wedge_obj), len(b.parts), b.f.table_key()) for b in blocks
+            (id(b.wedge_obj), len(b.parts), b.f) for b in blocks
         )
         f_new = decompositions.get(key)
         if f_new is None:
@@ -434,10 +426,10 @@ def _concatenated_maps(wedge_obj, blocks, flat_wedge):
         base, flat_base = wedge_obj.basepoint_at(n), flat_wedge.basepoint_at(n)
         level = {} if n else {base: flat_base}
         for i, b in enumerate(blocks):
-            keys = wedge_obj.insertions[i].maps[n]
+            ins = wedge_obj.insertions[i]
             block_base = b.wedge_obj.basepoint_at(n)
-            for x, fx in b.f.maps[n].items():
-                key = keys[x]
+            for x, fx in b.f.items(n):
+                key = ins(n, x)
                 if key == base:
                     continue
                 if fx == block_base:
@@ -447,26 +439,6 @@ def _concatenated_maps(wedge_obj, blocks, flat_wedge):
                     level[key] = (offsets[i] + j, y)
         maps.append(level)
     return maps
-
-
-class UnregisteredAction(KeyError):
-    pass
-
-
-def act(space: PSpace, k, target):
-    """Apply one monoid element to a morphism or to a morphism ensemble.
-
-    The space carries the registered action; unknown elements raise."""
-    k = tuple(sorted(k))
-    if k not in space.action:
-        raise UnregisteredAction(f"{k!r} has no registered action")
-    if isinstance(target, Ensemble):
-        if not all(isinstance(m, SMorphism) for m in target.support()):
-            raise UnregisteredAction("ensemble universe carries no action")
-        return space.act_on_ensemble(k, target)
-    if isinstance(target, SMorphism):
-        return space.act_on_morphism(k, target)
-    raise TypeError("target must be a morphism or an ensemble of morphisms")
 
 
 def combine_over_wedge(wedge_obj, ensembles) -> Ensemble:

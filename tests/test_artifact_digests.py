@@ -1,11 +1,14 @@
 """Byte identity of the written artifacts: the sha256 of every file of a
 dump, pinned per workload size.  A change to any encoding, key order or
-witness layout shows here."""
+witness layout shows here, and the fast writer is checked against
+the stdlib `json.dumps` it replaces."""
 
 import hashlib
+import json
 
 import pytest
 
+from fissile import artifacts
 from fissile.artifacts import write_pair_artifacts, write_q_artifacts
 from fissile.wedge import construct_p, construct_q
 
@@ -45,3 +48,47 @@ def test_artifact_bytes_unchanged(kind, i, e, pairs, tmp_path):
     else:
         write_q_artifacts(result, construct_q(result), tmp_path)
     assert tree_digest(tmp_path) == DIGESTS[(kind, i, e)]
+
+
+def written_text(payload):
+    chunks = []
+    artifacts._json_chunks(payload, 0, chunks.append)
+    return "".join(chunks)
+
+
+def test_writer_matches_stdlib_on_every_payload(pairs, monkeypatch, tmp_path):
+    payloads = []
+    monkeypatch.setattr(artifacts, "_dump", lambda path, payload: payloads.append(payload))
+    result = pairs[(2, 1)]
+    write_pair_artifacts(result, tmp_path)
+    write_q_artifacts(result, construct_q(result), tmp_path)
+    assert len(payloads) == 8
+    for payload in payloads:
+        assert written_text(payload) == json.dumps(payload, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        (),
+        {"b": {}, "a": [[], {}, ()], "c": [[[]]]},
+        "",
+        "caf\u00e9 \u2028 \U0001f600",
+        "\x00\x1f\x7f \"quoted\" back\\slash\n\t",
+        {"\u00e9": 1, "e": 2, "\x01": 3},
+        [0, -1, -(2**70), 2**64, 2**64 + 1],
+        [True, False, None, 1, 0],
+        (1, ("a", (None, ())), [True]),
+        {"z": {"y": [1, {"x": ()}]}, "a": None},
+    ],
+)
+def test_writer_matches_stdlib_on_edge_cases(value):
+    assert written_text(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": {1, 2}}, [object()], b"x"])
+def test_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        written_text(value)

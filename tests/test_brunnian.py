@@ -189,6 +189,15 @@ def test_magnus_inverse_is_inverse():
         assert magnus(concat(w, invert(w)), 3) == MagnusSeries.one(3)
 
 
+def substitute_zero(series, killed):
+    """The series with every monomial that mentions a killed generator
+    dropped."""
+    return MagnusSeries(
+        series.degree,
+        {mon: c for mon, c in series.terms.items() if not set(mon) & set(killed)},
+    )
+
+
 def test_magnus_substitution_commutes_with_deletion():
     rng = random.Random(58)
     alphabet = (1, 2, 3)
@@ -198,7 +207,7 @@ def test_magnus_substitution_commutes_with_deletion():
             sorted(rng.sample(alphabet, rng.randint(0, 3)))
         )
         killed = set(alphabet) - set(keep)
-        assert magnus(w, 3).substitute_zero(killed) == magnus(delete(keep, w), 3)
+        assert substitute_zero(magnus(w, 3), killed) == magnus(delete(keep, w), 3)
 
 
 def test_lcs_degrees():

@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 from fissile.canon import ckey, ckey_b64, jsonable
 from fissile.simplicial import (
     constant_morphism,
-    disjoint_basepoint,
     inclusion,
+    quotient,
     standard_simplex,
     thick_simplex,
 )
+
+
+def disjoint_basepoint(u):
+    """u with a free basepoint adjoined (quotient by the empty subset)."""
+    return quotient(u, [set() for _ in range(u.bound + 1)], label=("plus", u.label))
 
 
 def reference_ckey(x):

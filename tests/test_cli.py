@@ -394,6 +394,33 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
     assert lines and all(r["verdict"] == "fail" for r in lines)
 
 
+def _one_as_true(x):
+    """x with its first integer 1 written as true, or None if it holds none."""
+    if x == 1 and type(x) is int:
+        return True
+    if isinstance(x, list):
+        for i, v in enumerate(x):
+            w = _one_as_true(v)
+            if w is not None:
+                return x[:i] + [w] + x[i + 1 :]
+    return None
+
+
+def test_check_pj_rejects_one_written_as_true_in_a_table(tmp_path):
+    # equal in Python, so only the id check on the written rows sees it
+    pj = tmp_path / "pj"
+    run_cli(["construct-pj", "--i", "1", "--e", "1", "--out", str(pj)])
+    data = json.loads((pj / "morphisms.json").read_text())
+    row = next(r for rec in data.values() for r in rec["table"] if _one_as_true(r[2]))
+    row[2] = _one_as_true(row[2])
+    (pj / "morphisms.json").write_text(json.dumps(data))
+    rc, out, err = run_cli(["check-pj", "--in", str(pj)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    assert "morphism id does not match its table" in json.loads(line)["case"]["check"]
+    assert "Traceback" not in err
+
+
 def test_table_breaking_faces_rejected_under_optimize(run_optimized):
     # the simplicial checks raise, so they hold without assert statements
     run_optimized(f"{__file__}::test_check_pj_rejects_table_breaking_faces")
@@ -453,6 +480,32 @@ def test_construct_rejects_unwritable_out_before_constructing(
     report = json.loads(line)
     assert report["verdict"] == "fail"
     assert str(blocker) in report["error"]
+    assert "Traceback" not in err
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", ["construct-pj", "construct-q"])
+def test_construct_reports_memory_error(tmp_path, monkeypatch, command):
+    monkeypatch.setattr(cli, "construct_p", _out_of_memory)
+    rc, out, err = run_cli([command, "--i", "1", "--e", "1", "--out", str(tmp_path / "d")])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert (report["verdict"], report["error"]) == ("fail", "memory")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check-pj", "check-q"])
+def test_check_reports_memory_error(tmp_path, monkeypatch, command):
+    monkeypatch.setitem(cli.CHECKERS, command, _out_of_memory)
+    rc, out, err = run_cli([command, "--in", str(tmp_path)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert (report["verdict"], report["error"]) == ("fail", "memory")
     assert "Traceback" not in err
 
 

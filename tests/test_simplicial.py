@@ -24,7 +24,7 @@ from fissile.simplicial import (
     cone,
     cone_map,
     cone_projection,
-    disjoint_basepoint,
+    constant_morphism,
     enumerate_based_morphisms,
     full_complex,
     inclusion,
@@ -60,6 +60,11 @@ def empty_simplicial(bound):
         [{} for _ in range(bound + 1)],
         label=("empty", bound),
     )
+
+
+def disjoint_basepoint(u):
+    """u with a free basepoint adjoined (quotient by the empty subset)."""
+    return quotient(u, [set() for _ in range(u.bound + 1)], label=("plus", u.label))
 
 
 # -- basic constructions -----------------------------------------------------
@@ -582,6 +587,29 @@ def test_table_with_a_degenerate_row_rejected():
         del missing[1][(0, 1)]
         with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
             SMorphism(t, t, missing, check=check)
+
+
+def test_table_with_a_degenerate_row_rejected_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_table_with_a_degenerate_row_rejected")
+
+
+def test_morphism_equality_is_equality_of_rows():
+    # equal rows over separately built but equal objects, as the checker
+    # rebuilds them
+    a, b = standard_simplex(1, 2), standard_simplex(1, 2)
+    assert a is not b
+    for make in (lambda u: inclusion(u, u), lambda u: constant_morphism(u, u, (1,))):
+        assert make(a) == make(b) and hash(make(a)) == hash(make(b))
+    # the same rows into codomains with different levels
+    sup = thick_simplex((0, 1), 2)
+    sub = subsimplicial(sup, lambda n, x: x == tuple(sorted(x)), label="sorted")
+    into_sup, identity = inclusion(sub, sup), inclusion(sub, sub)
+    assert sub.simplices != sup.simplices
+    assert into_sup == identity and hash(into_sup) == hash(identity)
+    # different rows
+    ends = [constant_morphism(a, a, (v,)) for v in (0, 1)]
+    assert ends[0] != ends[1] and ends[0] != inclusion(a, a)
+    assert len({*ends, inclusion(a, a), inclusion(b, b)}) == 3
 
 
 def test_face_breaking_row_rejected():

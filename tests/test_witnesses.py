@@ -11,7 +11,6 @@ from fissile.simplicial import (
     SMorphism,
     compose,
     constant_morphism,
-    disjoint_basepoint,
     enumerate_based_morphisms,
     inclusion,
     quotient,
@@ -36,6 +35,11 @@ from fissile.witnesses import (
     verify_witness,
     wedge_witness,
 )
+
+
+def disjoint_basepoint(u):
+    """u with a free basepoint adjoined (quotient by the empty subset)."""
+    return quotient(u, [set() for _ in range(u.bound + 1)], label=("plus", u.label))
 
 
 @pytest.fixture(scope="module")
@@ -452,6 +456,10 @@ def test_forged_degenerate_row_rejected_at_construction(ctx):
     for check in (True, False):
         with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
             SMorphism(t, t, degenerate_row_forged(t), check=check)
+
+
+def test_forged_degenerate_row_rejected_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_forged_degenerate_row_rejected_at_construction")
 
 
 def test_scope_reglues_part_with_equal_key_but_other_table(ctx):
