@@ -28,6 +28,7 @@ Only :func:`assemble` (a set from its face and degeneracy rules) and
 the only other builders derive one table from another.
 """
 
+from functools import cache
 from itertools import combinations, product, repeat
 
 from .canon import ckey, jsonable
@@ -555,8 +556,10 @@ def barycentric(k: AbstractComplex, bound):
 # -- cones, quotients, wedges ----------------------------------------------
 
 
+@cache
 def _cone_slots(t, s):
-    """Indices of the base slots of a cone simplex label t."""
+    """Indices of the base slots of a cone simplex label t, computed once
+    per (t, s): a cone has few monotone t, but many simplices share each."""
     return tuple(i for i, v in enumerate(t) if v == (1 - s))
 
 

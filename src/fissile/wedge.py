@@ -503,9 +503,10 @@ def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
     """Merge the entries whose blocks have equal structural keys (the table
     of f, then the key of each part), in first-occurrence order, and drop
     the ones whose coefficients cancel.  The blocks ``wedge_witness``
-    expands share their part objects, so a part stands in a block's key by
-    the index of its part key, which is hashed once per part object (w
-    holds every part, so no id is reused during the call)."""
+    expands from compacted factors share their part objects, so a part
+    stands in a block's key by the index of its part key, which is hashed
+    once per part object (w holds every part, so no id is reused during the
+    call)."""
     index = {}
     of_part = {}
     merged = {}
@@ -527,14 +528,30 @@ def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
 def cover_witness(ctx, b, cover_fns, witness_at, space, level, scope):
     """The compacted witness at ``level`` summing, over the cover functions
     (one subset per block of the layout b), the combining product over b
-    of the witnesses ``witness_at(g, k)`` pushed into the space."""
+    of the witnesses ``witness_at(g, k)`` pushed into the space.
+
+    Each factor, one per distinct (g, k), is compacted, pushed and
+    compacted again once per call, before the product is expanded.  This
+    gives the witness that compacting the expansion of the uncompacted
+    factors gives.  The push and the expansion are linear in each factor,
+    so merging equal entries of a factor first only sums coefficients that
+    the final merge sums anyway.  Key-equal entries push to key-equal
+    entries, as the push composes every part term with one morphism; and
+    blocks built from key-equal factor entries have equal decompositions f
+    (their rows are equal) and equal part keys, so the final merge joins
+    them.  Each merge keeps its entries in first-occurrence order, so the
+    surviving entries come out in the same order."""
+
+    @functools.cache
+    def factor(g, k):
+        small = ctx.space(k)
+        inc = inclusion(small.obj, space.obj)
+        w = compact_witness(witness_at(g, k))
+        return compact_witness(map_witness(w, inc, small, space, scope))
+
     entries = []
     for fn in cover_fns:
-        per_block = []
-        for g, k in zip(b, fn):
-            small = ctx.space(k)
-            inc = inclusion(small.obj, space.obj)
-            per_block.append(map_witness(witness_at(g, k), inc, small, space, scope))
+        per_block = [factor(g, k) for g, k in zip(b, fn)]
         entries.extend(combine_witnesses_over_layout(ctx, b, per_block, space).entries)
     return compact_witness(FiltrationWitness(level, entries))
 
@@ -752,18 +769,10 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     u_lift = Ensemble.zero()
     lift_entries = []
     for b in punctured.elements:
-        if not v_vals.value(b):
-            if v_wits[b].entries:
-                lift_entries.extend(
-                    restrict_witness(v_wits[b], ctx.retraction(top, b)).entries
-                )
-            continue
-        u_lift = u_lift + restrict_ensemble(
-            v_vals[b], ctx.retraction(top, b)
-        )
-        lift_entries.extend(
-            restrict_witness(v_wits[b], ctx.retraction(top, b)).entries
-        )
+        if v_vals.value(b) or v_wits[b].entries:
+            r = ctx.retraction(top, b)
+            u_lift = u_lift + restrict_ensemble(v_vals.value(b), r)
+            lift_entries.extend(restrict_witness(v_wits[b], r).entries)
     u_wit = compact_witness(FiltrationWitness(len(j), lift_entries))
     _require(u_wit.value(scope) == u_lift, f"lift-witness {tag}")
 

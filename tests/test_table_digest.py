@@ -9,7 +9,7 @@ from fissile.canon import ckey
 from fissile.simplicial import FiniteSimplicialSet, SMorphism
 from fissile.wedge import construct_p, construct_q
 
-TABLES_DIGEST = "873791925f2d16826a9e1bf6b37d9a3d40a7826e0f957c86aa2feeb3ac9228dd"
+TABLES_DIGEST = "70880e0952d89f9c479c0a4afcb8044f7c34c33be1b4b70f5c3d1b47e9b50108"
 
 
 def _recording(monkeypatch, cls, built):

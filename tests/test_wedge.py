@@ -608,8 +608,8 @@ def test_wedge_witness_validates_each_decomposition_once(monkeypatch):
         keys = [(id(m.codomain), m.table_key()) for m in validated]
         assert len(keys) == len(set(keys))
         assert {id(b.f) for _c, b in out.entries} == set(map(id, validated))
-    blocks = sum(len(out.entries) for _v, out in finished)
-    assert sum(len(v) for v, _out in finished) < blocks
+    # the factors are compacted, so no (2, 2) product repeats a decomposition;
+    # test_witnesses checks that a repeated one is validated once
 
 
 def table_ids(m):
@@ -819,3 +819,73 @@ def test_block_key_merges_as_the_repr_fingerprint(monkeypatch):
     for _n, got, expected in compared:
         assert got == expected
     assert sum(len(got) for _n, got, _e in compared) < sum(n for n, _g, _e in compared)
+
+
+def expanded_cover_witness(ctx, b, cover_fns, witness_at, space, level, scope):
+    """``cover_witness`` computed without compacting its factors: the whole
+    expansion of the pushed factors, compacted once at the end."""
+    entries = []
+    for fn in cover_fns:
+        per_block = []
+        for g, k in zip(b, fn):
+            small = ctx.space(k)
+            inc = simplicial.inclusion(small.obj, space.obj)
+            w = witnesses.map_witness(witness_at(g, k), inc, small, space, scope)
+            per_block.append(w)
+        combined = wedge_module.combine_witnesses_over_layout(ctx, b, per_block, space)
+        entries.extend(combined.entries)
+    return wedge_module.compact_witness(witnesses.FiltrationWitness(level, entries))
+
+
+def entry_forms(w):
+    return [
+        (c, b.f.table_key(), b.wedge_obj.label, [p.key() for p in b.parts])
+        for c, b in w.entries
+    ]
+
+
+@pytest.mark.parametrize(
+    "i_size, e_size, run",
+    [(2, 1, "q"), (2, 2, "q"), (3, 1, "q"), (3, 2, "q"), (2, 2, "p")],
+)
+def test_cover_witness_equals_the_compacted_expansion(monkeypatch, i_size, e_size, run):
+    # entry by entry, in order: coefficient, decomposition table, wedge
+    # label and part keys
+    original = wedge_module.cover_witness
+    compared = []
+
+    def comparing(ctx, b, cover_fns, witness_at, space, level, scope):
+        out = original(ctx, b, cover_fns, witness_at, space, level, scope)
+        expected = expanded_cover_witness(
+            ctx, b, cover_fns, witness_at, space, level, scope
+        )
+        compared.append(b)
+        assert out.level == expected.level
+        assert entry_forms(out) == entry_forms(expected)
+        return out
+
+    i_set, e_set = tuple(range(1, i_size + 1)), tuple(range(1, e_size + 1))
+    if run == "p":
+        monkeypatch.setattr(wedge_module, "cover_witness", comparing)
+        construct_p(i_set, e_set)
+    else:
+        result = construct_p(i_set, e_set, enforce_guard=False)
+        monkeypatch.setattr(wedge_module, "cover_witness", comparing)
+        construct_q(result)
+    assert compared
+
+
+def test_q_expansion_stays_small(monkeypatch):
+    # the blocks entering compact_witness during construct_q at (3, 2):
+    # 1,045 with compacted factors, 55,405 if the uncompacted ones expand
+    result = construct_p((1, 2, 3), (1, 2), enforce_guard=False)
+    original = wedge_module.compact_witness
+    blocks = []
+
+    def counting(w):
+        blocks.append(len(w.entries))
+        return original(w)
+
+    monkeypatch.setattr(wedge_module, "compact_witness", counting)
+    construct_q(result)
+    assert 0 < sum(blocks) <= 2500

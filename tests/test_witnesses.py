@@ -531,3 +531,28 @@ def test_equal_part_tables_on_distinct_domains_each_validated(ctx, monkeypatch):
         seen.clear()
         assert verify_witness(2 * singleton(inclusion(t, t)), w, 0, ctx.monoid)
         assert len(seen) == expected
+
+
+def test_wedge_witness_validates_a_repeated_decomposition_once(ctx, monkeypatch):
+    # one factor holds two entries with the same f and different parts; the
+    # two output blocks they make share one decomposition, validated once
+    t = edge()
+    first = identity_block(ctx, t, inclusion(t, t))
+    constant = constant_morphism(t, t, t.basepoint)
+    term = replace(first.parts[0].terms[0], morphism=constant)
+    second = replace(first, parts=[replace(first.parts[0], terms=[term])])
+    other = identity_block(ctx, t, inclusion(t, t))
+    wobj = wedge([t, t])
+    seen = count_validations(monkeypatch, wobj)
+    w = wedge_witness(
+        [
+            FiltrationWitness(0, [(1, first), (1, second)]),
+            FiltrationWitness(0, [(1, other)]),
+        ],
+        wobj,
+        ctx,
+    )
+    assert len(w.entries) == 2
+    assert len(seen) == 1
+    assert w.entries[0][1].f is w.entries[1][1].f is seen[0]
+    assert w.entries[0][1].parts[0] is not w.entries[1][1].parts[0]
