@@ -49,7 +49,18 @@ def resolve(lookup, label):
     """``lookup(label)`` for a label read from a file, where lookup is one of
     the context's label entry points (``WedgeContext.obj`` or
     ``labelled_space``): a malformed label or one of an unknown kind is an
-    ArtifactError that names it."""
+    ArtifactError that names it.
+
+    Each label is resolved once per context and lookup kind, in the
+    context's run table, keyed on the ``repr`` of the label as read.  That
+    is exact: the lookup is a function of the label, and two labels read
+    from JSON with one ``repr`` are one value.  A label that raises is not
+    stored, so it raises again on every call."""
+    key = ("resolve", lookup.__name__, repr(label))
+    return lookup.__self__.once(key, lambda: _resolve(lookup, label))
+
+
+def _resolve(lookup, label):
     label = _label_key(label)
     try:
         return lookup(label)

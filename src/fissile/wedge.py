@@ -94,7 +94,7 @@ def _entry(kind, *normalise):
         def method(self, *args):
             key = (kind,) + tuple(f(a) for f, a in zip(normalise, args))
             key += args[len(normalise) :]
-            return once(self._table, key, None, lambda: build(self, *key[1:]))
+            return self.once(key, lambda: build(self, *key[1:]))
 
         return method
 
@@ -158,6 +158,11 @@ class WedgeContext:
         self.full_space = self._build_full_space()
 
     # -- objects from their labels -----------------------------------------
+
+    def once(self, key, build):
+        """:func:`~fissile.witnesses.once` in the run table, for a key that
+        names no object by its id."""
+        return once(self._table, key, None, build)
 
     def obj(self, label):
         """The object that carries this label (see the class docstring)."""
@@ -530,24 +535,29 @@ def cover_witness(ctx, b, cover_fns, witness_at, space, level, scope):
     (one subset per block of the layout b), the combining product over b
     of the witnesses ``witness_at(g, k)`` pushed into the space.
 
-    Each factor, one per distinct (g, k), is compacted, pushed and
-    compacted again once per call, before the product is expanded.  This
-    gives the witness that compacting the expansion of the uncompacted
-    factors gives.  The push and the expansion are linear in each factor,
-    so merging equal entries of a factor first only sums coefficients that
-    the final merge sums anyway.  Key-equal entries push to key-equal
-    entries, as the push composes every part term with one morphism; and
-    blocks built from key-equal factor entries have equal decompositions f
-    (their rows are equal) and equal part keys, so the final merge joins
-    them.  Each merge keeps its entries in first-occurrence order, so the
-    surviving entries come out in the same order."""
+    Each factor, one per distinct (g, k, target space and ``witness_at``),
+    is compacted, pushed and compacted again once per scope, before the
+    product is expanded, so the layouts of one pair, or of one q run, share
+    it.  This gives the witness that compacting the expansion of the
+    uncompacted factors gives.  The push and the expansion are linear in
+    each factor, so merging equal entries of a factor first only sums
+    coefficients that the final merge sums anyway.  Key-equal entries push
+    to key-equal entries, as the push composes every part term with one
+    morphism; and blocks built from key-equal factor entries have equal
+    decompositions f (their rows are equal) and equal part keys, so the
+    final merge joins them.  Each merge keeps its entries in
+    first-occurrence order, so the surviving entries come out in the same
+    order."""
 
-    @functools.cache
     def factor(g, k):
-        small = ctx.space(k)
-        inc = inclusion(small.obj, space.obj)
-        w = compact_witness(witness_at(g, k))
-        return compact_witness(map_witness(w, inc, small, space, scope))
+        def build():
+            small = ctx.space(k)
+            inc = inclusion(small.obj, space.obj)
+            w = compact_witness(witness_at(g, k))
+            return compact_witness(map_witness(w, inc, small, space, scope))
+
+        key = ("factor", id(witness_at), id(space), g, k)
+        return scope.once(key, (witness_at, space), build)
 
     entries = []
     for fn in cover_fns:
@@ -635,11 +645,12 @@ def pair_checks(ctx: WedgeContext, p, f, j, alt_witness, scope=None):
 def q_checks(
     ctx: WedgeContext, q: Ensemble, layout_witnesses, boundary_witness, scope=None
 ):
-    """The layout-defect and boundary-defect claims for q as (check name,
-    ok); ``layout_witnesses`` yields (layout, witness) pairs.  Every witness
-    is evaluated through one scope, the q run's."""
+    """The augmentation, layout-defect and boundary-defect claims for q as
+    (check name, ok); ``layout_witnesses`` yields (layout, witness) pairs.
+    Every witness is evaluated through one scope, the q run's."""
     scope = scope if scope is not None else PairScope()
     level = len(ctx.i_set)
+    yield f"augmentation I={ctx.i_set} E={ctx.e_set}", augmentation(q) == 1
     for a, wit in layout_witnesses:
         rep = verify_witness(
             layout_defect(ctx, q, a, scope), wit, level, ctx.monoid, scope
@@ -844,7 +855,6 @@ def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
     q_ens = extend_over(
         singleton(i_set) - omega(i_set), lambda j: result.final(j).ensemble
     )
-    _require(augmentation(q_ens) == 1, f"augmentation I={i_set} E={e_set}")
 
     lat = LayoutLattice(e_set, bound=len(e_set))
     top = lat.top

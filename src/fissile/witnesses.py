@@ -145,18 +145,30 @@ class PairScope:
     """The morphism tables of one (face, subset) pair, or of one q run.
 
     Within a scope each distinct wedge gluing, reduced-cone map, cone
-    straightening and equivariance check is built, validated or run once,
-    through :func:`once` in one table.  An entry is keyed by its kind, the
-    ids of its objects and its morphisms, which compare by every row of
-    their tables.  Two morphism objects are composed once per pair of
-    objects, so the action of a monoid element on a part morphism, or a
-    gluing precomposed with a block's decomposition, is one object each time
-    it recurs.  The builder drops the scope when its pair ends; a call given
-    no scope gets a fresh one.
+    straightening, equivariance check and glued product is built,
+    validated or run once, through :func:`once` in one table.  An entry is
+    keyed by its kind, the ids of its objects and its morphisms, which
+    compare by every row of their tables.  Two morphism objects are
+    composed once per pair of objects, so the action of a monoid element on
+    a part morphism, or a gluing precomposed with a block's decomposition,
+    is one object each time it recurs.  The builder drops the scope when its
+    pair ends; a call given no scope gets a fresh one.
+
+    A glued product is reused as it is: two blocks whose glued products
+    share a key have the same wedge, the same space and parts whose terms
+    have the same pi items and the same morphism objects on the same
+    spaces, so their part values, and the gluings of every tuple of them,
+    are the same.  The key names each morphism by its object ids as well,
+    since a morphism compares by its rows and domain levels only, and equal
+    rows on distinct domain objects are distinct part tables.
     """
 
     def __init__(self):
         self._table = {}
+
+    def once(self, key, keep, build):
+        """:func:`once` in this scope's table."""
+        return once(self._table, key, keep, build)
 
     def compose(self, g: SMorphism, f: SMorphism) -> SMorphism:
         """``compose(g, f)``."""
@@ -198,22 +210,50 @@ class PairScope:
         key = ("equivariant", *_ids(h), id(src), id(dst))
         once(self._table, key, (h, src, dst), lambda: check_equivariant(h, src, dst))
 
+    def glued_product(self, block: Block) -> Ensemble:
+        """The combining product of the block's part values, each tuple glued
+        by ``wedge_combine`` into the block space: the block's value before
+        the precomposition with its f.  Keyed on the wedge, the space
+        object and, per part, its space and the pi items and morphism of
+        each term (see the class docstring)."""
+        wobj, cod, parts = block.wedge_obj, block.space.obj, block.parts
+        key = ("product", id(wobj), id(cod)) + tuple(
+            (
+                id(p.space),
+                tuple((tuple(t.pi.terms.items()), _ids(t.morphism)) for t in p.terms),
+            )
+            for p in parts
+        )
+        return once(
+            self._table,
+            key,
+            (wobj, cod, tuple(parts)),
+            lambda: combining_product(
+                [p.value(self) for p in parts], lambda tup: self.glue(wobj, tup, cod)
+            ),
+        )
+
 
 def evaluate_blocks(entries, scope: PairScope) -> Ensemble:
     """The sum of c * (block value) over the (c, block) entries.
 
     A block's value is the combining product of its part values, each
-    tuple glued by ``wedge_combine`` and precomposed with the block's f;
-    the actions on part morphisms and the gluings go through the scope."""
+    tuple glued by ``wedge_combine`` and precomposed with the block's f.
+    The glued product comes from the scope, once per distinct key, and is
+    then pushed along precomposition with f; the actions on part morphisms,
+    the gluings and the precompositions go through the scope too.  This
+    equals the sum, over the part-value tuples, of their coefficient times
+    the glued tuple precomposed with f, exactly: the product is
+    multilinear, so gluing first only sums the coefficients of tuples whose
+    glued morphisms are equal, and precomposition with f is a function of
+    the glued morphism (equal rows on the one wedge give equal composite
+    rows), so those tuples have equal composites, whose coefficients the
+    per-tuple sum adds as well."""
     out = {}
     for c, block in entries:
-        wobj, cod, f = block.wedge_obj, block.space.obj, block.f
-
-        def combiner(tup):
-            return scope.compose(scope.glue(wobj, tup, cod), f)
-
-        value = combining_product([p.value(scope) for p in block.parts], combiner)
-        for el, d in value.terms.items():
+        f = block.f
+        for g, d in scope.glued_product(block).terms.items():
+            el = scope.compose(g, f)
             out[el] = out.get(el, 0) + c * d
     return Ensemble(out)
 

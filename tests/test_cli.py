@@ -448,6 +448,25 @@ def test_check_q_rejects_swapped_layout_witnesses(tmp_path):
     assert verdicts["boundary-witness"] == "pass"
 
 
+def test_check_q_rejects_augmentation_other_than_one(tmp_path):
+    qd = tmp_path / "q"
+    rc, _out, _err = run_cli(["construct-q", "--i", "1", "--e", "1", "--out", str(qd)])
+    assert rc == 0
+    payload = json.loads((qd / "q.json").read_text())
+    for entry in payload["ensemble"]:
+        entry["coeff"] = str(2 * int(entry["coeff"]))
+    (qd / "q.json").write_text(json.dumps(payload))
+
+    rc, out, err = run_cli(["check-q", "--in", str(qd)])
+    assert rc == 1
+    verdicts = {
+        r["case"]["check"]: r["verdict"]
+        for r in map(json.loads, out.strip().splitlines())
+    }
+    assert verdicts["augmentation I=(1,) E=(1,)"] == "fail"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["construct-pj", "construct-q"])
 @pytest.mark.parametrize("below_file", [False, True])
 def test_construct_reports_unwritable_out(tmp_path, command, below_file):

@@ -1,0 +1,185 @@
+"""The glued products of a pair scope and the labels of a run context: the
+memoised witness evaluation equals a plain per-block sum, each glued
+product and each label is built once, and a label that fails to resolve
+fails on every call."""
+
+import pytest
+
+from fissile import artifacts, ensembles, witnesses
+from fissile import wedge as wedge_module
+from fissile.artifacts import (
+    ArtifactError,
+    check_pair_artifacts,
+    check_q_artifacts,
+    resolve,
+    write_pair_artifacts,
+    write_q_artifacts,
+)
+from fissile.ensembles import Ensemble, combining_product, singleton
+from fissile.simplicial import (
+    compose,
+    enumerate_based_morphisms,
+    inclusion,
+    wedge,
+    wedge_combine,
+)
+from fissile.wedge import WedgeContext, construct_p, construct_q
+from fissile.witnesses import (
+    Block,
+    BlockPart,
+    FiltrationWitness,
+    IdealTerm,
+    PairScope,
+    PSpace,
+)
+
+
+def reference_value(entries):
+    """The sum of c * (block value), block by block and with no memo: the
+    combining product of the part values, each tuple glued by
+    ``wedge_combine`` into the block space and precomposed with f."""
+    total = Ensemble.zero()
+    for c, block in entries:
+        values = []
+        for p in block.parts:
+            value = Ensemble.zero()
+            for t in p.terms:
+                for k, n in t.pi.terms.items():
+                    value = value + n * singleton(compose(p.space.action[k], t.morphism))
+            values.append(value)
+        wobj, cod, f = block.wedge_obj, block.space.obj, block.f
+        total = total + c * combining_product(
+            values, lambda tup: compose(wedge_combine(wobj, list(tup), codomain=cod), f)
+        )
+    return total
+
+
+def test_memoised_evaluation_equals_the_per_block_reference(tmp_path, monkeypatch):
+    # every evaluation of construct_p(2, 2), construct_q(2, 2) and their
+    # checkers, the verified witnesses among them
+    evaluate, verify = witnesses.evaluate_blocks, wedge_module.verify_witness
+    evaluated, verified = [], []
+
+    def comparing(entries, scope):
+        out = evaluate(entries, scope)
+        assert out == reference_value(entries)
+        evaluated.append(entries)
+        return out
+
+    def verifying(v, w, *args):
+        verified.append(w.entries)
+        return verify(v, w, *args)
+
+    monkeypatch.setattr(witnesses, "evaluate_blocks", comparing)
+    monkeypatch.setattr(wedge_module, "verify_witness", verifying)
+    result = construct_p((1, 2), (1, 2))
+    record = construct_q(result)
+    built = len(verified)
+    write_pair_artifacts(result, tmp_path / "pj")
+    write_q_artifacts(result, record, tmp_path / "q")
+    assert all(ok for _name, ok in check_pair_artifacts(tmp_path / "pj"))
+    assert all(ok for _name, ok in check_q_artifacts(tmp_path / "q"))
+    assert 0 < built < len(verified)
+    assert {id(e) for e in verified} <= {id(e) for e in evaluated}
+
+
+def test_blocks_that_share_objects_keep_their_own_values():
+    # variants of one block that keep its wedge, its space and its part
+    # morphisms, with another pi, another part space or another f, all
+    # evaluated in one scope
+    ctx = WedgeContext((1, 2), (1,))
+    space, t = ctx.space((1,)), ctx.plus_base_of((1,))
+    obj = space.obj
+    trivial = PSpace(obj, ctx.monoid, dict.fromkeys(ctx.monoid.elements, inclusion(obj, obj)))
+    m = enumerate_based_morphisms(t, obj)[1]  # moved by the action of ()
+    cert = ctx.identity_cert()
+    term = IdealTerm(singleton((1, 2)), cert, m)
+    other = IdealTerm(2 * singleton(()), cert, m)
+    wobj = wedge([t, t])
+    parts = [BlockPart(0, [term], t, space), BlockPart(0, [term], t, space)]
+    other_pi = [BlockPart(0, [other], t, space), parts[1]]
+    other_space = [BlockPart(0, [other], t, trivial), parts[1]]
+    decompositions = enumerate_based_morphisms(t, wobj)
+    f, other_f = decompositions[1], decompositions[0]
+    variants = [
+        Block(f, wobj, parts, space),
+        Block(f, wobj, other_pi, space),
+        Block(f, wobj, other_space, space),
+        Block(other_f, wobj, parts, space),
+    ]
+    values = [reference_value([(1, b)]) for b in variants]
+    assert all(values.count(v) == 1 for v in values)
+    scope = PairScope()
+    for b, v in zip(variants + variants, values + values):
+        assert b.value(scope) == v
+    w = FiltrationWitness(0, [(c, b) for c, b in zip((1, -2, 3, 5), variants)])
+    assert w.value(scope) == reference_value(w.entries)
+
+
+def count_products(monkeypatch):
+    """Count the calls of combining_product through every binding of it in
+    the package."""
+    original, calls = ensembles.combining_product, []
+
+    def counting(factors, combiner):
+        calls.append(None)
+        return original(factors, combiner)
+
+    for module in (ensembles, witnesses, wedge_module):
+        if getattr(module, "combining_product", None) is original:
+            monkeypatch.setattr(module, "combining_product", counting)
+    return calls
+
+
+def test_glued_products_are_built_once_per_scope(tmp_path, monkeypatch):
+    # 1,259 and 421 calls when each block expanded its own product
+    calls = count_products(monkeypatch)
+    result = construct_p((1, 2, 3), (1, 2), enforce_guard=False)
+    assert 0 < len(calls) <= 300
+    write_pair_artifacts(result, tmp_path)
+    calls.clear()
+    assert all(ok for _name, ok in check_pair_artifacts(tmp_path))
+    assert 0 < len(calls) <= 200
+
+
+def test_each_label_is_resolved_once_per_context(tmp_path, monkeypatch):
+    write_pair_artifacts(construct_p((1, 2, 3), (1, 2), enforce_guard=False), tmp_path)
+    original, build = artifacts.resolve, artifacts._resolve
+    calls, built = [], []
+
+    def calling(lookup, label):
+        calls.append((lookup.__name__, repr(label)))
+        return original(lookup, label)
+
+    def building(lookup, label):
+        built.append((lookup.__name__, repr(label)))
+        return build(lookup, label)
+
+    monkeypatch.setattr(artifacts, "resolve", calling)
+    monkeypatch.setattr(artifacts, "_resolve", building)
+    assert all(ok for _name, ok in check_pair_artifacts(tmp_path))
+    # 2,454 lookups of 35 (kind, label) pairs
+    assert len(built) == len(set(built)) == len(set(calls)) == 35
+    assert len(calls) > 10 * len(built)
+
+
+@pytest.mark.parametrize(
+    "label", [["WL", [{"x": 1}]], [], "W", ["redcone"], ["W", [7, 8]]], ids=repr
+)
+def test_a_failing_label_fails_on_every_call(label):
+    ctx = WedgeContext((1,), (1,))
+    for lookup in (ctx.obj, ctx.labelled_space):
+        for _ in range(3):
+            with pytest.raises(ArtifactError):
+                resolve(lookup, label)
+        # a good label resolves, once, to the context's object
+        assert resolve(lookup, ["W", [1]]) is resolve(lookup, ["W", [1]])
+    assert resolve(ctx.obj, ["W", [1]]) is ctx.w_obj
+
+
+def test_counts_hold_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_glued_products_are_built_once_per_scope",
+        f"{__file__}::test_each_label_is_resolved_once_per_context",
+        f"{__file__}::test_a_failing_label_fails_on_every_call",
+    )
