@@ -7,6 +7,7 @@ is decided exactly, with a certificate.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .canon import ckey
@@ -22,12 +23,17 @@ def subset_key(s):
     return tuple(sorted(s))
 
 
-def subsets_of(s):
-    s = subset_key(s)
+@lru_cache(maxsize=256)
+def _subsets(s):
     out = []
     for k in range(len(s) + 1):
         out.extend(subset_key(c) for c in combinations(s, k))
-    return sorted(out, key=ckey)
+    return tuple(sorted(out, key=ckey))
+
+
+def subsets_of(s):
+    """Every subset of s in canonical order, as a new list."""
+    return list(_subsets(subset_key(s)))
 
 
 class SubsetMonoid:
@@ -54,13 +60,15 @@ def ring_product(monoid: SubsetMonoid, x: Ensemble, y: Ensemble) -> Ensemble:
     return Ensemble(out)
 
 
+@lru_cache(maxsize=256)
+def _omega_terms(j):
+    return {k: (-1) ** (len(j) - len(k)) for k in _subsets(j)}
+
+
 def omega(j) -> Ensemble:
-    """Alternating sum over the subsets of j; the level-|j| ideal generator."""
-    j = subset_key(j)
-    out = {}
-    for k in subsets_of(j):
-        out[k] = (-1) ** (len(j) - len(k))
-    return Ensemble(out)
+    """Alternating sum over the subsets of j; the level-|j| ideal generator.
+    Each call returns a new ensemble."""
+    return Ensemble(_omega_terms(subset_key(j)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ morphism model share one code path.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
 
 from .ensembles import (
     Ensemble,
@@ -33,13 +33,16 @@ class FunctionFacePresheaf:
         if default not in self.values:
             raise ValueError("default must be one of the values")
 
-    def restrict(self, f, g, el):
+    def positions(self, f, g):
+        """Where the points of the sorted face g sit in the sorted face f."""
         f = tuple(sorted(f))
         g = tuple(sorted(g))
         if not set(g) <= set(f):
             raise ValueError("face restriction requires inclusion")
-        pos = {x: i for i, x in enumerate(f)}
-        return tuple(el[pos[x]] for x in g)
+        return tuple(f.index(x) for x in g)
+
+    def restrict(self, f, g, el):
+        return tuple(el[k] for k in self.positions(f, g))
 
     def enumerate(self, f):
         return [tuple(t) for t in product(self.values, repeat=len(tuple(f)))]
@@ -47,12 +50,18 @@ class FunctionFacePresheaf:
 
 class ProductLayoutPresheaf:
     """Layout presheaf induced by face data: the universe at a layout is the
-    product over its blocks, keyed by block-sorted tuples."""
+    product over its blocks, keyed by block-sorted tuples.
+
+    Restriction and extension along a >= b are gathers: an element is read
+    flat, as the face default and then its blocks' values, and each output
+    block lists the flat indices it takes.  Each pair's plans are built once.
+    """
 
     def __init__(self, face: FunctionFacePresheaf):
         self.face = face
         self.lattice = LayoutLattice(face.ground)
         self.top = self.lattice.top
+        self._plans = {}
 
     def wrap(self, q: Ensemble) -> Ensemble:
         return map_ensemble(lambda el: (el,), q)
@@ -60,36 +69,40 @@ class ProductLayoutPresheaf:
     def unwrap(self, s: Ensemble) -> Ensemble:
         return map_ensemble(lambda el: el[0], s)
 
-    def _restrict_element(self, a, b, el):
-        out = []
-        for g in b:
-            f = resolve_block(a, g)
-            out.append(self.face.restrict(f, g, el[a.index(f)]))
-        return tuple(out)
+    def _plan(self, a, b, what):
+        """(restriction plan, extension plan) of the pair a >= b."""
+        plan = self._plans.get((a, b))
+        if plan is None:
+            if not self.lattice.geq(a, b):
+                raise ValueError(f"{what} requires a >= b")
+            start = dict(zip(a, accumulate(map(len, a), initial=1)))
+            down = []
+            for g in b:
+                f = resolve_block(a, g)
+                down.append(tuple(start[f] + k for k in self.face.positions(f, g)))
+            where = {
+                x: s + k
+                for g, s in zip(b, accumulate(map(len, b), initial=1))
+                for k, x in enumerate(g)
+            }
+            up = tuple(tuple(where.get(x, 0) for x in f) for f in a)
+            plan = self._plans[(a, b)] = (tuple(down), up)
+        return plan
+
+    def _gather(self, plan, s):
+        default = (self.face.default,)
+
+        def move(el):
+            flat = default + sum(el, ())
+            return tuple([tuple([flat[k] for k in row]) for row in plan])
+
+        return map_ensemble(move, s)
 
     def restrict(self, s: Ensemble, a, b) -> Ensemble:
-        if not self.lattice.geq(a, b):
-            raise ValueError("restriction requires a >= b")
-        return map_ensemble(lambda el: self._restrict_element(a, b, el), s)
-
-    def _extend_element(self, a, b, el):
-        out = []
-        for f in a:
-            row = []
-            for x in f:
-                val = self.face.default
-                for gi, g in enumerate(b):
-                    if x in g:
-                        val = el[gi][g.index(x)]
-                        break
-                row.append(val)
-            out.append(tuple(row))
-        return tuple(out)
+        return self._gather(self._plan(a, b, "restriction")[0], s)
 
     def extend(self, s: Ensemble, a, b) -> Ensemble:
-        if not self.lattice.geq(a, b):
-            raise ValueError("extension requires a >= b")
-        return map_ensemble(lambda el: self._extend_element(a, b, el), s)
+        return self._gather(self._plan(a, b, "extension")[1], s)
 
     def combine(self, a, parts) -> Ensemble:
         factors = [parts[g] for g in a]

@@ -98,12 +98,16 @@ class LayoutLattice:
         self.ground = tuple(sorted(set(ground)))
         self.layouts = enumerate_layouts(self.ground, bound=bound)
         self.top = layout_key([self.ground])
+        self._poset = None
 
     def geq(self, a, b):
         return layout_geq(a, b)
 
     def poset(self):
-        return FinitePoset(self.layouts, lambda b, a: layout_geq(a, b))
+        """The layouts under the layout order, built and verified once."""
+        if self._poset is None:
+            self._poset = FinitePoset(self.layouts, lambda b, a: layout_geq(a, b))
+        return self._poset
 
     def to_json(self):
         return [list(map(list, a)) for a in self.layouts]

@@ -14,7 +14,8 @@ class FinitePoset:
     """A finite poset given by its elements and a decidable relation.
 
     Reflexivity, antisymmetry and transitivity are checked exhaustively on
-    construction.
+    construction; the index, linear extension, maximum and punctured posets
+    are then kept.
     """
 
     def __init__(self, elements, leq):
@@ -38,34 +39,35 @@ class FinitePoset:
                     if rel[(p, q)] and rel[(q, r)] and not rel[(p, r)]:
                         raise ValueError("relation is not transitive")
         self._leq = rel
+        self.index = {p: i for i, p in enumerate(self.elements)}
+        below = {p: sum(rel[(q, p)] for q in self.elements) for p in self.elements}
+        self._order = tuple(sorted(self.elements, key=lambda p: (below[p], ckey(p))))
+        self._tops = [p for p in self.elements if below[p] == len(self.elements)]
+        self._without = {}
 
     def leq(self, q, p):
         return self._leq[(q, p)]
 
     def down_set(self, p):
         """All elements <= p."""
-        if p not in self._index():
+        if p not in self.index:
             raise KeyError(f"{p!r} is not a poset element")
         return tuple(q for q in self.elements if self.leq(q, p))
 
-    def _index(self):
-        return set(self.elements)
-
     def linear_extension(self):
         """Deterministic order compatible with the relation, bottoms first."""
-        return tuple(
-            sorted(self.elements, key=lambda p: (len(self.down_set(p)), ckey(p)))
-        )
+        return self._order
 
     def maximum(self):
-        tops = [p for p in self.elements if all(self.leq(q, p) for q in self.elements)]
-        if len(tops) != 1:
+        if len(self._tops) != 1:
             raise ValueError("poset has no greatest element")
-        return tops[0]
+        return self._tops[0]
 
     def without(self, p):
-        rest = [q for q in self.elements if q != p]
-        return FinitePoset(rest, self.leq)
+        if p not in self._without:
+            rest = [q for q in self.elements if q != p]
+            self._without[p] = FinitePoset(rest, self.leq)
+        return self._without[p]
 
     def restricted_to(self, subset):
         return FinitePoset(tuple(subset), self.leq)
@@ -94,8 +96,15 @@ class IncompatibleSection(ValueError):
     pass
 
 
+def _require_elements(poset: FinitePoset, family: Section):
+    for p in family:
+        if p not in poset.index:
+            raise ValueError(f"family key {p!r} is not a poset element")
+
+
 def nabla(poset: FinitePoset, restrict, family: Section) -> Section:
     """Triangular transform: output at q sums the restrictions from all p >= q."""
+    _require_elements(poset, family)
     out = Section()
     for q in poset.elements:
         acc = Ensemble.zero()
@@ -108,20 +117,22 @@ def nabla(poset: FinitePoset, restrict, family: Section) -> Section:
 
 
 def nabla_inverse(poset: FinitePoset, restrict, family: Section) -> Section:
-    """Invert :func:`nabla` by back-substitution, tops first."""
-    order = list(reversed(poset.linear_extension()))
+    """Invert :func:`nabla` by back-substitution, tops first: ``out``
+    holds every nonzero value above q, in order, before q is reached."""
+    _require_elements(poset, family)
     out = Section()
-    for q in order:
+    for q in reversed(poset.linear_extension()):
         acc = family.value(q)
-        for p in order:
-            if p != q and poset.leq(q, p) and out.get(p):
-                acc = acc - restrict(p, q, out[p])
+        for p, val in out.items():
+            if poset.leq(q, p):
+                acc = acc - restrict(p, q, val)
         if acc:
             out[q] = acc
     return out
 
 
 def check_compatible(poset: FinitePoset, restrict, family: Section):
+    _require_elements(poset, family)
     for p in poset.elements:
         for q in poset.elements:
             if p != q and poset.leq(q, p):
@@ -139,10 +150,12 @@ def lift_limit(poset: FinitePoset, restrict, extend, compat: Section) -> Ensembl
     lift is the extender image of the inverse transform of the family, with
     the top component set to zero.
     """
+    _require_elements(poset, compat)
     top = poset.maximum()
-    if top in compat and compat[top]:
+    if compat.get(top):
         raise ValueError("input family must not assign the greatest element")
     punctured = poset.without(top)
+    compat = Section((p, val) for p, val in compat.items() if p != top)
     check_compatible(punctured, restrict, compat)
     v = nabla_inverse(punctured, restrict, compat)
     u = Ensemble.zero()

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from fissile import posets
 from fissile.ensembles import Ensemble, augmentation, map_ensemble, singleton
 from fissile.fissilizer import (
     FunctionFacePresheaf,
@@ -11,11 +14,11 @@ from fissile.fissilizer import (
     point_ensemble,
     q_square,
 )
-from fissile.layouts import layout_key
+from fissile.layouts import layout_geq, layout_key, resolve_block
 
 
-def presheaf_on(ground):
-    return ProductLayoutPresheaf(FunctionFacePresheaf(ground))
+def presheaf_on(ground, **face):
+    return ProductLayoutPresheaf(FunctionFacePresheaf(ground, **face))
 
 
 def random_top_ensemble(rng, lp, max_terms=4, coeff=3):
@@ -170,3 +173,101 @@ def test_defect_check_reports_hypothesis_failure_distinctly():
     assert not report.hypothesis_ok
     assert report.conclusion is None
     assert any(kind == "defect" for kind, *_ in report.hypothesis_failures)
+
+
+def reference_restrict(lp, a, b, el):
+    """Restriction of one element, block by block, by the face rule."""
+    out = []
+    for g in b:
+        f = resolve_block(a, g)
+        out.append(lp.face.restrict(f, g, el[a.index(f)]))
+    return tuple(out)
+
+
+def reference_extend(lp, a, b, el):
+    """Extension of one element: each point of a takes its value in b, or
+    the face default where b has none."""
+    out = []
+    for f in a:
+        row = []
+        for x in f:
+            val = lp.face.default
+            for gi, g in enumerate(b):
+                if x in g:
+                    val = el[gi][g.index(x)]
+                    break
+            row.append(val)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_plans_match_the_elementwise_definition(n):
+    lp = presheaf_on(tuple(range(1, n + 1)), values=(0, 1, 2), default=2)
+    layouts = lp.lattice.layouts
+    for a in layouts:
+        for b in layouts:
+            if not layout_geq(a, b):
+                continue
+            for el in lp.enumerate_universe(a):
+                got = lp.restrict(singleton(el), a, b)
+                assert got == singleton(reference_restrict(lp, a, b, el)), (a, b, el)
+            for el in lp.enumerate_universe(b):
+                got = lp.extend(singleton(el), a, b)
+                assert got == singleton(reference_extend(lp, a, b, el)), (a, b, el)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_pair_out_of_order_fails_on_every_call(n):
+    lp = presheaf_on(tuple(range(1, n + 1)))
+    layouts = lp.lattice.layouts
+    bad = [(a, b) for a in layouts for b in layouts if not layout_geq(a, b)]
+    assert bad
+    for a, b in bad:
+        for s in (Ensemble.zero(), singleton(lp.enumerate_universe(a)[0])):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="restriction requires a >= b"):
+                    lp.restrict(s, a, b)
+                with pytest.raises(ValueError, match="extension requires a >= b"):
+                    lp.extend(s, a, b)
+
+
+def test_lattice_poset_is_built_once():
+    lattice = presheaf_on((1, 2, 3)).lattice
+    assert lattice.poset() is lattice.poset()
+
+
+def test_fissilize_and_lift_build_at_most_two_posets(monkeypatch):
+    built = []
+    init = posets.FinitePoset.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(posets.FinitePoset, "__init__", counting_init)
+    rng = random.Random(27)
+    lp = presheaf_on((1, 2, 3))
+    top = lp.top
+    for _ in range(20):
+        fissilize(lp, random_top_ensemble(rng, lp))
+    for _ in range(20):
+        w = lp.wrap(random_top_ensemble(rng, lp, max_terms=3))
+        compat = posets.Section(
+            (a, lp.restrict(w, top, a)) for a in lp.lattice.layouts if a != top
+        )
+        u = posets.lift_limit(
+            lp.lattice.poset(),
+            lambda p, q, s: lp.restrict(s, p, q),
+            lambda p, q, s: lp.extend(s, p, q),
+            compat,
+        )
+        assert all(lp.restrict(u, top, a) == val for a, val in compat.items())
+    assert len(built) <= 2
+
+
+def test_poset_counts_hold_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_lattice_poset_is_built_once",
+        f"{__file__}::test_fissilize_and_lift_build_at_most_two_posets",
+    )

@@ -9,6 +9,7 @@ from fissile.posets import (
     FinitePoset,
     IncompatibleSection,
     Section,
+    check_compatible,
     check_restriction_square,
     lift_limit,
     nabla,
@@ -325,3 +326,43 @@ def test_poset_serialization():
     js = chain.to_json()
     assert js["elements"] == ["a", "b"]
     assert js["covers"] == [["a", "b"]]
+
+
+def layout_system(ground):
+    from fissile.fissilizer import FunctionFacePresheaf, ProductLayoutPresheaf
+
+    lp = ProductLayoutPresheaf(FunctionFacePresheaf(ground))
+    return (
+        lp,
+        lp.lattice.poset(),
+        lambda p, q, s: lp.restrict(s, p, q),
+        lambda p, q, s: lp.extend(s, p, q),
+    )
+
+
+def test_lift_limit_rejects_a_key_outside_the_poset():
+    lp, poset, restrict, extend = layout_system((1, 2))
+    stray = Section({((7,),): singleton(((1,),))})
+    with pytest.raises(ValueError, match=r"family key \(\(7,\),\) is not a poset element"):
+        lift_limit(poset, restrict, extend, stray)
+
+
+def test_nabla_inverse_rejects_a_key_outside_the_poset():
+    lp, poset, restrict, _ = layout_system((1, 2))
+    fam = Section({lp.top: singleton(((0, 1),)), ((9,),): singleton(((1,),))})
+    with pytest.raises(ValueError, match=r"family key \(\(9,\),\) is not a poset element"):
+        nabla_inverse(poset, restrict, fam)
+
+
+def test_nabla_rejects_a_key_outside_the_poset():
+    lp, poset, restrict, _ = layout_system((1, 2))
+    fam = Section({((9,),): singleton(((1,),))})
+    with pytest.raises(ValueError, match=r"family key \(\(9,\),\) is not a poset element"):
+        nabla(poset, restrict, fam)
+
+
+def test_check_compatible_rejects_a_key_outside_the_poset():
+    lp, poset, restrict, _ = layout_system((1, 2))
+    fam = Section({((9,),): Ensemble.zero()})
+    with pytest.raises(ValueError, match=r"family key \(\(9,\),\) is not a poset element"):
+        check_compatible(poset, restrict, fam)
