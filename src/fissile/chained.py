@@ -85,8 +85,12 @@ class IdealCertificate:
         return acc
 
     def check(self, monoid: SubsetMonoid, target: Ensemble) -> bool:
-        if any(len(j) < self.level for _, j, _ in self.combination):
-            return False
+        """Every L and J is a monoid element, each |J| reaches the level,
+        and the combination evaluates to the target."""
+        members = monoid.elements
+        for l_key, j_key, _ in self.combination:
+            if l_key not in members or j_key not in members or len(j_key) < self.level:
+                return False
         return self.value(monoid) == target
 
 

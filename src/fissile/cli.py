@@ -60,6 +60,14 @@ def positive_int(text):
     return value
 
 
+def non_negative_int(text):
+    """Argument type for sizes that may be 0: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 def _emit(report):
     print(json.dumps(report, sort_keys=True), file=sys.stdout, flush=True)
 
@@ -228,12 +236,12 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")
-    p.add_argument("--max-a", dest="max_a", type=int, default=None)
-    p.add_argument("--max-i", dest="max_i", type=int, default=None)
-    p.add_argument("--max-e", dest="max_e", type=int, default=None)
-    p.add_argument("--cases", type=int, default=None)
+    p.add_argument("--max-a", dest="max_a", type=positive_int, default=None)
+    p.add_argument("--max-i", dest="max_i", type=non_negative_int, default=None)
+    p.add_argument("--max-e", dest="max_e", type=positive_int, default=None)
+    p.add_argument("--cases", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=non_negative_int, default=None)
     p.set_defaults(func=cmd_verify)
 
     for name, help_text, out_required in (

@@ -3,9 +3,9 @@
 A layout presheaf assigns an ensemble universe to every layout of a ground
 set, restricts along the layout order, extends against it, and combines
 per-block ensembles multilinearly.  The operator that repairs an arbitrary
-ensemble into a fissile one is defined abstractly through the triangular
-transform, so the synthetic function-valued model and the simplicial
-morphism model share one code path.
+ensemble into a fissile one lifts through ``posets.nabla_inverse`` and
+``posets.extend_to``, which also lift the simplicial pair construction's
+ensembles and witnesses: the two models share one code path.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +19,7 @@ from .ensembles import (
     subgroup_membership,
 )
 from .layouts import LayoutLattice, layout_key, resolve_block
-from .posets import Section, nabla_inverse
+from .posets import Section, extend_to, nabla_inverse
 
 
 class FunctionFacePresheaf:
@@ -140,16 +140,9 @@ def fissilize(lp, q: Ensemble) -> Ensemble:
     fissile inputs are fixed points.
     """
     poset = lp.lattice.poset()
-    family = Section()
-    for a in lp.lattice.layouts:
-        val = q_square(lp, q, a)
-        if val:
-            family[a] = val
+    family = Section((a, q_square(lp, q, a)) for a in lp.lattice.layouts)
     v = nabla_inverse(poset, lambda p, w, s: lp.restrict(s, p, w), family)
-    total = Ensemble.zero()
-    for a, val in v.items():
-        total = total + lp.extend(val, lp.top, a)
-    return lp.unwrap(total)
+    return lp.unwrap(extend_to(lp.top, poset, lambda p, w, s: lp.extend(s, p, w), v))
 
 
 @dataclass

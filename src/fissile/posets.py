@@ -4,7 +4,14 @@ The transform ``nabla`` sends a finitely supported family (u_p) to the family
 whose value at q is the sum of restrictions u_p|_q over all p >= q.  Its
 matrix is unitriangular in any linear extension, so the inverse is computed
 by back-substitution, uniformly for every finite poset.
+
+``nabla_inverse`` and the extension sum ``extend_to`` are the package's only
+inverse transform and lift.  They use only ``+``, ``-`` and truth, so
+families of ensembles and of filtration witnesses share them.
 """
+
+from functools import reduce
+from operator import add
 
 from .canon import ckey
 from .ensembles import Ensemble
@@ -69,9 +76,6 @@ class FinitePoset:
             self._without[p] = FinitePoset(rest, self.leq)
         return self._without[p]
 
-    def restricted_to(self, subset):
-        return FinitePoset(tuple(subset), self.leq)
-
     def to_json(self):
         covers = []
         for p in self.elements:
@@ -117,18 +121,27 @@ def nabla(poset: FinitePoset, restrict, family: Section) -> Section:
 
 
 def nabla_inverse(poset: FinitePoset, restrict, family: Section) -> Section:
-    """Invert :func:`nabla` by back-substitution, tops first: ``out``
-    holds every nonzero value above q, in order, before q is reached."""
+    """Invert :func:`nabla` by back-substitution, tops first: at each q, the
+    restrictions of the values found above q are summed in element order
+    and subtracted from the family's value at q once."""
     _require_elements(poset, family)
     out = Section()
     for q in reversed(poset.linear_extension()):
+        above = [p for p in poset.elements if p in out and poset.leq(q, p)]
         acc = family.value(q)
-        for p, val in out.items():
-            if poset.leq(q, p):
-                acc = acc - restrict(p, q, val)
+        if above:
+            acc = acc - reduce(add, [restrict(p, q, out[p]) for p in above])
         if acc:
             out[q] = acc
     return out
+
+
+def extend_to(top, poset: FinitePoset, extend, v: Section):
+    """The lift of v to ``top``: the sum of ``extend(top, p, v[p])`` over the
+    keys p of v, in element order.  A witness family holds every element,
+    so only an empty ensemble family sums to nothing."""
+    terms = [extend(top, p, v[p]) for p in poset.elements if p in v]
+    return reduce(add, terms) if terms else Ensemble.zero()
 
 
 def check_compatible(poset: FinitePoset, restrict, family: Section):
@@ -157,33 +170,20 @@ def lift_limit(poset: FinitePoset, restrict, extend, compat: Section) -> Ensembl
     punctured = poset.without(top)
     compat = Section((p, val) for p, val in compat.items() if p != top)
     check_compatible(punctured, restrict, compat)
-    v = nabla_inverse(punctured, restrict, compat)
-    u = Ensemble.zero()
-    for p in punctured.elements:
-        if v.get(p):
-            u = u + extend(top, p, v[p])
-    return u
+    return extend_to(top, punctured, extend, nabla_inverse(punctured, restrict, compat))
 
 
-def check_restriction_square(poset, restrict, extend, q, family: Section):
+def check_restriction_square(poset, restrict, extend, family: Section):
     """The compatibility square between the inverse transform, the extender
-    and restriction to q.  Returns True when both routes agree on ``family``."""
-    v = nabla_inverse(poset, restrict, family)
-    total = Ensemble.zero()
-    for p in poset.elements:
-        if v.get(p):
-            total = total + extend(poset.maximum(), p, v[p])
-    lhs = restrict(poset.maximum(), q, total)
-
-    down = poset.restricted_to(poset.down_set(q))
-    projected = Section()
-    for p in down.elements:
-        if family.get(p):
-            projected[p] = family[p]
-    w = nabla_inverse(down, restrict, projected)
-    rhs = Ensemble.zero()
-    for p in down.elements:
-        if w.get(p):
-            rhs = rhs + extend(q, p, w[p])
-    return lhs == rhs
-
+    and restriction: at every q, the restriction of the family's lift to
+    the top equals the lift to q of its values on the down-set of q, whose
+    inverse transform vanishes outside that down-set.  The family is lifted
+    to the top once."""
+    top = poset.maximum()
+    total = extend_to(top, poset, extend, nabla_inverse(poset, restrict, family))
+    for q in poset.elements:
+        below = Section((p, family[p]) for p in poset.down_set(q) if p in family)
+        w = nabla_inverse(poset, restrict, below)
+        if restrict(top, q, total) != extend_to(q, poset, extend, w):
+            return False
+    return True

@@ -114,10 +114,9 @@ def suite_nabla(max_e=3, cases=100, seed=0, **_kw):
             back = nabla_inverse(poset, restrict, nabla(poset, restrict, fam))
             forth = nabla(poset, restrict, nabla_inverse(poset, restrict, fam))
             round_ok = round_ok and back == fam and forth == fam
-            for q in poset.elements:
-                square_ok = square_ok and check_restriction_square(
-                    poset, restrict, extend, q, fam
-                )
+            square_ok = square_ok and check_restriction_square(
+                poset, restrict, extend, fam
+            )
         yield {"ground": n, "check": "round-trip", "cases": cases}, round_ok
         yield {"ground": n, "check": "restriction-square", "cases": cases}, square_ok
 

@@ -31,7 +31,7 @@ from .ensembles import (
 )
 from .identities import covers, proper_covers
 from .layouts import GuardExceeded, LayoutLattice, layout_key
-from .posets import Section, check_compatible, nabla_inverse
+from .posets import Section, check_compatible, extend_to, nabla_inverse
 from .simplicial import (
     BASE,
     ContractionTower,
@@ -61,6 +61,7 @@ from .witnesses import (
     IdealTerm,
     PairScope,
     PSpace,
+    compact_witness,
     cone_witness,
     map_witness,
     once,
@@ -504,32 +505,6 @@ def combine_witnesses_over_layout(ctx, b, witnesses, space) -> FiltrationWitness
     return restrict_witness(wedge_witness(witnesses, iota.codomain, ctx), iota)
 
 
-def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
-    """Merge the entries whose blocks have equal structural keys (the table
-    of f, then the key of each part), in first-occurrence order, and drop
-    the ones whose coefficients cancel.  The blocks ``wedge_witness``
-    expands from compacted factors share their part objects, so a part
-    stands in a block's key by the index of its part key, which is hashed
-    once per part object (w holds every part, so no id is reused during the
-    call)."""
-    index = {}
-    of_part = {}
-    merged = {}
-    for c, b in w.entries:
-        parts = []
-        for p in b.parts:
-            i = of_part.get(id(p))
-            if i is None:
-                i = of_part[id(p)] = index.setdefault(p.key(), len(index))
-            parts.append(i)
-        key = (b.f, tuple(parts))
-        if key in merged:
-            merged[key][0] += c
-        else:
-            merged[key] = [c, b]
-    return FiltrationWitness(w.level, [(c, b) for c, b in merged.values() if c])
-
-
 def cover_witness(ctx, b, cover_fns, witness_at, space, level, scope):
     """The compacted witness at ``level`` summing, over the cover functions
     (one subset per block of the layout b), the combining product over b
@@ -741,7 +716,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
 
     # families over the proper layouts: alternating sums of combined parts
     u_vals = Section()
-    u_wits = {}
+    u_wits = Section()
     for b in proper_layouts:
         val = extend_over(
             omega(j),
@@ -753,38 +728,30 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
         u_wits[b] = wit
 
     # lift the compatible family through the inverse transform
-    poset = lat.poset()
-    punctured = poset.without(top)
+    punctured = lat.poset().without(top)
 
-    def restrict_along(a, b, s):
-        return restrict_ensemble(s, ctx.layout_inclusion(b, a))
+    def along(move, k):
+        """Precompose with k(a, b), for a >= b, by ``move``: restrict along
+        the inclusion of b, or extend along the retraction onto b."""
+        return lambda a, b, x: move(x, k(a, b))
 
+    def inclusion_of(a, b):
+        return ctx.layout_inclusion(b, a)
+
+    restrict_along = along(restrict_ensemble, inclusion_of)
     check_compatible(punctured, restrict_along, u_vals)
     v_vals = nabla_inverse(punctured, restrict_along, u_vals)
-    v_wits = {}
+    v_wits = nabla_inverse(punctured, along(restrict_witness, inclusion_of), u_wits)
     for b in reversed(punctured.linear_extension()):
-        wit = u_wits[b]
-        for p_up in punctured.elements:
-            if p_up != b and punctured.leq(b, p_up):
-                wit = wit.plus(
-                    restrict_witness(
-                        v_wits[p_up], ctx.layout_inclusion(b, p_up)
-                    ).scaled(-1)
-                )
-        v_wits[b] = compact_witness(wit)
         _require(
             v_wits[b].value(scope) == v_vals.value(b),
             f"inverse-transform-witness {tag} B={b}",
         )
 
-    u_lift = Ensemble.zero()
-    lift_entries = []
-    for b in punctured.elements:
-        if v_vals.value(b) or v_wits[b].entries:
-            r = ctx.retraction(top, b)
-            u_lift = u_lift + restrict_ensemble(v_vals.value(b), r)
-            lift_entries.extend(restrict_witness(v_wits[b], r).entries)
-    u_wit = compact_witness(FiltrationWitness(len(j), lift_entries))
+    u_lift = extend_to(top, punctured, along(restrict_ensemble, ctx.retraction), v_vals)
+    u_wit = compact_witness(
+        extend_to(top, punctured, along(restrict_witness, ctx.retraction), v_wits)
+    )
     _require(u_wit.value(scope) == u_lift, f"lift-witness {tag}")
 
     for b in proper_layouts:
@@ -800,9 +767,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     omega_wit = ctx.singleton_block_witness(
         omega(j), ctx.omega_cert(j), xi_jf, t_f, space_j
     )
-    delta_wit = compact_witness(
-        omega_wit.plus(restrict_witness(u_wit, inc_tf).scaled(-1))
-    )
+    delta_wit = omega_wit - restrict_witness(u_wit, inc_tf)
     _require(
         delta_wit.value(scope) == delta, f"boundary-defect-expansion {tag}"
     )
@@ -821,7 +786,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
         ),
         ctx.plus_iso(f),
     )
-    alt_wit = compact_witness(u_wit.plus(chi_wit))
+    alt_wit = compact_witness(u_wit + chi_wit)
     record = PairRecord(
         face=f,
         index_subset=j,

@@ -266,15 +266,42 @@ class FiltrationWitness:
     def value(self, scope=None) -> Ensemble:
         return evaluate_blocks(self.entries, scope or PairScope())
 
-    def scaled(self, n: int) -> "FiltrationWitness":
+    def __add__(self, other: "FiltrationWitness") -> "FiltrationWitness":
+        """Both entry lists, in order, unmerged."""
         return FiltrationWitness(
-            self.level, [(n * c, b) for c, b in self.entries if n * c]
+            min(self.level, other.level), self.entries + other.entries
         )
 
-    def plus(self, other: "FiltrationWitness") -> "FiltrationWitness":
-        return FiltrationWitness(
-            min(self.level, other.level), list(self.entries) + list(other.entries)
-        )
+    def __sub__(self, other: "FiltrationWitness") -> "FiltrationWitness":
+        """The entries of self, then those of other negated, compacted."""
+        negated = [(-c, b) for c, b in other.entries]
+        return compact_witness(self + FiltrationWitness(other.level, negated))
+
+
+def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
+    """Merge the entries whose blocks have equal structural keys (the table
+    of f, then the key of each part), in first-occurrence order, and drop
+    the ones whose coefficients cancel.  The blocks ``wedge_witness``
+    expands from compacted factors share their part objects, so a part
+    stands in a block's key by the index of its part key, which is hashed
+    once per part object (w holds every part, so no id is reused during the
+    call)."""
+    index = {}
+    of_part = {}
+    merged = {}
+    for c, b in w.entries:
+        parts = []
+        for p in b.parts:
+            i = of_part.get(id(p))
+            if i is None:
+                i = of_part[id(p)] = index.setdefault(p.key(), len(index))
+            parts.append(i)
+        key = (b.f, tuple(parts))
+        if key in merged:
+            merged[key][0] += c
+        else:
+            merged[key] = [c, b]
+    return FiltrationWitness(w.level, [(c, b) for c, b in merged.values() if c])
 
 
 @dataclass

@@ -137,6 +137,21 @@ def test_certificate_rejects_wrong_level():
     assert not cert.check(m, ring_product(m, singleton(()), omega((1,))))
 
 
+def test_certificate_rejects_entries_outside_the_monoid():
+    m = SubsetMonoid((1, 2))
+    target = ring_product(m, singleton((1, 2)), omega((2,)))
+    assert IdealCertificate(level=1, combination=(((1, 2), (2,), 1),)).check(
+        m, target
+    )
+    # the forged L evaluate to the same target
+    for l_key in [("str", 2), (1, 2, 99)]:
+        cert = IdealCertificate(level=1, combination=((l_key, (2,), 1),))
+        assert cert.value(m) == target
+        assert not cert.check(m, target)
+    forged_j = IdealCertificate(level=1, combination=(((1, 2), (2, 99), 1),))
+    assert not forged_j.check(m, forged_j.value(m))
+
+
 def test_ideal_membership_certificate_check_raises(monkeypatch):
     m = SubsetMonoid((1, 2))
     monkeypatch.setattr(IdealCertificate, "check", lambda self, monoid, pi: False)

@@ -333,6 +333,65 @@ def test_zero_sizes_exit_with_usage(argv):
     assert "not a positive integer" in err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "simplicial", "--bound", "-1"],
+        ["verify", "retractions", "--bound", "-2"],
+        ["verify", "nabla", "--max-e", "-2"],
+        ["verify", "identities", "--max-a", "-1"],
+        ["verify", "identities", "--max-i", "-1"],
+        ["verify", "nabla", "--max-e", "1", "--cases", "0"],
+    ],
+)
+def test_bad_verify_sizes_exit_with_usage(argv):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in err.getvalue()
+    assert "integer" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "identities", "--max-a", "2", "--max-i", "0"],
+        ["verify", "simplicial", "--max-e", "1", "--max-a", "1", "--bound", "0"],
+    ],
+)
+def test_zero_verify_sizes_still_run(argv):
+    rc, out, _err = run_cli(argv)
+    assert rc == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert lines and all(r["verdict"] == "pass" for r in lines)
+
+
+@pytest.mark.parametrize("forged", [["str", 2], [1, 2, 99]], ids=repr)
+def test_check_pj_rejects_a_certificate_outside_the_monoid(tmp_path, forged):
+    # the forged L leaves every intersection with a subset of {1, 2}
+    # unchanged, so only the monoid-element check can see it
+    pj = tmp_path / "pj"
+    run_cli(["construct-pj", "--i", "2", "--e", "1", "--out", str(pj)])
+    target = pj / "pair_F1_J2.json"
+    payload = json.loads(target.read_text())
+    forged_count = 0
+    for block in payload["alt_witness"]["blocks"]:
+        for part in block["parts"]:
+            for term in part["terms"]:
+                for entry in term["cert"]:
+                    if entry[0] == [1, 2]:
+                        entry[0] = forged
+                        forged_count += 1
+    assert forged_count
+    target.write_text(json.dumps(payload))
+    rc, out, _err = run_cli(["check-pj", "--in", str(pj)])
+    assert rc == 1
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    failed = [r["case"]["check"] for r in lines if r["verdict"] == "fail"]
+    assert failed == ["alternating-sum-witness F=(1,) J=(2,)"]
+
+
 def test_construct_reports_failed_condition(monkeypatch, tmp_path):
     monkeypatch.setattr(wedge, "constant_restriction_holds", lambda *args: False)
     rc, out, _err = run_cli(

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from fissile import posets, suites
 from fissile.ensembles import Ensemble, map_ensemble, singleton
 from fissile.layouts import LayoutLattice
 from fissile.posets import (
@@ -163,10 +164,46 @@ def test_restriction_square_exhaustive_small():
         sys = TupleSystem(range(1, n + 1))
         for _ in range(12):
             fam = random_tuple_section(rng, poset, sys)
-            for q in poset.elements:
-                assert check_restriction_square(
-                    poset, sys.restrict, sys.extend, q, fam
-                )
+            assert check_restriction_square(poset, sys.restrict, sys.extend, fam)
+
+
+def test_restriction_square_fails_at_a_single_broken_q():
+    poset = boolean_lattice(2)
+    sys = TupleSystem((1, 2))
+
+    def broken(p, q, s):
+        # pads with 1, not the default 0, only when extending to (1,)
+        if p == (1,) and q != p:
+            return map_ensemble(lambda el: (1,), s)
+        return sys.extend(p, q, s)
+
+    fam = Section({(): singleton(())})
+    assert check_restriction_square(poset, sys.restrict, sys.extend, fam)
+    assert not check_restriction_square(poset, sys.restrict, broken, fam)
+
+
+def test_nabla_suite_lifts_each_family_once(monkeypatch):
+    # per random family at ground n: two inverses for the round trip, one
+    # for the lift to the top and one per element for the lifts below it;
+    # lifting the whole family again at every element took 5,000
+    calls = []
+    original = posets.nabla_inverse
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(posets, "nabla_inverse", counting)
+    monkeypatch.setattr(suites, "nabla_inverse", counting)
+    assert all(ok for _case, ok in suites.suite_nabla(max_e=3))
+    assert 0 < len(calls) <= 3100
+
+
+def test_square_and_count_hold_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_restriction_square_fails_at_a_single_broken_q",
+        f"{__file__}::test_nabla_suite_lifts_each_family_once",
+    )
 
 
 def test_lift_limit_restricts_back():

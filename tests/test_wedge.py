@@ -875,6 +875,51 @@ def test_cover_witness_equals_the_compacted_expansion(monkeypatch, i_size, e_siz
     assert compared
 
 
+def hand_inverse(poset, restrict, family):
+    """The witness back-substitution written out by hand: tops first, each
+    witness followed by the negated restrictions of those found above it,
+    in element order, then compacted."""
+    out = {}
+    for b in reversed(poset.linear_extension()):
+        level, entries = family[b].level, list(family[b].entries)
+        for p in poset.elements:
+            if p != b and poset.leq(b, p):
+                up = restrict(p, b, out[p])
+                level = min(level, up.level)
+                entries.extend((-c, blk) for c, blk in up.entries)
+        out[b] = witnesses.compact_witness(witnesses.FiltrationWitness(level, entries))
+    return out
+
+
+@pytest.mark.parametrize("i_size, e_size", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_witness_inverse_transform_equals_the_hand_loop(monkeypatch, i_size, e_size):
+    # entry by entry, in order: coefficient, decomposition table, wedge
+    # label and part keys
+    original = wedge_module.nabla_inverse
+    compared = []
+
+    def comparing(poset, restrict, family):
+        out = original(poset, restrict, family)
+        if isinstance(next(iter(family.values()), None), witnesses.FiltrationWitness):
+            expected = hand_inverse(poset, restrict, family)
+            assert list(out) == list(expected)
+            for b, w in expected.items():
+                assert out[b].level == w.level
+                assert entry_forms(out[b]) == entry_forms(w)
+            compared.append(poset)
+        return out
+
+    monkeypatch.setattr(wedge_module, "nabla_inverse", comparing)
+    i_set, e_set = tuple(range(1, i_size + 1)), tuple(range(1, e_size + 1))
+    result = construct_p(i_set, e_set, enforce_guard=False)
+    # one witness family per pair
+    assert len(compared) == len(result.pairs)
+
+
+def test_witness_inverse_transform_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_witness_inverse_transform_equals_the_hand_loop")
+
+
 def test_q_expansion_stays_small(monkeypatch):
     # the blocks entering compact_witness during construct_q at (3, 2):
     # 1,045 with compacted factors, 55,405 if the uncompacted ones expand

@@ -29,6 +29,7 @@ from fissile.witnesses import (
     PSpace,
     _invert_iso,
     combine_over_wedge,
+    compact_witness,
     cone_witness,
     map_witness,
     restrict_witness,
@@ -341,6 +342,36 @@ def test_wedge_witness_pipeline(ctx):
         assert ww.level == w1.level + w2.level
         expected = combine_over_wedge(wobj, [w1.value(), w2.value()])
         assert verify_witness(expected, ww, ww.level, ctx.monoid)
+
+
+def test_witness_sum_concatenates_and_difference_compacts(ctx):
+    rng = random.Random(70)
+    space = ctx.space((1,))
+    t = ctx.plus_base_of((1,))
+    for _ in range(10):
+        a = random_witness(rng, ctx, t, space, n_blocks=3)
+        b = random_witness(rng, ctx, t, space, n_blocks=3)
+        b.entries.extend(rng.sample(a.entries, 1))
+        level = min(a.level, b.level)
+        total = a + b
+        assert total.level == level
+        assert [(c, id(blk)) for c, blk in total.entries] == [
+            (c, id(blk)) for c, blk in a.entries + b.entries
+        ]
+        diff = a - b
+        expected = compact_witness(
+            FiltrationWitness(level, a.entries + [(-c, blk) for c, blk in b.entries])
+        )
+        assert diff.level == level
+        assert [(c, id(blk)) for c, blk in diff.entries] == [
+            (c, id(blk)) for c, blk in expected.entries
+        ]
+        assert diff.value() == a.value() - b.value()
+        assert not (a - a).entries
+
+
+def test_witness_arithmetic_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_witness_sum_concatenates_and_difference_compacts")
 
 
 def test_transform_chain_preserves_validity(ctx):
