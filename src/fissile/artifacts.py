@@ -347,11 +347,20 @@ def _load(path):
 
 def _open_dump(in_dir, kind):
     """The manifest of a dump, the context rebuilt from its sizes, and the
-    loaded morphism store.  The truncation bound is the context's, |E| + 1;
-    a manifest naming any other is rejected."""
+    loaded morphism store.  The manifest is an object whose index sets
+    ``i`` and ``e`` are nonempty lists of distinct ints.  The truncation
+    bound is the context's, |E| + 1; a manifest naming any other is
+    rejected."""
     manifest = _load(os.path.join(in_dir, "manifest.json"))
+    if not isinstance(manifest, dict):
+        raise ArtifactError("manifest is not a JSON object")
     if manifest.get("kind") != kind:
         raise ArtifactError("manifest kind mismatch")
+    for field in ("i", "e"):
+        sizes = manifest.get(field)
+        ints = isinstance(sizes, list) and all(type(x) is int for x in sizes)
+        if not ints or not sizes or len(set(sizes)) != len(sizes):
+            raise ArtifactError(f"manifest {field!r}: not a nonempty list of distinct ints")
     ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
     if manifest.get("bound") != ctx.bound:
         raise ArtifactError(

@@ -4,10 +4,13 @@ An :class:`Ensemble` is a finite formal integer combination of canonically
 encoded elements.  Coefficients are Python ints, hence arbitrary precision;
 zero coefficients are never stored.  The group core never interprets
 elements: every universe (subsets, layouts, tuples, simplicial morphisms)
-supplies its own canonical values, see :mod:`fissile.canon`.
+supplies its own canonical values, see :mod:`fissile.canon`.  Subgroup
+membership is decided exactly against one integer echelon per generator
+family, and a member comes with its coefficients.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .canon import ckey, ckey_b64, jsonable
 
@@ -118,12 +121,30 @@ def combining_product(factors, combiner) -> Ensemble:
 
 @dataclass(frozen=True)
 class SubgroupGenerators:
-    """A finitely generated subgroup, given by explicit ensemble generators."""
+    """A finitely generated subgroup, given by explicit ensemble generators,
+    with its coordinate index and integer echelon, each built on first use."""
 
     generators: tuple
 
     def __init__(self, generators):
         object.__setattr__(self, "generators", tuple(generators))
+
+    @cached_property
+    def index(self):
+        """Position of each coordinate of the generators' support."""
+        support = set().union(*(g.terms for g in self.generators))
+        return {el: i for i, el in enumerate(sorted(support, key=ckey))}
+
+    @cached_property
+    def echelon(self):
+        """(H, recorded operations) of the generators' coordinate rows."""
+        rows = []
+        for g in self.generators:
+            row = [0] * len(self.index)
+            for el, c in g.terms.items():
+                row[self.index[el]] = c
+            rows.append(row)
+        return _row_echelon(rows)
 
 
 @dataclass(frozen=True)
@@ -151,11 +172,13 @@ def _xgcd(a, b):
 
 
 def _row_echelon(rows):
-    """Integer row echelon form with transform: returns (H, U), U*rows == H."""
+    """Integer row echelon form H of ``rows`` and its recorded operations:
+    ``(r, i, a, b, c, d)`` set row r to a*row_r + b*row_i and row i to
+    c*row_r + d*row_i.  Their product is the transform U, U*rows == H."""
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     h = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    ops = []
     r = 0
     for col in range(ncols):
         piv = None
@@ -165,8 +188,9 @@ def _row_echelon(rows):
                 break
         if piv is None:
             continue
-        h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
+        if piv != r:
+            h[r], h[piv] = h[piv], h[r]
+            ops.append((r, piv, 0, 1, 1, 0))
         for i in range(r + 1, m):
             while h[i][col]:
                 a, b = h[r][col], h[i][col]
@@ -174,8 +198,7 @@ def _row_echelon(rows):
                     q = b // a
                     for jj in range(ncols):
                         h[i][jj] -= q * h[r][jj]
-                    for jj in range(m):
-                        u[i][jj] -= q * u[r][jj]
+                    ops.append((r, i, 1, 0, -q, 1))
                 else:
                     x, y, g = _xgcd(a, b)
                     mbg, ag = -b // g, a // g
@@ -183,67 +206,48 @@ def _row_echelon(rows):
                         aa, bb = h[r][jj], h[i][jj]
                         h[r][jj] = x * aa + y * bb
                         h[i][jj] = mbg * aa + ag * bb
-                    for jj in range(m):
-                        aa, bb = u[r][jj], u[i][jj]
-                        u[r][jj] = x * aa + y * bb
-                        u[i][jj] = mbg * aa + ag * bb
-        if h[r][col] < 0:
-            h[r] = [-v for v in h[r]]
-            u[r] = [-v for v in u[r]]
+                    ops.append((r, i, x, y, mbg, ag))
         r += 1
         if r == m:
             break
-    return h, u
+    return h, ops
 
 
 def subgroup_membership(v: Ensemble, gens: SubgroupGenerators) -> Membership:
     """Decide whether ``v`` is an integer combination of the generators.
 
-    Positive answers return coefficients (one per generator, verified by
-    re-evaluation); negative answers are definite, via an exact integer
-    normal form over the coordinate set spanned by all supports.
+    The generators' echelon H is built once per :class:`SubgroupGenerators`.
+    A target is reduced against H's pivots, one multiplier per row; the
+    coefficients (one per generator) are those multipliers pushed back
+    through the recorded row operations in reverse, and are verified by
+    re-evaluation.  Negative answers are definite: a coordinate outside
+    every generator, a pivot that does not divide, or a nonzero residual.
     """
-    coords = set(v.support())
-    for g in gens.generators:
-        coords |= g.support()
-    coords = sorted(coords, key=ckey)
-    index = {el: i for i, el in enumerate(coords)}
-    gen_coords = set()
-    for g in gens.generators:
-        gen_coords |= g.support()
-    for el in v.support():
-        if el not in gen_coords:
+    index = gens.index
+    for el in v.terms:
+        if el not in index:
             return Membership(False, None, "coordinate outside every generator")
     if not v.terms:
         return Membership(True, (0,) * len(gens.generators), "zero element")
-    if not gens.generators:
-        return Membership(False, None, "no generators")
-    rows = []
-    for g in gens.generators:
-        row = [0] * len(coords)
-        for el, c in g.terms.items():
-            row[index[el]] = c
-        rows.append(row)
-    target = [0] * len(coords)
+    h, ops = gens.echelon
+    residual = [0] * len(index)
     for el, c in v.terms.items():
-        target[index[el]] = c
-    h, u = _row_echelon(rows)
-    residual = list(target)
-    combo = [0] * len(rows)
+        residual[index[el]] = c
+    combo = [0] * len(h)
     for i, row in enumerate(h):
         piv = next((j for j, val in enumerate(row) if val), None)
         if piv is None:
             break
         if residual[piv] % row[piv] != 0:
             return Membership(False, None, "divisibility obstruction")
-        t = residual[piv] // row[piv]
+        t = combo[i] = residual[piv] // row[piv]
         if t:
-            for j in range(len(coords)):
+            for j in range(len(row)):
                 residual[j] -= t * row[j]
-            for j in range(len(rows)):
-                combo[j] += t * u[i][j]
     if any(residual):
         return Membership(False, None, "residual outside the lattice")
+    for r, i, a, b, c, d in reversed(ops):
+        combo[r], combo[i] = a * combo[r] + c * combo[i], b * combo[r] + d * combo[i]
     check = Ensemble.zero()
     for c, g in zip(combo, gens.generators):
         check = check + c * g

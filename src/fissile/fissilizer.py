@@ -206,14 +206,12 @@ def defect_subgroup_family(lp, seeds):
     generated integer lattices, which have no infinite ascending chains.
     """
     lattice = lp.lattice
-    gens = {a: [] for a in lattice.layouts}
+    family = {a: SubgroupGenerators(()) for a in lattice.layouts}
 
     def push(a, g):
-        if not g:
+        if not g or subgroup_membership(g, family[a]):
             return False
-        if subgroup_membership(g, SubgroupGenerators(gens[a])):
-            return False
-        gens[a].append(g)
+        family[a] = SubgroupGenerators(family[a].generators + (g,))
         return True
 
     for q in seeds:
@@ -227,11 +225,11 @@ def defect_subgroup_family(lp, seeds):
             for b in lattice.layouts:
                 if a == b or not lattice.geq(a, b):
                     continue
-                for g in list(gens[a]):
+                for g in family[a].generators:
                     changed |= push(b, lp.restrict(g, a, b))
-                for g in list(gens[b]):
+                for g in family[b].generators:
                     changed |= push(a, lp.extend(g, a, b))
-    return {a: SubgroupGenerators(gs) for a, gs in gens.items()}
+    return family
 
 
 def point_ensemble(lp) -> Ensemble:

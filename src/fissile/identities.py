@@ -98,33 +98,19 @@ def verify_cover_difference(a_size, ground) -> bool:
     return cov - pcov == all_fns - proper_fns
 
 
+IDENTITIES = (
+    ("cover_expansion", verify_cover_expansion),
+    ("proper_cover_expansion", verify_proper_cover_expansion),
+    ("full_sum_collapse", verify_full_sum_collapse),
+    ("proper_sum_collapse", verify_proper_sum_collapse),
+    ("cover_difference", verify_cover_difference),
+)
+
+
 def run_all(max_a, max_i):
     """Exhaustively run every identity; yields (name, a_size, i_size, ok)."""
     for i_size in range(0, max_i + 1):
         ground = tuple(range(1, i_size + 1))
         for a_size in range(1, max_a + 1):
-            yield ("cover_expansion", a_size, i_size, verify_cover_expansion(a_size, ground))
-            yield (
-                "proper_cover_expansion",
-                a_size,
-                i_size,
-                verify_proper_cover_expansion(a_size, ground),
-            )
-            yield (
-                "full_sum_collapse",
-                a_size,
-                i_size,
-                verify_full_sum_collapse(a_size, ground),
-            )
-            yield (
-                "proper_sum_collapse",
-                a_size,
-                i_size,
-                verify_proper_sum_collapse(a_size, ground),
-            )
-            yield (
-                "cover_difference",
-                a_size,
-                i_size,
-                verify_cover_difference(a_size, ground),
-            )
+            for name, verify in IDENTITIES:
+                yield (name, a_size, i_size, verify(a_size, ground))

@@ -16,8 +16,13 @@ DIGESTS = {
     ("pj", 2, 2): "bb0a2fc72fb65ab642376ed12d62cf473add827d3275697875d8d545b01f5485",
     ("pj", 3, 1): "3eda5c68c43a2214e6beaadbfe928a2c4e34d1a3641bddb834a16fd8803e518e",
     ("pj", 3, 2): "d0e0dee4a31442a9a7b95dfe60a10f8a51698c6e52e7b858b6fe14ff58b21876",
+    # the largest ideal-chain certificate families
+    ("pj", 4, 1): "f144d68be8f145d73a68b0311bc65e01cb15ff6e3bcebb4f09b9c6ff6e4afec1",
+    ("pj", 5, 1): "5d97fb46007aa9e6fb72ac2f59ccc18180fb35217cebb177117487bee1b4b17f",
     ("q", 2, 1): "c54b27ddd0dd5597d4614e1b43bf8e15aa4a8e4267ee0e53423b89f7fca5e7af",
     ("q", 2, 2): "b78b6a66a1220c65934b975177bc709afb31906db71e4bd9554a5a97eeaf22d9",
+    ("q", 4, 1): "4455e8f541b2bb1198d52c322166a27d030ee13203f809313673628b86c60cd9",
+    ("q", 5, 1): "1c9884c43f3717987a31178613d159bba460759a6567a659e76d88255b45e0e5",
 }
 
 
@@ -31,12 +36,12 @@ def tree_digest(path):
 
 @pytest.fixture(scope="module")
 def pairs():
-    # (3, 2) lies beyond the default construction guard
+    # (3, 2), (4, 1) and (5, 1) lie beyond the default construction guard
     return {
         (i, e): construct_p(
             tuple(range(1, i + 1)), tuple(range(1, e + 1)), enforce_guard=False
         )
-        for i, e in ((2, 1), (2, 2), (3, 1), (3, 2))
+        for i, e in ((2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (5, 1))
     }
 
 

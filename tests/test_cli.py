@@ -231,9 +231,9 @@ def test_check_rejects_block_wedge_that_is_no_wedge(tmp_path, kind, label):
 
 @pytest.fixture(scope="module")
 def dumps(tmp_path_factory):
-    """q(2,1), pj(2,2) and q(2,2) dumps, built once for this module."""
+    """q(2,1), pj(2,1), pj(2,2) and q(2,2) dumps, built once for this module."""
     root = tmp_path_factory.mktemp("dumps")
-    for kind, e in (("q", 1), ("pj", 2), ("q", 2)):
+    for kind, e in (("q", 1), ("pj", 1), ("pj", 2), ("q", 2)):
         argv = [f"construct-{kind}", "--i", "2", "--e", str(e)]
         assert run_cli(argv + ["--out", str(root / f"{kind}{e}")])[0] == 0
     return root
@@ -256,6 +256,33 @@ def test_check_rejects_bound_other_than_e_plus_one(dumps, tmp_path, kind, e, shi
     report = json.loads(line)
     assert report["verdict"] == "fail"
     assert f"manifest bound {e + 1 + shift} " in report["case"]["check"]
+    assert "Traceback" not in err
+
+
+MALFORMED_MANIFESTS = [
+    *({field: value} for field in ("i", "e") for value in ([[]], None, 7)),
+    {"e": [True]},
+    {"i": []},
+    {"e": [1, 1]},
+    {"i": [1, 2.0]},
+    [1],
+]
+
+
+@pytest.mark.parametrize("kind", ["q", "pj"])
+@pytest.mark.parametrize("change", MALFORMED_MANIFESTS, ids=json.dumps)
+def test_check_rejects_malformed_manifest(dumps, tmp_path, kind, change):
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / f"{kind}1", in_dir)
+    manifest = json.loads((in_dir / "manifest.json").read_text())
+    manifest = {**manifest, **change} if isinstance(change, dict) else change
+    (in_dir / "manifest.json").write_text(json.dumps(manifest))
+    rc, out, err = run_cli([f"check-{kind}", "--in", str(in_dir)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"].startswith("artifact-structure (manifest")
     assert "Traceback" not in err
 
 

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fissile import ensembles
+from fissile.canon import ckey
+from fissile.chained import SubsetMonoid, ideal_generators, omega, ring_product
 from fissile.ensembles import (
     Ensemble,
     SubgroupGenerators,
@@ -13,6 +15,7 @@ from fissile.ensembles import (
     singleton,
     subgroup_membership,
 )
+from fissile.suites import suite_fissilizer
 
 
 def random_ensemble(rng, universe, max_terms=4, coeff_bound=3):
@@ -215,17 +218,196 @@ def test_serialization_sorted_and_deterministic():
 
 
 def test_subgroup_membership_reevaluation_raises(monkeypatch):
-    # a row transform that doubles every combination
+    # a first recorded operation that doubles both rows, so the replayed
+    # combination comes out doubled while H stays as it was
     row_echelon = ensembles._row_echelon
 
     def doubled(rows):
-        h, u = row_echelon(rows)
-        return h, [[2 * v for v in row] for row in u]
+        h, ops = row_echelon(rows)
+        return h, [(0, 1, 2, 0, 0, 2), *ops]
 
     monkeypatch.setattr(ensembles, "_row_echelon", doubled)
+    gens = SubgroupGenerators([singleton("a"), singleton("b")])
     with pytest.raises(ValueError, match="subgroup membership"):
-        subgroup_membership(singleton("a"), SubgroupGenerators([singleton("a")]))
+        subgroup_membership(singleton("a"), gens)
 
 
 def test_subgroup_membership_reevaluation_raises_under_optimize(run_optimized):
     run_optimized(f"{__file__}::test_subgroup_membership_reevaluation_raises")
+
+
+def dense_row_echelon(rows):
+    """Reference: integer row echelon form with a stored transform U,
+    U*rows == H, reducing exactly as ``ensembles._row_echelon`` does."""
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    h = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, m):
+            if h[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        h[r], h[piv] = h[piv], h[r]
+        u[r], u[piv] = u[piv], u[r]
+        for i in range(r + 1, m):
+            while h[i][col]:
+                a, b = h[r][col], h[i][col]
+                if b % a == 0:
+                    q = b // a
+                    for jj in range(ncols):
+                        h[i][jj] -= q * h[r][jj]
+                    for jj in range(m):
+                        u[i][jj] -= q * u[r][jj]
+                else:
+                    x, y, g = ensembles._xgcd(a, b)
+                    mbg, ag = -b // g, a // g
+                    for jj in range(ncols):
+                        aa, bb = h[r][jj], h[i][jj]
+                        h[r][jj] = x * aa + y * bb
+                        h[i][jj] = mbg * aa + ag * bb
+                    for jj in range(m):
+                        aa, bb = u[r][jj], u[i][jj]
+                        u[r][jj] = x * aa + y * bb
+                        u[i][jj] = mbg * aa + ag * bb
+        if h[r][col] < 0:
+            h[r] = [-v for v in h[r]]
+            u[r] = [-v for v in u[r]]
+        r += 1
+        if r == m:
+            break
+    return h, u
+
+
+class DenseMembership:
+    """Reference membership over one family: the coefficient tuple of a
+    target from the dense transform, or None for a non-member."""
+
+    def __init__(self, gens):
+        self.gens = gens
+        coords = set()
+        for g in gens:
+            coords |= g.support()
+        self.index = {el: i for i, el in enumerate(sorted(coords, key=ckey))}
+        rows = []
+        for g in gens:
+            row = [0] * len(self.index)
+            for el, c in g.terms.items():
+                row[self.index[el]] = c
+            rows.append(row)
+        self.h, self.u = dense_row_echelon(rows)
+
+    def coefficients(self, v):
+        if any(el not in self.index for el in v.terms):
+            return None
+        residual = [0] * len(self.index)
+        for el, c in v.terms.items():
+            residual[self.index[el]] = c
+        combo = [0] * len(self.gens)
+        for i, row in enumerate(self.h):
+            piv = next((j for j, val in enumerate(row) if val), None)
+            if piv is None:
+                break
+            if residual[piv] % row[piv]:
+                return None
+            t = residual[piv] // row[piv]
+            for j in range(len(row)):
+                residual[j] -= t * row[j]
+            for j in range(len(combo)):
+                combo[j] += t * self.u[i][j]
+        return None if any(residual) else tuple(combo)
+
+
+def assert_same_coefficients(gens, targets):
+    family = SubgroupGenerators(gens)
+    dense = DenseMembership(gens)
+    for v in targets:
+        res = subgroup_membership(v, family)
+        assert res.coefficients == (dense.coefficients(v) if res else None)
+
+
+def test_coefficients_match_dense_transform_on_random_families():
+    rng = random.Random(17)
+    universe = ["a", "b", "c", "d", "e", "f"]
+    for trial in range(150):
+        bound = 10**30 if trial % 5 == 0 else 4
+        gens = [
+            random_ensemble(rng, universe, max_terms=5, coeff_bound=bound)
+            for _ in range(rng.randint(1, 6))
+        ]
+        gens += [rng.choice(gens) for _ in range(rng.randint(0, 2))]
+        gens += [Ensemble.zero()] * rng.randint(0, 1)
+        if trial % 3 == 0:
+            # rank deficient: a combination of two generators joins them
+            gens.append(rng.randint(-3, 3) * gens[0] - rng.randint(1, 3) * gens[-1])
+        rng.shuffle(gens)
+        members = []
+        for _ in range(4):
+            v = Ensemble.zero()
+            for g in gens:
+                v = v + rng.randint(-5, 5) * g
+            members.append(v)
+        others = [random_ensemble(rng, universe, coeff_bound=bound) for _ in range(4)]
+        assert_same_coefficients(gens, members + others + [Ensemble.zero()])
+
+
+def test_coefficients_match_dense_transform_with_negative_pivots():
+    gens = [
+        Ensemble({"a": -6, "b": 4}),
+        Ensemble({"a": -4, "c": -10**30}),
+        Ensemble({"a": 9, "b": -3, "c": 5}),
+        Ensemble({"b": -7}),
+    ]
+    targets = [Ensemble({"a": -1, "b": 2, "c": 3}), gens[0] - 5 * gens[3]]
+    assert_same_coefficients(gens, targets)
+
+
+def test_coefficients_match_dense_transform_on_ideal_families():
+    rng = random.Random(19)
+    for size in range(5):
+        monoid = SubsetMonoid(tuple(range(1, size + 1)))
+        for level in range(size + 2):
+            pairs = ideal_generators(monoid, level)
+            gens = [
+                ring_product(monoid, singleton(l_key), omega(j)) for l_key, j in pairs
+            ]
+            targets = [omega(j) for j in monoid.elements]
+            for _ in range(3):
+                v = Ensemble.zero()
+                for g in gens:
+                    v = v + rng.randint(-2, 2) * g
+                targets.append(v)
+            assert_same_coefficients(gens, targets)
+
+
+def test_defect_families_build_few_echelons(monkeypatch):
+    calls = []
+    row_echelon = ensembles._row_echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return row_echelon(rows)
+
+    monkeypatch.setattr(ensembles, "_row_echelon", counted)
+    reports = list(suite_fissilizer(max_e=2, cases=0, defect_cases=200, seed=3))
+    assert all(ok for _case, ok in reports)
+    # one echelon per family that answers an in-support query; rebuilding
+    # each growing family for every candidate made 15,772
+    assert len(calls) <= 3305
+
+
+def test_family_builds_its_echelon_once(monkeypatch):
+    calls = []
+    row_echelon = ensembles._row_echelon
+    monkeypatch.setattr(
+        ensembles, "_row_echelon", lambda rows: calls.append(1) or row_echelon(rows)
+    )
+    family = SubgroupGenerators([Ensemble({"a": 2, "b": 1}), Ensemble({"b": 3})])
+    targets = [singleton("a"), Ensemble({"a": 2, "b": 4}), singleton("c"), Ensemble.zero()]
+    for v in targets:
+        subgroup_membership(v, family)
+    assert len(calls) == 1
