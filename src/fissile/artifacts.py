@@ -13,16 +13,17 @@ builder and checker cannot drift apart.
 
 import json
 import os
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 
 from .canon import ckey_b64, jsonable, unjsonable
 from .chained import IdealCertificate, subset_key
 from .ensembles import Ensemble
-from .layouts import layout_key
+from .layouts import LayoutLattice, layout_key
 # ``wedge`` stays importable here: perfbench/spans.py wraps every binding of
 # it.  Wedges themselves come from the context.
 from .simplicial import SMorphism, wedge  # noqa: F401
-from .wedge import WedgeContext, pair_checks, q_checks
+from .wedge import WedgeContext, pair_checks, pair_claims, q_checks
 from .witnesses import Block, BlockPart, FiltrationWitness, IdealTerm
 
 
@@ -370,21 +371,41 @@ def _open_dump(in_dir, kind):
     return manifest, ctx, store
 
 
+def _claim_mismatches(expected, found, tag):
+    """One failed (check name, ok) per expected claim missing from or
+    repeated in ``found`` and per distinct found claim not expected; none
+    when the two match one for one.  ``tag`` names a claim."""
+    counts = Counter(found)
+    out = []
+    for claim in expected:
+        n = counts.pop(claim, 0)
+        if n != 1:
+            out.append((f"claim-{'duplicate' if n else 'missing'} {tag(claim)}", False))
+    out.extend((f"claim-extra {tag(claim)}", False) for claim in counts)
+    return out
+
+
 def check_pair_artifacts(in_dir):
     """Re-verify a pair-construction dump from files alone.
 
     Returns a list of (check-name, ok) tuples, one per condition and pair,
-    from the same condition functions the builder evaluates.
+    from the same condition functions the builder evaluates.  The pairs are
+    read from the files, and they must be the construction's pairs, each
+    once; otherwise only the failed claims are returned.
     """
     manifest, ctx, store = _open_dump(in_dir, "pair-construction")
-    pairs = {}
-    witnesses = {}
+    claims, pairs, witnesses = [], {}, {}
     for name in manifest["pairs"]:
         payload = _load(os.path.join(in_dir, name))
-        f = subset_key(payload["face"])
-        j = subset_key(payload["subset"])
+        f, j = subset_key(payload["face"]), subset_key(payload["subset"])
+        claims.append((f, j))
         pairs[(f, j)] = ensemble_from_json(payload["ensemble"], store)
         witnesses[(f, j)] = witness_from_json(payload["alt_witness"], store, ctx)
+    mismatches = _claim_mismatches(
+        pair_claims(ctx.i_set, ctx.e_set), claims, lambda c: f"F={c[0]} J={c[1]}"
+    )
+    if mismatches:
+        return mismatches
     checks = []
     for f, j in sorted(pairs):
         checks.extend(
@@ -395,7 +416,9 @@ def check_pair_artifacts(in_dir):
 
 def check_q_artifacts(in_dir):
     """Re-verify an almost-fissile dump: one check per layout defect and
-    one for the boundary defect."""
+    one for the boundary defect.  The layouts are read from the file, and
+    they must be the layouts of E, each once; otherwise only the failed
+    claims are returned."""
     _manifest, ctx, store = _open_dump(in_dir, "almost-fissile")
     payload = _load(os.path.join(in_dir, "q.json"))
     q_ens = ensemble_from_json(payload["ensemble"], store)
@@ -406,5 +429,12 @@ def check_q_artifacts(in_dir):
         )
         for entry in payload["layouts"]
     ]
+    mismatches = _claim_mismatches(
+        LayoutLattice(ctx.e_set, bound=len(ctx.e_set)).layouts,
+        [a for a, _ in layout_witnesses],
+        lambda a: f"A={a}",
+    )
+    if mismatches:
+        return mismatches
     bwit = witness_from_json(payload["boundary_witness"], store, ctx)
     return list(q_checks(ctx, q_ens, layout_witnesses, bwit))

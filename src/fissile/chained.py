@@ -2,8 +2,9 @@
 
 Subsets of the index set are canonical sorted tuples.  The ring element
 ``omega(J)`` is the alternating sum over subsets of J; the level-s ideal is
-generated by all products <L>*omega(J) with |J| >= s, and membership in it
-is decided exactly, with a certificate.
+generated by all products <L>*omega(J) with |J| >= s.  The omega(J) form a
+basis of the ring, and membership in the ideal is read off an element's
+coordinates in that basis, in closed form, with a certificate.
 """
 
 from dataclasses import dataclass
@@ -11,12 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .canon import ckey
-from .ensembles import (
-    Ensemble,
-    SubgroupGenerators,
-    singleton,
-    subgroup_membership,
-)
+from .ensembles import Ensemble, singleton
 
 
 def subset_key(s):
@@ -94,31 +90,31 @@ class IdealCertificate:
         return self.value(monoid) == target
 
 
-def ideal_generators(monoid: SubsetMonoid, level: int):
-    """All pairs (L, J) with |J| >= level, in canonical order."""
-    out = []
-    for j in monoid.elements:
-        if len(j) < level:
-            continue
-        for l_key in monoid.elements:
-            out.append((l_key, j))
-    return out
-
-
 def ideal_membership(monoid: SubsetMonoid, pi: Ensemble, level: int):
     """Decide membership in the level-s ideal; positive answers carry an
-    :class:`IdealCertificate`, negatives are definite."""
-    pairs = ideal_generators(monoid, level)
-    gens = SubgroupGenerators(
-        ring_product(monoid, singleton(l_key), omega(j)) for l_key, j in pairs
-    )
-    result = subgroup_membership(pi, gens)
-    if not result:
+    :class:`IdealCertificate`, negatives are definite.
+
+    Read off the omega basis: <L>*omega(J) is omega(J) when J is within L
+    and 0 otherwise (for x in J but not in L, pairing K with K xor {x}
+    cancels every term), and pi is the sum of c_J * omega(J), c_J the sum of
+    pi_K over K containing J (inverting omega(J), the sum of
+    (-1)^(|J|-|K|) <K> over K within J, by Moebius inversion on the Boolean
+    lattice).  So pi is a member exactly when its keys are monoid elements
+    and every nonzero c_J has |J| >= s; the certificate lists each
+    (L, J, c_J) in element order, L the first element containing J."""
+    members = monoid.elements
+    if any(k not in members for k in pi.terms):
+        return None
+    coeffs = {}
+    for k, c in pi.terms.items():
+        for j in _subsets(k):
+            coeffs[j] = coeffs.get(j, 0) + c
+    if any(c and len(j) < level for j, c in coeffs.items()):
         return None
     combo = tuple(
-        (l_key, j, c)
-        for (l_key, j), c in zip(pairs, result.coefficients)
-        if c
+        (next(l_key for l_key in members if set(j) <= set(l_key)), j, coeffs[j])
+        for j in members
+        if coeffs.get(j)
     )
     cert = IdealCertificate(level=level, combination=combo)
     if not cert.check(monoid, pi):

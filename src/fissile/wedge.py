@@ -459,16 +459,15 @@ class WedgeContext:
         block = Block(f=f, wedge_obj=wobj, parts=[part], space=space)
         return FiltrationWitness(0, [(1, block)])
 
-    def singleton_block_witness(
-        self, pi, cert, morphism, t_obj, space: PSpace
-    ) -> FiltrationWitness:
-        """Witness for pi . <morphism> as one block of rank cert.level over
-        its own domain."""
+    def omega_witness(self, j, f) -> FiltrationWitness:
+        """Witness for omega(j) . <xi(j, f)> in the space at j, as one block
+        of rank |j| over the based subdivision of the face f."""
+        morphism, cert, space = self.xi(j, f), self.omega_cert(j), self.space(j)
         dom = morphism.domain
         wobj = self.wedge_of([dom], label=("wedge1", dom.label))
         part = BlockPart(
             level=cert.level,
-            terms=[IdealTerm(pi, cert, morphism)],
+            terms=[IdealTerm(omega(j), cert, morphism)],
             domain=dom,
             space=space,
         )
@@ -588,6 +587,12 @@ def alternating_sum(p, f, j) -> Ensemble:
     return extend_over(omega(j), lambda k: p(f, k))
 
 
+def proper_alternating_sum(p, f, j) -> Ensemble:
+    """p(f, j) minus its alternating sum: the signed sum of the p(f, k) over
+    the proper subsets k of j."""
+    return extend_over(singleton(j) - omega(j), lambda k: p(f, k))
+
+
 def layout_defect(ctx: WedgeContext, q: Ensemble, a, scope) -> Ensemble:
     """The combining product over the layout a of the restrictions of q to
     its blocks, glued in the scope, minus the restriction of q to a."""
@@ -648,11 +653,7 @@ def _require_all(checks):
 
 @dataclass
 class PairRecord:
-    face: tuple
-    index_subset: tuple
     ensemble: Ensemble
-    fissile: bool
-    alt_sum: Ensemble
     alt_witness: FiltrationWitness
 
 
@@ -663,6 +664,15 @@ class ConstructionResult:
 
     def final(self, j):
         return self.pairs[(self.ctx.e_set, subset_key(j))]
+
+
+def pair_claims(i_set, e_set):
+    """Every pair (F, J), F a nonempty face of E and J a proper subset of I,
+    in induction order: faces, then subsets, by size and then ``ckey``."""
+    order = functools.partial(sorted, key=lambda s: (len(s), ckey(s)))
+    faces = order(f for f in subsets_of(e_set) if f)
+    proper = order(j for j in subsets_of(i_set) if j != subset_key(i_set))
+    return [(f, j) for f in faces for j in proper]
 
 
 def construct_p(i_set, e_set, enforce_guard=True) -> ConstructionResult:
@@ -681,17 +691,8 @@ def construct_p(i_set, e_set, enforce_guard=True) -> ConstructionResult:
         construction_guard(i_set, e_set)
     ctx = WedgeContext(i_set, e_set)
     result = ConstructionResult(ctx=ctx)
-    faces = sorted(
-        [f for f in subsets_of(e_set) if f],
-        key=lambda f: (len(f), ckey(f)),
-    )
-    proper = sorted(
-        [j for j in subsets_of(i_set) if j != i_set],
-        key=lambda j: (len(j), ckey(j)),
-    )
-    for f in faces:
-        for j in proper:
-            _construct_pair(ctx, result.pairs, f, j)
+    for f, j in pair_claims(i_set, e_set):
+        _construct_pair(ctx, result.pairs, f, j)
     return result
 
 
@@ -709,7 +710,6 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     tag = f"F={f} J={j}"
     space_j = ctx.space(j)
     lat = LayoutLattice(f, bound=len(f))
-    t_f = ctx.plus_base_of(f)
     inc_tf = ctx.base_inclusion(f)
     top = lat.top
     proper_layouts = [b for b in lat.layouts if b != top]
@@ -759,15 +759,9 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
         _require(got == u_vals.value(b), f"lift-restriction {tag} B={b}")
 
     # bend the boundary defect flat with the filling
-    q_ens = extend_over(singleton(j) - omega(j), lambda k: p(f, k))
-    r_ens = q_ens + u_lift
-
-    xi_jf = ctx.xi(j, f)
+    r_ens = proper_alternating_sum(p, f, j) + u_lift
     delta = boundary_defect(ctx, r_ens, f, j)
-    omega_wit = ctx.singleton_block_witness(
-        omega(j), ctx.omega_cert(j), xi_jf, t_f, space_j
-    )
-    delta_wit = omega_wit - restrict_witness(u_wit, inc_tf)
+    delta_wit = ctx.omega_witness(j, f) - restrict_witness(u_wit, inc_tf)
     _require(
         delta_wit.value(scope) == delta, f"boundary-defect-expansion {tag}"
     )
@@ -787,14 +781,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
         ctx.plus_iso(f),
     )
     alt_wit = compact_witness(u_wit + chi_wit)
-    record = PairRecord(
-        face=f,
-        index_subset=j,
-        ensemble=r_ens + chi_delta,
-        fissile=True,
-        alt_sum=u_lift + chi_delta,
-        alt_witness=alt_wit,
-    )
+    record = PairRecord(ensemble=r_ens + chi_delta, alt_witness=alt_wit)
     pairs[(f, j)] = record
     _require_all(pair_checks(ctx, p, f, j, alt_wit, scope))
     return record
@@ -803,9 +790,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
 @dataclass
 class AlmostFissileRecord:
     ensemble: Ensemble
-    layout_defects: dict
     layout_witnesses: dict
-    boundary_value: Ensemble
     boundary_witness: FiltrationWitness
 
 
@@ -817,13 +802,13 @@ def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
     ctx = result.ctx
     scope = PairScope()
     i_set, e_set = ctx.i_set, ctx.e_set
-    q_ens = extend_over(
-        singleton(i_set) - omega(i_set), lambda j: result.final(j).ensemble
+    q_ens = proper_alternating_sum(
+        lambda g, k: result.pairs[(g, k)].ensemble, e_set, i_set
     )
 
     lat = LayoutLattice(e_set, bound=len(e_set))
     top = lat.top
-    defects, witnesses = {}, {}
+    witnesses = {}
 
     def witness_at(g, k):
         # restricting before the push gives the same blocks: a restriction
@@ -838,22 +823,9 @@ def construct_q(result: ConstructionResult) -> AlmostFissileRecord:
         witnesses[a] = cover_witness(
             ctx, a, fns, witness_at, ctx.full_space, len(i_set), scope
         )
-        defects[a] = layout_defect(ctx, q_ens, a, scope)
 
-    boundary = boundary_defect(ctx, q_ens, e_set, i_set)
-    bwit = ctx.singleton_block_witness(
-        omega(i_set),
-        ctx.omega_cert(i_set),
-        ctx.xi(i_set, e_set),
-        ctx.plus_base_of(e_set),
-        ctx.full_space,
-    )
-    bwit = compact_witness(bwit)
+    bwit = compact_witness(ctx.omega_witness(i_set, e_set))
     _require_all(q_checks(ctx, q_ens, witnesses.items(), bwit, scope))
     return AlmostFissileRecord(
-        ensemble=q_ens,
-        layout_defects=defects,
-        layout_witnesses=witnesses,
-        boundary_value=boundary,
-        boundary_witness=bwit,
+        ensemble=q_ens, layout_witnesses=witnesses, boundary_witness=bwit
     )

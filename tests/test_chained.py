@@ -12,7 +12,14 @@ from fissile.chained import (
     subset_key,
     subsets_of,
 )
-from fissile.ensembles import Ensemble, augmentation, singleton
+from fissile import ensembles
+from fissile.ensembles import (
+    Ensemble,
+    SubgroupGenerators,
+    augmentation,
+    singleton,
+    subgroup_membership,
+)
 from fissile.layouts import LayoutLattice
 from fissile.posets import Section, nabla_inverse
 
@@ -161,3 +168,75 @@ def test_ideal_membership_certificate_check_raises(monkeypatch):
 
 def test_ideal_membership_certificate_check_raises_under_optimize(run_optimized):
     run_optimized(f"{__file__}::test_ideal_membership_certificate_check_raises")
+
+
+def reference_ideal_membership(monoid, level):
+    """The membership test of the level-s ideal by the integer echelon of the
+    whole family <L>*omega(J), |J| >= s, J-major and L-minor in element
+    order: it maps pi to (level, its nonzero coefficients over that family)
+    or to None for a non-member.  The family and its echelon are built once."""
+    pairs = [
+        (l_key, j)
+        for j in monoid.elements
+        if len(j) >= level
+        for l_key in monoid.elements
+    ]
+    family = SubgroupGenerators(
+        ring_product(monoid, singleton(l_key), omega(j)) for l_key, j in pairs
+    )
+
+    def member(pi):
+        result = subgroup_membership(pi, family)
+        if not result:
+            return None
+        return level, tuple(
+            (l_key, j, c) for (l_key, j), c in zip(pairs, result.coefficients) if c
+        )
+
+    return member
+
+
+REFERENCE_GROUNDS = [
+    *(tuple(range(1, n + 1)) for n in range(6)),
+    (1, 10),
+    (1, 2, 10),
+    (2, 10, 11),
+    (3, 12, 100),
+]
+
+
+@pytest.mark.parametrize("ground", REFERENCE_GROUNDS, ids=str)
+def test_ideal_membership_matches_the_generator_family_echelon(ground):
+    m = SubsetMonoid(ground)
+    rng = random.Random(len(ground) * 1009 + sum(ground))
+    targets = [omega(j) for j in m.elements] + [singleton(j) for j in m.elements]
+    targets += [Ensemble.zero(), singleton((99,)), singleton("x"), singleton((2, 1))]
+    targets.append(omega(ground) + singleton((1000,)))
+    for level in range(len(ground) + 2):
+        depth = [j for j in m.elements if len(j) >= level]
+        members = []
+        for _ in range(3 if depth else 0):
+            v = Ensemble.zero()
+            for _ in range(rng.randint(1, 4)):
+                l_key, j = rng.choice(m.elements), rng.choice(depth)
+                v = v + rng.randint(-3, 3) * ring_product(m, singleton(l_key), omega(j))
+            members.append(v)
+        reference = reference_ideal_membership(m, level)
+        for pi in targets + members:
+            cert = ideal_membership(m, pi, level)
+            got = None if cert is None else (cert.level, cert.combination)
+            assert got == reference(pi), (pi, level)
+        assert all(ideal_membership(m, v, level) is not None for v in members)
+
+
+def test_ideal_membership_builds_no_echelon(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("ideal membership row-reduced a generator family")
+
+    monkeypatch.setattr(ensembles, "_row_echelon", refuse)
+    m = SubsetMonoid((1, 2, 3))
+    for j in m.elements:
+        pi = ring_product(m, singleton((1, 3)), omega(j))
+        cert = ideal_membership(m, pi, len(j))
+        assert cert is not None and cert.check(m, pi)
+        assert ideal_membership(m, singleton(j), 1) is None

@@ -309,6 +309,90 @@ def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, summands):
     assert "Traceback" not in err
 
 
+def _missing(*tags):
+    return [f"claim-missing {t}" for t in tags]
+
+
+# (dump, file, edit in place, the failed claims the checker must name)
+INCOMPLETE_DUMPS = {
+    "pj22-without-face-12": (
+        "pj2",
+        "manifest.json",
+        lambda m: m.update(pairs=[n for n in m["pairs"] if "_F1-2_" not in n]),
+        _missing("F=(1, 2) J=()", "F=(1, 2) J=(1,)", "F=(1, 2) J=(2,)"),
+    ),
+    "pj21-one-pair": (
+        "pj1",
+        "manifest.json",
+        lambda m: m.update(pairs=["pair_F1_Jempty.json"]),
+        _missing("F=(1,) J=(1,)", "F=(1,) J=(2,)"),
+    ),
+    "pj21-no-pairs": (
+        "pj1",
+        "manifest.json",
+        lambda m: m.update(pairs=[]),
+        _missing("F=(1,) J=()", "F=(1,) J=(1,)", "F=(1,) J=(2,)"),
+    ),
+    "pj21-pair-twice": (
+        "pj1",
+        "manifest.json",
+        lambda m: m["pairs"].append("pair_F1_Jempty.json"),
+        ["claim-duplicate F=(1,) J=()"],
+    ),
+    "pj21-other-ground": (
+        "pj1",
+        "manifest.json",
+        lambda m: m.update(e=[1000000]),
+        _missing("F=(1000000,) J=()", "F=(1000000,) J=(1,)", "F=(1000000,) J=(2,)")
+        + ["claim-extra F=(1,) J=()", "claim-extra F=(1,) J=(1,)"]
+        + ["claim-extra F=(1,) J=(2,)"],
+    ),
+    "q22-one-layout": (
+        "q2",
+        "q.json",
+        lambda q: q.update(layouts=q["layouts"][:1]),
+        _missing("A=((1,),)", "A=((2,),)", "A=((1, 2),)", "A=((1,), (2,))"),
+    ),
+    "q22-layout-twice": (
+        "q2",
+        "q.json",
+        lambda q: q["layouts"].append(q["layouts"][0]),
+        ["claim-duplicate A=()"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INCOMPLETE_DUMPS)
+def test_check_rejects_incomplete_dump(dumps, tmp_path, case):
+    # the claims come from the files and must be the construction's, each
+    # once; a mismatch is reported claim by claim, and no condition runs
+    dump, name, edit, expected = INCOMPLETE_DUMPS[case]
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    data = json.loads((in_dir / name).read_text())
+    edit(data)
+    (in_dir / name).write_text(json.dumps(data))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert sorted(r["case"]["check"] for r in reports) == sorted(expected)
+    assert all(r["verdict"] == "fail" for r in reports)
+    assert "Traceback" not in err
+
+
+def test_check_rejects_incomplete_dump_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_check_rejects_incomplete_dump")
+
+
+@pytest.mark.parametrize("dump, lines", [("pj1", 9), ("q2", 7)])
+def test_check_complete_dump_passes_every_claim(dumps, dump, lines):
+    rc, out, _err = run_cli([f"check-{dump[:-1]}", "--in", str(dumps / dump)])
+    assert rc == 0
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(reports) == lines
+    assert all(r["verdict"] == "pass" for r in reports)
+
+
 @pytest.mark.parametrize("kind", ["pj", "q"])
 def test_check_rejects_block_space_of_another_index_set(tmp_path, kind):
     out = tmp_path / kind

@@ -18,10 +18,13 @@ from fissile.simplicial import SMorphism, compose, enumerate_based_morphisms
 from fissile.wedge import (
     GuardExceeded,
     WedgeContext,
+    alternating_sum,
+    boundary_defect,
     combine_over_layout,
     construct_p,
     construct_q,
     construction_guard,
+    layout_defect,
     restrict_ensemble,
 )
 from fissile.witnesses import verify_witness
@@ -205,25 +208,25 @@ def test_construction_conditions_small(built_21):
     ctx = res.ctx
     for (f, j), rec in res.pairs.items():
         assert augmentation(rec.ensemble) == 1
-        assert rec.fissile
-        rep = verify_witness(rec.alt_sum, rec.alt_witness, len(j), ctx.monoid)
-        assert rep
+        alt = alternating_sum(lambda g, k: res.pairs[(g, k)].ensemble, f, j)
+        assert verify_witness(alt, rec.alt_witness, len(j), ctx.monoid)
     assert augmentation(qrec.ensemble) == 1
 
 
 def test_single_index_q_is_fissile(built_11):
     res, qrec = built_11
     # with one index letter, every layout defect vanishes identically
-    for a, d in qrec.layout_defects.items():
-        assert d == Ensemble.zero()
-        assert not qrec.layout_witnesses[a].entries
+    for a, wit in qrec.layout_witnesses.items():
+        assert layout_defect(res.ctx, qrec.ensemble, a, None) == Ensemble.zero()
+        assert not wit.entries
 
 
 def test_boundary_witness_level(built_21):
     res, qrec = built_21
     assert qrec.boundary_witness.level >= len(res.ctx.i_set)
+    ctx = res.ctx
     rep = verify_witness(
-        qrec.boundary_value,
+        boundary_defect(ctx, qrec.ensemble, ctx.e_set, ctx.i_set),
         qrec.boundary_witness,
         len(res.ctx.i_set),
         res.ctx.monoid,
@@ -306,20 +309,16 @@ def test_three_letter_shallow_case(tmp_path):
 def test_constant_morphism_alternating_sum_witnessed(ctx):
     # for every face and subset, the scaled constant morphism expands to the
     # alternating sum over smaller components and certifies at full level
-    from fissile.chained import omega
     from fissile.ensembles import Ensemble
 
     for f in [(1,)]:
         for j in subsets_of(ctx.i_set):
-            space = ctx.space(j) if j != ctx.i_set else ctx.full_space
             expanded = Ensemble.zero()
             for k in subsets_of(j):
                 expanded = expanded + ((-1) ** (len(j) - len(k))) * singleton(
                     ctx.xi(k, f)
                 )
-            wit = ctx.singleton_block_witness(
-                omega(j), ctx.omega_cert(j), ctx.xi(j, f), ctx.plus_base_of(f), space
-            )
+            wit = ctx.omega_witness(j, f)
             assert wit.value() == expanded
             assert verify_witness(expanded, wit, len(j), ctx.monoid)
 
