@@ -13,6 +13,7 @@ builder and checker cannot drift apart.
 
 import json
 import os
+import re
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 
@@ -141,6 +142,27 @@ class MorphismStore:
 # -- ensembles and witnesses ----------------------------------------------------
 
 
+def _int(x, field):
+    """x, which must be an int, and so not a bool."""
+    if type(x) is not int:
+        raise ArtifactError(f"{field} {x!r} is not an int")
+    return x
+
+
+def _subset(x, field):
+    """The tuple of x, which must be a list of ints."""
+    if not isinstance(x, list):
+        raise ArtifactError(f"{field} {x!r} is not a list of ints")
+    return tuple(_int(e, field) for e in x)
+
+
+def _decimal(text, field):
+    """The int whose canonical decimal text, str(int(text)), is ``text``."""
+    if not (isinstance(text, str) and re.fullmatch("0|-?[1-9][0-9]*", text)):
+        raise ArtifactError(f"{field} {text!r} is not canonical decimal text")
+    return int(text)
+
+
 def ensemble_to_json(s: Ensemble, store: MorphismStore):
     return [
         {"key": store.ref(m), "coeff": str(c)} for m, c in s.sorted_items()
@@ -150,7 +172,7 @@ def ensemble_to_json(s: Ensemble, store: MorphismStore):
 def ensemble_from_json(data, store: MorphismStore) -> Ensemble:
     out = {}
     for entry in data:
-        out[store.morph(entry["key"])] = int(entry["coeff"])
+        out[store.morph(entry["key"])] = _decimal(entry["coeff"], "ensemble coeff")
     return Ensemble(out)
 
 
@@ -159,7 +181,7 @@ def _pi_to_json(pi: Ensemble):
 
 
 def _pi_from_json(data) -> Ensemble:
-    return Ensemble({tuple(k): int(c) for k, c in data})
+    return Ensemble({_subset(k, "pi key"): _int(c, "pi coefficient") for k, c in data})
 
 
 def witness_to_json(w: FiltrationWitness, store: MorphismStore):
@@ -208,9 +230,13 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
             terms = []
             for trec in prec["terms"]:
                 cert = IdealCertificate(
-                    level=int(trec["cert_level"]),
+                    level=_int(trec["cert_level"], "cert_level"),
                     combination=tuple(
-                        (tuple(l_key), tuple(j_key), int(c2))
+                        (
+                            _subset(l_key, "certificate L"),
+                            _subset(j_key, "certificate J"),
+                            _int(c2, "certificate coefficient"),
+                        )
                         for l_key, j_key, c2 in trec["cert"]
                     ),
                 )
@@ -223,7 +249,7 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
                 )
             parts.append(
                 BlockPart(
-                    level=int(prec["level"]),
+                    level=_int(prec["level"], "part level"),
                     terms=terms,
                     domain=resolve(ctx.obj, prec["domain"]),
                     space=resolve(ctx.labelled_space, prec["space"]),
@@ -235,8 +261,8 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
                 f"block wedge {wedge_obj.label!r} is not the wedge of its part domains"
             )
         block = Block(store.morph(brec["f"]), wedge_obj, parts, space)
-        entries.append((int(brec["coeff"]), block))
-    return FiltrationWitness(int(data["level"]), entries)
+        entries.append((_int(brec["coeff"], "block coeff"), block))
+    return FiltrationWitness(_int(data["level"], "witness level"), entries)
 
 
 # -- writing -------------------------------------------------------------------
@@ -358,9 +384,8 @@ def _open_dump(in_dir, kind):
     if manifest.get("kind") != kind:
         raise ArtifactError("manifest kind mismatch")
     for field in ("i", "e"):
-        sizes = manifest.get(field)
-        ints = isinstance(sizes, list) and all(type(x) is int for x in sizes)
-        if not ints or not sizes or len(set(sizes)) != len(sizes):
+        sizes = _subset(manifest.get(field), f"manifest {field!r}")
+        if not sizes or len(set(sizes)) != len(sizes):
             raise ArtifactError(f"manifest {field!r}: not a nonempty list of distinct ints")
     ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
     if manifest.get("bound") != ctx.bound:
@@ -397,7 +422,7 @@ def check_pair_artifacts(in_dir):
     claims, pairs, witnesses = [], {}, {}
     for name in manifest["pairs"]:
         payload = _load(os.path.join(in_dir, name))
-        f, j = subset_key(payload["face"]), subset_key(payload["subset"])
+        f, j = (subset_key(_subset(payload[k], k)) for k in ("face", "subset"))
         claims.append((f, j))
         pairs[(f, j)] = ensemble_from_json(payload["ensemble"], store)
         witnesses[(f, j)] = witness_from_json(payload["alt_witness"], store, ctx)
@@ -424,7 +449,7 @@ def check_q_artifacts(in_dir):
     q_ens = ensemble_from_json(payload["ensemble"], store)
     layout_witnesses = [
         (
-            layout_key([tuple(g) for g in entry["layout"]]),
+            layout_key([_subset(g, "layout block") for g in entry["layout"]]),
             witness_from_json(entry["witness"], store, ctx),
         )
         for entry in payload["layouts"]

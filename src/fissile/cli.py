@@ -2,7 +2,7 @@
 file checker, and the word calculus.
 
 One JSON line per case goes to stdout; a human summary goes to stderr.
-Exit codes: 0 all passed, 1 some case failed, 2 usage or parse error.
+Exit codes: 0 all passed, 1 some case failed, 2 usage, parse or guard setting error.
 """
 
 import argparse
@@ -20,7 +20,7 @@ from .artifacts import (
     write_q_artifacts,
 )
 from .brunnian import is_brunnian, lcs_degree, magnus, reduce_word
-from .layouts import GuardExceeded
+from .layouts import GuardExceeded, GuardSettingError
 from .simplicial import SimplicialError
 from .suites import SUITES, SUITE_NAMES
 from .wedge import VerificationError, construct_p, construct_q
@@ -292,6 +292,9 @@ def main(argv=None):
         return args.func(args)
     except WordSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except GuardSettingError as exc:
+        print(f"guard setting error: {exc}", file=sys.stderr)
         return 2
 
 

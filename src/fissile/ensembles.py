@@ -12,7 +12,7 @@ family, and a member comes with its coefficients.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canon import ckey, ckey_b64, jsonable
+from .canon import ckey, jsonable
 
 
 class Ensemble:
@@ -68,12 +68,6 @@ class Ensemble:
             return "Ensemble(0)"
         bits = " + ".join(f"{c}*<{jsonable(el)}>" for el, c in self.sorted_items())
         return f"Ensemble({bits})"
-
-    def to_json(self):
-        """Sorted array of {key, coeff}; key is the base64 canonical bytes."""
-        return [
-            {"key": ckey_b64(el), "coeff": str(c)} for el, c in self.sorted_items()
-        ]
 
 
 def singleton(w):

@@ -230,21 +230,3 @@ def defect_subgroup_family(lp, seeds):
                 for g in family[b].generators:
                     changed |= push(a, lp.extend(g, a, b))
     return family
-
-
-def point_ensemble(lp) -> Ensemble:
-    """The singleton at the unique element over the empty layout."""
-    return lp.combine(layout_key([]), {})
-
-
-__all__ = [
-    "FunctionFacePresheaf",
-    "ProductLayoutPresheaf",
-    "q_square",
-    "is_fissile",
-    "fissilize",
-    "check_invariance",
-    "check_fissilizer_defect",
-    "point_ensemble",
-    "SubgroupFamilyReport",
-]

@@ -17,8 +17,17 @@ class GuardExceeded(ValueError):
     guard; commands report it as skipped-guard."""
 
 
-def _ground_bound():
-    return int(os.environ.get("FISSILE_MAX_GROUND", DEFAULT_GROUND_BOUND))
+class GuardSettingError(Exception):
+    """A guard variable holds no integer; commands exit 2 with this message."""
+
+
+def guard_setting(name, default):
+    """The integer in the environment variable ``name``, default if unset."""
+    text = os.environ.get(name, str(default))
+    try:
+        return int(text)
+    except ValueError:
+        raise GuardSettingError(f"{name}={text!r} is not an integer") from None
 
 
 def layout_key(blocks):
@@ -51,10 +60,11 @@ def enumerate_layouts(ground, bound=None):
     ground = tuple(sorted(set(ground)))
     if not ground:
         raise ValueError("ground set must be nonempty")
-    limit = _ground_bound() if bound is None else bound
-    if len(ground) > limit:
+    if bound is None:
+        bound = guard_setting("FISSILE_MAX_GROUND", DEFAULT_GROUND_BOUND)
+    if len(ground) > bound:
         raise GuardExceeded(
-            f"ground set of size {len(ground)} exceeds the enumeration bound {limit}"
+            f"ground set of size {len(ground)} exceeds the enumeration bound {bound}"
         )
     seen = set()
     for k in range(len(ground) + 1):
@@ -108,6 +118,3 @@ class LayoutLattice:
         if self._poset is None:
             self._poset = FinitePoset(self.layouts, lambda b, a: layout_geq(a, b))
         return self._poset
-
-    def to_json(self):
-        return [list(map(list, a)) for a in self.layouts]

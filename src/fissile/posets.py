@@ -76,18 +76,6 @@ class FinitePoset:
             self._without[p] = FinitePoset(rest, self.leq)
         return self._without[p]
 
-    def to_json(self):
-        covers = []
-        for p in self.elements:
-            for q in self.elements:
-                if p != q and self.leq(q, p):
-                    if not any(
-                        r != p and r != q and self.leq(q, r) and self.leq(r, p)
-                        for r in self.elements
-                    ):
-                        covers.append([q, p])
-        return {"elements": list(self.elements), "covers": covers}
-
 
 class Section(dict):
     """A finitely supported family p -> ensemble; absent keys mean zero."""

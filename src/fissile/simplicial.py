@@ -456,6 +456,12 @@ def compose(g: SMorphism, f: SMorphism) -> SMorphism:
     return SMorphism(f.domain, g.codomain, rows=rows, check=False)
 
 
+def restrict_to(m: SMorphism, sub, cod) -> SMorphism:
+    """m on a simplicial subset sub of its domain, into cod, validated."""
+    rows = tuple(m._apply(n, ids) for n, ids in enumerate(sub.nondegenerate_ids()))
+    return SMorphism(sub, cod, rows=rows)
+
+
 def tabulate(domain, codomain, value) -> SMorphism:
     """The validated morphism whose row at each nondegenerate simplex x of
     dimension n of the domain is ``value(n, x)``."""

@@ -11,7 +11,6 @@ certified deep in the block filtration.
 """
 
 import functools
-import os
 from dataclasses import dataclass, field
 
 from .canon import ckey
@@ -30,7 +29,7 @@ from .ensembles import (
     singleton,
 )
 from .identities import covers, proper_covers
-from .layouts import GuardExceeded, LayoutLattice, layout_key
+from .layouts import GuardExceeded, LayoutLattice, guard_setting, layout_key
 from .posets import Section, check_compatible, extend_to, nabla_inverse
 from .simplicial import (
     BASE,
@@ -49,6 +48,7 @@ from .simplicial import (
     plus_base_iso,
     point,
     reduced_cone,
+    restrict_to,
     subsimplicial,
     suspension_top_at,
     tabulate,
@@ -73,12 +73,14 @@ from .witnesses import (
 
 
 def construction_guard(i_set, e_set):
-    max_i = int(os.environ.get("FISSILE_MAX_CONSTRUCT_I", 2))
-    max_e = int(os.environ.get("FISSILE_MAX_CONSTRUCT_E", 2))
+    """Raise GuardExceeded unless |I| and |E| are within the guards (2 and 2
+    by default), or (|I|, |E|) is (3, 1) and the guards admit (2, 1)."""
+    max_i = guard_setting("FISSILE_MAX_CONSTRUCT_I", 2)
+    max_e = guard_setting("FISSILE_MAX_CONSTRUCT_E", 2)
     i_n, e_n = len(i_set), len(e_set)
     if i_n <= max_i and e_n <= max_e:
         return
-    if i_n == 3 and e_n == 1 and max_i <= 3:
+    if (i_n, e_n) == (3, 1) and max_i >= 2 and max_e >= 1:
         return
     raise GuardExceeded(
         f"construction sizes |I|={i_n}, |E|={e_n} exceed the configured guard"
@@ -120,9 +122,9 @@ class WedgeContext:
     - ``("conelayout", b)``: the coned subdivision of the layout b;
     - ``("plusbase", f)``: the based subdivision of the face f in its cone;
     - ``("point",)``: the one-vertex domain of constant witnesses;
-    - ``("W", I)``, ``("WL", l)``, ``("Wx", I)``: the wedge of all
-      components, of those at subsets of l, of those at proper subsets,
-      where I is the context's index set and l a subset of it;
+    - ``("W", I)``, ``("WL", l)``: the wedge of all components, and of
+      those at subsets of l, where I is the context's index set and l a
+      subset of it;
     - ``("redcone", x)``: the reduced cone of the object labelled x, or of
       the object of the space labelled x when x is of a space kind;
     - the wedges ``("wedgept",)`` of the point, ``("wedge1", x)`` of the
@@ -131,8 +133,8 @@ class WedgeContext:
       wedge carries the insertions of its summands.
 
     The space labels are ``("W", I)`` and ``("WL", l)`` for the full space
-    and the one at l, ``("Wx", I)`` for the proper one, and
-    ``("redcone", x)`` for the reduced cone of the space labelled x.
+    and the one at l, and ``("redcone", x)`` for the reduced cone of the
+    space labelled x.
 
     An entry is keyed by its kind and normalised arguments, for a labelled
     object its label, except the wedges and reduced cones of given objects:
@@ -156,7 +158,8 @@ class WedgeContext:
         }
         parts = [self.towers[j].susp for j in self.components]
         self.w_obj = self.wedge_of(parts, label=("W", self.i_set))
-        self.full_space = self._build_full_space()
+        action = {k: self._action_table(k) for k in self.monoid.elements}
+        self.full_space = PSpace(self.w_obj, self.monoid, action, ("WL", self.i_set))
 
     # -- objects from their labels -----------------------------------------
 
@@ -178,8 +181,6 @@ class WedgeContext:
                 return self.w_obj
             case ("WL", l_key) if self._within_index_set(l_key):
                 return self.sub_obj(l_key)
-            case ("Wx", i_key) if self._is_index_set(i_key):
-                return self.proper_space().obj
             case ("redcone", inner):
                 return self.reduced_domain(self.obj(inner))[0]
             case ("wedgept",):
@@ -200,8 +201,6 @@ class WedgeContext:
                 return self.space(l_key)
             case ("W", i_key) if self._is_index_set(i_key):
                 return self.full_space
-            case ("Wx", i_key) if self._is_index_set(i_key):
-                return self.proper_space()
             case ("redcone", inner):
                 return self.reduced_space(self.labelled_space(inner))[0]
         raise TypeError(f"{label!r} names no space")
@@ -272,44 +271,30 @@ class WedgeContext:
 
         return tabulate(self.w_obj, self.w_obj, value)
 
-    def _build_full_space(self) -> PSpace:
-        action = {k: self._action_table(k) for k in self.monoid.elements}
-        return PSpace(self.w_obj, self.monoid, action, label=("WL", self.i_set))
-
-    def _components_obj(self, keep, label):
-        """The wedge of the components at the subsets satisfying ``keep``,
-        inside the full one."""
-        allowed = {idx for idx, j in enumerate(self.components) if keep(j)}
+    @_entry("WL", subset_key)
+    def sub_obj(self, l_key):
+        """The wedge of the components at subsets of l, inside the full one."""
+        allowed = {idx for idx, j in enumerate(self.components) if set(j) <= set(l_key)}
 
         def member(n, x):
             return x == self.w_obj.basepoint_at(n) or x[0] in allowed
 
         return subsimplicial(
-            self.w_obj, member, basepoint=self.w_obj.basepoint, label=label
+            self.w_obj, member, basepoint=self.w_obj.basepoint, label=("WL", l_key)
         )
-
-    def _restricted_space(self, obj) -> PSpace:
-        """A components subobject with the full action cut down to it."""
-        action = {k: tabulate(obj, obj, big) for k, big in self.full_space.action.items()}
-        return PSpace(obj, self.monoid, action)
-
-    @_entry("WL", subset_key)
-    def sub_obj(self, l_key):
-        """The wedge of the components at subsets of l, inside the full one."""
-        return self._components_obj(lambda j: set(j) <= set(l_key), ("WL", l_key))
 
     @_entry("space", subset_key)
     def space(self, l_key) -> PSpace:
+        """The space at l: each full action table's rows cut down to the wedge
+        at l and validated there, so a value outside it fails; the monoid
+        laws, checked once on the full space, hold on any subset it maps
+        into itself."""
         if l_key == self.i_set:
             return self.full_space
-        return self._restricted_space(self.sub_obj(l_key))
-
-    @_entry("Wx")
-    def proper_space(self) -> PSpace:
-        """Components at proper subsets only."""
-        return self._restricted_space(
-            self._components_obj(lambda j: j != self.i_set, ("Wx", self.i_set))
-        )
+        obj = self.sub_obj(l_key)
+        full = self.full_space.action
+        action = {k: restrict_to(full[k], obj, obj) for k in full}
+        return PSpace(obj, self.monoid, action, check=False)
 
     # -- domain side -----------------------------------------------------
 

@@ -118,6 +118,49 @@ def test_construct_guard_skips(tmp_path):
     assert json.loads(out)["verdict"] == "skipped-guard"
 
 
+@pytest.mark.parametrize(
+    "env, i, e",
+    [
+        ({"FISSILE_MAX_CONSTRUCT_I": "1"}, 3, 1),
+        ({"FISSILE_MAX_CONSTRUCT_I": "1"}, 2, 1),
+        ({"FISSILE_MAX_CONSTRUCT_E": "0"}, 3, 1),
+        ({"FISSILE_MAX_CONSTRUCT_I": "2"}, 3, 2),
+    ],
+    ids=repr,
+)
+def test_construct_guard_tighter_than_the_defaults_skips(monkeypatch, env, i, e):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    rc, out, _err = run_cli(["construct-q", "--i", str(i), "--e", str(e)])
+    assert rc == 0
+    assert json.loads(out)["verdict"] == "skipped-guard"
+
+
+def test_construct_guard_admits_three_by_one_above_two_by_one(monkeypatch):
+    monkeypatch.setenv("FISSILE_MAX_CONSTRUCT_I", "2")
+    monkeypatch.setenv("FISSILE_MAX_CONSTRUCT_E", "1")
+    wedge.construction_guard((1, 2, 3), (1,))
+
+
+@pytest.mark.parametrize("value", ["two", "2.5", ""])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("FISSILE_MAX_CONSTRUCT_I", ["construct-q", "--i", "1", "--e", "1"]),
+        ("FISSILE_MAX_CONSTRUCT_E", ["construct-q", "--i", "1", "--e", "1"]),
+        ("FISSILE_MAX_GROUND", ["verify", "nabla", "--max-e", "2", "--cases", "1"]),
+    ],
+)
+def test_guard_variable_without_an_integer_exits_with_usage(
+    monkeypatch, name, argv, value
+):
+    monkeypatch.setenv(name, value)
+    rc, out, err = run_cli(argv)
+    assert rc == 2
+    assert not out
+    assert f"{name}={value!r} is not an integer" in err
+
+
 def test_check_detects_corruption(tmp_path):
     pj = str(tmp_path / "pj")
     run_cli(["construct-pj", "--i", "1", "--e", "1", "--out", pj])
@@ -180,7 +223,6 @@ def test_label_of_another_index_set_is_rejected(label):
             resolve(lookup, label)
     # the context's own index set and its subsets resolve in any order
     assert ctx.obj(("W", (2, 1))) is ctx.w_obj
-    assert ctx.labelled_space(("Wx", (2, 1))) is ctx.proper_space()
     assert ctx.labelled_space(("WL", (2,))) is ctx.space((2,))
 
 
@@ -283,6 +325,59 @@ def test_check_rejects_malformed_manifest(dumps, tmp_path, kind, change):
     report = json.loads(line)
     assert report["verdict"] == "fail"
     assert report["case"]["check"].startswith("artifact-structure (manifest")
+    assert "Traceback" not in err
+
+
+def _first_term(data):
+    return next(_blocks(data))["parts"][0]["terms"][0]
+
+
+def _set(get, key, was, value):
+    """An edit of q.json that writes value at get(data)[key], which holds was."""
+
+    def edit(data):
+        node = get(data)
+        assert node[key] == was
+        node[key] = value
+
+    return edit
+
+
+def _pi_entry(was):
+    return lambda data: next(e for e in _first_term(data)["pi"] if e[0] == was)
+
+
+# each of these reads as the same value in Python, so only a strict reader
+# sees it; the field its ArtifactError names comes second
+LOOSE_WITNESS_VALUES = [
+    (_set(lambda d: _first_term(d)["cert"][0], 2, 1, True), "certificate coefficient"),
+    (_set(lambda d: next(_blocks(d)), "coeff", 1, True), "block coeff"),
+    (_set(_pi_entry([1, 2]), 1, 1, True), "pi coefficient"),
+    (_set(lambda d: _first_term(d)["cert"][0], 0, [1, 2], [1, 2.0]), "certificate L"),
+    (_set(_first_term, "cert_level", 2, 2.0), "cert_level"),
+    (_set(lambda d: next(_blocks(d))["parts"][0], "level", 2, 2.0), "part level"),
+    (_set(lambda d: next(_blocks(d))["parts"][0], "level", 2, "2"), "part level"),
+    (_set(_pi_entry([]), 0, [], {}), "pi key"),
+    (_set(_pi_entry([]), 0, [], ""), "pi key"),
+    (_set(lambda d: d["ensemble"][0], "coeff", "1", " 1"), "ensemble coeff"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, field", LOOSE_WITNESS_VALUES, ids=[f for _, f in LOOSE_WITNESS_VALUES]
+)
+def test_check_q_reads_witness_records_strictly(dumps, tmp_path, edit, field):
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "q1", in_dir)
+    data = json.loads((in_dir / "q.json").read_text())
+    edit(data)
+    (in_dir / "q.json").write_text(json.dumps(data))
+    rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"].startswith(f"artifact-structure ({field} ")
     assert "Traceback" not in err
 
 
@@ -481,7 +576,8 @@ def test_zero_verify_sizes_still_run(argv):
 @pytest.mark.parametrize("forged", [["str", 2], [1, 2, 99]], ids=repr)
 def test_check_pj_rejects_a_certificate_outside_the_monoid(tmp_path, forged):
     # the forged L leaves every intersection with a subset of {1, 2}
-    # unchanged, so only the monoid-element check can see it
+    # unchanged, so only the monoid-element check can see an int outside I;
+    # an element that is no int fails the strict read before any check
     pj = tmp_path / "pj"
     run_cli(["construct-pj", "--i", "2", "--e", "1", "--out", str(pj)])
     target = pj / "pair_F1_J2.json"
@@ -500,7 +596,10 @@ def test_check_pj_rejects_a_certificate_outside_the_monoid(tmp_path, forged):
     assert rc == 1
     lines = [json.loads(line) for line in out.strip().splitlines()]
     failed = [r["case"]["check"] for r in lines if r["verdict"] == "fail"]
-    assert failed == ["alternating-sum-witness F=(1,) J=(2,)"]
+    if all(type(x) is int for x in forged):
+        assert failed == ["alternating-sum-witness F=(1,) J=(2,)"]
+    else:
+        assert failed == ["artifact-structure (certificate L 'str' is not an int)"]
 
 
 def test_construct_reports_failed_condition(monkeypatch, tmp_path):

@@ -210,13 +210,6 @@ def test_membership_arbitrary_precision():
     )
 
 
-def test_serialization_sorted_and_deterministic():
-    s = Ensemble({"b": 2, "a": -1})
-    j = s.to_json()
-    assert [entry["coeff"] for entry in j] == ["-1", "2"]
-    assert s.to_json() == j
-
-
 def test_subgroup_membership_reevaluation_raises(monkeypatch):
     # a first recorded operation that doubles both rows, so the replayed
     # combination comes out doubled while H stays as it was

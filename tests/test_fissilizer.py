@@ -11,7 +11,6 @@ from fissile.fissilizer import (
     defect_subgroup_family,
     fissilize,
     is_fissile,
-    point_ensemble,
     q_square,
 )
 from fissile.layouts import layout_geq, layout_key, resolve_block
@@ -32,8 +31,7 @@ def random_top_ensemble(rng, lp, max_terms=4, coeff=3):
 def test_q_square_empty_layout_is_point():
     lp = presheaf_on((1, 2))
     q = singleton((0, 1)) + 2 * singleton((1, 1))
-    assert q_square(lp, q, ()) == point_ensemble(lp)
-    assert point_ensemble(lp) == singleton(())
+    assert q_square(lp, q, ()) == singleton(())
 
 
 def test_q_square_top_is_identity():

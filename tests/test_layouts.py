@@ -111,14 +111,3 @@ def test_meet_matches_complex_intersection():
                     layout_complex(b).simplices
                 )
                 assert set(layout_complex(m).simplices) == inter
-
-
-def test_lattice_serialization():
-    lat = LayoutLattice((1, 2))
-    assert lat.to_json() == [
-        [],
-        [[1]],
-        [[1], [2]],
-        [[1, 2]],
-        [[2]],
-    ]

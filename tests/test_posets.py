@@ -358,13 +358,6 @@ def test_nabla_matrix_unitriangular():
             assert pos[q] <= pos[p]
 
 
-def test_poset_serialization():
-    chain = FinitePoset(["a", "b"], lambda q, p: q == p or (q, p) == ("a", "b"))
-    js = chain.to_json()
-    assert js["elements"] == ["a", "b"]
-    assert js["covers"] == [["a", "b"]]
-
-
 def layout_system(ground):
     from fissile.fissilizer import FunctionFacePresheaf, ProductLayoutPresheaf
 

@@ -104,6 +104,60 @@ def test_invariant_subsets(ctx):
                     assert obj.has(n, act(n, x))
 
 
+@pytest.mark.parametrize(
+    "i_set, e_set", [((1,), (1, 2)), ((1, 2), (1, 2)), ((1, 2, 3), (1,))]
+)
+def test_each_space_keeps_the_full_actions_rows(i_set, e_set):
+    # the reference tabulates every table afresh, element by element, and
+    # validates the space it makes
+    ctx = WedgeContext(i_set, e_set)
+    action = ctx.full_space.action
+    for l_key in subsets_of(ctx.i_set):
+        space = ctx.space(l_key)
+        obj = space.obj
+        assert obj is (ctx.w_obj if l_key == ctx.i_set else ctx.sub_obj(l_key))
+        reference = {k: simplicial.tabulate(obj, obj, m) for k, m in action.items()}
+        assert space.action == reference
+        assert all(m.codomain is obj for m in space.action.values())
+        space._validate()
+
+
+def test_one_action_validation_per_context(monkeypatch):
+    calls = []
+    validate = witnesses.PSpace._validate
+
+    def counted(self):
+        calls.append(self.label)
+        validate(self)
+
+    monkeypatch.setattr(witnesses.PSpace, "_validate", counted)
+    construct_p((1, 2, 3), (1,))
+    assert calls == [("WL", (1, 2, 3))]
+
+
+def test_cutting_to_a_subset_the_action_leaves_fails():
+    # the action of the empty subset moves the component at (1,) to the one
+    # at (), which this subset leaves out
+    ctx = WedgeContext((1, 2), (1,))
+    idx = ctx.components.index((1,))
+    obj = simplicial.subsimplicial(
+        ctx.w_obj,
+        lambda n, x: x == ctx.w_obj.basepoint_at(n) or x[0] == idx,
+        basepoint=ctx.w_obj.basepoint,
+        label=("component", (1,)),
+    )
+    assert simplicial.restrict_to(ctx.full_space.action[(1,)], obj, obj)
+    with pytest.raises(simplicial.SimplicialError, match="value outside codomain"):
+        simplicial.restrict_to(ctx.full_space.action[()], obj, obj)
+
+
+def test_action_checks_hold_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_one_action_validation_per_context",
+        f"{__file__}::test_cutting_to_a_subset_the_action_leaves_fails",
+    )
+
+
 def test_xi_action_relation(ctx):
     # acting moves the constant morphism between components
     f = (1,)
@@ -540,7 +594,7 @@ def test_wedge_label_resolves_once():
 
 def test_reduced_cone_label_resolves_to_the_object_that_carries_it():
     ctx = WedgeContext((1, 2), (1,))
-    for inner in (("WL", (1, 2)), ("W", (1, 2)), ("Wx", (1, 2)), ("WL", (1,))):
+    for inner in (("WL", (1, 2)), ("W", (1, 2)), ("WL", (1,))):
         label = ("redcone", inner)
         assert ctx.obj(label).label == label
 
