@@ -172,7 +172,10 @@ def ensemble_to_json(s: Ensemble, store: MorphismStore):
 def ensemble_from_json(data, store: MorphismStore) -> Ensemble:
     out = {}
     for entry in data:
-        out[store.morph(entry["key"])] = _decimal(entry["coeff"], "ensemble coeff")
+        m = store.morph(entry["key"])
+        if m in out:
+            raise ArtifactError(f"ensemble key {entry['key']} repeated")
+        out[m] = _decimal(entry["coeff"], "ensemble coeff")
     return Ensemble(out)
 
 
@@ -181,7 +184,13 @@ def _pi_to_json(pi: Ensemble):
 
 
 def _pi_from_json(data) -> Ensemble:
-    return Ensemble({_subset(k, "pi key"): _int(c, "pi coefficient") for k, c in data})
+    out = {}
+    for k, c in data:
+        k = _subset(k, "pi key")
+        if k in out:
+            raise ArtifactError(f"pi key {list(k)} repeated")
+        out[k] = _int(c, "pi coefficient")
+    return Ensemble(out)
 
 
 def witness_to_json(w: FiltrationWitness, store: MorphismStore):
@@ -220,13 +229,14 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
 
 def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
     entries = []
-    for brec in data["blocks"]:
+    for b, brec in enumerate(data["blocks"]):
         wedge_obj = resolve(ctx.obj, brec["wedge"])
         if wedge_obj.insertions is None:
             raise ArtifactError(f"block wedge {wedge_obj.label!r} is not a wedge")
         space = resolve(ctx.labelled_space, brec["space"])
         parts = []
-        for prec in brec["parts"]:
+        for j, prec in enumerate(brec["parts"]):
+            domain = resolve(ctx.obj, prec["domain"])
             terms = []
             for trec in prec["terms"]:
                 cert = IdealCertificate(
@@ -240,18 +250,24 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
                         for l_key, j_key, c2 in trec["cert"]
                     ),
                 )
+                morphism = store.morph(trec["w"])
+                if morphism.domain is not domain:
+                    raise ArtifactError(
+                        f"block {b} part {j} on {domain.label!r} has a term "
+                        f"on {morphism.domain.label!r}"
+                    )
                 terms.append(
                     IdealTerm(
                         pi=_pi_from_json(trec["pi"]),
                         certificate=cert,
-                        morphism=store.morph(trec["w"]),
+                        morphism=morphism,
                     )
                 )
             parts.append(
                 BlockPart(
                     level=_int(prec["level"], "part level"),
                     terms=terms,
-                    domain=resolve(ctx.obj, prec["domain"]),
+                    domain=domain,
                     space=resolve(ctx.labelled_space, prec["space"]),
                 )
             )

@@ -83,6 +83,7 @@ class FiniteSimplicialSet:
         self.basepoint = basepoint
         self.label = label
         self.insertions = None  # the summand insertions, on a wedge only
+        self.gather = None  # the gluing plan of wedge_combine, on a wedge only
         self._nondeg = None
         self._nondeg_ids = None
         self.level_key = None  # (id of the nondegenerate id levels, their count)
@@ -855,33 +856,55 @@ def wedge(parts, label=None):
     w.insertions = tuple(
         tabulate(p, w, lambda n, x: tag(j, x, n)) for j, p in enumerate(parts)
     )
+    # the gluing plan of wedge_combine: per dimension, for each
+    # nondegenerate simplex of w in order (the basepoint at dimension 0 and
+    # every (j, x) with x nondegenerate, in level order), its index in the
+    # basepoint followed by the summands' nondegenerate levels
+    gather = []
+    for n in range(bound + 1):
+        at, count = {} if n else {BASE: 0}, 1
+        for j, p in enumerate(parts):
+            level = p.nondegenerate(n)
+            at.update(((j, x), count + i) for i, x in enumerate(level))
+            count += len(level)
+        gather.append(tuple(at[x] for x in w.simplices[n] if x in at))
+    w.gather = tuple(gather)
     return w
 
 
 def wedge_combine(w, morphisms, codomain=None) -> SMorphism:
-    """The morphism out of a wedge assembled from per-part based morphisms.
+    """The morphism out of a wedge assembled from per-part based morphisms,
+    one on each summand, in order: each row gathers, through the wedge's
+    plan, the basepoint of the codomain and the rows of the parts.  A part
+    is on its summand when its domain is the summand or has the summand's
+    nondegenerate levels, which are all the plan reads.
 
     ``codomain`` may enlarge the target when the parts land in different
     subsets of one ambient simplicial set.
     """
-    for f in morphisms:
+    if len(morphisms) != len(w.insertions):
+        raise SimplicialError(
+            f"wedge {w.label!r} has {len(w.insertions)} summands, "
+            f"not {len(morphisms)} parts"
+        )
+    for f, ins in zip(morphisms, w.insertions):
+        t = ins.domain
+        if f.domain is not t and f.domain.nondegenerate_ids() != t.nondegenerate_ids():
+            raise SimplicialError(
+                f"wedge part {f.domain.label!r} -> {f.codomain.label!r} is not "
+                f"on the summand {t.label!r}"
+            )
         if not f.is_based():
             raise SimplicialError(
                 f"wedge part {f.domain.label!r} -> {f.codomain.label!r} is not based"
             )
     z = codomain if codomain is not None else morphisms[0].codomain
-    maps = []
-    for n in range(w.bound + 1):
-        base = w.basepoint_at(n)
-        level = {} if n else {base: z.basepoint}
-        for j, f in enumerate(morphisms):
-            ins = w.insertions[j]
-            for x, fx in f.items(n):
-                key = ins(n, x)
-                if key != base:
-                    level[key] = fx
-        maps.append(level)
-    return SMorphism(w, z, maps)
+    base = (_intern(z.basepoint),)
+    rows = []
+    for n, plan in enumerate(w.gather):
+        values = base + tuple(v for f in morphisms for v in f.rows[n])
+        rows.append(tuple(map(values.__getitem__, plan)))
+    return SMorphism(w, z, rows=tuple(rows))
 
 
 def plus_base(c: FiniteSimplicialSet, label=None):

@@ -150,9 +150,11 @@ class PairScope:
     keyed by its kind, the ids of its objects and its morphisms, which
     compare by every row of their tables.  Two morphism objects are
     composed once per pair of objects, so the action of a monoid element on
-    a part morphism, or a gluing precomposed with a block's decomposition,
-    is one object each time it recurs.  The builder drops the scope when its
-    pair ends; a call given no scope gets a fresh one.
+    a part morphism, or a layout gluing precomposed with its inclusion, is
+    one object each time it recurs.  A glued product precomposed with a
+    block's decomposition is not kept (see :func:`evaluate_blocks`).  The
+    builder drops the scope when its pair ends; a call given no scope gets a
+    fresh one.
 
     A glued product is reused as it is: two blocks whose glued products
     share a key have the same wedge, the same space and parts whose terms
@@ -239,22 +241,29 @@ def evaluate_blocks(entries, scope: PairScope) -> Ensemble:
 
     A block's value is the combining product of its part values, each
     tuple glued by ``wedge_combine`` and precomposed with the block's f.
-    The glued product comes from the scope, once per distinct key, and is
-    then pushed along precomposition with f; the actions on part morphisms,
-    the gluings and the precompositions go through the scope too.  This
-    equals the sum, over the part-value tuples, of their coefficient times
-    the glued tuple precomposed with f, exactly: the product is
-    multilinear, so gluing first only sums the coefficients of tuples whose
-    glued morphisms are equal, and precomposition with f is a function of
-    the glued morphism (equal rows on the one wedge give equal composite
-    rows), so those tuples have equal composites, whose coefficients the
-    per-tuple sum adds as well."""
-    out = {}
+    The entries are grouped by the block's wedge object and its f, compared
+    by rows; each group sums the c-scaled glued products of its blocks,
+    which come from the scope, into one table of glued morphisms g, and
+    each g left with a nonzero coefficient is precomposed with the group's
+    f once, in this call.  This equals the sum, over the blocks and their
+    part-value tuples, of the coefficient times the glued tuple precomposed
+    with f, exactly.  The product is multilinear, so gluing first only sums
+    the coefficients of tuples whose glued morphisms are equal.
+    Precomposition with f is linear, so summing before it only adds the
+    coefficients of terms with equal composites: equal f rows give equal
+    composite rows, and on one wedge object equal g rows are equal maps (a
+    map is fixed by its rows on the nondegenerate simplices)."""
+    groups = {}
     for c, block in entries:
-        f = block.f
+        sums = groups.setdefault((id(block.wedge_obj), block.f), {})
         for g, d in scope.glued_product(block).terms.items():
-            el = scope.compose(g, f)
-            out[el] = out.get(el, 0) + c * d
+            sums[g] = sums.get(g, 0) + c * d
+    out = {}
+    for (_wobj, f), sums in groups.items():
+        for g, d in sums.items():
+            if d:
+                el = compose(g, f)
+                out[el] = out.get(el, 0) + d
     return Ensemble(out)
 
 

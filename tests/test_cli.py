@@ -381,6 +381,76 @@ def test_check_q_reads_witness_records_strictly(dumps, tmp_path, edit, field):
     assert "Traceback" not in err
 
 
+def _repeat_first_ensemble_key(data):
+    data["ensemble"].insert(1, dict(data["ensemble"][0]))
+
+
+def _repeat_first_pi_entry(data):
+    pi = _first_term(data)["pi"]
+    pi.insert(0, list(next(e for e in pi if e[0] == [1, 2])))
+
+
+@pytest.mark.parametrize(
+    "edits, field",
+    [
+        ([_repeat_first_ensemble_key], "ensemble key"),
+        ([_repeat_first_pi_entry], "pi key"),
+        ([_repeat_first_pi_entry, _repeat_first_ensemble_key], "ensemble key"),
+    ],
+    ids=["ensemble", "pi", "both"],
+)
+def test_check_q_rejects_a_repeated_key(dumps, tmp_path, edits, field):
+    # read as one entry each, the last one winning, the dump used to pass
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "q1", in_dir)
+    data = json.loads((in_dir / "q.json").read_text())
+    for edit in edits:
+        edit(data)
+    (in_dir / "q.json").write_text(json.dumps(data))
+    rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    check = report["case"]["check"]
+    assert check.startswith(f"artifact-structure ({field} ") and "repeated" in check
+    assert "Traceback" not in err
+
+
+def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
+    # every term of every pair file, its morphism swapped for each stored
+    # morphism on another domain than the term's part
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "pj1", in_dir)
+    morphisms = json.loads((in_dir / "morphisms.json").read_text())
+    cases = 0
+    for path in sorted(in_dir.glob("pair_*.json")):
+        original = path.read_text()
+        data = json.loads(original)
+        for b, block in enumerate(_blocks(data)):
+            for j, part in enumerate(block["parts"]):
+                for term in part["terms"]:
+                    was = term["w"]
+                    assert morphisms[was]["domain"] == part["domain"]
+                    for mid, rec in morphisms.items():
+                        if rec["domain"] == part["domain"]:
+                            continue
+                        term["w"] = mid
+                        path.write_text(json.dumps(data))
+                        rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
+                        assert rc == 1 and "Traceback" not in err
+                        (line,) = out.strip().splitlines()
+                        report = json.loads(line)
+                        assert report["verdict"] == "fail"
+                        assert report["case"]["check"].startswith(
+                            f"artifact-structure (block {b} part {j} on "
+                        )
+                        cases += 1
+                    term["w"] = was
+        path.write_text(original)
+    assert cases == 44
+
+
 @pytest.mark.parametrize(
     "summands", [lambda ds: ds[:1], lambda ds: ds[::-1]], ids=["first", "reversed"]
 )

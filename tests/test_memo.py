@@ -55,8 +55,8 @@ def reference_value(entries):
 
 
 def test_memoised_evaluation_equals_the_per_block_reference(tmp_path, monkeypatch):
-    # every evaluation of construct_p(2, 2), construct_q(2, 2) and their
-    # checkers, the verified witnesses among them
+    # every evaluation of construct_p and construct_q at (2, 2) and (3, 2)
+    # and of their checkers, the verified witnesses among them
     evaluate, verify = witnesses.evaluate_blocks, wedge_module.verify_witness
     evaluated, verified = [], []
 
@@ -72,15 +72,43 @@ def test_memoised_evaluation_equals_the_per_block_reference(tmp_path, monkeypatc
 
     monkeypatch.setattr(witnesses, "evaluate_blocks", comparing)
     monkeypatch.setattr(wedge_module, "verify_witness", verifying)
-    result = construct_p((1, 2), (1, 2))
-    record = construct_q(result)
-    built = len(verified)
-    write_pair_artifacts(result, tmp_path / "pj")
-    write_q_artifacts(result, record, tmp_path / "q")
-    assert all(ok for _name, ok in check_pair_artifacts(tmp_path / "pj"))
-    assert all(ok for _name, ok in check_q_artifacts(tmp_path / "q"))
-    assert 0 < built < len(verified)
-    assert {id(e) for e in verified} <= {id(e) for e in evaluated}
+    for i_set in ((1, 2), (1, 2, 3)):
+        verified.clear()
+        result = construct_p(i_set, (1, 2), enforce_guard=False)
+        record = construct_q(result)
+        built = len(verified)
+        out = tmp_path / "".join(map(str, i_set))
+        write_pair_artifacts(result, out / "pj")
+        write_q_artifacts(result, record, out / "q")
+        assert all(ok for _name, ok in check_pair_artifacts(out / "pj"))
+        assert all(ok for _name, ok in check_q_artifacts(out / "q"))
+        assert 0 < built < len(verified)
+        assert {id(e) for e in verified} <= {id(e) for e in evaluated}
+
+
+def test_evaluation_composes_each_distinct_decomposition_once(monkeypatch):
+    # the compose calls made inside evaluate_blocks, the actions on part
+    # morphisms among them; 4,668 when every glued-product term of every
+    # block was composed with that block's f
+    evaluate, compose_ = witnesses.evaluate_blocks, witnesses.compose
+    inside, calls = [], []
+
+    def composing(g, f):
+        if inside:
+            calls.append(None)
+        return compose_(g, f)
+
+    def evaluating(entries, scope):
+        inside.append(None)
+        try:
+            return evaluate(entries, scope)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(witnesses, "compose", composing)
+    monkeypatch.setattr(witnesses, "evaluate_blocks", evaluating)
+    construct_p((1, 2, 3), (1, 2), enforce_guard=False)
+    assert 0 < len(calls) <= 3200
 
 
 def test_blocks_that_share_objects_keep_their_own_values():
@@ -179,6 +207,7 @@ def test_a_failing_label_fails_on_every_call(label):
 
 def test_counts_hold_under_optimize(run_optimized):
     run_optimized(
+        f"{__file__}::test_evaluation_composes_each_distinct_decomposition_once",
         f"{__file__}::test_glued_products_are_built_once_per_scope",
         f"{__file__}::test_each_label_is_resolved_once_per_context",
         f"{__file__}::test_a_failing_label_fails_on_every_call",

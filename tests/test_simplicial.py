@@ -715,6 +715,76 @@ def test_wedge_combine_roundtrip():
     assert compose(combined, ins[1]) == fb[0]
 
 
+def dict_wedge_combine(w, morphisms, codomain=None):
+    """The gluing built key by key: each part's value at x stored at the
+    wedge key of x through its insertion, the basepoint at the basepoint."""
+    z = codomain if codomain is not None else morphisms[0].codomain
+    maps = []
+    for n in range(w.bound + 1):
+        base = w.basepoint_at(n)
+        level = {} if n else {base: z.basepoint}
+        for ins, f in zip(w.insertions, morphisms):
+            for x, fx in f.items(n):
+                if ins(n, x) != base:
+                    level[ins(n, x)] = fx
+        maps.append(level)
+    return SMorphism(w, z, maps)
+
+
+def test_gathered_gluing_equals_the_keyed_one_on_every_q_gluing(monkeypatch):
+    from fissile import witnesses
+    from fissile.wedge import construct_p, construct_q
+
+    original, calls = witnesses.wedge_combine, []
+
+    def recording(w, morphisms, codomain=None):
+        out = original(w, morphisms, codomain=codomain)
+        calls.append((w, tuple(morphisms), codomain, out))
+        return out
+
+    monkeypatch.setattr(witnesses, "wedge_combine", recording)
+    construct_q(construct_p((1, 2), (1, 2)))
+    assert len(calls) > 100
+    assert any(len(morphisms) > 1 for _w, morphisms, _z, _out in calls)
+    for w, morphisms, codomain, out in calls:
+        ref = dict_wedge_combine(w, list(morphisms), codomain=codomain)
+        assert out.rows == ref.rows and out.codomain is ref.codomain
+
+
+def two_edge_wedge():
+    a = disjoint_basepoint(standard_simplex(1, 2))
+    b = disjoint_basepoint(standard_simplex(1, 2))
+    return a, b, wedge([a, b])
+
+
+def test_gluing_rejects_an_unbased_part():
+    a, b, w = two_edge_wedge()
+    unbased = constant_morphism(a, w, (1, (0,)))
+    assert not unbased.is_based()
+    with pytest.raises(SimplicialError, match="is not based"):
+        wedge_combine(w, [unbased, w.insertions[1]])
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_gluing_rejects_a_part_count_other_than_the_summands(count):
+    a, b, w = two_edge_wedge()
+    parts = [w.insertions[0], w.insertions[1], w.insertions[1]][:count]
+    with pytest.raises(SimplicialError, match="has 2 summands, not"):
+        wedge_combine(w, parts)
+
+
+def test_gluing_rejects_a_part_on_another_domain():
+    a, b, w = two_edge_wedge()
+    vertex = disjoint_basepoint(point(2, based=False))
+    other = constant_morphism(vertex, w, w.basepoint)
+    with pytest.raises(SimplicialError, match="is not on the summand"):
+        wedge_combine(w, [w.insertions[0], other])
+    # a domain that is another object with the summand's levels is accepted
+    assert wedge_combine(w, [w.insertions[1], w.insertions[0]]) == dict_wedge_combine(
+        w, [w.insertions[1], w.insertions[0]]
+    )
+
+
 # -- table keys -------------------------------------------------------------------
 
 

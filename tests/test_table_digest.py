@@ -9,10 +9,13 @@ from fissile.canon import ckey
 from fissile.simplicial import FiniteSimplicialSet, SMorphism
 from fissile.wedge import construct_p, construct_q
 
-TABLES_DIGEST = "70880e0952d89f9c479c0a4afcb8044f7c34c33be1b4b70f5c3d1b47e9b50108"
+TABLES_DIGEST = "243ed44baa781688e8e330fe0c78eab03e5c53d20b804bb9584dfc6394bead3a"
 # the distinct forms under the digest, so a failure tells whether tables
-# were added or dropped (a count moves) or changed (only the digest moves)
-SET_FORMS, MORPHISM_FORMS = 108, 1067
+# were added or dropped (a count moves) or changed (only the digest moves);
+# 1,067 morphism forms when every block's glued product was composed with
+# its own f, a superset of these 1,061: six composites into ("WL", (2,))
+# have terms that cancel once summed per decomposition, so are not built
+SET_FORMS, MORPHISM_FORMS = 108, 1061
 
 
 def _recording(monkeypatch, cls, built):
