@@ -119,10 +119,12 @@ class MorphismStore:
     def load(data, ctx: WedgeContext):
         store = MorphismStore()
         for mid, rec in data.items():
+            rec = _object(rec, "morphism record")
             dom = resolve(ctx.obj, rec["domain"])
             cod = resolve(ctx.obj, rec["codomain"])
             rows = [
-                (n, unjsonable(x), unjsonable(v)) for n, x, v in rec["table"]
+                (n, unjsonable(x), unjsonable(v))
+                for n, x, v in _list(rec["table"], "morphism table", 3)
             ]
             m = morphism_from_nondegenerate(dom, cod, rows)
             # the id is checked on the rows as written: a morphism rebuilt
@@ -134,7 +136,7 @@ class MorphismStore:
         return store
 
     def morph(self, mid):
-        if mid not in self.loaded:
+        if type(mid) is not str or mid not in self.loaded:
             raise ArtifactError(f"unknown morphism reference {mid}")
         return self.loaded[mid]
 
@@ -156,6 +158,23 @@ def _subset(x, field):
     return tuple(_int(e, field) for e in x)
 
 
+def _list(x, field, arity=None):
+    """x, which must be a list, of lists of ``arity`` entries if given."""
+    if not isinstance(x, list):
+        raise ArtifactError(f"{field} {x!r:.60} is not a list")
+    for entry in x if arity else ():
+        if not (isinstance(entry, list) and len(entry) == arity):
+            raise ArtifactError(f"{field} entry {entry!r:.60} is not a list of {arity}")
+    return x
+
+
+def _object(x, field):
+    """x, which must be a JSON object."""
+    if not isinstance(x, dict):
+        raise ArtifactError(f"{field} {x!r:.60} is not an object")
+    return x
+
+
 def _decimal(text, field):
     """The int whose canonical decimal text, str(int(text)), is ``text``."""
     if not (isinstance(text, str) and re.fullmatch("0|-?[1-9][0-9]*", text)):
@@ -171,8 +190,8 @@ def ensemble_to_json(s: Ensemble, store: MorphismStore):
 
 def ensemble_from_json(data, store: MorphismStore) -> Ensemble:
     out = {}
-    for entry in data:
-        m = store.morph(entry["key"])
+    for entry in _list(data, "ensemble"):
+        m = store.morph(_object(entry, "ensemble entry")["key"])
         if m in out:
             raise ArtifactError(f"ensemble key {entry['key']} repeated")
         out[m] = _decimal(entry["coeff"], "ensemble coeff")
@@ -185,7 +204,7 @@ def _pi_to_json(pi: Ensemble):
 
 def _pi_from_json(data) -> Ensemble:
     out = {}
-    for k, c in data:
+    for k, c in _list(data, "pi", 2):
         k = _subset(k, "pi key")
         if k in out:
             raise ArtifactError(f"pi key {list(k)} repeated")
@@ -229,16 +248,19 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
 
 def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
     entries = []
-    for b, brec in enumerate(data["blocks"]):
+    for b, brec in enumerate(_list(_object(data, "witness")["blocks"], "blocks")):
+        brec = _object(brec, "block")
         wedge_obj = resolve(ctx.obj, brec["wedge"])
         if wedge_obj.insertions is None:
             raise ArtifactError(f"block wedge {wedge_obj.label!r} is not a wedge")
         space = resolve(ctx.labelled_space, brec["space"])
         parts = []
-        for j, prec in enumerate(brec["parts"]):
+        for j, prec in enumerate(_list(brec["parts"], "parts")):
+            prec = _object(prec, "part")
             domain = resolve(ctx.obj, prec["domain"])
             terms = []
-            for trec in prec["terms"]:
+            for trec in _list(prec["terms"], "terms"):
+                trec = _object(trec, "term")
                 cert = IdealCertificate(
                     level=_int(trec["cert_level"], "cert_level"),
                     combination=tuple(
@@ -247,7 +269,7 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
                             _subset(j_key, "certificate J"),
                             _int(c2, "certificate coefficient"),
                         )
-                        for l_key, j_key, c2 in trec["cert"]
+                        for l_key, j_key, c2 in _list(trec["cert"], "cert", 3)
                     ),
                 )
                 morphism = store.morph(trec["w"])
@@ -384,8 +406,9 @@ def write_q_artifacts(result, record, out_dir):
 
 
 def _load(path):
+    """The JSON object in the file at path."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return _object(json.load(fh), os.path.basename(path))
 
 
 def _open_dump(in_dir, kind):
@@ -395,8 +418,6 @@ def _open_dump(in_dir, kind):
     bound is the context's, |E| + 1; a manifest naming any other is
     rejected."""
     manifest = _load(os.path.join(in_dir, "manifest.json"))
-    if not isinstance(manifest, dict):
-        raise ArtifactError("manifest is not a JSON object")
     if manifest.get("kind") != kind:
         raise ArtifactError("manifest kind mismatch")
     for field in ("i", "e"):
@@ -436,7 +457,9 @@ def check_pair_artifacts(in_dir):
     """
     manifest, ctx, store = _open_dump(in_dir, "pair-construction")
     claims, pairs, witnesses = [], {}, {}
-    for name in manifest["pairs"]:
+    for name in _list(manifest.get("pairs"), "manifest 'pairs'"):
+        if not isinstance(name, str):
+            raise ArtifactError(f"manifest pair file {name!r:.60} is not a string")
         payload = _load(os.path.join(in_dir, name))
         f, j = (subset_key(_subset(payload[k], k)) for k in ("face", "subset"))
         claims.append((f, j))
@@ -463,13 +486,12 @@ def check_q_artifacts(in_dir):
     _manifest, ctx, store = _open_dump(in_dir, "almost-fissile")
     payload = _load(os.path.join(in_dir, "q.json"))
     q_ens = ensemble_from_json(payload["ensemble"], store)
-    layout_witnesses = [
-        (
-            layout_key([_subset(g, "layout block") for g in entry["layout"]]),
-            witness_from_json(entry["witness"], store, ctx),
-        )
-        for entry in payload["layouts"]
-    ]
+    layout_witnesses = []
+    for entry in _list(payload["layouts"], "layouts"):
+        entry = _object(entry, "layout entry")
+        blocks = [_subset(g, "layout block") for g in _list(entry["layout"], "layout")]
+        witness = witness_from_json(entry["witness"], store, ctx)
+        layout_witnesses.append((layout_key(blocks), witness))
     mismatches = _claim_mismatches(
         LayoutLattice(ctx.e_set, bound=len(ctx.e_set)).layouts,
         [a for a, _ in layout_witnesses],

@@ -26,6 +26,14 @@ disjoint basepoint.
 Only :func:`assemble` (a set from its face and degeneracy rules) and
 :func:`tabulate` (a morphism from its value rule) know these table formats;
 the only other builders derive one table from another.
+
+A wedge keys the simplex x of its summand j off the basepoint as (j, x),
+and its basepoint as '*'.  Only :func:`wedge` and :func:`wedge_combine`
+read or write those keys: every map out of a wedge is the gluing of its
+values on the summands.  Two readers remain outside this module:
+``WedgeContext.sub_obj``, which keeps the keys of the full wedge so that
+``restrict_to`` cuts the action down to it, and ``WedgeContext.contraction``,
+whose domain is a reduced cone over a wedge, not a wedge.
 """
 
 from functools import cache
@@ -461,6 +469,21 @@ def restrict_to(m: SMorphism, sub, cod) -> SMorphism:
     """m on a simplicial subset sub of its domain, into cod, validated."""
     rows = tuple(m._apply(n, ids) for n, ids in enumerate(sub.nondegenerate_ids()))
     return SMorphism(sub, cod, rows=rows)
+
+
+def invert_iso(e: SMorphism) -> SMorphism:
+    """The inverse of an isomorphism, which is a bijection between the
+    nondegenerate simplices of its domain and codomain."""
+    rows = []
+    pairs = zip(e.rows, e.domain.nondegenerate_ids(), e.codomain.nondegenerate_ids())
+    for n, (row, xs, nondeg) in enumerate(pairs):
+        inv = dict(zip(row, xs))
+        if len(inv) != len(row) or not set(nondeg).issuperset(inv):
+            e._fail("inverse of a map that is not injective", n)
+        if len(inv) != len(nondeg):
+            e._fail("inverse of a map that is not surjective", n)
+        rows.append(tuple(map(inv.__getitem__, nondeg)))
+    return SMorphism(e.codomain, e.domain, rows=tuple(rows), check=False)
 
 
 def tabulate(domain, codomain, value) -> SMorphism:
@@ -999,6 +1022,15 @@ class ContractionTower:
             )
         self.contractions[letter] = sigma
         return sigma
+
+
+def suspension_inclusion(sub: ContractionTower, sup: ContractionTower) -> SMorphism:
+    """The map of suspensions induced by the inclusion of the thick simplex
+    of sub into that of sup, whose letters contain sub's."""
+    cone_inc = cone_map(
+        inclusion(sub.thick, sup.thick), 1, cdom=sub.hat_cone, ccod=sup.hat_cone
+    )
+    return induce_through(sub.susp_proj, compose(sup.susp_proj, cone_inc))
 
 
 def _faces_agree(t, z, maps, n, x, val):

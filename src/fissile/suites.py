@@ -46,12 +46,10 @@ from .simplicial import (
     complex_intersection,
     compose,
     cone,
-    cone_map,
     cone_projection,
     enumerate_based_morphisms,
     full_complex,
     inclusion,
-    induce_through,
     kan_suspension,
     layout_complex,
     nerve,
@@ -61,6 +59,7 @@ from .simplicial import (
     reduced_cone,
     reduced_cone_map,
     standard_simplex,
+    suspension_inclusion,
     thick_simplex,
     wedge,
 )
@@ -250,15 +249,7 @@ def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
     for size in range(1, max_a):
         for sub in combinations(big, size):
             tower_sub = ContractionTower(sub, contraction_bound)
-            cone_inc = cone_map(
-                inclusion(tower_sub.thick, tower_big.thick),
-                1,
-                cdom=tower_sub.hat_cone,
-                ccod=tower_big.hat_cone,
-            )
-            susp_inc = induce_through(
-                tower_sub.susp_proj, compose(tower_big.susp_proj, cone_inc)
-            )
+            susp_inc = suspension_inclusion(tower_sub, tower_big)
             red_inc = reduced_cone_map(
                 susp_inc, tower_sub.reduced, tower_big.reduced
             )

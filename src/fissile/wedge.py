@@ -32,17 +32,15 @@ from .identities import covers, proper_covers
 from .layouts import GuardExceeded, LayoutLattice, guard_setting, layout_key
 from .posets import Section, check_compatible, extend_to, nabla_inverse
 from .simplicial import (
-    BASE,
     ContractionTower,
     SMorphism,
     barycentric,
     canonical_retraction,
     compose,
     cone,
-    cone_map,
     constant_morphism,
     inclusion,
-    induce_through,
+    invert_iso,
     layout_complex,
     plus_base,
     plus_base_iso,
@@ -50,9 +48,11 @@ from .simplicial import (
     reduced_cone,
     restrict_to,
     subsimplicial,
+    suspension_inclusion,
     suspension_top_at,
     tabulate,
     wedge,
+    wedge_combine,
 )
 from .witnesses import (
     Block,
@@ -220,6 +220,14 @@ class WedgeContext:
         key = ("wedge", tuple(map(id, parts)), label)
         return once(self._table, key, tuple(parts), lambda: wedge(parts, label=label))
 
+    def summand_shift(self, part_wedge, whole, start) -> SMorphism:
+        """part_wedge moved into the summands of the wedge whole from
+        ``start`` on: the gluing of their insertions."""
+        ins = whole.insertions[start : start + len(part_wedge.insertions)]
+        key = ("shift", id(part_wedge), id(whole), start)
+        glue = functools.partial(wedge_combine, part_wedge, ins)
+        return once(self._table, key, (part_wedge, whole), glue)
+
     def reduced_domain(self, t) -> tuple:
         """The ``reduced_cone`` tuple of t."""
         return once(self._table, ("redcone", id(t)), t, lambda: reduced_cone(t))
@@ -247,29 +255,15 @@ class WedgeContext:
     @_entry("susp")
     def _susp_map(self, j_from, j_to) -> SMorphism:
         """Component map induced by the letter inclusion, for j_to <= j_from."""
-        t_from, t_to = self.towers[j_from], self.towers[j_to]
-        cone_inc = cone_map(
-            inclusion(t_from.thick, t_to.thick),
-            1,
-            cdom=t_from.hat_cone,
-            ccod=t_to.hat_cone,
-        )
-        return induce_through(t_from.susp_proj, compose(t_to.susp_proj, cone_inc))
+        return suspension_inclusion(self.towers[j_from], self.towers[j_to])
 
     def _action_table(self, k):
-        def value(n, key):
-            # the wedge's nondegenerate simplices: its basepoint at
-            # dimension 0, and (idx, x) off the basepoint of component idx
-            if key == BASE:
-                return key
-            idx, x = key
-            j2 = self.monoid.op(k, self.components[idx])
-            y = self._susp_map(self.components[idx], j2)(n, x)
-            if y == self.towers[j2].susp.basepoint_at(n):
-                return self.w_obj.basepoint_at(n)
-            return self.components.index(j2), y
-
-        return tabulate(self.w_obj, self.w_obj, value)
+        """The action of k: the component at j moved to the one at k meet j
+        by the letter inclusion."""
+        meets = [self.monoid.op(k, j) for j in self.components]
+        ins = [self.w_obj.insertions[self.components.index(m)] for m in meets]
+        parts = map(compose, ins, map(self._susp_map, self.components, meets))
+        return wedge_combine(self.w_obj, list(parts))
 
     @_entry("WL", subset_key)
     def sub_obj(self, l_key):
@@ -343,19 +337,9 @@ class WedgeContext:
     def iota(self, b):
         """Isomorphism from a coned layout subdivision to the wedge of its
         per-block cones."""
-        blocks = list(b)
-        cones = [self.cone_face(g) for g in blocks]
-        wobj = self.wedge_of(cones, label=("wedgecones", b))
-
-        def value(n, x):
-            chain = x[1]
-            if chain is None:
-                return wobj.basepoint_at(n)
-            head = set(chain[0])
-            gi = next(i for i, g in enumerate(blocks) if head <= set(g))
-            return wobj.insertions[gi](n, x)
-
-        return tabulate(self.cone_layout(b), wobj, value)
+        wobj = self.wedge_of([self.cone_face(g) for g in b], label=("wedgecones", b))
+        inclusions = [self.layout_inclusion((g,), b) for g in b]
+        return invert_iso(wedge_combine(wobj, inclusions))
 
     # -- morphisms into the wedge -----------------------------------------
 

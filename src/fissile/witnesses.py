@@ -12,12 +12,13 @@ explicit certificate and re-verified by evaluation.
 from dataclasses import dataclass, field
 
 from .chained import IdealCertificate, SubsetMonoid
-from .ensembles import Ensemble, combining_product
+from .ensembles import Ensemble, combining_product, map_ensemble
 from .simplicial import (
     SimplicialError,
     SMorphism,
     compose,
     inclusion,
+    invert_iso,
     reduced_cone_map,
     wedge,  # noqa: F401  (a binding that perfbench/spans.py wraps)
     wedge_combine,
@@ -65,10 +66,7 @@ class IdealTerm:
     morphism: SMorphism
 
     def value(self, space: PSpace, scope: "PairScope") -> Ensemble:
-        out = Ensemble.zero()
-        for k, c in self.pi.terms.items():
-            out = out + c * Ensemble({scope.act(space, k, self.morphism): 1})
-        return out
+        return map_ensemble(lambda k: scope.act(space, k, self.morphism), self.pi)
 
 
 @dataclass
@@ -204,7 +202,7 @@ class PairScope:
             self._table,
             key,
             (wobj, coned, red_w),
-            lambda: _invert_iso(wedge_combine(wobj, list(coned))),
+            lambda: invert_iso(wedge_combine(wobj, list(coned))),
         )
 
     def check_equivariant(self, h: SMorphism, src: PSpace, dst: PSpace):
@@ -397,21 +395,6 @@ def map_witness(
     return FiltrationWitness(w.level, entries)
 
 
-def _invert_iso(e: SMorphism) -> SMorphism:
-    """The inverse of an isomorphism, which is a bijection between the
-    nondegenerate simplices of its domain and codomain."""
-    rows = []
-    pairs = zip(e.rows, e.domain.nondegenerate_ids(), e.codomain.nondegenerate_ids())
-    for n, (row, xs, nondeg) in enumerate(pairs):
-        inv = dict(zip(row, xs))
-        if len(inv) != len(row) or not set(nondeg).issuperset(inv):
-            e._fail("inverse of a map that is not injective", n)
-        if len(inv) != len(nondeg):
-            e._fail("inverse of a map that is not surjective", n)
-        rows.append(tuple(map(inv.__getitem__, nondeg)))
-    return SMorphism(e.codomain, e.domain, rows=tuple(rows), check=False)
-
-
 def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
     """Transport a witness through the reduced-cone functor.
 
@@ -460,10 +443,12 @@ def wedge_witness(witnesses, wedge_obj, ctx) -> FiltrationWitness:
 
     Expands the product of the input combinations, so each output block
     concatenates one block choice per slot; the wedges of the concatenated
-    part domains come from the run's context.  The new decomposition reads, of
-    each chosen block, only the table of f, the basepoint of its wedge and
-    its part count, so within this call it is built and validated once per
-    distinct (concatenated wedge, per-slot wedge, part count and f).
+    part domains come from the run's context.  The new decomposition glues,
+    over the wedge, the f of each chosen block moved into its slice of the
+    concatenated wedge by the context's ``summand_shift``.  It reads, of each
+    chosen block, only the table of f, its wedge and its part count, so
+    within this call it is built and validated once per distinct
+    (concatenated wedge, per-slot wedge, part count and f).
     """
     total_level = sum(w.level for w in witnesses)
     combos = [(1, [])]
@@ -483,38 +468,14 @@ def wedge_witness(witnesses, wedge_obj, ctx) -> FiltrationWitness:
         )
         f_new = decompositions.get(key)
         if f_new is None:
-            maps = _concatenated_maps(wedge_obj, blocks, flat_wedge)
-            f_new = decompositions[key] = SMorphism(wedge_obj, flat_wedge, maps)
+            moved, start = [], 0
+            for b in blocks:
+                shift = ctx.summand_shift(b.wedge_obj, flat_wedge, start)
+                moved.append(compose(shift, b.f))
+                start += len(b.parts)
+            f_new = decompositions[key] = wedge_combine(wedge_obj, moved)
         entries.append((c, Block(f_new, flat_wedge, flat_parts, blocks[0].space)))
     return FiltrationWitness(total_level, entries)
-
-
-def _concatenated_maps(wedge_obj, blocks, flat_wedge):
-    """The table from the wedge to the concatenated wedge that sends the
-    i-th summand through the f of the i-th block, its parts shifted past
-    those of the blocks before it."""
-    offsets, count = [], 0
-    for b in blocks:
-        offsets.append(count)
-        count += len(b.parts)
-    maps = []
-    for n in range(wedge_obj.bound + 1):
-        base, flat_base = wedge_obj.basepoint_at(n), flat_wedge.basepoint_at(n)
-        level = {} if n else {base: flat_base}
-        for i, b in enumerate(blocks):
-            ins = wedge_obj.insertions[i]
-            block_base = b.wedge_obj.basepoint_at(n)
-            for x, fx in b.f.items(n):
-                key = ins(n, x)
-                if key == base:
-                    continue
-                if fx == block_base:
-                    level[key] = flat_base
-                else:
-                    j, y = fx
-                    level[key] = (offsets[i] + j, y)
-        maps.append(level)
-    return maps
 
 
 def combine_over_wedge(wedge_obj, ensembles) -> Ensemble:

@@ -381,6 +381,85 @@ def test_check_q_reads_witness_records_strictly(dumps, tmp_path, edit, field):
     assert "Traceback" not in err
 
 
+def _put(get, key, value):
+    """An edit that writes value at get(data)[key]."""
+
+    def edit(data):
+        get(data)[key] = value
+        return data
+
+    return edit
+
+
+def _first_record(data):
+    return next(iter(data.values()))
+
+
+def _first_record_a_list(data):
+    data[next(iter(data))] = []
+    return data
+
+
+def _first_part(data):
+    return next(_blocks(data))["parts"][0]
+
+
+PAIR = "pair_F1_Jempty.json"
+
+# a value of the wrong JSON type where each reader expects a container, or
+# a string reference, each of which used to end in a TypeError traceback:
+# (dump, file, edit, the field its ArtifactError names)
+WRONG_CONTAINERS = [
+    ("q1", "q.json", _put(lambda d: d, "boundary_witness", -1), "witness"),
+    ("q1", "q.json", _put(lambda d: d["boundary_witness"], "blocks", "str"), "blocks"),
+    ("q1", "q.json", _put(lambda d: d["boundary_witness"]["blocks"], 0, None), "block"),
+    ("q1", "q.json", _put(lambda d: next(_blocks(d)), "parts", -1), "parts"),
+    ("q1", "q.json", _put(lambda d: next(_blocks(d))["parts"], 0, "str"), "part"),
+    ("q1", "q.json", _put(_first_part, "terms", True), "terms"),
+    ("q1", "q.json", _put(lambda d: _first_part(d)["terms"], 0, -1), "term"),
+    ("q1", "q.json", _put(_first_term, "cert", None), "cert"),
+    ("pj1", PAIR, _put(lambda d: _first_term(d)["cert"], 0, -1), "cert entry"),
+    ("q1", "q.json", _put(lambda d: d, "ensemble", -1), "ensemble"),
+    ("q1", "q.json", _put(lambda d: d["ensemble"], 0, "str"), "ensemble entry"),
+    ("q1", "q.json", _put(lambda d: d["ensemble"][0], "key", {}), "unknown morphism"),
+    ("q1", "q.json", _put(_first_term, "pi", True), "pi"),
+    ("q1", "q.json", _put(lambda d: _first_term(d)["pi"], 0, -1), "pi entry"),
+    ("q1", "q.json", _put(lambda d: d, "layouts", None), "layouts"),
+    ("q1", "q.json", _put(lambda d: d["layouts"], 0, []), "layout entry"),
+    ("q1", "q.json", _put(lambda d: d["layouts"][0], "layout", 7), "layout"),
+    ("q1", "q.json", lambda d: [], "q.json"),
+    ("pj1", PAIR, lambda d: None, PAIR),
+    ("pj1", "manifest.json", _put(lambda d: d["pairs"], 0, 7), "manifest pair file"),
+    ("pj1", "manifest.json", _put(lambda d: d, "pairs", "str"), "manifest 'pairs'"),
+    ("pj1", "morphisms.json", lambda d: [], "morphisms.json"),
+    ("q1", "morphisms.json", _first_record_a_list, "morphism record"),
+    ("pj1", "morphisms.json", _put(_first_record, "table", True), "morphism table"),
+    ("pj1", "morphisms.json", _put(lambda d: _first_record(d)["table"], 0, -1),
+     "morphism table entry"),
+]
+
+
+@pytest.mark.parametrize(
+    "dump, name, edit, field", WRONG_CONTAINERS, ids=[c[3] for c in WRONG_CONTAINERS]
+)
+def test_check_rejects_a_wrong_container(dumps, tmp_path, dump, name, edit, field):
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    path = in_dir / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"].startswith(f"artifact-structure ({field} ")
+    assert "Traceback" not in err
+
+
+def test_check_rejects_a_wrong_container_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_check_rejects_a_wrong_container")
+
+
 def _repeat_first_ensemble_key(data):
     data["ensemble"].insert(1, dict(data["ensemble"][0]))
 

@@ -729,18 +729,25 @@ def test_pair_scope_runs_each_distinct_morphism_once(monkeypatch):
 
 
 def record_scoped_gluings(monkeypatch, pairs):
-    """Log every wedge_combine in the open pair as (kind, key, scope,
-    objects): a cone straightening has no codomain, a layout gluing runs
-    inside combine_over_layout, and scope is the PairScope whose method
-    made the call, or None.  The objects keep every id in a key alive."""
+    """Log every straightening and layout gluing in the open pair as (kind,
+    key, scope, objects): a straightening is a wedge_combine that
+    PairScope.straightening makes, a layout gluing one with a codomain
+    inside combine_over_layout, and scope is the PairScope whose method made
+    the call, or None.  The context's gluings (of its action, of a layout's
+    block inclusions, of a summand shift) have no codomain and come from no
+    straightening, so they are not logged.  The objects keep every id in a
+    key alive."""
     combine, over_layout = simplicial.wedge_combine, wedge_module.combine_over_layout
     in_layout, scopes = [], []
 
     def gluing(w, morphisms, codomain=None):
-        kind = "layout" if in_layout else "straightening" if codomain is None else None
+        name, scope = scopes[-1] if scopes else (None, None)
+        if name == "straightening":
+            kind = name
+        else:
+            kind = "layout" if in_layout and codomain is not None else None
         if kind is not None:
             key = (id(w), id(codomain)) + tuple(map(table_ids, morphisms))
-            scope = scopes[-1] if scopes else None
             pairs[-1].append((kind, key, scope, (w, codomain, tuple(morphisms))))
         return combine(w, morphisms, codomain=codomain)
 
@@ -753,7 +760,7 @@ def record_scoped_gluings(monkeypatch, pairs):
 
     def scoped(method):
         def run(self, *args):
-            scopes.append(self)
+            scopes.append((method.__name__, self))
             try:
                 return method(self, *args)
             finally:
@@ -987,3 +994,152 @@ def test_q_expansion_stays_small(monkeypatch):
     monkeypatch.setattr(wedge_module, "compact_witness", counting)
     construct_q(result)
     assert 0 < sum(blocks) <= 2500
+
+
+# -- every map out of a wedge against the key-by-key table it replaced ---------
+
+
+def keyed_susp_map(t_from, t_to):
+    """The suspension map of a letter inclusion, by its recipe: the cone of
+    the thick inclusion, induced through the suspension projections."""
+    cone_inc = simplicial.cone_map(
+        simplicial.inclusion(t_from.thick, t_to.thick),
+        1,
+        cdom=t_from.hat_cone,
+        ccod=t_to.hat_cone,
+    )
+    return simplicial.induce_through(
+        t_from.susp_proj, compose(t_to.susp_proj, cone_inc)
+    )
+
+
+def keyed_action(ctx, k):
+    """The action of k tabulated on the wedge's keys: (idx, x) goes to the
+    image of x in the component at k meet j, idx's component."""
+
+    def value(n, key):
+        if key == simplicial.BASE:
+            return key
+        idx, x = key
+        j, j2 = ctx.components[idx], ctx.monoid.op(k, ctx.components[idx])
+        y = keyed_susp_map(ctx.towers[j], ctx.towers[j2])(n, x)
+        if y == ctx.towers[j2].susp.basepoint_at(n):
+            return ctx.w_obj.basepoint_at(n)
+        return ctx.components.index(j2), y
+
+    return simplicial.tabulate(ctx.w_obj, ctx.w_obj, value)
+
+
+@pytest.mark.parametrize("i_set", [(1,), (1, 2), (1, 2, 3)])
+def test_every_action_equals_the_keyed_table(i_set):
+    ctx = WedgeContext(i_set, (1, 2))
+    for j in ctx.components:
+        for j2 in subsets_of(j):
+            got = ctx._susp_map(j, j2)
+            assert got == keyed_susp_map(ctx.towers[j], ctx.towers[j2])
+    keyed = {k: keyed_action(ctx, k) for k in ctx.monoid.elements}
+    for l_key in subsets_of(ctx.i_set):
+        obj = ctx.sub_obj(l_key) if l_key != ctx.i_set else ctx.w_obj
+        for k, m in ctx.space(l_key).action.items():
+            ref = simplicial.restrict_to(keyed[k], obj, obj)
+            assert m.rows == ref.rows and m.domain is obj and m.codomain is obj
+
+
+def keyed_iota(ctx, b):
+    """iota(b) tabulated on the keys: a chain goes through the insertion of
+    the block that holds its head, the apex to the basepoint."""
+    blocks = list(b)
+    wobj = ctx.wedge_of([ctx.cone_face(g) for g in b], label=("wedgecones", b))
+
+    def value(n, x):
+        chain = x[1]
+        if chain is None:
+            return wobj.basepoint_at(n)
+        gi = next(i for i, g in enumerate(blocks) if set(chain[0]) <= set(g))
+        return wobj.insertions[gi](n, x)
+
+    return simplicial.tabulate(ctx.cone_layout(b), wobj, value)
+
+
+@pytest.mark.parametrize("e_set", [(1,), (1, 2), (1, 2, 3)])
+def test_every_iota_equals_the_keyed_table(e_set):
+    ctx = WedgeContext((1,), e_set)
+    layouts = {
+        b
+        for f in subsets_of(e_set)
+        if f
+        for b in LayoutLattice(f, bound=len(f)).layouts
+        if b
+    }
+    for b in layouts:
+        iota = ctx.iota(b)
+        # the inverse is built unchecked, so check it here
+        iota._validate()
+        ref = keyed_iota(ctx, b)
+        assert iota.rows == ref.rows
+        assert iota.domain is ref.domain and iota.codomain is ref.codomain
+
+
+def concatenated_maps(wedge_obj, blocks, flat_wedge):
+    """The table from the wedge to the concatenated wedge that sends the
+    i-th summand through the f of the i-th block, its parts shifted past
+    those of the blocks before it, tabulated on the keys."""
+    offsets, count = [], 0
+    for b in blocks:
+        offsets.append(count)
+        count += len(b.parts)
+    maps = []
+    for n in range(wedge_obj.bound + 1):
+        base, flat_base = wedge_obj.basepoint_at(n), flat_wedge.basepoint_at(n)
+        level = {} if n else {base: flat_base}
+        for i, b in enumerate(blocks):
+            ins = wedge_obj.insertions[i]
+            block_base = b.wedge_obj.basepoint_at(n)
+            for x, fx in b.f.items(n):
+                key = ins(n, x)
+                if key == base:
+                    continue
+                if fx == block_base:
+                    level[key] = flat_base
+                else:
+                    j, y = fx
+                    level[key] = (offsets[i] + j, y)
+        maps.append(level)
+    return maps
+
+
+@pytest.mark.parametrize("i_set, e_set", [((1, 2), (1, 2)), ((1, 2, 3), (1, 2))])
+def test_every_wedge_witness_decomposition_equals_the_keyed_table(
+    monkeypatch, i_set, e_set
+):
+    original, calls = witnesses.wedge_witness, []
+
+    def recording(ws, wedge_obj, ctx):
+        out = original(ws, wedge_obj, ctx)
+        calls.append((ws, wedge_obj, out))
+        return out
+
+    patch_bindings(monkeypatch, original, recording)
+    construct_q(construct_p(i_set, e_set, enforce_guard=False))
+    compared, shifted = 0, 0
+    for ws, wedge_obj, out in calls:
+        # the blocks of each output entry, in the order the product expands
+        combos = [[]]
+        for w in ws:
+            combos = [chosen + [b] for chosen in combos for _c, b in w.entries]
+        assert len(combos) == len(out.entries)
+        for blocks, (_c, block) in zip(combos, out.entries):
+            maps = concatenated_maps(wedge_obj, blocks, block.wedge_obj)
+            ref = SMorphism(wedge_obj, block.wedge_obj, maps)
+            assert block.f.rows == ref.rows and block.f.codomain is block.wedge_obj
+            compared += 1
+            shifted += len(blocks) > 1
+    assert compared > 80 and shifted > 40
+
+
+def test_gluings_equal_the_keyed_tables_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_every_action_equals_the_keyed_table",
+        f"{__file__}::test_every_iota_equals_the_keyed_table",
+        f"{__file__}::test_every_wedge_witness_decomposition_equals_the_keyed_table",
+    )

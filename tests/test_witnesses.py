@@ -13,6 +13,7 @@ from fissile.simplicial import (
     constant_morphism,
     enumerate_based_morphisms,
     inclusion,
+    invert_iso,
     quotient,
     reduced_cone,
     reduced_cone_map,
@@ -27,7 +28,6 @@ from fissile.witnesses import (
     IdealTerm,
     PairScope,
     PSpace,
-    _invert_iso,
     combine_over_wedge,
     compact_witness,
     cone_witness,
@@ -530,7 +530,7 @@ def test_scope_recones_map_with_equal_key_but_other_table():
 
 def test_invert_iso_needs_a_bijection_of_nondegenerate_simplices():
     t = edge()
-    assert _invert_iso(inclusion(t, t)) == inclusion(t, t)
+    assert invert_iso(inclusion(t, t)) == inclusion(t, t)
     # the edge onto the degenerate edge of the point: one value per row, but
     # a degenerate one
     u = standard_simplex(1, 2)
@@ -538,7 +538,7 @@ def test_invert_iso_needs_a_bijection_of_nondegenerate_simplices():
     circle = quotient(u, ends)
     to_point = SMorphism(circle, standard_simplex(0, 2), [{BASE: (0,)}, {(0, 1): (0, 0)}, {}])
     with pytest.raises(SimplicialError, match="not injective at dimension 1"):
-        _invert_iso(to_point)
+        invert_iso(to_point)
     # the basepoint and one end of the edge: injective, not onto
     ends_only = SMorphism(
         disjoint_basepoint(standard_simplex(0, 2)),
@@ -546,7 +546,7 @@ def test_invert_iso_needs_a_bijection_of_nondegenerate_simplices():
         [{BASE: BASE, (0,): (0,)}, {}, {}],
     )
     with pytest.raises(SimplicialError, match="not surjective at dimension 0"):
-        _invert_iso(ends_only)
+        invert_iso(ends_only)
 
 
 def test_equal_part_tables_on_distinct_domains_each_validated(ctx, monkeypatch):
