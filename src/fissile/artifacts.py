@@ -25,7 +25,7 @@ from .layouts import LayoutLattice, layout_key
 # it.  Wedges themselves come from the context.
 from .simplicial import SMorphism, wedge  # noqa: F401
 from .wedge import WedgeContext, pair_checks, pair_claims, q_checks
-from .witnesses import Block, BlockPart, FiltrationWitness, IdealTerm
+from .witnesses import Block, BlockPart, FiltrationWitness, IdealTerm, once
 
 
 class ArtifactError(ValueError):
@@ -35,15 +35,18 @@ class ArtifactError(ValueError):
 # -- object resolution --------------------------------------------------------
 
 
+def _plain(x):
+    """Whether x is a str, an int that is not a bool, or a tuple of those."""
+    return type(x) in (str, int) or type(x) is tuple and all(map(_plain, x))
+
+
 def _label_key(label):
-    """The label as a hashable tuple."""
+    """The label as a nonempty tuple of strings, ints and such tuples:
+    ``true`` or ``1.0`` equals 1 in Python, so either would name the object
+    of the label written with 1."""
     label = unjsonable(label)
-    if not isinstance(label, tuple) or not label:
+    if not (isinstance(label, tuple) and label and _plain(label)):
         raise ArtifactError(f"malformed label {label!r}")
-    try:
-        hash(label)
-    except TypeError:
-        raise ArtifactError(f"malformed label {label!r}") from None
     return label
 
 
@@ -94,23 +97,23 @@ class MorphismStore:
         self._refs = {}
 
     def ref(self, m: SMorphism) -> str:
-        """The id of m's record: the ``ckey_b64`` of m, encoded once per
-        object referenced here (the entry keeps the object alive, so its id
-        is not reused).  The record stores m's table key as it is: the
-        writer prints its tuples as lists, the rows its id encodes."""
-        hit = self._refs.get(id(m))
-        if hit is not None:
-            return hit[1]
-        payload = m.canonical_payload()
-        mid = ckey_b64(payload)
-        if mid not in self.records:
-            self.records[mid] = {
-                "domain": jsonable(m.domain.label),
-                "codomain": jsonable(m.codomain.label),
-                "table": payload[1],
-            }
-        self._refs[id(m)] = (m, mid)
-        return mid
+        """The id of m's record: the ``ckey_b64`` of m, encoded through
+        :func:`~fissile.witnesses.once` once per morphism on its objects.  The
+        record stores m's table key as it is: the writer prints its tuples as
+        lists, the rows its id encodes."""
+
+        def record():
+            payload = m.canonical_payload()
+            mid = ckey_b64(payload)
+            if mid not in self.records:
+                self.records[mid] = {
+                    "domain": jsonable(m.domain.label),
+                    "codomain": jsonable(m.codomain.label),
+                    "table": payload[1],
+                }
+            return mid
+
+        return once(self._refs, (m.domain, m.codomain, m), record)
 
     def to_json(self):
         return {mid: rec for mid, rec in sorted(self.records.items())}

@@ -1004,24 +1004,26 @@ class ContractionTower:
         self.contractions = {}
 
     def contraction(self, letter) -> SMorphism:
+        """The contraction at the letter.  The first call builds those of
+        every letter, which share one 0-cone of the 1-cone and its map onto
+        the 0-cone of the suspension, the one inside ``reduced``."""
         if letter not in self.letters and self.letters:
             raise ValueError(f"{letter!r} is not a letter of the thick simplex")
-        if letter in self.contractions:
-            return self.contractions[letter]
-        cca = cone(self.hat_cone, 0)
-        sigma_tilde = apex_substitution(cca, self.hat_cone, letter)
-        csusp = cone(self.susp, 0)
-        cq = cone_map(self.susp_proj, 0, cdom=cca, ccod=csusp)
-        sigma_bar = induce_through(cq, compose(self.susp_proj, sigma_tilde))
-        red, inc, proj, _c = self.reduced
-        sigma = induce_through(proj, sigma_bar)
-        if compose(sigma, inc) != inclusion(self.susp, self.susp):
-            raise SimplicialError(
-                f"contraction of {self.susp.label!r} at {letter!r} does not "
-                "restrict to the identity"
-            )
-        self.contractions[letter] = sigma
-        return sigma
+        if letter not in self.contractions:
+            cca = cone(self.hat_cone, 0)
+            _red, inc, proj, csusp = self.reduced
+            cq = cone_map(self.susp_proj, 0, cdom=cca, ccod=csusp)
+            for a in self.letters or (letter,):
+                sigma_tilde = apex_substitution(cca, self.hat_cone, a)
+                sigma_bar = induce_through(cq, compose(self.susp_proj, sigma_tilde))
+                sigma = induce_through(proj, sigma_bar)
+                if compose(sigma, inc) != inclusion(self.susp, self.susp):
+                    raise SimplicialError(
+                        f"contraction of {self.susp.label!r} at {a!r} does not "
+                        "restrict to the identity"
+                    )
+                self.contractions[a] = sigma
+        return self.contractions[letter]
 
 
 def suspension_inclusion(sub: ContractionTower, sup: ContractionTower) -> SMorphism:

@@ -90,7 +90,7 @@ def construction_guard(i_set, e_set):
 def _entry(kind, *normalise):
     """Memoise a context method in the run table under (kind, *args), each
     argument first put in normal form by its function in ``normalise``; the
-    arguments past those are used as they are."""
+    arguments past those, objects among them, are used as they are."""
 
     def wrap(build):
         @functools.wraps(build)
@@ -136,11 +136,10 @@ class WedgeContext:
     and the one at l, and ``("redcone", x)`` for the reduced cone of the
     space labelled x.
 
-    An entry is keyed by its kind and normalised arguments, for a labelled
-    object its label, except the wedges and reduced cones of given objects:
-    they are keyed by the ids of those objects, so the hot wedge lookup
-    hashes no nested label; :func:`~fissile.witnesses.once` keeps those
-    objects alive.
+    An entry is keyed by its kind and arguments, by the rule of
+    :func:`~fissile.witnesses.once`: a labelled object by its label, the
+    wedges and reduced cones of given objects by those objects, so the hot
+    wedge lookup hashes no nested label.
     """
 
     def __init__(self, i_set, e_set):
@@ -164,9 +163,8 @@ class WedgeContext:
     # -- objects from their labels -----------------------------------------
 
     def once(self, key, build):
-        """:func:`~fissile.witnesses.once` in the run table, for a key that
-        names no object by its id."""
-        return once(self._table, key, None, build)
+        """:func:`~fissile.witnesses.once` in the run table."""
+        return once(self._table, key, build)
 
     def obj(self, label):
         """The object that carries this label (see the class docstring)."""
@@ -217,38 +215,35 @@ class WedgeContext:
 
     def wedge_of(self, parts, label=None):
         """The wedge of these part objects."""
-        key = ("wedge", tuple(map(id, parts)), label)
-        return once(self._table, key, tuple(parts), lambda: wedge(parts, label=label))
+        key = ("wedge", tuple(parts), label)
+        return self.once(key, lambda: wedge(parts, label=label))
 
+    @_entry("shift")
     def summand_shift(self, part_wedge, whole, start) -> SMorphism:
         """part_wedge moved into the summands of the wedge whole from
         ``start`` on: the gluing of their insertions."""
         ins = whole.insertions[start : start + len(part_wedge.insertions)]
-        key = ("shift", id(part_wedge), id(whole), start)
-        glue = functools.partial(wedge_combine, part_wedge, ins)
-        return once(self._table, key, (part_wedge, whole), glue)
+        return wedge_combine(part_wedge, ins)
 
+    @_entry("redcone")
     def reduced_domain(self, t) -> tuple:
         """The ``reduced_cone`` tuple of t."""
-        return once(self._table, ("redcone", id(t)), t, lambda: reduced_cone(t))
+        return reduced_cone(t)
 
+    @_entry("redspace")
     def reduced_space(self, space: PSpace) -> tuple:
         """The reduced cone of a space, with its ``reduced_cone`` tuple."""
-
-        def build():
-            red = self.reduced_domain(space.obj)
-            # elements acting by equal tables share one cone map
-            scope = PairScope()
-            action = {
-                k: scope.reduced_cone_map(space.action[k], red, red)
-                for k in self.monoid.elements
-            }
-            cspace = PSpace(
-                red[0], self.monoid, action, label=("redcone", space.label), check=False
-            )
-            return cspace, red
-
-        return once(self._table, ("redspace", id(space.obj)), space, build)
+        red = self.reduced_domain(space.obj)
+        # elements acting by equal tables share one cone map
+        scope = PairScope()
+        action = {
+            k: scope.reduced_cone_map(space.action[k], red, red)
+            for k in self.monoid.elements
+        }
+        cspace = PSpace(
+            red[0], self.monoid, action, label=("redcone", space.label), check=False
+        )
+        return cspace, red
 
     # -- component plumbing --------------------------------------------
 
@@ -499,8 +494,7 @@ def cover_witness(ctx, b, cover_fns, witness_at, space, level, scope):
             w = compact_witness(witness_at(g, k))
             return compact_witness(map_witness(w, inc, small, space, scope))
 
-        key = ("factor", id(witness_at), id(space), g, k)
-        return scope.once(key, (witness_at, space), build)
+        return scope.once(("factor", witness_at, space, g, k), build)
 
     entries = []
     for fn in cover_fns:

@@ -123,57 +123,55 @@ class Block:
         return evaluate_blocks([(1, self)], scope or PairScope())
 
 
-def once(table, key, keep, build):
-    """``table[key]``, built by ``build()`` on first use.  A key may name
-    objects by their ids, so the entry keeps ``keep``, those objects, alive:
-    no id in a key is reused while the table lives."""
-    hit = table.get(key)
-    if hit is None:
-        hit = table[key] = (keep, build())
-    return hit[1]
+def once(table, key, build):
+    """``table[key]``, built by ``build()`` on first use.  A key holds the
+    objects it names, so an entry keeps them alive by itself.  A simplicial
+    set, a space, a function or a reduced-cone tuple stands for itself (sets
+    and spaces define no equality, so they compare by identity); a morphism
+    stands as ``(domain, codomain, morphism)`` (see :func:`_named`), as it
+    compares by its rows and domain levels only."""
+    if key not in table:
+        table[key] = build()
+    return table[key]
 
 
-def _ids(m: SMorphism) -> tuple:
-    """A morphism in a key: the ids of its objects and the morphism, which
-    hashes and compares by its rows."""
-    return id(m.domain), id(m.codomain), m
+def _named(m: SMorphism) -> tuple:
+    """A morphism in a key: its objects and the morphism itself."""
+    return m.domain, m.codomain, m
 
 
 class PairScope:
     """The morphism tables of one (face, subset) pair, or of one q run.
 
-    Within a scope each distinct wedge gluing, reduced-cone map, cone
-    straightening, equivariance check and glued product is built,
-    validated or run once, through :func:`once` in one table.  An entry is
-    keyed by its kind, the ids of its objects and its morphisms, which
-    compare by every row of their tables.  Two morphism objects are
-    composed once per pair of objects, so the action of a monoid element on
-    a part morphism, or a layout gluing precomposed with its inclusion, is
-    one object each time it recurs.  A glued product precomposed with a
-    block's decomposition is not kept (see :func:`evaluate_blocks`).  The
-    builder drops the scope when its pair ends; a call given no scope gets a
-    fresh one.
+    Within a scope each distinct composite, wedge gluing, reduced-cone map,
+    cone straightening, equivariance check and glued product is built,
+    validated or run once, through :func:`once` in one table, keyed by its
+    kind and the objects and morphisms it reads.  So the action of a monoid
+    element on a part morphism, or a layout gluing precomposed with its
+    inclusion, is one object each time it recurs.  A glued product
+    precomposed with a block's decomposition is not kept (see
+    :func:`evaluate_blocks`).  The builder drops the scope when its pair
+    ends; a call given no scope gets a fresh one.
 
-    A glued product is reused as it is: two blocks whose glued products
-    share a key have the same wedge, the same space and parts whose terms
-    have the same pi items and the same morphism objects on the same
-    spaces, so their part values, and the gluings of every tuple of them,
-    are the same.  The key names each morphism by its object ids as well,
-    since a morphism compares by its rows and domain levels only, and equal
-    rows on distinct domain objects are distinct part tables.
+    Sharing is exact: each kind reads only the objects and the rows that its
+    key holds.  ``compose(g, f)`` reads g's objects and rows and f's domain
+    and rows.  Two blocks whose glued products share a key have the same
+    wedge, the same space and parts whose terms have the same pi items and
+    equal morphisms on the same objects, so their part values, and the
+    gluings of every tuple of them, are the same.
     """
 
     def __init__(self):
         self._table = {}
 
-    def once(self, key, keep, build):
+    def once(self, key, build):
         """:func:`once` in this scope's table."""
-        return once(self._table, key, keep, build)
+        return once(self._table, key, build)
 
     def compose(self, g: SMorphism, f: SMorphism) -> SMorphism:
         """``compose(g, f)``."""
-        key = ("compose", id(g), id(f))
-        return once(self._table, key, (g, f), lambda: compose(g, f))
+        key = ("compose", *_named(g), f.domain, f)
+        return once(self._table, key, lambda: compose(g, f))
 
     def act(self, space: PSpace, k, m: SMorphism) -> SMorphism:
         """``compose(space.action[k], m)``."""
@@ -181,34 +179,25 @@ class PairScope:
 
     def glue(self, wobj, tup, cod) -> SMorphism:
         """``wedge_combine`` of the part morphisms into cod."""
-        key = ("glue", id(wobj), id(cod)) + tuple(map(_ids, tup))
-        return once(
-            self._table, key, tup, lambda: wedge_combine(wobj, list(tup), codomain=cod)
-        )
+        key = ("glue", wobj, cod) + tuple(map(_named, tup))
+        return once(self._table, key, lambda: wedge_combine(wobj, tup, codomain=cod))
 
     def reduced_cone_map(self, f: SMorphism, rdom, rcod) -> SMorphism:
         """``reduced_cone_map`` of f between these reduced-cone tuples."""
-        key = ("cone", *_ids(f), id(rdom), id(rcod))
-        return once(
-            self._table, key, (f, rdom, rcod), lambda: reduced_cone_map(f, rdom, rcod)
-        )
+        key = ("cone", *_named(f), rdom, rcod)
+        return once(self._table, key, lambda: reduced_cone_map(f, rdom, rcod))
 
     def straightening(self, wobj, coned, red_w) -> SMorphism:
         """The inverse of the gluing of the coned insertions ``coned`` over
         the wedge of the reduced part cones: the canonical isomorphism from
         the reduced cone of the old wedge (``red_w``) to the new wedge."""
-        key = ("straighten", id(wobj), id(red_w)) + tuple(map(id, coned))
-        return once(
-            self._table,
-            key,
-            (wobj, coned, red_w),
-            lambda: invert_iso(wedge_combine(wobj, list(coned))),
-        )
+        key = ("straighten", wobj, red_w) + tuple(map(_named, coned))
+        return once(self._table, key, lambda: invert_iso(wedge_combine(wobj, coned)))
 
     def check_equivariant(self, h: SMorphism, src: PSpace, dst: PSpace):
         """``check_equivariant`` of h from src to dst."""
-        key = ("equivariant", *_ids(h), id(src), id(dst))
-        once(self._table, key, (h, src, dst), lambda: check_equivariant(h, src, dst))
+        key = ("equivariant", *_named(h), src, dst)
+        once(self._table, key, lambda: check_equivariant(h, src, dst))
 
     def glued_product(self, block: Block) -> Ensemble:
         """The combining product of the block's part values, each tuple glued
@@ -217,17 +206,15 @@ class PairScope:
         object and, per part, its space and the pi items and morphism of
         each term (see the class docstring)."""
         wobj, cod, parts = block.wedge_obj, block.space.obj, block.parts
-        key = ("product", id(wobj), id(cod)) + tuple(
-            (
-                id(p.space),
-                tuple((tuple(t.pi.terms.items()), _ids(t.morphism)) for t in p.terms),
-            )
-            for p in parts
-        )
+
+        def term(t):
+            return tuple(t.pi.terms.items()), *_named(t.morphism)
+
+        key = ("product", wobj, cod)
+        key += tuple((p.space, *map(term, p.terms)) for p in parts)
         return once(
             self._table,
             key,
-            (wobj, cod, tuple(parts)),
             lambda: combining_product(
                 [p.value(self) for p in parts], lambda tup: self.glue(wobj, tup, cod)
             ),
@@ -253,7 +240,7 @@ def evaluate_blocks(entries, scope: PairScope) -> Ensemble:
     map is fixed by its rows on the nondegenerate simplices)."""
     groups = {}
     for c, block in entries:
-        sums = groups.setdefault((id(block.wedge_obj), block.f), {})
+        sums = groups.setdefault((block.wedge_obj, block.f), {})
         for g, d in scope.glued_product(block).terms.items():
             sums[g] = sums.get(g, 0) + c * d
     out = {}
@@ -324,13 +311,15 @@ def verify_witness(
     v: Ensemble, w: FiltrationWitness, s: int, monoid, scope: PairScope = None
 ) -> WitnessReport:
     """Re-check a witness from its own data: certificate levels, block ranks,
-    and the evaluated combination, glued through the scope."""
+    and the evaluated combination, glued through the scope.  Every block's
+    rank must reach the witness's own level, which must reach s; a witness
+    with no blocks holds at any level."""
     if w.level < s:
         return WitnessReport(False, f"witness level {w.level} below requested {s}")
     for _c, block in w.entries:
-        if block.rank() < s:
+        if block.rank() < w.level:
             return WitnessReport(
-                False, f"block of rank {block.rank()} below level {s}"
+                False, f"block of rank {block.rank()} below the witness level {w.level}"
             )
         for part in block.parts:
             if not part.check_certificates(monoid):
@@ -463,9 +452,7 @@ def wedge_witness(witnesses, wedge_obj, ctx) -> FiltrationWitness:
     for c, blocks in combos:
         flat_parts = [p for b in blocks for p in b.parts]
         flat_wedge = ctx.wedge_of([p.domain for p in flat_parts])
-        key = (id(flat_wedge),) + tuple(
-            (id(b.wedge_obj), len(b.parts), b.f) for b in blocks
-        )
+        key = (flat_wedge,) + tuple((b.wedge_obj, len(b.parts), b.f) for b in blocks)
         f_new = decompositions.get(key)
         if f_new is None:
             moved, start = [], 0

@@ -80,14 +80,30 @@ def test_brunnian_basic():
     assert is_brunnian((), (1, 2))
 
 
+def erased(word, kept):
+    """A deletion by hand, without ``delete`` or ``reduce_word``: erase the
+    letters outside kept, then cancel adjacent inverse pairs until nothing
+    changes."""
+    w = [(g, e) for g, e in word if g in kept]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(w) - 1):
+            if w[i][0] == w[i + 1][0] and w[i][1] == -w[i + 1][1]:
+                del w[i : i + 2]
+                changed = True
+                break
+    return w
+
+
 def brute_brunnian(word, alphabet):
     from itertools import combinations
 
-    for r in range(len(alphabet)):
-        for keep in combinations(alphabet, r):
-            if delete(keep, word):
-                return False
-    return True
+    return not any(
+        erased(word, kept)
+        for r in range(len(alphabet))
+        for kept in combinations(alphabet, r)
+    )
 
 
 def test_brunnian_exhaustive_short_words():

@@ -496,6 +496,103 @@ def test_check_q_rejects_a_repeated_key(dumps, tmp_path, edits, field):
     assert "Traceback" not in err
 
 
+def _witness_levels_checked(dumps, tmp_path, dump, get):
+    """The check-q exit code, the failed check names and stderr after the
+    level of the witness at get(q.json) is set to 10**6."""
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    data = json.loads((in_dir / "q.json").read_text())
+    get(data)["level"] = 10**6
+    (in_dir / "q.json").write_text(json.dumps(data))
+    rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    return rc, [r["case"]["check"] for r in reports if r["verdict"] == "fail"], err
+
+
+@pytest.mark.parametrize(
+    "dump, get, check",
+    [
+        ("q1", lambda d: d["boundary_witness"], "boundary-witness"),
+        (
+            "q2",
+            lambda d: d["layouts"][2]["witness"],
+            "layout-defect-witness A=((1,), (2,))",
+        ),
+    ],
+    ids=["boundary", "layout"],
+)
+def test_check_q_rejects_a_witness_level_no_block_reaches(
+    dumps, tmp_path, dump, get, check
+):
+    # every block's rank must reach its witness's level
+    rc, failed, err = _witness_levels_checked(dumps, tmp_path, dump, get)
+    assert rc == 1 and failed == [check]
+    assert "Traceback" not in err
+
+
+def test_check_q_passes_a_witness_without_blocks_at_any_level(dumps, tmp_path):
+    rc, failed, _err = _witness_levels_checked(
+        dumps, tmp_path, "q1", lambda d: d["layouts"][0]["witness"]
+    )
+    assert rc == 0 and not failed
+
+
+def _one_in_part_domain_as(value):
+    def edit(in_dir):
+        data = json.loads((in_dir / "q.json").read_text())
+        part = _first_part(data)
+        assert part["domain"] == ["plusbase", [1]]
+        part["domain"] = ["plusbase", [value]]
+        (in_dir / "q.json").write_text(json.dumps(data))
+
+    return edit
+
+
+def _true_in_record_codomain(in_dir):
+    data = json.loads((in_dir / "morphisms.json").read_text())
+    rec = next(r for r in data.values() if _one_as_true(r["codomain"]))
+    rec["codomain"] = _one_as_true(rec["codomain"])
+    (in_dir / "morphisms.json").write_text(json.dumps(data))
+
+
+LABEL_EDITS = [
+    (_one_in_part_domain_as(True), "True"),
+    (_one_in_part_domain_as(1.0), "1.0"),
+    (_one_in_part_domain_as(None), "None"),
+    (_true_in_record_codomain, "True"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, shown",
+    LABEL_EDITS,
+    ids=["domain-true", "domain-float", "domain-null", "codomain-true"],
+)
+def test_check_q_rejects_a_label_atom_other_than_a_str_or_int(
+    dumps, tmp_path, edit, shown
+):
+    # true and 1.0 equal 1 in Python, so such a label named the object of its 1
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "q1", in_dir)
+    edit(in_dir)
+    rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"].startswith("artifact-structure (malformed label ")
+    assert shown in report["case"]["check"]
+    assert "Traceback" not in err
+
+
+def test_witness_level_and_label_checks_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_check_q_rejects_a_witness_level_no_block_reaches",
+        f"{__file__}::test_check_q_passes_a_witness_without_blocks_at_any_level",
+        f"{__file__}::test_check_q_rejects_a_label_atom_other_than_a_str_or_int",
+    )
+
+
 def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
     # every term of every pair file, its morphism swapped for each stored
     # morphism on another domain than the term's part

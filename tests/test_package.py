@@ -1,4 +1,6 @@
+import ast
 import pkgutil
+from pathlib import Path
 
 import fissile
 
@@ -9,3 +11,16 @@ def test_every_module_star_imports():
         namespace = {}
         exec(f"from fissile.{info.name} import *", namespace)
         assert namespace, info.name
+
+
+def test_no_assert_statement_in_the_package():
+    # ``python -O`` strips assert statements, so no guarantee may rest on one
+    found = []
+    for path in sorted(Path(fissile.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert not found, found

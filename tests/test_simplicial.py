@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fissile import simplicial
 from fissile.canon import ckey
 from fissile.simplicial import (
     BASE,
@@ -450,6 +451,28 @@ def test_contraction_is_based_retraction():
         tower = ContractionTower(letters, 3)
         sigma = tower.contraction(letters[0])
         assert sigma.is_based()
+
+
+def test_contraction_tower_cones_once(monkeypatch):
+    # every contraction of a tower cones only its 1-cone, once; each equals
+    # the contraction built from fresh cones
+    tower = ContractionTower(("a", "b", "c"), 3)
+    coned = []
+
+    def counting(u, s, check=True):
+        coned.append((u, s))
+        return cone(u, s, check)
+
+    monkeypatch.setattr(simplicial, "cone", counting)
+    sigmas = [tower.contraction(a) for a in tower.letters]
+    assert coned == [(tower.hat_cone, 0)]
+    monkeypatch.undo()
+    for a, sigma in zip(tower.letters, sigmas):
+        cca = cone(tower.hat_cone, 0)
+        sigma_tilde = apex_substitution(cca, tower.hat_cone, a)
+        cq = cone_map(tower.susp_proj, 0, cdom=cca, ccod=cone(tower.susp, 0))
+        sigma_bar = induce_through(cq, compose(tower.susp_proj, sigma_tilde))
+        assert sigma == induce_through(tower.reduced[2], sigma_bar)
 
 
 def test_contraction_compatible_with_letter_inclusion():

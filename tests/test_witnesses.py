@@ -207,6 +207,20 @@ def test_verify_witness_level_gate(ctx):
     assert not rep
 
 
+def test_verify_witness_rejects_a_level_above_a_block_rank(ctx):
+    rng = random.Random(62)
+    space = ctx.space((1,))
+    t = ctx.plus_base_of((1,))
+    w = random_witness(rng, ctx, t, space)
+    raised = FiltrationWitness(10**6, w.entries)
+    rep = verify_witness(w.value(), raised, w.level, ctx.monoid)
+    assert not rep
+    first = w.entries[0][1].rank()
+    assert rep.diagnostic == f"block of rank {first} below the witness level 1000000"
+    # a witness with no blocks holds at any level
+    assert verify_witness(Ensemble.zero(), FiltrationWitness(10**6), 0, ctx.monoid)
+
+
 def test_restrict_witness_pipeline(ctx):
     rng = random.Random(63)
     space = ctx.space((1,))
