@@ -23,6 +23,11 @@ the 1s.  Quotients keep survivor keys and collapse the removed subset to a
 '*' key per dimension; the quotient of anything by the empty subset adds a
 disjoint basepoint.
 
+The reduced cone čT of a based T is built directly from the 0-cone's rules,
+which :func:`cone` shares, and each map into or out of it is one validated
+:func:`tabulate`.  The quotient of the full 0-cone, with maps induced
+through its projection, is the cross-check in ``fissile verify simplicial``.
+
 Only :func:`assemble` (a set from its face and degeneracy rules) and
 :func:`tabulate` (a morphism from its value rule) know these table formats;
 the only other builders derive one table from another.
@@ -36,7 +41,7 @@ values on the summands.  Two readers remain outside this module:
 whose domain is a reduced cone over a wedge, not a wedge.
 """
 
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, product, repeat
 
 from .canon import ckey, jsonable
@@ -593,6 +598,58 @@ def _cone_slots(t, s):
     return tuple(i for i, v in enumerate(t) if v == (1 - s))
 
 
+def _cone_level(u, s, m):
+    """The keys (t, y) of dimension m of the cone over u, apex on the s
+    side: t runs over the monotone 0/1 tuples of length m + 1, y over the
+    simplices of u of dimension (number of base slots) - 1, or is None."""
+    level = []
+    for t in product((0, 1), repeat=m + 1):
+        if any(t[i] > t[i + 1] for i in range(m)):
+            continue
+        base = _cone_slots(t, s)
+        level.extend((t, y) for y in (u.simplices[len(base) - 1] if base else (None,)))
+    return level
+
+
+def _cone_face_row(u, s, m, x):
+    """The faces of the cone key x = (t, y) of dimension m >= 1: dropping an
+    apex slot keeps y, dropping a base slot takes the matching face of y,
+    or None when it was the only base slot."""
+    t, y = x
+    base = _cone_slots(t, s)
+    row = []
+    for i in range(m + 1):
+        t2 = t[:i] + t[i + 1 :]
+        if i not in base:
+            row.append((t2, y))
+        elif len(base) == 1:
+            row.append((t2, None))
+        else:
+            row.append((t2, u.face(len(base) - 1, base.index(i), y)))
+    return tuple(row)
+
+
+def _cone_degen_row(u, s, m, x):
+    """The degeneracies of the cone key x = (t, y) of dimension m: repeating
+    an apex slot keeps y, repeating a base slot degenerates y there."""
+    t, y = x
+    base = _cone_slots(t, s)
+    return tuple(
+        (t[: i + 1] + t[i:], u.degen(len(base) - 1, base.index(i), y))
+        if i in base
+        else (t[: i + 1] + t[i:], y)
+        for i in range(m + 1)
+    )
+
+
+def _cone_value(f, s, x):
+    """The value of the cone of the morphism f at the cone key x = (t, y):
+    (t, f(y)), and x itself when it is pure apex."""
+    t, y = x
+    base = _cone_slots(t, s)
+    return (t, f(len(base) - 1, y)) if base else x
+
+
 def cone(u: FiniteSimplicialSet, s: int, check=True) -> FiniteSimplicialSet:
     """The cone over u fibered over the interval, apex on the s side.
 
@@ -601,44 +658,11 @@ def cone(u: FiniteSimplicialSet, s: int, check=True) -> FiniteSimplicialSet:
     """
     if s not in (0, 1):
         raise ValueError("cone side must be 0 or 1")
-    levels = [[] for _ in range(u.bound + 1)]
-    for m, level in enumerate(levels):
-        for t in product((0, 1), repeat=m + 1):
-            if any(t[i] > t[i + 1] for i in range(m)):
-                continue
-            base = _cone_slots(t, s)
-            ys = u.simplices[len(base) - 1] if base else (None,)
-            level.extend((t, y) for y in ys)
-
-    def face_row(m, x):
-        t, y = x
-        base = _cone_slots(t, s)
-        row = []
-        for i in range(m + 1):
-            t2 = t[:i] + t[i + 1 :]
-            if i not in base:
-                row.append((t2, y))
-            elif len(base) == 1:
-                row.append((t2, None))
-            else:
-                row.append((t2, u.face(len(base) - 1, base.index(i), y)))
-        return tuple(row)
-
-    def degen_row(m, x):
-        t, y = x
-        base = _cone_slots(t, s)
-        return tuple(
-            (t[: i + 1] + t[i:], u.degen(len(base) - 1, base.index(i), y))
-            if i in base
-            else (t[: i + 1] + t[i:], y)
-            for i in range(m + 1)
-        )
-
     return assemble(
         u.bound,
-        levels,
-        face_row,
-        degen_row,
+        [_cone_level(u, s, m) for m in range(u.bound + 1)],
+        partial(_cone_face_row, u, s),
+        partial(_cone_degen_row, u, s),
         basepoint=((s,), None),
         label=("cone", s, u.label),
         check=check,
@@ -659,13 +683,7 @@ def cone_map(f: SMorphism, s, cdom=None, ccod=None) -> SMorphism:
     """Functoriality of the cone."""
     cdom = cdom if cdom is not None else cone(f.domain, s)
     ccod = ccod if ccod is not None else cone(f.codomain, s)
-
-    def value(n, x):
-        t, y = x
-        base = _cone_slots(t, s)
-        return (t, f(len(base) - 1, y)) if base else (t, None)
-
-    return tabulate(cdom, ccod, value)
+    return tabulate(cdom, ccod, lambda n, x: _cone_value(f, s, x))
 
 
 def subsimplicial(u, member, basepoint=None, label=None):
@@ -696,10 +714,11 @@ def subsimplicial(u, member, basepoint=None, label=None):
     return out
 
 
-def inclusion(sub, sup) -> SMorphism:
+def inclusion(sub, sup, check=False) -> SMorphism:
     """The identity table of sub into sup, which contains it with the same
-    keys; inclusion(u, u) is the identity of u."""
-    return SMorphism(sub, sup, rows=tuple(sub.nondegenerate_ids()), check=False)
+    keys; inclusion(u, u) is the identity of u.  With ``check`` the table
+    is validated, so a key of sub outside sup fails."""
+    return SMorphism(sub, sup, rows=tuple(sub.nondegenerate_ids()), check=check)
 
 
 def quotient(u, removed_levels, label=None):
@@ -787,35 +806,57 @@ def induce_through(p: SMorphism, g: SMorphism) -> SMorphism:
 # -- named compound constructions ------------------------------------------
 
 
-def reduced_cone(t: FiniteSimplicialSet):
-    """Cone at the 0 side with the cone over the basepoint collapsed.
+def _reduced(bps, x):
+    """The reduced-cone key of the 0-cone key x = (t, y) over a set whose
+    basepoint levels are bps: '*' when x lies in the cone over the
+    basepoint (y is None or a degeneracy of the basepoint), else x."""
+    t, y = x
+    return BASE if y is None or y == bps[t.count(1) - 1] else x
 
-    Returns (čT, inclusion T -> čT, projection ČT -> čT, ČT).
+
+def reduced_cone(t: FiniteSimplicialSet):
+    """Cone at the 0 side with the cone over the basepoint collapsed, built
+    directly from the 0-cone's rules: its simplices are the cone keys
+    (t, y) off the cone over the basepoint, plus '*', and a face landing in
+    the cone over the basepoint becomes '*'.
+
+    Returns (čT, inclusion T -> čT), both validated.
     """
     if t.basepoint is None:
         raise ValueError("reduced cone needs a based input")
-    c = cone(t, 0)
-    fixed = []
-    for n in range(t.bound + 1):
-        for apexes in range(n + 2):
-            tt = (0,) * apexes + (1,) * (n + 1 - apexes)
-            if apexes == n + 1:
-                fixed.append((n, (tt, None)))
-            else:
-                fixed.append((n, (tt, t.basepoint_at(n - apexes))))
-    levels = generated_subset_levels(c, fixed)
-    q = quotient(c, levels, label=("redcone", t.label))
-    proj = quotient_projection(c, q)
-    inc = tabulate(t, q, lambda n, x: proj(n, ((1,) * (n + 1), x)))
-    return q, inc, proj, c
+    bps = t.basepoint_levels()
+
+    def face_row(n, x):
+        if x == BASE:
+            return (BASE,) * (n + 1)
+        return tuple(_reduced(bps, y) for y in _cone_face_row(t, 0, n, x))
+
+    def degen_row(n, x):
+        return (BASE,) * (n + 1) if x == BASE else _cone_degen_row(t, 0, n, x)
+
+    levels = [
+        [BASE] + [x for x in _cone_level(t, 0, n) if _reduced(bps, x) != BASE]
+        for n in range(t.bound + 1)
+    ]
+    q = assemble(
+        t.bound, levels, face_row, degen_row, basepoint=BASE, label=("redcone", t.label)
+    )
+    inc = tabulate(t, q, lambda n, x: _reduced(bps, ((1,) * (n + 1), x)))
+    return q, inc
 
 
 def reduced_cone_map(f: SMorphism, rdom, rcod) -> SMorphism:
-    """Functoriality of the reduced cone on a based morphism."""
-    qd, _, projd, cd = rdom
-    qz, _, projz, cz = rcod
-    cf = cone_map(f, 0, cdom=cd, ccod=cz)
-    return induce_through(projd, compose(projz, cf))
+    """Functoriality of the reduced cone on a based morphism, between the
+    ``reduced_cone`` tuples of its domain and codomain: '*' goes to '*',
+    and (t, y) to (t, f(y)), or to '*' when that lies over the basepoint."""
+    if not f.is_based():
+        f._fail("reduced cone of a map that is not based", 0)
+    bps = rcod[1].domain.basepoint_levels()
+
+    def value(n, x):
+        return BASE if x == BASE else _reduced(bps, _cone_value(f, 0, x))
+
+    return tabulate(rdom[0], rcod[0], value)
 
 
 def kan_suspension(u: FiniteSimplicialSet):
@@ -948,17 +989,19 @@ def plus_base(c: FiniteSimplicialSet, label=None):
 
 def plus_base_iso(c: FiniteSimplicialSet, rplus) -> SMorphism:
     """The canonical isomorphism from a 0-side cone over u to the reduced
-    cone of (base copy of u with free basepoint).
+    cone of (base copy of u with free basepoint): (t, y) goes to
+    (t, (base copy of y)), and the pure apex to '*'.
 
-    ``rplus`` is the reduced_cone(...) tuple of :func:`plus_base` of ``c``.
+    ``rplus`` is the (čT, inclusion) tuple of :func:`reduced_cone` on the
+    :func:`plus_base` of ``c``.
     """
-    q, _inc, proj, _ct = rplus
+    q = rplus[0]
 
     def value(n, x):
         t, y = x
         if y is None:
             return q.basepoint_at(n)
-        return proj(n, (t, ((1,) * t.count(1), y)))
+        return (t, ((1,) * t.count(1), y))
 
     out = tabulate(c, q, value)
     # bijective on nondegenerate simplices, hence an isomorphism
@@ -972,67 +1015,74 @@ def plus_base_iso(c: FiniteSimplicialSet, rplus) -> SMorphism:
     return out
 
 
+def _apex_value(letter, n, x):
+    """The apex substitution at the key x = (t, y) of dimension n of the
+    0-cone over a 1-cone on a thick simplex: a hat-cone key whose outer
+    apex slots became copies of the letter."""
+    t, y = x
+    if y is None:
+        return ((0,) * (n + 1), (letter,) * (n + 1))
+    t_in, z = y
+    outer, inner_base = t.count(0), t_in.count(0)
+    zz = (letter,) * outer + (z if z is not None else ())
+    t_new = (0,) * (outer + inner_base) + (1,) * (len(t_in) - inner_base)
+    return (t_new, zz if zz else None)
+
+
 def apex_substitution(cca, ca, letter) -> SMorphism:
     """The retraction of the 0-cone over a 1-cone on a thick simplex back to
     the 1-cone: outer apex slots turn into copies of the given letter,
     which the thick simplex absorbs."""
-
-    def value(n, x):
-        t, y = x
-        if y is None:
-            return ((0,) * (n + 1), (letter,) * (n + 1))
-        t_in, z = y
-        outer, inner_base = t.count(0), t_in.count(0)
-        zz = (letter,) * outer + (z if z is not None else ())
-        t_new = (0,) * (outer + inner_base) + (1,) * (len(t_in) - inner_base)
-        return (t_new, zz if zz else None)
-
-    return tabulate(cca, ca, value)
+    return tabulate(cca, ca, lambda n, x: _apex_value(letter, n, x))
 
 
 class ContractionTower:
-    """Everything around one thick simplex: its 1-cone, suspension, reduced
-    cone of the suspension, and the canonical contraction for one letter."""
+    """Everything around one thick simplex: its 1-cone (the domain of the
+    suspension projection), suspension, the (čΣ, inclusion) tuple of the
+    reduced cone of the suspension, and the canonical contraction for each
+    letter, built on first use."""
 
     def __init__(self, letters, bound):
         self.letters = tuple(sorted(set(letters)))
         self.bound = bound
         self.thick = thick_simplex(self.letters, bound)
-        self.hat_cone = cone(self.thick, 1)
         self.susp, self.susp_proj, self.top = kan_suspension(self.thick)
+        self.hat_cone = self.susp_proj.domain
         self.reduced = reduced_cone(self.susp)
         self.contractions = {}
 
     def contraction(self, letter) -> SMorphism:
-        """The contraction at the letter.  The first call builds those of
-        every letter, which share one 0-cone of the 1-cone and its map onto
-        the 0-cone of the suspension, the one inside ``reduced``."""
+        """The contraction čΣ -> Σ at the letter, tabulated on the reduced
+        cone: the apex substitution at (t, (t_in, z)), read as a suspension
+        key ('*' when it lies in the collapsed base).  It must restrict to
+        the identity along the inclusion Σ -> čΣ."""
         if letter not in self.letters and self.letters:
             raise ValueError(f"{letter!r} is not a letter of the thick simplex")
         if letter not in self.contractions:
-            cca = cone(self.hat_cone, 0)
-            _red, inc, proj, csusp = self.reduced
-            cq = cone_map(self.susp_proj, 0, cdom=cca, ccod=csusp)
-            for a in self.letters or (letter,):
-                sigma_tilde = apex_substitution(cca, self.hat_cone, a)
-                sigma_bar = induce_through(cq, compose(self.susp_proj, sigma_tilde))
-                sigma = induce_through(proj, sigma_bar)
-                if compose(sigma, inc) != inclusion(self.susp, self.susp):
-                    raise SimplicialError(
-                        f"contraction of {self.susp.label!r} at {a!r} does not "
-                        "restrict to the identity"
-                    )
-                self.contractions[a] = sigma
+            red, inc = self.reduced
+            susp = self.susp
+
+            def value(n, x):
+                if x == BASE:
+                    return BASE
+                v = _apex_value(letter, n, x)
+                return v if susp.has(n, v) else BASE
+
+            sigma = tabulate(red, susp, value)
+            if compose(sigma, inc) != inclusion(susp, susp):
+                raise SimplicialError(
+                    f"contraction of {susp.label!r} at {letter!r} does not "
+                    "restrict to the identity"
+                )
+            self.contractions[letter] = sigma
         return self.contractions[letter]
 
 
 def suspension_inclusion(sub: ContractionTower, sup: ContractionTower) -> SMorphism:
     """The map of suspensions induced by the inclusion of the thick simplex
-    of sub into that of sup, whose letters contain sub's."""
-    cone_inc = cone_map(
-        inclusion(sub.thick, sup.thick), 1, cdom=sub.hat_cone, ccod=sup.hat_cone
-    )
-    return induce_through(sub.susp_proj, compose(sup.susp_proj, cone_inc))
+    of sub into that of sup, whose letters contain sub's: the identity on
+    keys, validated."""
+    return inclusion(sub.susp, sup.susp, check=True)
 
 
 def _faces_agree(t, z, maps, n, x, val):

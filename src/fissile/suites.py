@@ -6,6 +6,7 @@ a fixed seed for its randomized parts, and checks exact equalities only.
 
 import random
 import re
+from itertools import combinations
 
 from . import identities as ident
 from .brunnian import (
@@ -40,22 +41,29 @@ from .layouts import enumerate_layouts, layout_meet
 from .posets import Section, check_restriction_square, lift_limit, nabla, nabla_inverse
 from .simplicial import (
     ContractionTower,
+    apex_substitution,
     base_embedding,
     barycentric,
     canonical_retraction,
     complex_intersection,
     compose,
     cone,
+    cone_map,
     cone_projection,
+    constant_morphism,
     enumerate_based_morphisms,
     full_complex,
+    generated_subset_levels,
     inclusion,
+    induce_through,
     kan_suspension,
     layout_complex,
     nerve,
     plus_base,
     plus_base_iso,
     point,
+    quotient,
+    quotient_projection,
     reduced_cone,
     reduced_cone_map,
     standard_simplex,
@@ -193,6 +201,67 @@ def _empty_simplicial(bound):
     return nerve((), lambda x, y: True, bound, label=("empty", bound))
 
 
+# -- the quotient recipes that the direct reduced-cone builders replace -------
+
+
+def reduced_cone_recipe(t):
+    """The reduced cone of t as a quotient: the 0-cone with the simplicial
+    subset generated by the cone over the basepoint collapsed.  Returns
+    (čT, projection ČT -> čT)."""
+    c = cone(t, 0)
+    fixed = []
+    for n in range(t.bound + 1):
+        for apexes in range(n + 2):
+            tt = (0,) * apexes + (1,) * (n + 1 - apexes)
+            y = None if apexes == n + 1 else t.basepoint_at(n - apexes)
+            fixed.append((n, (tt, y)))
+    q = quotient(c, generated_subset_levels(c, fixed), label=("redcone", t.label))
+    return q, quotient_projection(c, q)
+
+
+def reduced_cone_map_recipe(f, proj_dom, proj_cod):
+    """The reduced cone of f, induced through the projection of the domain
+    from the cone of f followed by the projection of the codomain."""
+    cf = cone_map(f, 0, cdom=proj_dom.domain, ccod=proj_cod.domain)
+    return induce_through(proj_dom, compose(proj_cod, cf))
+
+
+def contraction_recipe(tower, letter, proj):
+    """The contraction of the tower at the letter, induced through the cone
+    of the suspension projection and ``proj``, the recipe projection of the
+    suspension's reduced cone, from the apex substitution on the 0-cone of
+    the 1-cone."""
+    cca = cone(tower.hat_cone, 0)
+    cq = cone_map(tower.susp_proj, 0, cdom=cca, ccod=proj.domain)
+    sigma_tilde = apex_substitution(cca, tower.hat_cone, letter)
+    return induce_through(proj, induce_through(cq, compose(tower.susp_proj, sigma_tilde)))
+
+
+def suspension_inclusion_recipe(sub, sup):
+    """The suspension map of a letter inclusion: the cone of the inclusion
+    of the thick simplices, induced through the suspension projections."""
+    cone_inc = cone_map(
+        inclusion(sub.thick, sup.thick), 1, cdom=sub.hat_cone, ccod=sup.hat_cone
+    )
+    return induce_through(sub.susp_proj, compose(sup.susp_proj, cone_inc))
+
+
+def same_tables(a, b):
+    """Whether two simplicial sets have the same label, basepoint, levels
+    and face and degeneracy tables."""
+    def tables(u):
+        return u.label, u.basepoint, u.simplices, u.faces, u.degens
+
+    return tables(a) == tables(b)
+
+
+def same_map(m, r):
+    """Whether two morphisms have the same rows between objects that carry
+    the same labels."""
+    labels = (m.domain.label, m.codomain.label)
+    return labels == (r.domain.label, r.codomain.label) and m == r
+
+
 def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
     # construction validates the simplicial identities; reaching this point
     # with no assertion means they hold
@@ -240,24 +309,61 @@ def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
         ok = ok and len(susp.level(0)) == 2 and susp.has(0, top)
     yield {"check": "suspension-two-vertices"}, ok
 
-    ok = True
-    contraction_bound = bound
     big = tuple(range(1, max_a + 1))
-    tower_big = ContractionTower(big, contraction_bound)
-    from itertools import combinations
+    tower_big = ContractionTower(big, bound)
+    towers_sub = [
+        ContractionTower(sub, bound)
+        for size in range(1, max_a)
+        for sub in combinations(big, size)
+    ]
 
-    for size in range(1, max_a):
-        for sub in combinations(big, size):
-            tower_sub = ContractionTower(sub, contraction_bound)
-            susp_inc = suspension_inclusion(tower_sub, tower_big)
-            red_inc = reduced_cone_map(
-                susp_inc, tower_sub.reduced, tower_big.reduced
-            )
-            for a in sub:
-                lhs = compose(susp_inc, tower_sub.contraction(a))
-                rhs = compose(tower_big.contraction(a), red_inc)
-                ok = ok and lhs == rhs
+    ok = True
+    for tower_sub in towers_sub:
+        susp_inc = suspension_inclusion(tower_sub, tower_big)
+        red_inc = reduced_cone_map(susp_inc, tower_sub.reduced, tower_big.reduced)
+        for a in tower_sub.letters:
+            lhs = compose(susp_inc, tower_sub.contraction(a))
+            rhs = compose(tower_big.contraction(a), red_inc)
+            ok = ok and lhs == rhs
     yield {"check": "contraction-compatibility", "letters": max_a}, ok
+
+    # the direct reduced cones, their inclusions and maps, and the
+    # contractions against the quotient recipes: on the cones of the
+    # samples and their plus bases, with their identities, the plus-base
+    # inclusions and the maps to the point; and on the towers, with the
+    # suspension inclusions
+    pt = point(bound)
+    maps = [(constant_morphism(pt, pt, pt.basepoint), pt, pt)]
+    for u in samples:
+        c = cone(u, 0)
+        t = plus_base(c)
+        maps.append((inclusion(t, c), t, c))
+        for v in (c, t):
+            maps.append((inclusion(v, v), v, v))
+            maps.append((constant_morphism(v, pt, pt.basepoint), v, pt))
+    ok = True
+    for tower_sub in towers_sub:
+        susp_inc = suspension_inclusion(tower_sub, tower_big)
+        ok = ok and same_map(susp_inc, suspension_inclusion_recipe(tower_sub, tower_big))
+        maps.append((susp_inc, tower_sub.susp, tower_big.susp))
+    direct = {tower.susp: tower.reduced for tower in [tower_big, *towers_sub]}
+    for _f, *objects in maps:
+        for v in objects:
+            if v not in direct:
+                direct[v] = reduced_cone(v)
+    recipe = {}
+    for v, (red, inc) in direct.items():
+        q, proj = recipe[v] = reduced_cone_recipe(v)
+        ok = ok and same_tables(red, q)
+        ok = ok and same_map(inc, compose(proj, base_embedding(v, proj.domain, 0)))
+    for f, t, z in maps:
+        got = reduced_cone_map(f, direct[t], direct[z])
+        ok = ok and same_map(got, reduced_cone_map_recipe(f, recipe[t][1], recipe[z][1]))
+    for tower in [tower_big, *towers_sub]:
+        for a in tower.letters:
+            want = contraction_recipe(tower, a, recipe[tower.susp][1])
+            ok = ok and same_map(tower.contraction(a), want)
+    yield {"check": "reduced-cone-recipe", "maps": len(maps)}, ok
 
 
 def suite_retractions(max_e=3, bound=None, **_kw):

@@ -32,6 +32,7 @@ from .identities import covers, proper_covers
 from .layouts import GuardExceeded, LayoutLattice, guard_setting, layout_key
 from .posets import Section, check_compatible, extend_to, nabla_inverse
 from .simplicial import (
+    BASE,
     ContractionTower,
     SMorphism,
     barycentric,
@@ -368,7 +369,8 @@ class WedgeContext:
                 return wl.basepoint_at(n)
             t, (idx, z) = x
             tower = self.towers[self.components[idx]]
-            img = tower.contraction(letter)(n, tower.reduced[2](n, (t, z)))
+            key = (t, z) if tower.reduced[0].has(n, (t, z)) else BASE
+            img = tower.contraction(letter)(n, key)
             if img == tower.susp.basepoint_at(n):
                 return wl.basepoint_at(n)
             return (idx, img)

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -47,6 +48,14 @@ from fissile.simplicial import (
     wedge_combine,
 )
 from fissile.layouts import enumerate_layouts, layout_key, layout_meet
+from fissile.suites import (
+    contraction_recipe,
+    reduced_cone_map_recipe,
+    reduced_cone_recipe,
+    same_map,
+    same_tables,
+    suspension_inclusion_recipe,
+)
 
 BOUND = 4
 
@@ -217,7 +226,7 @@ def test_cone_functoriality_composes():
 
 def test_reduced_cone_of_point_is_point():
     t = point(3)
-    q, inc, proj, _int = reduced_cone(t)
+    q, inc = reduced_cone(t)
     for n in range(4):
         assert len(q.level(n)) == 1
 
@@ -235,9 +244,9 @@ def test_reduced_cone_preserves_wedges():
     a = disjoint_basepoint(point(3, based=False))
     b = disjoint_basepoint(standard_simplex(1, 3))
     w = wedge([a, b])
-    rw, _, _, _ = reduced_cone(w)
-    ra, _, _, _ = reduced_cone(a)
-    rb, _, _, _ = reduced_cone(b)
+    rw, _ = reduced_cone(w)
+    ra, _ = reduced_cone(a)
+    rb, _ = reduced_cone(b)
     wr = wedge([ra, rb])
     for n in range(4):
         assert len(rw.level(n)) == len(wr.level(n))
@@ -454,25 +463,34 @@ def test_contraction_is_based_retraction():
 
 
 def test_contraction_tower_cones_once(monkeypatch):
-    # every contraction of a tower cones only its 1-cone, once; each equals
-    # the contraction built from fresh cones
-    tower = ContractionTower(("a", "b", "c"), 3)
+    # a tower cones once, its thick simplex for the suspension, and its
+    # contractions cone nothing; each equals the contraction built from
+    # fresh cones
     coned = []
 
     def counting(u, s, check=True):
-        coned.append((u, s))
+        coned.append((u.label, s))
         return cone(u, s, check)
 
     monkeypatch.setattr(simplicial, "cone", counting)
+    tower = ContractionTower(("a", "b", "c"), 3)
+    assert coned == [(tower.thick.label, 1)]
     sigmas = [tower.contraction(a) for a in tower.letters]
-    assert coned == [(tower.hat_cone, 0)]
+    assert coned == [(tower.thick.label, 1)]
     monkeypatch.undo()
+    proj = reduced_cone_recipe(tower.susp)[1]
     for a, sigma in zip(tower.letters, sigmas):
-        cca = cone(tower.hat_cone, 0)
-        sigma_tilde = apex_substitution(cca, tower.hat_cone, a)
-        cq = cone_map(tower.susp_proj, 0, cdom=cca, ccod=cone(tower.susp, 0))
-        sigma_bar = induce_through(cq, compose(tower.susp_proj, sigma_tilde))
-        assert sigma == induce_through(tower.reduced[2], sigma_bar)
+        assert same_map(sigma, contraction_recipe(tower, a, proj))
+
+
+def test_contraction_with_a_corrupted_rule_fails(monkeypatch):
+    # every value on the collapsed base: a based map, but not a retraction
+    monkeypatch.setattr(
+        simplicial, "_apex_value", lambda letter, n, x: ((0,) * (n + 1), None)
+    )
+    tower = ContractionTower(("a", "b"), 3)
+    with pytest.raises(SimplicialError, match="does not restrict to the identity"):
+        tower.contraction("a")
 
 
 def test_contraction_compatible_with_letter_inclusion():
@@ -500,6 +518,114 @@ def test_contraction_compatible_with_letter_inclusion():
                 lhs = compose(susp_inc, tower_b.contraction(a))
                 rhs = compose(tower_a.contraction(a), red_inc)
                 assert lhs == rhs
+
+
+def recording_reduced_cones(monkeypatch):
+    """Record every reduced cone, reduced-cone map, contraction and
+    suspension inclusion that the package builds, through every binding of
+    the builders, as (kind, arguments, result)."""
+    built = []
+
+    def recording(kind, original):
+        def record(*args):
+            out = original(*args)
+            built.append((kind, args, out))
+            return out
+
+        return record
+
+    for original in (
+        simplicial.reduced_cone,
+        simplicial.reduced_cone_map,
+        simplicial.suspension_inclusion,
+    ):
+        replacement = recording(original.__name__, original)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fissile":
+                if getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, replacement)
+    contraction = ContractionTower.contraction
+    monkeypatch.setattr(
+        ContractionTower, "contraction", recording("contraction", contraction)
+    )
+    return built
+
+
+def test_every_reduced_cone_of_two_runs_equals_its_recipe(monkeypatch):
+    from fissile.wedge import construct_p, construct_q
+
+    built = recording_reduced_cones(monkeypatch)
+    construct_p((1, 2, 3), (1, 2), enforce_guard=False)
+    construct_q(construct_p((1, 2), (1, 2)))
+    monkeypatch.undo()
+    kinds = {kind for kind, _args, _out in built}
+    assert kinds == {
+        "reduced_cone",
+        "reduced_cone_map",
+        "suspension_inclusion",
+        "contraction",
+    }
+    recipes = {}
+
+    def recipe(t):
+        if t not in recipes:
+            recipes[t] = reduced_cone_recipe(t)
+        return recipes[t]
+
+    seen = set()
+    for kind, args, out in built:
+        if id(out) in seen:
+            continue
+        seen.add(id(out))
+        if kind == "reduced_cone":
+            (t,) = args
+            q, proj = recipe(t)
+            assert same_tables(out[0], q)
+            assert same_map(out[1], compose(proj, base_embedding(t, proj.domain, 0)))
+        elif kind == "reduced_cone_map":
+            f, rdom, rcod = args
+            want = reduced_cone_map_recipe(
+                f, recipe(rdom[1].domain)[1], recipe(rcod[1].domain)[1]
+            )
+            assert same_map(out, want)
+        elif kind == "suspension_inclusion":
+            assert same_map(out, suspension_inclusion_recipe(*args))
+        else:
+            tower, letter = args
+            want = contraction_recipe(tower, letter, recipe(tower.susp)[1])
+            assert same_map(out, want)
+
+
+def test_every_reduced_cone_of_two_runs_equals_its_recipe_under_optimize(
+    run_optimized,
+):
+    run_optimized(f"{__file__}::test_every_reduced_cone_of_two_runs_equals_its_recipe")
+
+
+def unbased_point_map():
+    """The vertex of a point with a free basepoint onto one end of an edge
+    with a free basepoint, and that free basepoint onto the other end."""
+    t = disjoint_basepoint(standard_simplex(0, 2))
+    z = disjoint_basepoint(standard_simplex(1, 2))
+    return SMorphism(t, z, [{BASE: (0,), (0,): (1,)}, {}, {}])
+
+
+def test_reduced_cone_map_rejects_a_map_that_is_not_based():
+    from fissile.witnesses import PairScope
+
+    f = unbased_point_map()
+    rdom, rcod = reduced_cone(f.domain), reduced_cone(f.codomain)
+    with pytest.raises(SimplicialError, match="not based"):
+        reduced_cone_map(f, rdom, rcod)
+    with pytest.raises(SimplicialError, match="not based"):
+        PairScope().reduced_cone_map(f, rdom, rcod)
+
+
+def test_reduced_cone_error_paths_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_reduced_cone_map_rejects_a_map_that_is_not_based",
+        f"{__file__}::test_contraction_with_a_corrupted_rule_fails",
+    )
 
 
 # -- quotients and subsets --------------------------------------------------------

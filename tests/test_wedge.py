@@ -15,6 +15,7 @@ from fissile.chained import subset_key, subsets_of
 from fissile.ensembles import Ensemble, augmentation, map_ensemble, singleton
 from fissile.layouts import LayoutLattice, layout_key
 from fissile.simplicial import SMorphism, compose, enumerate_based_morphisms
+from fissile.suites import suspension_inclusion_recipe
 from fissile.wedge import (
     GuardExceeded,
     WedgeContext,
@@ -999,20 +1000,6 @@ def test_q_expansion_stays_small(monkeypatch):
 # -- every map out of a wedge against the key-by-key table it replaced ---------
 
 
-def keyed_susp_map(t_from, t_to):
-    """The suspension map of a letter inclusion, by its recipe: the cone of
-    the thick inclusion, induced through the suspension projections."""
-    cone_inc = simplicial.cone_map(
-        simplicial.inclusion(t_from.thick, t_to.thick),
-        1,
-        cdom=t_from.hat_cone,
-        ccod=t_to.hat_cone,
-    )
-    return simplicial.induce_through(
-        t_from.susp_proj, compose(t_to.susp_proj, cone_inc)
-    )
-
-
 def keyed_action(ctx, k):
     """The action of k tabulated on the wedge's keys: (idx, x) goes to the
     image of x in the component at k meet j, idx's component."""
@@ -1022,7 +1009,7 @@ def keyed_action(ctx, k):
             return key
         idx, x = key
         j, j2 = ctx.components[idx], ctx.monoid.op(k, ctx.components[idx])
-        y = keyed_susp_map(ctx.towers[j], ctx.towers[j2])(n, x)
+        y = suspension_inclusion_recipe(ctx.towers[j], ctx.towers[j2])(n, x)
         if y == ctx.towers[j2].susp.basepoint_at(n):
             return ctx.w_obj.basepoint_at(n)
         return ctx.components.index(j2), y
@@ -1036,7 +1023,7 @@ def test_every_action_equals_the_keyed_table(i_set):
     for j in ctx.components:
         for j2 in subsets_of(j):
             got = ctx._susp_map(j, j2)
-            assert got == keyed_susp_map(ctx.towers[j], ctx.towers[j2])
+            assert got == suspension_inclusion_recipe(ctx.towers[j], ctx.towers[j2])
     keyed = {k: keyed_action(ctx, k) for k in ctx.monoid.elements}
     for l_key in subsets_of(ctx.i_set):
         obj = ctx.sub_obj(l_key) if l_key != ctx.i_set else ctx.w_obj
