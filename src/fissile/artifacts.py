@@ -414,12 +414,9 @@ def _load(path):
         return _object(json.load(fh), os.path.basename(path))
 
 
-def _open_dump(in_dir, kind):
-    """The manifest of a dump, the context rebuilt from its sizes, and the
-    loaded morphism store.  The manifest is an object whose index sets
-    ``i`` and ``e`` are nonempty lists of distinct ints.  The truncation
-    bound is the context's, |E| + 1; a manifest naming any other is
-    rejected."""
+def read_manifest(in_dir, kind):
+    """The manifest of a dump of this kind: an object whose index sets
+    ``i`` and ``e`` are nonempty lists of distinct ints."""
     manifest = _load(os.path.join(in_dir, "manifest.json"))
     if manifest.get("kind") != kind:
         raise ArtifactError("manifest kind mismatch")
@@ -427,6 +424,14 @@ def _open_dump(in_dir, kind):
         sizes = _subset(manifest.get(field), f"manifest {field!r}")
         if not sizes or len(set(sizes)) != len(sizes):
             raise ArtifactError(f"manifest {field!r}: not a nonempty list of distinct ints")
+    return manifest
+
+
+def _open_dump(in_dir, kind):
+    """The manifest of a dump, the context rebuilt from its sizes, and the
+    loaded morphism store.  The truncation bound is the context's, |E| + 1;
+    a manifest naming any other is rejected."""
+    manifest = read_manifest(in_dir, kind)
     ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
     if manifest.get("bound") != ctx.bound:
         raise ArtifactError(

@@ -11,11 +11,13 @@ import os
 import re
 import sys
 import time
+from functools import partial
 
 from .artifacts import (
     ArtifactError,
     check_pair_artifacts,
     check_q_artifacts,
+    read_manifest,
     write_pair_artifacts,
     write_q_artifacts,
 )
@@ -23,7 +25,7 @@ from .brunnian import is_brunnian, lcs_degree, magnus, reduce_word
 from .layouts import GuardExceeded, GuardSettingError
 from .simplicial import SimplicialError
 from .suites import SUITES, SUITE_NAMES
-from .wedge import VerificationError, construct_p, construct_q
+from .wedge import VerificationError, construction_guard, construct_p, construct_q
 
 WORD_TOKEN = re.compile(r"^x(\d+)(\^-1)?$")
 
@@ -123,10 +125,21 @@ def _finish_q(result, out):
         write_q_artifacts(result, record, out)
 
 
+def _guarded_check(kind, checker, in_dir):
+    """The checks of ``checker`` on a dump of this kind, after its manifest
+    sizes pass the construction guards: GuardExceeded before any build."""
+    manifest = read_manifest(in_dir, kind)
+    construction_guard(manifest["i"], manifest["e"])
+    return checker(in_dir)
+
+
 # What each construct command does with the built pair table, and which
 # checker each check command runs.
 FINISH = {"construct-pj": write_pair_artifacts, "construct-q": _finish_q}
-CHECKERS = {"check-pj": check_pair_artifacts, "check-q": check_q_artifacts}
+CHECKERS = {
+    "check-pj": partial(_guarded_check, "pair-construction", check_pair_artifacts),
+    "check-q": partial(_guarded_check, "almost-fissile", check_q_artifacts),
+}
 
 
 def cmd_construct(args):
@@ -160,6 +173,8 @@ def cmd_check(args):
     t0 = time.monotonic()
     error = {}
     try:
+        # a dump past the guards raises GuardExceeded, a ValueError, so it
+        # fails: a check that verified nothing must not pass
         checks = CHECKERS[args.command](args.in_dir)
     except (ArtifactError, SimplicialError, KeyError, OSError, ValueError) as exc:
         checks = [(f"artifact-structure ({exc})", False)]

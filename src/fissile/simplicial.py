@@ -19,18 +19,19 @@ Cone simplices are pairs (t, y): t is a monotone 0/1 tuple recording, slot
 by slot, whether the simplex runs along the apex or the base, and y is the
 base-part simplex (None when the slot set is pure apex).  For the
 apex-at-0 cone the apex slots are the 0s; for the apex-at-1 cone they are
-the 1s.  Quotients keep survivor keys and collapse the removed subset to a
-'*' key per dimension; the quotient of anything by the empty subset adds a
-disjoint basepoint.
+the 1s.
 
-The reduced cone čT of a based T is built directly from the 0-cone's rules,
-which :func:`cone` shares, and each map into or out of it is one validated
-:func:`tabulate`.  The quotient of the full 0-cone, with maps induced
-through its projection, is the cross-check in ``fissile verify simplicial``.
+One rule, :func:`collapse`, keeps the survivor keys and collapses a
+simplicial subset to a '*' key per dimension (the empty subset adds a
+disjoint basepoint).  A quotient, a reduced cone (0-cone keys off the cone
+over the basepoint), a suspension (1-cone keys off the base) and a wedge
+are each one collapse; the two cones are never built, only their rules
+read.  The quotients of the full cones, with maps induced through their
+projections, are the cross-check in ``fissile verify simplicial``.
 
-Only :func:`assemble` (a set from its face and degeneracy rules) and
-:func:`tabulate` (a morphism from its value rule) know these table formats;
-the only other builders derive one table from another.
+Only :func:`assemble` (a set from its face and degeneracy rules, validated
+there) and :func:`tabulate` (a morphism from its value rule) know these
+table formats; the only other builders derive one table from another.
 
 A wedge keys the simplex x of its summand j off the basepoint as (j, x),
 and its basepoint as '*'.  Only :func:`wedge` and :func:`wedge_combine`
@@ -75,19 +76,18 @@ class SimplicialError(Exception):
     checks; the message names the check and the object."""
 
 
-def assemble(
-    bound, levels, face_row, degen_row, basepoint=None, label=None, check=True
-):
-    """The simplicial set with these simplex levels, whose x of dimension n
-    has the faces ``face_row(n, x)`` for n >= 1 and the degeneracies
-    ``degen_row(n, x)`` for n < bound, each a tuple of n + 1 simplices."""
+def assemble(bound, levels, face_row, degen_row, basepoint=None, label=None):
+    """The validated simplicial set with these simplex levels, whose x of
+    dimension n has the faces ``face_row(n, x)`` for n >= 1 and the
+    degeneracies ``degen_row(n, x)`` for n < bound, each a tuple of n + 1
+    simplices."""
     faces = [{}] + [{x: face_row(n, x) for x in levels[n]} for n in range(1, bound + 1)]
     degens = [{x: degen_row(n, x) for x in levels[n]} for n in range(bound)] + [{}]
-    return FiniteSimplicialSet(bound, levels, faces, degens, basepoint, label, check)
+    return FiniteSimplicialSet(bound, levels, faces, degens, basepoint, label)
 
 
 class FiniteSimplicialSet:
-    def __init__(self, bound, simplices, faces, degens, basepoint=None, label=None, check=True):
+    def __init__(self, bound, simplices, faces, degens, basepoint=None, label=None):
         self.bound = bound
         self.simplices = [tuple(sorted(level, key=ckey)) for level in simplices]
         self.level_sets = [frozenset(level) for level in self.simplices]
@@ -103,8 +103,7 @@ class FiniteSimplicialSet:
         self._key_levels = None
         self._ez = None
         self._face_forms = {}
-        if check:
-            self._validate()
+        self._validate()
 
     # -- structure access ------------------------------------------------
 
@@ -650,7 +649,7 @@ def _cone_value(f, s, x):
     return (t, f(len(base) - 1, y)) if base else x
 
 
-def cone(u: FiniteSimplicialSet, s: int, check=True) -> FiniteSimplicialSet:
+def cone(u: FiniteSimplicialSet, s: int) -> FiniteSimplicialSet:
     """The cone over u fibered over the interval, apex on the s side.
 
     Simplices are pairs (t, y); t is a monotone 0/1 tuple, y the base part
@@ -665,7 +664,6 @@ def cone(u: FiniteSimplicialSet, s: int, check=True) -> FiniteSimplicialSet:
         partial(_cone_degen_row, u, s),
         basepoint=((s,), None),
         label=("cone", s, u.label),
-        check=check,
     )
 
 
@@ -687,19 +685,13 @@ def cone_map(f: SMorphism, s, cdom=None, ccod=None) -> SMorphism:
 
 
 def subsimplicial(u, member, basepoint=None, label=None):
-    """The simplicial subset of all simplices satisfying ``member(n, x)``."""
-    out = assemble(
-        u.bound,
-        [[x for x in u.simplices[n] if member(n, x)] for n in range(u.bound + 1)],
-        lambda n, x: u.faces[n][x],
-        lambda n, x: u.degens[n][x],
-        basepoint=basepoint,
-        label=label,
-        check=False,
-    )
+    """The simplicial subset of all simplices satisfying ``member(n, x)``,
+    which must be closed under faces and degeneracies."""
+    levels = [[x for x in u.simplices[n] if member(n, x)] for n in range(u.bound + 1)]
+    sets = list(map(set, levels))
 
-    def closed(rows, m, ops, n):
-        if not out.level_sets[m].issuperset(y for row in rows for y in row):
+    def closed(tables, m, ops, n):
+        if not sets[m].issuperset(y for x in levels[n] for y in tables[n][x]):
             raise SimplicialError(
                 f"subset {label!r} of {u.label!r} not closed under {ops} "
                 f"at dimension {n}"
@@ -707,18 +699,42 @@ def subsimplicial(u, member, basepoint=None, label=None):
 
     for n in range(u.bound + 1):
         if n:
-            closed(out.faces[n].values(), n - 1, "faces", n)
+            closed(u.faces, n - 1, "faces", n)
         if n < u.bound:
-            closed(out.degens[n].values(), n + 1, "degeneracies", n)
-    out._validate()
-    return out
+            closed(u.degens, n + 1, "degeneracies", n)
+    return assemble(
+        u.bound,
+        levels,
+        lambda n, x: u.faces[n][x],
+        lambda n, x: u.degens[n][x],
+        basepoint=basepoint,
+        label=label,
+    )
 
 
-def inclusion(sub, sup, check=False) -> SMorphism:
-    """The identity table of sub into sup, which contains it with the same
-    keys; inclusion(u, u) is the identity of u.  With ``check`` the table
-    is validated, so a key of sub outside sup fails."""
-    return SMorphism(sub, sup, rows=tuple(sub.nondegenerate_ids()), check=check)
+def inclusion(sub, sup) -> SMorphism:
+    """The identity table, not validated, of sub into sup, which contains
+    it with the same keys; inclusion(u, u) is the identity of u."""
+    return SMorphism(sub, sup, rows=tuple(sub.nondegenerate_ids()), check=False)
+
+
+def collapse(bound, keys, face_row, degen_row, kept, label):
+    """The validated set of the keys x in ``keys[n]`` with ``kept(n, x)``,
+    plus the basepoint '*': the quotient by the keys not kept, which must
+    form a simplicial subset.  The faces of x are ``face_row(n, x)``, each
+    one not kept read as '*'; its degeneracies are ``degen_row(n, x)``, and
+    validation rejects one that is not kept."""
+    levels = [[BASE] + [x for x in level if kept(n, x)] for n, level in enumerate(keys)]
+
+    def faces(n, x):
+        if x == BASE:
+            return (BASE,) * (n + 1)
+        return tuple([f if kept(n - 1, f) else BASE for f in face_row(n, x)])
+
+    def degens(n, x):
+        return (BASE,) * (n + 1) if x == BASE else degen_row(n, x)
+
+    return assemble(bound, levels, faces, degens, basepoint=BASE, label=label)
 
 
 def quotient(u, removed_levels, label=None):
@@ -727,22 +743,13 @@ def quotient(u, removed_levels, label=None):
     Quotient by the empty subset adds a disjoint basepoint instead.
     """
     removed = [set(level) for level in removed_levels]
-
-    def face_row(n, x):
-        if x == BASE:
-            return (BASE,) * (n + 1)
-        return tuple(BASE if f in removed[n - 1] else f for f in u.faces[n][x])
-
-    return assemble(
+    return collapse(
         u.bound,
-        [
-            [x for x in u.simplices[n] if x not in removed[n]] + [BASE]
-            for n in range(u.bound + 1)
-        ],
-        face_row,
-        lambda n, x: (BASE,) * (n + 1) if x == BASE else u.degens[n][x],
-        basepoint=BASE,
-        label=label,
+        u.simplices,
+        lambda n, x: u.faces[n][x],
+        lambda n, x: u.degens[n][x],
+        lambda n, x: x not in removed[n],
+        label,
     )
 
 
@@ -815,31 +822,22 @@ def _reduced(bps, x):
 
 
 def reduced_cone(t: FiniteSimplicialSet):
-    """Cone at the 0 side with the cone over the basepoint collapsed, built
-    directly from the 0-cone's rules: its simplices are the cone keys
-    (t, y) off the cone over the basepoint, plus '*', and a face landing in
-    the cone over the basepoint becomes '*'.
+    """Cone at the 0 side with the cone over the basepoint collapsed: the
+    :func:`collapse` of the 0-cone's keys (t, y) off the cone over the
+    basepoint, built from the 0-cone's rules without building the 0-cone.
 
     Returns (čT, inclusion T -> čT), both validated.
     """
     if t.basepoint is None:
         raise ValueError("reduced cone needs a based input")
     bps = t.basepoint_levels()
-
-    def face_row(n, x):
-        if x == BASE:
-            return (BASE,) * (n + 1)
-        return tuple(_reduced(bps, y) for y in _cone_face_row(t, 0, n, x))
-
-    def degen_row(n, x):
-        return (BASE,) * (n + 1) if x == BASE else _cone_degen_row(t, 0, n, x)
-
-    levels = [
-        [BASE] + [x for x in _cone_level(t, 0, n) if _reduced(bps, x) != BASE]
-        for n in range(t.bound + 1)
-    ]
-    q = assemble(
-        t.bound, levels, face_row, degen_row, basepoint=BASE, label=("redcone", t.label)
+    q = collapse(
+        t.bound,
+        [_cone_level(t, 0, n) for n in range(t.bound + 1)],
+        partial(_cone_face_row, t, 0),
+        partial(_cone_degen_row, t, 0),
+        lambda n, x: _reduced(bps, x) != BASE,
+        ("redcone", t.label),
     )
     inc = tabulate(t, q, lambda n, x: _reduced(bps, ((1,) * (n + 1), x)))
     return q, inc
@@ -859,27 +857,21 @@ def reduced_cone_map(f: SMorphism, rdom, rcod) -> SMorphism:
     return tabulate(rdom[0], rcod[0], value)
 
 
+TOP = ((1,), None)  # the top vertex of a suspension: the 1-cone's apex
+
+
 def kan_suspension(u: FiniteSimplicialSet):
-    """Cone at the 1 side with the base collapsed; two vertices when the
-    input is nonempty: the top (image of the apex) and the basepoint.
-
-    Returns (suspension, projection from the cone, top vertex key).
-    """
-    c = cone(u, 1)
-    removed = []
-    for n in range(u.bound + 1):
-        tt = (0,) * (n + 1)
-        removed.append({(tt, x) for x in u.simplices[n]})
-    q = quotient(c, removed, label=("suspension", u.label))
-    proj = quotient_projection(c, q)
-    top = ((1,), None)
-    if not q.has(0, top):
-        raise SimplicialError(f"suspension of {u.label!r} has no top vertex")
-    return q, proj, top
-
-
-def suspension_top_at(susp, n):
-    return susp.degenerate_vertex(((1,), None), n)
+    """Cone at the 1 side with the base collapsed: the :func:`collapse` of
+    the 1-cone's keys that have an apex slot, built from the 1-cone's rules
+    without building the 1-cone.  Its vertices are TOP and the basepoint."""
+    return collapse(
+        u.bound,
+        [_cone_level(u, 1, n) for n in range(u.bound + 1)],
+        partial(_cone_face_row, u, 1),
+        partial(_cone_degen_row, u, 1),
+        lambda n, x: 1 in x[0],
+        ("suspension", u.label),
+    )
 
 
 def wedge(parts, label=None):
@@ -896,26 +888,19 @@ def wedge(parts, label=None):
     def tag(j, x, m):
         return BASE if x == bps[j][m] else (j, x)
 
-    def rows(tables, shift):
-        def rule(n, key):
-            if key == BASE:
-                return (BASE,) * (n + 1)
-            j, x = key
-            return tuple(tag(j, y, n + shift) for y in tables[j][n][x])
+    def rows(tables):
+        return lambda n, key: tuple([(key[0], y) for y in tables[key[0]][n][key[1]]])
 
-        return rule
-
-    levels = [[BASE] for _ in range(bound + 1)]
-    for j, p in enumerate(parts):
-        for n, level in enumerate(levels):
-            level.extend((j, x) for x in p.simplices[n] if x != bps[j][n])
-    w = assemble(
+    w = collapse(
         bound,
-        levels,
-        rows([p.faces for p in parts], -1),
-        rows([p.degens for p in parts], 1),
-        basepoint=BASE,
-        label=label if label is not None else ("wedge", tuple(p.label for p in parts)),
+        [
+            [(j, x) for j, p in enumerate(parts) for x in p.simplices[n]]
+            for n in range(bound + 1)
+        ],
+        rows([p.faces for p in parts]),
+        rows([p.degens for p in parts]),
+        lambda n, key: key[1] != bps[key[0]][n],
+        label if label is not None else ("wedge", tuple(p.label for p in parts)),
     )
     w.insertions = tuple(
         tabulate(p, w, lambda n, x: tag(j, x, n)) for j, p in enumerate(parts)
@@ -1017,7 +1002,7 @@ def plus_base_iso(c: FiniteSimplicialSet, rplus) -> SMorphism:
 
 def _apex_value(letter, n, x):
     """The apex substitution at the key x = (t, y) of dimension n of the
-    0-cone over a 1-cone on a thick simplex: a hat-cone key whose outer
+    0-cone over a 1-cone on a thick simplex: a 1-cone key whose outer
     apex slots became copies of the letter."""
     t, y = x
     if y is None:
@@ -1037,17 +1022,16 @@ def apex_substitution(cca, ca, letter) -> SMorphism:
 
 
 class ContractionTower:
-    """Everything around one thick simplex: its 1-cone (the domain of the
-    suspension projection), suspension, the (čΣ, inclusion) tuple of the
-    reduced cone of the suspension, and the canonical contraction for each
-    letter, built on first use."""
+    """Everything around one thick simplex: its suspension Σ, the (čΣ,
+    inclusion) tuple of the reduced cone of Σ, and the canonical
+    contraction for each letter, built on first use.  It builds no cone:
+    Σ and čΣ are each one :func:`collapse` of cone keys."""
 
     def __init__(self, letters, bound):
         self.letters = tuple(sorted(set(letters)))
         self.bound = bound
         self.thick = thick_simplex(self.letters, bound)
-        self.susp, self.susp_proj, self.top = kan_suspension(self.thick)
-        self.hat_cone = self.susp_proj.domain
+        self.susp = kan_suspension(self.thick)
         self.reduced = reduced_cone(self.susp)
         self.contractions = {}
 
@@ -1082,7 +1066,7 @@ def suspension_inclusion(sub: ContractionTower, sup: ContractionTower) -> SMorph
     """The map of suspensions induced by the inclusion of the thick simplex
     of sub into that of sup, whose letters contain sub's: the identity on
     keys, validated."""
-    return inclusion(sub.susp, sup.susp, check=True)
+    return tabulate(sub.susp, sup.susp, lambda n, x: x)
 
 
 def _faces_agree(t, z, maps, n, x, val):

@@ -40,6 +40,7 @@ from .fissilizer import (
 from .layouts import enumerate_layouts, layout_meet
 from .posets import Section, check_restriction_square, lift_limit, nabla, nabla_inverse
 from .simplicial import (
+    TOP,
     ContractionTower,
     apex_substitution,
     base_embedding,
@@ -201,7 +202,16 @@ def _empty_simplicial(bound):
     return nerve((), lambda x, y: True, bound, label=("empty", bound))
 
 
-# -- the quotient recipes that the direct reduced-cone builders replace -------
+# -- the quotient recipes that the direct collapses replace ------------------
+
+
+def suspension_recipe(u):
+    """The suspension of u as a quotient: the 1-cone with its base
+    collapsed.  Returns (Σu, projection CU -> Σu)."""
+    c = cone(u, 1)
+    base = [{((0,) * (n + 1), y) for y in u.simplices[n]} for n in range(u.bound + 1)]
+    q = quotient(c, base, label=("suspension", u.label))
+    return q, quotient_projection(c, q)
 
 
 def reduced_cone_recipe(t):
@@ -228,22 +238,23 @@ def reduced_cone_map_recipe(f, proj_dom, proj_cod):
 
 def contraction_recipe(tower, letter, proj):
     """The contraction of the tower at the letter, induced through the cone
-    of the suspension projection and ``proj``, the recipe projection of the
-    suspension's reduced cone, from the apex substitution on the 0-cone of
-    the 1-cone."""
-    cca = cone(tower.hat_cone, 0)
-    cq = cone_map(tower.susp_proj, 0, cdom=cca, ccod=proj.domain)
-    sigma_tilde = apex_substitution(cca, tower.hat_cone, letter)
-    return induce_through(proj, induce_through(cq, compose(tower.susp_proj, sigma_tilde)))
+    of the recipe projection onto Σ and ``proj``, the one onto its reduced
+    cone, from the apex substitution on the 0-cone of the 1-cone."""
+    susp_proj = suspension_recipe(tower.thick)[1]
+    cca = cone(susp_proj.domain, 0)
+    cq = cone_map(susp_proj, 0, cdom=cca, ccod=proj.domain)
+    sigma_tilde = apex_substitution(cca, susp_proj.domain, letter)
+    return induce_through(proj, induce_through(cq, compose(susp_proj, sigma_tilde)))
 
 
 def suspension_inclusion_recipe(sub, sup):
     """The suspension map of a letter inclusion: the cone of the inclusion
-    of the thick simplices, induced through the suspension projections."""
+    of the thick simplices, induced through the recipe projections."""
+    proj_sub, proj_sup = (suspension_recipe(t.thick)[1] for t in (sub, sup))
     cone_inc = cone_map(
-        inclusion(sub.thick, sup.thick), 1, cdom=sub.hat_cone, ccod=sup.hat_cone
+        inclusion(sub.thick, sup.thick), 1, cdom=proj_sub.domain, ccod=proj_sup.domain
     )
-    return induce_through(sub.susp_proj, compose(sup.susp_proj, cone_inc))
+    return induce_through(proj_sub, compose(proj_sup, cone_inc))
 
 
 def same_tables(a, b):
@@ -305,8 +316,9 @@ def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
             if letters_n
             else _empty_simplicial(bound)
         )
-        susp, _proj, top = kan_suspension(u)
-        ok = ok and len(susp.level(0)) == 2 and susp.has(0, top)
+        susp = kan_suspension(u)
+        ok = ok and set(susp.level(0)) == {susp.basepoint, TOP}
+        ok = ok and same_tables(susp, suspension_recipe(u)[0])
     yield {"check": "suspension-two-vertices"}, ok
 
     big = tuple(range(1, max_a + 1))

@@ -33,6 +33,7 @@ from .layouts import GuardExceeded, LayoutLattice, guard_setting, layout_key
 from .posets import Section, check_compatible, extend_to, nabla_inverse
 from .simplicial import (
     BASE,
+    TOP,
     ContractionTower,
     SMorphism,
     barycentric,
@@ -50,7 +51,6 @@ from .simplicial import (
     restrict_to,
     subsimplicial,
     suspension_inclusion,
-    suspension_top_at,
     tabulate,
     wedge,
     wedge_combine,
@@ -291,7 +291,7 @@ class WedgeContext:
     @_entry("conelayout", layout_key)
     def cone_layout(self, b):
         """The coned barycentric subdivision of the disjoint faces of b."""
-        out = cone(barycentric(layout_complex(b), self.bound), 0, check=False)
+        out = cone(barycentric(layout_complex(b), self.bound), 0)
         out.label = ("conelayout", b)
         return out
 
@@ -346,7 +346,7 @@ class WedgeContext:
         t = self.plus_base_of(f)
         ins = self.w_obj.insertions[self.components.index(j)]
         susp = self.towers[j].susp
-        tops = [ins(n, suspension_top_at(susp, n)) for n in range(self.bound + 1)]
+        tops = [ins(n, susp.degenerate_vertex(TOP, n)) for n in range(self.bound + 1)]
         bps, wbps = t.basepoint_levels(), self.w_obj.basepoint_levels()
         out = tabulate(
             t, self.sub_obj(j), lambda n, x: wbps[n] if x == bps[n] else tops[n]

@@ -1,11 +1,15 @@
 import io
 import json
 import os
+import resource
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import fissile
 from fissile import cli, wedge
 from fissile.artifacts import ArtifactError, resolve
 from fissile.canon import ckey_b64, jsonable, unjsonable
@@ -140,6 +144,71 @@ def test_construct_guard_admits_three_by_one_above_two_by_one(monkeypatch):
     monkeypatch.setenv("FISSILE_MAX_CONSTRUCT_I", "2")
     monkeypatch.setenv("FISSILE_MAX_CONSTRUCT_E", "1")
     wedge.construction_guard((1, 2, 3), (1,))
+
+
+def _cli_in_capped_child(argv, optimize):
+    """Exit code, report lines and stderr of the command line in a child
+    process, with ``-O`` when optimize, whose address space is capped at
+    1 GB, so a build far past the guards fails fast instead of filling the
+    machine."""
+    src = os.path.dirname(os.path.dirname(fissile.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "fissile.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap,
+    )
+    return proc.returncode, [json.loads(x) for x in proc.stdout.splitlines()], proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_check_refuses_a_manifest_past_the_guard_before_building(tmp_path, optimize):
+    # a q(1,1) dump whose manifest names 16 indices: the checker would build
+    # the wedge of 2^16 suspensions, so the guard refuses it first, as a
+    # failure, since a check that verified nothing must not pass
+    in_dir = tmp_path / "q"
+    assert run_cli(["construct-q", "--i", "1", "--e", "1", "--out", str(in_dir)])[0] == 0
+    manifest = json.loads((in_dir / "manifest.json").read_text())
+    manifest["i"] = list(range(1, 17))
+    (in_dir / "manifest.json").write_text(json.dumps(manifest))
+    rc, reports, err = _cli_in_capped_child(["check-q", "--in", str(in_dir)], optimize)
+    assert rc == 1
+    (report,) = reports
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"] == (
+        "artifact-structure (construction sizes |I|=16, |E|=1 exceed the configured guard)"
+    )
+    assert "Traceback" not in err
+
+
+def test_check_applies_the_construction_guard(tmp_path, monkeypatch):
+    # a (3, 2) dump fails past the default guards and passes within raised ones
+    in_dir = str(tmp_path / "pj")
+    monkeypatch.setenv("FISSILE_MAX_CONSTRUCT_I", "3")
+    assert run_cli(["construct-pj", "--i", "3", "--e", "2", "--out", in_dir])[0] == 0
+    rc, out, _err = run_cli(["check-pj", "--in", in_dir])
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert rc == 0 and len(reports) == 63
+    assert all(r["verdict"] == "pass" for r in reports)
+    monkeypatch.delenv("FISSILE_MAX_CONSTRUCT_I")
+    rc, out, _err = run_cli(["check-pj", "--in", in_dir])
+    assert rc == 1
+    (report,) = map(json.loads, out.splitlines())
+    assert report["verdict"] == "fail"
+    assert "|I|=3, |E|=2 exceed the configured guard" in report["case"]["check"]
+
+
+def test_check_applies_the_construction_guard_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_check_applies_the_construction_guard")
 
 
 @pytest.mark.parametrize("value", ["two", "2.5", ""])

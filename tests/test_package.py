@@ -24,3 +24,29 @@ def test_no_assert_statement_in_the_package():
             if isinstance(node, ast.Assert)
         ]
     assert not found, found
+
+
+def test_only_morphisms_and_spaces_take_a_check_flag():
+    # every simplicial set is validated where it is built; only a morphism
+    # or a space whose laws are known from how it was derived may skip its
+    # validation.  A flag is a parameter with a default: the required
+    # ``check`` of ``_fail`` is the name of the failed check
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                flags = positional[len(positional) - len(args.defaults) :]
+                flags += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                if any(a.arg == "check" for a in flags):
+                    found.append(name)
+            visit(child, name)
+
+    for path in sorted(Path(fissile.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    assert sorted(found) == ["PSpace.__init__", "SMorphism.__init__"]

@@ -14,6 +14,7 @@ from fissile.simplicial import (
     ContractionTower,
     EnumerationGuard,
     FiniteSimplicialSet,
+    TOP,
     SimplicialError,
     SMorphism,
     _faces_agree,
@@ -21,6 +22,7 @@ from fissile.simplicial import (
     barycentric,
     base_embedding,
     canonical_retraction,
+    collapse,
     complex_intersection,
     compose,
     cone,
@@ -55,6 +57,7 @@ from fissile.suites import (
     same_map,
     same_tables,
     suspension_inclusion_recipe,
+    suspension_recipe,
 )
 
 BOUND = 4
@@ -254,21 +257,23 @@ def test_reduced_cone_preserves_wedges():
 
 
 def test_suspension_two_vertices():
+    # and each direct suspension has the tables of the quotient of the 1-cone
     for letters in ((), ("a",), ("a", "b")):
         u = thick_simplex(letters, 3) if letters else empty_simplicial(3)
-        susp, proj, top = kan_suspension(u)
+        susp = kan_suspension(u)
         assert len(susp.level(0)) == 2
-        assert susp.basepoint in susp.level(0) and top in susp.level(0)
+        assert susp.basepoint in susp.level(0) and TOP in susp.level(0)
+        assert same_tables(susp, suspension_recipe(u)[0])
 
 
 def test_suspension_of_empty_top_is_isolated():
-    susp, _, top = kan_suspension(empty_simplicial(3))
+    susp = kan_suspension(empty_simplicial(3))
     assert len(susp.nondegenerate(1)) == 0
     assert len(susp.level(0)) == 2
 
 
 def test_suspension_of_point_is_circle_like():
-    susp, _, top = kan_suspension(point(3, based=False))
+    susp = kan_suspension(point(3, based=False))
     assert len(susp.nondegenerate(0)) == 2
     assert len(susp.nondegenerate(1)) == 1
     assert len(susp.nondegenerate(2)) == 0
@@ -400,11 +405,11 @@ def test_layout_retraction_compatibility():
 
 def test_apex_substitution_is_retraction():
     for letters in (("a",), ("a", "b")):
-        tower = ContractionTower(letters, 3)
-        cca = cone(tower.hat_cone, 0)
-        sub = apex_substitution(cca, tower.hat_cone, letters[0])
-        emb = base_embedding(tower.hat_cone, cca, 0)
-        assert compose(sub, emb) == inclusion(tower.hat_cone, tower.hat_cone)
+        hat_cone = cone(thick_simplex(letters, 3), 1)
+        cca = cone(hat_cone, 0)
+        sub = apex_substitution(cca, hat_cone, letters[0])
+        emb = base_embedding(hat_cone, cca, 0)
+        assert compose(sub, emb) == inclusion(hat_cone, hat_cone)
         assert sub.maps[0][cca.basepoint] == ((0,), (letters[0],))
 
 
@@ -445,14 +450,12 @@ def count_retractions_with_apex_image(cca, ca, base_incl, apex_image, cap=8):
 
 
 def test_apex_substitution_unique_in_low_dimensions():
-    tower = ContractionTower(("a", "b"), 2)
-    cca = cone(tower.hat_cone, 0)
-    emb = base_embedding(tower.hat_cone, cca, 0)
-    found = count_retractions_with_apex_image(
-        cca, tower.hat_cone, emb, ((0,), ("a",)), cap=3
-    )
+    hat_cone = cone(thick_simplex(("a", "b"), 2), 1)
+    cca = cone(hat_cone, 0)
+    emb = base_embedding(hat_cone, cca, 0)
+    found = count_retractions_with_apex_image(cca, hat_cone, emb, ((0,), ("a",)), cap=3)
     assert len(found) == 1
-    assert found[0] == apex_substitution(cca, tower.hat_cone, "a")
+    assert found[0] == apex_substitution(cca, hat_cone, "a")
 
 
 def test_contraction_is_based_retraction():
@@ -463,20 +466,19 @@ def test_contraction_is_based_retraction():
 
 
 def test_contraction_tower_cones_once(monkeypatch):
-    # a tower cones once, its thick simplex for the suspension, and its
-    # contractions cone nothing; each equals the contraction built from
-    # fresh cones
+    # a tower and its contractions cone nothing, its suspension and reduced
+    # cone being collapses of cone keys; each contraction equals the one
+    # built from fresh cones
     coned = []
 
-    def counting(u, s, check=True):
+    def counting(u, s):
         coned.append((u.label, s))
-        return cone(u, s, check)
+        return cone(u, s)
 
     monkeypatch.setattr(simplicial, "cone", counting)
     tower = ContractionTower(("a", "b", "c"), 3)
-    assert coned == [(tower.thick.label, 1)]
     sigmas = [tower.contraction(a) for a in tower.letters]
-    assert coned == [(tower.thick.label, 1)]
+    assert coned == []
     monkeypatch.undo()
     proj = reduced_cone_recipe(tower.susp)[1]
     for a, sigma in zip(tower.letters, sigmas):
@@ -503,16 +505,7 @@ def test_contraction_compatible_with_letter_inclusion():
 
         for sub in combinations(big, size):
             tower_b = ContractionTower(sub, bound)
-            thick_inc = SMorphism(
-                tower_b.thick,
-                tower_a.thick,
-                [{x: x for x in tower_b.thick.nondegenerate(n)} for n in range(bound + 1)],
-            )
-            cone_inc = cone_map(
-                thick_inc, 1, cdom=tower_b.hat_cone, ccod=tower_a.hat_cone
-            )
-            susp_inc = compose(tower_a.susp_proj, cone_inc)
-            susp_inc = induce_through(tower_b.susp_proj, susp_inc)
+            susp_inc = suspension_inclusion_recipe(tower_b, tower_a)
             red_inc = reduced_cone_map(susp_inc, tower_b.reduced, tower_a.reduced)
             for a in sub:
                 lhs = compose(susp_inc, tower_b.contraction(a))
@@ -636,6 +629,20 @@ def test_quotient_collapses_subset():
     sub = [{x for x in u.level(n) if set(x) == {0}} for n in range(3)]
     q = quotient(u, sub)
     assert len(q.nondegenerate(0)) == 2
+
+
+def test_collapse_rejects_a_degeneracy_that_is_not_kept():
+    # the vertex (0,) is kept, its degeneracy (0, 0) is not
+    u = standard_simplex(1, 2)
+    with pytest.raises(SimplicialError, match="degeneracy outside the level above"):
+        collapse(
+            u.bound,
+            u.simplices,
+            lambda n, x: u.faces[n][x],
+            lambda n, x: u.degens[n][x],
+            lambda n, x: x != (0, 0),
+            ("bad", u.label),
+        )
 
 
 def test_subsimplicial_closure_enforced():
@@ -832,7 +839,7 @@ def test_enumeration_matches_brute_force():
     assert len(fast) == len(z.level(0))
 
     t2 = plus_base(cone(barycentric(full_complex((1,)), 2), 0))
-    susp, _, _ = kan_suspension(point(2, based=False))
+    susp = kan_suspension(point(2, based=False))
     fast2 = enumerate_based_morphisms(t2, susp)
     brute2 = brute_based_morphisms(t2, susp)
     assert set(fast2) == set(brute2)
@@ -1011,15 +1018,19 @@ KEYS = st.one_of(
 )), st.data())
 def test_table_key_matches_ckey_order_past_ten_dimensions(levels, data):
     # the row order only reads the levels, so a table over bare keys with
-    # no degenerate simplices exercises dimensions 10 and up, numbers that
-    # extend one another, and strings holding JSON punctuation
+    # no degenerate simplices, in a set that skips validation, exercises
+    # dimensions 10 and up, numbers that extend one another, and strings
+    # holding JSON punctuation
+    class BareKeys(FiniteSimplicialSet):
+        def _validate(self):
+            pass
+
     bound = len(levels) - 1
-    dom = FiniteSimplicialSet(
+    dom = BareKeys(
         bound,
         levels,
         [{} for _ in levels],
         [{x: () for x in level} for level in levels],
-        check=False,
     )
     maps = [{x: data.draw(KEYS) for x in level} for level in dom.simplices]
     m = SMorphism(dom, dom, maps, check=False)

@@ -45,11 +45,9 @@ def ctx():
 
 def test_wedge_lead_vertex_isolated(ctx):
     top_idx = ctx.components.index(ctx.i_set)
-    from fissile.simplicial import suspension_top_at
+    from fissile.simplicial import TOP
 
-    lead = ctx.w_obj.insertions[top_idx].maps[0][
-        suspension_top_at(ctx.towers[ctx.i_set].susp, 0)
-    ]
+    lead = ctx.w_obj.insertions[top_idx].maps[0][TOP]
     for x in ctx.w_obj.nondegenerate(1):
         assert lead not in ctx.w_obj.faces[1][x]
 
