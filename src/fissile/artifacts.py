@@ -17,13 +17,13 @@ import re
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 
-from .canon import ckey_b64, jsonable, unjsonable
+from .canon import ckey_b64
 from .chained import IdealCertificate, subset_key
 from .ensembles import Ensemble
 from .layouts import LayoutLattice, layout_key
 # ``wedge`` stays importable here: perfbench/spans.py wraps every binding of
 # it.  Wedges themselves come from the context.
-from .simplicial import SMorphism, wedge  # noqa: F401
+from .simplicial import SMorphism, intern_all, wedge  # noqa: F401
 from .wedge import WedgeContext, pair_checks, pair_claims, q_checks
 from .witnesses import Block, BlockPart, FiltrationWitness, IdealTerm, once
 
@@ -35,17 +35,26 @@ class ArtifactError(ValueError):
 # -- object resolution --------------------------------------------------------
 
 
+def _key(x, what):
+    """x as read from JSON with each list made a tuple, every atom a str,
+    an int that is not a bool, or null: ``true`` or ``1.0`` equals 1 in
+    Python, so either would name the key written with 1."""
+    if type(x) is list:
+        return tuple([_key(v, what) for v in x])
+    if x is None or type(x) is str or type(x) is int:
+        return x
+    raise ArtifactError(f"{what} holds {x!r:.60}, not a str, an int or null")
+
+
 def _plain(x):
-    """Whether x is a str, an int that is not a bool, or a tuple of those."""
+    """Whether x is a str, an int, or a tuple of those."""
     return type(x) in (str, int) or type(x) is tuple and all(map(_plain, x))
 
 
 def _label_key(label):
-    """The label as a nonempty tuple of strings, ints and such tuples:
-    ``true`` or ``1.0`` equals 1 in Python, so either would name the object
-    of the label written with 1."""
-    label = unjsonable(label)
-    if not (isinstance(label, tuple) and label and _plain(label)):
+    """The label as a nonempty tuple of strings, ints and such tuples."""
+    label = _key(label, "malformed label")
+    if not (type(label) is tuple and label and _plain(label)):
         raise ArtifactError(f"malformed label {label!r}")
     return label
 
@@ -73,18 +82,27 @@ def _resolve(lookup, label):
         raise ArtifactError(f"malformed label {label!r}: {exc}") from None
 
 
-def morphism_from_nondegenerate(dom, cod, rows) -> SMorphism:
-    """The morphism with these (n, x, value) rows, validated; they must be
-    exactly the rows of the nondegenerate simplices of dom."""
-    maps = [{} for _ in range(dom.bound + 1)]
-    try:
-        for n, x, v in rows:
-            if not (type(n) is int and 0 <= n <= dom.bound):
-                raise ArtifactError(f"morphism row at dimension {n!r} outside the bound")
-            maps[n][x] = v
-        return SMorphism(dom, cod, maps)
-    except TypeError as exc:
-        raise ArtifactError(f"malformed morphism row: {exc}") from None
+def _id_rows(dom, table):
+    """The id rows of a written table, read in one pass: its rows [n, x,
+    value] must be those of the nondegenerate simplices of dom in table
+    order, ``dom.key_levels()``, each once, and every atom of x and of the
+    value a str, an int or null."""
+    rows, written = [()] * (dom.bound + 1), iter(table)
+    what = f"morphism table on {dom.label!r}"
+    for n, xs in dom.key_levels():
+        values = []
+        for x in xs:
+            row = next(written, None)
+            if row is None:
+                raise ArtifactError(f"{what} lacks the row of {x!r}")
+            if type(row[0]) is not int or row[0] != n or _key(row[1], what) != x:
+                raise ArtifactError(f"{what}: row {row!r:.60} is not the row of {x!r}")
+            values.append(_key(row[2], what))
+        rows[n] = intern_all(values)
+    extra = next(written, None)
+    if extra is not None:
+        raise ArtifactError(f"{what}: row {extra!r:.60} is past the domain's simplices")
+    return tuple(rows)
 
 
 # -- morphism registry ---------------------------------------------------------
@@ -107,8 +125,8 @@ class MorphismStore:
             mid = ckey_b64(payload)
             if mid not in self.records:
                 self.records[mid] = {
-                    "domain": jsonable(m.domain.label),
-                    "codomain": jsonable(m.codomain.label),
+                    "domain": m.domain.label,
+                    "codomain": m.codomain.label,
                     "table": payload[1],
                 }
             return mid
@@ -125,17 +143,12 @@ class MorphismStore:
             rec = _object(rec, "morphism record")
             dom = resolve(ctx.obj, rec["domain"])
             cod = resolve(ctx.obj, rec["codomain"])
-            rows = [
-                (n, unjsonable(x), unjsonable(v))
-                for n, x, v in _list(rec["table"], "morphism table", 3)
-            ]
-            m = morphism_from_nondegenerate(dom, cod, rows)
-            # the id is checked on the rows as written: a morphism rebuilt
-            # from them would print its values interned, so a 1 written as
-            # true, equal in Python, would pass
-            if ckey_b64(("morphism", tuple(rows))) != mid:
+            table = _list(rec["table"], "morphism table", 3)
+            # the id is checked on the rows as written, which the encoder
+            # prints as they came, a true or a 1.0 as such
+            if ckey_b64(["morphism", table]) != mid:
                 raise ArtifactError("morphism id does not match its table")
-            store.loaded[mid] = m
+            store.loaded[mid] = SMorphism(dom, cod, _id_rows(dom, table))
         return store
 
     def morph(self, mid):
@@ -201,10 +214,6 @@ def ensemble_from_json(data, store: MorphismStore) -> Ensemble:
     return Ensemble(out)
 
 
-def _pi_to_json(pi: Ensemble):
-    return [[list(k), c] for k, c in pi.sorted_items()]
-
-
 def _pi_from_json(data) -> Ensemble:
     out = {}
     for k, c in _list(data, "pi", 2):
@@ -222,21 +231,18 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
             {
                 "coeff": c,
                 "f": store.ref(b.f),
-                "wedge": jsonable(b.wedge_obj.label),
-                "space": jsonable(b.space.label),
+                "wedge": b.wedge_obj.label,
+                "space": b.space.label,
                 "parts": [
                     {
                         "level": p.level,
-                        "domain": jsonable(p.domain.label),
-                        "space": jsonable(p.space.label),
+                        "domain": p.domain.label,
+                        "space": p.space.label,
                         "terms": [
                             {
-                                "pi": _pi_to_json(t.pi),
+                                "pi": t.pi.sorted_items(),
                                 "cert_level": t.certificate.level,
-                                "cert": [
-                                    [list(l_key), list(j_key), c2]
-                                    for l_key, j_key, c2 in t.certificate.combination
-                                ],
+                                "cert": t.certificate.combination,
                                 "w": store.ref(t.morphism),
                             }
                             for t in p.terms
@@ -356,8 +362,8 @@ def write_pair_artifacts(result, out_dir):
     for (f, j), rec in sorted(result.pairs.items()):
         name = f"pair_F{_slug(f)}_J{_slug(j)}.json"
         payload = {
-            "face": list(f),
-            "subset": list(j),
+            "face": f,
+            "subset": j,
             "ensemble": ensemble_to_json(rec.ensemble, store),
             "alt_witness": witness_to_json(rec.alt_witness, store),
         }
@@ -367,8 +373,8 @@ def write_pair_artifacts(result, out_dir):
         os.path.join(out_dir, "manifest.json"),
         {
             "kind": "pair-construction",
-            "i": list(ctx.i_set),
-            "e": list(ctx.e_set),
+            "i": ctx.i_set,
+            "e": ctx.e_set,
             "bound": ctx.bound,
             "pairs": pair_files,
         },
@@ -385,7 +391,7 @@ def write_q_artifacts(result, record, out_dir):
         "ensemble": ensemble_to_json(record.ensemble, store),
         "layouts": [
             {
-                "layout": [list(g) for g in a],
+                "layout": a,
                 "witness": witness_to_json(record.layout_witnesses[a], store),
             }
             for a in sorted(record.layout_witnesses)
@@ -397,8 +403,8 @@ def write_q_artifacts(result, record, out_dir):
         os.path.join(out_dir, "manifest.json"),
         {
             "kind": "almost-fissile",
-            "i": list(ctx.i_set),
-            "e": list(ctx.e_set),
+            "i": ctx.i_set,
+            "e": ctx.e_set,
             "bound": ctx.bound,
         },
     )

@@ -38,13 +38,6 @@ def jsonable(x):
     raise TypeError(f"no canonical encoding for {type(x)!r}")
 
 
-def unjsonable(x):
-    """Inverse of :func:`jsonable` (lists come back as tuples)."""
-    if isinstance(x, list):
-        return tuple(unjsonable(v) for v in x)
-    return x
-
-
 def _payload(x):
     """The value the encoder writes for x, which it cannot write itself."""
     if isinstance(x, frozenset):

@@ -138,7 +138,7 @@ class SubgroupGenerators:
             for el, c in g.terms.items():
                 row[self.index[el]] = c
             rows.append(row)
-        return _row_echelon(rows)
+        return _echelon_form(rows)
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def _xgcd(a, b):
     return x, y, g
 
 
-def _row_echelon(rows):
+def _echelon_form(rows):
     """Integer row echelon form H of ``rows`` and its recorded operations:
     ``(r, i, a, b, c, d)`` set row r to a*row_r + b*row_i and row i to
     c*row_r + d*row_i.  Their product is the transform U, U*rows == H."""

@@ -12,8 +12,10 @@ Every simplex key gets a small integer id, once per process, from one
 intern table (as Ripser and the simplex tree index simplices).  A morphism
 holds per dimension the ids of its values in ``domain.nondegenerate(n)``
 order, so composing is a gather and hashing reads only ints; equality does
-not look at the codomain (see :class:`SMorphism`).  Ids never reach a file:
-table keys are rebuilt from them.
+not look at the codomain (see :class:`SMorphism`).  Those id rows are the
+one form a morphism is built from.  Ids never reach a file: table keys are
+rebuilt from them, and the artifact reader turns a written table back into
+id rows.
 
 Cone simplices are pairs (t, y): t is a monotone 0/1 tuple recording, slot
 by slot, whether the simplex runs along the apex or the base, and y is the
@@ -54,7 +56,6 @@ BASE = "*"
 # process, since morphisms over separately built equal sets compare by ids.
 _KEYS = []
 _IDS = {}
-_MISSING = object()
 
 
 def _intern(x):
@@ -65,7 +66,7 @@ def _intern(x):
     return i
 
 
-def _intern_all(xs):
+def intern_all(xs):
     """The ids of the keys in the sequence xs, as a tuple."""
     ids = tuple(map(_IDS.get, xs))
     return tuple(map(_intern, xs)) if None in ids else ids
@@ -145,7 +146,7 @@ class FiniteSimplicialSet:
         leaves out trailing empty levels, as table keys do."""
         if self._nondeg_ids is None:
             self.nondegenerate(0)
-            ids = self._nondeg_ids = [_intern_all(level) for level in self._nondeg]
+            ids = self._nondeg_ids = [intern_all(level) for level in self._nondeg]
             dims = max((n + 1 for n, level in enumerate(ids) if level), default=0)
             self.level_key = (_intern(tuple(ids[:dims])), dims)
         return self._nondeg_ids
@@ -205,9 +206,6 @@ class FiniteSimplicialSet:
 
     def basepoint_levels(self):
         return tuple(self.basepoint_at(n) for n in range(self.bound + 1))
-
-    def size(self):
-        return sum(len(level) for level in self.simplices)
 
     # -- validation ------------------------------------------------------
 
@@ -299,12 +297,12 @@ class SMorphism:
     simplices of the domain: ``rows[n]`` holds the ids of the values at
     ``domain.nondegenerate(n)``, in that order.  ``m(n, x)`` answers every
     simplex, degenerate ones through the domain's Eilenberg-Zilber normal
-    form.  The constructor takes either those id rows or ``maps``, one dict
-    per dimension from the nondegenerate simplices to their values; it
-    rejects a table whose keys or row lengths are not exactly the
-    nondegenerate simplices, and with ``check`` validates it: every value
-    lies in the codomain and d_i m(x) == m(n - 1, d_i x) for every
-    nondegenerate x.
+    form.  The constructor takes those id rows and nothing else: a rule
+    for the values goes through :func:`tabulate`, and a written table
+    through the artifact reader, which both build id rows.  It rejects
+    rows whose count or lengths are not those of the nondegenerate
+    simplices, and with ``check`` validates them: every value lies in the
+    codomain and d_i m(x) == m(n - 1, d_i x) for every nondegenerate x.
 
     Two morphisms are equal when their domains have the same nondegenerate
     levels and their rows are the same, which is equality of their table
@@ -329,29 +327,18 @@ class SMorphism:
 
     __slots__ = ("domain", "codomain", "rows", "_tables", "_hash", "__weakref__")
 
-    def __init__(self, domain, codomain, maps=None, check=True, rows=None):
+    def __init__(self, domain, codomain, rows, check=True):
         self.domain, self.codomain = domain, codomain
         self._tables = self._hash = None
         ids = domain.nondegenerate_ids()
-        given = tuple(maps) if rows is None else rows
-        if len(given) != len(ids):
+        if len(rows) != len(ids):
             self._fail("table dimensions differ from the bound", domain.bound)
-        if rows is None:
-            rows = tuple(map(self._row, range(len(ids)), given))
-        elif list(map(len, rows)) != list(map(len, ids)):
+        if list(map(len, rows)) != list(map(len, ids)):
             n = next(n for n, row in enumerate(rows) if len(row) != len(ids[n]))
             self._fail("table rows differ from the nondegenerate simplices", n)
         self.rows = rows
         if check:
             self._validate()
-
-    def _row(self, n, row):
-        """The value ids of the dict ``row``, whose keys must be exactly the
-        nondegenerate simplices of dimension n."""
-        values = list(map(row.get, self.domain.nondegenerate(n), repeat(_MISSING)))
-        if len(values) != len(row) or _MISSING in values:
-            self._fail("table rows differ from the nondegenerate simplices", n)
-        return _intern_all(values)
 
     def _fail(self, check, n):
         raise SimplicialError(
@@ -380,12 +367,6 @@ class SMorphism:
             faces = z.faces[n]
             if got != [f for v in self.rows[n] for f in faces[_KEYS[v]]]:
                 self._fail("morphism does not commute with faces", n)
-
-    @property
-    def maps(self):
-        """The rows as one dict per dimension from the nondegenerate
-        simplices to their values; a fresh copy on each read."""
-        return tuple(dict(self.items(n)) for n in range(len(self.rows)))
 
     def items(self, n):
         """The pairs (x, value) over the nondegenerate x of dimension n."""
@@ -466,13 +447,13 @@ class SMorphism:
 def compose(g: SMorphism, f: SMorphism) -> SMorphism:
     """g . f: each row of f gathered through the id tables of g."""
     rows = tuple([g._apply(n, row) for n, row in enumerate(f.rows)])
-    return SMorphism(f.domain, g.codomain, rows=rows, check=False)
+    return SMorphism(f.domain, g.codomain, rows, check=False)
 
 
 def restrict_to(m: SMorphism, sub, cod) -> SMorphism:
     """m on a simplicial subset sub of its domain, into cod, validated."""
     rows = tuple(m._apply(n, ids) for n, ids in enumerate(sub.nondegenerate_ids()))
-    return SMorphism(sub, cod, rows=rows)
+    return SMorphism(sub, cod, rows)
 
 
 def invert_iso(e: SMorphism) -> SMorphism:
@@ -487,17 +468,17 @@ def invert_iso(e: SMorphism) -> SMorphism:
         if len(inv) != len(nondeg):
             e._fail("inverse of a map that is not surjective", n)
         rows.append(tuple(map(inv.__getitem__, nondeg)))
-    return SMorphism(e.codomain, e.domain, rows=tuple(rows), check=False)
+    return SMorphism(e.codomain, e.domain, tuple(rows), check=False)
 
 
 def tabulate(domain, codomain, value) -> SMorphism:
     """The validated morphism whose row at each nondegenerate simplex x of
     dimension n of the domain is ``value(n, x)``."""
     rows = tuple(
-        _intern_all([value(n, x) for x in domain.nondegenerate(n)])
+        intern_all([value(n, x) for x in domain.nondegenerate(n)])
         for n in range(domain.bound + 1)
     )
-    return SMorphism(domain, codomain, rows=rows)
+    return SMorphism(domain, codomain, rows)
 
 
 def constant_morphism(t, z, vertex) -> SMorphism:
@@ -715,7 +696,7 @@ def subsimplicial(u, member, basepoint=None, label=None):
 def inclusion(sub, sup) -> SMorphism:
     """The identity table, not validated, of sub into sup, which contains
     it with the same keys; inclusion(u, u) is the identity of u."""
-    return SMorphism(sub, sup, rows=tuple(sub.nondegenerate_ids()), check=False)
+    return SMorphism(sub, sup, tuple(sub.nondegenerate_ids()), check=False)
 
 
 def collapse(bound, keys, face_row, degen_row, kept, label):
@@ -807,7 +788,7 @@ def induce_through(p: SMorphism, g: SMorphism) -> SMorphism:
     for n, px, gx in degenerate:
         if _values(cod, g.codomain, lambda m, y: maps[m][y], n, (px,))[0] != gx:
             g._fail("map does not descend through the quotient", n)
-    return SMorphism(cod, g.codomain, maps)
+    return tabulate(cod, g.codomain, lambda n, y: maps[n][y])
 
 
 # -- named compound constructions ------------------------------------------
@@ -924,9 +905,8 @@ def wedge(parts, label=None):
 def wedge_combine(w, morphisms, codomain=None) -> SMorphism:
     """The morphism out of a wedge assembled from per-part based morphisms,
     one on each summand, in order: each row gathers, through the wedge's
-    plan, the basepoint of the codomain and the rows of the parts.  A part
-    is on its summand when its domain is the summand or has the summand's
-    nondegenerate levels, which are all the plan reads.
+    plan, the basepoint of the codomain and the rows of the parts.  Each
+    part's domain must be its summand itself.
 
     ``codomain`` may enlarge the target when the parts land in different
     subsets of one ambient simplicial set.
@@ -938,7 +918,7 @@ def wedge_combine(w, morphisms, codomain=None) -> SMorphism:
         )
     for f, ins in zip(morphisms, w.insertions):
         t = ins.domain
-        if f.domain is not t and f.domain.nondegenerate_ids() != t.nondegenerate_ids():
+        if f.domain is not t:
             raise SimplicialError(
                 f"wedge part {f.domain.label!r} -> {f.codomain.label!r} is not "
                 f"on the summand {t.label!r}"
@@ -953,7 +933,7 @@ def wedge_combine(w, morphisms, codomain=None) -> SMorphism:
     for n, plan in enumerate(w.gather):
         values = base + tuple(v for f in morphisms for v in f.rows[n])
         rows.append(tuple(map(values.__getitem__, plan)))
-    return SMorphism(w, z, rows=tuple(rows))
+    return SMorphism(w, z, tuple(rows))
 
 
 def plus_base(c: FiniteSimplicialSet, label=None):
@@ -1139,7 +1119,7 @@ def enumerate_based_morphisms(t, z, cap=200000):
         if len(results) > cap:
             raise EnumerationGuard("morphism enumeration exceeded the cap")
         if idx == len(slots):
-            results.append(SMorphism(t, z, maps))
+            results.append(tabulate(t, z, lambda n, x: maps[n][x]))
             return
         n, x = slots[idx]
         for val in z.simplices[n]:

@@ -627,9 +627,6 @@ class ConstructionResult:
     ctx: WedgeContext
     pairs: dict = field(default_factory=dict)
 
-    def final(self, j):
-        return self.pairs[(self.ctx.e_set, subset_key(j))]
-
 
 def pair_claims(i_set, e_set):
     """Every pair (F, J), F a nonempty face of E and J a proper subset of I,

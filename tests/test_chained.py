@@ -233,7 +233,7 @@ def test_ideal_membership_builds_no_echelon(monkeypatch):
     def refuse(rows):
         raise AssertionError("ideal membership row-reduced a generator family")
 
-    monkeypatch.setattr(ensembles, "_row_echelon", refuse)
+    monkeypatch.setattr(ensembles, "_echelon_form", refuse)
     m = SubsetMonoid((1, 2, 3))
     for j in m.elements:
         pi = ring_product(m, singleton((1, 3)), omega(j))

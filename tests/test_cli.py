@@ -12,7 +12,7 @@ import pytest
 import fissile
 from fissile import cli, wedge
 from fissile.artifacts import ArtifactError, resolve
-from fissile.canon import ckey_b64, jsonable, unjsonable
+from fissile.canon import ckey_b64, jsonable
 from fissile.cli import main, parse_word
 from fissile.wedge import WedgeContext
 from fissile.witnesses import FiltrationWitness
@@ -956,9 +956,9 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
     data = json.loads((pj / "morphisms.json").read_text())
 
     def break_faces(rec):
-        cod = ctx.obj(unjsonable(rec["codomain"]))
+        cod = resolve(ctx.obj, rec["codomain"])
         for row in rec["table"]:
-            n, v = row[0], unjsonable(row[2])
+            n, v = row[0], _tuples(row[2])
             for y in cod.level(n) if n else ():
                 if any(cod.face(n, i, y) != cod.face(n, i, v) for i in range(n + 1)):
                     row[2] = jsonable(y)
@@ -976,6 +976,11 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
     assert rc == 1
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines and all(r["verdict"] == "fail" for r in lines)
+
+
+def _tuples(x):
+    """x as read from JSON with each list made a tuple."""
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
 
 
 def _one_as_true(x):
@@ -1008,6 +1013,117 @@ def test_check_pj_rejects_one_written_as_true_in_a_table(tmp_path):
 def test_table_breaking_faces_rejected_under_optimize(run_optimized):
     # the simplicial checks raise, so they hold without assert statements
     run_optimized(f"{__file__}::test_check_pj_rejects_table_breaking_faces")
+
+
+def _has_one(x):
+    return type(x) is int and x == 1 or isinstance(x, list) and any(map(_has_one, x))
+
+
+def _ones_as(x, atom):
+    """x with every int 1 in it written as atom."""
+    if type(x) is int and x == 1:
+        return atom
+    return [_ones_as(v, atom) for v in x] if isinstance(x, list) else x
+
+
+def _ones_in_row_as(column, atom):
+    """Every 1 in the simplex (column 1) or the value (column 2) of the
+    first row that holds one written as atom: equal in Python, so a table
+    read through dicts or interned before its atoms are checked takes it
+    for the row written with 1."""
+
+    def edit(table, dom, cod):
+        i = next((i for i, row in enumerate(table) if _has_one(row[column])), None)
+        if i is None:
+            return None
+        row = list(table[i])
+        row[column] = _ones_as(row[column], atom)
+        return table[:i] + [row] + table[i + 1 :]
+
+    return edit
+
+
+def _vertex_listed_twice(table, dom, cod):
+    # the first vertex listed once more before itself, with the value of
+    # another vertex: a dict keeps the last one
+    other = next((r[2] for r in table if r[0] == 0 and r[2] != table[0][2]), None)
+    return None if other is None else [[0, table[0][1], other]] + table
+
+
+def _repeated_row(table, dom, cod):
+    return table[:1] + table
+
+
+def _swapped_rows(table, dom, cod):
+    i = next((i for i in range(len(table) - 1) if table[i][0] == table[i + 1][0]), None)
+    return None if i is None else table[:i] + [table[i + 1], table[i]] + table[i + 2 :]
+
+
+def _missing_row(table, dom, cod):
+    return table[:-1]
+
+
+def _degenerate_row(table, dom, cod):
+    # one more row, at the degenerate edge of the first vertex
+    n, x, v = table[0]
+    x, v = _tuples(x), _tuples(v)
+    return table + [[1, jsonable(dom.degen(0, 0, x)), jsonable(cod.degen(0, 0, v))]]
+
+
+# a table other than its domain's nondegenerate rows in table order, each
+# once, or one holding an atom other than a str, an int or null
+TABLE_FORGERIES = {
+    "vertex-listed-twice": _vertex_listed_twice,
+    "value-with-true": _ones_in_row_as(2, True),
+    "value-with-float": _ones_in_row_as(2, 1.0),
+    "simplex-with-true": _ones_in_row_as(1, True),
+    "simplex-with-float": _ones_in_row_as(1, 1.0),
+    "repeated-row": _repeated_row,
+    "swapped-rows": _swapped_rows,
+    "missing-row": _missing_row,
+    "degenerate-row": _degenerate_row,
+}
+
+
+def _forge_a_table(in_dir, forge):
+    """Forge the table of the first morphism record, in id order, that
+    forge changes, and store the record under the id recomputed from the
+    forged table, every reference to it rewritten."""
+    manifest = json.loads((in_dir / "manifest.json").read_text())
+    ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
+    data = json.loads((in_dir / "morphisms.json").read_text())
+    for old_id in sorted(data):
+        rec = data[old_id]
+        dom, cod = (resolve(ctx.obj, rec[k]) for k in ("domain", "codomain"))
+        table = forge(rec["table"], dom, cod)
+        if table is not None:
+            break
+    new_id = ckey_b64(["morphism", table])
+    assert new_id not in data
+    data[new_id] = dict(data.pop(old_id), table=table)
+    (in_dir / "morphisms.json").write_text(json.dumps(data))
+    for path in in_dir.glob("*.json"):
+        if path.name not in ("manifest.json", "morphisms.json"):
+            path.write_text(path.read_text().replace(old_id, new_id))
+
+
+@pytest.mark.parametrize("dump", ["q1", "pj1"])
+@pytest.mark.parametrize("forge", TABLE_FORGERIES.values(), ids=TABLE_FORGERIES)
+def test_check_reads_each_table_strictly(dumps, tmp_path, dump, forge):
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    _forge_a_table(in_dir, forge)
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"].startswith("artifact-structure (morphism table on ")
+    assert "Traceback" not in err
+
+
+def test_check_reads_each_table_strictly_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_check_reads_each_table_strictly")
 
 
 def test_check_q_rejects_swapped_layout_witnesses(tmp_path):

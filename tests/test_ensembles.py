@@ -213,13 +213,13 @@ def test_membership_arbitrary_precision():
 def test_subgroup_membership_reevaluation_raises(monkeypatch):
     # a first recorded operation that doubles both rows, so the replayed
     # combination comes out doubled while H stays as it was
-    row_echelon = ensembles._row_echelon
+    row_echelon = ensembles._echelon_form
 
     def doubled(rows):
         h, ops = row_echelon(rows)
         return h, [(0, 1, 2, 0, 0, 2), *ops]
 
-    monkeypatch.setattr(ensembles, "_row_echelon", doubled)
+    monkeypatch.setattr(ensembles, "_echelon_form", doubled)
     gens = SubgroupGenerators([singleton("a"), singleton("b")])
     with pytest.raises(ValueError, match="subgroup membership"):
         subgroup_membership(singleton("a"), gens)
@@ -231,7 +231,7 @@ def test_subgroup_membership_reevaluation_raises_under_optimize(run_optimized):
 
 def dense_row_echelon(rows):
     """Reference: integer row echelon form with a stored transform U,
-    U*rows == H, reducing exactly as ``ensembles._row_echelon`` does."""
+    U*rows == H, reducing exactly as ``ensembles._echelon_form`` does."""
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     h = [list(r) for r in rows]
@@ -381,13 +381,13 @@ def test_coefficients_match_dense_transform_on_ideal_families():
 
 def test_defect_families_build_few_echelons(monkeypatch):
     calls = []
-    row_echelon = ensembles._row_echelon
+    row_echelon = ensembles._echelon_form
 
     def counted(rows):
         calls.append(len(rows))
         return row_echelon(rows)
 
-    monkeypatch.setattr(ensembles, "_row_echelon", counted)
+    monkeypatch.setattr(ensembles, "_echelon_form", counted)
     reports = list(suite_fissilizer(max_e=2, cases=0, defect_cases=200, seed=3))
     assert all(ok for _case, ok in reports)
     # one echelon per family that answers an in-support query; rebuilding
@@ -397,9 +397,9 @@ def test_defect_families_build_few_echelons(monkeypatch):
 
 def test_family_builds_its_echelon_once(monkeypatch):
     calls = []
-    row_echelon = ensembles._row_echelon
+    row_echelon = ensembles._echelon_form
     monkeypatch.setattr(
-        ensembles, "_row_echelon", lambda rows: calls.append(1) or row_echelon(rows)
+        ensembles, "_echelon_form", lambda rows: calls.append(1) or row_echelon(rows)
     )
     family = SubgroupGenerators([Ensemble({"a": 2, "b": 1}), Ensemble({"b": 3})])
     targets = [singleton("a"), Ensemble({"a": 2, "b": 4}), singleton("c"), Ensemble.zero()]

@@ -10,7 +10,7 @@ import pytest
 from fissile import artifacts as artifacts_module
 from fissile import simplicial, witnesses
 from fissile import wedge as wedge_module
-from fissile.canon import ckey, jsonable, unjsonable
+from fissile.canon import ckey, jsonable
 from fissile.chained import subset_key, subsets_of
 from fissile.ensembles import Ensemble, augmentation, map_ensemble, singleton
 from fissile.layouts import LayoutLattice, layout_key
@@ -47,7 +47,7 @@ def test_wedge_lead_vertex_isolated(ctx):
     top_idx = ctx.components.index(ctx.i_set)
     from fissile.simplicial import TOP
 
-    lead = ctx.w_obj.insertions[top_idx].maps[0][TOP]
+    lead = dict(ctx.w_obj.insertions[top_idx].items(0))[TOP]
     for x in ctx.w_obj.nondegenerate(1):
         assert lead not in ctx.w_obj.faces[1][x]
 
@@ -173,14 +173,7 @@ def test_xi_restricts_to_constants(ctx):
     xi_big = big.xi((), (1, 2))
     for f in [(1,), (2,)]:
         sub = big.plus_base_of(f)
-        from fissile.simplicial import SMorphism
-
-        inc = SMorphism(
-            sub,
-            big.plus_base_of((1, 2)),
-            [{x: x for x in sub.nondegenerate(n)} for n in range(big.bound + 1)],
-            check=False,
-        )
+        inc = simplicial.inclusion(sub, big.plus_base_of((1, 2)))
         assert compose(xi_big, inc) == big.xi((), f)
 
 
@@ -190,15 +183,7 @@ def test_filling_restriction_identity(ctx):
     space = ctx.space(l_key)
     t = ctx.plus_base_of((1,))
     pool = enumerate_based_morphisms(t, space.obj)
-    cone_f = ctx.cone_face((1,))
-    from fissile.simplicial import SMorphism
-
-    inc = SMorphism(
-        t,
-        cone_f,
-        [{x: x for x in t.nondegenerate(n)} for n in range(ctx.bound + 1)],
-        check=False,
-    )
+    inc = simplicial.inclusion(t, ctx.cone_face((1,)))
     for v in pool:
         filled = ctx.filling(v, 2, l_key)
         assert compose(filled, inc) == v
@@ -403,14 +388,7 @@ def test_act_commutes_with_domain_restriction(ctx):
     # restricting first
     t = ctx.cone_face((1,))
     t_small = ctx.plus_base_of((1,))
-    from fissile.simplicial import SMorphism
-
-    inc = SMorphism(
-        t_small,
-        t,
-        [{x: x for x in t_small.nondegenerate(n)} for n in range(ctx.bound + 1)],
-        check=False,
-    )
+    inc = simplicial.inclusion(t_small, t)
     pool = enumerate_based_morphisms(t, ctx.full_space.obj)
     for v in pool[:8]:
         for k in ctx.monoid.elements:
@@ -467,11 +445,11 @@ def test_morphism_model_fissilizer(built_21):
     pool = []
     for j in subsets_of(ctx.i_set):
         if j != ctx.i_set:
-            pool.extend(res.final(j).ensemble.terms)
+            pool.extend(res.pairs[(ctx.e_set, j)].ensemble.terms)
     for j in subsets_of(ctx.i_set):
         if j == ctx.i_set:
             continue
-        p = res.final(j).ensemble
+        p = res.pairs[(ctx.e_set, j)].ensemble
         assert is_fissile(lp, p)
         assert fissilize(lp, p) == p
     for _ in range(6):
@@ -492,7 +470,7 @@ def test_final_ensembles_restrict_multiplicatively(built_21):
     for j in subsets_of(ctx.i_set):
         if j == ctx.i_set:
             continue
-        rec = res.final(j)
+        rec = res.pairs[(ctx.e_set, j)]
         for a in lat.layouts:
             got = restrict_ensemble(rec.ensemble, ctx.layout_inclusion(a, lat.top))
             want = combine_over_layout(
@@ -566,9 +544,10 @@ def test_stored_labels_name_the_builders_objects(tmp_path, built_21):
                 morphs.extend(t.morphism for t in p.terms)
     objs += [x for m in morphs for x in (m.domain, m.codomain)]
     for x in objs:
-        assert ctx.obj(unjsonable(jsonable(x.label))) is x
+        assert artifacts_module.resolve(ctx.obj, json.loads(json.dumps(x.label))) is x
     for sp in spaces:
-        assert ctx.labelled_space(unjsonable(jsonable(sp.label))) is sp
+        label = json.loads(json.dumps(sp.label))
+        assert artifacts_module.resolve(ctx.labelled_space, label) is sp
     named = {json.dumps(jsonable(x.label)) for x in objs + spaces}
     stored = set()
     for path in tmp_path.glob("*/*.json"):
@@ -1115,7 +1094,7 @@ def test_every_wedge_witness_decomposition_equals_the_keyed_table(
         assert len(combos) == len(out.entries)
         for blocks, (_c, block) in zip(combos, out.entries):
             maps = concatenated_maps(wedge_obj, blocks, block.wedge_obj)
-            ref = SMorphism(wedge_obj, block.wedge_obj, maps)
+            ref = simplicial.tabulate(wedge_obj, block.wedge_obj, lambda n, x: maps[n][x])
             assert block.f.rows == ref.rows and block.f.codomain is block.wedge_obj
             compared += 1
             shifted += len(blocks) > 1

@@ -13,11 +13,13 @@ from fissile.simplicial import (
     constant_morphism,
     enumerate_based_morphisms,
     inclusion,
+    intern_all,
     invert_iso,
     quotient,
     reduced_cone,
     reduced_cone_map,
     standard_simplex,
+    tabulate,
     wedge,
 )
 from fissile.wedge import WedgeContext
@@ -36,6 +38,14 @@ from fissile.witnesses import (
     verify_witness,
     wedge_witness,
 )
+
+
+def id_rows(t, maps):
+    """The id rows of a table given as one dict per dimension over the
+    nondegenerate simplices of t."""
+    return tuple(
+        intern_all([level[x] for x in t.nondegenerate(n)]) for n, level in enumerate(maps)
+    )
 
 
 def disjoint_basepoint(u):
@@ -282,7 +292,7 @@ def letter_swap(ctx):
             j2 = perm[ctx.components[idx]]
             level[x] = (ctx.components.index(j2), (tt, swap_letters(z)))
         maps.append(level)
-    swap = SMorphism(full.obj, full.obj, maps)
+    swap = tabulate(full.obj, full.obj, lambda n, x: maps[n][x])
     assert swap.is_based()
     return swap
 
@@ -445,15 +455,15 @@ def assert_face_breaking_twin_rejected(ctx, scope):
     t = edge()
     good = identity_block(ctx, t, inclusion(t, t))
     wobj = good.wedge_obj
-    maps = [dict(m) for m in good.f.maps]
+    maps = [dict(good.f.items(n)) for n in range(t.bound + 1)]
     x = t.nondegenerate(1)[0]
     maps[1][x] = next(
         y for y in wobj.level(1) if wobj.faces[1][y] != wobj.faces[1][maps[1][x]]
     )
     with pytest.raises(SimplicialError, match="faces"):
-        SMorphism(t, wobj, maps)
+        SMorphism(t, wobj, id_rows(t, maps))
     broken = Block(
-        f=SMorphism(t, wobj, maps, check=False),
+        f=SMorphism(t, wobj, id_rows(t, maps), check=False),
         wedge_obj=wobj,
         parts=good.parts,
         space=good.space,
@@ -476,21 +486,21 @@ def test_face_breaking_twin_rejected_in_a_shared_scope(ctx):
 
 
 def degenerate_row_forged(t):
-    """The rows of inclusion(t, t) plus the degenerate edge at the vertex
-    (0,) sent to the one at (1,): a table whose nondegenerate rows, and so
-    whose key, are those of the identity, but whose faces break."""
-    maps = [dict(level) for level in inclusion(t, t).maps]
-    maps[1][(0, 0)] = (1, 1)
-    return maps
+    """The rows of inclusion(t, t) with one more value at dimension 1, the
+    degenerate edge at (1,), as if for the degenerate edge at (0,): a
+    table whose nondegenerate rows, and so whose key, are those of the
+    identity, but whose faces break."""
+    rows = inclusion(t, t).rows
+    return (rows[0], rows[1] + intern_all([(1, 1)]), *rows[2:])
 
 
 def edge_row_broken(t):
     """inclusion(t, t) with the edge sent to the degenerate edge at (0,):
     a table over the identity's objects that differs in one row and whose
     faces break."""
-    maps = [dict(level) for level in inclusion(t, t).maps]
+    maps = [dict(inclusion(t, t).items(n)) for n in range(t.bound + 1)]
     maps[1][(0, 1)] = (0, 0)
-    return SMorphism(t, t, maps, check=False)
+    return SMorphism(t, t, id_rows(t, maps), check=False)
 
 
 def test_forged_degenerate_row_rejected_at_construction(ctx):
@@ -550,15 +560,12 @@ def test_invert_iso_needs_a_bijection_of_nondegenerate_simplices():
     u = standard_simplex(1, 2)
     ends = [{x for x in u.level(n) if len(set(x)) == 1} for n in range(3)]
     circle = quotient(u, ends)
-    to_point = SMorphism(circle, standard_simplex(0, 2), [{BASE: (0,)}, {(0, 1): (0, 0)}, {}])
+    values = {BASE: (0,), (0, 1): (0, 0)}
+    to_point = tabulate(circle, standard_simplex(0, 2), lambda n, x: values[x])
     with pytest.raises(SimplicialError, match="not injective at dimension 1"):
         invert_iso(to_point)
     # the basepoint and one end of the edge: injective, not onto
-    ends_only = SMorphism(
-        disjoint_basepoint(standard_simplex(0, 2)),
-        t,
-        [{BASE: BASE, (0,): (0,)}, {}, {}],
-    )
+    ends_only = tabulate(disjoint_basepoint(standard_simplex(0, 2)), t, lambda n, x: x)
     with pytest.raises(SimplicialError, match="not surjective at dimension 0"):
         invert_iso(ends_only)
 
@@ -567,15 +574,20 @@ def test_equal_part_tables_on_distinct_domains_each_validated(ctx, monkeypatch):
     t = edge()
     first = identity_block(ctx, t, inclusion(t, t))
     seen = count_validations(monkeypatch, first.wedge_obj)
-    for dom, expected in ((t, 1), (edge(), 2)):
+    for dom in (t, edge()):
         # an equal table in a new object, out of t itself or out of a copy
-        m = SMorphism(dom, t, inclusion(t, t).maps)
+        m = SMorphism(dom, t, inclusion(t, t).rows)
         term = replace(first.parts[0].terms[0], morphism=m)
         part = replace(first.parts[0], terms=[term])
         w = FiltrationWitness(0, [(1, first), (1, replace(first, parts=[part]))])
         seen.clear()
-        assert verify_witness(2 * singleton(inclusion(t, t)), w, 0, ctx.monoid)
-        assert len(seen) == expected
+        if dom is t:
+            assert verify_witness(2 * singleton(inclusion(t, t)), w, 0, ctx.monoid)
+            assert len(seen) == 1
+        else:
+            # a part is glued only on the summand object itself
+            with pytest.raises(SimplicialError, match="is not on the summand"):
+                verify_witness(2 * singleton(inclusion(t, t)), w, 0, ctx.monoid)
 
 
 def test_wedge_witness_validates_a_repeated_decomposition_once(ctx, monkeypatch):
