@@ -23,7 +23,7 @@ from .ensembles import Ensemble
 from .layouts import LayoutLattice, layout_key
 # ``wedge`` stays importable here: perfbench/spans.py wraps every binding of
 # it.  Wedges themselves come from the context.
-from .simplicial import SMorphism, intern_all, wedge  # noqa: F401
+from .simplicial import SimplicialError, SMorphism, intern_all, wedge  # noqa: F401
 from .wedge import WedgeContext, pair_checks, pair_claims, q_checks
 from .witnesses import Block, BlockPart, FiltrationWitness, IdealTerm, once
 
@@ -307,7 +307,17 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
             raise ArtifactError(
                 f"block wedge {wedge_obj.label!r} is not the wedge of its part domains"
             )
-        block = Block(store.morph(brec["f"]), wedge_obj, parts, space)
+        # an id names a table, not its codomain: f must land in the wedge too
+        f = store.morph(brec["f"])
+        try:
+            if f.codomain is not wedge_obj:
+                f = SMorphism(f.domain, wedge_obj, f.rows)
+        except SimplicialError:
+            raise ArtifactError(
+                f"block {b} decomposition into {f.codomain.label!r} does not land "
+                f"in its wedge {wedge_obj.label!r}"
+            ) from None
+        block = Block(f, wedge_obj, parts, space)
         entries.append((_int(brec["coeff"], "block coeff"), block))
     return FiltrationWitness(_int(data["level"], "witness level"), entries)
 
@@ -414,10 +424,26 @@ def write_q_artifacts(result, record, out_dir):
 # -- checking -------------------------------------------------------------------
 
 
+# the readers recurse on what they read; real dumps nest at most 13 deep
+MAX_DEPTH = 64
+
+
 def _load(path):
-    """The JSON object in the file at path."""
-    with open(path, encoding="utf-8") as fh:
-        return _object(json.load(fh), os.path.basename(path))
+    """The JSON object in the file at path, nested at most ``MAX_DEPTH`` deep."""
+    name = os.path.basename(path)
+    too_deep = ArtifactError(f"{name} nests more than {MAX_DEPTH} deep")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = _object(json.load(fh), name)
+    except RecursionError:
+        raise too_deep from None
+    inner = [data]
+    for _ in range(MAX_DEPTH):
+        children = (x.values() if type(x) is dict else x for x in inner)
+        inner = [c for cs in children for c in cs if type(c) in (dict, list)]
+    if inner:
+        raise too_deep
+    return data
 
 
 def read_manifest(in_dir, kind):

@@ -494,11 +494,10 @@ def standard_simplex(n, bound):
     return nerve(range(n + 1), lambda x, y: x <= y, bound, label=("standard", n, bound))
 
 
-def point(bound, based=True):
-    p = standard_simplex(0, bound)
-    if based:
-        p.basepoint = (0,)
-    return p
+def point(bound, label=None):
+    """The based 0-simplex, labelled as ``standard_simplex(0, bound)`` by default."""
+    label = label if label is not None else ("standard", 0, bound)
+    return nerve((0,), lambda x, y: True, bound, basepoint=(0,), label=label)
 
 
 def thick_simplex(letters, bound):
@@ -507,7 +506,7 @@ def thick_simplex(letters, bound):
     return nerve(letters, lambda x, y: True, bound, label=("thick", letters, bound))
 
 
-def nerve(elements, leq, bound, label=None):
+def nerve(elements, leq, bound, basepoint=None, label=None):
     """Nerve of a finite preorder: monotone chains with repetition."""
     elements = tuple(sorted(elements, key=ckey))
     levels = [
@@ -523,7 +522,8 @@ def nerve(elements, leq, bound, label=None):
         levels,
         lambda m, c: tuple(c[:i] + c[i + 1 :] for i in range(m + 1)),
         lambda m, c: tuple(c[: i + 1] + c[i:] for i in range(m + 1)),
-        label=label,
+        basepoint,
+        label,
     )
 
 
@@ -630,7 +630,7 @@ def _cone_value(f, s, x):
     return (t, f(len(base) - 1, y)) if base else x
 
 
-def cone(u: FiniteSimplicialSet, s: int) -> FiniteSimplicialSet:
+def cone(u: FiniteSimplicialSet, s: int, label=None) -> FiniteSimplicialSet:
     """The cone over u fibered over the interval, apex on the s side.
 
     Simplices are pairs (t, y); t is a monotone 0/1 tuple, y the base part
@@ -644,7 +644,7 @@ def cone(u: FiniteSimplicialSet, s: int) -> FiniteSimplicialSet:
         partial(_cone_face_row, u, s),
         partial(_cone_degen_row, u, s),
         basepoint=((s,), None),
-        label=("cone", s, u.label),
+        label=label if label is not None else ("cone", s, u.label),
     )
 
 

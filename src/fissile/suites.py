@@ -278,7 +278,7 @@ def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
     # with no assertion means they hold
     samples = [
         _empty_simplicial(bound),
-        point(bound, based=False),
+        standard_simplex(0, bound),
         standard_simplex(1, bound),
         thick_simplex(tuple(range(max_a)), bound),
     ]
@@ -302,7 +302,7 @@ def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
     yield {"check": "cone-universal-property"}, ok
 
     ok = True
-    for u in (point(bound, based=False), standard_simplex(1, bound)):
+    for u in (standard_simplex(0, bound), standard_simplex(1, bound)):
         c = cone(u, 0)
         t = plus_base(c)
         iso = plus_base_iso(c, reduced_cone(t))

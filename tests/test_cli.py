@@ -11,7 +11,7 @@ import pytest
 
 import fissile
 from fissile import cli, wedge
-from fissile.artifacts import ArtifactError, resolve
+from fissile.artifacts import MAX_DEPTH, ArtifactError, resolve
 from fissile.canon import ckey_b64, jsonable
 from fissile.cli import main, parse_word
 from fissile.wedge import WedgeContext
@@ -719,6 +719,74 @@ def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, summands):
     assert "Traceback" not in err
 
 
+def test_check_rejects_a_block_decomposition_outside_its_wedge(dumps, tmp_path):
+    # a block whose f is a stored morphism on its domain into a space at l,
+    # whose values are not simplices of the block's wedge
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "q1", in_dir)
+    morphisms = json.loads((in_dir / "morphisms.json").read_text())
+    data = json.loads((in_dir / "q.json").read_text())
+    witnesses = [e["witness"] for e in data["layouts"]] + [data["boundary_witness"]]
+    b, block, rec, mid = next(
+        (b, block, rec, mid)
+        for w in witnesses
+        for b, block in enumerate(w["blocks"])
+        for mid, rec in morphisms.items()
+        if rec["codomain"][0] == "WL"
+        and rec["domain"] == morphisms[block["f"]]["domain"]
+    )
+    block["f"] = mid
+    (in_dir / "q.json").write_text(json.dumps(data))
+    rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"] == (
+        f"artifact-structure (block {b} decomposition into {_tuples(rec['codomain'])!r}"
+        f" does not land in its wedge {_tuples(block['wedge'])!r})"
+    )
+
+
+def _deep_block_wedge(data):
+    next(_blocks(data))["wedge"] = "DEEP"
+
+
+def _deep_table_value(data):
+    next(iter(data.values()))["table"][0][2] = "DEEP"
+
+
+@pytest.mark.parametrize("depth", [900, 100_000])
+@pytest.mark.parametrize(
+    "name, place",
+    [("q.json", _deep_block_wedge), ("morphisms.json", _deep_table_value)],
+    ids=["block-wedge", "table-value"],
+)
+def test_check_rejects_a_file_nested_too_deep(dumps, tmp_path, name, place, depth):
+    # 900 lists deep overflowed the recursive readers, 100,000 the JSON parser
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "q1", in_dir)
+    data = json.loads((in_dir / name).read_text())
+    place(data)
+    deep = "[" * depth + '"point"' + "]" * depth
+    (in_dir / name).write_text(json.dumps(data).replace('"DEEP"', deep))
+    rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"] == (
+        f"artifact-structure ({name} nests more than {MAX_DEPTH} deep)"
+    )
+
+
+def test_block_and_depth_checks_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_check_rejects_a_block_decomposition_outside_its_wedge",
+        f"{__file__}::test_check_rejects_a_file_nested_too_deep",
+    )
+
+
 def _missing(*tags):
     return [f"claim-missing {t}" for t in tags]
 
@@ -917,33 +985,37 @@ def test_check_pj_rejects_a_certificate_outside_the_monoid(tmp_path, forged):
         assert failed == ["artifact-structure (certificate L 'str' is not an int)"]
 
 
-def test_construct_reports_failed_condition(monkeypatch, tmp_path):
-    monkeypatch.setattr(wedge, "constant_restriction_holds", lambda *args: False)
+# each pair condition made to fail at (1, 1): the function replaced and its
+# replacement
+FAILED_CONDITIONS = {
+    "constant-restriction": ("constant_restriction_holds", lambda *args: False),
+    "multiplicative-restriction": (
+        "multiplicative_restriction_holds",
+        lambda *args: False,
+    ),
+    # a compaction that loses every block leaves the alternating sum with an
+    # empty witness
+    "alternating-sum-witness": (
+        "compact_witness",
+        lambda w: FiltrationWitness(w.level, []),
+    ),
+}
+
+
+@pytest.mark.parametrize("condition", FAILED_CONDITIONS)
+def test_construct_reports_failed_condition(monkeypatch, tmp_path, condition):
+    monkeypatch.setattr(wedge, *FAILED_CONDITIONS[condition])
     rc, out, _err = run_cli(
         ["construct-pj", "--i", "1", "--e", "1", "--out", str(tmp_path / "pj")]
     )
     assert rc == 1
     report = json.loads(out)
     assert report["verdict"] == "fail"
-    assert report["error"].startswith("constant-restriction F=(1,) J=()")
+    assert report["error"] == f"{condition} F=(1,) J=() failed"
 
 
-def test_construct_reports_failed_self_check(monkeypatch, tmp_path):
-    # a compaction that loses every block breaks the first witness expansion
-    monkeypatch.setattr(
-        wedge, "compact_witness", lambda w: FiltrationWitness(w.level, [])
-    )
-    rc, out, _err = run_cli(
-        ["construct-pj", "--i", "1", "--e", "1", "--out", str(tmp_path / "pj")]
-    )
-    assert rc == 1
-    report = json.loads(out)
-    assert report["verdict"] == "fail"
-    assert report["error"] == "cover-expansion F=(1,) J=() B=() failed"
-
-
-def test_failed_self_check_reported_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_construct_reports_failed_self_check")
+def test_failed_condition_reported_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_construct_reports_failed_condition")
 
 
 def test_check_pj_rejects_table_breaking_faces(tmp_path):

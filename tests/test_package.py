@@ -50,3 +50,35 @@ def test_only_morphisms_and_spaces_take_a_check_flag():
     for path in sorted(Path(fissile.__file__).parent.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
     assert sorted(found) == ["PSpace.__init__", "SMorphism.__init__"]
+
+
+def test_verification_error_is_raised_on_the_checker_conditions_only():
+    # the builder checks what the checker checks: VerificationError is
+    # raised in one function, and every call of that function passes it the
+    # checks of ``pair_checks`` or ``q_checks``, the checker's conditions
+    raisers, calls = set(), []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                if ast.unparse(child.exc).startswith("VerificationError"):
+                    raisers.add(scope)
+            if isinstance(child, ast.Call):
+                calls.append(child)
+            visit(child, name)
+
+    for path in sorted(Path(fissile.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    (raiser,) = raisers
+    passed = [
+        ast.unparse(arg)
+        for call in calls
+        if isinstance(call.func, ast.Name) and call.func.id == raiser
+        for arg in call.args + [k.value for k in call.keywords]
+    ]
+    assert passed and all(
+        arg.startswith(("pair_checks(", "q_checks(")) for arg in passed
+    ), passed

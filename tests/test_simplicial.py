@@ -180,6 +180,25 @@ def test_barycentric_chain_count_oracle():
             assert len(b.nondegenerate(m)) == len(chains)
 
 
+def test_point_and_cone_are_labelled_and_based_when_validated(monkeypatch):
+    # no set is changed after it is validated: the label and basepoint
+    # that validation sees, and names in its messages, are the final ones
+    seen = []
+    validate = FiniteSimplicialSet._validate
+
+    def record(self):
+        seen.append((self.label, self.basepoint))
+        validate(self)
+
+    monkeypatch.setattr(FiniteSimplicialSet, "_validate", record)
+    assert point(2).label == ("standard", 0, 2)
+    assert seen[-1] == (("standard", 0, 2), (0,))
+    point(2, label=("point",))
+    assert seen[-1] == (("point",), (0,))
+    cone(standard_simplex(1, 2), 0, label=("edge cone",))
+    assert seen[-1] == (("edge cone",), ((0,), None))
+
+
 # -- cones --------------------------------------------------------------------
 
 
@@ -193,7 +212,7 @@ def test_cone_on_empty_is_point(s):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_cone_on_point_is_interval(s):
-    c = cone(point(3, based=False), s)
+    c = cone(standard_simplex(0, 3), s)
     assert len(c.nondegenerate(0)) == 2
     assert len(c.nondegenerate(1)) == 1
     for n in (2, 3):
@@ -202,7 +221,7 @@ def test_cone_on_point_is_interval(s):
 
 @pytest.mark.parametrize("s", [0, 1])
 def test_cone_cartesian_fiber_and_unique_lift(s):
-    for u in (point(3, based=False), standard_simplex(1, 3), thick_simplex((0, 1), 3)):
+    for u in (standard_simplex(0, 3), standard_simplex(1, 3), thick_simplex((0, 1), 3)):
         c = cone(u, s)
         p = cone_projection(c, s)
         emb = base_embedding(u, c, s)
@@ -231,7 +250,7 @@ def test_cone_preserves_injective_morphisms():
 
 
 def test_cone_functoriality_composes():
-    u = point(2, based=False)
+    u = standard_simplex(0, 2)
     v = thick_simplex((0, 1), 2)
     w = thick_simplex((0,), 2)
     f = tabulate(u, v, lambda n, x: (0,) * (n + 1))
@@ -255,7 +274,7 @@ def test_reduced_cone_of_point_is_point():
 
 def test_reduced_cone_of_plus_matches_cone():
     # the reduced cone of (u with free basepoint) is the cone over u
-    for u in (point(3, based=False), standard_simplex(1, 3)):
+    for u in (standard_simplex(0, 3), standard_simplex(1, 3)):
         c = cone(u, 0)
         t = plus_base(c)
         iso = plus_base_iso(c, reduced_cone(t))
@@ -263,7 +282,7 @@ def test_reduced_cone_of_plus_matches_cone():
 
 
 def test_reduced_cone_preserves_wedges():
-    a = disjoint_basepoint(point(3, based=False))
+    a = disjoint_basepoint(standard_simplex(0, 3))
     b = disjoint_basepoint(standard_simplex(1, 3))
     w = wedge([a, b])
     rw, _ = reduced_cone(w)
@@ -292,7 +311,7 @@ def test_suspension_of_empty_top_is_isolated():
 
 
 def test_suspension_of_point_is_circle_like():
-    susp = kan_suspension(point(3, based=False))
+    susp = kan_suspension(standard_simplex(0, 3))
     assert len(susp.nondegenerate(0)) == 2
     assert len(susp.nondegenerate(1)) == 1
     assert len(susp.nondegenerate(2)) == 0
@@ -313,14 +332,14 @@ def test_wedge_single_part_is_copy():
 
 def test_wedge_two_two_point_sets():
     a = point(2)
-    b = disjoint_basepoint(point(2, based=False))
-    aa = disjoint_basepoint(point(2, based=False))
+    b = disjoint_basepoint(standard_simplex(0, 2))
+    aa = disjoint_basepoint(standard_simplex(0, 2))
     w = wedge([aa, b])
     assert len(w.level(0)) == 3
 
 
 def test_wedge_insertions_injective_off_basepoint():
-    a = disjoint_basepoint(point(3, based=False))
+    a = disjoint_basepoint(standard_simplex(0, 3))
     b = disjoint_basepoint(standard_simplex(1, 3))
     w = wedge([a, b])
     ins = w.insertions
@@ -722,8 +741,8 @@ def assert_agrees_with_full_table(m):
 
 
 def test_morphism_determined_by_nondegenerate_values():
-    t = disjoint_basepoint(point(2, based=False))
-    z = wedge([t, disjoint_basepoint(point(2, based=False))])
+    t = disjoint_basepoint(standard_simplex(0, 2))
+    z = wedge([t, disjoint_basepoint(standard_simplex(0, 2))])
     for f in enumerate_based_morphisms(t, z):
         assert_agrees_with_full_table(f)
 
@@ -850,17 +869,15 @@ def brute_based_morphisms(t, z):
 
 
 def test_enumeration_matches_brute_force():
-    t = disjoint_basepoint(point(2, based=False))
-    z = wedge(
-        [disjoint_basepoint(point(2, based=False)), disjoint_basepoint(point(2, based=False))]
-    )
+    t = disjoint_basepoint(standard_simplex(0, 2))
+    z = wedge([disjoint_basepoint(standard_simplex(0, 2)) for _ in range(2)])
     fast = enumerate_based_morphisms(t, z)
     brute = brute_based_morphisms(t, z)
     assert set(fast) == set(brute)
     assert len(fast) == len(z.level(0))
 
     t2 = plus_base(cone(barycentric(full_complex((1,)), 2), 0))
-    susp = kan_suspension(point(2, based=False))
+    susp = kan_suspension(standard_simplex(0, 2))
     fast2 = enumerate_based_morphisms(t2, susp)
     brute2 = brute_based_morphisms(t2, susp)
     assert set(fast2) == set(brute2)
@@ -881,8 +898,8 @@ def test_enumeration_guard():
 
 
 def test_wedge_combine_roundtrip():
-    a = disjoint_basepoint(point(2, based=False))
-    b = disjoint_basepoint(point(2, based=False))
+    a = disjoint_basepoint(standard_simplex(0, 2))
+    b = disjoint_basepoint(standard_simplex(0, 2))
     w = wedge([a, b])
     ins = w.insertions
     fa = enumerate_based_morphisms(a, w)
@@ -952,7 +969,7 @@ def test_gluing_rejects_a_part_count_other_than_the_summands(count):
 
 def test_gluing_rejects_a_part_on_another_domain():
     a, b, w = two_edge_wedge()
-    vertex = disjoint_basepoint(point(2, based=False))
+    vertex = disjoint_basepoint(standard_simplex(0, 2))
     other = constant_morphism(vertex, w, w.basepoint)
     with pytest.raises(SimplicialError, match="is not on the summand"):
         wedge_combine(w, [w.insertions[0], other])
