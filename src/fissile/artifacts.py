@@ -17,7 +17,7 @@ import re
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 
-from .canon import ckey_b64
+from .canon import morph_id
 from .chained import IdealCertificate, subset_key
 from .ensembles import Ensemble
 from .layouts import LayoutLattice, layout_key
@@ -109,26 +109,30 @@ def _id_rows(dom, table):
 
 
 class MorphismStore:
+    """The morphism records of a dump, each named by its id, the
+    :func:`~fissile.canon.morph_id` of its table.  A record holds a domain
+    label and a table, and no codomain: one table serves maps into several
+    objects, so each use names the object it needs and the reader validates
+    the table there."""
+
     def __init__(self):
         self.records = {}
-        self.loaded = {}
         self._refs = {}
+        self.loaded = {}
+        self._uses = {}
 
     def ref(self, m: SMorphism) -> str:
-        """The id of m's record: the ``ckey_b64`` of m, encoded through
+        """The id of m's record, ``morph_id`` of m, computed through
         :func:`~fissile.witnesses.once` once per morphism on its objects.  The
-        record stores m's table key as it is: the writer prints its tuples as
-        lists, the rows its id encodes."""
+        first morphism written with a table makes its record: m's domain
+        label and m's table key as it is, which the writer prints with its
+        tuples as lists, the rows its id encodes."""
 
         def record():
             payload = m.canonical_payload()
-            mid = ckey_b64(payload)
+            mid = morph_id(payload)
             if mid not in self.records:
-                self.records[mid] = {
-                    "domain": m.domain.label,
-                    "codomain": m.codomain.label,
-                    "table": payload[1],
-                }
+                self.records[mid] = {"domain": m.domain.label, "table": payload[1]}
             return mid
 
         return once(self._refs, (m.domain, m.codomain, m), record)
@@ -138,23 +142,54 @@ class MorphismStore:
 
     @staticmethod
     def load(data, ctx: WedgeContext):
+        """The store of a ``morphisms.json`` object: each record's id is
+        recomputed from its table as written, and the table is read into id
+        rows on the record's domain.  No table is validated here; each use
+        validates it into its codomain (:meth:`morph`)."""
         store = MorphismStore()
         for mid, rec in data.items():
             rec = _object(rec, "morphism record")
+            if rec.keys() != {"domain", "table"}:
+                raise ArtifactError(
+                    f"morphism record {mid:.60} has the fields {sorted(rec)!r:.80}, "
+                    "not domain and table"
+                )
             dom = resolve(ctx.obj, rec["domain"])
-            cod = resolve(ctx.obj, rec["codomain"])
             table = _list(rec["table"], "morphism table", 3)
             # the id is checked on the rows as written, which the encoder
             # prints as they came, a true or a 1.0 as such
-            if ckey_b64(["morphism", table]) != mid:
+            if morph_id(["morphism", table]) != mid:
                 raise ArtifactError("morphism id does not match its table")
-            store.loaded[mid] = SMorphism(dom, cod, _id_rows(dom, table))
+            store.loaded[mid] = dom, _id_rows(dom, table)
         return store
 
-    def morph(self, mid):
+    def domain(self, mid):
+        """The domain of the record mid, which must be a stored id."""
         if type(mid) is not str or mid not in self.loaded:
             raise ArtifactError(f"unknown morphism reference {mid}")
-        return self.loaded[mid]
+        return self.loaded[mid][0]
+
+    def morph(self, mid, cod, use):
+        """The morphism of the record mid into cod, validated there once per
+        (id, codomain); ``use`` names the reference in an error."""
+        dom, rows = self.domain(mid), self.loaded[mid][1]
+
+        def build():
+            try:
+                return SMorphism(dom, cod, rows)
+            except SimplicialError as exc:
+                raise ArtifactError(
+                    f"{use} is not a morphism into {cod.label!r}: {exc}"
+                ) from None
+
+        return once(self._uses, (mid, cod), build)
+
+    def require_all_used(self):
+        """Every record is the target of some use, so each table written is
+        validated somewhere."""
+        unused = self.loaded.keys() - {mid for mid, _cod in self._uses}
+        if unused:
+            raise ArtifactError(f"morphism record {min(unused)} is used by no reference")
 
 
 # -- ensembles and witnesses ----------------------------------------------------
@@ -204,10 +239,11 @@ def ensemble_to_json(s: Ensemble, store: MorphismStore):
     ]
 
 
-def ensemble_from_json(data, store: MorphismStore) -> Ensemble:
+def ensemble_from_json(data, store: MorphismStore, cod) -> Ensemble:
+    """The ensemble of morphisms into cod written as data."""
     out = {}
     for entry in _list(data, "ensemble"):
-        m = store.morph(_object(entry, "ensemble entry")["key"])
+        m = store.morph(_object(entry, "ensemble entry")["key"], cod, "ensemble key")
         if m in out:
             raise ArtifactError(f"ensemble key {entry['key']} repeated")
         out[m] = _decimal(entry["coeff"], "ensemble coeff")
@@ -267,6 +303,7 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
         for j, prec in enumerate(_list(brec["parts"], "parts")):
             prec = _object(prec, "part")
             domain = resolve(ctx.obj, prec["domain"])
+            part_space = resolve(ctx.labelled_space, prec["space"])
             terms = []
             for trec in _list(prec["terms"], "terms"):
                 trec = _object(trec, "term")
@@ -281,12 +318,16 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
                         for l_key, j_key, c2 in _list(trec["cert"], "cert", 3)
                     ),
                 )
-                morphism = store.morph(trec["w"])
-                if morphism.domain is not domain:
+                term_domain = store.domain(trec["w"])
+                if term_domain is not domain:
                     raise ArtifactError(
                         f"block {b} part {j} on {domain.label!r} has a term "
-                        f"on {morphism.domain.label!r}"
+                        f"on {term_domain.label!r}"
                     )
+                # the space's actions are composed with w, so w lands in it
+                morphism = store.morph(
+                    trec["w"], part_space.obj, f"block {b} part {j} term"
+                )
                 terms.append(
                     IdealTerm(
                         pi=_pi_from_json(trec["pi"]),
@@ -299,7 +340,7 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
                     level=_int(prec["level"], "part level"),
                     terms=terms,
                     domain=domain,
-                    space=resolve(ctx.labelled_space, prec["space"]),
+                    space=part_space,
                 )
             )
         # simplicial sets compare by identity, and every one comes from ctx
@@ -307,16 +348,7 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
             raise ArtifactError(
                 f"block wedge {wedge_obj.label!r} is not the wedge of its part domains"
             )
-        # an id names a table, not its codomain: f must land in the wedge too
-        f = store.morph(brec["f"])
-        try:
-            if f.codomain is not wedge_obj:
-                f = SMorphism(f.domain, wedge_obj, f.rows)
-        except SimplicialError:
-            raise ArtifactError(
-                f"block {b} decomposition into {f.codomain.label!r} does not land "
-                f"in its wedge {wedge_obj.label!r}"
-            ) from None
+        f = store.morph(brec["f"], wedge_obj, f"block {b} decomposition")
         block = Block(f, wedge_obj, parts, space)
         entries.append((_int(brec["coeff"], "block coeff"), block))
     return FiltrationWitness(_int(data["level"], "witness level"), entries)
@@ -503,13 +535,14 @@ def check_pair_artifacts(in_dir):
         payload = _load(os.path.join(in_dir, name))
         f, j = (subset_key(_subset(payload[k], k)) for k in ("face", "subset"))
         claims.append((f, j))
-        pairs[(f, j)] = ensemble_from_json(payload["ensemble"], store)
+        pairs[(f, j)] = ensemble_from_json(payload["ensemble"], store, ctx.w_obj)
         witnesses[(f, j)] = witness_from_json(payload["alt_witness"], store, ctx)
     mismatches = _claim_mismatches(
         pair_claims(ctx.i_set, ctx.e_set), claims, lambda c: f"F={c[0]} J={c[1]}"
     )
     if mismatches:
         return mismatches
+    store.require_all_used()
     checks = []
     for f, j in sorted(pairs):
         checks.extend(
@@ -525,7 +558,7 @@ def check_q_artifacts(in_dir):
     claims are returned."""
     _manifest, ctx, store = _open_dump(in_dir, "almost-fissile")
     payload = _load(os.path.join(in_dir, "q.json"))
-    q_ens = ensemble_from_json(payload["ensemble"], store)
+    q_ens = ensemble_from_json(payload["ensemble"], store, ctx.w_obj)
     layout_witnesses = []
     for entry in _list(payload["layouts"], "layouts"):
         entry = _object(entry, "layout entry")
@@ -540,4 +573,5 @@ def check_q_artifacts(in_dir):
     if mismatches:
         return mismatches
     bwit = witness_from_json(payload["boundary_witness"], store, ctx)
+    store.require_all_used()
     return list(q_checks(ctx, q_ens, layout_witnesses, bwit))

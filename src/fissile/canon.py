@@ -21,6 +21,7 @@ they come rather than refused.
 """
 
 import base64
+import hashlib
 import json
 
 
@@ -65,5 +66,8 @@ def ckey(x) -> bytes:
     return "".join(_ITERENCODE(x, 0)).encode()
 
 
-def ckey_b64(x) -> str:
-    return base64.b64encode(ckey(x)).decode("ascii")
+def morph_id(x) -> str:
+    """The name of x in a file: the unpadded base64url text of the sha256
+    of its key, 43 characters whatever the size of x."""
+    digest = hashlib.sha256(ckey(x)).digest()
+    return base64.urlsafe_b64encode(digest).decode("ascii").rstrip("=")

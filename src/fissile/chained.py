@@ -81,13 +81,24 @@ class IdealCertificate:
         return acc
 
     def check(self, monoid: SubsetMonoid, target: Ensemble) -> bool:
-        """Every L and J is a monoid element, each |J| reaches the level,
-        and the combination evaluates to the target."""
+        """Every J is a monoid element whose size reaches the level, its L is
+        the first element containing J, as :func:`ideal_membership` writes
+        it, and the combination evaluates to the target.  <L>*omega(J) is
+        omega(J) for every L containing J, so any other such L would leave
+        the value unchanged and go unchecked."""
         members = monoid.elements
         for l_key, j_key, _ in self.combination:
-            if l_key not in members or j_key not in members or len(j_key) < self.level:
+            if j_key not in members or len(j_key) < self.level:
+                return False
+            if l_key != _first_containing(monoid.ground, j_key):
                 return False
         return self.value(monoid) == target
+
+
+@lru_cache(maxsize=1024)
+def _first_containing(ground, j):
+    """The first subset of ground, in element order, that contains j."""
+    return next(l_key for l_key in _subsets(ground) if set(j) <= set(l_key))
 
 
 def ideal_membership(monoid: SubsetMonoid, pi: Ensemble, level: int):
@@ -112,7 +123,7 @@ def ideal_membership(monoid: SubsetMonoid, pi: Ensemble, level: int):
     if any(c and len(j) < level for j, c in coeffs.items()):
         return None
     combo = tuple(
-        (next(l_key for l_key in members if set(j) <= set(l_key)), j, coeffs[j])
+        (_first_containing(monoid.ground, j), j, coeffs[j])
         for j in members
         if coeffs.get(j)
     )

@@ -1,7 +1,11 @@
 """Byte identity of the written artifacts: the sha256 of every file of a
 dump, pinned per workload size.  A change to any encoding, key order or
 witness layout shows here, and the fast writer is checked against
-the stdlib `json.dumps` it replaces."""
+the stdlib `json.dumps` it replaces.
+
+The pins are those of the digest ids (``canon.morph_id``) and of records
+without a codomain; each dump is the one pinned before, its ids mapped to
+their digests and each record's codomain dropped."""
 
 import hashlib
 import json
@@ -13,16 +17,16 @@ from fissile.artifacts import write_pair_artifacts, write_q_artifacts
 from fissile.wedge import construct_p, construct_q
 
 DIGESTS = {
-    ("pj", 2, 2): "bb0a2fc72fb65ab642376ed12d62cf473add827d3275697875d8d545b01f5485",
-    ("pj", 3, 1): "3eda5c68c43a2214e6beaadbfe928a2c4e34d1a3641bddb834a16fd8803e518e",
-    ("pj", 3, 2): "d0e0dee4a31442a9a7b95dfe60a10f8a51698c6e52e7b858b6fe14ff58b21876",
+    ("pj", 2, 2): "6964f45bb0decbe9845b9c6884fc47f8718bbb8108ceb18e0ac4d6c6bc84b7b0",
+    ("pj", 3, 1): "6e3a76a2a5c197c6f5686217a9c2547f68002a1cb9afb268b2c9611b3b304910",
+    ("pj", 3, 2): "eb2889d646e9c9bcf309574dd544535c1afeb7e5b5992bbc58e0697cfc6ae906",
     # the largest ideal-chain certificate families
-    ("pj", 4, 1): "f144d68be8f145d73a68b0311bc65e01cb15ff6e3bcebb4f09b9c6ff6e4afec1",
-    ("pj", 5, 1): "5d97fb46007aa9e6fb72ac2f59ccc18180fb35217cebb177117487bee1b4b17f",
-    ("q", 2, 1): "c54b27ddd0dd5597d4614e1b43bf8e15aa4a8e4267ee0e53423b89f7fca5e7af",
-    ("q", 2, 2): "b78b6a66a1220c65934b975177bc709afb31906db71e4bd9554a5a97eeaf22d9",
-    ("q", 4, 1): "4455e8f541b2bb1198d52c322166a27d030ee13203f809313673628b86c60cd9",
-    ("q", 5, 1): "1c9884c43f3717987a31178613d159bba460759a6567a659e76d88255b45e0e5",
+    ("pj", 4, 1): "c7dc79da4b9e5f53567e51ef5705fca27f0873d109110666c458a845dab5d57d",
+    ("pj", 5, 1): "1869f694a382767de13a4e89be59ad4bf1fd275feead142bfe30b715fdb58b61",
+    ("q", 2, 1): "4f1f67ba482eff169d6cfa2a339c328d2f9d5149049697df821df90c0008331a",
+    ("q", 2, 2): "e6e1bbcd1d950cade1c6e155e5fcfc334236896a6f6eb6825e68fc9574c1d532",
+    ("q", 4, 1): "85d2ccd8d29d8602370735b9d686764f786cdf582caa01d899c98dc6d6ab04fc",
+    ("q", 5, 1): "0230e83415f21fa7be3c0e682e0d2f4ef6cf79444220b99e1f2f6dac5fbb9849",
 }
 
 

@@ -152,6 +152,7 @@ def test_nested_commutator_arity_mismatch():
         nested_commutator(("*", "*"), [generator(1)])
 
 
+@pytest.mark.optimized
 def test_nested_commutator_arity_check_raises(monkeypatch):
     # a leaf count that lies past the first check leaves words unconsumed
     monkeypatch.setattr(brunnian, "nesting_weight", lambda t: 3)
@@ -159,17 +160,11 @@ def test_nested_commutator_arity_check_raises(monkeypatch):
         nested_commutator("*", [generator(i) for i in (1, 2, 3)])
 
 
+@pytest.mark.optimized
 def test_magnus_constant_term_check_raises(monkeypatch):
     monkeypatch.setattr(MagnusSeries, "constant_term", lambda self: 0)
     with pytest.raises(ValueError, match="Magnus constant term"):
         lcs_degree(generator(1), 2)
-
-
-def test_arity_and_constant_term_checks_raise_under_optimize(run_optimized):
-    run_optimized(
-        f"{__file__}::test_nested_commutator_arity_check_raises",
-        f"{__file__}::test_magnus_constant_term_check_raises",
-    )
 
 
 def test_nested_commutators_of_distinct_generators_brunnian():

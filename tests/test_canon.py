@@ -1,10 +1,13 @@
+import base64
+import hashlib
 import json
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fissile.canon import ckey, ckey_b64, jsonable
+from fissile.canon import ckey, jsonable, morph_id
 from fissile.simplicial import (
     constant_morphism,
     inclusion,
@@ -82,7 +85,15 @@ def test_ckey_matches_reference_on_fixed_values():
 def test_morphism_key_is_its_payload_key():
     for m in MORPHISMS:
         assert ckey(m) == ckey(m.canonical_payload())
-        assert ckey_b64(m) == ckey_b64(["morphism", [list(r) for r in m.table_key()]])
+        assert morph_id(m) == morph_id(["morphism", [list(r) for r in m.table_key()]])
+
+
+def test_morph_id_is_the_base64url_sha256_of_the_key():
+    for x in (*MORPHISMS, ["morphism", []], "é"):
+        mid = morph_id(x)
+        assert len(mid) == 43
+        assert set(mid) <= set(string.ascii_letters + string.digits + "-_")
+        assert base64.urlsafe_b64decode(mid + "=") == hashlib.sha256(ckey(x)).digest()
 
 
 @pytest.mark.parametrize("x", [object(), (1, object()), frozenset({object()})])

@@ -159,15 +159,12 @@ def test_certificate_rejects_entries_outside_the_monoid():
     assert not forged_j.check(m, forged_j.value(m))
 
 
+@pytest.mark.optimized
 def test_ideal_membership_certificate_check_raises(monkeypatch):
     m = SubsetMonoid((1, 2))
     monkeypatch.setattr(IdealCertificate, "check", lambda self, monoid, pi: False)
     with pytest.raises(ValueError, match="ideal membership"):
         ideal_membership(m, omega((1,)), 1)
-
-
-def test_ideal_membership_certificate_check_raises_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_ideal_membership_certificate_check_raises")
 
 
 def reference_ideal_membership(monoid, level):

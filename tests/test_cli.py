@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import os
@@ -11,8 +12,8 @@ import pytest
 
 import fissile
 from fissile import cli, wedge
-from fissile.artifacts import MAX_DEPTH, ArtifactError, resolve
-from fissile.canon import ckey_b64, jsonable
+from fissile.artifacts import MAX_DEPTH, ArtifactError, MorphismStore, resolve
+from fissile.canon import ckey, jsonable, morph_id
 from fissile.cli import main, parse_word
 from fissile.wedge import WedgeContext
 from fissile.witnesses import FiltrationWitness
@@ -190,6 +191,7 @@ def test_check_refuses_a_manifest_past_the_guard_before_building(tmp_path, optim
     assert "Traceback" not in err
 
 
+@pytest.mark.optimized
 def test_check_applies_the_construction_guard(tmp_path, monkeypatch):
     # a (3, 2) dump fails past the default guards and passes within raised ones
     in_dir = str(tmp_path / "pj")
@@ -205,10 +207,6 @@ def test_check_applies_the_construction_guard(tmp_path, monkeypatch):
     (report,) = map(json.loads, out.splitlines())
     assert report["verdict"] == "fail"
     assert "|I|=3, |E|=2 exceed the configured guard" in report["case"]["check"]
-
-
-def test_check_applies_the_construction_guard_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_check_applies_the_construction_guard")
 
 
 @pytest.mark.parametrize("value", ["two", "2.5", ""])
@@ -270,16 +268,13 @@ MALFORMED_LABELS = [
 ]
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize("label", MALFORMED_LABELS, ids=json.dumps)
 def test_malformed_label_is_an_artifact_error(label):
     ctx = WedgeContext((1,), (1,))
     for lookup in (ctx.obj, ctx.labelled_space):
         with pytest.raises(ArtifactError):
             resolve(lookup, label)
-
-
-def test_malformed_label_is_an_artifact_error_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_malformed_label_is_an_artifact_error")
 
 
 @pytest.mark.parametrize("label", [("W", (7, 8)), ("Wx", (7, 8)), ("WL", (1, 5))])
@@ -508,6 +503,7 @@ WRONG_CONTAINERS = [
 ]
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize(
     "dump, name, edit, field", WRONG_CONTAINERS, ids=[c[3] for c in WRONG_CONTAINERS]
 )
@@ -523,10 +519,6 @@ def test_check_rejects_a_wrong_container(dumps, tmp_path, dump, name, edit, fiel
     assert report["verdict"] == "fail"
     assert report["case"]["check"].startswith(f"artifact-structure ({field} ")
     assert "Traceback" not in err
-
-
-def test_check_rejects_a_wrong_container_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_check_rejects_a_wrong_container")
 
 
 def _repeat_first_ensemble_key(data):
@@ -578,6 +570,7 @@ def _witness_levels_checked(dumps, tmp_path, dump, get):
     return rc, [r["case"]["check"] for r in reports if r["verdict"] == "fail"], err
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize(
     "dump, get, check",
     [
@@ -599,6 +592,7 @@ def test_check_q_rejects_a_witness_level_no_block_reaches(
     assert "Traceback" not in err
 
 
+@pytest.mark.optimized
 def test_check_q_passes_a_witness_without_blocks_at_any_level(dumps, tmp_path):
     rc, failed, _err = _witness_levels_checked(
         dumps, tmp_path, "q1", lambda d: d["layouts"][0]["witness"]
@@ -617,10 +611,10 @@ def _one_in_part_domain_as(value):
     return edit
 
 
-def _true_in_record_codomain(in_dir):
+def _true_in_record_domain(in_dir):
     data = json.loads((in_dir / "morphisms.json").read_text())
-    rec = next(r for r in data.values() if _one_as_true(r["codomain"]))
-    rec["codomain"] = _one_as_true(rec["codomain"])
+    rec = next(r for r in data.values() if _one_as_true(r["domain"]))
+    rec["domain"] = _one_as_true(rec["domain"])
     (in_dir / "morphisms.json").write_text(json.dumps(data))
 
 
@@ -628,14 +622,15 @@ LABEL_EDITS = [
     (_one_in_part_domain_as(True), "True"),
     (_one_in_part_domain_as(1.0), "1.0"),
     (_one_in_part_domain_as(None), "None"),
-    (_true_in_record_codomain, "True"),
+    (_true_in_record_domain, "True"),
 ]
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize(
     "edit, shown",
     LABEL_EDITS,
-    ids=["domain-true", "domain-float", "domain-null", "codomain-true"],
+    ids=["domain-true", "domain-float", "domain-null", "record-domain-true"],
 )
 def test_check_q_rejects_a_label_atom_other_than_a_str_or_int(
     dumps, tmp_path, edit, shown
@@ -652,14 +647,6 @@ def test_check_q_rejects_a_label_atom_other_than_a_str_or_int(
     assert report["case"]["check"].startswith("artifact-structure (malformed label ")
     assert shown in report["case"]["check"]
     assert "Traceback" not in err
-
-
-def test_witness_level_and_label_checks_under_optimize(run_optimized):
-    run_optimized(
-        f"{__file__}::test_check_q_rejects_a_witness_level_no_block_reaches",
-        f"{__file__}::test_check_q_passes_a_witness_without_blocks_at_any_level",
-        f"{__file__}::test_check_q_rejects_a_label_atom_other_than_a_str_or_int",
-    )
 
 
 def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
@@ -719,20 +706,22 @@ def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, summands):
     assert "Traceback" not in err
 
 
+@pytest.mark.optimized
 def test_check_rejects_a_block_decomposition_outside_its_wedge(dumps, tmp_path):
-    # a block whose f is a stored morphism on its domain into a space at l,
-    # whose values are not simplices of the block's wedge
+    # a block whose f is a stored morphism on its domain into W or a wedge
+    # at l, whose values are not simplices of the block's wedge
     in_dir = tmp_path / "dump"
     shutil.copytree(dumps / "q1", in_dir)
+    codomains = _codomains(in_dir, WedgeContext((1, 2), (1,)))
     morphisms = json.loads((in_dir / "morphisms.json").read_text())
     data = json.loads((in_dir / "q.json").read_text())
     witnesses = [e["witness"] for e in data["layouts"]] + [data["boundary_witness"]]
-    b, block, rec, mid = next(
-        (b, block, rec, mid)
+    b, block, mid = next(
+        (b, block, mid)
         for w in witnesses
         for b, block in enumerate(w["blocks"])
         for mid, rec in morphisms.items()
-        if rec["codomain"][0] == "WL"
+        if codomains[mid].label[0] in ("W", "WL")
         and rec["domain"] == morphisms[block["f"]]["domain"]
     )
     block["f"] = mid
@@ -742,9 +731,9 @@ def test_check_rejects_a_block_decomposition_outside_its_wedge(dumps, tmp_path):
     (line,) = out.strip().splitlines()
     report = json.loads(line)
     assert report["verdict"] == "fail"
-    assert report["case"]["check"] == (
-        f"artifact-structure (block {b} decomposition into {_tuples(rec['codomain'])!r}"
-        f" does not land in its wedge {_tuples(block['wedge'])!r})"
+    assert report["case"]["check"].startswith(
+        f"artifact-structure (block {b} decomposition is not a morphism into "
+        f"{_tuples(block['wedge'])!r}: "
     )
 
 
@@ -756,6 +745,7 @@ def _deep_table_value(data):
     next(iter(data.values()))["table"][0][2] = "DEEP"
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize("depth", [900, 100_000])
 @pytest.mark.parametrize(
     "name, place",
@@ -777,13 +767,6 @@ def test_check_rejects_a_file_nested_too_deep(dumps, tmp_path, name, place, dept
     assert report["verdict"] == "fail"
     assert report["case"]["check"] == (
         f"artifact-structure ({name} nests more than {MAX_DEPTH} deep)"
-    )
-
-
-def test_block_and_depth_checks_under_optimize(run_optimized):
-    run_optimized(
-        f"{__file__}::test_check_rejects_a_block_decomposition_outside_its_wedge",
-        f"{__file__}::test_check_rejects_a_file_nested_too_deep",
     )
 
 
@@ -840,6 +823,7 @@ INCOMPLETE_DUMPS = {
 }
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize("case", INCOMPLETE_DUMPS)
 def test_check_rejects_incomplete_dump(dumps, tmp_path, case):
     # the claims come from the files and must be the construction's, each
@@ -856,10 +840,6 @@ def test_check_rejects_incomplete_dump(dumps, tmp_path, case):
     assert sorted(r["case"]["check"] for r in reports) == sorted(expected)
     assert all(r["verdict"] == "fail" for r in reports)
     assert "Traceback" not in err
-
-
-def test_check_rejects_incomplete_dump_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_check_rejects_incomplete_dump")
 
 
 @pytest.mark.parametrize("dump, lines", [("pj1", 9), ("q2", 7)])
@@ -1002,6 +982,7 @@ FAILED_CONDITIONS = {
 }
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize("condition", FAILED_CONDITIONS)
 def test_construct_reports_failed_condition(monkeypatch, tmp_path, condition):
     monkeypatch.setattr(wedge, *FAILED_CONDITIONS[condition])
@@ -1014,10 +995,7 @@ def test_construct_reports_failed_condition(monkeypatch, tmp_path, condition):
     assert report["error"] == f"{condition} F=(1,) J=() failed"
 
 
-def test_failed_condition_reported_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_construct_reports_failed_condition")
-
-
+@pytest.mark.optimized
 def test_check_pj_rejects_table_breaking_faces(tmp_path):
     # a table that commutes with degeneracies but not with faces, stored
     # under the id recomputed from its rows
@@ -1027,8 +1005,9 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
     ctx = WedgeContext(manifest["i"], manifest["e"])
     data = json.loads((pj / "morphisms.json").read_text())
 
-    def break_faces(rec):
-        cod = resolve(ctx.obj, rec["codomain"])
+    codomains = _codomains(pj, ctx)
+
+    def break_faces(rec, cod):
         for row in rec["table"]:
             n, v = row[0], _tuples(row[2])
             for y in cod.level(n) if n else ():
@@ -1037,8 +1016,8 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
                     return True
         return False
 
-    old_id = next(mid for mid in sorted(data) if break_faces(data[mid]))
-    new_id = ckey_b64(["morphism", data[old_id]["table"]])
+    old_id = next(mid for mid in sorted(data) if break_faces(data[mid], codomains[mid]))
+    new_id = morph_id(["morphism", data[old_id]["table"]])
     data[new_id] = data.pop(old_id)
     (pj / "morphisms.json").write_text(json.dumps(data))
     for path in pj.glob("pair_*.json"):
@@ -1048,6 +1027,26 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
     assert rc == 1
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines and all(r["verdict"] == "fail" for r in lines)
+
+
+def _codomains(in_dir, ctx):
+    """The codomain that each morphism id of a dump is read into at its
+    first use: W(I) for an ensemble key, the block's wedge for a block's f
+    and the object of the part's space for a term's w."""
+    out = {}
+    for path in sorted(in_dir.glob("*.json")):
+        if path.name in ("manifest.json", "morphisms.json"):
+            continue
+        data = json.loads(path.read_text())
+        for entry in data["ensemble"]:
+            out.setdefault(entry["key"], ctx.w_obj)
+        for block in _blocks(data):
+            out.setdefault(block["f"], resolve(ctx.obj, block["wedge"]))
+            for part in block["parts"]:
+                space = resolve(ctx.labelled_space, part["space"]).obj
+                for term in part["terms"]:
+                    out.setdefault(term["w"], space)
+    return out
 
 
 def _tuples(x):
@@ -1080,11 +1079,6 @@ def test_check_pj_rejects_one_written_as_true_in_a_table(tmp_path):
     (line,) = out.strip().splitlines()
     assert "morphism id does not match its table" in json.loads(line)["case"]["check"]
     assert "Traceback" not in err
-
-
-def test_table_breaking_faces_rejected_under_optimize(run_optimized):
-    # the simplicial checks raise, so they hold without assert statements
-    run_optimized(f"{__file__}::test_check_pj_rejects_table_breaking_faces")
 
 
 def _has_one(x):
@@ -1164,13 +1158,14 @@ def _forge_a_table(in_dir, forge):
     manifest = json.loads((in_dir / "manifest.json").read_text())
     ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
     data = json.loads((in_dir / "morphisms.json").read_text())
+    codomains = _codomains(in_dir, ctx)
     for old_id in sorted(data):
         rec = data[old_id]
-        dom, cod = (resolve(ctx.obj, rec[k]) for k in ("domain", "codomain"))
+        dom, cod = resolve(ctx.obj, rec["domain"]), codomains[old_id]
         table = forge(rec["table"], dom, cod)
         if table is not None:
             break
-    new_id = ckey_b64(["morphism", table])
+    new_id = morph_id(["morphism", table])
     assert new_id not in data
     data[new_id] = dict(data.pop(old_id), table=table)
     (in_dir / "morphisms.json").write_text(json.dumps(data))
@@ -1179,6 +1174,7 @@ def _forge_a_table(in_dir, forge):
             path.write_text(path.read_text().replace(old_id, new_id))
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize("dump", ["q1", "pj1"])
 @pytest.mark.parametrize("forge", TABLE_FORGERIES.values(), ids=TABLE_FORGERIES)
 def test_check_reads_each_table_strictly(dumps, tmp_path, dump, forge):
@@ -1194,8 +1190,200 @@ def test_check_reads_each_table_strictly(dumps, tmp_path, dump, forge):
     assert "Traceback" not in err
 
 
-def test_check_reads_each_table_strictly_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_check_reads_each_table_strictly")
+def _rewrite_references(in_dir, ids):
+    """Rewrite every reference to a morphism id in the dump's witness and
+    ensemble files by the map ids."""
+    for path in in_dir.glob("*.json"):
+        if path.name not in ("manifest.json", "morphisms.json"):
+            text = path.read_text()
+            for old, new in ids.items():
+                text = text.replace(json.dumps(old), json.dumps(new))
+            path.write_text(text)
+
+
+def _record_with_codomain(data, in_dir, dumps):
+    rec = data[min(data)]
+    rec["codomain"] = rec["domain"]
+
+
+def _record_with_note(data, in_dir, dumps):
+    data[min(data)]["note"] = "unused"
+
+
+def _record_without_table(data, in_dir, dumps):
+    del data[min(data)]["table"]
+
+
+def _old_style_ids(data, in_dir, dumps):
+    # the base64 of the whole key, as ids were written before digests
+    ids = {
+        mid: base64.b64encode(ckey(["morphism", rec["table"]])).decode()
+        for mid, rec in data.items()
+    }
+    data.update({ids[mid]: data.pop(mid) for mid in list(data)})
+    _rewrite_references(in_dir, ids)
+
+
+def _ids_of_two_tables_swapped(data, in_dir, dumps):
+    # each well-formed digest names the other table
+    a, b = sorted(data)[:2]
+    data[a], data[b] = data[b], data[a]
+
+
+def _record_no_reference_uses(data, in_dir, dumps):
+    # a record of the pair dump of the same sizes, whose table no use reads
+    extra = json.loads((dumps / "pj1" / "morphisms.json").read_text())
+    mid = min(extra.keys() - data.keys())
+    data[mid] = extra[mid]
+
+
+# a morphisms.json edit and the start of the artifact-structure message
+# it must give
+RECORD_TAMPERS = {
+    "record-with-codomain": (_record_with_codomain, "morphism record "),
+    "record-with-another-field": (_record_with_note, "morphism record "),
+    "record-without-table": (_record_without_table, "morphism record "),
+    "old-style-ids": (_old_style_ids, "morphism id does not match its table"),
+    "ids-of-two-tables-swapped": (
+        _ids_of_two_tables_swapped,
+        "morphism id does not match its table",
+    ),
+    "record-no-reference-uses": (_record_no_reference_uses, "morphism record "),
+}
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize("case", RECORD_TAMPERS)
+def test_check_rejects_a_record_out_of_form(dumps, tmp_path, case):
+    # a record is its domain and its table under the digest of that table,
+    # and some reference uses it, so the table is validated somewhere
+    edit, message = RECORD_TAMPERS[case]
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "q1", in_dir)
+    data = json.loads((in_dir / "morphisms.json").read_text())
+    edit(data, in_dir, dumps)
+    (in_dir / "morphisms.json").write_text(json.dumps(data))
+    rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"].startswith(f"artifact-structure ({message}")
+
+
+def _loaded_store(in_dir):
+    manifest = json.loads((in_dir / "manifest.json").read_text())
+    ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
+    data = json.loads((in_dir / "morphisms.json").read_text())
+    return ctx, data, MorphismStore.load(data, ctx)
+
+
+def _lands_in(store, mid, cod):
+    try:
+        store.morph(mid, cod, "probe")
+    except ArtifactError:
+        return False
+    return True
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize("dump", ["pj1", "pj2"])
+def test_check_rejects_a_term_outside_its_part_space(dumps, tmp_path, dump):
+    # a term's w swapped for a stored morphism on the same domain that lands
+    # in the object of some use, but not in the object of the term's space,
+    # whose actions are composed with it
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    ctx, data, store = _loaded_store(in_dir)
+    codomains = _codomains(in_dir, ctx)
+    for path in sorted(in_dir.glob("pair_*.json")):
+        payload = json.loads(path.read_text())
+        found = next(
+            (
+                (b, j, term, mid)
+                for b, block in enumerate(payload["alt_witness"]["blocks"])
+                for j, part in enumerate(block["parts"])
+                for term in part["terms"]
+                for mid, rec in sorted(data.items())
+                if rec["domain"] == part["domain"]
+                and _lands_in(store, mid, codomains[mid])
+                and not _lands_in(
+                    store, mid, resolve(ctx.labelled_space, part["space"]).obj
+                )
+            ),
+            None,
+        )
+        if found:
+            break
+    b, j, term, mid = found
+    term["w"] = mid
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"].startswith(
+        f"artifact-structure (block {b} part {j} term is not a morphism into "
+    )
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize("dump", ["q1", "pj1"])
+def test_check_rejects_an_ensemble_key_outside_w(dumps, tmp_path, dump):
+    # an ensemble key swapped for a stored morphism that is no map into W(I)
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    ctx, data, store = _loaded_store(in_dir)
+    mid = next(m for m in sorted(data) if not _lands_in(store, m, ctx.w_obj))
+    path = next(p for p in sorted(in_dir.glob("*.json")) if "ensemble" in p.read_text())
+    payload = json.loads(path.read_text())
+    payload["ensemble"][0]["key"] = mid
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"].startswith(
+        f"artifact-structure (ensemble key is not a morphism into {ctx.w_obj.label!r}: "
+    )
+
+
+@pytest.mark.optimized
+def test_check_pj_rejects_a_certificate_l_other_than_the_first(dumps, tmp_path):
+    # <L>*omega(J) is omega(J) for every L containing J, so an L swapped for
+    # a later element containing J leaves every value unchanged; the
+    # certificate names the first, as ideal_membership writes it
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "pj1", in_dir)
+    elements = WedgeContext((1, 2), (1,)).monoid.elements
+    for path in sorted(in_dir.glob("pair_*.json")):
+        payload = json.loads(path.read_text())
+        entries = [
+            entry
+            for block in payload["alt_witness"]["blocks"]
+            for part in block["parts"]
+            for term in part["terms"]
+            for entry in term["cert"]
+        ]
+        for entry in entries:
+            containing = [list(e) for e in elements if set(entry[1]) <= set(e)]
+            assert entry[0] == containing[0]
+            if len(containing) > 1:
+                entry[0] = containing[-1]
+                break
+        else:
+            continue
+        break
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    failed = [r["case"]["check"] for r in reports if r["verdict"] == "fail"]
+    assert failed == [
+        f"alternating-sum-witness F={tuple(payload['face'])} J={tuple(payload['subset'])}"
+    ]
 
 
 def test_check_q_rejects_swapped_layout_witnesses(tmp_path):

@@ -210,6 +210,7 @@ def test_membership_arbitrary_precision():
     )
 
 
+@pytest.mark.optimized
 def test_subgroup_membership_reevaluation_raises(monkeypatch):
     # a first recorded operation that doubles both rows, so the replayed
     # combination comes out doubled while H stays as it was
@@ -223,10 +224,6 @@ def test_subgroup_membership_reevaluation_raises(monkeypatch):
     gens = SubgroupGenerators([singleton("a"), singleton("b")])
     with pytest.raises(ValueError, match="subgroup membership"):
         subgroup_membership(singleton("a"), gens)
-
-
-def test_subgroup_membership_reevaluation_raises_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_subgroup_membership_reevaluation_raises")
 
 
 def dense_row_echelon(rows):

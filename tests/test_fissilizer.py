@@ -230,11 +230,13 @@ def test_a_pair_out_of_order_fails_on_every_call(n):
                     lp.extend(s, a, b)
 
 
+@pytest.mark.optimized
 def test_lattice_poset_is_built_once():
     lattice = presheaf_on((1, 2, 3)).lattice
     assert lattice.poset() is lattice.poset()
 
 
+@pytest.mark.optimized
 def test_fissilize_and_lift_build_at_most_two_posets(monkeypatch):
     built = []
     init = posets.FinitePoset.__init__
@@ -263,9 +265,3 @@ def test_fissilize_and_lift_build_at_most_two_posets(monkeypatch):
         assert all(lp.restrict(u, top, a) == val for a, val in compat.items())
     assert len(built) <= 2
 
-
-def test_poset_counts_hold_under_optimize(run_optimized):
-    run_optimized(
-        f"{__file__}::test_lattice_poset_is_built_once",
-        f"{__file__}::test_fissilize_and_lift_build_at_most_two_posets",
-    )

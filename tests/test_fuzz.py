@@ -1,0 +1,156 @@
+"""The fuzz gate: every written field is load-bearing.
+
+Each case sets one JSON path of a real dump to another value, or deletes
+it, and runs the checker on the result.  A mutation whose JSON text equals
+the original is skipped.  Every other one must end in exit 1 with a
+``fail`` line, never in a traceback, unless an entry of ``ALLOWED`` below
+matches it: a field that no check rests on, while the claim the file makes
+still holds.  The mutations are drawn from fixed seeds, so each run makes
+the same ones (after Zeller et al., *The Fuzzing Book*, "Mutation-Based
+Fuzzing")."""
+
+import io
+import json
+import random
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from fissile.artifacts import MorphismStore, witness_from_json
+from fissile.cli import main
+from fissile.wedge import WedgeContext
+from fissile.witnesses import PairScope
+
+MUTATIONS_PER_DUMP = 200
+DELETE = object()
+VALUES = [None, "str", -1, [], {}, 10**6, True, DELETE]
+# (kind, |E|, seed); every dump has |I| = 2
+DUMPS = [("q", 1, 101), ("pj", 1, 102), ("q", 2, 103), ("pj", 2, 104)]
+
+
+def _children(x):
+    """The (key, value) pairs of a JSON object or list; none of a scalar."""
+    return x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+
+
+def _paths(x, prefix=()):
+    """The path of every value under x, x itself excluded."""
+    for key, child in _children(x):
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _get(x, path):
+    for key in path:
+        x = x[key]
+    return x
+
+
+def _mutated(data, path, value):
+    """A copy of data with the value at path set to value, or deleted."""
+    data = json.loads(json.dumps(data))
+    parent = _get(data, path[:-1])
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return data
+
+
+def _witnesses(x, prefix=()):
+    """The path and the JSON object of every witness under x."""
+    if isinstance(x, dict) and "blocks" in x and "level" in x:
+        yield prefix, x
+    for key, child in _children(x):
+        yield from _witnesses(child, prefix + (key,))
+
+
+def _zero_blocks(files):
+    """The (file, path) of every block whose own value is zero: its glued
+    product vanishes once precomposed with its f."""
+    manifest = files["manifest.json"]
+    ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
+    store = MorphismStore.load(files["morphisms.json"], ctx)
+    scope, zero = PairScope(), set()
+    for name, data in files.items():
+        for path, wit in _witnesses(data):
+            for b, (_c, block) in enumerate(witness_from_json(wit, store, ctx).entries):
+                if not block.value(scope).terms:
+                    zero.add((name, path + ("blocks", b)))
+    return zero
+
+
+# Mutations that may pass, each a predicate on (original files, zero
+# blocks, file name, path), with the reason the claim still holds.
+ALLOWED = {
+    # an empty witness holds at any level, so a witness with no blocks
+    # passes with any level its certificates' levels allow; q(2,1)'s layout
+    # witnesses are empty
+    "level of a witness with no blocks": lambda files, zero, name, path: (
+        path[-1] == "level"
+        and isinstance(_get(files[name], path[:-1]), dict)
+        and _get(files[name], path[:-1]).get("blocks") == []
+    ),
+    # a block whose own value is zero adds nothing to its witness's sum, so
+    # its coefficient, and any change to its parts that keeps the
+    # certificates and ranks sound, leaves the sum as it was; dropping zero
+    # blocks where witnesses are compacted would close this
+    "a field of a zero block": lambda files, zero, name, path: any(
+        (name, path[:k]) in zero for k in range(len(path) + 1)
+    ),
+}
+
+
+def _check(kind, in_dir):
+    """Exit code and report lines of the checker, in-process; an exception
+    the command lets escape is reported as the traceback it would print."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main([f"check-{kind}", "--in", str(in_dir)])
+    except Exception as exc:  # noqa: BLE001 - the gate reports it
+        return None, [f"Traceback: {type(exc).__name__}: {exc}"]
+    return rc, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def dumps(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for kind, e, _seed in DUMPS:
+        out = str(root / f"{kind}{e}")
+        argv = [f"construct-{kind}", "--i", "2", "--e", str(e), "--out", out]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+    return root
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize("kind, e, seed", DUMPS, ids=[f"{k}-2x{e}" for k, e, _ in DUMPS])
+def test_every_one_field_mutation_fails(dumps, tmp_path, kind, e, seed):
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / f"{kind}{e}", in_dir)
+    names = sorted(p.name for p in in_dir.glob("*.json"))
+    files = {name: json.loads((in_dir / name).read_text()) for name in names}
+    paths = {name: list(_paths(files[name])) for name in names}
+    zero = _zero_blocks(files)
+    rng = random.Random(seed)
+    run, wrong = 0, []
+    while run < MUTATIONS_PER_DUMP:
+        name = rng.choice(names)
+        path = rng.choice(paths[name])
+        value = rng.choice(VALUES)
+        mutated = _mutated(files[name], path, value)
+        if json.dumps(mutated) == json.dumps(files[name]):
+            continue
+        run += 1
+        (in_dir / name).write_text(json.dumps(mutated))
+        rc, lines = _check(kind, in_dir)
+        (in_dir / name).write_text(json.dumps(files[name]))
+        shown = "deleted" if value is DELETE else json.dumps(value)
+        case = f"{name} {list(path)} = {shown}"
+        if rc == 1 and any(line["verdict"] == "fail" for line in lines):
+            continue
+        if rc != 0 or not any(match(files, zero, name, path) for match in ALLOWED.values()):
+            wrong.append(f"{case}: exit {rc}, {lines}")
+    assert not wrong, "\n".join(wrong)

@@ -167,6 +167,7 @@ def test_restriction_square_exhaustive_small():
             assert check_restriction_square(poset, sys.restrict, sys.extend, fam)
 
 
+@pytest.mark.optimized
 def test_restriction_square_fails_at_a_single_broken_q():
     poset = boolean_lattice(2)
     sys = TupleSystem((1, 2))
@@ -182,6 +183,7 @@ def test_restriction_square_fails_at_a_single_broken_q():
     assert not check_restriction_square(poset, sys.restrict, broken, fam)
 
 
+@pytest.mark.optimized
 def test_nabla_suite_lifts_each_family_once(monkeypatch):
     # per random family at ground n: two inverses for the round trip, one
     # for the lift to the top and one per element for the lifts below it;
@@ -197,13 +199,6 @@ def test_nabla_suite_lifts_each_family_once(monkeypatch):
     monkeypatch.setattr(suites, "nabla_inverse", counting)
     assert all(ok for _case, ok in suites.suite_nabla(max_e=3))
     assert 0 < len(calls) <= 3100
-
-
-def test_square_and_count_hold_under_optimize(run_optimized):
-    run_optimized(
-        f"{__file__}::test_restriction_square_fails_at_a_single_broken_q",
-        f"{__file__}::test_nabla_suite_lifts_each_family_once",
-    )
 
 
 def test_lift_limit_restricts_back():

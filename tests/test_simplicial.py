@@ -524,6 +524,7 @@ def test_contraction_tower_cones_once(monkeypatch):
         assert same_map(sigma, contraction_recipe(tower, a, proj))
 
 
+@pytest.mark.optimized
 def test_contraction_with_a_corrupted_rule_fails(monkeypatch):
     # every value on the collapsed base: a based map, but not a retraction
     monkeypatch.setattr(
@@ -583,6 +584,7 @@ def recording_reduced_cones(monkeypatch):
     return built
 
 
+@pytest.mark.optimized
 def test_every_reduced_cone_of_two_runs_equals_its_recipe(monkeypatch):
     from fissile.wedge import construct_p, construct_q
 
@@ -628,12 +630,6 @@ def test_every_reduced_cone_of_two_runs_equals_its_recipe(monkeypatch):
             assert same_map(out, want)
 
 
-def test_every_reduced_cone_of_two_runs_equals_its_recipe_under_optimize(
-    run_optimized,
-):
-    run_optimized(f"{__file__}::test_every_reduced_cone_of_two_runs_equals_its_recipe")
-
-
 def unbased_point_map():
     """The vertex of a point with a free basepoint onto one end of an edge
     with a free basepoint, and that free basepoint onto the other end."""
@@ -642,6 +638,7 @@ def unbased_point_map():
     return tabulated(t, z, [{BASE: (0,), (0,): (1,)}, {}, {}])
 
 
+@pytest.mark.optimized
 def test_reduced_cone_map_rejects_a_map_that_is_not_based():
     from fissile.witnesses import PairScope
 
@@ -651,13 +648,6 @@ def test_reduced_cone_map_rejects_a_map_that_is_not_based():
         reduced_cone_map(f, rdom, rcod)
     with pytest.raises(SimplicialError, match="not based"):
         PairScope().reduced_cone_map(f, rdom, rcod)
-
-
-def test_reduced_cone_error_paths_under_optimize(run_optimized):
-    run_optimized(
-        f"{__file__}::test_reduced_cone_map_rejects_a_map_that_is_not_based",
-        f"{__file__}::test_contraction_with_a_corrupted_rule_fails",
-    )
 
 
 # -- quotients and subsets --------------------------------------------------------
@@ -684,6 +674,7 @@ def test_collapse_rejects_a_degeneracy_that_is_not_kept():
         )
 
 
+@pytest.mark.optimized
 def test_subsimplicial_closure_enforced():
     u = standard_simplex(1, 2)
     with pytest.raises(SimplicialError, match="not closed under faces .* dimension 1"):
@@ -692,10 +683,7 @@ def test_subsimplicial_closure_enforced():
         subsimplicial(u, lambda n, x: n == 0)
 
 
-def test_subsimplicial_closure_enforced_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_subsimplicial_closure_enforced")
-
-
+@pytest.mark.optimized
 def test_induce_through_rejects_map_not_descending():
     # the quotient collapses both endpoints of the edge to one basepoint,
     # but the identity keeps them apart
@@ -704,10 +692,6 @@ def test_induce_through_rejects_map_not_descending():
     proj = quotient_projection(u, quotient(u, ends))
     with pytest.raises(SimplicialError, match="does not descend .* dimension 0"):
         induce_through(proj, inclusion(u, u))
-
-
-def test_induce_through_rejects_map_not_descending_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_induce_through_rejects_map_not_descending")
 
 
 # -- morphism mechanics -----------------------------------------------------------
@@ -769,6 +753,7 @@ def test_degenerate_values_match_full_tables_in_the_construction(monkeypatch):
             assert_agrees_with_full_table(m)
 
 
+@pytest.mark.optimized
 def test_table_with_a_degenerate_row_rejected():
     # id rows hold one value per nondegenerate simplex, so a value for a
     # degenerate one makes a row too long, and a missing value one too short
@@ -784,10 +769,6 @@ def test_table_with_a_degenerate_row_rejected():
             SMorphism(t, t, missing, check=check)
         with pytest.raises(SimplicialError, match="dimensions differ from the bound"):
             SMorphism(t, t, rows[:-1], check=check)
-
-
-def test_table_with_a_degenerate_row_rejected_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_table_with_a_degenerate_row_rejected")
 
 
 def test_morphism_equality_is_equality_of_rows():
@@ -809,15 +790,12 @@ def test_morphism_equality_is_equality_of_rows():
     assert len({*ends, inclusion(a, a), inclusion(b, b)}) == 3
 
 
+@pytest.mark.optimized
 def test_face_breaking_row_rejected():
     t = disjoint_basepoint(standard_simplex(1, 2))
     edge = t.degen(0, 0, (1,))
     with pytest.raises(SimplicialError, match="does not commute with faces .* dimension 1"):
         tabulate(t, t, lambda n, x: edge if x == (0, 1) else x)
-
-
-def test_face_breaking_row_rejected_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_face_breaking_row_rejected")
 
 
 def test_injective_needs_nondegenerate_values():
@@ -833,6 +811,7 @@ def test_injective_needs_nondegenerate_values():
     assert f(1, (0, 1)) == f(1, circle.degen(0, 0, BASE))
 
 
+@pytest.mark.optimized
 def test_plus_base_iso_rejects_a_larger_reduced_cone():
     # the reduced cone of the plus base over a larger simplex receives the
     # cone over the smaller one injectively, but not onto
@@ -840,10 +819,6 @@ def test_plus_base_iso_rejects_a_larger_reduced_cone():
     bigger = reduced_cone(plus_base(cone(standard_simplex(2, 2), 0)))
     with pytest.raises(SimplicialError, match="is not an isomorphism"):
         plus_base_iso(c, bigger)
-
-
-def test_plus_base_iso_rejects_a_larger_reduced_cone_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_plus_base_iso_rejects_a_larger_reduced_cone")
 
 
 def brute_based_morphisms(t, z):

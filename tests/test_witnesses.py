@@ -297,16 +297,13 @@ def letter_swap(ctx):
     return swap
 
 
+@pytest.mark.optimized
 def test_map_witness_rejects_nonequivariant(ctx):
     rng = random.Random(66)
     full = ctx.full_space
     w = random_witness(rng, ctx, ctx.plus_base_of((1,)), full)
     with pytest.raises(SimplicialError, match="not equivariant"):
         map_witness(w, letter_swap(ctx), full, full)
-
-
-def test_map_witness_rejects_nonequivariant_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_map_witness_rejects_nonequivariant")
 
 
 def test_scope_rejects_nonequivariant_after_equivariant(ctx):
@@ -323,6 +320,7 @@ def test_scope_rejects_nonequivariant_after_equivariant(ctx):
         map_witness(w, letter_swap(ctx), full, full, scope)
 
 
+@pytest.mark.optimized
 def test_pspace_rejects_unbased_action(ctx):
     # the non-identity elements act by the constant map at the free
     # vertex of the edge, which moves the basepoint
@@ -332,10 +330,6 @@ def test_pspace_rejects_unbased_action(ctx):
     action[ctx.monoid.identity()] = inclusion(t, t)
     with pytest.raises(SimplicialError, match="action is not based at the monoid"):
         PSpace(t, ctx.monoid, action, label="edge")
-
-
-def test_pspace_rejects_unbased_action_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_pspace_rejects_unbased_action")
 
 
 def test_cone_witness_pipeline(ctx):
@@ -368,6 +362,7 @@ def test_wedge_witness_pipeline(ctx):
         assert verify_witness(expected, ww, ww.level, ctx.monoid)
 
 
+@pytest.mark.optimized
 def test_witness_sum_concatenates_and_difference_compacts(ctx):
     rng = random.Random(70)
     space = ctx.space((1,))
@@ -392,10 +387,6 @@ def test_witness_sum_concatenates_and_difference_compacts(ctx):
         ]
         assert diff.value() == a.value() - b.value()
         assert not (a - a).entries
-
-
-def test_witness_arithmetic_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_witness_sum_concatenates_and_difference_compacts")
 
 
 def test_transform_chain_preserves_validity(ctx):
@@ -503,6 +494,7 @@ def edge_row_broken(t):
     return SMorphism(t, t, id_rows(t, maps), check=False)
 
 
+@pytest.mark.optimized
 def test_forged_degenerate_row_rejected_at_construction(ctx):
     # a table holds the nondegenerate rows only, so the scope's keys, which
     # hold every row, cannot meet an equal key over another table: the
@@ -511,10 +503,6 @@ def test_forged_degenerate_row_rejected_at_construction(ctx):
     for check in (True, False):
         with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
             SMorphism(t, t, degenerate_row_forged(t), check=check)
-
-
-def test_forged_degenerate_row_rejected_under_optimize(run_optimized):
-    run_optimized(f"{__file__}::test_forged_degenerate_row_rejected_at_construction")
 
 
 def test_scope_reglues_part_with_equal_key_but_other_table(ctx):
