@@ -261,3 +261,10 @@ def test_brunnian_words_sit_deep():
             for mon in series.terms:
                 if mon:
                     assert set(mon) == set(alphabet)
+
+
+def test_arity_and_constant_term_checks_raise_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_nested_commutator_arity_check_raises",
+        f"{__file__}::test_magnus_constant_term_check_raises",
+    )

@@ -237,3 +237,7 @@ def test_ideal_membership_builds_no_echelon(monkeypatch):
         cert = ideal_membership(m, pi, len(j))
         assert cert is not None and cert.check(m, pi)
         assert ideal_membership(m, singleton(j), 1) is None
+
+
+def test_ideal_membership_certificate_check_raises_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_ideal_membership_certificate_check_raises")

@@ -1552,3 +1552,47 @@ def test_word_command_report_lines(argv, expected):
     assert isinstance(report.pop("ms"), int)
     assert report == expected
     assert err == "1 passed, 0 failed, 0 skipped\n"
+
+
+def test_check_applies_the_construction_guard_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_check_applies_the_construction_guard")
+
+
+def test_malformed_label_is_an_artifact_error_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_malformed_label_is_an_artifact_error")
+
+
+def test_check_rejects_a_wrong_container_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_check_rejects_a_wrong_container")
+
+
+def test_witness_level_and_label_checks_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_check_q_rejects_a_witness_level_no_block_reaches",
+        f"{__file__}::test_check_q_passes_a_witness_without_blocks_at_any_level",
+        f"{__file__}::test_check_q_rejects_a_label_atom_other_than_a_str_or_int",
+    )
+
+
+def test_block_and_depth_checks_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_check_rejects_a_block_decomposition_outside_its_wedge",
+        f"{__file__}::test_check_rejects_a_file_nested_too_deep",
+    )
+
+
+def test_check_rejects_incomplete_dump_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_check_rejects_incomplete_dump")
+
+
+def test_failed_condition_reported_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_construct_reports_failed_condition")
+
+
+def test_table_breaking_faces_rejected_under_optimize(run_optimized):
+    # the simplicial checks raise, so they hold without assert statements
+    run_optimized(f"{__file__}::test_check_pj_rejects_table_breaking_faces")
+
+
+def test_check_reads_each_table_strictly_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_check_reads_each_table_strictly")

@@ -403,3 +403,7 @@ def test_family_builds_its_echelon_once(monkeypatch):
     for v in targets:
         subgroup_membership(v, family)
     assert len(calls) == 1
+
+
+def test_subgroup_membership_reevaluation_raises_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_subgroup_membership_reevaluation_raises")

@@ -265,3 +265,9 @@ def test_fissilize_and_lift_build_at_most_two_posets(monkeypatch):
         assert all(lp.restrict(u, top, a) == val for a, val in compat.items())
     assert len(built) <= 2
 
+
+def test_poset_counts_hold_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_lattice_poset_is_built_once",
+        f"{__file__}::test_fissilize_and_lift_build_at_most_two_posets",
+    )

@@ -209,3 +209,11 @@ def test_a_failing_label_fails_on_every_call(label):
         assert resolve(lookup, ["W", [1]]) is resolve(lookup, ["W", [1]])
     assert resolve(ctx.obj, ["W", [1]]) is ctx.w_obj
 
+
+def test_counts_hold_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_evaluation_composes_each_distinct_decomposition_once",
+        f"{__file__}::test_glued_products_are_built_once_per_scope",
+        f"{__file__}::test_each_label_is_resolved_once_per_context",
+        f"{__file__}::test_a_failing_label_fails_on_every_call",
+    )

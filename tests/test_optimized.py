@@ -1,44 +1,20 @@
 """The ``python -O`` run: every test marked ``optimized`` runs once more in
 one ``python -O -m pytest -m optimized`` subprocess, where assert
 statements are stripped, so the guarantees those tests show are seen to
-hold without them."""
-
-import os
-import re
-import subprocess
-import sys
-
-import fissile
-
-TESTS = os.path.dirname(os.path.abspath(__file__))
+hold without them. The ``*_under_optimize`` tests of each module read
+their targets' outcomes from that same run."""
 
 
-def run_marked_under_optimize(*paths, cwd):
-    """The exit code and output of one ``python -O -m pytest -m optimized``
-    run over paths, and the ids of its failed and erroring tests."""
-    src = os.path.dirname(os.path.dirname(fissile.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-         "-m", "optimized", *paths],
-        cwd=cwd,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)
-    return proc.returncode, failed, proc.stdout + proc.stderr
-
-
-def test_every_marked_test_passes_under_optimize():
-    rc, failed, output = run_marked_under_optimize(TESTS, cwd=os.path.dirname(TESTS))
+def test_every_marked_test_passes_under_optimize(optimized_run):
+    rc, passed, failed, output = optimized_run
     assert not failed, f"failed under python -O: {failed}"
+    assert passed, output
     assert rc == 0, output
 
 
-def test_the_runner_names_a_test_that_fails_under_optimize_only(tmp_path):
+def test_the_runner_names_a_test_that_fails_under_optimize_only(
+    tmp_path, run_marked_under_optimize
+):
     (tmp_path / "pytest.ini").write_text("[pytest]\nmarkers =\n    optimized: run -O\n")
     # pytest rewrites the asserts of test modules, so the one that -O strips
     # sits in a module of its own, as a guarantee of the package would
@@ -59,6 +35,7 @@ def test_the_runner_names_a_test_that_fails_under_optimize_only(tmp_path):
         "def test_unmarked_so_not_run():\n"
         "    check()\n"
     )
-    rc, failed, _output = run_marked_under_optimize(tmp_path, cwd=tmp_path)
+    rc, passed, failed, _output = run_marked_under_optimize(tmp_path, cwd=tmp_path)
     assert rc == 1
     assert failed == ["test_sample.py::test_check_raises"]
+    assert passed == ["test_sample.py::test_marked_and_sound"]

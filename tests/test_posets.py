@@ -391,3 +391,10 @@ def test_check_compatible_rejects_a_key_outside_the_poset():
     fam = Section({((9,),): Ensemble.zero()})
     with pytest.raises(ValueError, match=r"family key \(\(9,\),\) is not a poset element"):
         check_compatible(poset, restrict, fam)
+
+
+def test_square_and_count_hold_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_restriction_square_fails_at_a_single_broken_q",
+        f"{__file__}::test_nabla_suite_lifts_each_family_once",
+    )

@@ -1039,3 +1039,36 @@ def test_table_key_matches_ckey_order_past_ten_dimensions(levels, data):
     maps = [{x: data.draw(KEYS) for x in level} for level in dom.simplices]
     m = SMorphism(dom, dom, id_rows(dom, maps), check=False)
     assert m.table_key() == ckey_sorted_rows(m)
+
+
+def test_every_reduced_cone_of_two_runs_equals_its_recipe_under_optimize(
+    run_optimized,
+):
+    run_optimized(f"{__file__}::test_every_reduced_cone_of_two_runs_equals_its_recipe")
+
+
+def test_reduced_cone_error_paths_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_reduced_cone_map_rejects_a_map_that_is_not_based",
+        f"{__file__}::test_contraction_with_a_corrupted_rule_fails",
+    )
+
+
+def test_subsimplicial_closure_enforced_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_subsimplicial_closure_enforced")
+
+
+def test_induce_through_rejects_map_not_descending_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_induce_through_rejects_map_not_descending")
+
+
+def test_table_with_a_degenerate_row_rejected_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_table_with_a_degenerate_row_rejected")
+
+
+def test_face_breaking_row_rejected_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_face_breaking_row_rejected")
+
+
+def test_plus_base_iso_rejects_a_larger_reduced_cone_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_plus_base_iso_rejects_a_larger_reduced_cone")

@@ -1095,3 +1095,21 @@ def test_every_wedge_witness_decomposition_equals_the_keyed_table(
             shifted += len(blocks) > 1
     assert compared > 80 and shifted > 40
 
+
+def test_action_checks_hold_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_one_action_validation_per_context",
+        f"{__file__}::test_cutting_to_a_subset_the_action_leaves_fails",
+    )
+
+
+def test_witness_inverse_transform_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_witness_inverse_transform_equals_the_hand_loop")
+
+
+def test_gluings_equal_the_keyed_tables_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_every_action_equals_the_keyed_table",
+        f"{__file__}::test_every_iota_equals_the_keyed_table",
+        f"{__file__}::test_every_wedge_witness_decomposition_equals_the_keyed_table",
+    )

@@ -601,3 +601,19 @@ def test_wedge_witness_validates_a_repeated_decomposition_once(ctx, monkeypatch)
     assert len(seen) == 1
     assert w.entries[0][1].f is w.entries[1][1].f is seen[0]
     assert w.entries[0][1].parts[0] is not w.entries[1][1].parts[0]
+
+
+def test_map_witness_rejects_nonequivariant_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_map_witness_rejects_nonequivariant")
+
+
+def test_pspace_rejects_unbased_action_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_pspace_rejects_unbased_action")
+
+
+def test_witness_arithmetic_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_witness_sum_concatenates_and_difference_compacts")
+
+
+def test_forged_degenerate_row_rejected_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_forged_degenerate_row_rejected_at_construction")
