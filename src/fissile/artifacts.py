@@ -15,7 +15,6 @@ import json
 import os
 import re
 from collections import Counter
-from json.encoder import encode_basestring_ascii
 
 from .canon import morph_id
 from .chained import IdealCertificate, subset_key
@@ -357,38 +356,12 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
 # -- writing -------------------------------------------------------------------
 
 
-def _json_chunks(x, depth, write):
-    """Pass ``json.dumps(x, sort_keys=True, indent=1)`` at nesting depth
-    ``depth`` to ``write`` chunk by chunk, for str-keyed dicts, lists,
-    tuples, str, int, bool and None: the stdlib's bytes, without its
-    pure-Python indenting encoder."""
-    if isinstance(x, str):
-        write(encode_basestring_ascii(x))
-    elif x is None or x is True or x is False:
-        write("null" if x is None else "true" if x else "false")
-    elif isinstance(x, int):
-        write(int.__repr__(x))
-    elif not isinstance(x, (list, tuple, dict)):
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-    elif not x:
-        write("{}" if isinstance(x, dict) else "[]")
-    else:
-        is_dict = isinstance(x, dict)
-        if is_dict and not all(isinstance(k, str) for k in x):
-            raise TypeError("keys must be str")
-        sep = inner = "\n" + " " * (depth + 1)
-        write("{" if is_dict else "[")
-        for k in sorted(x) if is_dict else x:
-            write(sep + encode_basestring_ascii(k) + ": " if is_dict else sep)
-            _json_chunks(x[k] if is_dict else k, depth + 1, write)
-            sep = "," + inner
-        write("\n" + " " * depth + ("}" if is_dict else "]"))
-
-
 def _dump(path, payload):
+    """Write payload as one line of compact sorted-key JSON.  A one-shot
+    ``json.dumps`` with no ``indent`` runs in CPython's C encoder;
+    ``json.dump`` and ``iterencode`` would not."""
     with open(path, "w", encoding="utf-8") as fh:
-        _json_chunks(payload, 0, fh.write)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _slug(subset):
@@ -469,6 +442,10 @@ def _load(path):
             data = _object(json.load(fh), name)
     except RecursionError:
         raise too_deep from None
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"{name} is not JSON: {exc.msg} (char {exc.pos})") from None
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(f"{name} is not UTF-8: {exc.reason} (byte {exc.start})") from None
     inner = [data]
     for _ in range(MAX_DEPTH):
         children = (x.values() if type(x) is dict else x for x in inner)

@@ -2,6 +2,7 @@ import base64
 import io
 import json
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -768,6 +769,54 @@ def test_check_rejects_a_file_nested_too_deep(dumps, tmp_path, name, place, dept
     assert report["case"]["check"] == (
         f"artifact-structure ({name} nests more than {MAX_DEPTH} deep)"
     )
+
+
+def _first_half(data):
+    return data[: len(data) // 2]
+
+
+def _leading_ff(data):
+    return b"\xff" + data
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize(
+    "dump, name, spoil, error",
+    [
+        ("q1", "q.json", _first_half, r"JSON: .+ \(char \d+\)"),
+        ("q1", "morphisms.json", _first_half, r"JSON: .+ \(char \d+\)"),
+        ("pj1", "pair_F1_J1.json", _first_half, r"JSON: .+ \(char \d+\)"),
+        ("q1", "q.json", _leading_ff, r"UTF-8: invalid start byte \(byte 0\)"),
+    ],
+    ids=["q-truncated", "morphisms-truncated", "pair-truncated", "leading-0xff"],
+)
+def test_check_names_a_file_that_is_not_json(dumps, tmp_path, dump, name, spoil, error):
+    # every file is one line, so the offset, not a line number, says where
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    (in_dir / name).write_bytes(spoil((in_dir / name).read_bytes()))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    expected = rf"artifact-structure \({re.escape(name)} is not {error}\)"
+    assert re.fullmatch(expected, report["case"]["check"])
+
+
+@pytest.mark.parametrize("dump, lines", [("pj2", 27), ("q2", 7)])
+def test_check_passes_a_dump_in_the_old_indented_layout(dumps, tmp_path, dump, lines):
+    # every dump was written with indent=1 before files became one line
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    for path in in_dir.iterdir():
+        value = json.loads(path.read_text())
+        path.write_text(json.dumps(value, sort_keys=True, indent=1) + "\n")
+    rc, out, _err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 0
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(reports) == lines
+    assert all(r["verdict"] == "pass" for r in reports)
 
 
 def _missing(*tags):
@@ -1579,6 +1628,10 @@ def test_block_and_depth_checks_under_optimize(run_optimized):
         f"{__file__}::test_check_rejects_a_block_decomposition_outside_its_wedge",
         f"{__file__}::test_check_rejects_a_file_nested_too_deep",
     )
+
+
+def test_check_names_a_file_that_is_not_json_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_check_names_a_file_that_is_not_json")
 
 
 def test_check_rejects_incomplete_dump_under_optimize(run_optimized):

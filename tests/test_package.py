@@ -82,3 +82,21 @@ def test_verification_error_is_raised_on_the_checker_conditions_only():
     assert passed and all(
         arg.startswith(("pair_checks(", "q_checks(")) for arg in passed
     ), passed
+
+
+def test_no_json_dump_and_no_indent_in_the_package():
+    # ``json.dump`` and any ``indent`` run CPython's pure-Python JSON
+    # encoder; the writer's one-shot ``json.dumps`` runs the C encoder
+    found = []
+    for path in sorted(Path(fissile.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (
+                ast.unparse(node.func) == "json.dump"
+                or any(k.arg == "indent" for k in node.keywords)
+            )
+        ]
+    assert not found, found
