@@ -24,7 +24,14 @@ from .layouts import LayoutLattice, layout_key
 # it.  Wedges themselves come from the context.
 from .simplicial import SimplicialError, SMorphism, intern_all, wedge  # noqa: F401
 from .wedge import WedgeContext, pair_checks, pair_claims, q_checks
-from .witnesses import Block, BlockPart, FiltrationWitness, IdealTerm, once
+from .witnesses import (
+    Block,
+    BlockPart,
+    FiltrationWitness,
+    IdealTerm,
+    WitnessReport,
+    once,
+)
 
 
 class ArtifactError(ValueError):
@@ -77,7 +84,7 @@ def _resolve(lookup, label):
     label = _label_key(label)
     try:
         return lookup(label)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError) as exc:
         raise ArtifactError(f"malformed label {label!r}: {exc}") from None
 
 
@@ -225,11 +232,32 @@ def _object(x, field):
     return x
 
 
+def _fields(x, what, *keys):
+    """The fields ``keys`` of x, in order; x must be a JSON object that has
+    each.  The checker reads every field here, or through ``get`` where a
+    missing one is checked as a bad value."""
+    x = _object(x, what)
+    for key in keys:
+        if key not in x:
+            raise ArtifactError(f"{what} lacks the field {key!r}")
+    return [x[key] for key in keys]
+
+
 def _decimal(text, field):
     """The int whose canonical decimal text, str(int(text)), is ``text``."""
     if not (isinstance(text, str) and re.fullmatch("0|-?[1-9][0-9]*", text)):
         raise ArtifactError(f"{field} {text!r} is not canonical decimal text")
     return int(text)
+
+
+def _layout(data):
+    """The layout written as data, a list of nonempty, pairwise disjoint
+    blocks, each a list of ints."""
+    blocks = [_subset(g, "layout block") for g in _list(data, "layout")]
+    try:
+        return layout_key(blocks)
+    except ValueError as exc:
+        raise ArtifactError(f"layout {data!r:.60}: {exc}") from None
 
 
 def ensemble_to_json(s: Ensemble, store: MorphismStore):
@@ -242,10 +270,11 @@ def ensemble_from_json(data, store: MorphismStore, cod) -> Ensemble:
     """The ensemble of morphisms into cod written as data."""
     out = {}
     for entry in _list(data, "ensemble"):
-        m = store.morph(_object(entry, "ensemble entry")["key"], cod, "ensemble key")
+        key, coeff = _fields(entry, "ensemble entry", "key", "coeff")
+        m = store.morph(key, cod, "ensemble key")
         if m in out:
-            raise ArtifactError(f"ensemble key {entry['key']} repeated")
-        out[m] = _decimal(entry["coeff"], "ensemble coeff")
+            raise ArtifactError(f"ensemble key {key} repeated")
+        out[m] = _decimal(coeff, "ensemble coeff")
     return Ensemble(out)
 
 
@@ -291,55 +320,64 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
 
 
 def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
+    """The witness written as data.  Every part's space is its block's,
+    the space that the block's value lands in."""
+    blocks, level = _fields(data, "witness", "blocks", "level")
     entries = []
-    for b, brec in enumerate(_list(_object(data, "witness")["blocks"], "blocks")):
-        brec = _object(brec, "block")
-        wedge_obj = resolve(ctx.obj, brec["wedge"])
+    for b, brec in enumerate(_list(blocks, "blocks")):
+        wlabel, slabel, precs, fid, coeff = _fields(
+            brec, "block", "wedge", "space", "parts", "f", "coeff"
+        )
+        wedge_obj = resolve(ctx.obj, wlabel)
         if wedge_obj.insertions is None:
             raise ArtifactError(f"block wedge {wedge_obj.label!r} is not a wedge")
-        space = resolve(ctx.labelled_space, brec["space"])
+        space = resolve(ctx.labelled_space, slabel)
         parts = []
-        for j, prec in enumerate(_list(brec["parts"], "parts")):
-            prec = _object(prec, "part")
-            domain = resolve(ctx.obj, prec["domain"])
-            part_space = resolve(ctx.labelled_space, prec["space"])
+        for j, prec in enumerate(_list(precs, "parts")):
+            dlabel, plabel, trecs, plevel = _fields(
+                prec, "part", "domain", "space", "terms", "level"
+            )
+            domain = resolve(ctx.obj, dlabel)
+            if resolve(ctx.labelled_space, plabel) is not space:
+                raise ArtifactError(
+                    f"block {b} part {j} has the space {plabel!r:.60}, "
+                    f"not the block's {space.label!r}"
+                )
             terms = []
-            for trec in _list(prec["terms"], "terms"):
-                trec = _object(trec, "term")
+            for trec in _list(trecs, "terms"):
+                cert_level, cert, w, pi = _fields(
+                    trec, "term", "cert_level", "cert", "w", "pi"
+                )
                 cert = IdealCertificate(
-                    level=_int(trec["cert_level"], "cert_level"),
+                    level=_int(cert_level, "cert_level"),
                     combination=tuple(
                         (
                             _subset(l_key, "certificate L"),
                             _subset(j_key, "certificate J"),
                             _int(c2, "certificate coefficient"),
                         )
-                        for l_key, j_key, c2 in _list(trec["cert"], "cert", 3)
+                        for l_key, j_key, c2 in _list(cert, "cert", 3)
                     ),
                 )
-                term_domain = store.domain(trec["w"])
+                term_domain = store.domain(w)
                 if term_domain is not domain:
                     raise ArtifactError(
                         f"block {b} part {j} on {domain.label!r} has a term "
                         f"on {term_domain.label!r}"
                     )
                 # the space's actions are composed with w, so w lands in it
-                morphism = store.morph(
-                    trec["w"], part_space.obj, f"block {b} part {j} term"
-                )
+                morphism = store.morph(w, space.obj, f"block {b} part {j} term")
                 terms.append(
                     IdealTerm(
-                        pi=_pi_from_json(trec["pi"]),
-                        certificate=cert,
-                        morphism=morphism,
+                        pi=_pi_from_json(pi), certificate=cert, morphism=morphism
                     )
                 )
             parts.append(
                 BlockPart(
-                    level=_int(prec["level"], "part level"),
+                    level=_int(plevel, "part level"),
                     terms=terms,
                     domain=domain,
-                    space=part_space,
+                    space=space,
                 )
             )
         # simplicial sets compare by identity, and every one comes from ctx
@@ -347,10 +385,9 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
             raise ArtifactError(
                 f"block wedge {wedge_obj.label!r} is not the wedge of its part domains"
             )
-        f = store.morph(brec["f"], wedge_obj, f"block {b} decomposition")
-        block = Block(f, wedge_obj, parts, space)
-        entries.append((_int(brec["coeff"], "block coeff"), block))
-    return FiltrationWitness(_int(data["level"], "witness level"), entries)
+        f = store.morph(fid, wedge_obj, f"block {b} decomposition")
+        entries.append((_int(coeff, "block coeff"), Block(f, wedge_obj, parts, space)))
+    return FiltrationWitness(_int(level, "witness level"), entries)
 
 
 # -- writing -------------------------------------------------------------------
@@ -483,7 +520,7 @@ def _open_dump(in_dir, kind):
 
 
 def _claim_mismatches(expected, found, tag):
-    """One failed (check name, ok) per expected claim missing from or
+    """One failed (check name, report) per expected claim missing from or
     repeated in ``found`` and per distinct found claim not expected; none
     when the two match one for one.  ``tag`` names a claim."""
     counts = Counter(found)
@@ -491,8 +528,10 @@ def _claim_mismatches(expected, found, tag):
     for claim in expected:
         n = counts.pop(claim, 0)
         if n != 1:
-            out.append((f"claim-{'duplicate' if n else 'missing'} {tag(claim)}", False))
-    out.extend((f"claim-extra {tag(claim)}", False) for claim in counts)
+            name = f"claim-{'duplicate' if n else 'missing'} {tag(claim)}"
+            out.append((name, WitnessReport(False, f"written {n} times")))
+    extra = WitnessReport(False, "not a claim of the construction")
+    out.extend((f"claim-extra {tag(claim)}", extra) for claim in counts)
     return out
 
 
@@ -500,7 +539,8 @@ def check_pair_artifacts(in_dir):
     """Re-verify a pair-construction dump from files alone.
 
     Returns a list of (check-name, ok) tuples, one per condition and pair,
-    from the same condition functions the builder evaluates.  The pairs are
+    from the same condition functions the builder evaluates; ok is True or
+    a failed WitnessReport that says why.  The pairs are
     read from the files, and they must be the construction's pairs, each
     once; otherwise only the failed claims are returned.
     """
@@ -510,10 +550,13 @@ def check_pair_artifacts(in_dir):
         if not isinstance(name, str):
             raise ArtifactError(f"manifest pair file {name!r:.60} is not a string")
         payload = _load(os.path.join(in_dir, name))
-        f, j = (subset_key(_subset(payload[k], k)) for k in ("face", "subset"))
+        face, subset, ens, wit = _fields(
+            payload, name, "face", "subset", "ensemble", "alt_witness"
+        )
+        f, j = subset_key(_subset(face, "face")), subset_key(_subset(subset, "subset"))
         claims.append((f, j))
-        pairs[(f, j)] = ensemble_from_json(payload["ensemble"], store, ctx.w_obj)
-        witnesses[(f, j)] = witness_from_json(payload["alt_witness"], store, ctx)
+        pairs[(f, j)] = ensemble_from_json(ens, store, ctx.w_obj)
+        witnesses[(f, j)] = witness_from_json(wit, store, ctx)
     mismatches = _claim_mismatches(
         pair_claims(ctx.i_set, ctx.e_set), claims, lambda c: f"F={c[0]} J={c[1]}"
     )
@@ -535,13 +578,14 @@ def check_q_artifacts(in_dir):
     claims are returned."""
     _manifest, ctx, store = _open_dump(in_dir, "almost-fissile")
     payload = _load(os.path.join(in_dir, "q.json"))
-    q_ens = ensemble_from_json(payload["ensemble"], store, ctx.w_obj)
+    ens, layouts, bdata = _fields(
+        payload, "q.json", "ensemble", "layouts", "boundary_witness"
+    )
+    q_ens = ensemble_from_json(ens, store, ctx.w_obj)
     layout_witnesses = []
-    for entry in _list(payload["layouts"], "layouts"):
-        entry = _object(entry, "layout entry")
-        blocks = [_subset(g, "layout block") for g in _list(entry["layout"], "layout")]
-        witness = witness_from_json(entry["witness"], store, ctx)
-        layout_witnesses.append((layout_key(blocks), witness))
+    for entry in _list(layouts, "layouts"):
+        layout, wit = _fields(entry, "layout entry", "layout", "witness")
+        layout_witnesses.append((_layout(layout), witness_from_json(wit, store, ctx)))
     mismatches = _claim_mismatches(
         LayoutLattice(ctx.e_set, bound=len(ctx.e_set)).layouts,
         [a for a, _ in layout_witnesses],
@@ -549,6 +593,6 @@ def check_q_artifacts(in_dir):
     )
     if mismatches:
         return mismatches
-    bwit = witness_from_json(payload["boundary_witness"], store, ctx)
+    bwit = witness_from_json(bdata, store, ctx)
     store.require_all_used()
     return list(q_checks(ctx, q_ens, layout_witnesses, bwit))

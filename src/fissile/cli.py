@@ -26,6 +26,7 @@ from .layouts import GuardExceeded, GuardSettingError
 from .simplicial import SimplicialError
 from .suites import SUITES, SUITE_NAMES
 from .wedge import VerificationError, construction_guard, construct_p, construct_q
+from .witnesses import WitnessReport
 
 WORD_TOKEN = re.compile(r"^x(\d+)(\^-1)?$")
 
@@ -169,17 +170,21 @@ def cmd_construct(args):
 
 
 def cmd_check(args):
-    """Run an artifact checker; structural corruption counts as failure."""
+    """Run an artifact checker; structural corruption counts as failure.
+    Every fail line carries the diagnostic of its check's report.  Only
+    the errors that a bad dump raises are caught, so a fault of the program
+    still ends in a traceback."""
     t0 = time.monotonic()
     error = {}
     try:
-        # a dump past the guards raises GuardExceeded, a ValueError, so it
-        # fails: a check that verified nothing must not pass
         checks = CHECKERS[args.command](args.in_dir)
-    except (ArtifactError, SimplicialError, KeyError, OSError, ValueError) as exc:
-        checks = [(f"artifact-structure ({exc})", False)]
+    except (ArtifactError, SimplicialError, GuardExceeded, OSError) as exc:
+        # a dump past the guards fails: a check that verified nothing must
+        # not pass
+        checks = [(f"artifact-structure ({exc})", WitnessReport(False, str(exc)))]
     except MemoryError:
-        checks, error = [("artifact-check", False)], {"error": "memory"}
+        checks = [("artifact-check", WitnessReport(False, "out of memory"))]
+        error = {"error": "memory"}
     reports = []
     for name, ok in checks:
         reports.append(
@@ -191,6 +196,8 @@ def cmd_check(args):
                 "ms": int((time.monotonic() - t0) * 1000),
             }
         )
+        if not ok:
+            reports[-1]["diagnostic"] = ok.diagnostic
         _emit(reports[-1])
     return 1 if _summary(reports) else 0
 

@@ -298,6 +298,14 @@ def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
     return FiltrationWitness(w.level, [(c, b) for c, b in merged.values() if c])
 
 
+def drop_zero_blocks(w: FiltrationWitness, scope: PairScope) -> FiltrationWitness:
+    """The entries of w, in order, whose blocks are not zero on their own,
+    each evaluated through the scope: a zero block's glued product cancels
+    once precomposed with its f.  It adds nothing to the witness's value, so
+    this leaves the value and every kept block's rank as they were."""
+    return FiltrationWitness(w.level, [(c, b) for c, b in w.entries if b.value(scope)])
+
+
 @dataclass
 class WitnessReport:
     ok: bool

@@ -1014,19 +1014,25 @@ def test_check_pj_rejects_a_certificate_outside_the_monoid(tmp_path, forged):
         assert failed == ["artifact-structure (certificate L 'str' is not an int)"]
 
 
-# each pair condition made to fail at (1, 1): the function replaced and its
-# replacement
+# each pair condition made to fail at (1, 1): the function replaced, its
+# replacement, and the diagnostic the failure reports
 FAILED_CONDITIONS = {
-    "constant-restriction": ("constant_restriction_holds", lambda *args: False),
+    "constant-restriction": (
+        "constant_restriction_holds",
+        lambda *args: False,
+        "the restriction to the based subdivision is not constant",
+    ),
     "multiplicative-restriction": (
         "multiplicative_restriction_holds",
         lambda *args: False,
+        "the restrictions to the layouts [(), ((1,),)] are not their glued products",
     ),
     # a compaction that loses every block leaves the alternating sum with an
     # empty witness
     "alternating-sum-witness": (
         "compact_witness",
         lambda w: FiltrationWitness(w.level, []),
+        "sum mismatch",
     ),
 }
 
@@ -1034,14 +1040,15 @@ FAILED_CONDITIONS = {
 @pytest.mark.optimized
 @pytest.mark.parametrize("condition", FAILED_CONDITIONS)
 def test_construct_reports_failed_condition(monkeypatch, tmp_path, condition):
-    monkeypatch.setattr(wedge, *FAILED_CONDITIONS[condition])
+    name, replacement, diagnostic = FAILED_CONDITIONS[condition]
+    monkeypatch.setattr(wedge, name, replacement)
     rc, out, _err = run_cli(
         ["construct-pj", "--i", "1", "--e", "1", "--out", str(tmp_path / "pj")]
     )
     assert rc == 1
     report = json.loads(out)
     assert report["verdict"] == "fail"
-    assert report["error"] == f"{condition} F=(1,) J=() failed"
+    assert report["error"] == f"{condition} F=(1,) J=() failed: {diagnostic}"
 
 
 @pytest.mark.optimized
@@ -1400,6 +1407,103 @@ def test_check_rejects_an_ensemble_key_outside_w(dumps, tmp_path, dump):
 
 
 @pytest.mark.optimized
+@pytest.mark.parametrize("dump", ["q2", "pj2"])
+def test_check_rejects_a_part_space_other_than_its_blocks(dumps, tmp_path, dump):
+    # one element deleted from a part's space label names another space at
+    # l, in which its terms may land too; a part's space must be its block's
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    path = next(p for p in sorted(in_dir.glob("*.json")) if '"parts"' in p.read_text())
+    payload = json.loads(path.read_text())
+    b, block = next((b, blk) for b, blk in enumerate(_blocks(payload)) if blk["space"][1])
+    part = block["parts"][-1]
+    assert part["space"] == block["space"]
+    part["space"] = [part["space"][0], part["space"][1][:-1]]
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    j = len(block["parts"]) - 1
+    assert report["case"]["check"] == (
+        f"artifact-structure (block {b} part {j} has the space {part['space']!r}, "
+        f"not the block's {tuple([block['space'][0], tuple(block['space'][1])])!r})"
+    )
+
+
+# a field deleted from each kind of object the checker reads: (dump, file,
+# the object, the field, the name the line gives the object)
+MISSING_FIELDS = [
+    ("q1", "q.json", lambda d: d["boundary_witness"], "level", "witness"),
+    ("q1", "q.json", lambda d: next(_blocks(d)), "coeff", "block"),
+    ("q1", "q.json", _first_part, "space", "part"),
+    ("q1", "q.json", _first_term, "w", "term"),
+    ("q1", "q.json", lambda d: d["ensemble"][0], "key", "ensemble entry"),
+    ("q1", "q.json", lambda d: d["layouts"][0], "witness", "layout entry"),
+    ("q1", "q.json", lambda d: d, "boundary_witness", "q.json"),
+    ("pj1", PAIR, lambda d: d, "face", PAIR),
+]
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize(
+    "dump, name, get, field, what",
+    MISSING_FIELDS,
+    ids=[f"{c[4]}-{c[3]}" for c in MISSING_FIELDS],
+)
+def test_check_names_a_missing_field(dumps, tmp_path, dump, name, get, field, what):
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    path = in_dir / name
+    data = json.loads(path.read_text())
+    del get(data)[field]
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    message = f"{what} lacks the field {field!r}"
+    assert report["case"]["check"] == f"artifact-structure ({message})"
+    assert report["diagnostic"] == message
+
+
+@pytest.mark.optimized
+def test_check_q_rejects_a_written_zero_block(monkeypatch, tmp_path):
+    # zero blocks kept and the builder's checks passed: every witness still
+    # sums to its defect, but a written block that is zero on its own fails
+    # its witness's line, and the line says which block
+    monkeypatch.setattr(wedge, "drop_zero_blocks", lambda w, scope: w)
+    monkeypatch.setattr(wedge, "_require_all", lambda checks: None)
+    q = tmp_path / "q"
+    assert run_cli(["construct-q", "--i", "2", "--e", "2", "--out", str(q)])[0] == 0
+    rc, out, err = run_cli(["check-q", "--in", str(q)])
+    assert rc == 1 and "Traceback" not in err
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(reports) == 7
+    failed = [r for r in reports if r["verdict"] == "fail"]
+    assert any(
+        r["case"]["check"].startswith("layout-defect-witness ") for r in failed
+    )
+    for r in failed:
+        assert r["case"]["check"].startswith(("layout-defect-witness ", "boundary-"))
+        assert re.fullmatch(r"block \d+ is zero", r["diagnostic"])
+    assert all("diagnostic" not in r for r in reports if r["verdict"] == "pass")
+
+
+def test_check_lets_a_fault_of_the_program_escape(monkeypatch, tmp_path):
+    # only what a bad dump raises is a fail line; a KeyError of the program
+    # is not read as a corrupt dump
+    def faulty(in_dir):
+        raise KeyError("a fault of the program")
+
+    monkeypatch.setitem(cli.CHECKERS, "check-q", faulty)
+    with pytest.raises(KeyError):
+        run_cli(["check-q", "--in", str(tmp_path)])
+
+
+@pytest.mark.optimized
 def test_check_pj_rejects_a_certificate_l_other_than_the_first(dumps, tmp_path):
     # <L>*omega(J) is omega(J) for every L containing J, so an L swapped for
     # a later element containing J leaves every value unchanged; the
@@ -1636,6 +1740,14 @@ def test_check_names_a_file_that_is_not_json_under_optimize(run_optimized):
 
 def test_check_rejects_incomplete_dump_under_optimize(run_optimized):
     run_optimized(f"{__file__}::test_check_rejects_incomplete_dump")
+
+
+def test_part_space_missing_field_and_zero_block_checks_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_check_rejects_a_part_space_other_than_its_blocks",
+        f"{__file__}::test_check_names_a_missing_field",
+        f"{__file__}::test_check_q_rejects_a_written_zero_block",
+    )
 
 
 def test_failed_condition_reported_under_optimize(run_optimized):
