@@ -17,7 +17,7 @@ import re
 from collections import Counter
 
 from .canon import morph_id
-from .chained import IdealCertificate, subset_key
+from .chained import subset_key
 from .ensembles import Ensemble
 from .layouts import LayoutLattice, layout_key
 # ``wedge`` stays importable here: perfbench/spans.py wraps every binding of
@@ -234,12 +234,16 @@ def _object(x, field):
 
 def _fields(x, what, *keys):
     """The fields ``keys`` of x, in order; x must be a JSON object that has
-    each.  The checker reads every field here, or through ``get`` where a
-    missing one is checked as a bad value."""
+    each and no other, so every field written is one the checker reads.
+    The checker reads every field here, or through ``get`` where a missing
+    one is checked as a bad value."""
     x = _object(x, what)
     for key in keys:
         if key not in x:
             raise ArtifactError(f"{what} lacks the field {key!r}")
+    if len(x) != len(keys):
+        extra = min(x.keys() - set(keys))
+        raise ArtifactError(f"{what} has the field {extra!r:.60}, which is not read")
     return [x[key] for key in keys]
 
 
@@ -303,12 +307,7 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
                         "domain": p.domain.label,
                         "space": p.space.label,
                         "terms": [
-                            {
-                                "pi": t.pi.sorted_items(),
-                                "cert_level": t.certificate.level,
-                                "cert": t.certificate.combination,
-                                "w": store.ref(t.morphism),
-                            }
+                            {"pi": t.pi.sorted_items(), "w": store.ref(t.morphism)}
                             for t in p.terms
                         ],
                     }
@@ -345,20 +344,7 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
                 )
             terms = []
             for trec in _list(trecs, "terms"):
-                cert_level, cert, w, pi = _fields(
-                    trec, "term", "cert_level", "cert", "w", "pi"
-                )
-                cert = IdealCertificate(
-                    level=_int(cert_level, "cert_level"),
-                    combination=tuple(
-                        (
-                            _subset(l_key, "certificate L"),
-                            _subset(j_key, "certificate J"),
-                            _int(c2, "certificate coefficient"),
-                        )
-                        for l_key, j_key, c2 in _list(cert, "cert", 3)
-                    ),
-                )
+                w, pi = _fields(trec, "term", "w", "pi")
                 term_domain = store.domain(w)
                 if term_domain is not domain:
                     raise ArtifactError(
@@ -367,11 +353,7 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
                     )
                 # the space's actions are composed with w, so w lands in it
                 morphism = store.morph(w, space.obj, f"block {b} part {j} term")
-                terms.append(
-                    IdealTerm(
-                        pi=_pi_from_json(pi), certificate=cert, morphism=morphism
-                    )
-                )
+                terms.append(IdealTerm(pi=_pi_from_json(pi), morphism=morphism))
             parts.append(
                 BlockPart(
                     level=_int(plevel, "part level"),
@@ -406,7 +388,8 @@ def _slug(subset):
 
 
 def write_pair_artifacts(result, out_dir):
-    """Dump every constructed pair with its certificate to a directory."""
+    """Dump every constructed pair with its alternating-sum witness to a
+    directory."""
     os.makedirs(out_dir, exist_ok=True)
     ctx = result.ctx
     store = MorphismStore()

@@ -252,7 +252,7 @@ def cmd_lcs(args):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fissile",
-        description="exact combinatorial calculus with checkable certificates",
+        description="exact combinatorial calculus with independently checkable results",
     )
     sub = parser.add_subparsers(dest="command")
 

@@ -464,7 +464,7 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
                 singleton(rng.choice(subsets_of(ctx.i_set))),
                 omega(rng.choice(js)),
             )
-        return target, ideal_membership(ctx.monoid, target, level)
+        return target
 
     def random_witness(t_obj, morphs):
         entries = []
@@ -472,11 +472,9 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
             domains, parts = [], []
             for _ in range(rng.randint(1, 2)):
                 level = rng.randint(0, 2)
-                pi, cert = random_pi(level)
                 domains.append(t)
-                parts.append(
-                    BlockPart(level, [IdealTerm(pi, cert, rng.choice(pool))], t, space)
-                )
+                term = IdealTerm(random_pi(level), rng.choice(pool))
+                parts.append(BlockPart(level, [term], t, space))
             wobj = wedge(domains)
             f = rng.choice(enumerate_based_morphisms(t_obj, wobj))
             entries.append((rng.choice((-2, -1, 1, 2)), Block(f, wobj, parts, space)))

@@ -1,5 +1,5 @@
 """The wedge of suspended thick simplices, its subset-monoid action, and the
-inductive construction of fissile morphism ensembles with full certificates.
+inductive construction of fissile morphism ensembles with checkable witnesses.
 
 For an index set I, the main space is the wedge, over all subsets J of I,
 of the suspended thick simplex on the letters I minus J.  The monoid of
@@ -7,7 +7,7 @@ subsets acts by moving the component at J to the component at K meet J
 along the letter inclusion.  Over the coned barycentric subdivisions of the
 faces of a ground simplex, constant-at-top-vertex morphisms are bent, by a
 lift-and-fill induction, into fissile ensembles whose alternating sums are
-certified deep in the block filtration.
+witnessed deep in the block filtration.
 """
 
 import functools
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .canon import ckey
 from .chained import (
     SubsetMonoid,
-    ideal_membership,
     omega,
     subset_key,
     subsets_of,
@@ -392,16 +391,6 @@ class WedgeContext:
         sigma = self.contraction(l_key, letter)
         return compose(sigma, compose(cv, self.plus_iso(f)))
 
-    # -- certificates ------------------------------------------------------
-
-    @_entry("identitycert")
-    def identity_cert(self):
-        return ideal_membership(self.monoid, singleton(self.i_set), 0)
-
-    @_entry("omegacert", subset_key)
-    def omega_cert(self, j):
-        return ideal_membership(self.monoid, omega(j), len(j))
-
     # -- witness building blocks --------------------------------------------
 
     @_entry("point")
@@ -417,7 +406,7 @@ class WedgeContext:
         f = constant_morphism(t_obj, wobj, wobj.basepoint)
         part = BlockPart(
             level=0,
-            terms=[IdealTerm(singleton(self.i_set), self.identity_cert(), const)],
+            terms=[IdealTerm(singleton(self.i_set), const)],
             domain=pt,
             space=space,
         )
@@ -427,17 +416,17 @@ class WedgeContext:
     def omega_witness(self, j, f) -> FiltrationWitness:
         """Witness for omega(j) . <xi(j, f)> in the space at j, as one block
         of rank |j| over the based subdivision of the face f."""
-        morphism, cert, space = self.xi(j, f), self.omega_cert(j), self.space(j)
+        morphism, space = self.xi(j, f), self.space(j)
         dom = morphism.domain
         wobj = self.wedge_of([dom], label=("wedge1", dom.label))
         part = BlockPart(
-            level=cert.level,
-            terms=[IdealTerm(omega(j), cert, morphism)],
+            level=len(j),
+            terms=[IdealTerm(omega(j), morphism)],
             domain=dom,
             space=space,
         )
         block = Block(f=wobj.insertions[0], wedge_obj=wobj, parts=[part], space=space)
-        return FiltrationWitness(cert.level, [(1, block)])
+        return FiltrationWitness(len(j), [(1, block)])
 
 
 def restrict_ensemble(s: Ensemble, k: SMorphism) -> Ensemble:

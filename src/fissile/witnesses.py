@@ -1,17 +1,18 @@
-"""Blocks and checkable membership certificates for the module filtration.
+"""Blocks and checkable witnesses for the module filtration.
 
 An ensemble of based morphisms into a space carrying a subset-monoid action
 belongs to the level-s layer of the filtration when it is an integer
 combination of blocks of rank at least s.  A block is the image, under
 precomposition with a wedge decomposition of the domain, of a combining
-product of per-part ensembles, each certified to lie in an ideal-scaled
-submodule.  Nothing here decides membership: every claim is carried by an
-explicit certificate and re-verified by evaluation.
+product of per-part ensembles, each a sum of terms pi * <w> whose pi lies in
+the ideal at the part's level.  That membership is decided in closed form by
+:func:`~fissile.chained.ideal_membership`, and every claim is re-verified by
+evaluation.
 """
 
 from dataclasses import dataclass, field
 
-from .chained import IdealCertificate, SubsetMonoid
+from .chained import SubsetMonoid, ideal_membership
 from .ensembles import Ensemble, combining_product, map_ensemble
 from .simplicial import (
     SimplicialError,
@@ -59,10 +60,10 @@ class PSpace:
 
 @dataclass
 class IdealTerm:
-    """One summand pi * <w> of a part, with the ideal certificate for pi."""
+    """One summand pi * <w> of a part: a monoid-ring element pi, which must
+    lie in the ideal at the part's level, and a morphism w."""
 
     pi: Ensemble
-    certificate: IdealCertificate
     morphism: SMorphism
 
     def value(self, space: PSpace, scope: "PairScope") -> Ensemble:
@@ -79,17 +80,12 @@ class BlockPart:
 
     def key(self):
         """The structural key of the part: its level and the multiset of its
-        (pi items, certificate level, certificate combination, morphism)
-        terms, built once, as a part is not changed once made."""
+        (pi items, morphism) terms, built once, as a part is not changed once
+        made."""
         if self._key is None:
             count = {}
             for t in self.terms:
-                term = (
-                    tuple(sorted(t.pi.terms.items())),
-                    t.certificate.level,
-                    t.certificate.combination,
-                    t.morphism,
-                )
+                term = (tuple(sorted(t.pi.terms.items())), t.morphism)
                 count[term] = count.get(term, 0) + 1
             self._key = (self.level, frozenset(count.items()))
         return self._key
@@ -100,11 +96,14 @@ class BlockPart:
             out = out + term.value(self.space, scope)
         return out
 
-    def check_certificates(self, monoid) -> bool:
-        for term in self.terms:
-            if term.certificate.level < self.level:
-                return False
-            if not term.certificate.check(monoid, term.pi):
+    def in_ideal(self, monoid, scope) -> bool:
+        """Whether every term's pi lies in the ideal at the part's level,
+        decided by ``ideal_membership`` once per distinct (pi items, level)
+        in the scope."""
+        level = self.level
+        for t in self.terms:
+            key = ("ideal", monoid, level, tuple(t.pi.terms.items()))
+            if scope.once(key, lambda: ideal_membership(monoid, t.pi, level)) is None:
                 return False
         return True
 
@@ -126,8 +125,9 @@ class Block:
 def once(table, key, build):
     """``table[key]``, built by ``build()`` on first use.  A key holds the
     objects it names, so an entry keeps them alive by itself.  A simplicial
-    set, a space, a function or a reduced-cone tuple stands for itself (sets
-    and spaces define no equality, so they compare by identity); a morphism
+    set, a space, a monoid, a function or a reduced-cone tuple stands for
+    itself (sets, spaces and monoids define no equality, so they compare by
+    identity); a morphism
     stands as ``(domain, codomain, morphism)`` (see :func:`_named`), as it
     compares by its rows and domain levels only."""
     if key not in table:
@@ -144,18 +144,19 @@ class PairScope:
     """The morphism tables of one (face, subset) pair, or of one q run.
 
     Within a scope each distinct composite, wedge gluing, reduced-cone map,
-    cone straightening, equivariance check and glued product is built,
-    validated or run once, through :func:`once` in one table, keyed by its
-    kind and the objects and morphisms it reads.  So the action of a monoid
-    element on a part morphism, or a layout gluing precomposed with its
-    inclusion, is one object each time it recurs.  A glued product
-    precomposed with a block's decomposition is not kept (see
-    :func:`evaluate_blocks`).  The builder drops the scope when its pair
-    ends; a call given no scope gets a fresh one.
+    cone straightening, equivariance check, ideal-membership decision and
+    glued product is built, validated or run once, through :func:`once` in
+    one table, keyed by its kind and the objects and morphisms it reads.
+    So the action of a monoid element on a part morphism, or a layout
+    gluing precomposed with its inclusion, is one object each time it
+    recurs.  A glued product precomposed with a block's decomposition is
+    not kept (see :func:`evaluate_blocks`).  The builder drops the scope
+    when its pair ends; a call given no scope gets a fresh one.
 
     Sharing is exact: each kind reads only the objects and the rows that its
     key holds.  ``compose(g, f)`` reads g's objects and rows and f's domain
-    and rows.  Two blocks whose glued products share a key have the same
+    and rows; a membership decision reads the monoid, the level and the pi
+    items.  Two blocks whose glued products share a key have the same
     wedge, the same space and parts whose terms have the same pi items and
     equal morphisms on the same objects, so their part values, and the
     gluings of every tuple of them, are the same.
@@ -318,20 +319,23 @@ class WitnessReport:
 def verify_witness(
     v: Ensemble, w: FiltrationWitness, s: int, monoid, scope: PairScope = None
 ) -> WitnessReport:
-    """Re-check a witness from its own data: certificate levels, block ranks,
-    and the evaluated combination, glued through the scope.  Every block's
-    rank must reach the witness's own level, which must reach s; a witness
-    with no blocks holds at any level."""
+    """Re-check a witness from its own data: block ranks, each part's pi
+    terms in the ideal at the part's level (:meth:`BlockPart.in_ideal`), and
+    the evaluated combination, each through the scope.  Every block's rank
+    must reach the witness's own level, which must reach s; a witness with
+    no blocks holds at any level."""
+    scope = scope if scope is not None else PairScope()
     if w.level < s:
         return WitnessReport(False, f"witness level {w.level} below requested {s}")
-    for _c, block in w.entries:
+    for b, (_c, block) in enumerate(w.entries):
         if block.rank() < w.level:
             return WitnessReport(
                 False, f"block of rank {block.rank()} below the witness level {w.level}"
             )
-        for part in block.parts:
-            if not part.check_certificates(monoid):
-                return WitnessReport(False, "ideal certificate failed")
+        for j, part in enumerate(block.parts):
+            if not part.in_ideal(monoid, scope):
+                diagnostic = f"block {b} part {j}: pi is not in the level-{part.level} ideal"
+                return WitnessReport(False, diagnostic)
         if not block.f.is_based():
             return WitnessReport(False, "wedge decomposition is not based")
     if w.value(scope) != v:
@@ -381,10 +385,7 @@ def map_witness(
     for c, b in w.entries:
         parts = []
         for p in b.parts:
-            terms = [
-                IdealTerm(t.pi, t.certificate, compose(h, t.morphism))
-                for t in p.terms
-            ]
+            terms = [IdealTerm(t.pi, compose(h, t.morphism)) for t in p.terms]
             parts.append(BlockPart(p.level, terms, p.domain, dst))
         entries.append(
             (c, Block(f=b.f, wedge_obj=b.wedge_obj, parts=parts, space=dst))
@@ -420,11 +421,7 @@ def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
         for j, p in enumerate(b.parts):
             cspace, red_z = ctx.reduced_space(p.space)
             terms = [
-                IdealTerm(
-                    t.pi,
-                    t.certificate,
-                    scope.reduced_cone_map(t.morphism, red_parts[j], red_z),
-                )
+                IdealTerm(t.pi, scope.reduced_cone_map(t.morphism, red_parts[j], red_z))
                 for t in p.terms
             ]
             parts.append(BlockPart(p.level, terms, new_domains[j], cspace))

@@ -3,10 +3,10 @@ dump, pinned per workload size.  A change to any encoding, key order or
 witness layout shows here, and every written file is checked to be one
 line of compact sorted-key JSON with no float in it.
 
-The pins are those of the compact layout with no zero block written; each
-dump is the one pinned before less exactly the blocks that are zero on
-their own, and the morphism records only they used; that moves the pins
-at (2, 2) and (3, 2), and none at |E| = 1, where no block is zero."""
+The pins are those of the compact layout with no zero block written and
+no ideal certificate on any term: each dump is the one pinned before
+with the ``cert`` and ``cert_level`` fields deleted from every term, and
+nothing else changed."""
 
 import hashlib
 import json
@@ -18,16 +18,16 @@ from fissile.artifacts import write_pair_artifacts, write_q_artifacts
 from fissile.wedge import construct_p, construct_q
 
 DIGESTS = {
-    ("pj", 2, 2): "3388550b5b298310eb64e2d37759da010c6abd830e911c38d2f8f0368dd711a8",
-    ("pj", 3, 1): "e84914fe661d208ca0cb136e98d196ccb5525bc70fcd9c520acee1fdad066a76",
-    ("pj", 3, 2): "927200779a96d2e39137c52f941e18db6975c715039ece65e71c3be266917bb7",
-    # the largest ideal-chain certificate families
-    ("pj", 4, 1): "0fe35c02d4c99174861ab7e62cb5aca5bb5f2374645d4c878dd2e54caeb6a5df",
-    ("pj", 5, 1): "743f1ea0dad5e4fa7bc142b459bfba6624c087d5ccb2f6a352178fc04b6042d6",
-    ("q", 2, 1): "a55334fbbd263900e509602cb8fa85e5b54f241b26f0532cd7af2c767ebe29c3",
-    ("q", 2, 2): "550cf9f64f5b9189c99989fd5346ed3dacd6c2704f7439da3c832142cfdd1c62",
-    ("q", 4, 1): "351740179f0de31608d50f48cb87b1324df7acbae95fdec2d6db4f7ca6d0cdb5",
-    ("q", 5, 1): "85c5f67128696afbee0c786c199d0de65be9c14b9665c10dec944da73ccaadc3",
+    ("pj", 2, 2): "20ffec15b16640446659f3d6966cd1c3858848a0dab3125ab4d0f9fae44478b2",
+    ("pj", 3, 1): "f16944a0aacb9f2c2da37eabe2cb927272a40b02d0ca15974ba4e2cb64a6783a",
+    ("pj", 3, 2): "cb09accc5387e5b192e4815fc175b407444a2b8af3fbe57ad98b91fe8f738e6f",
+    # the largest subset monoids
+    ("pj", 4, 1): "32b7d53f0c41a759288a7b908419cd53f497a1cf5676cc7d1319e0ede72a3e38",
+    ("pj", 5, 1): "af292c3cdb99540cac61bff9f9adf25137877fb5ba6e5bf82c37c22887401200",
+    ("q", 2, 1): "ccfbab3214facc6f46d93ba7a0d7c0c3bd82d27d3669b9fed66b7385b7f28b45",
+    ("q", 2, 2): "78ee4f5159ba7c6890621949000baada422f1728f6b4e08ef47d1d75667250b4",
+    ("q", 4, 1): "5106f382e1950960a7b89832403253e9f34a8f552ad22c779eb122f77a8456ed",
+    ("q", 5, 1): "2d8b56a61cf5c8e8c6a84ccaf4b96532635252b544f9c11ad228a50421215358",
 }
 
 

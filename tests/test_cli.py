@@ -415,11 +415,8 @@ def _pi_entry(was):
 # each of these reads as the same value in Python, so only a strict reader
 # sees it; the field its ArtifactError names comes second
 LOOSE_WITNESS_VALUES = [
-    (_set(lambda d: _first_term(d)["cert"][0], 2, 1, True), "certificate coefficient"),
     (_set(lambda d: next(_blocks(d)), "coeff", 1, True), "block coeff"),
     (_set(_pi_entry([1, 2]), 1, 1, True), "pi coefficient"),
-    (_set(lambda d: _first_term(d)["cert"][0], 0, [1, 2], [1, 2.0]), "certificate L"),
-    (_set(_first_term, "cert_level", 2, 2.0), "cert_level"),
     (_set(lambda d: next(_blocks(d))["parts"][0], "level", 2, 2.0), "part level"),
     (_set(lambda d: next(_blocks(d))["parts"][0], "level", 2, "2"), "part level"),
     (_set(_pi_entry([]), 0, [], {}), "pi key"),
@@ -482,8 +479,6 @@ WRONG_CONTAINERS = [
     ("q1", "q.json", _put(lambda d: next(_blocks(d))["parts"], 0, "str"), "part"),
     ("q1", "q.json", _put(_first_part, "terms", True), "terms"),
     ("q1", "q.json", _put(lambda d: _first_part(d)["terms"], 0, -1), "term"),
-    ("q1", "q.json", _put(_first_term, "cert", None), "cert"),
-    ("pj1", PAIR, _put(lambda d: _first_term(d)["cert"], 0, -1), "cert entry"),
     ("q1", "q.json", _put(lambda d: d, "ensemble", -1), "ensemble"),
     ("q1", "q.json", _put(lambda d: d["ensemble"], 0, "str"), "ensemble entry"),
     ("q1", "q.json", _put(lambda d: d["ensemble"][0], "key", {}), "unknown morphism"),
@@ -986,32 +981,37 @@ def test_zero_verify_sizes_still_run(argv):
 
 
 @pytest.mark.parametrize("forged", [["str", 2], [1, 2, 99]], ids=repr)
-def test_check_pj_rejects_a_certificate_outside_the_monoid(tmp_path, forged):
-    # the forged L leaves every intersection with a subset of {1, 2}
-    # unchanged, so only the monoid-element check can see an int outside I;
-    # an element that is no int fails the strict read before any check
-    pj = tmp_path / "pj"
-    run_cli(["construct-pj", "--i", "2", "--e", "1", "--out", str(pj)])
-    target = pj / "pair_F1_J2.json"
+def test_check_pj_rejects_a_pi_key_outside_the_monoid(dumps, tmp_path, forged):
+    # a key with an int outside I names no monoid element, so the pi holding
+    # it lies in no ideal, whatever the part's level; an element that is no
+    # int fails the strict read before any check
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "pj1", in_dir)
+    target = in_dir / "pair_F1_J2.json"
     payload = json.loads(target.read_text())
-    forged_count = 0
-    for block in payload["alt_witness"]["blocks"]:
-        for part in block["parts"]:
+    forged_at = []
+    for b, block in enumerate(payload["alt_witness"]["blocks"]):
+        for j, part in enumerate(block["parts"]):
             for term in part["terms"]:
-                for entry in term["cert"]:
-                    if entry[0] == [1, 2]:
+                for entry in term["pi"]:
+                    if entry[0] == [2]:
                         entry[0] = forged
-                        forged_count += 1
-    assert forged_count
+                        forged_at.append((b, j, part["level"]))
+    assert forged_at
     target.write_text(json.dumps(payload))
-    rc, out, _err = run_cli(["check-pj", "--in", str(pj)])
-    assert rc == 1
+    rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    failed = [r["case"]["check"] for r in lines if r["verdict"] == "fail"]
+    failed = [
+        (r["case"]["check"], r["diagnostic"]) for r in lines if r["verdict"] == "fail"
+    ]
     if all(type(x) is int for x in forged):
-        assert failed == ["alternating-sum-witness F=(1,) J=(2,)"]
+        b, j, level = forged_at[0]
+        diagnostic = f"block {b} part {j}: pi is not in the level-{level} ideal"
+        assert failed == [("alternating-sum-witness F=(1,) J=(2,)", diagnostic)]
     else:
-        assert failed == ["artifact-structure (certificate L 'str' is not an int)"]
+        message = "pi key 'str' is not an int"
+        assert failed == [(f"artifact-structure ({message})", message)]
 
 
 # each pair condition made to fail at (1, 1): the function replaced, its
@@ -1469,6 +1469,38 @@ def test_check_names_a_missing_field(dumps, tmp_path, dump, name, get, field, wh
     assert report["diagnostic"] == message
 
 
+# a field the checker does not read, put on one object: (dump, file, edit,
+# the name the line gives the object, the field); the first is the
+# certificate entry [L, J, c] that terms once carried
+EXTRA_FIELDS = [
+    ("q1", "q.json", _put(_first_term, "cert", [[[1, 2], [1, 2], 1]]), "term", "cert"),
+    ("pj1", PAIR, _put(lambda d: next(_blocks(d)), "rank", 0), "block", "rank"),
+]
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize(
+    "dump, name, edit, what, field",
+    EXTRA_FIELDS,
+    ids=[f"{c[3]}-{c[4]}" for c in EXTRA_FIELDS],
+)
+def test_check_rejects_a_field_it_does_not_read(
+    dumps, tmp_path, dump, name, edit, what, field
+):
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    path = in_dir / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    message = f"{what} has the field {field!r}, which is not read"
+    assert report["case"]["check"] == f"artifact-structure ({message})"
+    assert report["diagnostic"] == message
+
+
 @pytest.mark.optimized
 def test_check_q_rejects_a_written_zero_block(monkeypatch, tmp_path):
     # zero blocks kept and the builder's checks passed: every witness still
@@ -1501,42 +1533,6 @@ def test_check_lets_a_fault_of_the_program_escape(monkeypatch, tmp_path):
     monkeypatch.setitem(cli.CHECKERS, "check-q", faulty)
     with pytest.raises(KeyError):
         run_cli(["check-q", "--in", str(tmp_path)])
-
-
-@pytest.mark.optimized
-def test_check_pj_rejects_a_certificate_l_other_than_the_first(dumps, tmp_path):
-    # <L>*omega(J) is omega(J) for every L containing J, so an L swapped for
-    # a later element containing J leaves every value unchanged; the
-    # certificate names the first, as ideal_membership writes it
-    in_dir = tmp_path / "dump"
-    shutil.copytree(dumps / "pj1", in_dir)
-    elements = WedgeContext((1, 2), (1,)).monoid.elements
-    for path in sorted(in_dir.glob("pair_*.json")):
-        payload = json.loads(path.read_text())
-        entries = [
-            entry
-            for block in payload["alt_witness"]["blocks"]
-            for part in block["parts"]
-            for term in part["terms"]
-            for entry in term["cert"]
-        ]
-        for entry in entries:
-            containing = [list(e) for e in elements if set(entry[1]) <= set(e)]
-            assert entry[0] == containing[0]
-            if len(containing) > 1:
-                entry[0] = containing[-1]
-                break
-        else:
-            continue
-        break
-    path.write_text(json.dumps(payload))
-    rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
-    assert rc == 1 and "Traceback" not in err
-    reports = [json.loads(line) for line in out.strip().splitlines()]
-    failed = [r["case"]["check"] for r in reports if r["verdict"] == "fail"]
-    assert failed == [
-        f"alternating-sum-witness F={tuple(payload['face'])} J={tuple(payload['subset'])}"
-    ]
 
 
 def test_check_q_rejects_swapped_layout_witnesses(tmp_path):
@@ -1748,6 +1744,10 @@ def test_part_space_missing_field_and_zero_block_checks_under_optimize(run_optim
         f"{__file__}::test_check_names_a_missing_field",
         f"{__file__}::test_check_q_rejects_a_written_zero_block",
     )
+
+
+def test_extra_field_rejected_under_optimize(run_optimized):
+    run_optimized(f"{__file__}::test_check_rejects_a_field_it_does_not_read")
 
 
 def test_failed_condition_reported_under_optimize(run_optimized):

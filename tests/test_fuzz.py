@@ -55,17 +55,32 @@ def _mutated(data, path, value):
     return data
 
 
+def _in_level_0_pi(files, name, path):
+    """Whether path runs through terms/N/pi of a part written at level 0."""
+    for i in range(len(path) - 2):
+        if path[i] == "terms" and path[i + 2] == "pi":
+            part = _get(files[name], path[:i])
+            return isinstance(part, dict) and part.get("level") == 0
+    return False
+
+
 # Mutations that may pass, each a predicate on (original files, file name,
 # path), with the reason the claim still holds.
 ALLOWED = {
     # an empty witness holds at any level, so a witness with no blocks
-    # passes with any level its certificates' levels allow; q(2,1)'s layout
-    # witnesses are empty
+    # passes with any level that reaches the one it is checked at; q(2,1)'s
+    # layout witnesses are empty
     "level of a witness with no blocks": lambda files, name, path: (
         path[-1] == "level"
         and isinstance(_get(files[name], path[:-1]), dict)
         and _get(files[name], path[:-1]).get("blocks") == []
     ),
+    # the level-0 ideal is the whole monoid ring, so the pi of a level-0
+    # part is checked only for its keys and through the witness's value,
+    # which the checker evaluates; a changed pi whose value is unchanged
+    # (the constant part's morphism is fixed by every monoid element, so
+    # only the sum of its pi counts) still makes a witness of the claim
+    "pi of a level-0 part": _in_level_0_pi,
 }
 
 

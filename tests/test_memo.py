@@ -121,9 +121,8 @@ def test_blocks_that_share_objects_keep_their_own_values():
     obj = space.obj
     trivial = PSpace(obj, ctx.monoid, dict.fromkeys(ctx.monoid.elements, inclusion(obj, obj)))
     m = enumerate_based_morphisms(t, obj)[1]  # moved by the action of ()
-    cert = ctx.identity_cert()
-    term = IdealTerm(singleton((1, 2)), cert, m)
-    other = IdealTerm(2 * singleton(()), cert, m)
+    term = IdealTerm(singleton((1, 2)), m)
+    other = IdealTerm(2 * singleton(()), m)
     wobj = wedge([t, t])
     parts = [BlockPart(0, [term], t, space), BlockPart(0, [term], t, space)]
     other_pi = [BlockPart(0, [other], t, space), parts[1]]

@@ -1,9 +1,11 @@
 import gc
+import io
 import json
 import os
 import random
 import sys
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -12,6 +14,7 @@ from fissile import simplicial, witnesses
 from fissile import wedge as wedge_module
 from fissile.canon import ckey, jsonable
 from fissile.chained import subset_key, subsets_of
+from fissile.cli import main
 from fissile.ensembles import Ensemble, augmentation, map_ensemble, singleton
 from fissile.layouts import LayoutLattice, layout_key
 from fissile.simplicial import SMorphism, compose, enumerate_based_morphisms
@@ -309,8 +312,9 @@ def test_checker_catches_tampered_witness(tmp_path, built_21):
     assert any(not ok for _name, ok in checks)
 
 
-def test_checker_catches_inflated_certificate_level(tmp_path, built_21):
-    # claiming a deeper ideal level than the certificate supports must fail
+def test_checker_catches_inflated_part_level(tmp_path, built_21):
+    # a part claiming a deeper ideal level than its pi lies in must fail,
+    # and the fail line names the part and the level
     res, qrec = built_21
     out = tmp_path / "q"
     write_q_artifacts(res, qrec, out)
@@ -320,8 +324,15 @@ def test_checker_catches_inflated_certificate_level(tmp_path, built_21):
     part = block["parts"][0]
     part["level"] += 1
     qfile.write_text(json.dumps(payload))
-    checks = check_q_artifacts(out)
-    assert any(not ok for _name, ok in checks)
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        assert main(["check-q", "--in", str(out)]) == 1
+    lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    failed = [
+        (r["case"]["check"], r["diagnostic"]) for r in lines if r["verdict"] == "fail"
+    ]
+    diagnostic = f"block 0 part 0: pi is not in the level-{part['level']} ideal"
+    assert failed == [("boundary-witness", diagnostic)]
 
 
 def test_three_letter_shallow_case(tmp_path):
@@ -815,12 +826,7 @@ def repr_fingerprint(block):
     for p in block.parts:
         terms = tuple(
             sorted(
-                (
-                    tuple(sorted(t.pi.terms.items())),
-                    t.certificate.level,
-                    t.certificate.combination,
-                    t.morphism.table_key(),
-                )
+                (tuple(sorted(t.pi.terms.items())), t.morphism.table_key())
                 for t in p.terms
             )
         )

@@ -59,7 +59,7 @@ def ctx():
 
 
 def random_pi(rng, ctx, level):
-    """A certified monoid-ring element at the given ideal level."""
+    """A monoid-ring element in the ideal at the given level."""
     target = Ensemble.zero()
     pool = [j for j in subsets_of(ctx.i_set) if len(j) >= level]
     for _ in range(rng.randint(1, 2)):
@@ -68,9 +68,8 @@ def random_pi(rng, ctx, level):
         target = target + rng.randint(-2, 2) * ring_product(
             ctx.monoid, singleton(l_key), omega(j)
         )
-    cert = ideal_membership(ctx.monoid, target, level)
-    assert cert is not None
-    return target, cert
+    assert ideal_membership(ctx.monoid, target, level) is not None
+    return target
 
 
 def morphism_pool(ctx, t, space):
@@ -83,11 +82,11 @@ def random_block(rng, ctx, t, space):
     for _ in range(n_parts):
         dom = rng.choice([ctx.plus_base_of((1,))])
         level = rng.randint(0, 2)
-        pi, cert = random_pi(rng, ctx, level)
+        pi = random_pi(rng, ctx, level)
         w = rng.choice(morphism_pool(ctx, dom, space))
         domains.append(dom)
         parts.append(
-            BlockPart(level=level, terms=[IdealTerm(pi, cert, w)], domain=dom, space=space)
+            BlockPart(level=level, terms=[IdealTerm(pi, w)], domain=dom, space=space)
         )
     wobj = wedge(domains)
     f = rng.choice(enumerate_based_morphisms(t, wobj))
@@ -104,10 +103,11 @@ def random_witness(rng, ctx, t, space, n_blocks=2):
 
 
 def make_block(monoid, f, wedge_obj, parts, space):
-    """Evaluate a block after checking every part certificate at its rank."""
+    """Evaluate a block after checking that every part's pi lies in the
+    ideal at the part's level."""
     block = Block(f=f, wedge_obj=wedge_obj, parts=parts, space=space)
     for p in parts:
-        if not p.check_certificates(monoid):
+        if not p.in_ideal(monoid, PairScope()):
             raise ValueError("ideal decomposition fails verification")
     return block.value(), block
 
@@ -117,7 +117,6 @@ def test_make_block_and_trivial_cases(ctx):
     t = ctx.plus_base_of((1,))
     pool = morphism_pool(ctx, t, space)
     w0 = pool[0]
-    cert = ideal_membership(ctx.monoid, singleton(ctx.i_set), 0)
     wobj = wedge([t])
     value, block = make_block(
         ctx.monoid,
@@ -126,7 +125,7 @@ def test_make_block_and_trivial_cases(ctx):
         [
             BlockPart(
                 level=0,
-                terms=[IdealTerm(singleton(ctx.i_set), cert, w0)],
+                terms=[IdealTerm(singleton(ctx.i_set), w0)],
                 domain=t,
                 space=space,
             )
@@ -143,7 +142,6 @@ def test_make_block_zero_part(ctx):
     space = ctx.space((1,))
     t = ctx.plus_base_of((1,))
     w0 = morphism_pool(ctx, t, space)[0]
-    cert = ideal_membership(ctx.monoid, Ensemble.zero(), 1)
     wobj = wedge([t])
     value, block = make_block(
         ctx.monoid,
@@ -152,7 +150,7 @@ def test_make_block_zero_part(ctx):
         [
             BlockPart(
                 level=1,
-                terms=[IdealTerm(Ensemble.zero(), cert, w0)],
+                terms=[IdealTerm(Ensemble.zero(), w0)],
                 domain=t,
                 space=space,
             )
@@ -166,7 +164,6 @@ def test_make_block_rejects_bad_certificate(ctx):
     space = ctx.space((1,))
     t = ctx.plus_base_of((1,))
     w0 = morphism_pool(ctx, t, space)[0]
-    good = ideal_membership(ctx.monoid, omega((1,)), 1)
     wobj = wedge([t])
     with pytest.raises(ValueError):
         make_block(
@@ -175,8 +172,8 @@ def test_make_block_rejects_bad_certificate(ctx):
             wobj,
             [
                 BlockPart(
-                    level=2,  # claims rank 2 but the certificate is level 1
-                    terms=[IdealTerm(omega((1,)), good, w0)],
+                    level=2,  # claims rank 2 but pi is only in the level-1 ideal
+                    terms=[IdealTerm(omega((1,)), w0)],
                     domain=t,
                     space=space,
                 )
@@ -421,7 +418,7 @@ def identity_block(ctx, t, part_morphism):
     space = PSpace(t, ctx.monoid, {k: inclusion(t, t) for k in ctx.monoid.elements})
     wobj = wedge([t])
     pi = singleton(ctx.i_set)
-    term = IdealTerm(pi, ideal_membership(ctx.monoid, pi, 0), part_morphism)
+    term = IdealTerm(pi, part_morphism)
     part = BlockPart(0, [term], t, space)
     return Block(f=wobj.insertions[0], wedge_obj=wobj, parts=[part], space=space)
 
