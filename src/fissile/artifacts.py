@@ -476,13 +476,16 @@ def _load(path):
 
 
 def read_manifest(in_dir, kind):
-    """The manifest of a dump of this kind: an object whose index sets
-    ``i`` and ``e`` are nonempty lists of distinct ints."""
+    """The manifest of a dump of this kind: an object of exactly the fields
+    ``kind``, ``i``, ``e`` and ``bound``, and ``pairs`` for a pair dump,
+    whose index sets ``i`` and ``e`` are nonempty lists of distinct ints."""
     manifest = _load(os.path.join(in_dir, "manifest.json"))
     if manifest.get("kind") != kind:
         raise ArtifactError("manifest kind mismatch")
+    pairs = ("pairs",) if kind == "pair-construction" else ()
+    _fields(manifest, "manifest", "kind", "i", "e", "bound", *pairs)
     for field in ("i", "e"):
-        sizes = _subset(manifest.get(field), f"manifest {field!r}")
+        sizes = _subset(manifest[field], f"manifest {field!r}")
         if not sizes or len(set(sizes)) != len(sizes):
             raise ArtifactError(f"manifest {field!r}: not a nonempty list of distinct ints")
     return manifest
@@ -494,9 +497,9 @@ def _open_dump(in_dir, kind):
     a manifest naming any other is rejected."""
     manifest = read_manifest(in_dir, kind)
     ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
-    if manifest.get("bound") != ctx.bound:
+    if manifest["bound"] != ctx.bound:
         raise ArtifactError(
-            f"manifest bound {manifest.get('bound')!r} is not |E| + 1 = {ctx.bound}"
+            f"manifest bound {manifest['bound']!r} is not |E| + 1 = {ctx.bound}"
         )
     store = MorphismStore.load(_load(os.path.join(in_dir, "morphisms.json")), ctx)
     return manifest, ctx, store
@@ -529,7 +532,7 @@ def check_pair_artifacts(in_dir):
     """
     manifest, ctx, store = _open_dump(in_dir, "pair-construction")
     claims, pairs, witnesses = [], {}, {}
-    for name in _list(manifest.get("pairs"), "manifest 'pairs'"):
+    for name in _list(manifest["pairs"], "manifest 'pairs'"):
         if not isinstance(name, str):
             raise ArtifactError(f"manifest pair file {name!r:.60} is not a string")
         payload = _load(os.path.join(in_dir, name))

@@ -2,8 +2,9 @@
 
 Every simplicial set stores, per dimension up to an explicit bound, the full
 (finite) simplex list together with total face and degeneracy tables; the
-simplicial identities are checked exhaustively on construction.  Simplex
-keys are nested tuples of primitives so that they serialize canonically.
+simplicial identities are checked where a set or map is built from rules,
+and proved where it is derived from validated ones.  Simplex keys are
+nested tuples of primitives so that they serialize canonically.
 A morphism stores one row per nondegenerate simplex of its domain: by the
 Eilenberg-Zilber lemma every simplex is uniquely s_I y with y nondegenerate,
 so those rows fix the map, and the value at s_I y is s_I of the row of y.
@@ -26,14 +27,14 @@ the 1s.
 One rule, :func:`collapse`, keeps the survivor keys and collapses a
 simplicial subset to a '*' key per dimension (the empty subset adds a
 disjoint basepoint).  A quotient, a reduced cone (0-cone keys off the cone
-over the basepoint), a suspension (1-cone keys off the base) and a wedge
-are each one collapse; the two cones are never built, only their rules
-read.  The quotients of the full cones, with maps induced through their
-projections, are the cross-check in ``fissile verify simplicial``.
+over the basepoint) and a suspension (1-cone keys off the base) are each
+one collapse; the two cones are never built, only their rules read.  The
+quotients of the full cones, with maps induced through their projections,
+are the cross-check in ``fissile verify simplicial``.
 
-Only :func:`assemble` (a set from its face and degeneracy rules, validated
-there) and :func:`tabulate` (a morphism from its value rule) know these
-table formats; the only other builders derive one table from another.
+Only :func:`assemble` (a set from rules), :func:`wedge`, :func:`subsimplicial`
+(a set from validated sets) and :func:`_rows` (a morphism from its value
+rule) know these table formats; the others derive one table from another.
 
 A wedge keys the simplex x of its summand j off the basepoint as (j, x),
 and its basepoint as '*'.  Only :func:`wedge` and :func:`wedge_combine`
@@ -44,8 +45,8 @@ values on the summands.  Two readers remain outside this module:
 whose domain is a reduced cone over a wedge, not a wedge.
 """
 
-from functools import cache, partial
-from itertools import combinations, product, repeat
+from functools import cache, cached_property, partial
+from itertools import chain, combinations, product, repeat
 
 from .canon import ckey, jsonable
 
@@ -84,10 +85,16 @@ def assemble(bound, levels, face_row, degen_row, basepoint=None, label=None):
     simplices."""
     faces = [{}] + [{x: face_row(n, x) for x in levels[n]} for n in range(1, bound + 1)]
     degens = [{x: degen_row(n, x) for x in levels[n]} for n in range(bound)] + [{}]
-    return FiniteSimplicialSet(bound, levels, faces, degens, basepoint, label)
+    s = FiniteSimplicialSet(bound, levels, faces, degens, basepoint, label)
+    s._validate()
+    return s
 
 
 class FiniteSimplicialSet:
+    """Simplex levels in ckey order and total face and degeneracy tables:
+    :func:`assemble`, building them from rules, runs :meth:`_validate`, and
+    :func:`wedge` and :func:`subsimplicial` prove theirs valid instead."""
+
     def __init__(self, bound, simplices, faces, degens, basepoint=None, label=None):
         self.bound = bound
         self.simplices = [tuple(sorted(level, key=ckey)) for level in simplices]
@@ -104,7 +111,6 @@ class FiniteSimplicialSet:
         self._key_levels = None
         self._ez = None
         self._face_forms = {}
-        self._validate()
 
     # -- structure access ------------------------------------------------
 
@@ -193,6 +199,11 @@ class FiniteSimplicialSet:
 
     def is_based(self):
         return self.basepoint is not None
+
+    @cached_property
+    def basepoint_row(self):
+        """The position of the basepoint in ``nondegenerate(0)``."""
+        return self.nondegenerate(0).index(self.basepoint)
 
     def degenerate_vertex(self, x, n):
         """s_0 ... s_0 x: the vertex x degenerated up to dimension n."""
@@ -303,6 +314,8 @@ class SMorphism:
     rows whose count or lengths are not those of the nondegenerate
     simplices, and with ``check`` validates them: every value lies in the
     codomain and d_i m(x) == m(n - 1, d_i x) for every nondegenerate x.
+    Every :func:`tabulate`, :func:`restrict_to` and table read from a file
+    is validated; the other builders skip it, each by its docstring's proof.
 
     Two morphisms are equal when their domains have the same nondegenerate
     levels and their rows are the same, which is equality of their table
@@ -322,7 +335,8 @@ class SMorphism:
     s_J M(d_k y) = s_J d_k m(y) by the checked row of y, which is
     d_i s_I m(y) by the same identities in the codomain.  So the proof
     rests on the uniqueness of the normal form and on the simplicial
-    identities of both sets, which ``FiniteSimplicialSet._validate`` checks.
+    identities of both sets, which ``FiniteSimplicialSet._validate`` checks
+    or the set's construction proves.
     """
 
     __slots__ = ("domain", "codomain", "rows", "_tables", "_hash", "__weakref__")
@@ -395,8 +409,7 @@ class SMorphism:
     def is_based(self):
         if self.domain.basepoint is None or self.codomain.basepoint is None:
             return False
-        at = self.domain.nondegenerate(0).index(self.domain.basepoint)
-        return _KEYS[self.rows[0][at]] == self.codomain.basepoint
+        return _KEYS[self.rows[0][self.domain.basepoint_row]] == self.codomain.basepoint
 
     def __call__(self, n, x):
         return _KEYS[self._apply(n, (_intern(x),))[0]]
@@ -445,7 +458,8 @@ class SMorphism:
 
 
 def compose(g: SMorphism, f: SMorphism) -> SMorphism:
-    """g . f: each row of f gathered through the id tables of g."""
+    """g . f: each row of f gathered through the id tables of g; a
+    composite of simplicial maps is simplicial, so it is not validated."""
     rows = tuple([g._apply(n, row) for n, row in enumerate(f.rows)])
     return SMorphism(f.domain, g.codomain, rows, check=False)
 
@@ -458,7 +472,8 @@ def restrict_to(m: SMorphism, sub, cod) -> SMorphism:
 
 def invert_iso(e: SMorphism) -> SMorphism:
     """The inverse of an isomorphism, which is a bijection between the
-    nondegenerate simplices of its domain and codomain."""
+    nondegenerate simplices of its domain and codomain, checked here: the
+    inverse of a simplicial bijection is simplicial, so not validated."""
     rows = []
     pairs = zip(e.rows, e.domain.nondegenerate_ids(), e.codomain.nondegenerate_ids())
     for n, (row, xs, nondeg) in enumerate(pairs):
@@ -471,14 +486,18 @@ def invert_iso(e: SMorphism) -> SMorphism:
     return SMorphism(e.codomain, e.domain, tuple(rows), check=False)
 
 
-def tabulate(domain, codomain, value) -> SMorphism:
-    """The validated morphism whose row at each nondegenerate simplex x of
-    dimension n of the domain is ``value(n, x)``."""
-    rows = tuple(
+def _rows(domain, value):
+    """The id rows of ``value(n, x)`` at the nondegenerate x of the domain."""
+    return tuple(
         intern_all([value(n, x) for x in domain.nondegenerate(n)])
         for n in range(domain.bound + 1)
     )
-    return SMorphism(domain, codomain, rows)
+
+
+def tabulate(domain, codomain, value) -> SMorphism:
+    """The validated morphism whose row at each nondegenerate simplex x of
+    dimension n of the domain is ``value(n, x)``."""
+    return SMorphism(domain, codomain, _rows(domain, value))
 
 
 def constant_morphism(t, z, vertex) -> SMorphism:
@@ -667,30 +686,22 @@ def cone_map(f: SMorphism, s, cdom=None, ccod=None) -> SMorphism:
 
 def subsimplicial(u, member, basepoint=None, label=None):
     """The simplicial subset of all simplices satisfying ``member(n, x)``,
-    which must be closed under faces and degeneracies."""
+    which must be closed under faces and degeneracies and hold the
+    basepoint; it restricts u's tables, so u's identities hold in it."""
     levels = [[x for x in u.simplices[n] if member(n, x)] for n in range(u.bound + 1)]
     sets = list(map(set, levels))
-
-    def closed(tables, m, ops, n):
-        if not sets[m].issuperset(y for x in levels[n] for y in tables[n][x]):
-            raise SimplicialError(
-                f"subset {label!r} of {u.label!r} not closed under {ops} "
-                f"at dimension {n}"
-            )
-
-    for n in range(u.bound + 1):
-        if n:
-            closed(u.faces, n - 1, "faces", n)
-        if n < u.bound:
-            closed(u.degens, n + 1, "degeneracies", n)
-    return assemble(
-        u.bound,
-        levels,
-        lambda n, x: u.faces[n][x],
-        lambda n, x: u.degens[n][x],
-        basepoint=basepoint,
-        label=label,
-    )
+    faces = [{}] + [{x: u.faces[n][x] for x in levels[n]} for n in range(1, u.bound + 1)]
+    degens = [{x: u.degens[n][x] for x in levels[n]} for n in range(u.bound)] + [{}]
+    for tables, shift, ops in ((faces, -1, "faces"), (degens, 1, "degeneracies")):
+        for n, rows in enumerate(tables):
+            if rows and not sets[n + shift].issuperset(chain.from_iterable(rows.values())):
+                raise SimplicialError(
+                    f"subset {label!r} of {u.label!r} not closed under {ops} "
+                    f"at dimension {n}"
+                )
+    if basepoint is not None and basepoint not in sets[0]:
+        raise SimplicialError(f"subset {label!r} of {u.label!r} misses the basepoint")
+    return FiniteSimplicialSet(u.bound, levels, faces, degens, basepoint, label)
 
 
 def inclusion(sub, sup) -> SMorphism:
@@ -827,7 +838,10 @@ def reduced_cone(t: FiniteSimplicialSet):
 def reduced_cone_map(f: SMorphism, rdom, rcod) -> SMorphism:
     """Functoriality of the reduced cone on a based morphism, between the
     ``reduced_cone`` tuples of its domain and codomain: '*' goes to '*',
-    and (t, y) to (t, f(y)), or to '*' when that lies over the basepoint."""
+    and (t, y) to (t, f(y)), or to '*' when that lies over the basepoint.
+    Not validated between f's own reduced cones: the cone of a based
+    simplicial f is simplicial and keeps the cone over the basepoint, so it
+    induces this map.  Into another set's reduced cone it is validated."""
     if not f.is_based():
         f._fail("reduced cone of a map that is not based", 0)
     bps = rcod[1].domain.basepoint_levels()
@@ -835,7 +849,8 @@ def reduced_cone_map(f: SMorphism, rdom, rcod) -> SMorphism:
     def value(n, x):
         return BASE if x == BASE else _reduced(bps, _cone_value(f, 0, x))
 
-    return tabulate(rdom[0], rcod[0], value)
+    check = rdom[1].domain is not f.domain or rcod[1].domain is not f.codomain
+    return SMorphism(rdom[0], rcod[0], _rows(rdom[0], value), check=check)
 
 
 TOP = ((1,), None)  # the top vertex of a suspension: the 1-cone's apex
@@ -857,7 +872,11 @@ def kan_suspension(u: FiniteSimplicialSet):
 
 def wedge(parts, label=None):
     """Coproduct with basepoints identified: the wedge object, which carries
-    the insertions of its summands as the tuple ``insertions``."""
+    the insertions of its summands as the tuple ``insertions``.  Its keys
+    are '*' and (j, x), x off summand j's basepoint.  Not validated: the
+    degeneracies of a basepoint form a simplicial subset, so the wedge is a
+    quotient of the summands' disjoint union, with their identities, and
+    each insertion restricts that quotient map."""
     bound = parts[0].bound
     for p in parts:
         if p.bound != bound or p.basepoint is None:
@@ -865,26 +884,29 @@ def wedge(parts, label=None):
                 f"wedge summand {p.label!r} is unbased or not truncated at {bound}"
             )
     bps = [p.basepoint_levels() for p in parts]
-
-    def tag(j, x, m):
-        return BASE if x == bps[j][m] else (j, x)
-
-    def rows(tables):
-        return lambda n, key: tuple([(key[0], y) for y in tables[key[0]][n][key[1]]])
-
-    w = collapse(
-        bound,
-        [
-            [(j, x) for j, p in enumerate(parts) for x in p.simplices[n]]
-            for n in range(bound + 1)
-        ],
-        rows([p.faces for p in parts]),
-        rows([p.degens for p in parts]),
-        lambda n, key: key[1] != bps[key[0]][n],
-        label if label is not None else ("wedge", tuple(p.label for p in parts)),
-    )
+    levels = [[BASE] for _ in range(bound + 1)]
+    faces = [{}] + [{BASE: (BASE,) * (n + 1)} for n in range(1, bound + 1)]
+    degens = [{BASE: (BASE,) * (n + 1)} for n in range(bound)] + [{}]
+    tags = []  # per summand and dimension, the wedge key of each simplex, shared
+    for j, p in enumerate(parts):
+        tag = [{x: (j, x) for x in xs} for xs in p.simplices]
+        for n, b in enumerate(bps[j]):
+            tag[n][b] = BASE
+        tags.append(tag)
+        for n in range(bound + 1):
+            keys = [tag[n][x] for x in p.simplices[n] if x != bps[j][n]]
+            levels[n] += keys
+            if n:
+                below, rows = tag[n - 1].__getitem__, p.faces[n]
+                faces[n].update((k, tuple(map(below, rows[k[1]]))) for k in keys)
+            if n < bound:
+                above, rows = tag[n + 1].__getitem__, p.degens[n]
+                degens[n].update((k, tuple(map(above, rows[k[1]]))) for k in keys)
+    label = label if label is not None else ("wedge", tuple(p.label for p in parts))
+    w = FiniteSimplicialSet(bound, levels, faces, degens, BASE, label)
     w.insertions = tuple(
-        tabulate(p, w, lambda n, x: tag(j, x, n)) for j, p in enumerate(parts)
+        SMorphism(p, w, _rows(p, lambda n, x: tags[j][n][x]), check=False)
+        for j, p in enumerate(parts)
     )
     # the gluing plan of wedge_combine: per dimension, for each
     # nondegenerate simplex of w in order (the basepoint at dimension 0 and
@@ -909,7 +931,8 @@ def wedge_combine(w, morphisms, codomain=None) -> SMorphism:
     part's domain must be its summand itself.
 
     ``codomain`` may enlarge the target when the parts land in different
-    subsets of one ambient simplicial set.
+    subsets of one ambient simplicial set, and the gluing is validated there;
+    based simplicial parts into their own target glue into a simplicial map.
     """
     if len(morphisms) != len(w.insertions):
         raise SimplicialError(
@@ -933,20 +956,16 @@ def wedge_combine(w, morphisms, codomain=None) -> SMorphism:
     for n, plan in enumerate(w.gather):
         values = base + tuple(v for f in morphisms for v in f.rows[n])
         rows.append(tuple(map(values.__getitem__, plan)))
-    return SMorphism(w, z, tuple(rows))
+    return SMorphism(w, z, tuple(rows), check=any(f.codomain is not z for f in morphisms))
 
 
 def plus_base(c: FiniteSimplicialSet, label=None):
     """Inside a 0-side cone: the based subset made of the full base copy and
-    the apex, isomorphic to the base with a free basepoint."""
-
-    def member(n, key):
-        t, y = key
-        return all(v == 1 for v in t) or all(v == 0 for v in t)
-
+    the apex, isomorphic to the base with a free basepoint: the simplices
+    whose slots are all base or all apex."""
     return subsimplicial(
         c,
-        member,
+        lambda n, key: len(set(key[0])) == 1,
         basepoint=c.basepoint,
         label=label if label is not None else ("plusbase", c.label),
     )

@@ -393,6 +393,26 @@ def test_check_rejects_malformed_manifest(dumps, tmp_path, kind, change):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [("extra", 1), ("pairs", ["q.json"])])
+def test_check_q_rejects_a_manifest_field_it_does_not_read(dumps, tmp_path, field, value):
+    # a q manifest holds exactly kind, i, e and bound; a pair manifest's
+    # pairs list, or any other key, is a fail line that names it
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "q1", in_dir)
+    manifest = json.loads((in_dir / "manifest.json").read_text())
+    manifest[field] = value
+    (in_dir / "manifest.json").write_text(json.dumps(manifest))
+    rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
+    assert rc == 1
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"] == (
+        f"artifact-structure (manifest has the field {field!r}, which is not read)"
+    )
+    assert "Traceback" not in err
+
+
 def _first_term(data):
     return next(_blocks(data))["parts"][0]["terms"][0]
 

@@ -650,6 +650,22 @@ def test_reduced_cone_map_rejects_a_map_that_is_not_based():
         PairScope().reduced_cone_map(f, rdom, rcod)
 
 
+def test_reduced_cone_map_into_another_sets_reduced_cone_is_validated():
+    # between f's own reduced cones the map is proved simplicial; into the
+    # reduced cone of another set it is validated, so a value outside it fails
+    point = disjoint_basepoint(standard_simplex(0, 2))
+    edge = disjoint_basepoint(standard_simplex(1, 2))
+    into_edge = tabulate(point, edge, lambda n, x: x)
+    red_point, red_edge = reduced_cone(point), reduced_cone(edge)
+    # the identity of the point read into the edge lands in the point's cone
+    m = reduced_cone_map(into_edge, red_point, red_point)
+    assert m == inclusion(red_point[0], red_point[0])
+    ident = inclusion(edge, edge)
+    assert reduced_cone_map(ident, red_edge, red_edge) == inclusion(red_edge[0], red_edge[0])
+    with pytest.raises(SimplicialError, match="value outside codomain"):
+        reduced_cone_map(ident, red_edge, red_point)
+
+
 # -- quotients and subsets --------------------------------------------------------
 
 
@@ -681,6 +697,11 @@ def test_subsimplicial_closure_enforced():
         subsimplicial(u, lambda n, x: n == 1)
     with pytest.raises(SimplicialError, match="not closed under degeneracies"):
         subsimplicial(u, lambda n, x: n == 0)
+    # the set is not validated, so the subset itself must hold its basepoint
+    zero = lambda n, x: set(x) == {0}  # noqa: E731
+    assert subsimplicial(u, zero, basepoint=(0,)).basepoint == (0,)
+    with pytest.raises(SimplicialError, match="misses the basepoint"):
+        subsimplicial(u, zero, basepoint=(1,))
 
 
 @pytest.mark.optimized

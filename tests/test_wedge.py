@@ -622,8 +622,10 @@ def test_builder_builds_each_wedge_once(monkeypatch):
 
 def test_wedge_witness_validates_each_decomposition_once(monkeypatch):
     # a decomposition is a table out of the call's wedge; within one call
-    # each distinct one is validated once and every output block uses one
-    original, validate = witnesses.wedge_witness, SMorphism._validate
+    # each distinct one is glued once and every output block uses one.  A
+    # gluing of based maps into one wedge is not validated where it is
+    # built, so each is validated here
+    original, init = witnesses.wedge_witness, SMorphism.__init__
     open_calls, finished = [], []
 
     def recording(ws, wedge_obj, ctx):
@@ -632,21 +634,73 @@ def test_wedge_witness_validates_each_decomposition_once(monkeypatch):
         finished.append((open_calls.pop()[1], out))
         return out
 
-    def counting(self):
-        if open_calls and self.domain is open_calls[-1][0]:
+    def counting(self, domain, *args, **kwargs):
+        init(self, domain, *args, **kwargs)
+        if open_calls and domain is open_calls[-1][0]:
             open_calls[-1][1].append(self)
-        return validate(self)
 
     patch_bindings(monkeypatch, original, recording)
-    monkeypatch.setattr(SMorphism, "_validate", counting)
+    monkeypatch.setattr(SMorphism, "__init__", counting)
     construct_q(construct_p((1, 2), (1, 2)))
     assert finished
-    for validated, out in finished:
-        keys = [(id(m.codomain), m.table_key()) for m in validated]
+    for built, out in finished:
+        keys = [(id(m.codomain), m.table_key()) for m in built]
         assert len(keys) == len(set(keys))
-        assert {id(b.f) for _c, b in out.entries} == set(map(id, validated))
+        assert {id(b.f) for _c, b in out.entries} == set(map(id, built))
+        for m in built:
+            m._validate()
     # the factors are compacted, so no (2, 2) product repeats a decomposition;
-    # test_witnesses checks that a repeated one is validated once
+    # test_witnesses checks that a repeated one is glued once
+
+
+@pytest.mark.optimized
+def test_every_unvalidated_derived_object_validates(monkeypatch, tmp_path):
+    # wedges, their insertions, subsets, gluings into their parts' own
+    # target and reduced-cone maps between their map's own reduced cones
+    # skip validation where they are built, each valid by a proof in its
+    # docstring; every one that three runs and the checks of their dumps
+    # build must pass it here
+    built = {}
+
+    def record(original, kind, unvalidated=lambda out, *args: True):
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if unvalidated(out, *args):
+                built.setdefault(kind, {})[id(out)] = out
+            if kind == "wedge":
+                built.setdefault("insertion", {}).update((id(m), m) for m in out.insertions)
+            return out
+
+        patch_bindings(monkeypatch, original, recording)
+
+    record(simplicial.wedge, "wedge")
+    record(simplicial.subsimplicial, "subset")
+    record(
+        simplicial.wedge_combine,
+        "gluing",
+        lambda out, w, parts, *_: all(f.codomain is out.codomain for f in parts),
+    )
+    record(
+        simplicial.reduced_cone_map,
+        "reduced cone map",
+        lambda out, f, rdom, rcod: rdom[1].domain is f.domain
+        and rcod[1].domain is f.codomain,
+    )
+    small = construct_p((1, 2), (1, 2))
+    write_pair_artifacts(small, tmp_path / "pj22")
+    write_q_artifacts(small, construct_q(small), tmp_path / "q22")
+    write_pair_artifacts(construct_p((1, 2, 3), (1, 2), enforce_guard=False), tmp_path / "pj32")
+    for checker, name in (
+        (check_pair_artifacts, "pj22"),
+        (check_q_artifacts, "q22"),
+        (check_pair_artifacts, "pj32"),
+    ):
+        assert all(ok is True for _name, ok in checker(tmp_path / name))
+    kinds = {"wedge", "insertion", "subset", "gluing", "reduced cone map"}
+    assert set(built) == kinds
+    for objects in built.values():
+        for x in objects.values():
+            x._validate()
 
 
 def table_ids(m):

@@ -412,15 +412,29 @@ def edge():
     return disjoint_basepoint(standard_simplex(1, 2))
 
 
-def identity_block(ctx, t, part_morphism):
+def trivial_space(ctx, z):
+    """z under the trivial action."""
+    return PSpace(z, ctx.monoid, {k: inclusion(z, z) for k in ctx.monoid.elements})
+
+
+def identity_block(ctx, t, part_morphism, z=None):
     """One rank-0 block over the wedge of t alone, with f its insertion,
-    whose part carries ``part_morphism`` into t under the trivial action."""
-    space = PSpace(t, ctx.monoid, {k: inclusion(t, t) for k in ctx.monoid.elements})
+    whose part carries ``part_morphism`` into t under the trivial action;
+    the block's space is z, which holds t with its keys, or t itself."""
+    space = trivial_space(ctx, t)
     wobj = wedge([t])
     pi = singleton(ctx.i_set)
     term = IdealTerm(pi, part_morphism)
     part = BlockPart(0, [term], t, space)
-    return Block(f=wobj.insertions[0], wedge_obj=wobj, parts=[part], space=space)
+    block_space = space if z is None else trivial_space(ctx, z)
+    return Block(f=wobj.insertions[0], wedge_obj=wobj, parts=[part], space=block_space)
+
+
+def triangle():
+    """The standard 2-simplex with a disjoint basepoint: it holds ``edge()``
+    with the same keys, so the gluing of parts into an edge, read into it,
+    is validated there."""
+    return disjoint_basepoint(standard_simplex(2, 2))
 
 
 def count_validations(monkeypatch, domain):
@@ -433,6 +447,19 @@ def count_validations(monkeypatch, domain):
         return original(self)
 
     monkeypatch.setattr(SMorphism, "_validate", counting)
+    return seen
+
+
+def count_builds(monkeypatch, domain):
+    """Count the SMorphisms built out of ``domain``, validated or not."""
+    init, seen = SMorphism.__init__, []
+
+    def counting(self, dom, *args, **kwargs):
+        init(self, dom, *args, **kwargs)
+        if dom is domain:
+            seen.append(self)
+
+    monkeypatch.setattr(SMorphism, "__init__", counting)
     return seen
 
 
@@ -507,9 +534,13 @@ def test_scope_reglues_part_with_equal_key_but_other_table(ctx):
     with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
         SMorphism(t, t, degenerate_row_forged(t), check=False)
     # the nearest table that can be built differs from the identity's in a
-    # row, so its key does too: the scope glues it afresh, over the same
-    # objects, and the gluing fails
-    good = identity_block(ctx, t, inclusion(t, t))
+    # row, so its key does too.  Checked, it fails at its own construction;
+    # built unchecked, it reaches a gluing into the block's space, which
+    # enlarges the parts' target t, so the scope glues it afresh, over the
+    # same objects, validates the gluing there, and the gluing fails
+    with pytest.raises(SimplicialError, match="faces"):
+        SMorphism(t, t, edge_row_broken(t).rows)
+    good = identity_block(ctx, t, inclusion(t, t), triangle())
     bad = replace(
         good,
         parts=[
@@ -529,12 +560,21 @@ def test_scope_recones_map_with_equal_key_but_other_table():
     t = edge()
     with pytest.raises(SimplicialError, match="rows differ from the nondegenerate"):
         SMorphism(t, t, degenerate_row_forged(t), check=False)
+    broken = edge_row_broken(t)
+    with pytest.raises(SimplicialError, match="faces"):
+        SMorphism(t, t, broken.rows)
     red = reduced_cone(t)
     scope = PairScope()
     ident = inclusion(t, t)
-    assert scope.reduced_cone_map(ident, red, red) == reduced_cone_map(ident, red, red)
-    with pytest.raises(SimplicialError):
-        scope.reduced_cone_map(edge_row_broken(t), red, red)
+    coned_ident = scope.reduced_cone_map(ident, red, red)
+    assert coned_ident == reduced_cone_map(ident, red, red)
+    # the reduced cone of a simplicial map between t's own reduced cones
+    # is not validated, so the unchecked table's cone is taken afresh, not
+    # read as the identity's, and it is as broken as the table
+    coned = scope.reduced_cone_map(broken, red, red)
+    assert coned != coned_ident
+    with pytest.raises(SimplicialError, match="faces"):
+        coned._validate()
 
 
 def test_invert_iso_needs_a_bijection_of_nondegenerate_simplices():
@@ -556,8 +596,10 @@ def test_invert_iso_needs_a_bijection_of_nondegenerate_simplices():
 
 
 def test_equal_part_tables_on_distinct_domains_each_validated(ctx, monkeypatch):
+    # the parts land in t inside the block's space, so their gluing is
+    # validated there: once for two blocks with equal part tables on t
     t = edge()
-    first = identity_block(ctx, t, inclusion(t, t))
+    first = identity_block(ctx, t, inclusion(t, t), triangle())
     seen = count_validations(monkeypatch, first.wedge_obj)
     for dom in (t, edge()):
         # an equal table in a new object, out of t itself or out of a copy
@@ -577,7 +619,9 @@ def test_equal_part_tables_on_distinct_domains_each_validated(ctx, monkeypatch):
 
 def test_wedge_witness_validates_a_repeated_decomposition_once(ctx, monkeypatch):
     # one factor holds two entries with the same f and different parts; the
-    # two output blocks they make share one decomposition, validated once
+    # two output blocks they make share one decomposition, glued once.  It
+    # glues based maps into one wedge, so it is validated here, not where
+    # it is built
     t = edge()
     first = identity_block(ctx, t, inclusion(t, t))
     constant = constant_morphism(t, t, t.basepoint)
@@ -585,7 +629,7 @@ def test_wedge_witness_validates_a_repeated_decomposition_once(ctx, monkeypatch)
     second = replace(first, parts=[replace(first.parts[0], terms=[term])])
     other = identity_block(ctx, t, inclusion(t, t))
     wobj = wedge([t, t])
-    seen = count_validations(monkeypatch, wobj)
+    seen = count_builds(monkeypatch, wobj)
     w = wedge_witness(
         [
             FiltrationWitness(0, [(1, first), (1, second)]),
@@ -596,6 +640,7 @@ def test_wedge_witness_validates_a_repeated_decomposition_once(ctx, monkeypatch)
     )
     assert len(w.entries) == 2
     assert len(seen) == 1
+    seen[0]._validate()
     assert w.entries[0][1].f is w.entries[1][1].f is seen[0]
     assert w.entries[0][1].parts[0] is not w.entries[1][1].parts[0]
 
