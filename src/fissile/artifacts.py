@@ -15,6 +15,7 @@ import json
 import os
 import re
 from collections import Counter
+from itertools import repeat
 
 from .canon import morph_id
 from .chained import subset_key
@@ -89,26 +90,26 @@ def _resolve(lookup, label):
 
 
 def _id_rows(dom, table):
-    """The id rows of a written table, read in one pass: its rows [n, x,
-    value] must be those of the nondegenerate simplices of dom in table
-    order, ``dom.key_levels()``, each once, and every atom of x and of the
-    value a str, an int or null."""
-    rows, written = [()] * (dom.bound + 1), iter(table)
-    what = f"morphism table on {dom.label!r}"
-    for n, xs in dom.key_levels():
-        values = []
-        for x in xs:
-            row = next(written, None)
-            if row is None:
-                raise ArtifactError(f"{what} lacks the row of {x!r}")
-            if type(row[0]) is not int or row[0] != n or _key(row[1], what) != x:
-                raise ArtifactError(f"{what}: row {row!r:.60} is not the row of {x!r}")
-            values.append(_key(row[2], what))
-        rows[n] = intern_all(values)
-    extra = next(written, None)
-    if extra is not None:
-        raise ArtifactError(f"{what}: row {extra!r:.60} is past the domain's simplices")
-    return tuple(rows)
+    """The id rows of a written table, and the (n, x, value) key that its
+    id digests.  A table is its values alone, one per nondegenerate simplex
+    of dom in table order, ``dom.key_levels()``, which gives each value its
+    n and x; every atom of a value must be a str, an int or null.  The key
+    holds each value as written."""
+    levels = dom.key_levels()
+    count = sum(len(xs) for _n, xs in levels)
+    if len(table) != count:
+        raise ArtifactError(
+            f"morphism table on {dom.label!r} holds {len(table)} values, "
+            f"not one per each of its {count} nondegenerate simplices"
+        )
+    what = f"morphism table entry on {dom.label!r}"
+    rows, key, start = [()] * (dom.bound + 1), [], 0
+    for n, xs in levels:
+        values = table[start : start + len(xs)]
+        start += len(xs)
+        rows[n] = intern_all([_key(v, what) for v in values])
+        key.extend(zip(repeat(n), xs, values))
+    return tuple(rows), key
 
 
 # -- morphism registry ---------------------------------------------------------
@@ -131,14 +132,16 @@ class MorphismStore:
         """The id of m's record, ``morph_id`` of m, computed through
         :func:`~fissile.witnesses.once` once per morphism on its objects.  The
         first morphism written with a table makes its record: m's domain
-        label and m's table key as it is, which the writer prints with its
-        tuples as lists, the rows its id encodes."""
+        label and the values of m's table key, in its order, the domain's
+        ``key_levels()``; the id digests the whole (n, x, value) key, which
+        the reader rebuilds from the domain."""
 
         def record():
             payload = m.canonical_payload()
             mid = morph_id(payload)
             if mid not in self.records:
-                self.records[mid] = {"domain": m.domain.label, "table": payload[1]}
+                table = [v for _n, _x, v in payload[1]]
+                self.records[mid] = {"domain": m.domain.label, "table": table}
             return mid
 
         return once(self._refs, (m.domain, m.codomain, m), record)
@@ -148,10 +151,10 @@ class MorphismStore:
 
     @staticmethod
     def load(data, ctx: WedgeContext):
-        """The store of a ``morphisms.json`` object: each record's id is
-        recomputed from its table as written, and the table is read into id
-        rows on the record's domain.  No table is validated here; each use
-        validates it into its codomain (:meth:`morph`)."""
+        """The store of a ``morphisms.json`` object: each record's table is
+        read into id rows on the record's domain, and its id is recomputed
+        from the (n, x, value) key so rebuilt.  No table is validated here;
+        each use validates it into its codomain (:meth:`morph`)."""
         store = MorphismStore()
         for mid, rec in data.items():
             rec = _object(rec, "morphism record")
@@ -161,12 +164,10 @@ class MorphismStore:
                     "not domain and table"
                 )
             dom = resolve(ctx.obj, rec["domain"])
-            table = _list(rec["table"], "morphism table", 3)
-            # the id is checked on the rows as written, which the encoder
-            # prints as they came, a true or a 1.0 as such
-            if morph_id(["morphism", table]) != mid:
+            rows, key = _id_rows(dom, _list(rec["table"], "morphism table"))
+            if morph_id(["morphism", key]) != mid:
                 raise ArtifactError("morphism id does not match its table")
-            store.loaded[mid] = dom, _id_rows(dom, table)
+            store.loaded[mid] = dom, rows
         return store
 
     def domain(self, mid):
@@ -304,8 +305,6 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
                 "parts": [
                     {
                         "level": p.level,
-                        "domain": p.domain.label,
-                        "space": p.space.label,
                         "terms": [
                             {"pi": t.pi.sorted_items(), "w": store.ref(t.morphism)}
                             for t in p.terms
@@ -319,8 +318,9 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
 
 
 def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
-    """The witness written as data.  Every part's space is its block's,
-    the space that the block's value lands in."""
+    """The witness written as data.  A block has one part per summand of
+    its wedge, in order: part j's terms lie on summand j and are valued in
+    the block's space, the space that the block's value lands in."""
     blocks, level = _fields(data, "witness", "blocks", "level")
     entries = []
     for b, brec in enumerate(_list(blocks, "blocks")):
@@ -331,42 +331,28 @@ def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
         if wedge_obj.insertions is None:
             raise ArtifactError(f"block wedge {wedge_obj.label!r} is not a wedge")
         space = resolve(ctx.labelled_space, slabel)
-        parts = []
-        for j, prec in enumerate(_list(precs, "parts")):
-            dlabel, plabel, trecs, plevel = _fields(
-                prec, "part", "domain", "space", "terms", "level"
+        precs = _list(precs, "parts")
+        if len(precs) != len(wedge_obj.insertions):
+            raise ArtifactError(
+                f"block {b} has {len(precs)} parts, but its wedge "
+                f"{wedge_obj.label!r} has {len(wedge_obj.insertions)} summands"
             )
-            domain = resolve(ctx.obj, dlabel)
-            if resolve(ctx.labelled_space, plabel) is not space:
-                raise ArtifactError(
-                    f"block {b} part {j} has the space {plabel!r:.60}, "
-                    f"not the block's {space.label!r}"
-                )
+        parts = []
+        for j, (prec, ins) in enumerate(zip(precs, wedge_obj.insertions)):
+            trecs, plevel = _fields(prec, "part", "terms", "level")
             terms = []
             for trec in _list(trecs, "terms"):
                 w, pi = _fields(trec, "term", "w", "pi")
-                term_domain = store.domain(w)
-                if term_domain is not domain:
+                # sets compare by identity, and every one comes from ctx
+                if store.domain(w) is not ins.domain:
                     raise ArtifactError(
-                        f"block {b} part {j} on {domain.label!r} has a term "
-                        f"on {term_domain.label!r}"
+                        f"block {b} part {j} on {ins.domain.label!r} has a term "
+                        f"on {store.domain(w).label!r}"
                     )
                 # the space's actions are composed with w, so w lands in it
                 morphism = store.morph(w, space.obj, f"block {b} part {j} term")
                 terms.append(IdealTerm(pi=_pi_from_json(pi), morphism=morphism))
-            parts.append(
-                BlockPart(
-                    level=_int(plevel, "part level"),
-                    terms=terms,
-                    domain=domain,
-                    space=space,
-                )
-            )
-        # simplicial sets compare by identity, and every one comes from ctx
-        if [p.domain for p in parts] != [ins.domain for ins in wedge_obj.insertions]:
-            raise ArtifactError(
-                f"block wedge {wedge_obj.label!r} is not the wedge of its part domains"
-            )
+            parts.append(BlockPart(_int(plevel, "part level"), terms))
         f = store.morph(fid, wedge_obj, f"block {b} decomposition")
         entries.append((_int(coeff, "block coeff"), Block(f, wedge_obj, parts, space)))
     return FiltrationWitness(_int(level, "witness level"), entries)
@@ -557,21 +543,28 @@ def check_pair_artifacts(in_dir):
     return checks
 
 
-def check_q_artifacts(in_dir):
-    """Re-verify an almost-fissile dump: one check per layout defect and
-    one for the boundary defect.  The layouts are read from the file, and
-    they must be the layouts of E, each once; otherwise only the failed
-    claims are returned."""
-    _manifest, ctx, store = _open_dump(in_dir, "almost-fissile")
-    payload = _load(os.path.join(in_dir, "q.json"))
+def _read_q(path, store: MorphismStore, ctx: WedgeContext):
+    """The ensemble, the (layout, witness) pairs and the boundary witness
+    written in the ``q.json`` at path; the parsed file is dropped when this
+    returns."""
     ens, layouts, bdata = _fields(
-        payload, "q.json", "ensemble", "layouts", "boundary_witness"
+        _load(path), "q.json", "ensemble", "layouts", "boundary_witness"
     )
     q_ens = ensemble_from_json(ens, store, ctx.w_obj)
     layout_witnesses = []
     for entry in _list(layouts, "layouts"):
         layout, wit = _fields(entry, "layout entry", "layout", "witness")
         layout_witnesses.append((_layout(layout), witness_from_json(wit, store, ctx)))
+    return q_ens, layout_witnesses, witness_from_json(bdata, store, ctx)
+
+
+def check_q_artifacts(in_dir):
+    """Re-verify an almost-fissile dump: one check per layout defect and
+    one for the boundary defect.  The layouts are read from the file, and
+    they must be the layouts of E, each once; otherwise only the failed
+    claims are returned."""
+    _manifest, ctx, store = _open_dump(in_dir, "almost-fissile")
+    q_ens, layout_witnesses, bwit = _read_q(os.path.join(in_dir, "q.json"), store, ctx)
     mismatches = _claim_mismatches(
         LayoutLattice(ctx.e_set, bound=len(ctx.e_set)).layouts,
         [a for a, _ in layout_witnesses],
@@ -579,6 +572,5 @@ def check_q_artifacts(in_dir):
     )
     if mismatches:
         return mismatches
-    bwit = witness_from_json(bdata, store, ctx)
     store.require_all_used()
     return list(q_checks(ctx, q_ens, layout_witnesses, bwit))

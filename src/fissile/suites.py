@@ -474,7 +474,7 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
                 level = rng.randint(0, 2)
                 domains.append(t)
                 term = IdealTerm(random_pi(level), rng.choice(pool))
-                parts.append(BlockPart(level, [term], t, space))
+                parts.append(BlockPart(level, [term]))
             wobj = wedge(domains)
             f = rng.choice(enumerate_based_morphisms(t_obj, wobj))
             entries.append((rng.choice((-2, -1, 1, 2)), Block(f, wobj, parts, space)))

@@ -129,10 +129,9 @@ class WedgeContext:
       subset of it;
     - ``("redcone", x)``: the reduced cone of the object labelled x, or of
       the object of the space labelled x when x is of a space kind;
-    - the wedges ``("wedgept",)`` of the point, ``("wedge1", x)`` of the
-      object labelled x, ``("wedge", (x, ...))`` of the objects so labelled
-      and ``("wedgecones", b)`` of the per-block cones of the layout b; a
-      wedge carries the insertions of its summands.
+    - ``("wedge", (x, ...))``: the wedge of the objects so labelled, which
+      carries the insertions of its summands; there is one wedge, and one
+      label, per tuple of summands.
 
     The space labels are ``("W", I)`` and ``("WL", l)`` for the full space
     and the one at l, and ``("redcone", x)`` for the reduced cone of the
@@ -158,7 +157,7 @@ class WedgeContext:
             for j in self.components
         }
         parts = [self.towers[j].susp for j in self.components]
-        self.w_obj = self.wedge_of(parts, label=("W", self.i_set))
+        self.w_obj = wedge(parts, label=("W", self.i_set))
         action = {k: self._action_table(k) for k in self.monoid.elements}
         self.full_space = PSpace(self.w_obj, self.monoid, action, ("WL", self.i_set))
 
@@ -183,15 +182,8 @@ class WedgeContext:
                 return self.sub_obj(l_key)
             case ("redcone", inner):
                 return self.reduced_domain(self.obj(inner))[0]
-            case ("wedgept",):
-                return self.wedge_of([self.point_obj()], label=("wedgept",))
-            case ("wedge1", inner):
-                dom = self.obj(inner)
-                return self.wedge_of([dom], label=("wedge1", dom.label))
             case ("wedge", (*inners,)):
                 return self.wedge_of([self.obj(x) for x in inners])
-            case ("wedgecones", b):
-                return self.iota(b).codomain
         raise TypeError(f"{label!r} names no object")
 
     def labelled_space(self, label) -> PSpace:
@@ -215,10 +207,9 @@ class WedgeContext:
 
     # -- wedges and reduced cones of given objects -------------------------
 
-    def wedge_of(self, parts, label=None):
-        """The wedge of these part objects."""
-        key = ("wedge", tuple(parts), label)
-        return self.once(key, lambda: wedge(parts, label=label))
+    def wedge_of(self, parts):
+        """The wedge of these part objects, labelled ``("wedge", labels)``."""
+        return self.once(("wedge", tuple(parts)), lambda: wedge(parts))
 
     @_entry("shift")
     def summand_shift(self, part_wedge, whole, start) -> SMorphism:
@@ -329,11 +320,11 @@ class WedgeContext:
         """Inclusion of the based subdivision of a face into its coned one."""
         return inclusion(self.plus_base_of(f), self.cone_face(f))
 
-    @_entry("wedgecones", layout_key)
+    @_entry("iota", layout_key)
     def iota(self, b):
         """Isomorphism from a coned layout subdivision to the wedge of its
         per-block cones."""
-        wobj = self.wedge_of([self.cone_face(g) for g in b], label=("wedgecones", b))
+        wobj = self.wedge_of([self.cone_face(g) for g in b])
         inclusions = [self.layout_inclusion((g,), b) for g in b]
         return invert_iso(wedge_combine(wobj, inclusions))
 
@@ -402,14 +393,9 @@ class WedgeContext:
         """Rank-0 witness for <constant basepoint morphism> on t."""
         pt = self.point_obj()
         const = constant_morphism(pt, space.obj, space.obj.basepoint)
-        wobj = self.wedge_of([pt], label=("wedgept",))
+        wobj = self.wedge_of([pt])
         f = constant_morphism(t_obj, wobj, wobj.basepoint)
-        part = BlockPart(
-            level=0,
-            terms=[IdealTerm(singleton(self.i_set), const)],
-            domain=pt,
-            space=space,
-        )
+        part = BlockPart(level=0, terms=[IdealTerm(singleton(self.i_set), const)])
         block = Block(f=f, wedge_obj=wobj, parts=[part], space=space)
         return FiltrationWitness(0, [(1, block)])
 
@@ -417,14 +403,8 @@ class WedgeContext:
         """Witness for omega(j) . <xi(j, f)> in the space at j, as one block
         of rank |j| over the based subdivision of the face f."""
         morphism, space = self.xi(j, f), self.space(j)
-        dom = morphism.domain
-        wobj = self.wedge_of([dom], label=("wedge1", dom.label))
-        part = BlockPart(
-            level=len(j),
-            terms=[IdealTerm(omega(j), morphism)],
-            domain=dom,
-            space=space,
-        )
+        wobj = self.wedge_of([morphism.domain])
+        part = BlockPart(level=len(j), terms=[IdealTerm(omega(j), morphism)])
         block = Block(f=wobj.insertions[0], wedge_obj=wobj, parts=[part], space=space)
         return FiltrationWitness(len(j), [(1, block)])
 

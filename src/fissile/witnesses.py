@@ -10,6 +10,7 @@ the ideal at the part's level.  That membership is decided in closed form by
 evaluation.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 from .chained import SubsetMonoid, ideal_membership
@@ -72,28 +73,29 @@ class IdealTerm:
 
 @dataclass
 class BlockPart:
+    """Part j of a block: terms on summand j of the block's wedge, each
+    valued in the block's space, whose pi lie in the ideal at the part's
+    level.  The summand and the space are its block's, so a part holds
+    neither."""
+
     level: int
     terms: list
-    domain: object  # based simplicial set, the wedge summand
-    space: PSpace
-    _key: tuple = field(default=None, init=False, repr=False, compare=False)
 
+    @functools.cached_property
     def key(self):
         """The structural key of the part: its level and the multiset of its
         (pi items, morphism) terms, built once, as a part is not changed once
         made."""
-        if self._key is None:
-            count = {}
-            for t in self.terms:
-                term = (tuple(sorted(t.pi.terms.items())), t.morphism)
-                count[term] = count.get(term, 0) + 1
-            self._key = (self.level, frozenset(count.items()))
-        return self._key
+        count = {}
+        for t in self.terms:
+            term = (tuple(sorted(t.pi.terms.items())), t.morphism)
+            count[term] = count.get(term, 0) + 1
+        return self.level, frozenset(count.items())
 
-    def value(self, scope) -> Ensemble:
+    def value(self, space: PSpace, scope) -> Ensemble:
         out = Ensemble.zero()
         for term in self.terms:
-            out = out + term.value(self.space, scope)
+            out = out + term.value(space, scope)
         return out
 
     def in_ideal(self, monoid, scope) -> bool:
@@ -110,9 +112,9 @@ class BlockPart:
 
 @dataclass
 class Block:
-    f: SMorphism  # T -> wedge of the part domains
-    wedge_obj: object  # a wedge, carrying the insertions of the part domains
-    parts: list
+    f: SMorphism  # T -> the wedge
+    wedge_obj: object  # a wedge, carrying the insertions of its summands
+    parts: list  # part j on summand j
     space: PSpace
 
     def rank(self):
@@ -203,21 +205,21 @@ class PairScope:
     def glued_product(self, block: Block) -> Ensemble:
         """The combining product of the block's part values, each tuple glued
         by ``wedge_combine`` into the block space: the block's value before
-        the precomposition with its f.  Keyed on the wedge, the space
-        object and, per part, its space and the pi items and morphism of
-        each term (see the class docstring)."""
-        wobj, cod, parts = block.wedge_obj, block.space.obj, block.parts
+        the precomposition with its f.  Keyed on the wedge, the block's
+        space and, per part, the pi items and morphism of each term (see
+        the class docstring)."""
+        wobj, space, parts = block.wedge_obj, block.space, block.parts
 
         def term(t):
             return tuple(t.pi.terms.items()), *_named(t.morphism)
 
-        key = ("product", wobj, cod)
-        key += tuple((p.space, *map(term, p.terms)) for p in parts)
+        key = ("product", wobj, space) + tuple(tuple(map(term, p.terms)) for p in parts)
         return once(
             self._table,
             key,
             lambda: combining_product(
-                [p.value(self) for p in parts], lambda tup: self.glue(wobj, tup, cod)
+                [p.value(space, self) for p in parts],
+                lambda tup: self.glue(wobj, tup, space.obj),
             ),
         )
 
@@ -289,7 +291,7 @@ def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
         for p in b.parts:
             i = of_part.get(id(p))
             if i is None:
-                i = of_part[id(p)] = index.setdefault(p.key(), len(index))
+                i = of_part[id(p)] = index.setdefault(p.key, len(index))
             parts.append(i)
         key = (b.f, tuple(parts))
         if key in merged:
@@ -386,7 +388,7 @@ def map_witness(
         parts = []
         for p in b.parts:
             terms = [IdealTerm(t.pi, compose(h, t.morphism)) for t in p.terms]
-            parts.append(BlockPart(p.level, terms, p.domain, dst))
+            parts.append(BlockPart(p.level, terms))
         entries.append(
             (c, Block(f=b.f, wedge_obj=b.wedge_obj, parts=parts, space=dst))
         )
@@ -405,30 +407,27 @@ def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
     scope = scope if scope is not None else PairScope()
     entries = []
     for c, b in w.entries:
-        red_parts = [ctx.reduced_domain(p.domain) for p in b.parts]
-        new_domains = [r[0] for r in red_parts]
-        new_wedge = ctx.wedge_of(new_domains)
+        insertions = b.wedge_obj.insertions
+        red_parts = [ctx.reduced_domain(ins.domain) for ins in insertions]
+        new_wedge = ctx.wedge_of([r[0] for r in red_parts])
         red_w = ctx.reduced_domain(b.wedge_obj)
         coned = tuple(
-            scope.reduced_cone_map(b.wedge_obj.insertions[j], red_parts[j], red_w)
-            for j in range(len(b.parts))
+            scope.reduced_cone_map(ins, red, red_w)
+            for ins, red in zip(insertions, red_parts)
         )
         e_inv = scope.straightening(new_wedge, coned, red_w)
         red_t = ctx.reduced_domain(b.f.domain)
         cf = scope.reduced_cone_map(b.f, red_t, red_w)
         g = compose(e_inv, cf)
+        cspace, red_z = ctx.reduced_space(b.space)
         parts = []
-        for j, p in enumerate(b.parts):
-            cspace, red_z = ctx.reduced_space(p.space)
+        for p, red in zip(b.parts, red_parts):
             terms = [
-                IdealTerm(t.pi, scope.reduced_cone_map(t.morphism, red_parts[j], red_z))
+                IdealTerm(t.pi, scope.reduced_cone_map(t.morphism, red, red_z))
                 for t in p.terms
             ]
-            parts.append(BlockPart(p.level, terms, new_domains[j], cspace))
-        cspace0 = ctx.reduced_space(b.space)[0]
-        entries.append(
-            (c, Block(f=g, wedge_obj=new_wedge, parts=parts, space=cspace0))
-        )
+            parts.append(BlockPart(p.level, terms))
+        entries.append((c, Block(f=g, wedge_obj=new_wedge, parts=parts, space=cspace)))
     return FiltrationWitness(w.level, entries)
 
 
@@ -436,13 +435,13 @@ def wedge_witness(witnesses, wedge_obj, ctx) -> FiltrationWitness:
     """Witness for the combining product over a wedge of domains; ranks add.
 
     Expands the product of the input combinations, so each output block
-    concatenates one block choice per slot; the wedges of the concatenated
-    part domains come from the run's context.  The new decomposition glues,
+    concatenates one block choice per slot; the wedge of the concatenated
+    summands comes from the run's context.  The new decomposition glues,
     over the wedge, the f of each chosen block moved into its slice of the
     concatenated wedge by the context's ``summand_shift``.  It reads, of each
-    chosen block, only the table of f, its wedge and its part count, so
-    within this call it is built and validated once per distinct
-    (concatenated wedge, per-slot wedge, part count and f).
+    chosen block, only the table of f and its wedge, so within this call it
+    is built and validated once per distinct (concatenated wedge, per-slot
+    wedge and f).
     """
     total_level = sum(w.level for w in witnesses)
     combos = [(1, [])]
@@ -456,15 +455,16 @@ def wedge_witness(witnesses, wedge_obj, ctx) -> FiltrationWitness:
     entries = []
     for c, blocks in combos:
         flat_parts = [p for b in blocks for p in b.parts]
-        flat_wedge = ctx.wedge_of([p.domain for p in flat_parts])
-        key = (flat_wedge,) + tuple((b.wedge_obj, len(b.parts), b.f) for b in blocks)
+        summands = [ins.domain for b in blocks for ins in b.wedge_obj.insertions]
+        flat_wedge = ctx.wedge_of(summands)
+        key = (flat_wedge,) + tuple((b.wedge_obj, b.f) for b in blocks)
         f_new = decompositions.get(key)
         if f_new is None:
             moved, start = [], 0
             for b in blocks:
                 shift = ctx.summand_shift(b.wedge_obj, flat_wedge, start)
                 moved.append(compose(shift, b.f))
-                start += len(b.parts)
+                start += len(b.wedge_obj.insertions)
             f_new = decompositions[key] = wedge_combine(wedge_obj, moved)
         entries.append((c, Block(f_new, flat_wedge, flat_parts, blocks[0].space)))
     return FiltrationWitness(total_level, entries)

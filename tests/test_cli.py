@@ -254,8 +254,7 @@ def test_check_reports_structural_corruption(tmp_path):
     morphs = os.path.join(pj, "morphisms.json")
     data = json.loads(open(morphs).read())
     some_id = next(iter(data))
-    row = data[some_id]["table"][0]
-    row[2] = ["bogus", "value"]
+    data[some_id]["table"][0] = ["bogus", "value"]
     open(morphs, "w").write(json.dumps(data))
     rc, out, _err = run_cli(["check-pj", "--in", pj])
     assert rc == 1
@@ -514,7 +513,7 @@ WRONG_CONTAINERS = [
     ("pj1", "morphisms.json", lambda d: [], "morphisms.json"),
     ("q1", "morphisms.json", _first_record_a_list, "morphism record"),
     ("pj1", "morphisms.json", _put(_first_record, "table", True), "morphism table"),
-    ("pj1", "morphisms.json", _put(lambda d: _first_record(d)["table"], 0, -1),
+    ("pj1", "morphisms.json", _put(lambda d: _first_record(d)["table"], 0, {}),
      "morphism table entry"),
 ]
 
@@ -616,12 +615,15 @@ def test_check_q_passes_a_witness_without_blocks_at_any_level(dumps, tmp_path):
     assert rc == 0 and not failed
 
 
-def _one_in_part_domain_as(value):
+def _one_in_summand_domain_as(value):
+    """An edit of the domain label of the first block's one summand, inside
+    the block's wedge label."""
+
     def edit(in_dir):
         data = json.loads((in_dir / "q.json").read_text())
-        part = _first_part(data)
-        assert part["domain"] == ["plusbase", [1]]
-        part["domain"] = ["plusbase", [value]]
+        block = next(_blocks(data))
+        assert block["wedge"] == ["wedge", [["plusbase", [1]]]]
+        block["wedge"] = ["wedge", [["plusbase", [value]]]]
         (in_dir / "q.json").write_text(json.dumps(data))
 
     return edit
@@ -635,9 +637,9 @@ def _true_in_record_domain(in_dir):
 
 
 LABEL_EDITS = [
-    (_one_in_part_domain_as(True), "True"),
-    (_one_in_part_domain_as(1.0), "1.0"),
-    (_one_in_part_domain_as(None), "None"),
+    (_one_in_summand_domain_as(True), "True"),
+    (_one_in_summand_domain_as(1.0), "1.0"),
+    (_one_in_summand_domain_as(None), "None"),
     (_true_in_record_domain, "True"),
 ]
 
@@ -677,11 +679,12 @@ def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
         data = json.loads(original)
         for b, block in enumerate(_blocks(data)):
             for j, part in enumerate(block["parts"]):
+                summand = _summands(block)[j]
                 for term in part["terms"]:
                     was = term["w"]
-                    assert morphisms[was]["domain"] == part["domain"]
+                    assert morphisms[was]["domain"] == summand
                     for mid, rec in morphisms.items():
-                        if rec["domain"] == part["domain"]:
+                        if rec["domain"] == summand:
                             continue
                         term["w"] = mid
                         path.write_text(json.dumps(data))
@@ -699,17 +702,31 @@ def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
     assert cases == 44
 
 
+@pytest.mark.optimized
 @pytest.mark.parametrize(
-    "summands", [lambda ds: ds[:1], lambda ds: ds[::-1]], ids=["first", "reversed"]
+    "summands, message",
+    [
+        (lambda ds: ds[:1], "block {b} has 2 parts, but its wedge {w!r} has 1 summands"),
+        (lambda ds: ds[::-1], "block {b} part 0 on {d1!r} has a term on {d0!r}"),
+        (lambda ds: ds + ds[:1], "block {b} has 2 parts, but its wedge {w!r} has 3 summands"),
+    ],
+    ids=["first", "reversed", "one-more-summand"],
 )
-def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, summands):
-    # a two-part block over the wedge of its first part domain alone, or of
-    # its part domains in the other order
+def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, summands, message):
+    # a two-part block over the wedge of its first summand alone, of its
+    # summands in the other order, or of one summand more: a block holds
+    # one part per summand, and part j's terms lie on summand j
     in_dir = tmp_path / "dump"
     shutil.copytree(dumps / "q2", in_dir)
     data = json.loads((in_dir / "q.json").read_text())
-    block = next(b for b in _blocks(data) if len(b["parts"]) == 2)
-    domains = [p["domain"] for p in block["parts"]]
+    witnesses = [e["witness"] for e in data["layouts"]] + [data["boundary_witness"]]
+    b, block = next(
+        (b, blk)
+        for w in witnesses
+        for b, blk in enumerate(w["blocks"])
+        if len(blk["parts"]) == 2
+    )
+    domains = _summands(block)
     assert domains[0] != domains[1]
     block["wedge"] = ["wedge", summands(domains)]
     (in_dir / "q.json").write_text(json.dumps(data))
@@ -718,7 +735,9 @@ def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, summands):
     (line,) = out.strip().splitlines()
     report = json.loads(line)
     assert report["verdict"] == "fail"
-    assert "is not the wedge of its part domains" in report["case"]["check"]
+    d0, d1 = map(_tuples, domains)
+    expected = message.format(b=b, w=_tuples(block["wedge"]), d0=d0, d1=d1)
+    assert report["case"]["check"] == f"artifact-structure ({expected})"
     assert "Traceback" not in err
 
 
@@ -758,7 +777,7 @@ def _deep_block_wedge(data):
 
 
 def _deep_table_value(data):
-    next(iter(data.values()))["table"][0][2] = "DEEP"
+    next(iter(data.values()))["table"][0] = "DEEP"
 
 
 @pytest.mark.optimized
@@ -1084,16 +1103,18 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
     codomains = _codomains(pj, ctx)
 
     def break_faces(rec, cod):
-        for row in rec["table"]:
-            n, v = row[0], _tuples(row[2])
+        table = rec["table"]
+        for i, n in enumerate(_dimensions(resolve(ctx.obj, rec["domain"]))):
+            v = _tuples(table[i])
             for y in cod.level(n) if n else ():
                 if any(cod.face(n, i, y) != cod.face(n, i, v) for i in range(n + 1)):
-                    row[2] = jsonable(y)
+                    table[i] = jsonable(y)
                     return True
         return False
 
     old_id = next(mid for mid in sorted(data) if break_faces(data[mid], codomains[mid]))
-    new_id = morph_id(["morphism", data[old_id]["table"]])
+    dom = resolve(ctx.obj, data[old_id]["domain"])
+    new_id = _table_id(data[old_id]["table"], dom)
     data[new_id] = data.pop(old_id)
     (pj / "morphisms.json").write_text(json.dumps(data))
     for path in pj.glob("pair_*.json"):
@@ -1108,7 +1129,7 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
 def _codomains(in_dir, ctx):
     """The codomain that each morphism id of a dump is read into at its
     first use: W(I) for an ensemble key, the block's wedge for a block's f
-    and the object of the part's space for a term's w."""
+    and the object of the block's space for a term's w."""
     out = {}
     for path in sorted(in_dir.glob("*.json")):
         if path.name in ("manifest.json", "morphisms.json"):
@@ -1118,8 +1139,8 @@ def _codomains(in_dir, ctx):
             out.setdefault(entry["key"], ctx.w_obj)
         for block in _blocks(data):
             out.setdefault(block["f"], resolve(ctx.obj, block["wedge"]))
+            space = resolve(ctx.labelled_space, block["space"]).obj
             for part in block["parts"]:
-                space = resolve(ctx.labelled_space, part["space"]).obj
                 for term in part["terms"]:
                     out.setdefault(term["w"], space)
     return out
@@ -1128,6 +1149,25 @@ def _codomains(in_dir, ctx):
 def _tuples(x):
     """x as read from JSON with each list made a tuple."""
     return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
+def _summands(block):
+    """The domain labels of the summands of a block's wedge, as written."""
+    kind, summands = block["wedge"]
+    assert kind == "wedge"
+    return summands
+
+
+def _dimensions(dom):
+    """The dimension of each value of a table on dom, in table order."""
+    return [n for n, xs in dom.key_levels() for _x in xs]
+
+
+def _table_id(table, dom):
+    """The id of a written table on dom: the digest of its (n, x, value)
+    rows, n and x from the domain."""
+    keys = [(n, x) for n, xs in dom.key_levels() for x in xs]
+    return morph_id(["morphism", [[n, x, v] for (n, x), v in zip(keys, table)]])
 
 
 def _one_as_true(x):
@@ -1143,17 +1183,20 @@ def _one_as_true(x):
 
 
 def test_check_pj_rejects_one_written_as_true_in_a_table(tmp_path):
-    # equal in Python, so only the id check on the written rows sees it
+    # equal in Python, so only the strict read of the written values sees it
     pj = tmp_path / "pj"
     run_cli(["construct-pj", "--i", "1", "--e", "1", "--out", str(pj)])
     data = json.loads((pj / "morphisms.json").read_text())
-    row = next(r for rec in data.values() for r in rec["table"] if _one_as_true(r[2]))
-    row[2] = _one_as_true(row[2])
+    table = next(rec["table"] for rec in data.values() if any(map(_one_as_true, rec["table"])))
+    i = next(i for i, v in enumerate(table) if _one_as_true(v))
+    table[i] = _one_as_true(table[i])
     (pj / "morphisms.json").write_text(json.dumps(data))
     rc, out, err = run_cli(["check-pj", "--in", str(pj)])
     assert rc == 1
     (line,) = out.strip().splitlines()
-    assert "morphism id does not match its table" in json.loads(line)["case"]["check"]
+    check = json.loads(line)["case"]["check"]
+    assert check.startswith("artifact-structure (morphism table entry on ")
+    assert "holds True" in check
     assert "Traceback" not in err
 
 
@@ -1168,69 +1211,64 @@ def _ones_as(x, atom):
     return [_ones_as(v, atom) for v in x] if isinstance(x, list) else x
 
 
-def _ones_in_row_as(column, atom):
-    """Every 1 in the simplex (column 1) or the value (column 2) of the
-    first row that holds one written as atom: equal in Python, so a table
-    read through dicts or interned before its atoms are checked takes it
-    for the row written with 1."""
+def _ones_in_a_value_as(atom):
+    """Every 1 in the first value that holds one written as atom: equal in
+    Python, so a table read through dicts or interned before its atoms are
+    checked takes it for the value written with 1."""
 
     def edit(table, dom, cod):
-        i = next((i for i, row in enumerate(table) if _has_one(row[column])), None)
-        if i is None:
-            return None
-        row = list(table[i])
-        row[column] = _ones_as(row[column], atom)
-        return table[:i] + [row] + table[i + 1 :]
+        i = next((i for i, v in enumerate(table) if _has_one(v)), None)
+        return None if i is None else table[:i] + [_ones_as(table[i], atom)] + table[i + 1 :]
 
     return edit
 
 
-def _vertex_listed_twice(table, dom, cod):
-    # the first vertex listed once more before itself, with the value of
-    # another vertex: a dict keeps the last one
-    other = next((r[2] for r in table if r[0] == 0 and r[2] != table[0][2]), None)
-    return None if other is None else [[0, table[0][1], other]] + table
-
-
-def _repeated_row(table, dom, cod):
+def _repeated_value(table, dom, cod):
     return table[:1] + table
 
 
-def _swapped_rows(table, dom, cod):
-    i = next((i for i in range(len(table) - 1) if table[i][0] == table[i + 1][0]), None)
+def _swapped_values(table, dom, cod):
+    # two distinct values of one dimension, each now at the other's simplex
+    ns = _dimensions(dom)
+    i = next(
+        (i for i in range(len(table) - 1) if ns[i] == ns[i + 1] and table[i] != table[i + 1]),
+        None,
+    )
     return None if i is None else table[:i] + [table[i + 1], table[i]] + table[i + 2 :]
 
 
-def _missing_row(table, dom, cod):
+def _missing_value(table, dom, cod):
     return table[:-1]
 
 
-def _degenerate_row(table, dom, cod):
-    # one more row, at the degenerate edge of the first vertex
-    n, x, v = table[0]
-    x, v = _tuples(x), _tuples(v)
-    return table + [[1, jsonable(dom.degen(0, 0, x)), jsonable(cod.degen(0, 0, v))]]
+def _degenerate_value(table, dom, cod):
+    # one more value, the degenerate edge at the first vertex's value, as
+    # if for the degenerate edge at the first vertex
+    return table + [jsonable(cod.degen(0, 0, _tuples(table[0])))]
 
 
-# a table other than its domain's nondegenerate rows in table order, each
-# once, or one holding an atom other than a str, an int or null
+# a table other than one value per nondegenerate simplex of its domain, a
+# table whose values in their domain's order break faces, or one holding an
+# atom other than a str, an int or null, stored under its recomputed id;
+# each with a pattern of the line it must give
+COUNT = r"morphism table on .+ holds \d+ values, not one per each of its \d+ nondeg"
+ATOM = r"morphism table entry on .+ holds (True|1\.0), not a str, an int or null"
 TABLE_FORGERIES = {
-    "vertex-listed-twice": _vertex_listed_twice,
-    "value-with-true": _ones_in_row_as(2, True),
-    "value-with-float": _ones_in_row_as(2, 1.0),
-    "simplex-with-true": _ones_in_row_as(1, True),
-    "simplex-with-float": _ones_in_row_as(1, 1.0),
-    "repeated-row": _repeated_row,
-    "swapped-rows": _swapped_rows,
-    "missing-row": _missing_row,
-    "degenerate-row": _degenerate_row,
+    "value-with-true": (_ones_in_a_value_as(True), ATOM),
+    "value-with-float": (_ones_in_a_value_as(1.0), ATOM),
+    "repeated-row": (_repeated_value, COUNT),
+    "swapped-rows": (_swapped_values, r".+ is not a morphism into .+ commute with faces"),
+    "missing-row": (_missing_value, COUNT),
+    "degenerate-row": (_degenerate_value, COUNT),
 }
 
 
 def _forge_a_table(in_dir, forge):
     """Forge the table of the first morphism record, in id order, that
     forge changes, and store the record under the id recomputed from the
-    forged table, every reference to it rewritten."""
+    forged table, every reference to it rewritten.  A table of another
+    length has no (n, x, value) rows to digest, and the reader refuses it
+    before it reads the id, so it keeps its id."""
     manifest = json.loads((in_dir / "manifest.json").read_text())
     ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
     data = json.loads((in_dir / "morphisms.json").read_text())
@@ -1241,8 +1279,8 @@ def _forge_a_table(in_dir, forge):
         table = forge(rec["table"], dom, cod)
         if table is not None:
             break
-    new_id = morph_id(["morphism", table])
-    assert new_id not in data
+    new_id = _table_id(table, dom) if len(table) == len(rec["table"]) else old_id
+    assert new_id == old_id or new_id not in data
     data[new_id] = dict(data.pop(old_id), table=table)
     (in_dir / "morphisms.json").write_text(json.dumps(data))
     for path in in_dir.glob("*.json"):
@@ -1252,8 +1290,10 @@ def _forge_a_table(in_dir, forge):
 
 @pytest.mark.optimized
 @pytest.mark.parametrize("dump", ["q1", "pj1"])
-@pytest.mark.parametrize("forge", TABLE_FORGERIES.values(), ids=TABLE_FORGERIES)
-def test_check_reads_each_table_strictly(dumps, tmp_path, dump, forge):
+@pytest.mark.parametrize(
+    "forge, message", TABLE_FORGERIES.values(), ids=list(TABLE_FORGERIES)
+)
+def test_check_reads_each_table_strictly(dumps, tmp_path, dump, forge, message):
     in_dir = tmp_path / "dump"
     shutil.copytree(dumps / dump, in_dir)
     _forge_a_table(in_dir, forge)
@@ -1262,8 +1302,34 @@ def test_check_reads_each_table_strictly(dumps, tmp_path, dump, forge):
     (line,) = out.strip().splitlines()
     report = json.loads(line)
     assert report["verdict"] == "fail"
-    assert report["case"]["check"].startswith("artifact-structure (morphism table on ")
+    assert re.match(rf"artifact-structure \({message}", report["case"]["check"])
     assert "Traceback" not in err
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize("dump", ["q1", "pj1"])
+def test_check_rejects_tables_written_as_rows(dumps, tmp_path, dump):
+    # the [n, x, value] rows of a dump written before tables were their
+    # values: one entry per simplex still, each read as a value, so the
+    # rebuilt key is no longer the one the id digests
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    manifest = json.loads((in_dir / "manifest.json").read_text())
+    ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
+    data = json.loads((in_dir / "morphisms.json").read_text())
+    for rec in data.values():
+        dom = resolve(ctx.obj, rec["domain"])
+        keys = [(n, jsonable(x)) for n, xs in dom.key_levels() for x in xs]
+        rec["table"] = [[n, x, v] for (n, x), v in zip(keys, rec["table"])]
+    (in_dir / "morphisms.json").write_text(json.dumps(data))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"] == (
+        "artifact-structure (morphism id does not match its table)"
+    )
 
 
 def _rewrite_references(in_dir, ids):
@@ -1366,7 +1432,7 @@ def _lands_in(store, mid, cod):
 @pytest.mark.parametrize("dump", ["pj1", "pj2"])
 def test_check_rejects_a_term_outside_its_part_space(dumps, tmp_path, dump):
     # a term's w swapped for a stored morphism on the same domain that lands
-    # in the object of some use, but not in the object of the term's space,
+    # in the object of some use, but not in the object of the block's space,
     # whose actions are composed with it
     in_dir = tmp_path / "dump"
     shutil.copytree(dumps / dump, in_dir)
@@ -1381,10 +1447,10 @@ def test_check_rejects_a_term_outside_its_part_space(dumps, tmp_path, dump):
                 for j, part in enumerate(block["parts"])
                 for term in part["terms"]
                 for mid, rec in sorted(data.items())
-                if rec["domain"] == part["domain"]
+                if rec["domain"] == _summands(block)[j]
                 and _lands_in(store, mid, codomains[mid])
                 and not _lands_in(
-                    store, mid, resolve(ctx.labelled_space, part["space"]).obj
+                    store, mid, resolve(ctx.labelled_space, block["space"]).obj
                 )
             ),
             None,
@@ -1426,38 +1492,12 @@ def test_check_rejects_an_ensemble_key_outside_w(dumps, tmp_path, dump):
     )
 
 
-@pytest.mark.optimized
-@pytest.mark.parametrize("dump", ["q2", "pj2"])
-def test_check_rejects_a_part_space_other_than_its_blocks(dumps, tmp_path, dump):
-    # one element deleted from a part's space label names another space at
-    # l, in which its terms may land too; a part's space must be its block's
-    in_dir = tmp_path / "dump"
-    shutil.copytree(dumps / dump, in_dir)
-    path = next(p for p in sorted(in_dir.glob("*.json")) if '"parts"' in p.read_text())
-    payload = json.loads(path.read_text())
-    b, block = next((b, blk) for b, blk in enumerate(_blocks(payload)) if blk["space"][1])
-    part = block["parts"][-1]
-    assert part["space"] == block["space"]
-    part["space"] = [part["space"][0], part["space"][1][:-1]]
-    path.write_text(json.dumps(payload))
-    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
-    assert rc == 1 and "Traceback" not in err
-    (line,) = out.strip().splitlines()
-    report = json.loads(line)
-    assert report["verdict"] == "fail"
-    j = len(block["parts"]) - 1
-    assert report["case"]["check"] == (
-        f"artifact-structure (block {b} part {j} has the space {part['space']!r}, "
-        f"not the block's {tuple([block['space'][0], tuple(block['space'][1])])!r})"
-    )
-
-
 # a field deleted from each kind of object the checker reads: (dump, file,
 # the object, the field, the name the line gives the object)
 MISSING_FIELDS = [
     ("q1", "q.json", lambda d: d["boundary_witness"], "level", "witness"),
     ("q1", "q.json", lambda d: next(_blocks(d)), "coeff", "block"),
-    ("q1", "q.json", _first_part, "space", "part"),
+    ("q1", "q.json", _first_part, "level", "part"),
     ("q1", "q.json", _first_term, "w", "term"),
     ("q1", "q.json", lambda d: d["ensemble"][0], "key", "ensemble entry"),
     ("q1", "q.json", lambda d: d["layouts"][0], "witness", "layout entry"),
@@ -1495,6 +1535,9 @@ def test_check_names_a_missing_field(dumps, tmp_path, dump, name, get, field, wh
 EXTRA_FIELDS = [
     ("q1", "q.json", _put(_first_term, "cert", [[[1, 2], [1, 2], 1]]), "term", "cert"),
     ("pj1", PAIR, _put(lambda d: next(_blocks(d)), "rank", 0), "block", "rank"),
+    # the domain and space a part held before it took its block's
+    ("q1", "q.json", _put(_first_part, "domain", ["plusbase", [1]]), "part", "domain"),
+    ("q1", "q.json", _put(_first_part, "space", ["WL", [1, 2]]), "part", "space"),
 ]
 
 
@@ -1760,7 +1803,8 @@ def test_check_rejects_incomplete_dump_under_optimize(run_optimized):
 
 def test_part_space_missing_field_and_zero_block_checks_under_optimize(run_optimized):
     run_optimized(
-        f"{__file__}::test_check_rejects_a_part_space_other_than_its_blocks",
+        f"{__file__}::test_check_rejects_block_wedge_of_other_summands",
+        f"{__file__}::test_check_rejects_tables_written_as_rows",
         f"{__file__}::test_check_names_a_missing_field",
         f"{__file__}::test_check_q_rejects_a_written_zero_block",
     )

@@ -5,7 +5,9 @@ it, and runs the checker on the result.  A mutation whose JSON text equals
 the original is skipped.  Every other one must end in exit 1 with a
 ``fail`` line, never in a traceback, unless an entry of ``ALLOWED`` below
 matches it: a field that no check rests on, while the claim the file makes
-still holds.  The mutations are drawn from fixed seeds, so each run makes
+still holds.  A second operator adds a key that nothing reads to one JSON
+object of a dump; each such case must end in a ``fail`` line, with no
+allowance.  The mutations are drawn from fixed seeds, so each run makes
 the same ones (after Zeller et al., *The Fuzzing Book*, "Mutation-Based
 Fuzzing")."""
 
@@ -20,6 +22,7 @@ import pytest
 from fissile.cli import main
 
 MUTATIONS_PER_DUMP = 200
+KEYS_ADDED_PER_DUMP = 40
 DELETE = object()
 VALUES = [None, "str", -1, [], {}, 10**6, True, DELETE]
 # (kind, |E|, seed); every dump has |I| = 2
@@ -36,6 +39,14 @@ def _paths(x, prefix=()):
     for key, child in _children(x):
         yield prefix + (key,)
         yield from _paths(child, prefix + (key,))
+
+
+def _objects(x, prefix=()):
+    """The path of every JSON object under x, x itself included."""
+    if isinstance(x, dict):
+        yield prefix
+    for key, child in _children(x):
+        yield from _objects(child, prefix + (key,))
 
 
 def _get(x, path):
@@ -96,6 +107,20 @@ def _check(kind, in_dir):
     return rc, [json.loads(line) for line in out.getvalue().splitlines()]
 
 
+def _check_mutated(kind, in_dir, name, original, mutated):
+    """``_check`` of the dump with the file ``name`` replaced by mutated;
+    the original is written back after."""
+    (in_dir / name).write_text(json.dumps(mutated))
+    try:
+        return _check(kind, in_dir)
+    finally:
+        (in_dir / name).write_text(json.dumps(original))
+
+
+def _failed(rc, lines):
+    return rc == 1 and any(line["verdict"] == "fail" for line in lines)
+
+
 @pytest.fixture(scope="module")
 def dumps(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -125,13 +150,35 @@ def test_every_one_field_mutation_fails(dumps, tmp_path, kind, e, seed):
         if json.dumps(mutated) == json.dumps(files[name]):
             continue
         run += 1
-        (in_dir / name).write_text(json.dumps(mutated))
-        rc, lines = _check(kind, in_dir)
-        (in_dir / name).write_text(json.dumps(files[name]))
+        rc, lines = _check_mutated(kind, in_dir, name, files[name], mutated)
         shown = "deleted" if value is DELETE else json.dumps(value)
         case = f"{name} {list(path)} = {shown}"
-        if rc == 1 and any(line["verdict"] == "fail" for line in lines):
+        if _failed(rc, lines):
             continue
         if rc != 0 or not any(match(files, name, path) for match in ALLOWED.values()):
             wrong.append(f"{case}: exit {rc}, {lines}")
+    assert not wrong, "\n".join(wrong)
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize("kind, e, seed", DUMPS, ids=[f"{k}-2x{e}" for k, e, _ in DUMPS])
+def test_every_added_key_fails(dumps, tmp_path, kind, e, seed):
+    # every object is read as exactly its fields, and the key of a morphism
+    # record is the digest of its table, so no key can be added unseen
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / f"{kind}{e}", in_dir)
+    names = sorted(p.name for p in in_dir.glob("*.json"))
+    files = {name: json.loads((in_dir / name).read_text()) for name in names}
+    objects = {name: list(_objects(files[name])) for name in names}
+    rng = random.Random(seed)
+    wrong = []
+    for _ in range(KEYS_ADDED_PER_DUMP):
+        name = rng.choice(names)
+        path = rng.choice(objects[name])
+        value = rng.choice([v for v in VALUES if v is not DELETE])
+        mutated = json.loads(json.dumps(files[name]))
+        _get(mutated, path)["unread"] = value
+        rc, lines = _check_mutated(kind, in_dir, name, files[name], mutated)
+        if not _failed(rc, lines):
+            wrong.append(f"{name} {list(path)} + unread = {json.dumps(value)}: exit {rc}, {lines}")
     assert not wrong, "\n".join(wrong)

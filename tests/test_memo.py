@@ -45,7 +45,7 @@ def reference_value(entries):
             value = Ensemble.zero()
             for t in p.terms:
                 for k, n in t.pi.terms.items():
-                    value = value + n * singleton(compose(p.space.action[k], t.morphism))
+                    value = value + n * singleton(compose(block.space.action[k], t.morphism))
             values.append(value)
         wobj, cod, f = block.wedge_obj, block.space.obj, block.f
         total = total + c * combining_product(
@@ -113,9 +113,9 @@ def test_evaluation_composes_each_distinct_decomposition_once(monkeypatch):
 
 
 def test_blocks_that_share_objects_keep_their_own_values():
-    # variants of one block that keep its wedge, its space and its part
-    # morphisms, with another pi, another part space or another f, all
-    # evaluated in one scope
+    # variants of one block that keep its wedge and its part morphisms,
+    # with another pi, another space or another f, all evaluated in one
+    # scope
     ctx = WedgeContext((1, 2), (1,))
     space, t = ctx.space((1,)), ctx.plus_base_of((1,))
     obj = space.obj
@@ -124,15 +124,14 @@ def test_blocks_that_share_objects_keep_their_own_values():
     term = IdealTerm(singleton((1, 2)), m)
     other = IdealTerm(2 * singleton(()), m)
     wobj = wedge([t, t])
-    parts = [BlockPart(0, [term], t, space), BlockPart(0, [term], t, space)]
-    other_pi = [BlockPart(0, [other], t, space), parts[1]]
-    other_space = [BlockPart(0, [other], t, trivial), parts[1]]
+    parts = [BlockPart(0, [term]), BlockPart(0, [term])]
+    other_pi = [BlockPart(0, [other]), parts[1]]
     decompositions = enumerate_based_morphisms(t, wobj)
     f, other_f = decompositions[1], decompositions[0]
     variants = [
         Block(f, wobj, parts, space),
         Block(f, wobj, other_pi, space),
-        Block(f, wobj, other_space, space),
+        Block(f, wobj, other_pi, trivial),
         Block(other_f, wobj, parts, space),
     ]
     values = [reference_value([(1, b)]) for b in variants]
@@ -188,9 +187,10 @@ def test_each_label_is_resolved_once_per_context(tmp_path, monkeypatch):
     monkeypatch.setattr(artifacts, "resolve", calling)
     monkeypatch.setattr(artifacts, "_resolve", building)
     assert all(ok for _name, ok in check_pair_artifacts(tmp_path))
-    # 2,281 lookups of 27 (kind, label) pairs; a record names no codomain,
-    # so the 8 labels only record codomains named are gone
-    assert len(built) == len(set(built)) == len(set(calls)) == 27
+    # 499 lookups of 26 (kind, label) pairs; a record names no codomain,
+    # so the 8 labels only record codomains named are gone, and the point's
+    # wedge has one label, not also ("wedgept",)
+    assert len(built) == len(set(built)) == len(set(calls)) == 26
     assert len(calls) > 10 * len(built)
 
 

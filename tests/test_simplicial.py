@@ -974,6 +974,22 @@ def test_gluing_rejects_a_part_on_another_domain():
         wedge_combine(w, [w.insertions[1], w.insertions[0]])
 
 
+def test_gluing_into_an_enlarged_codomain_is_validated():
+    # parts into an edge glued into a triangle that holds the edge with its
+    # keys: the gluing is validated there, so a part that breaks faces,
+    # built unchecked, fails at the gluing
+    t = disjoint_basepoint(standard_simplex(1, 2))
+    z = disjoint_basepoint(standard_simplex(2, 2))
+    w = wedge([t])
+    good = wedge_combine(w, [inclusion(t, t)], codomain=z)
+    assert good.codomain is z and compose(good, w.insertions[0]) == inclusion(t, z)
+    maps = [dict(inclusion(t, t).items(n)) for n in range(t.bound + 1)]
+    maps[1][(0, 1)] = (0, 0)
+    broken = SMorphism(t, t, id_rows(t, maps), check=False)
+    with pytest.raises(SimplicialError, match="faces"):
+        wedge_combine(w, [broken], codomain=z)
+
+
 # -- table keys -------------------------------------------------------------------
 
 

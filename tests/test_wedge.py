@@ -544,9 +544,8 @@ def test_stored_labels_name_the_builders_objects(tmp_path, built_21):
             objs.append(b.wedge_obj)
             spaces.append(b.space)
             morphs.append(b.f)
+            objs.extend(ins.domain for ins in b.wedge_obj.insertions)
             for p in b.parts:
-                objs.append(p.domain)
-                spaces.append(p.space)
                 morphs.extend(t.morphism for t in p.terms)
     objs += [x for m in morphs for x in (m.domain, m.codomain)]
     for x in objs:
@@ -565,15 +564,23 @@ def test_stored_labels_name_the_builders_objects(tmp_path, built_21):
 def test_wedge_label_resolves_once():
     ctx = WedgeContext((1, 2), (1, 2))
     labels = [
-        ("wedgept",),
-        ("wedge1", ("plusbase", (2,))),
+        ("wedge", (("point",),)),
+        ("wedge", (("plusbase", (2,)),)),
         ("wedge", (("redcone", ("plusbase", (1,))), ("point",))),
-        ("wedgecones", ((1,), (2,))),
+        ("wedge", (("conelayout", ((1,),)), ("conelayout", ((2,),)))),
     ]
     for label in labels:
         wobj = ctx.obj(label)
         assert wobj.insertions is not None
         assert ctx.obj(label) is wobj and wobj.label == label
+    # one label per tuple of summands: the wedges the context builds are the
+    # ones those labels name
+    (_c, point_block), = ctx.constant_witness(ctx.cone_face((1,)), ctx.full_space).entries
+    assert point_block.wedge_obj is ctx.obj(labels[0])
+    assert ctx.iota(((1,), (2,))).codomain is ctx.obj(labels[3])
+    for gone in [("wedgept",), ("wedge1", ("point",)), ("wedgecones", ((1,), (2,)))]:
+        with pytest.raises(TypeError, match="names no object"):
+            ctx.obj(gone)
 
 
 def test_reduced_cone_label_resolves_to_the_object_that_carries_it():
@@ -609,7 +616,8 @@ def test_checker_builds_each_wedge_label_once(tmp_path, monkeypatch, built_21):
     assert stored <= set(built)
     # beyond the stored wedges, only the context's own: W and the wedges of
     # per-block cones that the layout conditions combine over
-    assert {json.loads(b)[0] for b in set(built) - stored} <= {"W", "wedgecones"}
+    for extra in map(json.loads, set(built) - stored):
+        assert extra[0] == "W" or all(x[0] == "conelayout" for x in extra[1])
 
 
 def test_builder_builds_each_wedge_once(monkeypatch):
@@ -618,6 +626,32 @@ def test_builder_builds_each_wedge_once(monkeypatch):
     keys = [(tuple(map(id, parts)), label) for parts, label in calls]
     assert keys
     assert len(keys) == len(set(keys))
+
+
+def test_run_table_holds_one_wedge_per_part_tuple():
+    # a wedge was once keyed on its label too, so one tuple of summands
+    # could be built under two labels: 26 entries over 25 tuples here
+    ctx = construct_p((1, 2, 3), (1, 2), enforce_guard=False).ctx
+    wedges = [w for key, w in ctx._table.items() if key[0] == "wedge"]
+    tuples = {tuple(ins.domain for ins in w.insertions) for w in wedges}
+    assert len(wedges) == len(tuples) == 24
+    for w in wedges:
+        assert w.label == ("wedge", tuple(ins.domain.label for ins in w.insertions))
+
+
+@pytest.mark.parametrize("kind", ["pj", "q"])
+def test_checker_builds_no_part_tuple_twice(tmp_path, monkeypatch, kind):
+    result = construct_p((1, 2), (1, 2))
+    if kind == "pj":
+        write_pair_artifacts(result, tmp_path)
+    else:
+        write_q_artifacts(result, construct_q(result), tmp_path)
+    calls = record_wedge_builds(monkeypatch)
+    check = check_pair_artifacts if kind == "pj" else check_q_artifacts
+    assert all(ok is True for _name, ok in check(tmp_path))
+    tuples = [tuple(map(id, parts)) for parts, _label in calls]
+    assert tuples
+    assert len(tuples) == len(set(tuples))
 
 
 def test_wedge_witness_validates_each_decomposition_once(monkeypatch):
@@ -934,7 +968,7 @@ def expanded_cover_witness(ctx, b, cover_fns, witness_at, space, level, scope):
 
 def entry_forms(w):
     return [
-        (c, b.f.table_key(), b.wedge_obj.label, [p.key() for p in b.parts])
+        (c, b.f.table_key(), b.wedge_obj.label, [p.key for p in b.parts])
         for c, b in w.entries
     ]
 
@@ -1068,7 +1102,7 @@ def keyed_iota(ctx, b):
     """iota(b) tabulated on the keys: a chain goes through the insertion of
     the block that holds its head, the apex to the basepoint."""
     blocks = list(b)
-    wobj = ctx.wedge_of([ctx.cone_face(g) for g in b], label=("wedgecones", b))
+    wobj = ctx.wedge_of([ctx.cone_face(g) for g in b])
 
     def value(n, x):
         chain = x[1]
