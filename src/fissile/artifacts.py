@@ -157,14 +157,9 @@ class MorphismStore:
         each use validates it into its codomain (:meth:`morph`)."""
         store = MorphismStore()
         for mid, rec in data.items():
-            rec = _object(rec, "morphism record")
-            if rec.keys() != {"domain", "table"}:
-                raise ArtifactError(
-                    f"morphism record {mid:.60} has the fields {sorted(rec)!r:.80}, "
-                    "not domain and table"
-                )
-            dom = resolve(ctx.obj, rec["domain"])
-            rows, key = _id_rows(dom, _list(rec["table"], "morphism table"))
+            label, table = _fields(rec, "morphism record", "domain", "table")
+            dom = resolve(ctx.obj, label)
+            rows, key = _id_rows(dom, _list(table, "morphism table"))
             if morph_id(["morphism", key]) != mid:
                 raise ArtifactError("morphism id does not match its table")
             store.loaded[mid] = dom, rows
@@ -501,8 +496,8 @@ def _claim_mismatches(expected, found, tag):
         n = counts.pop(claim, 0)
         if n != 1:
             name = f"claim-{'duplicate' if n else 'missing'} {tag(claim)}"
-            out.append((name, WitnessReport(False, f"written {n} times")))
-    extra = WitnessReport(False, "not a claim of the construction")
+            out.append((name, WitnessReport(f"written {n} times")))
+    extra = WitnessReport("not a claim of the construction")
     out.extend((f"claim-extra {tag(claim)}", extra) for claim in counts)
     return out
 

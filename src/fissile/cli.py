@@ -181,9 +181,9 @@ def cmd_check(args):
     except (ArtifactError, SimplicialError, GuardExceeded, OSError) as exc:
         # a dump past the guards fails: a check that verified nothing must
         # not pass
-        checks = [(f"artifact-structure ({exc})", WitnessReport(False, str(exc)))]
+        checks = [(f"artifact-structure ({exc})", WitnessReport(str(exc)))]
     except MemoryError:
-        checks = [("artifact-check", WitnessReport(False, "out of memory"))]
+        checks = [("artifact-check", WitnessReport("out of memory"))]
         error = {"error": "memory"}
     reports = []
     for name, ok in checks:
@@ -286,7 +286,7 @@ def build_parser():
 
     p = sub.add_parser("check-brunnian", help="test vanishing under deletions")
     p.add_argument("--word", required=True)
-    p.add_argument("--alphabet", type=int, required=True)
+    p.add_argument("--alphabet", type=non_negative_int, required=True)
     p.set_defaults(func=cmd_check_brunnian)
 
     p = sub.add_parser("magnus", help="truncated power-series expansion")

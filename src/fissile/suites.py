@@ -435,7 +435,9 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
 
     from .wedge import WedgeContext
     from .witnesses import (
+        PairScope,
         cone_witness,
+        drop_zero_blocks,
         map_witness,
         restrict_witness,
         verify_witness,
@@ -480,47 +482,38 @@ def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
             entries.append((rng.choice((-2, -1, 1, 2)), Block(f, wobj, parts, space)))
         return FiltrationWitness(min(b.rank() for _c, b in entries), entries)
 
+    def holds(v, w, level):
+        # zero blocks dropped first, by the builder's own rule
+        scope = PairScope()
+        return bool(
+            verify_witness(v, drop_zero_blocks(w, scope), level, ctx.monoid, scope)
+        )
+
     ok = True
     for _ in range(cases):
         w = random_witness(t_big, pool_big)
         v = w.value()
-        ok = ok and bool(verify_witness(v, w, w.level, ctx.monoid))
+        ok = ok and holds(v, w, w.level)
         k = rng.choice(restrictors)
         wr = restrict_witness(w, k)
-        ok = ok and bool(
-            verify_witness(
-                map_ensemble(lambda m: compose(m, k), v), wr, w.level, ctx.monoid
-            )
-        )
+        ok = ok and holds(map_ensemble(lambda m: compose(m, k), v), wr, w.level)
         key = rng.choice(ctx.monoid.elements)
         h = space.action[key]
         wm = map_witness(w, h, space, space)
-        ok = ok and bool(
-            verify_witness(
-                map_ensemble(lambda m: compose(h, m), v), wm, w.level, ctx.monoid
-            )
-        )
+        ok = ok and holds(map_ensemble(lambda m: compose(h, m), v), wm, w.level)
         wc = cone_witness(w, ctx)
         red_t = ctx.reduced_domain(t_big)
         red_space = ctx.reduced_space(space)
-        ok = ok and bool(
-            verify_witness(
-                map_ensemble(lambda m: reduced_cone_map(m, red_t, red_space[1]), v),
-                wc,
-                w.level,
-                ctx.monoid,
-            )
+        ok = ok and holds(
+            map_ensemble(lambda m: reduced_cone_map(m, red_t, red_space[1]), v),
+            wc,
+            w.level,
         )
         w2 = random_witness(t_big, pool_big)
         wobj = wedge([t_big, t_big])
         ww = wedge_witness([w, w2], wobj, ctx)
-        ok = ok and bool(
-            verify_witness(
-                combine_over_wedge(wobj, [v, w2.value()]),
-                ww,
-                w.level + w2.level,
-                ctx.monoid,
-            )
+        ok = ok and holds(
+            combine_over_wedge(wobj, [v, w2.value()]), ww, w.level + w2.level
         )
     yield {"check": "transforms-preserve-validity", "cases": cases}, ok
 

@@ -124,18 +124,18 @@ class WedgeContext:
     - ``("conelayout", b)``: the coned subdivision of the layout b;
     - ``("plusbase", f)``: the based subdivision of the face f in its cone;
     - ``("point",)``: the one-vertex domain of constant witnesses;
-    - ``("W", I)``, ``("WL", l)``: the wedge of all components, and of
-      those at subsets of l, where I is the context's index set and l a
-      subset of it;
+    - ``("WL", l)``: the wedge of the components at subsets of l, where l
+      is a subset of the context's index set I; at l = I it is the full
+      wedge, one object;
     - ``("redcone", x)``: the reduced cone of the object labelled x, or of
       the object of the space labelled x when x is of a space kind;
     - ``("wedge", (x, ...))``: the wedge of the objects so labelled, which
       carries the insertions of its summands; there is one wedge, and one
       label, per tuple of summands.
 
-    The space labels are ``("W", I)`` and ``("WL", l)`` for the full space
-    and the one at l, and ``("redcone", x)`` for the reduced cone of the
-    space labelled x.
+    The space labels are ``("WL", l)`` for the space at l, the full space
+    at l = I, and ``("redcone", x)`` for the reduced cone of the space
+    labelled x.
 
     An entry is keyed by its kind and arguments, by the rule of
     :func:`~fissile.witnesses.once`: a labelled object by its label, the
@@ -157,7 +157,7 @@ class WedgeContext:
             for j in self.components
         }
         parts = [self.towers[j].susp for j in self.components]
-        self.w_obj = wedge(parts, label=("W", self.i_set))
+        self.w_obj = wedge(parts, label=("WL", self.i_set))
         action = {k: self._action_table(k) for k in self.monoid.elements}
         self.full_space = PSpace(self.w_obj, self.monoid, action, ("WL", self.i_set))
 
@@ -176,8 +176,6 @@ class WedgeContext:
                 return self.plus_base_of(f)
             case ("point",):
                 return self.point_obj()
-            case ("W", i_key) if self._is_index_set(i_key):
-                return self.w_obj
             case ("WL", l_key) if self._within_index_set(l_key):
                 return self.sub_obj(l_key)
             case ("redcone", inner):
@@ -191,15 +189,9 @@ class WedgeContext:
         match label:
             case ("WL", l_key) if self._within_index_set(l_key):
                 return self.space(l_key)
-            case ("W", i_key) if self._is_index_set(i_key):
-                return self.full_space
             case ("redcone", inner):
                 return self.reduced_space(self.labelled_space(inner))[0]
         raise TypeError(f"{label!r} names no space")
-
-    def _is_index_set(self, i_key):
-        """Whether a label's subset is this context's index set."""
-        return subset_key(i_key) == self.i_set
 
     def _within_index_set(self, l_key):
         """Whether a label's subset lies within this context's index set."""
@@ -255,7 +247,10 @@ class WedgeContext:
 
     @_entry("WL", subset_key)
     def sub_obj(self, l_key):
-        """The wedge of the components at subsets of l, inside the full one."""
+        """The wedge of the components at subsets of l, inside the full one;
+        at l = I the full wedge itself."""
+        if l_key == self.i_set:
+            return self.w_obj
         allowed = {idx for idx, j in enumerate(self.components) if set(j) <= set(l_key)}
 
         def member(n, x):
@@ -544,48 +539,26 @@ def layout_defect(ctx: WedgeContext, q: Ensemble, a, scope) -> Ensemble:
     )
 
 
-def _failed(diagnostic) -> WitnessReport:
-    return WitnessReport(False, diagnostic)
-
-
-def witness_verdict(v: Ensemble, w, s, monoid, scope):
-    """True when ``verify_witness`` of w for v at level s holds and no block
-    of w is zero on its own, each evaluated through the scope; else the
-    failed WitnessReport.
-
-    The builder drops zero blocks where restrictions create them, so a
-    written witness holds none, and every field of a block is load-bearing.
-    The zero-block rule lives here, with the conditions, and not in
-    ``verify_witness``: the transform pipelines of :mod:`fissile.suites`
-    build valid witnesses that hold zero blocks, and check them there."""
-    rep = verify_witness(v, w, s, monoid, scope)
-    if not rep:
-        return rep
-    for i, (_c, block) in enumerate(w.entries):
-        if not block.value(scope):
-            return _failed(f"block {i} is zero")
-    return True
-
-
 def pair_checks(ctx: WedgeContext, p, f, j, alt_witness, scope=None):
     """Conditions 0, 1 and 2 of the pair (f, j) as (check name, ok); the
     layout gluings and the witness go through the pair's scope.  ok is True
     when the check holds, so a reader that asks ``ok is True`` counts it,
-    and otherwise a failed WitnessReport that says why."""
+    and otherwise a failed WitnessReport that says why; the witness's is
+    ``verify_witness``'s own, its zero-block rule among its checks."""
     scope = scope if scope is not None else PairScope()
     tag = f"F={f} J={j}"
     yield f"constant-restriction {tag}", constant_restriction_holds(
         ctx, p, f, j
-    ) or _failed("the restriction to the based subdivision is not constant")
+    ) or WitnessReport("the restriction to the based subdivision is not constant")
     bad = [
         b
         for b in LayoutLattice(f, bound=len(f)).layouts
         if not multiplicative_restriction_holds(ctx, p, f, j, b, scope)
     ]
-    yield f"multiplicative-restriction {tag}", not bad or _failed(
+    yield f"multiplicative-restriction {tag}", not bad or WitnessReport(
         f"the restrictions to the layouts {bad} are not their glued products"
     )
-    yield f"alternating-sum-witness {tag}", witness_verdict(
+    yield f"alternating-sum-witness {tag}", verify_witness(
         alternating_sum(p, f, j), alt_witness, len(j), ctx.monoid, scope
     )
 
@@ -600,15 +573,15 @@ def q_checks(
     scope = scope if scope is not None else PairScope()
     level = len(ctx.i_set)
     aug = augmentation(q)
-    yield f"augmentation I={ctx.i_set} E={ctx.e_set}", aug == 1 or _failed(
+    yield f"augmentation I={ctx.i_set} E={ctx.e_set}", aug == 1 or WitnessReport(
         f"augmentation {aug}, not 1"
     )
     for a, wit in layout_witnesses:
-        yield f"layout-defect-witness A={a}", witness_verdict(
+        yield f"layout-defect-witness A={a}", verify_witness(
             layout_defect(ctx, q, a, scope), wit, level, ctx.monoid, scope
         )
     boundary = boundary_defect(ctx, q, ctx.e_set, ctx.i_set)
-    yield "boundary-witness", witness_verdict(
+    yield "boundary-witness", verify_witness(
         boundary, boundary_witness, level, ctx.monoid, scope
     )
 

@@ -67,9 +67,6 @@ class IdealTerm:
     pi: Ensemble
     morphism: SMorphism
 
-    def value(self, space: PSpace, scope: "PairScope") -> Ensemble:
-        return map_ensemble(lambda k: scope.act(space, k, self.morphism), self.pi)
-
 
 @dataclass
 class BlockPart:
@@ -93,10 +90,14 @@ class BlockPart:
         return self.level, frozenset(count.items())
 
     def value(self, space: PSpace, scope) -> Ensemble:
-        out = Ensemble.zero()
-        for term in self.terms:
-            out = out + term.value(space, scope)
-        return out
+        """The sum over the terms of pi * <w>, each monoid element acting on
+        w through the scope."""
+        out = {}
+        for t in self.terms:
+            for k, c in t.pi.terms.items():
+                m = scope.compose(space.action[k], t.morphism)
+                out[m] = out.get(m, 0) + c
+        return Ensemble(out)
 
     def in_ideal(self, monoid, scope) -> bool:
         """Whether every term's pi lies in the ideal at the part's level,
@@ -121,7 +122,10 @@ class Block:
         return sum(p.level for p in self.parts)
 
     def value(self, scope=None) -> Ensemble:
-        return evaluate_blocks([(1, self)], scope or PairScope())
+        """The glued product of the parts, from the scope, each term
+        precomposed with f.  The one definition of a block's value."""
+        scope = scope or PairScope()
+        return map_ensemble(lambda g: compose(g, self.f), scope.glued_product(self))
 
 
 def once(table, key, build):
@@ -152,8 +156,8 @@ class PairScope:
     So the action of a monoid element on a part morphism, or a layout
     gluing precomposed with its inclusion, is one object each time it
     recurs.  A glued product precomposed with a block's decomposition is
-    not kept (see :func:`evaluate_blocks`).  The builder drops the scope
-    when its pair ends; a call given no scope gets a fresh one.
+    not kept.  The builder drops the scope when its pair ends; a call
+    given no scope gets a fresh one.
 
     Sharing is exact: each kind reads only the objects and the rows that its
     key holds.  ``compose(g, f)`` reads g's objects and rows and f's domain
@@ -175,10 +179,6 @@ class PairScope:
         """``compose(g, f)``."""
         key = ("compose", *_named(g), f.domain, f)
         return once(self._table, key, lambda: compose(g, f))
-
-    def act(self, space: PSpace, k, m: SMorphism) -> SMorphism:
-        """``compose(space.action[k], m)``."""
-        return self.compose(space.action[k], m)
 
     def glue(self, wobj, tup, cod) -> SMorphism:
         """``wedge_combine`` of the part morphisms into cod."""
@@ -224,44 +224,26 @@ class PairScope:
         )
 
 
-def evaluate_blocks(entries, scope: PairScope) -> Ensemble:
-    """The sum of c * (block value) over the (c, block) entries.
-
-    A block's value is the combining product of its part values, each
-    tuple glued by ``wedge_combine`` and precomposed with the block's f.
-    The entries are grouped by the block's wedge object and its f, compared
-    by rows; each group sums the c-scaled glued products of its blocks,
-    which come from the scope, into one table of glued morphisms g, and
-    each g left with a nonzero coefficient is precomposed with the group's
-    f once, in this call.  This equals the sum, over the blocks and their
-    part-value tuples, of the coefficient times the glued tuple precomposed
-    with f, exactly.  The product is multilinear, so gluing first only sums
-    the coefficients of tuples whose glued morphisms are equal.
-    Precomposition with f is linear, so summing before it only adds the
-    coefficients of terms with equal composites: equal f rows give equal
-    composite rows, and on one wedge object equal g rows are equal maps (a
-    map is fixed by its rows on the nondegenerate simplices)."""
-    groups = {}
-    for c, block in entries:
-        sums = groups.setdefault((block.wedge_obj, block.f), {})
-        for g, d in scope.glued_product(block).terms.items():
-            sums[g] = sums.get(g, 0) + c * d
-    out = {}
-    for (_wobj, f), sums in groups.items():
-        for g, d in sums.items():
-            if d:
-                el = compose(g, f)
-                out[el] = out.get(el, 0) + d
-    return Ensemble(out)
-
-
 @dataclass
 class FiltrationWitness:
     level: int
     entries: list = field(default_factory=list)  # (coeff, Block)
 
     def value(self, scope=None) -> Ensemble:
-        return evaluate_blocks(self.entries, scope or PairScope())
+        return self.evaluate(scope or PairScope())[0]
+
+    def evaluate(self, scope: PairScope):
+        """The sum of c * (block value) over the entries, each block
+        evaluated once through the scope and streamed into one table, and
+        the index of the first block that is zero on its own, or None."""
+        total, zero = {}, None
+        for b, (c, block) in enumerate(self.entries):
+            value = block.value(scope)
+            if not value and zero is None:
+                zero = b
+            for el, d in value.terms.items():
+                total[el] = total.get(el, 0) + c * d
+        return Ensemble(total), zero
 
     def __add__(self, other: "FiltrationWitness") -> "FiltrationWitness":
         """Both entry lists, in order, unmerged."""
@@ -311,38 +293,49 @@ def drop_zero_blocks(w: FiltrationWitness, scope: PairScope) -> FiltrationWitnes
 
 @dataclass
 class WitnessReport:
-    ok: bool
-    diagnostic: str = "ok"
+    """A failed check and why; it is false, as only a failure makes one."""
+
+    diagnostic: str
 
     def __bool__(self):
-        return self.ok
+        return False
 
 
 def verify_witness(
     v: Ensemble, w: FiltrationWitness, s: int, monoid, scope: PairScope = None
-) -> WitnessReport:
-    """Re-check a witness from its own data: block ranks, each part's pi
-    terms in the ideal at the part's level (:meth:`BlockPart.in_ideal`), and
-    the evaluated combination, each through the scope.  Every block's rank
-    must reach the witness's own level, which must reach s; a witness with
-    no blocks holds at any level."""
+):
+    """True when a witness holds from its own data, else the failed
+    WitnessReport: block ranks, each part's pi terms in the ideal at the
+    part's level (:meth:`BlockPart.in_ideal`), based decompositions, the
+    evaluated combination, and no block zero on its own, each through the
+    scope.  Every block's rank must reach the witness's own level, which
+    must reach s; a witness with no blocks holds at any level.
+
+    Each block is evaluated once (:meth:`FiltrationWitness.evaluate`); a
+    sum mismatch is reported ahead of a zero block.  The builder
+    drops zero blocks where restrictions create them, so a witness it
+    writes holds none, and every field of a block is load-bearing."""
     scope = scope if scope is not None else PairScope()
     if w.level < s:
-        return WitnessReport(False, f"witness level {w.level} below requested {s}")
+        return WitnessReport(f"witness level {w.level} below requested {s}")
     for b, (_c, block) in enumerate(w.entries):
         if block.rank() < w.level:
             return WitnessReport(
-                False, f"block of rank {block.rank()} below the witness level {w.level}"
+                f"block of rank {block.rank()} below the witness level {w.level}"
             )
         for j, part in enumerate(block.parts):
             if not part.in_ideal(monoid, scope):
-                diagnostic = f"block {b} part {j}: pi is not in the level-{part.level} ideal"
-                return WitnessReport(False, diagnostic)
+                return WitnessReport(
+                    f"block {b} part {j}: pi is not in the level-{part.level} ideal"
+                )
         if not block.f.is_based():
-            return WitnessReport(False, "wedge decomposition is not based")
-    if w.value(scope) != v:
-        return WitnessReport(False, "sum mismatch")
-    return WitnessReport(True)
+            return WitnessReport("wedge decomposition is not based")
+    total, zero = w.evaluate(scope)
+    if total != v:
+        return WitnessReport("sum mismatch")
+    if zero is not None:
+        return WitnessReport(f"block {zero} is zero")
+    return True
 
 
 # -- the four witness transforms --------------------------------------------

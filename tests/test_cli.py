@@ -74,6 +74,19 @@ def test_check_brunnian_rejects_letters_outside_alphabet(word, alphabet, letter)
     assert f"letter {letter} " in err
 
 
+@pytest.mark.optimized
+def test_check_brunnian_alphabet_is_a_non_negative_int():
+    # a negative size exits with usage, as every other size does; 0 is valid
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["check-brunnian", "--word", "", "--alphabet", "-1"])
+    assert exc.value.code == 2
+    assert "usage:" in err.getvalue()
+    assert "'-1' is not a non-negative integer" in err.getvalue()
+    rc, out, _err = run_cli(["check-brunnian", "--word", "", "--alphabet", "0"])
+    assert rc == 0 and json.loads(out)["case"]["alphabet"] == 0
+
+
 def test_verify_beyond_ground_bound_skips():
     rc, out, err = run_cli(["verify", "nabla", "--max-e", "5", "--cases", "1"])
     assert rc == 0
@@ -277,8 +290,12 @@ def test_malformed_label_is_an_artifact_error(label):
             resolve(lookup, label)
 
 
-@pytest.mark.parametrize("label", [("W", (7, 8)), ("Wx", (7, 8)), ("WL", (1, 5))])
+@pytest.mark.optimized
+@pytest.mark.parametrize(
+    "label", [("WL", (7, 8)), ("Wx", (7, 8)), ("WL", (1, 5)), ("W", (1, 2))]
+)
 def test_label_of_another_index_set_is_rejected(label):
+    # the full wedge has the one label ("WL", I); ("W", I) names nothing
     ctx = WedgeContext((1, 2), (1,))
     for lookup in (ctx.obj, ctx.labelled_space):
         with pytest.raises(TypeError):
@@ -286,7 +303,8 @@ def test_label_of_another_index_set_is_rejected(label):
         with pytest.raises(ArtifactError):
             resolve(lookup, label)
     # the context's own index set and its subsets resolve in any order
-    assert ctx.obj(("W", (2, 1))) is ctx.w_obj
+    assert ctx.obj(("WL", (2, 1))) is ctx.w_obj is ctx.sub_obj((1, 2))
+    assert ctx.labelled_space(("WL", (2, 1))) is ctx.full_space
     assert ctx.labelled_space(("WL", (2,))) is ctx.space((2,))
 
 
@@ -756,7 +774,7 @@ def test_check_rejects_a_block_decomposition_outside_its_wedge(dumps, tmp_path):
         for w in witnesses
         for b, block in enumerate(w["blocks"])
         for mid, rec in morphisms.items()
-        if codomains[mid].label[0] in ("W", "WL")
+        if codomains[mid].label[0] == "WL"
         and rec["domain"] == morphisms[block["f"]]["domain"]
     )
     block["f"] = mid
@@ -941,7 +959,7 @@ def test_check_rejects_block_space_of_another_index_set(tmp_path, kind):
     files = [out / "q.json"] if kind == "q" else sorted(out.glob("pair_*.json"))
     for path in files:
         data = json.loads(path.read_text())
-        _relabel_block_spaces(data, ["W", [1]])
+        _relabel_block_spaces(data, ["WL", [1, 3]])
         path.write_text(json.dumps(data))
     rc, out_text, _err = run_cli([f"check-{kind}", "--in", str(out)])
     assert rc == 1
@@ -1821,6 +1839,13 @@ def test_failed_condition_reported_under_optimize(run_optimized):
 def test_table_breaking_faces_rejected_under_optimize(run_optimized):
     # the simplicial checks raise, so they hold without assert statements
     run_optimized(f"{__file__}::test_check_pj_rejects_table_breaking_faces")
+
+
+def test_alphabet_and_full_wedge_label_checks_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_check_brunnian_alphabet_is_a_non_negative_int",
+        f"{__file__}::test_label_of_another_index_set_is_rejected",
+    )
 
 
 def test_check_reads_each_table_strictly_under_optimize(run_optimized):

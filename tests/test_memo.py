@@ -54,23 +54,24 @@ def reference_value(entries):
     return total
 
 
+@pytest.mark.optimized
 def test_memoised_evaluation_equals_the_per_block_reference(tmp_path, monkeypatch):
-    # every evaluation of construct_p and construct_q at (2, 2) and (3, 2)
-    # and of their checkers, the verified witnesses among them
-    evaluate, verify = witnesses.evaluate_blocks, wedge_module.verify_witness
+    # every block value of construct_p and construct_q at (2, 2) and (3, 2)
+    # and of their checkers, the blocks of every verified witness among them
+    value, verify = Block.value, wedge_module.verify_witness
     evaluated, verified = [], []
 
-    def comparing(entries, scope):
-        out = evaluate(entries, scope)
-        assert out == reference_value(entries)
-        evaluated.append(entries)
+    def comparing(block, scope=None):
+        out = value(block, scope)
+        assert out == reference_value([(1, block)])
+        evaluated.append(block)
         return out
 
     def verifying(v, w, *args):
-        verified.append(w.entries)
+        verified.append(w)
         return verify(v, w, *args)
 
-    monkeypatch.setattr(witnesses, "evaluate_blocks", comparing)
+    monkeypatch.setattr(Block, "value", comparing)
     monkeypatch.setattr(wedge_module, "verify_witness", verifying)
     for i_set in ((1, 2), (1, 2, 3)):
         verified.clear()
@@ -83,33 +84,68 @@ def test_memoised_evaluation_equals_the_per_block_reference(tmp_path, monkeypatc
         assert all(ok for _name, ok in check_pair_artifacts(out / "pj"))
         assert all(ok for _name, ok in check_q_artifacts(out / "q"))
         assert 0 < built < len(verified)
-        assert {id(e) for e in verified} <= {id(e) for e in evaluated}
+        blocks = {id(b) for w in verified for _c, b in w.entries}
+        assert blocks and blocks <= {id(b) for b in evaluated}
+
+
+def count_composes(monkeypatch, within=False):
+    """Count the calls of compose through ``witnesses.compose``; with
+    ``within``, only those made inside ``Block.value`` or the builder's
+    ``verify_witness``."""
+    compose_, calls, inside = witnesses.compose, [], []
+
+    def composing(g, f):
+        if inside or not within:
+            calls.append(None)
+        return compose_(g, f)
+
+    def entering(fn):
+        def entered(*args):
+            inside.append(None)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return entered
+
+    monkeypatch.setattr(witnesses, "compose", composing)
+    if within:
+        monkeypatch.setattr(Block, "value", entering(Block.value))
+        verify = entering(wedge_module.verify_witness)
+        monkeypatch.setattr(wedge_module, "verify_witness", verify)
+    return calls
 
 
 @pytest.mark.optimized
 def test_evaluation_composes_each_distinct_decomposition_once(monkeypatch):
-    # the compose calls made inside evaluate_blocks, the actions on part
-    # morphisms among them; 4,668 when every glued-product term of every
-    # block was composed with that block's f
-    evaluate, compose_ = witnesses.evaluate_blocks, witnesses.compose
-    inside, calls = [], []
-
-    def composing(g, f):
-        if inside:
-            calls.append(None)
-        return compose_(g, f)
-
-    def evaluating(entries, scope):
-        inside.append(None)
-        try:
-            return evaluate(entries, scope)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(witnesses, "compose", composing)
-    monkeypatch.setattr(witnesses, "evaluate_blocks", evaluating)
+    # the compose calls made inside Block.value and verify_witness, the
+    # actions on part morphisms among them, each made once per scope;
+    # 2,723 when verify_witness summed the blocks grouped by (wedge, f) and
+    # the zero-block rule then evaluated each block again
+    calls = count_composes(monkeypatch, within=True)
     construct_p((1, 2, 3), (1, 2), enforce_guard=False)
-    assert 0 < len(calls) <= 3200
+    assert 0 < len(calls) <= 2400
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize(
+    "i_set, kind, bound", [((1, 2, 3), "pj", 1200), ((1, 2), "q", 160)]
+)
+def test_a_check_evaluates_each_block_once(tmp_path, monkeypatch, i_set, kind, bound):
+    # the compose calls of check-pj of a pj(3, 2) dump and check-q of a
+    # q(2, 2) dump: 1,549 and 218 when the zero-block rule evaluated each
+    # block again after verify_witness had summed them
+    result = construct_p(i_set, (1, 2), enforce_guard=False)
+    if kind == "pj":
+        write_pair_artifacts(result, tmp_path)
+        check = check_pair_artifacts
+    else:
+        write_q_artifacts(result, construct_q(result), tmp_path)
+        check = check_q_artifacts
+    calls = count_composes(monkeypatch)
+    assert all(ok is True for _name, ok in check(tmp_path))
+    assert 0 < len(calls) <= bound
 
 
 def test_blocks_that_share_objects_keep_their_own_values():
@@ -196,7 +232,9 @@ def test_each_label_is_resolved_once_per_context(tmp_path, monkeypatch):
 
 @pytest.mark.optimized
 @pytest.mark.parametrize(
-    "label", [["WL", [{"x": 1}]], [], "W", ["redcone"], ["W", [7, 8]]], ids=repr
+    "label",
+    [["WL", [{"x": 1}]], [], "W", ["redcone"], ["W", [7, 8]], ["W", [1]]],
+    ids=repr,
 )
 def test_a_failing_label_fails_on_every_call(label):
     ctx = WedgeContext((1,), (1,))
@@ -205,13 +243,15 @@ def test_a_failing_label_fails_on_every_call(label):
             with pytest.raises(ArtifactError):
                 resolve(lookup, label)
         # a good label resolves, once, to the context's object
-        assert resolve(lookup, ["W", [1]]) is resolve(lookup, ["W", [1]])
-    assert resolve(ctx.obj, ["W", [1]]) is ctx.w_obj
+        assert resolve(lookup, ["WL", [1]]) is resolve(lookup, ["WL", [1]])
+    assert resolve(ctx.obj, ["WL", [1]]) is ctx.w_obj
 
 
 def test_counts_hold_under_optimize(run_optimized):
     run_optimized(
+        f"{__file__}::test_memoised_evaluation_equals_the_per_block_reference",
         f"{__file__}::test_evaluation_composes_each_distinct_decomposition_once",
+        f"{__file__}::test_a_check_evaluates_each_block_once",
         f"{__file__}::test_glued_products_are_built_once_per_scope",
         f"{__file__}::test_each_label_is_resolved_once_per_context",
         f"{__file__}::test_a_failing_label_fails_on_every_call",

@@ -585,9 +585,11 @@ def test_wedge_label_resolves_once():
 
 def test_reduced_cone_label_resolves_to_the_object_that_carries_it():
     ctx = WedgeContext((1, 2), (1,))
-    for inner in (("WL", (1, 2)), ("W", (1, 2)), ("WL", (1,))):
+    for inner in (("WL", (1, 2)), ("WL", (1,))):
         label = ("redcone", inner)
         assert ctx.obj(label).label == label
+    # the reduced cone of the full wedge has one label, that of ("WL", I)
+    assert ctx.obj(("redcone", ("WL", (1, 2)))) is ctx.reduced_domain(ctx.w_obj)[0]
 
 
 def test_label_in_other_order_resolves_to_the_normal_form():
@@ -600,6 +602,7 @@ def test_label_in_other_order_resolves_to_the_normal_form():
     assert ctx.labelled_space(("WL", (2, 1))) is ctx.space((1, 2))
 
 
+@pytest.mark.optimized
 def test_checker_builds_each_wedge_label_once(tmp_path, monkeypatch, built_21):
     res, qrec = built_21
     write_q_artifacts(res, qrec, tmp_path)
@@ -614,10 +617,14 @@ def test_checker_builds_each_wedge_label_once(tmp_path, monkeypatch, built_21):
     assert stored and built
     assert len(built) == len(set(built))
     assert stored <= set(built)
-    # beyond the stored wedges, only the context's own: W and the wedges of
-    # per-block cones that the layout conditions combine over
+    # beyond the stored wedges, only the context's own: the full wedge,
+    # ("WL", I), and the wedges of per-block cones that the layout
+    # conditions combine over
     for extra in map(json.loads, set(built) - stored):
-        assert extra[0] == "W" or all(x[0] == "conelayout" for x in extra[1])
+        if extra[0] == "WL":
+            assert extra == ["WL", [1, 2]]
+        else:
+            assert all(x[0] == "conelayout" for x in extra[1])
 
 
 def test_builder_builds_each_wedge_once(monkeypatch):
@@ -752,12 +759,14 @@ def split_by_pair(monkeypatch, log):
     monkeypatch.setattr(wedge_module, "_construct_pair", opening)
 
 
+@pytest.mark.optimized
 def test_pair_scope_runs_each_distinct_morphism_once(monkeypatch):
     # per pair, (kind, key, objects) of every reduced-cone map, equivariance
-    # check and evaluation gluing; the objects keep every id in a key alive
+    # check and gluing made inside Block.value; the objects keep every id in
+    # a key alive
     pairs, evaluating = [], []
     rcm, equivariant = simplicial.reduced_cone_map, witnesses.check_equivariant
-    combine, evaluate = simplicial.wedge_combine, witnesses.evaluate_blocks
+    combine, evaluate = simplicial.wedge_combine, witnesses.Block.value
 
     def coning(f, rdom, rcod):
         key = table_ids(f) + (id(rdom), id(rcod))
@@ -775,10 +784,10 @@ def test_pair_scope_runs_each_distinct_morphism_once(monkeypatch):
             pairs[-1].append(("wedge_combine", key, (w, codomain, tuple(morphisms))))
         return combine(w, morphisms, codomain=codomain)
 
-    def evaluation(entries, scope=None):
+    def evaluation(block, scope=None):
         evaluating.append(True)
         try:
-            return evaluate(entries, scope)
+            return evaluate(block, scope)
         finally:
             evaluating.pop()
 
@@ -786,9 +795,9 @@ def test_pair_scope_runs_each_distinct_morphism_once(monkeypatch):
         (rcm, coning),
         (equivariant, checking),
         (combine, gluing),
-        (evaluate, evaluation),
     ):
         patch_bindings(monkeypatch, original, replacement)
+    monkeypatch.setattr(witnesses.Block, "value", evaluation)
     split_by_pair(monkeypatch, pairs)
     construct_p((1, 2), (1, 2))
     assert pairs
@@ -1211,4 +1220,11 @@ def test_gluings_equal_the_keyed_tables_under_optimize(run_optimized):
         f"{__file__}::test_every_action_equals_the_keyed_table",
         f"{__file__}::test_every_iota_equals_the_keyed_table",
         f"{__file__}::test_every_wedge_witness_decomposition_equals_the_keyed_table",
+    )
+
+
+def test_evaluation_counts_hold_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_pair_scope_runs_each_distinct_morphism_once",
+        f"{__file__}::test_checker_builds_each_wedge_label_once",
     )

@@ -33,6 +33,7 @@ from fissile.witnesses import (
     combine_over_wedge,
     compact_witness,
     cone_witness,
+    drop_zero_blocks,
     map_witness,
     restrict_witness,
     verify_witness,
@@ -100,6 +101,13 @@ def random_witness(rng, ctx, t, space, n_blocks=2):
     ]
     level = min(b.rank() for _c, b in entries)
     return FiltrationWitness(level, entries)
+
+
+def verify_nonzero(v, w, s, monoid):
+    """``verify_witness`` of w less its zero blocks, dropped by the
+    builder's own rule, in one scope."""
+    scope = PairScope()
+    return verify_witness(v, drop_zero_blocks(w, scope), s, monoid, scope)
 
 
 def make_block(monoid, f, wedge_obj, parts, space):
@@ -176,6 +184,7 @@ def test_make_block_rejects_bad_certificate(ctx):
         )
 
 
+@pytest.mark.optimized
 def test_verify_witness_detects_tampering(ctx):
     rng = random.Random(61)
     space = ctx.space((1,))
@@ -184,7 +193,7 @@ def test_verify_witness_detects_tampering(ctx):
     while checked < 5:
         w = random_witness(rng, ctx, t, space)
         v = w.value()
-        assert verify_witness(v, w, w.level, ctx.monoid)
+        assert verify_nonzero(v, w, w.level, ctx.monoid)
         idx = next(
             (i for i, (c, b) in enumerate(w.entries) if b.value()), None
         )
@@ -193,6 +202,7 @@ def test_verify_witness_detects_tampering(ctx):
         entries = list(w.entries)
         c, b = entries[idx]
         entries[idx] = (c + 1, b)
+        # reported ahead of any zero block w holds
         rep = verify_witness(v, FiltrationWitness(w.level, entries), w.level, ctx.monoid)
         assert not rep and rep.diagnostic == "sum mismatch"
         checked += 1
@@ -222,6 +232,7 @@ def test_verify_witness_rejects_a_level_above_a_block_rank(ctx):
     assert verify_witness(Ensemble.zero(), FiltrationWitness(10**6), 0, ctx.monoid)
 
 
+@pytest.mark.optimized
 def test_restrict_witness_pipeline(ctx):
     rng = random.Random(63)
     space = ctx.space((1,))
@@ -233,9 +244,10 @@ def test_restrict_witness_pipeline(ctx):
         k = rng.choice(enumerate_based_morphisms(t_small, t))
         wr = restrict_witness(w, k)
         expected = map_ensemble(lambda m: compose(m, k), v)
-        assert verify_witness(expected, wr, w.level, ctx.monoid)
+        assert verify_nonzero(expected, wr, w.level, ctx.monoid)
 
 
+@pytest.mark.optimized
 def test_restrict_witness_identity(ctx):
     rng = random.Random(64)
     space = ctx.space((1,))
@@ -244,9 +256,10 @@ def test_restrict_witness_identity(ctx):
 
     w = random_witness(rng, ctx, t, space)
     wr = restrict_witness(w, inclusion(t, t))
-    assert verify_witness(w.value(), wr, w.level, ctx.monoid)
+    assert verify_nonzero(w.value(), wr, w.level, ctx.monoid)
 
 
+@pytest.mark.optimized
 def test_map_witness_pipeline(ctx):
     rng = random.Random(65)
     space = ctx.space((1,))
@@ -258,7 +271,7 @@ def test_map_witness_pipeline(ctx):
         h = space.action[k]
         wm = map_witness(w, h, space, space)
         expected = map_ensemble(lambda m: compose(h, m), v)
-        assert verify_witness(expected, wm, w.level, ctx.monoid)
+        assert verify_nonzero(expected, wm, w.level, ctx.monoid)
 
 
 def letter_swap(ctx):
@@ -323,6 +336,7 @@ def test_pspace_rejects_unbased_action(ctx):
         PSpace(t, ctx.monoid, action, label="edge")
 
 
+@pytest.mark.optimized
 def test_cone_witness_pipeline(ctx):
     rng = random.Random(67)
     space = ctx.space((1,))
@@ -336,9 +350,10 @@ def test_cone_witness_pipeline(ctx):
         expected = map_ensemble(
             lambda m: reduced_cone_map(m, red_t, red_space[1]), v
         )
-        assert verify_witness(expected, wc, w.level, ctx.monoid)
+        assert verify_nonzero(expected, wc, w.level, ctx.monoid)
 
 
+@pytest.mark.optimized
 def test_wedge_witness_pipeline(ctx):
     rng = random.Random(68)
     space = ctx.space((1,))
@@ -350,7 +365,7 @@ def test_wedge_witness_pipeline(ctx):
         ww = wedge_witness([w1, w2], wobj, ctx)
         assert ww.level == w1.level + w2.level
         expected = combine_over_wedge(wobj, [w1.value(), w2.value()])
-        assert verify_witness(expected, ww, ww.level, ctx.monoid)
+        assert verify_nonzero(expected, ww, ww.level, ctx.monoid)
 
 
 @pytest.mark.optimized
@@ -380,6 +395,7 @@ def test_witness_sum_concatenates_and_difference_compacts(ctx):
         assert not (a - a).entries
 
 
+@pytest.mark.optimized
 def test_transform_chain_preserves_validity(ctx):
     rng = random.Random(69)
     space = ctx.space((1,))
@@ -395,7 +411,7 @@ def test_transform_chain_preserves_validity(ctx):
         red_t = ctx.reduced_domain(t)
         red_space = ctx.reduced_space(space)
         v2 = map_ensemble(lambda m: reduced_cone_map(m, red_t, red_space[1]), v1)
-        assert verify_witness(v2, step2, w.level, ctx.monoid)
+        assert verify_nonzero(v2, step2, w.level, ctx.monoid)
 
 
 # -- evaluation builds each distinct wedge combination once ---------------------
@@ -471,6 +487,28 @@ def assert_face_breaking_twin_rejected(ctx, scope):
     tampered = FiltrationWitness(0, [(1, good), (1, broken)])
     rep = verify_witness(v, tampered, 0, ctx.monoid, scope)
     assert not rep and rep.diagnostic == "sum mismatch"
+
+
+@pytest.mark.optimized
+def test_a_zero_block_fails_until_dropped(ctx):
+    # a block whose two terms cancel is zero on its own: the witness still
+    # sums to v, but verify_witness names the block, unless the sum is
+    # wrong too; with the block dropped the witness holds
+    t = edge()
+    good = identity_block(ctx, t, inclusion(t, t))
+    term = good.parts[0].terms[0]
+    cancelling = [term, replace(term, pi=-term.pi)]
+    zero = replace(good, parts=[replace(good.parts[0], terms=cancelling)])
+    v = singleton(inclusion(t, t))
+    w = FiltrationWitness(0, [(1, good), (2, zero)])
+    rep = verify_witness(v, w, 0, ctx.monoid)
+    assert not rep and rep.diagnostic == "block 1 is zero"
+    rep = verify_witness(2 * v, w, 0, ctx.monoid)
+    assert not rep and rep.diagnostic == "sum mismatch"
+    scope = PairScope()
+    dropped = drop_zero_blocks(w, scope)
+    assert [(c, id(b)) for c, b in dropped.entries] == [(1, id(good))]
+    assert verify_witness(v, dropped, 0, ctx.monoid, scope) is True
 
 
 def test_verify_witness_rejects_face_breaking_f_beside_its_twin(ctx):
@@ -640,3 +678,16 @@ def test_witness_arithmetic_under_optimize(run_optimized):
 
 def test_forged_degenerate_row_rejected_under_optimize(run_optimized):
     run_optimized(f"{__file__}::test_forged_degenerate_row_rejected_at_construction")
+
+
+def test_zero_block_rule_and_pipelines_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_a_zero_block_fails_until_dropped",
+        f"{__file__}::test_verify_witness_detects_tampering",
+        f"{__file__}::test_restrict_witness_pipeline",
+        f"{__file__}::test_restrict_witness_identity",
+        f"{__file__}::test_map_witness_pipeline",
+        f"{__file__}::test_cone_witness_pipeline",
+        f"{__file__}::test_wedge_witness_pipeline",
+        f"{__file__}::test_transform_chain_preserves_validity",
+    )
