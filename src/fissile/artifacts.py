@@ -25,14 +25,7 @@ from .layouts import LayoutLattice, layout_key
 # it.  Wedges themselves come from the context.
 from .simplicial import SimplicialError, SMorphism, intern_all, wedge  # noqa: F401
 from .wedge import WedgeContext, pair_checks, pair_claims, q_checks
-from .witnesses import (
-    Block,
-    BlockPart,
-    FiltrationWitness,
-    IdealTerm,
-    WitnessReport,
-    once,
-)
+from .witnesses import Block, BlockPart, FiltrationWitness, IdealTerm, WitnessReport, once
 
 
 class ArtifactError(ValueError):

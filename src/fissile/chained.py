@@ -7,7 +7,6 @@ basis of the ring, and membership in the ideal is read off an element's
 coordinates in that basis, in closed form, with a certificate.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -67,12 +66,14 @@ def omega(j) -> Ensemble:
     return Ensemble(_omega_terms(subset_key(j)))
 
 
-@dataclass(frozen=True)
 class IdealCertificate:
-    """Integer combination over the generators <L>*omega(J), |J| >= level."""
+    """Integer combination over the generators <L>*omega(J), |J| >= level:
+    a tuple of entries (L, J, coeff)."""
 
-    level: int
-    combination: tuple  # entries (L, J, coeff)
+    __slots__ = ("level", "combination")
+
+    def __init__(self, level: int, combination: tuple):
+        self.level, self.combination = level, combination
 
     def value(self, monoid: SubsetMonoid) -> Ensemble:
         acc = Ensemble.zero()

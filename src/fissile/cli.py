@@ -21,14 +21,13 @@ from .artifacts import (
     write_pair_artifacts,
     write_q_artifacts,
 )
-from .brunnian import is_brunnian, lcs_degree, magnus, reduce_word
 from .layouts import GuardExceeded, GuardSettingError
 from .simplicial import SimplicialError
-from .suites import SUITES, SUITE_NAMES
 from .wedge import VerificationError, construction_guard, construct_p, construct_q
 from .witnesses import WitnessReport
 
-WORD_TOKEN = re.compile(r"^x(\d+)(\^-1)?$")
+# a letter is x and its index in canonical decimal: x0, x1, x12, never x01
+WORD_TOKEN = re.compile(r"^x(0|[1-9][0-9]*)(\^-1)?$")
 
 
 class WordSyntaxError(ValueError):
@@ -38,6 +37,8 @@ class WordSyntaxError(ValueError):
 def parse_word(text, alphabet=None):
     """The reduced word of a text such as "x1 x2^-1"; with an alphabet size
     n, every letter must be one of x1..xn."""
+    from .brunnian import reduce_word
+
     letters = []
     for pos, token in enumerate(text.split()):
         m = WORD_TOKEN.match(token)
@@ -87,6 +88,8 @@ def _summary(reports):
 
 
 def cmd_verify(args):
+    from .suites import SUITE_NAMES, SUITES
+
     if args.suite not in SUITES:
         print(
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITE_NAMES)}",
@@ -212,6 +215,8 @@ def _one_report(suite, case, t0, **fields):
 
 
 def cmd_check_brunnian(args):
+    from .brunnian import is_brunnian
+
     t0 = time.monotonic()
     word = parse_word(args.word, args.alphabet)
     alphabet = tuple(range(1, args.alphabet + 1))
@@ -224,6 +229,8 @@ def cmd_check_brunnian(args):
 
 
 def cmd_magnus(args):
+    from .brunnian import magnus
+
     t0 = time.monotonic()
     word = parse_word(args.word)
     series = magnus(word, args.degree)
@@ -237,6 +244,8 @@ def cmd_magnus(args):
 
 
 def cmd_lcs(args):
+    from .brunnian import lcs_degree
+
     t0 = time.monotonic()
     word = parse_word(args.word)
     depth = lcs_degree(word, args.max_degree)

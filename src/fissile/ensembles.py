@@ -9,7 +9,6 @@ membership is decided exactly against one integer echelon per generator
 family, and a member comes with its coefficients.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .canon import ckey, jsonable
@@ -113,15 +112,12 @@ def combining_product(factors, combiner) -> Ensemble:
     return Ensemble(out)
 
 
-@dataclass(frozen=True)
 class SubgroupGenerators:
     """A finitely generated subgroup, given by explicit ensemble generators,
     with its coordinate index and integer echelon, each built on first use."""
 
-    generators: tuple
-
     def __init__(self, generators):
-        object.__setattr__(self, "generators", tuple(generators))
+        self.generators = tuple(generators)
 
     @cached_property
     def index(self):
@@ -141,11 +137,11 @@ class SubgroupGenerators:
         return _echelon_form(rows)
 
 
-@dataclass(frozen=True)
 class Membership:
-    member: bool
-    coefficients: tuple | None
-    reason: str
+    __slots__ = ("member", "coefficients", "reason")
+
+    def __init__(self, member: bool, coefficients: tuple | None, reason: str):
+        self.member, self.coefficients, self.reason = member, coefficients, reason
 
     def __bool__(self):
         return self.member

@@ -8,7 +8,6 @@ ensemble into a fissile one lifts through ``posets.nabla_inverse`` and
 ensembles and witnesses: the two models share one code path.
 """
 
-from dataclasses import dataclass, field
 from itertools import accumulate, product
 
 from .ensembles import (
@@ -145,11 +144,13 @@ def fissilize(lp, q: Ensemble) -> Ensemble:
     return lp.unwrap(extend_to(lp.top, poset, lambda p, w, s: lp.extend(s, p, w), v))
 
 
-@dataclass
 class SubgroupFamilyReport:
-    hypothesis_ok: bool
-    hypothesis_failures: list = field(default_factory=list)
-    conclusion: bool | None = None
+    __slots__ = ("hypothesis_ok", "hypothesis_failures", "conclusion")
+
+    def __init__(self, hypothesis_ok: bool):
+        self.hypothesis_ok = hypothesis_ok
+        self.hypothesis_failures = []
+        self.conclusion = None
 
     def __bool__(self):
         return self.hypothesis_ok and bool(self.conclusion)

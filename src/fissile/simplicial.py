@@ -1023,16 +1023,20 @@ def apex_substitution(cca, ca, letter) -> SMorphism:
 class ContractionTower:
     """Everything around one thick simplex: its suspension Σ, the (čΣ,
     inclusion) tuple of the reduced cone of Σ, and the canonical
-    contraction for each letter, built on first use.  It builds no cone:
-    Σ and čΣ are each one :func:`collapse` of cone keys."""
+    contraction for each letter, the last two built on first use.  It
+    builds no cone: Σ and čΣ are each one :func:`collapse` of cone keys."""
 
     def __init__(self, letters, bound):
         self.letters = tuple(sorted(set(letters)))
         self.bound = bound
         self.thick = thick_simplex(self.letters, bound)
         self.susp = kan_suspension(self.thick)
-        self.reduced = reduced_cone(self.susp)
         self.contractions = {}
+
+    @cached_property
+    def reduced(self):
+        """The ``reduced_cone`` tuple of Σ, which only a contraction reads."""
+        return reduced_cone(self.susp)
 
     def contraction(self, letter) -> SMorphism:
         """The contraction čΣ -> Σ at the letter, tabulated on the reduced

@@ -6,7 +6,7 @@ a fixed seed for its randomized parts, and checks exact equalities only.
 
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 from . import identities as ident
 from .brunnian import (
@@ -90,31 +90,42 @@ def suite_identities(max_a=3, max_i=3, **_kw):
         yield {"identity": name, "a": a_size, "i": i_size}, ok
 
 
+def _random_ensemble(rng, pool, terms, coeff):
+    """A sum of ``terms`` singletons drawn from pool, each times a coefficient
+    drawn from -coeff..coeff."""
+    out = Ensemble.zero()
+    for _ in range(terms):
+        out = out + rng.randint(-coeff, coeff) * singleton(rng.choice(pool))
+    return out
+
+
 def _random_layout_section(rng, lp, max_terms=3, coeff=3):
     fam = Section()
     for a in lp.lattice.layouts:
-        val = Ensemble.zero()
-        for _ in range(rng.randint(0, max_terms)):
-            val = val + rng.randint(-coeff, coeff) * singleton(
-                rng.choice(lp.enumerate_universe(a))
-            )
+        val = _random_ensemble(
+            rng, lp.enumerate_universe(a), rng.randint(0, max_terms), coeff
+        )
         if val:
             fam[a] = val
     return fam
 
 
+def _presheaf(n):
+    """The product layout presheaf on the ground 1..n, its poset, and its
+    restriction and extension as maps (p, q, s) of s from p to q."""
+    lp = ProductLayoutPresheaf(FunctionFacePresheaf(tuple(range(1, n + 1))))
+    return (
+        lp,
+        lp.lattice.poset(),
+        lambda p, q, s: lp.restrict(s, p, q),
+        lambda p, q, s: lp.extend(s, p, q),
+    )
+
+
 def suite_nabla(max_e=3, cases=100, seed=0, **_kw):
     rng = random.Random(seed)
     for n in range(1, max_e + 1):
-        lp = ProductLayoutPresheaf(FunctionFacePresheaf(tuple(range(1, n + 1))))
-        poset = lp.lattice.poset()
-
-        def restrict(p, q, s):
-            return lp.restrict(s, p, q)
-
-        def extend(p, q, s):
-            return lp.extend(s, p, q)
-
+        lp, poset, restrict, extend = _presheaf(n)
         round_ok = True
         square_ok = True
         for _ in range(cases):
@@ -132,23 +143,11 @@ def suite_nabla(max_e=3, cases=100, seed=0, **_kw):
 def suite_lift(max_e=3, cases=100, seed=0, **_kw):
     rng = random.Random(seed)
     for n in range(1, max_e + 1):
-        lp = ProductLayoutPresheaf(FunctionFacePresheaf(tuple(range(1, n + 1))))
-        poset = lp.lattice.poset()
+        lp, poset, restrict, extend = _presheaf(n)
         top = lp.top
-
-        def restrict(p, q, s):
-            return lp.restrict(s, p, q)
-
-        def extend(p, q, s):
-            return lp.extend(s, p, q)
-
         ok = True
         for _ in range(cases):
-            w = Ensemble.zero()
-            for _ in range(rng.randint(1, 4)):
-                w = w + rng.randint(-3, 3) * singleton(
-                    rng.choice(lp.enumerate_universe(top))
-                )
+            w = _random_ensemble(rng, lp.enumerate_universe(top), rng.randint(1, 4), 3)
             compat = Section()
             for a in lp.lattice.layouts:
                 if a == top:
@@ -174,9 +173,7 @@ def suite_fissilizer(max_e=3, cases=200, defect_cases=50, seed=0, **_kw):
         ok_affine = True
         ok_fix = True
         for _ in range(cases):
-            q = Ensemble.zero()
-            for _ in range(rng.randint(0, 4)):
-                q = q + rng.randint(-3, 3) * singleton(rng.choice(universe))
+            q = _random_ensemble(rng, universe, rng.randint(0, 4), 3)
             phi = fissilize(lp, q)
             ok_fissile = ok_fissile and is_fissile(lp, phi)
             ok_affine = ok_affine and augmentation(phi) == 1
@@ -189,9 +186,7 @@ def suite_fissilizer(max_e=3, cases=200, defect_cases=50, seed=0, **_kw):
         universe = lp.face.enumerate(lp.face.ground)
         ok = True
         for _ in range(defect_cases):
-            q = Ensemble.zero()
-            for _ in range(rng.randint(1, 3)):
-                q = q + rng.randint(-2, 2) * singleton(rng.choice(universe))
+            q = _random_ensemble(rng, universe, rng.randint(1, 3), 2)
             fam = defect_subgroup_family(lp, [q])
             rep = check_fissilizer_defect(lp, q, fam)
             ok = ok and rep.hypothesis_ok and bool(rep.conclusion)
@@ -539,7 +534,6 @@ def suite_brunnian(max_i=3, cases=100, seed=0, max_len=8, **_kw):
     alphabet = (1, 2)
     letters = [(g, e) for g in alphabet for e in (1, -1)]
     ok = True
-    from itertools import combinations, product
 
     # every proper deletion by hand, without ``delete`` or ``reduce_word``:
     # the kept letters spelled as text, then inverse pairs stripped until

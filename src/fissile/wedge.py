@@ -11,15 +11,9 @@ witnessed deep in the block filtration.
 """
 
 import functools
-from dataclasses import dataclass, field
 
 from .canon import ckey
-from .chained import (
-    SubsetMonoid,
-    omega,
-    subset_key,
-    subsets_of,
-)
+from .chained import SubsetMonoid, omega, subset_key, subsets_of
 from .ensembles import (
     Ensemble,
     augmentation,
@@ -592,16 +586,18 @@ def _require_all(checks):
             raise VerificationError(f"{name} failed: {ok.diagnostic}")
 
 
-@dataclass
 class PairRecord:
-    ensemble: Ensemble
-    alt_witness: FiltrationWitness
+    __slots__ = ("ensemble", "alt_witness")
+
+    def __init__(self, ensemble: Ensemble, alt_witness: FiltrationWitness):
+        self.ensemble, self.alt_witness = ensemble, alt_witness
 
 
-@dataclass
 class ConstructionResult:
-    ctx: WedgeContext
-    pairs: dict = field(default_factory=dict)
+    __slots__ = ("ctx", "pairs")
+
+    def __init__(self, ctx: WedgeContext):
+        self.ctx, self.pairs = ctx, {}
 
 
 def pair_claims(i_set, e_set):
@@ -710,11 +706,13 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     return record
 
 
-@dataclass
 class AlmostFissileRecord:
-    ensemble: Ensemble
-    layout_witnesses: dict
-    boundary_witness: FiltrationWitness
+    __slots__ = ("ensemble", "layout_witnesses", "boundary_witness")
+
+    def __init__(self, ensemble: Ensemble, layout_witnesses: dict, boundary_witness):
+        self.ensemble = ensemble
+        self.layout_witnesses = layout_witnesses
+        self.boundary_witness = boundary_witness
 
 
 def construct_q(result: ConstructionResult) -> AlmostFissileRecord:

@@ -11,7 +11,6 @@ evaluation.
 """
 
 import functools
-from dataclasses import dataclass, field
 
 from .chained import SubsetMonoid, ideal_membership
 from .ensembles import Ensemble, combining_product, map_ensemble
@@ -59,24 +58,24 @@ class PSpace:
                     self._fail(f"action is not multiplicative with {k2!r}", k)
 
 
-@dataclass
 class IdealTerm:
     """One summand pi * <w> of a part: a monoid-ring element pi, which must
     lie in the ideal at the part's level, and a morphism w."""
 
-    pi: Ensemble
-    morphism: SMorphism
+    __slots__ = ("pi", "morphism")
+
+    def __init__(self, pi: Ensemble, morphism: SMorphism):
+        self.pi, self.morphism = pi, morphism
 
 
-@dataclass
 class BlockPart:
     """Part j of a block: terms on summand j of the block's wedge, each
     valued in the block's space, whose pi lie in the ideal at the part's
     level.  The summand and the space are its block's, so a part holds
     neither."""
 
-    level: int
-    terms: list
+    def __init__(self, level: int, terms: list):
+        self.level, self.terms = level, terms
 
     @functools.cached_property
     def key(self):
@@ -111,12 +110,14 @@ class BlockPart:
         return True
 
 
-@dataclass
 class Block:
-    f: SMorphism  # T -> the wedge
-    wedge_obj: object  # a wedge, carrying the insertions of its summands
-    parts: list  # part j on summand j
-    space: PSpace
+    """An integer block: f from T into a wedge (which carries the insertions
+    of its summands), part j on summand j, and the space the parts map to."""
+
+    __slots__ = ("f", "wedge_obj", "parts", "space")
+
+    def __init__(self, f: SMorphism, wedge_obj, parts: list, space: PSpace):
+        self.f, self.wedge_obj, self.parts, self.space = f, wedge_obj, parts, space
 
     def rank(self):
         return sum(p.level for p in self.parts)
@@ -224,10 +225,12 @@ class PairScope:
         )
 
 
-@dataclass
 class FiltrationWitness:
-    level: int
-    entries: list = field(default_factory=list)  # (coeff, Block)
+    __slots__ = ("level", "entries")
+
+    def __init__(self, level: int, entries: list = None):
+        self.level = level
+        self.entries = [] if entries is None else entries  # (coeff, Block)
 
     def value(self, scope=None) -> Ensemble:
         return self.evaluate(scope or PairScope())[0]
@@ -291,11 +294,13 @@ def drop_zero_blocks(w: FiltrationWitness, scope: PairScope) -> FiltrationWitnes
     return FiltrationWitness(w.level, [(c, b) for c, b in w.entries if b.value(scope)])
 
 
-@dataclass
 class WitnessReport:
     """A failed check and why; it is false, as only a failure makes one."""
 
-    diagnostic: str
+    __slots__ = ("diagnostic",)
+
+    def __init__(self, diagnostic: str):
+        self.diagnostic = diagnostic
 
     def __bool__(self):
         return False

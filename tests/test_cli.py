@@ -53,6 +53,23 @@ def test_word_parse_error_exit():
     assert "position 0" in err
 
 
+@pytest.mark.parametrize("word", ["x01 x1^-1", "x007^-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["magnus", "--degree", "2"],
+        ["lcs", "--max-degree", "2"],
+        ["check-brunnian", "--alphabet", "9"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_word_letters_are_canonical_decimal(word, command):
+    # a leading zero is a parse error, so "x01 x1^-1" is not read as the empty word
+    rc, out, err = run_cli([command[0], "--word", word, *command[1:]])
+    assert rc == 2 and not out
+    assert "cannot parse token" in err and "position 0" in err
+
+
 def test_check_brunnian_verdicts():
     rc, out, _err = run_cli(
         ["check-brunnian", "--word", "x1 x2 x1^-1 x2^-1", "--alphabet", "2"]

@@ -17,6 +17,7 @@ from fissile.artifacts import (
 )
 from fissile.ensembles import Ensemble, combining_product, singleton
 from fissile.simplicial import (
+    FiniteSimplicialSet,
     compose,
     enumerate_based_morphisms,
     inclusion,
@@ -228,6 +229,29 @@ def test_each_label_is_resolved_once_per_context(tmp_path, monkeypatch):
     # wedge has one label, not also ("wedgept",)
     assert len(built) == len(set(built)) == len(set(calls)) == 26
     assert len(calls) > 10 * len(built)
+
+
+def test_the_checkers_build_no_reduced_cone_of_a_suspension(tmp_path, monkeypatch):
+    # a tower builds the reduced cone of its suspension on first use, and
+    # only a contraction reads it; the checkers read none.  The checks
+    # built 65 and 45 sets when every tower built its cone
+    pj, q = tmp_path / "pj", tmp_path / "q"
+    write_pair_artifacts(construct_p((1, 2, 3), (1, 2), enforce_guard=False), pj)
+    result = construct_p((1, 2), (1, 2))
+    write_q_artifacts(result, construct_q(result), q)
+    labels = []
+    init = FiniteSimplicialSet.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        labels.append(self.label)
+
+    monkeypatch.setattr(FiniteSimplicialSet, "__init__", recording)
+    for checker, path, built in ((check_pair_artifacts, pj, 57), (check_q_artifacts, q, 41)):
+        labels.clear()
+        assert all(ok for _name, ok in checker(path))
+        assert len(labels) == built
+        assert not [x for x in labels if x[0] == "redcone" and x[1][0] == "suspension"]
 
 
 @pytest.mark.optimized

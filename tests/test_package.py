@@ -1,6 +1,11 @@
 import ast
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fissile
 
@@ -137,3 +142,52 @@ def test_no_json_dump_and_no_indent_in_the_package():
             )
         ]
     assert not found, found
+
+
+def _fresh(code):
+    """The output of ``python -c code`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(fissile.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("modules", ["fissile.artifacts, fissile.wedge", "fissile.cli"])
+def test_a_command_imports_only_what_it_runs(modules):
+    # a construct or check reads neither the fissilizer, the suites nor the
+    # word calculus, and no module imports dataclasses; the command line
+    # imports the suites for ``verify`` and the word calculus for the word
+    # commands only
+    unused = ["dataclasses", "fissile.fissilizer", "fissile.suites", "fissile.brunnian"]
+    code = f"import sys, {modules}\nprint(sorted(set({unused}) & set(sys.modules)))"
+    assert _fresh(code) == "[]"
+
+
+def test_every_export_resolves_to_its_submodule_object():
+    code = """import importlib, fissile
+wrong = []
+for name in fissile.__all__:
+    if name != "__version__":
+        obj = getattr(fissile, name)
+        if getattr(importlib.import_module(obj.__module__), name) is not obj:
+            wrong.append(name)
+print(fissile.__version__, wrong)"""
+    assert _fresh(code) == "0.1.0 []"
+
+
+def test_star_import_binds_every_export():
+    code = "from fissile import *\nimport fissile\nprint(set(fissile.__all__) - set(globals()))"
+    assert _fresh(code) == "set()"
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    code = """import fissile
+try:
+    fissile.no_such_name
+except AttributeError as exc:
+    print(exc)"""
+    assert _fresh(code) == "module 'fissile' has no attribute 'no_such_name'"

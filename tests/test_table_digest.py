@@ -13,7 +13,7 @@ from fissile.canon import ckey
 from fissile.simplicial import FiniteSimplicialSet, SMorphism
 from fissile.wedge import construct_p, construct_q
 
-TABLES_DIGEST = "25ac94731b5a3739981eb9468ecf6ef0aec00a26858beb069595b8255efaeaaa"
+TABLES_DIGEST = "ee43c047b0b507472fb4cec78bd3cf764dd24dc56f401618faeabfcd64e5dd3a"
 # the distinct forms under the digest, so a failure tells whether tables
 # were added or dropped (a count moves) or changed (only the digest moves);
 # with zero blocks dropped where restrictions create them, 55 forms that
@@ -25,8 +25,12 @@ TABLES_DIGEST = "25ac94731b5a3739981eb9468ecf6ef0aec00a26858beb069595b8255efaeaa
 # that were built under a second wedge label are built once.  The full
 # wedge is one object labelled ("WL", I), so the copy of it that the wedge
 # at I was is no longer built, nor a table on ("plusbase", E) into that
-# copy beside the same table into the full wedge
-SET_FORMS, MORPHISM_FORMS = 77, 882
+# copy beside the same table into the full wedge.  A tower builds its
+# reduced cone on first use, and no contraction reads the tower at I, so
+# its cone is no longer built: the forms before that change, less the forms
+# after it, were exactly the set ("redcone", ("suspension", ("thick", (),
+# 3))) and its inclusion, and no form was added (77, 882 before)
+SET_FORMS, MORPHISM_FORMS = 76, 881
 
 
 def _recording(monkeypatch, cls, form, forms):

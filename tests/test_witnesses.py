@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -497,8 +496,9 @@ def test_a_zero_block_fails_until_dropped(ctx):
     t = edge()
     good = identity_block(ctx, t, inclusion(t, t))
     term = good.parts[0].terms[0]
-    cancelling = [term, replace(term, pi=-term.pi)]
-    zero = replace(good, parts=[replace(good.parts[0], terms=cancelling)])
+    cancelling = [term, IdealTerm(-term.pi, term.morphism)]
+    part = good.parts[0]
+    zero = Block(good.f, good.wedge_obj, [BlockPart(part.level, cancelling)], good.space)
     v = singleton(inclusion(t, t))
     w = FiltrationWitness(0, [(1, good), (2, zero)])
     rep = verify_witness(v, w, 0, ctx.monoid)
@@ -560,15 +560,9 @@ def test_scope_reglues_part_with_equal_key_but_other_table(ctx):
     with pytest.raises(SimplicialError, match="faces"):
         SMorphism(t, t, edge_row_broken(t).rows)
     good = identity_block(ctx, t, inclusion(t, t))
-    bad = replace(
-        good,
-        parts=[
-            replace(
-                good.parts[0],
-                terms=[replace(good.parts[0].terms[0], morphism=edge_row_broken(t))],
-            )
-        ],
-    )
+    part = good.parts[0]
+    term = IdealTerm(part.terms[0].pi, edge_row_broken(t))
+    bad = Block(good.f, good.wedge_obj, [BlockPart(part.level, [term])], good.space)
     scope = PairScope()
     assert good.value(scope) == singleton(inclusion(t, t))
     assert bad.value(scope) == singleton(edge_row_broken(t))
@@ -623,9 +617,10 @@ def test_equal_part_tables_on_distinct_domains_each_validated(ctx, monkeypatch):
     for dom in (t, edge()):
         # an equal table in a new object, out of t itself or out of a copy
         m = SMorphism(dom, t, inclusion(t, t).rows)
-        term = replace(first.parts[0].terms[0], morphism=m)
-        part = replace(first.parts[0], terms=[term])
-        w = FiltrationWitness(0, [(1, first), (1, replace(first, parts=[part]))])
+        term = IdealTerm(first.parts[0].terms[0].pi, m)
+        part = BlockPart(first.parts[0].level, [term])
+        twin = Block(first.f, first.wedge_obj, [part], first.space)
+        w = FiltrationWitness(0, [(1, first), (1, twin)])
         seen.clear()
         if dom is t:
             assert verify_witness(2 * singleton(inclusion(t, t)), w, 0, ctx.monoid)
@@ -644,8 +639,9 @@ def test_wedge_witness_validates_a_repeated_decomposition_once(ctx, monkeypatch)
     t = edge()
     first = identity_block(ctx, t, inclusion(t, t))
     constant = constant_morphism(t, t, t.basepoint)
-    term = replace(first.parts[0].terms[0], morphism=constant)
-    second = replace(first, parts=[replace(first.parts[0], terms=[term])])
+    term = IdealTerm(first.parts[0].terms[0].pi, constant)
+    part = BlockPart(first.parts[0].level, [term])
+    second = Block(first.f, first.wedge_obj, [part], first.space)
     other = identity_block(ctx, t, inclusion(t, t))
     wobj = wedge([t, t])
     seen = count_builds(monkeypatch, wobj)
