@@ -9,6 +9,7 @@ coordinates in that basis, in closed form, with a certificate.
 
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .canon import ckey
 from .ensembles import Ensemble, singleton
@@ -56,14 +57,16 @@ def ring_product(monoid: SubsetMonoid, x: Ensemble, y: Ensemble) -> Ensemble:
 
 
 @lru_cache(maxsize=256)
-def _omega_terms(j):
-    return {k: (-1) ** (len(j) - len(k)) for k in _subsets(j)}
+def omega_terms(j):
+    """The coefficient table of omega(j), for j a canonical subset key: one
+    read-only view per key, kept and shared between callers."""
+    return MappingProxyType({k: (-1) ** (len(j) - len(k)) for k in _subsets(j)})
 
 
 def omega(j) -> Ensemble:
     """Alternating sum over the subsets of j; the level-|j| ideal generator.
     Each call returns a new ensemble."""
-    return Ensemble(_omega_terms(subset_key(j)))
+    return Ensemble(omega_terms(subset_key(j)))
 
 
 class IdealCertificate:

@@ -87,7 +87,18 @@ def _summary(reports):
     return failed
 
 
+# The options of ``verify``, each passed to a suite that names it as a
+# parameter.
+VERIFY_OPTIONS = ("max_a", "max_i", "max_e", "cases", "seed", "bound")
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 def cmd_verify(args):
+    from inspect import signature
+
     from .suites import SUITE_NAMES, SUITES
 
     if args.suite not in SUITES:
@@ -96,13 +107,25 @@ def cmd_verify(args):
             file=sys.stderr,
         )
         return 2
-    kwargs = {}
-    for name in ("max_a", "max_i", "max_e", "cases", "seed", "bound"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kwargs[name] = val
+    suite = SUITES[args.suite]
+    takes = [name for name in VERIFY_OPTIONS if name in signature(suite).parameters]
+    kwargs = {
+        name: getattr(args, name)
+        for name in VERIFY_OPTIONS
+        if getattr(args, name) is not None
+    }
+    refused = [name for name in kwargs if name not in takes]
+    if refused:
+        options = "".join(f" [{_flag(name)} N]" for name in takes)
+        print(
+            f"usage: fissile verify {args.suite}{options}\n"
+            f"fissile verify: error: the {args.suite} suite takes no "
+            f"{', '.join(map(_flag, refused))}",
+            file=sys.stderr,
+        )
+        return 2
     reports = []
-    gen = SUITES[args.suite](**kwargs)
+    gen = suite(**kwargs)
     while True:
         t0 = time.monotonic()
         try:

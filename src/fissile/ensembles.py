@@ -7,6 +7,14 @@ elements: every universe (subsets, layouts, tuples, simplicial morphisms)
 supplies its own canonical values, see :mod:`fissile.canon`.  Subgroup
 membership is decided exactly against one integer echelon per generator
 family, and a member comes with its coefficients.
+
+``Ensemble(terms)`` is the one filter that drops zero coefficients from a
+caller's table.  The group operations ``+``, ``-``, unary ``-`` and ``n*``
+make one pass each and drop a zero where it arises, so their tables are
+taken as they are, without a second filtering copy.  :func:`expand_into`
+is the one definition of the multilinear expansion: it adds the product
+of coefficient tables into a single table, and :func:`combining_product`
+and the cover identities both sum through it.
 """
 
 from functools import cached_property
@@ -20,12 +28,7 @@ class Ensemble:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for el, c in terms.items():
-                if c:
-                    clean[el] = c
-        self.terms = clean
+        self.terms = {el: c for el, c in terms.items() if c} if terms else {}
 
     @staticmethod
     def zero():
@@ -38,21 +41,20 @@ class Ensemble:
         return isinstance(other, Ensemble) and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for el, c in other.terms.items():
-            out[el] = out.get(el, 0) + c
-        return Ensemble(out)
+        return _exact(_accumulate(dict(self.terms), other.terms, 1))
 
     def __sub__(self, other):
-        return self + (-other)
+        return _exact(_accumulate(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
-        return Ensemble({el: -c for el, c in self.terms.items()})
+        return _exact({el: -c for el, c in self.terms.items()})
 
     def __rmul__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return Ensemble({el: n * c for el, c in self.terms.items()})
+        if not n:
+            return Ensemble()
+        return _exact({el: n * c for el, c in self.terms.items()})
 
     __mul__ = __rmul__
 
@@ -79,16 +81,72 @@ def augmentation(s: Ensemble) -> int:
     return sum(s.terms.values())
 
 
+_new = object.__new__
+
+
+def _exact(terms):
+    """The ensemble holding ``terms`` itself, a table already free of zero
+    coefficients; every other table goes through ``Ensemble(terms)``."""
+    s = _new(Ensemble)
+    s.terms = terms
+    return s
+
+
+def _accumulate(out, terms, sign):
+    """Add sign times a zero-free table into ``out`` in one pass, deleting
+    each entry whose sum cancels.  Keys keep their first-insertion order, as
+    a filtered copy of the unfiltered sum would."""
+    get = out.get
+    for el, c in terms.items():
+        c = get(el, 0) + sign * c
+        if c:
+            out[el] = c
+        else:
+            del out[el]
+    return out
+
+
+def _without_zeros(out):
+    """``out`` itself when no coefficient in it is zero, else the ensemble
+    of its nonzero entries."""
+    return Ensemble(out) if 0 in out.values() else _exact(out)
+
+
 def map_ensemble(f, s: Ensemble) -> Ensemble:
     """Linear pushforward along an element function; colliding images add up.
 
     Raises whatever ``f`` raises if it is undefined on a support element.
     """
     out = {}
+    get = out.get
     for el, c in s.terms.items():
         im = f(el)
-        out[im] = out.get(im, 0) + c
-    return Ensemble(out)
+        out[im] = get(im, 0) + c
+    return _without_zeros(out)
+
+
+def expand_into(out, tables, combiner=None, scale=1):
+    """Add ``scale`` times the multilinear product of the coefficient
+    tables into the table ``out``, and return it.
+
+    Each tuple holding one key per table, in order, contributes the product
+    of their coefficients at ``combiner(tuple)``, or at the tuple itself
+    when no combiner is given.  The expansion is exhaustive: nothing is
+    collapsed in advance, and sums that cancel stay in ``out`` as zeros.
+    """
+    partial = [((), scale)]
+    for table in tables:
+        items = table.items()
+        partial = [(tup + (el,), c * d) for tup, c in partial for el, d in items]
+    get = out.get
+    if combiner is None:
+        for tup, c in partial:
+            out[tup] = get(tup, 0) + c
+    else:
+        for tup, c in partial:
+            el = combiner(tup)
+            out[el] = get(el, 0) + c
+    return out
 
 
 def combining_product(factors, combiner) -> Ensemble:
@@ -98,18 +156,7 @@ def combining_product(factors, combiner) -> Ensemble:
     returns the combined element.  The empty factor list yields the singleton
     of ``combiner(())``.
     """
-    partial = [((), 1)]
-    for factor in factors:
-        nxt = []
-        for prefix, c in partial:
-            for el, d in factor.terms.items():
-                nxt.append((prefix + (el,), c * d))
-        partial = nxt
-    out = {}
-    for tup, c in partial:
-        el = combiner(tup)
-        out[el] = out.get(el, 0) + c
-    return Ensemble(out)
+    return _without_zeros(expand_into({}, [f.terms for f in factors], combiner))
 
 
 class SubgroupGenerators:

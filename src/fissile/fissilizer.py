@@ -47,13 +47,33 @@ class FunctionFacePresheaf:
         return [tuple(t) for t in product(self.values, repeat=len(tuple(f)))]
 
 
+class _Images(dict):
+    """The element -> image table of one gather, filled on first use.
+
+    An element is read flat, as the face default and then its blocks'
+    values, and output block r lists the flat values at ``rows[r]``."""
+
+    def __init__(self, rows, default):
+        super().__init__()
+        self.rows, self.default = rows, (default,)
+
+    def __missing__(self, el):
+        flat = self.default + sum(el, ())
+        im = self[el] = tuple([tuple([flat[k] for k in row]) for row in self.rows])
+        return im
+
+
 class ProductLayoutPresheaf:
     """Layout presheaf induced by face data: the universe at a layout is the
     product over its blocks, keyed by block-sorted tuples.
 
     Restriction and extension along a >= b are gathers: an element is read
     flat, as the face default and then its blocks' values, and each output
-    block lists the flat indices it takes.  Each pair's plans are built once.
+    block lists the flat indices it takes.  Each pair's two gathers are
+    planned once, and each keeps the image of every element it has moved,
+    so an element is gathered once per plan.  An image table holds at most
+    one entry per element of the universe the gather reads, which is at
+    most the universe at a.
     """
 
     def __init__(self, face: FunctionFacePresheaf):
@@ -69,7 +89,7 @@ class ProductLayoutPresheaf:
         return map_ensemble(lambda el: el[0], s)
 
     def _plan(self, a, b, what):
-        """(restriction plan, extension plan) of the pair a >= b."""
+        """(restriction images, extension images) of the pair a >= b."""
         plan = self._plans.get((a, b))
         if plan is None:
             if not self.lattice.geq(a, b):
@@ -85,23 +105,15 @@ class ProductLayoutPresheaf:
                 for k, x in enumerate(g)
             }
             up = tuple(tuple(where.get(x, 0) for x in f) for f in a)
-            plan = self._plans[(a, b)] = (tuple(down), up)
+            default = self.face.default
+            plan = self._plans[(a, b)] = (_Images(tuple(down), default), _Images(up, default))
         return plan
 
-    def _gather(self, plan, s):
-        default = (self.face.default,)
-
-        def move(el):
-            flat = default + sum(el, ())
-            return tuple([tuple([flat[k] for k in row]) for row in plan])
-
-        return map_ensemble(move, s)
-
     def restrict(self, s: Ensemble, a, b) -> Ensemble:
-        return self._gather(self._plan(a, b, "restriction")[0], s)
+        return map_ensemble(self._plan(a, b, "restriction")[0].__getitem__, s)
 
     def extend(self, s: Ensemble, a, b) -> Ensemble:
-        return self._gather(self._plan(a, b, "extension")[1], s)
+        return map_ensemble(self._plan(a, b, "extension")[1].__getitem__, s)
 
     def combine(self, a, parts) -> Ensemble:
         factors = [parts[g] for g in a]

@@ -2,6 +2,8 @@
 
 Each suite yields (case, ok) pairs with JSON-friendly case descriptors, uses
 a fixed seed for its randomized parts, and checks exact equalities only.
+A suite's keyword parameters are its options: ``fissile verify`` passes a
+suite only the options it names and refuses any other.
 """
 
 import random
@@ -85,7 +87,7 @@ SUITE_NAMES = (
 )
 
 
-def suite_identities(max_a=3, max_i=3, **_kw):
+def suite_identities(max_a=3, max_i=3):
     for name, a_size, i_size, ok in ident.run_all(max_a, max_i):
         yield {"identity": name, "a": a_size, "i": i_size}, ok
 
@@ -122,7 +124,7 @@ def _presheaf(n):
     )
 
 
-def suite_nabla(max_e=3, cases=100, seed=0, **_kw):
+def suite_nabla(max_e=3, cases=100, seed=0):
     rng = random.Random(seed)
     for n in range(1, max_e + 1):
         lp, poset, restrict, extend = _presheaf(n)
@@ -140,7 +142,7 @@ def suite_nabla(max_e=3, cases=100, seed=0, **_kw):
         yield {"ground": n, "check": "restriction-square", "cases": cases}, square_ok
 
 
-def suite_lift(max_e=3, cases=100, seed=0, **_kw):
+def suite_lift(max_e=3, cases=100, seed=0):
     rng = random.Random(seed)
     for n in range(1, max_e + 1):
         lp, poset, restrict, extend = _presheaf(n)
@@ -164,7 +166,7 @@ def suite_lift(max_e=3, cases=100, seed=0, **_kw):
         yield {"ground": n, "check": "lift-restricts-back", "cases": cases}, ok
 
 
-def suite_fissilizer(max_e=3, cases=200, defect_cases=50, seed=0, **_kw):
+def suite_fissilizer(max_e=3, cases=200, defect_cases=50, seed=0):
     rng = random.Random(seed)
     for n in range(1, max_e + 1):
         lp = ProductLayoutPresheaf(FunctionFacePresheaf(tuple(range(1, n + 1))))
@@ -268,7 +270,7 @@ def same_map(m, r):
     return labels == (r.domain.label, r.codomain.label) and m == r
 
 
-def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
+def suite_simplicial(max_e=3, max_a=3, bound=4):
     # construction validates the simplicial identities; reaching this point
     # with no assertion means they hold
     samples = [
@@ -373,7 +375,7 @@ def suite_simplicial(max_e=3, max_a=3, bound=4, **_kw):
     yield {"check": "reduced-cone-recipe", "maps": len(maps)}, ok
 
 
-def suite_retractions(max_e=3, bound=None, **_kw):
+def suite_retractions(max_e=3, bound=None):
     for n in range(1, max_e + 1):
         ground = tuple(range(1, n + 1))
         b = n if bound is None else bound
@@ -401,7 +403,7 @@ def suite_retractions(max_e=3, bound=None, **_kw):
         yield {"ground": n, "check": "retraction-square"}, ok_square
 
 
-def suite_witnesses(max_i=3, cases=100, seed=0, **_kw):
+def suite_witnesses(max_i=3, cases=100, seed=0):
     rng = random.Random(seed)
     ok = True
     for n in range(1, max_i + 1):
@@ -529,7 +531,7 @@ def _random_brunnian(rng, alphabet):
     return out
 
 
-def suite_brunnian(max_i=3, cases=100, seed=0, max_len=8, **_kw):
+def suite_brunnian(max_i=3, cases=100, seed=0, max_len=8):
     rng = random.Random(seed)
     alphabet = (1, 2)
     letters = [(g, e) for g in alphabet for e in (1, -1)]

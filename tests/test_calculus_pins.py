@@ -6,7 +6,9 @@ sha256 over seeded outputs of the fissilizer, the defect subgroup family,
 the triangular transform both ways, limit lifting, ideal membership
 certificates, ω, the subset lists and the cover identities.  Any change to
 the arithmetic of any of them changes a pin.  The inputs are drawn with
-the stdlib ``random`` only.
+the stdlib ``random`` only.  The draws of every ``verify`` suite at its
+default seed are pinned as well, so that a suite cannot come to test other
+inputs while its report lines stay the same.
 """
 
 import hashlib
@@ -14,8 +16,11 @@ import io
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
-from fissile import identities
+import pytest
+
+from fissile import identities, suites
 from fissile.chained import SubsetMonoid, ideal_membership, omega, ring_product, subsets_of
 from fissile.cli import main
 from fissile.ensembles import Ensemble, singleton
@@ -136,3 +141,70 @@ def test_seeded_calculus_outputs_are_pinned():
     for text in calculus_outputs():
         digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == CALCULUS_DIGEST
+
+
+# (draws, sha256 of the JSON draw log) of each suite run with its defaults
+SUITE_DRAWS = {
+    "identities": (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "nabla": (8735, "1f395042768c73f22754cbcd6e8663157e6694190f2cf407453178129d0184c0"),
+    "lift": (1811, "fdad79f0782f068f8c075ed7e774d9d57d8a63cb3fac998e7dd11fb8527bfc9c"),
+    "fissilizer": (3559, "f89540679312686cd967a13fdb82816003db0ecc86d9eac2fd543d687a9610f2"),
+    "simplicial": (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "retractions": (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "witnesses": (5407, "1e76f6d53383e190bf3d7b3a85863ddf20577a7480d69fef685d3d19233547d2"),
+    "brunnian": (10845, "4932d5ebcfb56140006b4f32873733c733047e9400da2e09e2435f7b05fbca76"),
+}
+
+
+class LoggedRandom(random.Random):
+    """A ``random.Random`` that logs every draw into ``self.log``: the method,
+    its arguments and its outcome, a chosen element as its position and a
+    shuffle as the positions its elements came from.  A draw that reaches
+    the generator outside the logged methods fails."""
+
+    def __init__(self, seed, log):
+        self.log, self.depth = log, 0
+        super().__init__(seed)
+        log.append(["seed", seed])
+
+    def _logged(self, draw, *args):
+        self.depth += 1
+        try:
+            return draw(self, *args)
+        finally:
+            self.depth -= 1
+
+    def _randbelow(self, n):
+        assert self.depth, "a draw outside the logged methods"
+        return super()._randbelow(n)
+
+    def randint(self, a, b):
+        out = self._logged(random.Random.randint, a, b)
+        self.log.append(["randint", a, b, out])
+        return out
+
+    def choice(self, seq):
+        out = self._logged(random.Random.choice, seq)
+        self.log.append(["choice", len(seq), next(i for i, x in enumerate(seq) if x is out)])
+        return out
+
+    def random(self):
+        out = self._logged(random.Random.random)
+        self.log.append(["random", repr(out)])
+        return out
+
+    def shuffle(self, x):
+        before = list(x)
+        self._logged(random.Random.shuffle, x)
+        self.log.append(["shuffle", [next(i for i, y in enumerate(before) if y is v) for v in x]])
+
+
+@pytest.mark.parametrize("name", suites.SUITE_NAMES)
+def test_suite_draws_are_pinned(name, monkeypatch):
+    log = []
+    monkeypatch.setattr(
+        suites, "random", SimpleNamespace(Random=lambda seed: LoggedRandom(seed, log))
+    )
+    assert all(ok for _case, ok in suites.SUITES[name]())
+    text = json.dumps(log, separators=(",", ":"))
+    assert (len(log), hashlib.sha256(text.encode()).hexdigest()) == SUITE_DRAWS[name]

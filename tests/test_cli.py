@@ -1,4 +1,6 @@
 import base64
+import functools
+import inspect
 import io
 import json
 import os
@@ -12,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import fissile
-from fissile import cli, wedge
+from fissile import cli, suites, wedge
 from fissile.artifacts import MAX_DEPTH, ArtifactError, MorphismStore, resolve
 from fissile.canon import ckey, jsonable, morph_id
 from fissile.cli import main, parse_word
@@ -1052,6 +1054,70 @@ def test_zero_verify_sizes_still_run(argv):
     assert rc == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines and all(r["verdict"] == "pass" for r in lines)
+
+
+@pytest.mark.parametrize(
+    "argv, usage, refused",
+    [
+        (
+            ["verify", "identities", "--max-a", "1", "--max-i", "0",
+             "--seed", "4", "--cases", "7", "--max-e", "9"],
+            "usage: fissile verify identities [--max-a N] [--max-i N]",
+            "--max-e, --cases, --seed",
+        ),
+        (
+            ["verify", "retractions", "--max-e", "1", "--seed", "3"],
+            "usage: fissile verify retractions [--max-e N] [--bound N]",
+            "--seed",
+        ),
+        (
+            ["verify", "nabla", "--max-e", "1", "--bound", "2", "--max-a", "1"],
+            "usage: fissile verify nabla [--max-e N] [--cases N] [--seed N]",
+            "--max-a, --bound",
+        ),
+        (
+            ["verify", "brunnian", "--max-e", "2"],
+            "usage: fissile verify brunnian [--max-i N] [--cases N] [--seed N]",
+            "--max-e",
+        ),
+    ],
+)
+def test_verify_refuses_an_option_its_suite_does_not_take(argv, usage, refused):
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [
+        usage,
+        f"fissile verify: error: the {argv[1]} suite takes no {refused}",
+    ]
+
+
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_verify_options_are_the_suite_parameters(name, monkeypatch):
+    # a suite takes no catch-all, so each option is either one of its
+    # parameters, passed on as given, or refused before the suite runs
+    suite = suites.SUITES[name]
+    params = inspect.signature(suite).parameters
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    values = {"max_a": 1, "max_i": 0, "max_e": 1, "cases": 2, "seed": 5, "bound": 0}
+    taken = [opt for opt in cli.VERIFY_OPTIONS if opt in params]
+    calls = []
+    # the stand-in has the suite's signature, through __wrapped__
+    monkeypatch.setitem(
+        suites.SUITES, name, functools.wraps(suite)(lambda **kw: calls.append(kw) or iter(()))
+    )
+
+    def flag(opt):
+        return "--" + opt.replace("_", "-")
+
+    argv = ["verify", name]
+    for opt in taken:
+        argv += [flag(opt), str(values[opt])]
+    assert run_cli(argv)[0] == 0
+    assert calls == [{opt: values[opt] for opt in taken}]
+    for opt in set(cli.VERIFY_OPTIONS) - set(taken):
+        rc, _out, err = run_cli(["verify", name, flag(opt), str(values[opt])])
+        assert rc == 2 and err.endswith(f"takes no {flag(opt)}\n")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("forged", [["str", 2], [1, 2, 99]], ids=repr)

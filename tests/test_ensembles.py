@@ -124,6 +124,79 @@ def test_combining_product_multilinear():
         assert lhs == rhs
 
 
+# -- no zero coefficient is ever stored: against plain-dict arithmetic -------
+
+
+def reference_sum(pairs):
+    """Plain-dict reference: the sum of (element, coefficient) pairs with its
+    zero sums dropped, keys in first-insertion order."""
+    out = {}
+    for el, c in pairs:
+        out[el] = out.get(el, 0) + c
+    return {el: c for el, c in out.items() if c}
+
+
+def cancelling_pair(rng):
+    """Two seeded ensembles on 0..5, the second cancelling some of the first's
+    terms and adding terms of its own."""
+    s = Ensemble({rng.randrange(6): rng.randint(-3, 3) for _ in range(rng.randint(0, 5))})
+    t = {el: -c for el, c in s.terms.items() if rng.random() < 0.6}
+    for _ in range(rng.randint(0, 3)):
+        t[rng.randrange(6)] = rng.randint(-3, 3)
+    return s, Ensemble(t)
+
+
+def test_operations_store_no_zero_and_match_dict_arithmetic():
+    rng = random.Random(23)
+    dropped = {}
+
+    def check(kind, s, pairs):
+        reference = reference_sum(pairs)
+        assert 0 not in s.terms.values()
+        assert list(s.terms.items()) == list(reference.items())
+        # whether a sum cancelled, so that the zero-dropping path ran
+        cancelled = len({el for el, _ in pairs}) > len(reference)
+        dropped[kind] = dropped.get(kind, 0) + cancelled
+
+    for _ in range(400):
+        s, t = cancelling_pair(rng)
+        before = (dict(s.terms), dict(t.terms))
+        a, b = list(s.terms.items()), list(t.terms.items())
+        check("+", s + t, a + b)
+        check("-", s - t, a + [(el, -c) for el, c in b])
+        check("neg", -s, [(el, -c) for el, c in a])
+        check("+", s + -s, a + [(el, -c) for el, c in a])
+        for n in (-2, -1, 0, 1, 3):
+            check("n*", n * s, [(el, n * c) for el, c in a])
+            check("n*", s * n, [(el, n * c) for el, c in a])
+        total = list((s + t).terms.items())
+        check("map", map_ensemble(lambda el: el % 3, s + t), [(el % 3, c) for el, c in total])
+        check(
+            "combine",
+            combining_product([s, t], lambda tup: sum(tup) % 4),
+            [((x + y) % 4, c * d) for x, c in a for y, d in b],
+        )
+        # the expansion keeps the zero sums it makes in the table it fills
+        start = {(x, y): rng.randint(-2, 2) for x in range(2) for y in range(2)}
+        want = dict(start)
+        for x, c in a:
+            for y, d in b:
+                want[(x, y)] = want.get((x, y), 0) - 2 * c * d
+        got = ensembles.expand_into(dict(start), [s.terms, t.terms], scale=-2)
+        assert list(got.items()) == list(want.items())
+        assert (dict(s.terms), dict(t.terms)) == before
+    assert all(dropped[kind] >= 10 for kind in ("+", "-", "n*", "map", "combine"))
+    assert dropped["neg"] == 0
+
+
+def test_operations_return_new_tables():
+    s = Ensemble({"a": 2, "b": -1})
+    for out in (s + Ensemble.zero(), s - Ensemble.zero(), 1 * s, -(-s)):
+        assert out == s and out.terms is not s.terms
+    assert (0 * s).terms == {} and (s * 0).terms == {}
+    assert s.__rmul__(1.5) is NotImplemented
+
+
 def test_membership_explicit_combination():
     g1 = Ensemble({"a": 1, "b": 1})
     g2 = Ensemble({"b": 1})
