@@ -1,11 +1,15 @@
 """Serialization of construction artifacts and their independent re-check.
 
-Artifacts reference simplicial objects by their labels, whose grammar
-:class:`fissile.wedge.WedgeContext` documents.  The checker rebuilds those
-objects from the manifest sizes through the context's label entry points,
-the same constructors the builder calls, revalidates every stored morphism
-table against them, and re-verifies all claims from file contents alone,
-never trusting the builder's bookkeeping.  The claims are evaluated by the
+A morphism record names its domain by a label, whose grammar
+:class:`fissile.wedge.WedgeContext` documents; nothing else in a dump is a
+label.  The checker rebuilds each domain from the manifest sizes through
+:meth:`~fissile.wedge.WedgeContext.obj`, the constructors the builder
+calls, and derives every other object from what it reads: a block's wedge
+is the wedge of the objects its parts' terms lie on, and a witness's space
+is its claim's, the space at J for a pair (F, J) and the full space for q.
+It revalidates every stored morphism table against those objects and
+re-verifies all claims from file contents alone, never trusting the
+builder's bookkeeping.  The claims are evaluated by the
 condition functions of :mod:`fissile.wedge` (``pair_checks`` and
 ``q_checks``), the same ones the builder evaluates while it constructs, so
 builder and checker cannot drift apart.
@@ -59,25 +63,22 @@ def _label_key(label):
     return label
 
 
-def resolve(lookup, label):
-    """``lookup(label)`` for a label read from a file, where lookup is one of
-    the context's label entry points (``WedgeContext.obj`` or
-    ``labelled_space``): a malformed label or one of an unknown kind is an
-    ArtifactError that names it.
+def resolve(ctx: WedgeContext, label):
+    """``ctx.obj(label)`` for a label read from a file: a malformed label
+    or one of an unknown kind is an ArtifactError that names it.
 
-    Each label is resolved once per context and lookup kind, in the
-    context's run table, keyed on the ``repr`` of the label as read.  That
-    is exact: the lookup is a function of the label, and two labels read
-    from JSON with one ``repr`` are one value.  A label that raises is not
-    stored, so it raises again on every call."""
-    key = ("resolve", lookup.__name__, repr(label))
-    return lookup.__self__.once(key, lambda: _resolve(lookup, label))
+    Each label is resolved once per context, in the context's run table,
+    keyed on the ``repr`` of the label as read.  That is exact: the object
+    is a function of the label, and two labels read from JSON with one
+    ``repr`` are one value.  A label that raises is not stored, so it
+    raises again on every call."""
+    return ctx.once(("resolve", repr(label)), lambda: _resolve(ctx, label))
 
 
-def _resolve(lookup, label):
+def _resolve(ctx, label):
     label = _label_key(label)
     try:
-        return lookup(label)
+        return ctx.obj(label)
     except (TypeError, IndexError, ValueError) as exc:
         raise ArtifactError(f"malformed label {label!r}: {exc}") from None
 
@@ -151,7 +152,7 @@ class MorphismStore:
         store = MorphismStore()
         for mid, rec in data.items():
             label, table = _fields(rec, "morphism record", "domain", "table")
-            dom = resolve(ctx.obj, label)
+            dom = resolve(ctx, label)
             rows, key = _id_rows(dom, _list(table, "morphism table"))
             if morph_id(["morphism", key]) != mid:
                 raise ArtifactError("morphism id does not match its table")
@@ -288,8 +289,6 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
             {
                 "coeff": c,
                 "f": store.ref(b.f),
-                "wedge": b.wedge_obj.label,
-                "space": b.space.label,
                 "parts": [
                     {
                         "level": p.level,
@@ -305,44 +304,39 @@ def witness_to_json(w: FiltrationWitness, store: MorphismStore):
     return {"level": w.level, "blocks": blocks}
 
 
-def witness_from_json(data, store: MorphismStore, ctx: WedgeContext):
-    """The witness written as data.  A block has one part per summand of
-    its wedge, in order: part j's terms lie on summand j and are valued in
-    the block's space, the space that the block's value lands in."""
+def witness_from_json(data, store: MorphismStore, ctx: WedgeContext, space):
+    """The witness written as data, claimed in the space.  Part j of a
+    block is a nonempty list of terms on one object, the block's summand j,
+    each valued in the space, whose actions are composed with it; the
+    block's wedge is the context's wedge of those summands, and its f must
+    map into it."""
     blocks, level = _fields(data, "witness", "blocks", "level")
     entries = []
     for b, brec in enumerate(_list(blocks, "blocks")):
-        wlabel, slabel, precs, fid, coeff = _fields(
-            brec, "block", "wedge", "space", "parts", "f", "coeff"
-        )
-        wedge_obj = resolve(ctx.obj, wlabel)
-        if wedge_obj.insertions is None:
-            raise ArtifactError(f"block wedge {wedge_obj.label!r} is not a wedge")
-        space = resolve(ctx.labelled_space, slabel)
-        precs = _list(precs, "parts")
-        if len(precs) != len(wedge_obj.insertions):
-            raise ArtifactError(
-                f"block {b} has {len(precs)} parts, but its wedge "
-                f"{wedge_obj.label!r} has {len(wedge_obj.insertions)} summands"
-            )
+        precs, fid, coeff = _fields(brec, "block", "parts", "f", "coeff")
         parts = []
-        for j, (prec, ins) in enumerate(zip(precs, wedge_obj.insertions)):
+        for j, prec in enumerate(_list(precs, "parts")):
             trecs, plevel = _fields(prec, "part", "terms", "level")
             terms = []
             for trec in _list(trecs, "terms"):
                 w, pi = _fields(trec, "term", "w", "pi")
                 # sets compare by identity, and every one comes from ctx
-                if store.domain(w) is not ins.domain:
+                if terms and store.domain(w) is not terms[0].morphism.domain:
                     raise ArtifactError(
-                        f"block {b} part {j} on {ins.domain.label!r} has a term "
-                        f"on {store.domain(w).label!r}"
+                        f"block {b} part {j} has terms on "
+                        f"{terms[0].morphism.domain.label!r} and on "
+                        f"{store.domain(w).label!r}"
                     )
-                # the space's actions are composed with w, so w lands in it
                 morphism = store.morph(w, space.obj, f"block {b} part {j} term")
-                terms.append(IdealTerm(pi=_pi_from_json(pi), morphism=morphism))
+                terms.append(IdealTerm(_pi_from_json(pi), morphism))
+            if not terms:
+                raise ArtifactError(f"block {b} part {j} has no terms")
             parts.append(BlockPart(_int(plevel, "part level"), terms))
+        if not parts:
+            raise ArtifactError(f"block {b} has no parts")
+        wedge_obj = ctx.wedge_of([p.terms[0].morphism.domain for p in parts])
         f = store.morph(fid, wedge_obj, f"block {b} decomposition")
-        entries.append((_int(coeff, "block coeff"), Block(f, wedge_obj, parts, space)))
+        entries.append((_int(coeff, "block coeff"), Block(f, parts)))
     return FiltrationWitness(_int(level, "witness level"), entries)
 
 
@@ -507,8 +501,11 @@ def check_pair_artifacts(in_dir):
     manifest, ctx, store = _open_dump(in_dir, "pair-construction")
     claims, pairs, witnesses = [], {}, {}
     for name in _list(manifest["pairs"], "manifest 'pairs'"):
-        if not isinstance(name, str):
-            raise ArtifactError(f"manifest pair file {name!r:.60} is not a string")
+        plain = type(name) is str and os.path.basename(name) == name
+        if not plain or name in ("", ".", ".."):
+            raise ArtifactError(
+                f"manifest pair file {name!r:.60} is not a file name in the dump"
+            )
         payload = _load(os.path.join(in_dir, name))
         face, subset, ens, wit = _fields(
             payload, name, "face", "subset", "ensemble", "alt_witness"
@@ -516,7 +513,9 @@ def check_pair_artifacts(in_dir):
         f, j = subset_key(_subset(face, "face")), subset_key(_subset(subset, "subset"))
         claims.append((f, j))
         pairs[(f, j)] = ensemble_from_json(ens, store, ctx.w_obj)
-        witnesses[(f, j)] = witness_from_json(wit, store, ctx)
+        # a J outside I is a claim-extra line, and has no space to read into
+        if set(j) <= set(ctx.i_set):
+            witnesses[(f, j)] = witness_from_json(wit, store, ctx, ctx.space(j))
     mismatches = _claim_mismatches(
         pair_claims(ctx.i_set, ctx.e_set), claims, lambda c: f"F={c[0]} J={c[1]}"
     )
@@ -539,11 +538,14 @@ def _read_q(path, store: MorphismStore, ctx: WedgeContext):
         _load(path), "q.json", "ensemble", "layouts", "boundary_witness"
     )
     q_ens = ensemble_from_json(ens, store, ctx.w_obj)
+    space = ctx.full_space
     layout_witnesses = []
     for entry in _list(layouts, "layouts"):
         layout, wit = _fields(entry, "layout entry", "layout", "witness")
-        layout_witnesses.append((_layout(layout), witness_from_json(wit, store, ctx)))
-    return q_ens, layout_witnesses, witness_from_json(bdata, store, ctx)
+        layout_witnesses.append(
+            (_layout(layout), witness_from_json(wit, store, ctx, space))
+        )
+    return q_ens, layout_witnesses, witness_from_json(bdata, store, ctx, space)
 
 
 def check_q_artifacts(in_dir):

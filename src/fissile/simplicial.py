@@ -105,11 +105,6 @@ class FiniteSimplicialSet:
         self.label = label
         self.insertions = None  # the summand insertions, on a wedge only
         self.gather = None  # the gluing plan of wedge_combine, on a wedge only
-        self._nondeg = None
-        self._nondeg_ids = None
-        self.level_key = None  # (id of the nondegenerate id levels, their count)
-        self._key_levels = None
-        self._ez = None
         self._face_forms = {}
 
     # -- structure access ------------------------------------------------
@@ -126,36 +121,49 @@ class FiniteSimplicialSet:
     def has(self, n, x):
         return x in self.level_sets[n]
 
+    # -- derived tables, each computed on its own first read ---------------
+
+    @cached_property
+    def _nondeg(self):
+        """The nondegenerate simplices, one tuple per dimension, in level
+        order."""
+        out = [tuple(self.simplices[0])]
+        for m in range(1, self.bound + 1):
+            degenerate = set()
+            for y in self.simplices[m - 1]:
+                degenerate.update(self.degens[m - 1][y])
+            out.append(tuple(x for x in self.simplices[m] if x not in degenerate))
+        return out
+
     def nondegenerate(self, n):
-        if self._nondeg is None:
-            self._nondeg = []
-            for m in range(self.bound + 1):
-                if m == 0:
-                    self._nondeg.append(tuple(self.simplices[0]))
-                    continue
-                degenerate = set()
-                for y in self.simplices[m - 1]:
-                    degenerate.update(self.degens[m - 1][y])
-                self._nondeg.append(
-                    tuple(x for x in self.simplices[m] if x not in degenerate)
-                )
-            # the row order of SMorphism.table_key
-            self._key_levels = tuple(
-                (m, self._nondeg[m])
-                for m in sorted(range(self.bound + 1), key=lambda m: f"{m},")
-            )
         return self._nondeg[n]
+
+    @cached_property
+    def _nondeg_ids(self):
+        return [intern_all(level) for level in self._nondeg]
 
     def nondegenerate_ids(self):
         """The ids of the nondegenerate simplices, one tuple per dimension in
-        the order of ``nondegenerate(n)``; also sets ``level_key``, which
-        leaves out trailing empty levels, as table keys do."""
-        if self._nondeg_ids is None:
-            self.nondegenerate(0)
-            ids = self._nondeg_ids = [intern_all(level) for level in self._nondeg]
-            dims = max((n + 1 for n, level in enumerate(ids) if level), default=0)
-            self.level_key = (_intern(tuple(ids[:dims])), dims)
+        the order of ``nondegenerate(n)``."""
         return self._nondeg_ids
+
+    @cached_property
+    def level_key(self):
+        """(id of the nondegenerate id levels, their count), leaving out
+        trailing empty levels, as table keys do."""
+        ids = self._nondeg_ids
+        dims = max((n + 1 for n, level in enumerate(ids) if level), default=0)
+        return _intern(tuple(ids[:dims])), dims
+
+    @cached_property
+    def _key_levels(self):
+        order = sorted(range(self.bound + 1), key=lambda m: f"{m},")
+        return tuple((m, self._nondeg[m]) for m in order)
+
+    def key_levels(self):
+        """(n, nondegenerate simplices) with n in the order of its text
+        followed by ",", the dimension order of ``SMorphism.table_key``."""
+        return self._key_levels
 
     def face_forms(self, n):
         """The normal form s_ops y of each face of each nondegenerate simplex
@@ -171,30 +179,26 @@ class FiniteSimplicialSet:
             ]
         return self._face_forms[n]
 
-    def key_levels(self):
-        """(n, nondegenerate simplices) with n in the order of its text
-        followed by ",", the dimension order of ``SMorphism.table_key``."""
-        self.nondegenerate(0)
-        return self._key_levels
+    @cached_property
+    def _ez(self):
+        ez = [{y: ((), 0, y) for y in self.simplices[0]}]
+        for m in range(1, self.bound + 1):
+            level = {}
+            for y in self.simplices[m - 1]:
+                ops, k, z = ez[m - 1][y]
+                for i, d in enumerate(self.degens[m - 1][y]):
+                    if d not in level or i < level[d][0][0]:
+                        level[d] = ((i,) + ops, k, z)
+            for y in self.simplices[m]:
+                level.setdefault(y, ((), m, y))
+            ez.append(level)
+        return ez
 
     def normal_forms(self, n):
         """The Eilenberg-Zilber normal form of every simplex of dimension n:
         x maps to (ops, m, y) with y nondegenerate of dimension m and
         x = s_{ops[0]} ... s_{ops[-1]} y, where ops[0] is the least i with x
         in the image of s_i."""
-        if self._ez is None:
-            ez = [{y: ((), 0, y) for y in self.simplices[0]}]
-            for m in range(1, self.bound + 1):
-                level = {}
-                for y in self.simplices[m - 1]:
-                    ops, k, z = ez[m - 1][y]
-                    for i, d in enumerate(self.degens[m - 1][y]):
-                        if d not in level or i < level[d][0][0]:
-                            level[d] = ((i,) + ops, k, z)
-                for y in self.simplices[m]:
-                    level.setdefault(y, ((), m, y))
-                ez.append(level)
-            self._ez = ez
         return self._ez[n]
 
     def is_based(self):

@@ -476,20 +476,20 @@ def suite_witnesses(max_i=3, cases=100, seed=0):
                 parts.append(BlockPart(level, [term]))
             wobj = wedge(domains)
             f = rng.choice(enumerate_based_morphisms(t_obj, wobj))
-            entries.append((rng.choice((-2, -1, 1, 2)), Block(f, wobj, parts, space)))
+            entries.append((rng.choice((-2, -1, 1, 2)), Block(f, parts)))
         return FiltrationWitness(min(b.rank() for _c, b in entries), entries)
 
-    def holds(v, w, level):
+    def holds(v, w, level, space=space):
         # zero blocks dropped first, by the builder's own rule
         scope = PairScope()
         return bool(
-            verify_witness(v, drop_zero_blocks(w, scope), level, ctx.monoid, scope)
+            verify_witness(v, drop_zero_blocks(w, space, scope), level, space, scope)
         )
 
     ok = True
     for _ in range(cases):
         w = random_witness(t_big, pool_big)
-        v = w.value()
+        v = w.value(space)
         ok = ok and holds(v, w, w.level)
         k = rng.choice(restrictors)
         wr = restrict_witness(w, k)
@@ -498,19 +498,20 @@ def suite_witnesses(max_i=3, cases=100, seed=0):
         h = space.action[key]
         wm = map_witness(w, h, space, space)
         ok = ok and holds(map_ensemble(lambda m: compose(h, m), v), wm, w.level)
-        wc = cone_witness(w, ctx)
+        wc = cone_witness(w, space, ctx)
         red_t = ctx.reduced_domain(t_big)
         red_space = ctx.reduced_space(space)
         ok = ok and holds(
             map_ensemble(lambda m: reduced_cone_map(m, red_t, red_space[1]), v),
             wc,
             w.level,
+            red_space[0],
         )
         w2 = random_witness(t_big, pool_big)
         wobj = wedge([t_big, t_big])
         ww = wedge_witness([w, w2], wobj, ctx)
         ok = ok and holds(
-            combine_over_wedge(wobj, [v, w2.value()]), ww, w.level + w2.level
+            combine_over_wedge(wobj, [v, w2.value(space)]), ww, w.level + w2.level
         )
     yield {"check": "transforms-preserve-validity", "cases": cases}, ok
 

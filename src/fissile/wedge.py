@@ -110,26 +110,20 @@ class WedgeContext:
     nondegenerate simplices within the stored levels.
 
     Artifacts name objects by their labels, nested tuples whose first entry
-    is the kind; :meth:`obj` and :meth:`labelled_space` rebuild an object
-    from its label through the same constructors the builder calls, so a
-    label resolves to the very object that carries it.  A layout or subset
-    in a label may come in any order.  The object labels are
+    is the kind; :meth:`obj` rebuilds an object from its label through the
+    same constructors the builder calls, so a label resolves to the very
+    object that carries it.  A layout or subset in a label may come in any
+    order.  The labels read from files are the domains of morphism records:
 
     - ``("conelayout", b)``: the coned subdivision of the layout b;
     - ``("plusbase", f)``: the based subdivision of the face f in its cone;
     - ``("point",)``: the one-vertex domain of constant witnesses;
-    - ``("WL", l)``: the wedge of the components at subsets of l, where l
-      is a subset of the context's index set I; at l = I it is the full
-      wedge, one object;
-    - ``("redcone", x)``: the reduced cone of the object labelled x, or of
-      the object of the space labelled x when x is of a space kind;
-    - ``("wedge", (x, ...))``: the wedge of the objects so labelled, which
-      carries the insertions of its summands; there is one wedge, and one
-      label, per tuple of summands.
+    - ``("redcone", x)``: the reduced cone of the object labelled x.
 
-    The space labels are ``("WL", l)`` for the space at l, the full space
-    at l = I, and ``("redcone", x)`` for the reduced cone of the space
-    labelled x.
+    Every other object is named by what reads it, never by a label: a
+    wedge, ``("wedge", labels)``, is :meth:`wedge_of` its summands, and the
+    space at l, whose object is labelled ``("WL", l)``, is :meth:`space`
+    of l; at l = I it is the full space, one object.
 
     An entry is keyed by its kind and arguments, by the rule of
     :func:`~fissile.witnesses.once`: a labelled object by its label, the
@@ -153,7 +147,7 @@ class WedgeContext:
         parts = [self.towers[j].susp for j in self.components]
         self.w_obj = wedge(parts, label=("WL", self.i_set))
         action = {k: self._action_table(k) for k in self.monoid.elements}
-        self.full_space = PSpace(self.w_obj, self.monoid, action, ("WL", self.i_set))
+        self.full_space = PSpace(self.w_obj, self.monoid, action)
 
     # -- objects from their labels -----------------------------------------
 
@@ -170,26 +164,9 @@ class WedgeContext:
                 return self.plus_base_of(f)
             case ("point",):
                 return self.point_obj()
-            case ("WL", l_key) if self._within_index_set(l_key):
-                return self.sub_obj(l_key)
             case ("redcone", inner):
                 return self.reduced_domain(self.obj(inner))[0]
-            case ("wedge", (*inners,)):
-                return self.wedge_of([self.obj(x) for x in inners])
         raise TypeError(f"{label!r} names no object")
-
-    def labelled_space(self, label) -> PSpace:
-        """The space that carries this label (see the class docstring)."""
-        match label:
-            case ("WL", l_key) if self._within_index_set(l_key):
-                return self.space(l_key)
-            case ("redcone", inner):
-                return self.reduced_space(self.labelled_space(inner))[0]
-        raise TypeError(f"{label!r} names no space")
-
-    def _within_index_set(self, l_key):
-        """Whether a label's subset lies within this context's index set."""
-        return set(subset_key(l_key)) <= set(self.i_set)
 
     # -- wedges and reduced cones of given objects -------------------------
 
@@ -219,10 +196,7 @@ class WedgeContext:
             k: scope.reduced_cone_map(space.action[k], red, red)
             for k in self.monoid.elements
         }
-        cspace = PSpace(
-            red[0], self.monoid, action, label=("redcone", space.label), check=False
-        )
-        return cspace, red
+        return PSpace(red[0], self.monoid, action, check=False), red
 
     # -- component plumbing --------------------------------------------
 
@@ -385,17 +359,15 @@ class WedgeContext:
         wobj = self.wedge_of([pt])
         f = constant_morphism(t_obj, wobj, wobj.basepoint)
         part = BlockPart(level=0, terms=[IdealTerm(singleton(self.i_set), const)])
-        block = Block(f=f, wedge_obj=wobj, parts=[part], space=space)
-        return FiltrationWitness(0, [(1, block)])
+        return FiltrationWitness(0, [(1, Block(f, [part]))])
 
     def omega_witness(self, j, f) -> FiltrationWitness:
         """Witness for omega(j) . <xi(j, f)> in the space at j, as one block
         of rank |j| over the based subdivision of the face f."""
-        morphism, space = self.xi(j, f), self.space(j)
+        morphism = self.xi(j, f)
         wobj = self.wedge_of([morphism.domain])
         part = BlockPart(level=len(j), terms=[IdealTerm(omega(j), morphism)])
-        block = Block(f=wobj.insertions[0], wedge_obj=wobj, parts=[part], space=space)
-        return FiltrationWitness(len(j), [(1, block)])
+        return FiltrationWitness(len(j), [(1, Block(wobj.insertions[0], [part]))])
 
 
 def restrict_ensemble(s: Ensemble, k: SMorphism) -> Ensemble:
@@ -456,7 +428,7 @@ def cover_witness(ctx, b, cover_fns, witness_at, space, level, scope):
             inc = inclusion(small.obj, space.obj)
             w = compact_witness(witness_at(g, k))
             pushed = compact_witness(map_witness(w, inc, small, space, scope))
-            return drop_zero_blocks(pushed, scope)
+            return drop_zero_blocks(pushed, space, scope)
 
         return scope.once(("factor", witness_at, space, g, k), build)
 
@@ -553,7 +525,7 @@ def pair_checks(ctx: WedgeContext, p, f, j, alt_witness, scope=None):
         f"the restrictions to the layouts {bad} are not their glued products"
     )
     yield f"alternating-sum-witness {tag}", verify_witness(
-        alternating_sum(p, f, j), alt_witness, len(j), ctx.monoid, scope
+        alternating_sum(p, f, j), alt_witness, len(j), ctx.space(j), scope
     )
 
 
@@ -572,11 +544,11 @@ def q_checks(
     )
     for a, wit in layout_witnesses:
         yield f"layout-defect-witness A={a}", verify_witness(
-            layout_defect(ctx, q, a, scope), wit, level, ctx.monoid, scope
+            layout_defect(ctx, q, a, scope), wit, level, ctx.full_space, scope
         )
     boundary = boundary_defect(ctx, q, ctx.e_set, ctx.i_set)
     yield "boundary-witness", verify_witness(
-        boundary, boundary_witness, level, ctx.monoid, scope
+        boundary, boundary_witness, level, ctx.full_space, scope
     )
 
 
@@ -676,6 +648,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
         compact_witness(
             extend_to(top, punctured, along(restrict_witness, ctx.retraction), v_wits)
         ),
+        space_j,
         scope,
     )
 
@@ -683,7 +656,9 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
     r_ens = proper_alternating_sum(p, f, j) + u_lift
     delta = boundary_defect(ctx, r_ens, f, j)
     delta_wit = drop_zero_blocks(
-        ctx.omega_witness(j, f) - restrict_witness(u_wit, ctx.base_inclusion(f)), scope
+        ctx.omega_witness(j, f) - restrict_witness(u_wit, ctx.base_inclusion(f)),
+        space_j,
+        scope,
     )
 
     letter = sorted(set(ctx.i_set) - set(j))[0]
@@ -691,7 +666,7 @@ def _construct_pair(ctx: WedgeContext, pairs, f, j) -> PairRecord:
 
     chi_wit = restrict_witness(
         map_witness(
-            cone_witness(delta_wit, ctx, scope),
+            cone_witness(delta_wit, space_j, ctx, scope),
             ctx.contraction(j, letter),
             ctx.reduced_space(space_j)[0],
             space_j,

@@ -29,17 +29,16 @@ from .simplicial import (
 class PSpace:
     """A based simplicial set together with a subset-monoid action on it."""
 
-    def __init__(self, obj, monoid: SubsetMonoid, action, label=None, check=True):
+    def __init__(self, obj, monoid: SubsetMonoid, action, check=True):
         self.obj = obj
         self.monoid = monoid
         self.action = dict(action)
-        self.label = label if label is not None else obj.label
         if check:
             self._validate()
 
     def _fail(self, check, k):
         raise SimplicialError(
-            f"space {self.label!r}: {check} at the monoid element {k!r}"
+            f"space {self.obj.label!r}: {check} at the monoid element {k!r}"
         )
 
     def _validate(self):
@@ -70,9 +69,9 @@ class IdealTerm:
 
 class BlockPart:
     """Part j of a block: terms on summand j of the block's wedge, each
-    valued in the block's space, whose pi lie in the ideal at the part's
-    level.  The summand and the space are its block's, so a part holds
-    neither."""
+    valued in the claim's space, whose pi lie in the ideal at the part's
+    level.  The summand is its block's and the space its claim's, so a part
+    holds neither."""
 
     def __init__(self, level: int, terms: list):
         self.level, self.terms = level, terms
@@ -111,22 +110,30 @@ class BlockPart:
 
 
 class Block:
-    """An integer block: f from T into a wedge (which carries the insertions
-    of its summands), part j on summand j, and the space the parts map to."""
+    """An integer block: f from T into a wedge, which carries the insertions
+    of its summands, and part j on summand j.  The space the parts map to is
+    the one the block's claim names, so a block holds no space, and its
+    wedge is f's codomain."""
 
-    __slots__ = ("f", "wedge_obj", "parts", "space")
+    __slots__ = ("f", "parts")
 
-    def __init__(self, f: SMorphism, wedge_obj, parts: list, space: PSpace):
-        self.f, self.wedge_obj, self.parts, self.space = f, wedge_obj, parts, space
+    def __init__(self, f: SMorphism, parts: list):
+        self.f, self.parts = f, parts
+
+    @property
+    def wedge(self):
+        return self.f.codomain
 
     def rank(self):
         return sum(p.level for p in self.parts)
 
-    def value(self, scope=None) -> Ensemble:
-        """The glued product of the parts, from the scope, each term
-        precomposed with f.  The one definition of a block's value."""
+    def value(self, space: PSpace, scope=None) -> Ensemble:
+        """The glued product of the parts in the space, from the scope, each
+        term precomposed with f.  The one definition of a block's value."""
         scope = scope or PairScope()
-        return map_ensemble(lambda g: compose(g, self.f), scope.glued_product(self))
+        return map_ensemble(
+            lambda g: compose(g, self.f), scope.glued_product(self, space)
+        )
 
 
 def once(table, key, build):
@@ -164,9 +171,9 @@ class PairScope:
     key holds.  ``compose(g, f)`` reads g's objects and rows and f's domain
     and rows; a membership decision reads the monoid, the level and the pi
     items.  Two blocks whose glued products share a key have the same
-    wedge, the same space and parts whose terms have the same pi items and
-    equal morphisms on the same objects, so their part values, and the
-    gluings of every tuple of them, are the same.
+    wedge, are evaluated in the same space and have parts whose terms have
+    the same pi items and equal morphisms on the same objects, so their
+    part values, and the gluings of every tuple of them, are the same.
     """
 
     def __init__(self):
@@ -203,13 +210,13 @@ class PairScope:
         key = ("equivariant", *_named(h), src, dst)
         once(self._table, key, lambda: check_equivariant(h, src, dst))
 
-    def glued_product(self, block: Block) -> Ensemble:
+    def glued_product(self, block: Block, space: PSpace) -> Ensemble:
         """The combining product of the block's part values, each tuple glued
-        by ``wedge_combine`` into the block space: the block's value before
-        the precomposition with its f.  Keyed on the wedge, the block's
-        space and, per part, the pi items and morphism of each term (see
-        the class docstring)."""
-        wobj, space, parts = block.wedge_obj, block.space, block.parts
+        by ``wedge_combine`` into the space: the block's value before the
+        precomposition with its f.  Keyed on the wedge, the space and, per
+        part, the pi items and morphism of each term (see the class
+        docstring)."""
+        wobj, parts = block.wedge, block.parts
 
         def term(t):
             return tuple(t.pi.terms.items()), *_named(t.morphism)
@@ -232,16 +239,16 @@ class FiltrationWitness:
         self.level = level
         self.entries = [] if entries is None else entries  # (coeff, Block)
 
-    def value(self, scope=None) -> Ensemble:
-        return self.evaluate(scope or PairScope())[0]
+    def value(self, space: PSpace, scope=None) -> Ensemble:
+        return self.evaluate(space, scope or PairScope())[0]
 
-    def evaluate(self, scope: PairScope):
-        """The sum of c * (block value) over the entries, each block
-        evaluated once through the scope and streamed into one table, and
-        the index of the first block that is zero on its own, or None."""
+    def evaluate(self, space: PSpace, scope: PairScope):
+        """The sum of c * (block value in the space) over the entries, each
+        block evaluated once through the scope and streamed into one table,
+        and the index of the first block that is zero on its own, or None."""
         total, zero = {}, None
         for b, (c, block) in enumerate(self.entries):
-            value = block.value(scope)
+            value = block.value(space, scope)
             if not value and zero is None:
                 zero = b
             for el, d in value.terms.items():
@@ -286,12 +293,16 @@ def compact_witness(w: FiltrationWitness) -> FiltrationWitness:
     return FiltrationWitness(w.level, [(c, b) for c, b in merged.values() if c])
 
 
-def drop_zero_blocks(w: FiltrationWitness, scope: PairScope) -> FiltrationWitness:
-    """The entries of w, in order, whose blocks are not zero on their own,
-    each evaluated through the scope: a zero block's glued product cancels
-    once precomposed with its f.  It adds nothing to the witness's value, so
-    this leaves the value and every kept block's rank as they were."""
-    return FiltrationWitness(w.level, [(c, b) for c, b in w.entries if b.value(scope)])
+def drop_zero_blocks(
+    w: FiltrationWitness, space: PSpace, scope: PairScope
+) -> FiltrationWitness:
+    """The entries of w, in order, whose blocks are not zero on their own in
+    the space, each evaluated through the scope: a zero block's glued
+    product cancels once precomposed with its f.  It adds nothing to the
+    witness's value, so this leaves the value and every kept block's rank
+    as they were."""
+    entries = [(c, b) for c, b in w.entries if b.value(space, scope)]
+    return FiltrationWitness(w.level, entries)
 
 
 class WitnessReport:
@@ -307,20 +318,22 @@ class WitnessReport:
 
 
 def verify_witness(
-    v: Ensemble, w: FiltrationWitness, s: int, monoid, scope: PairScope = None
+    v: Ensemble, w: FiltrationWitness, s: int, space: PSpace, scope: PairScope = None
 ):
-    """True when a witness holds from its own data, else the failed
-    WitnessReport: block ranks, each part's pi terms in the ideal at the
-    part's level (:meth:`BlockPart.in_ideal`), based decompositions, the
-    evaluated combination, and no block zero on its own, each through the
-    scope.  Every block's rank must reach the witness's own level, which
-    must reach s; a witness with no blocks holds at any level.
+    """True when a witness holds in the claim's space from its own data,
+    else the failed WitnessReport: block ranks, each part's pi terms in the
+    ideal of the space's monoid at the part's level
+    (:meth:`BlockPart.in_ideal`), based decompositions, the evaluated
+    combination, and no block zero on its own, each through the scope.
+    Every block's rank must reach the witness's own level, which must reach
+    s; a witness with no blocks holds at any level.
 
     Each block is evaluated once (:meth:`FiltrationWitness.evaluate`); a
     sum mismatch is reported ahead of a zero block.  The builder
     drops zero blocks where restrictions create them, so a witness it
     writes holds none, and every field of a block is load-bearing."""
     scope = scope if scope is not None else PairScope()
+    monoid = space.monoid
     if w.level < s:
         return WitnessReport(f"witness level {w.level} below requested {s}")
     for b, (_c, block) in enumerate(w.entries):
@@ -335,7 +348,7 @@ def verify_witness(
                 )
         if not block.f.is_based():
             return WitnessReport("wedge decomposition is not based")
-    total, zero = w.evaluate(scope)
+    total, zero = w.evaluate(space, scope)
     if total != v:
         return WitnessReport("sum mismatch")
     if zero is not None:
@@ -350,9 +363,7 @@ def restrict_witness(w: FiltrationWitness, k: SMorphism) -> FiltrationWitness:
     """Precompose the wedge decompositions with a based morphism into the
     old domain; parts and ranks are untouched."""
     require_based(k, "restriction")
-    entries = [
-        (c, Block(compose(b.f, k), b.wedge_obj, b.parts, b.space)) for c, b in w.entries
-    ]
+    entries = [(c, Block(compose(b.f, k), b.parts)) for c, b in w.entries]
     return FiltrationWitness(w.level, entries)
 
 
@@ -387,14 +398,13 @@ def map_witness(
         for p in b.parts:
             terms = [IdealTerm(t.pi, compose(h, t.morphism)) for t in p.terms]
             parts.append(BlockPart(p.level, terms))
-        entries.append(
-            (c, Block(f=b.f, wedge_obj=b.wedge_obj, parts=parts, space=dst))
-        )
+        entries.append((c, Block(b.f, parts)))
     return FiltrationWitness(w.level, entries)
 
 
-def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
-    """Transport a witness through the reduced-cone functor.
+def cone_witness(w: FiltrationWitness, space: PSpace, ctx, scope=None):
+    """Transport a witness in the space through the reduced-cone functor,
+    into the space's reduced cone.
 
     Each part morphism is coned; the new wedge decomposition is the cone of
     the old one, straightened through the canonical isomorphism between the
@@ -403,12 +413,13 @@ def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
     from the run's context.
     """
     scope = scope if scope is not None else PairScope()
+    red_z = ctx.reduced_space(space)[1]
     entries = []
     for c, b in w.entries:
-        insertions = b.wedge_obj.insertions
+        insertions = b.wedge.insertions
         red_parts = [ctx.reduced_domain(ins.domain) for ins in insertions]
         new_wedge = ctx.wedge_of([r[0] for r in red_parts])
-        red_w = ctx.reduced_domain(b.wedge_obj)
+        red_w = ctx.reduced_domain(b.wedge)
         coned = tuple(
             scope.reduced_cone_map(ins, red, red_w)
             for ins, red in zip(insertions, red_parts)
@@ -416,8 +427,6 @@ def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
         e_inv = scope.straightening(new_wedge, coned, red_w)
         red_t = ctx.reduced_domain(b.f.domain)
         cf = scope.reduced_cone_map(b.f, red_t, red_w)
-        g = compose(e_inv, cf)
-        cspace, red_z = ctx.reduced_space(b.space)
         parts = []
         for p, red in zip(b.parts, red_parts):
             terms = [
@@ -425,7 +434,7 @@ def cone_witness(w: FiltrationWitness, ctx, scope=None) -> FiltrationWitness:
                 for t in p.terms
             ]
             parts.append(BlockPart(p.level, terms))
-        entries.append((c, Block(f=g, wedge_obj=new_wedge, parts=parts, space=cspace)))
+        entries.append((c, Block(compose(e_inv, cf), parts)))
     return FiltrationWitness(w.level, entries)
 
 
@@ -437,9 +446,8 @@ def wedge_witness(witnesses, wedge_obj, ctx) -> FiltrationWitness:
     summands comes from the run's context.  The new decomposition glues,
     over the wedge, the f of each chosen block moved into its slice of the
     concatenated wedge by the context's ``summand_shift``.  It reads, of each
-    chosen block, only the table of f and its wedge, so within this call it
-    is built and validated once per distinct (concatenated wedge, per-slot
-    wedge and f).
+    chosen block, only f, so within this call it is built and validated once
+    per distinct (concatenated wedge, per-slot wedge and f).
     """
     total_level = sum(w.level for w in witnesses)
     combos = [(1, [])]
@@ -453,18 +461,18 @@ def wedge_witness(witnesses, wedge_obj, ctx) -> FiltrationWitness:
     entries = []
     for c, blocks in combos:
         flat_parts = [p for b in blocks for p in b.parts]
-        summands = [ins.domain for b in blocks for ins in b.wedge_obj.insertions]
+        summands = [ins.domain for b in blocks for ins in b.wedge.insertions]
         flat_wedge = ctx.wedge_of(summands)
-        key = (flat_wedge,) + tuple((b.wedge_obj, b.f) for b in blocks)
+        key = (flat_wedge,) + tuple((b.wedge, b.f) for b in blocks)
         f_new = decompositions.get(key)
         if f_new is None:
             moved, start = [], 0
             for b in blocks:
-                shift = ctx.summand_shift(b.wedge_obj, flat_wedge, start)
+                shift = ctx.summand_shift(b.wedge, flat_wedge, start)
                 moved.append(compose(shift, b.f))
-                start += len(b.wedge_obj.insertions)
+                start += len(b.wedge.insertions)
             f_new = decompositions[key] = wedge_combine(wedge_obj, moved)
-        entries.append((c, Block(f_new, flat_wedge, flat_parts, blocks[0].space)))
+        entries.append((c, Block(f_new, flat_parts)))
     return FiltrationWitness(total_level, entries)
 
 

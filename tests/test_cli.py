@@ -304,9 +304,8 @@ MALFORMED_LABELS = [
 @pytest.mark.parametrize("label", MALFORMED_LABELS, ids=json.dumps)
 def test_malformed_label_is_an_artifact_error(label):
     ctx = WedgeContext((1,), (1,))
-    for lookup in (ctx.obj, ctx.labelled_space):
-        with pytest.raises(ArtifactError):
-            resolve(lookup, label)
+    with pytest.raises(ArtifactError):
+        resolve(ctx, label)
 
 
 @pytest.mark.optimized
@@ -314,35 +313,28 @@ def test_malformed_label_is_an_artifact_error(label):
     "label", [("WL", (7, 8)), ("Wx", (7, 8)), ("WL", (1, 5)), ("W", (1, 2))]
 )
 def test_label_of_another_index_set_is_rejected(label):
-    # the full wedge has the one label ("WL", I); ("W", I) names nothing
+    # no label names a wedge at l or the full wedge: a space is its claim's,
+    # so ("WL", l) names nothing, for l within I or not, nor does ("W", I)
     ctx = WedgeContext((1, 2), (1,))
-    for lookup in (ctx.obj, ctx.labelled_space):
+    for wl in (label, ("WL", (2, 1)), ("WL", (2,))):
         with pytest.raises(TypeError):
-            lookup(label)
+            ctx.obj(wl)
         with pytest.raises(ArtifactError):
-            resolve(lookup, label)
-    # the context's own index set and its subsets resolve in any order
-    assert ctx.obj(("WL", (2, 1))) is ctx.w_obj is ctx.sub_obj((1, 2))
-    assert ctx.labelled_space(("WL", (2, 1))) is ctx.full_space
-    assert ctx.labelled_space(("WL", (2,))) is ctx.space((2,))
+            resolve(ctx, wl)
+    # the context's own index set and its subsets name spaces in any order
+    assert ctx.space((2, 1)) is ctx.full_space and ctx.full_space.obj is ctx.w_obj
 
 
-def _relabel_block_spaces(node, label):
-    """Rewrite the space label of every witness block under node."""
-    if isinstance(node, dict):
-        if "parts" in node and "space" in node:
-            node["space"] = label
-        for child in node.values():
-            _relabel_block_spaces(child, label)
-    elif isinstance(node, list):
-        for child in node:
-            _relabel_block_spaces(child, label)
+def _put_on_blocks(node, key, value):
+    """Put ``key: value`` on every witness block under node."""
+    for block in list(_blocks(node)):
+        block[key] = value
 
 
 def _blocks(node):
     """Every witness block under node."""
     if isinstance(node, dict):
-        if "parts" in node and "wedge" in node:
+        if "parts" in node and "f" in node:
             yield node
         for child in node.values():
             yield from _blocks(child)
@@ -356,6 +348,8 @@ def _blocks(node):
     "label", [["point"], ["plusbase", [1]]], ids=["point", "plusbase"]
 )
 def test_check_rejects_block_wedge_that_is_no_wedge(tmp_path, kind, label):
+    # a block's wedge is derived from its parts, so a written one, a wedge
+    # or not, is a field the checker does not read
     out = tmp_path / kind
     run_cli([f"construct-{kind}", "--i", "2", "--e", "1", "--out", str(out)])
     files = [out / "q.json"] if kind == "q" else sorted(out.glob("pair_*.json"))
@@ -368,7 +362,9 @@ def test_check_rejects_block_wedge_that_is_no_wedge(tmp_path, kind, label):
     (line,) = out_text.strip().splitlines()
     report = json.loads(line)
     assert report["verdict"] == "fail"
-    assert "is not a wedge" in report["case"]["check"]
+    assert report["case"]["check"] == (
+        "artifact-structure (block has the field 'wedge', which is not read)"
+    )
     assert "Traceback" not in err
 
 
@@ -653,15 +649,17 @@ def test_check_q_passes_a_witness_without_blocks_at_any_level(dumps, tmp_path):
 
 
 def _one_in_summand_domain_as(value):
-    """An edit of the domain label of the first block's one summand, inside
-    the block's wedge label."""
+    """An edit of the domain label of the record of the first block's first
+    term, the block's first summand."""
 
     def edit(in_dir):
         data = json.loads((in_dir / "q.json").read_text())
-        block = next(_blocks(data))
-        assert block["wedge"] == ["wedge", [["plusbase", [1]]]]
-        block["wedge"] = ["wedge", [["plusbase", [value]]]]
-        (in_dir / "q.json").write_text(json.dumps(data))
+        term = next(_blocks(data))["parts"][0]["terms"][0]
+        morphisms = json.loads((in_dir / "morphisms.json").read_text())
+        rec = morphisms[term["w"]]
+        assert rec["domain"] == ["plusbase", [1]]
+        rec["domain"] = ["plusbase", [value]]
+        (in_dir / "morphisms.json").write_text(json.dumps(morphisms))
 
     return edit
 
@@ -706,7 +704,8 @@ def test_check_q_rejects_a_label_atom_other_than_a_str_or_int(
 
 def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
     # every term of every pair file, its morphism swapped for each stored
-    # morphism on another domain than the term's part
+    # morphism on another domain than the term's part; every part here has
+    # one term, so the swap moves the part to another summand
     in_dir = tmp_path / "dump"
     shutil.copytree(dumps / "pj1", in_dir)
     morphisms = json.loads((in_dir / "morphisms.json").read_text())
@@ -716,7 +715,8 @@ def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
         data = json.loads(original)
         for b, block in enumerate(_blocks(data)):
             for j, part in enumerate(block["parts"]):
-                summand = _summands(block)[j]
+                summand = morphisms[part["terms"][0]["w"]]["domain"]
+                assert len(part["terms"]) == 1
                 for term in part["terms"]:
                     was = term["w"]
                     assert morphisms[was]["domain"] == summand
@@ -730,8 +730,15 @@ def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
                         (line,) = out.strip().splitlines()
                         report = json.loads(line)
                         assert report["verdict"] == "fail"
-                        assert report["case"]["check"].startswith(
-                            f"artifact-structure (block {b} part {j} on "
+                        # the term no longer lands in the pair's space, f no
+                        # longer maps into the wedge of the new summands, or
+                        # it does (a constant f maps into every wedge) and
+                        # the swapped-out record is left unused
+                        assert re.match(
+                            rf"artifact-structure \((block {b} (part {j} term|"
+                            r"decomposition) is not a morphism into |morphism "
+                            r"record \S+ is used by no reference\))",
+                            report["case"]["check"],
                         )
                         cases += 1
                     term["w"] = was
@@ -741,41 +748,149 @@ def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
 
 @pytest.mark.optimized
 @pytest.mark.parametrize(
-    "summands, message",
-    [
-        (lambda ds: ds[:1], "block {b} has 2 parts, but its wedge {w!r} has 1 summands"),
-        (lambda ds: ds[::-1], "block {b} part 0 on {d1!r} has a term on {d0!r}"),
-        (lambda ds: ds + ds[:1], "block {b} has 2 parts, but its wedge {w!r} has 3 summands"),
-    ],
+    "parts",
+    [lambda ps: ps[:1], lambda ps: ps[::-1], lambda ps: ps + ps[:1]],
     ids=["first", "reversed", "one-more-summand"],
 )
-def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, summands, message):
-    # a two-part block over the wedge of its first summand alone, of its
-    # summands in the other order, or of one summand more: a block holds
-    # one part per summand, and part j's terms lie on summand j
+def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, parts):
+    # a two-part block with its first part alone, its parts in the other
+    # order, or its first part once more: a block's wedge is the wedge of
+    # its parts' summands, in order, and its f must map into it
     in_dir = tmp_path / "dump"
     shutil.copytree(dumps / "q2", in_dir)
     data = json.loads((in_dir / "q.json").read_text())
-    witnesses = [e["witness"] for e in data["layouts"]] + [data["boundary_witness"]]
-    b, block = next(
-        (b, blk)
-        for w in witnesses
+    witnesses = [
+        (f"layout-defect-witness A={_tuples(e['layout'])}", e["witness"])
+        for e in data["layouts"]
+    ]
+    witnesses.append(("boundary-witness", data["boundary_witness"]))
+    name, b, block = next(
+        (name, b, blk)
+        for name, w in witnesses
         for b, blk in enumerate(w["blocks"])
         if len(blk["parts"]) == 2
     )
-    domains = _summands(block)
-    assert domains[0] != domains[1]
-    block["wedge"] = ["wedge", summands(domains)]
+    morphisms = json.loads((in_dir / "morphisms.json").read_text())
+    summands = [_tuples(morphisms[p["terms"][0]["w"]]["domain"]) for p in block["parts"]]
+    assert summands[0] != summands[1]
+    block["parts"] = parts(block["parts"])
     (in_dir / "q.json").write_text(json.dumps(data))
     rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
-    assert rc == 1
+    assert rc == 1 and "Traceback" not in err
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    failed = [r for r in reports if r["verdict"] == "fail"]
+    if len(block["parts"]) == 3:
+        # f maps into the wider wedge too, missing its last summand, so the
+        # block's value is scaled by the sum of that part's coefficients
+        assert len(reports) == 7
+        assert [(r["case"]["check"], r["diagnostic"]) for r in failed] == [
+            (name, "sum mismatch")
+        ]
+        return
+    wedge_label = ("wedge", tuple(parts(summands)))
+    assert len(reports) == 1
+    assert failed[0]["case"]["check"].startswith(
+        f"artifact-structure (block {b} decomposition is not a morphism into "
+        f"{wedge_label!r}: "
+    )
+
+
+def _no_terms(block, other):
+    block["parts"][0]["terms"] = []
+    return "block {b} part 0 has no terms"
+
+
+def _terms_on_two_objects(block, other):
+    block["parts"][0]["terms"].append(dict(block["parts"][0]["terms"][0], w=other))
+    return "block {b} part 0 has terms on {d0!r} and on {d1!r}"
+
+
+def _no_parts(block, other):
+    block["parts"] = []
+    return "block {b} has no parts"
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize(
+    "edit",
+    [_no_terms, _terms_on_two_objects, _no_parts],
+    ids=["no-terms", "two-objects", "no-parts"],
+)
+def test_check_rejects_a_part_on_no_one_summand(dumps, tmp_path, edit):
+    # a block's wedge is read from its parts, each the summand its terms lie
+    # on: a part with no terms, or with terms on two objects, names no one
+    # summand, and a block with no parts no wedge
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "q2", in_dir)
+    data = json.loads((in_dir / "q.json").read_text())
+    morphisms = json.loads((in_dir / "morphisms.json").read_text())
+    witnesses = [e["witness"] for e in data["layouts"]] + [data["boundary_witness"]]
+    b, block = next((b, blk) for w in witnesses for b, blk in enumerate(w["blocks"]))
+    d0 = _summands(morphisms, block)[0]
+    other = next(mid for mid, rec in sorted(morphisms.items()) if rec["domain"] != d0)
+    d0, d1 = _tuples(d0), _tuples(morphisms[other]["domain"])
+    message = edit(block, other).format(b=b, d0=d0, d1=d1)
+    (in_dir / "q.json").write_text(json.dumps(data))
+    rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
     (line,) = out.strip().splitlines()
     report = json.loads(line)
     assert report["verdict"] == "fail"
-    d0, d1 = map(_tuples, domains)
-    expected = message.format(b=b, w=_tuples(block["wedge"]), d0=d0, d1=d1)
-    assert report["case"]["check"] == f"artifact-structure ({expected})"
-    assert "Traceback" not in err
+    assert report["case"]["check"] == f"artifact-structure ({message})"
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize(
+    "name",
+    ["../b/pair_F1_J1.json", "b/pair_F1_J1.json", "./pair_F1_J1.json", ".", "..", ""],
+)
+def test_check_pj_reads_pair_files_only_from_its_dump(dumps, tmp_path, name):
+    # a pair file moved out of the dump, to a sibling directory or into a
+    # subdirectory, and named there by the manifest: the claims of a dump
+    # are its own files, so a name that is not a plain file name in the
+    # dump directory is refused, whatever it points at
+    in_dir = tmp_path / "a"
+    shutil.copytree(dumps / "pj1", in_dir)
+    for where in (tmp_path / "b", in_dir / "b"):
+        where.mkdir()
+        shutil.copy(in_dir / "pair_F1_J1.json", where / "pair_F1_J1.json")
+    (in_dir / "pair_F1_J1.json").unlink()
+    manifest = json.loads((in_dir / "manifest.json").read_text())
+    pairs = manifest["pairs"]
+    pairs[pairs.index("pair_F1_J1.json")] = name
+    (in_dir / "manifest.json").write_text(json.dumps(manifest))
+    rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"] == (
+        f"artifact-structure (manifest pair file {name!r} is not a file name in the dump)"
+    )
+
+
+def test_check_pj_builds_no_space_for_a_subset_outside_i(dumps, tmp_path, monkeypatch):
+    # a pair file whose J lies outside I is a claim-extra line; its witness
+    # has no space to be read in, so none is built for it
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "pj1", in_dir)
+    path = in_dir / "pair_F1_Jempty.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), subset=[3])))
+    space, asked = WedgeContext.space, []
+
+    def recording(self, l_key):
+        asked.append(tuple(l_key))
+        return space(self, l_key)
+
+    monkeypatch.setattr(WedgeContext, "space", recording)
+    rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert sorted(r["case"]["check"] for r in reports) == [
+        "claim-extra F=(1,) J=(3,)",
+        "claim-missing F=(1,) J=()",
+    ]
+    assert asked and (3,) not in asked
 
 
 @pytest.mark.optimized
@@ -784,7 +899,8 @@ def test_check_rejects_a_block_decomposition_outside_its_wedge(dumps, tmp_path):
     # at l, whose values are not simplices of the block's wedge
     in_dir = tmp_path / "dump"
     shutil.copytree(dumps / "q1", in_dir)
-    codomains = _codomains(in_dir, WedgeContext((1, 2), (1,)))
+    ctx = WedgeContext((1, 2), (1,))
+    codomains = _codomains(in_dir, ctx)
     morphisms = json.loads((in_dir / "morphisms.json").read_text())
     data = json.loads((in_dir / "q.json").read_text())
     witnesses = [e["witness"] for e in data["layouts"]] + [data["boundary_witness"]]
@@ -805,7 +921,7 @@ def test_check_rejects_a_block_decomposition_outside_its_wedge(dumps, tmp_path):
     assert report["verdict"] == "fail"
     assert report["case"]["check"].startswith(
         f"artifact-structure (block {b} decomposition is not a morphism into "
-        f"{_tuples(block['wedge'])!r}: "
+        f"{_wedge(ctx, morphisms, block).label!r}: "
     )
 
 
@@ -973,18 +1089,44 @@ def test_check_complete_dump_passes_every_claim(dumps, dump, lines):
 
 @pytest.mark.parametrize("kind", ["pj", "q"])
 def test_check_rejects_block_space_of_another_index_set(tmp_path, kind):
+    # each witness is checked in its claim's space, so a block's space, of
+    # this index set or another, is a field the checker does not read
     out = tmp_path / kind
     run_cli([f"construct-{kind}", "--i", "2", "--e", "1", "--out", str(out)])
     files = [out / "q.json"] if kind == "q" else sorted(out.glob("pair_*.json"))
     for path in files:
         data = json.loads(path.read_text())
-        _relabel_block_spaces(data, ["WL", [1, 3]])
+        _put_on_blocks(data, "space", ["WL", [1, 3]])
         path.write_text(json.dumps(data))
     rc, out_text, _err = run_cli([f"check-{kind}", "--in", str(out)])
     assert rc == 1
     lines = [json.loads(line) for line in out_text.strip().splitlines()]
     assert len(lines) == 1 and lines[0]["verdict"] == "fail"
-    assert "names no space" in lines[0]["case"]["check"]
+    assert lines[0]["case"]["check"] == (
+        "artifact-structure (block has the field 'space', which is not read)"
+    )
+
+
+def test_check_pj_rejects_the_space_of_another_claim(dumps, tmp_path):
+    # every block of the pair (F, J) = ((1,), (1,)) given the space at
+    # (1, 2), as a dump of the layout that wrote a space per block would:
+    # the pair's witness is checked in the space at J alone, so the dump
+    # fails, where that layout passed every check
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "pj1", in_dir)
+    path = in_dir / "pair_F1_J1.json"
+    data = json.loads(path.read_text())
+    assert any(_blocks(data))
+    _put_on_blocks(data, "space", ["WL", [1, 2]])
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"] == (
+        "artifact-structure (block has the field 'space', which is not read)"
+    )
 
 
 def test_check_reports_unhashable_label(tmp_path):
@@ -1205,7 +1347,7 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
 
     def break_faces(rec, cod):
         table = rec["table"]
-        for i, n in enumerate(_dimensions(resolve(ctx.obj, rec["domain"]))):
+        for i, n in enumerate(_dimensions(resolve(ctx, rec["domain"]))):
             v = _tuples(table[i])
             for y in cod.level(n) if n else ():
                 if any(cod.face(n, i, y) != cod.face(n, i, v) for i in range(n + 1)):
@@ -1214,7 +1356,7 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
         return False
 
     old_id = next(mid for mid in sorted(data) if break_faces(data[mid], codomains[mid]))
-    dom = resolve(ctx.obj, data[old_id]["domain"])
+    dom = resolve(ctx, data[old_id]["domain"])
     new_id = _table_id(data[old_id]["table"], dom)
     data[new_id] = data.pop(old_id)
     (pj / "morphisms.json").write_text(json.dumps(data))
@@ -1229,8 +1371,10 @@ def test_check_pj_rejects_table_breaking_faces(tmp_path):
 
 def _codomains(in_dir, ctx):
     """The codomain that each morphism id of a dump is read into at its
-    first use: W(I) for an ensemble key, the block's wedge for a block's f
-    and the object of the block's space for a term's w."""
+    first use: W(I) for an ensemble key, the wedge of its parts' summands
+    for a block's f, and the object of the claim's space for a term's w,
+    the space at J in a pair file and the full space in ``q.json``."""
+    morphisms = json.loads((in_dir / "morphisms.json").read_text())
     out = {}
     for path in sorted(in_dir.glob("*.json")):
         if path.name in ("manifest.json", "morphisms.json"):
@@ -1238,13 +1382,24 @@ def _codomains(in_dir, ctx):
         data = json.loads(path.read_text())
         for entry in data["ensemble"]:
             out.setdefault(entry["key"], ctx.w_obj)
+        space = _claim_space(ctx, data)
         for block in _blocks(data):
-            out.setdefault(block["f"], resolve(ctx.obj, block["wedge"]))
-            space = resolve(ctx.labelled_space, block["space"]).obj
+            out.setdefault(block["f"], _wedge(ctx, morphisms, block))
             for part in block["parts"]:
                 for term in part["terms"]:
-                    out.setdefault(term["w"], space)
+                    out.setdefault(term["w"], space.obj)
     return out
+
+
+def _claim_space(ctx, data):
+    """The space of the claim of a pair file or of ``q.json``, as read."""
+    return ctx.space(tuple(data["subset"])) if "subset" in data else ctx.full_space
+
+
+def _wedge(ctx, morphisms, block):
+    """The wedge a block's f is read into: the context's wedge of the
+    domains of its parts' terms."""
+    return ctx.wedge_of([resolve(ctx, d) for d in _summands(morphisms, block)])
 
 
 def _tuples(x):
@@ -1252,11 +1407,10 @@ def _tuples(x):
     return tuple(map(_tuples, x)) if isinstance(x, list) else x
 
 
-def _summands(block):
-    """The domain labels of the summands of a block's wedge, as written."""
-    kind, summands = block["wedge"]
-    assert kind == "wedge"
-    return summands
+def _summands(morphisms, block):
+    """The domain labels, as written, of the summands of a block's wedge:
+    those of each part's first term."""
+    return [morphisms[p["terms"][0]["w"]]["domain"] for p in block["parts"]]
 
 
 def _dimensions(dom):
@@ -1376,7 +1530,7 @@ def _forge_a_table(in_dir, forge):
     codomains = _codomains(in_dir, ctx)
     for old_id in sorted(data):
         rec = data[old_id]
-        dom, cod = resolve(ctx.obj, rec["domain"]), codomains[old_id]
+        dom, cod = resolve(ctx, rec["domain"]), codomains[old_id]
         table = forge(rec["table"], dom, cod)
         if table is not None:
             break
@@ -1419,7 +1573,7 @@ def test_check_rejects_tables_written_as_rows(dumps, tmp_path, dump):
     ctx = WedgeContext(tuple(manifest["i"]), tuple(manifest["e"]))
     data = json.loads((in_dir / "morphisms.json").read_text())
     for rec in data.values():
-        dom = resolve(ctx.obj, rec["domain"])
+        dom = resolve(ctx, rec["domain"])
         keys = [(n, jsonable(x)) for n, xs in dom.key_levels() for x in xs]
         rec["table"] = [[n, x, v] for (n, x), v in zip(keys, rec["table"])]
     (in_dir / "morphisms.json").write_text(json.dumps(data))
@@ -1533,8 +1687,8 @@ def _lands_in(store, mid, cod):
 @pytest.mark.parametrize("dump", ["pj1", "pj2"])
 def test_check_rejects_a_term_outside_its_part_space(dumps, tmp_path, dump):
     # a term's w swapped for a stored morphism on the same domain that lands
-    # in the object of some use, but not in the object of the block's space,
-    # whose actions are composed with it
+    # in the object of some use, but not in the object of the pair's space,
+    # the space at J, whose actions are composed with it
     in_dir = tmp_path / "dump"
     shutil.copytree(dumps / dump, in_dir)
     ctx, data, store = _loaded_store(in_dir)
@@ -1548,11 +1702,9 @@ def test_check_rejects_a_term_outside_its_part_space(dumps, tmp_path, dump):
                 for j, part in enumerate(block["parts"])
                 for term in part["terms"]
                 for mid, rec in sorted(data.items())
-                if rec["domain"] == _summands(block)[j]
+                if rec["domain"] == _summands(data, block)[j]
                 and _lands_in(store, mid, codomains[mid])
-                and not _lands_in(
-                    store, mid, resolve(ctx.labelled_space, block["space"]).obj
-                )
+                and not _lands_in(store, mid, _claim_space(ctx, payload).obj)
             ),
             None,
         )
@@ -1670,7 +1822,7 @@ def test_check_q_rejects_a_written_zero_block(monkeypatch, tmp_path):
     # zero blocks kept and the builder's checks passed: every witness still
     # sums to its defect, but a written block that is zero on its own fails
     # its witness's line, and the line says which block
-    monkeypatch.setattr(wedge, "drop_zero_blocks", lambda w, scope: w)
+    monkeypatch.setattr(wedge, "drop_zero_blocks", lambda w, space, scope: w)
     monkeypatch.setattr(wedge, "_require_all", lambda checks: None)
     q = tmp_path / "q"
     assert run_cli(["construct-q", "--i", "2", "--e", "2", "--out", str(q)])[0] == 0
@@ -1891,6 +2043,8 @@ def test_block_and_depth_checks_under_optimize(run_optimized):
     run_optimized(
         f"{__file__}::test_check_rejects_a_block_decomposition_outside_its_wedge",
         f"{__file__}::test_check_rejects_a_file_nested_too_deep",
+        f"{__file__}::test_check_rejects_a_part_on_no_one_summand",
+        f"{__file__}::test_check_pj_reads_pair_files_only_from_its_dump",
     )
 
 

@@ -35,10 +35,10 @@ from fissile.witnesses import (
 )
 
 
-def reference_value(entries):
-    """The sum of c * (block value), block by block and with no memo: the
-    combining product of the part values, each tuple glued by
-    ``wedge_combine`` into the block space and precomposed with f."""
+def reference_value(entries, space):
+    """The sum of c * (block value in the space), block by block and with
+    no memo: the combining product of the part values, each tuple glued by
+    ``wedge_combine`` into the space and precomposed with f."""
     total = Ensemble.zero()
     for c, block in entries:
         values = []
@@ -46,9 +46,9 @@ def reference_value(entries):
             value = Ensemble.zero()
             for t in p.terms:
                 for k, n in t.pi.terms.items():
-                    value = value + n * singleton(compose(block.space.action[k], t.morphism))
+                    value = value + n * singleton(compose(space.action[k], t.morphism))
             values.append(value)
-        wobj, cod, f = block.wedge_obj, block.space.obj, block.f
+        wobj, cod, f = block.f.codomain, space.obj, block.f
         total = total + c * combining_product(
             values, lambda tup: compose(wedge_combine(wobj, list(tup), codomain=cod), f)
         )
@@ -62,9 +62,9 @@ def test_memoised_evaluation_equals_the_per_block_reference(tmp_path, monkeypatc
     value, verify = Block.value, wedge_module.verify_witness
     evaluated, verified = [], []
 
-    def comparing(block, scope=None):
-        out = value(block, scope)
-        assert out == reference_value([(1, block)])
+    def comparing(block, space, scope=None):
+        out = value(block, space, scope)
+        assert out == reference_value([(1, block)], space)
         evaluated.append(block)
         return out
 
@@ -151,8 +151,8 @@ def test_a_check_evaluates_each_block_once(tmp_path, monkeypatch, i_set, kind, b
 
 def test_blocks_that_share_objects_keep_their_own_values():
     # variants of one block that keep its wedge and its part morphisms,
-    # with another pi, another space or another f, all evaluated in one
-    # scope
+    # with another pi or another f, or evaluated in another space, all in
+    # one scope
     ctx = WedgeContext((1, 2), (1,))
     space, t = ctx.space((1,)), ctx.plus_base_of((1,))
     obj = space.obj
@@ -166,18 +166,19 @@ def test_blocks_that_share_objects_keep_their_own_values():
     decompositions = enumerate_based_morphisms(t, wobj)
     f, other_f = decompositions[1], decompositions[0]
     variants = [
-        Block(f, wobj, parts, space),
-        Block(f, wobj, other_pi, space),
-        Block(f, wobj, other_pi, trivial),
-        Block(other_f, wobj, parts, space),
+        (Block(f, parts), space),
+        (Block(f, other_pi), space),
+        (Block(f, other_pi), trivial),
+        (Block(other_f, parts), space),
     ]
-    values = [reference_value([(1, b)]) for b in variants]
+    values = [reference_value([(1, b)], z) for b, z in variants]
     assert all(values.count(v) == 1 for v in values)
     scope = PairScope()
-    for b, v in zip(variants + variants, values + values):
-        assert b.value(scope) == v
-    w = FiltrationWitness(0, [(c, b) for c, b in zip((1, -2, 3, 5), variants)])
-    assert w.value(scope) == reference_value(w.entries)
+    for (b, z), v in zip(variants + variants, values + values):
+        assert b.value(z, scope) == v
+    in_space = [b for b, z in variants if z is space]
+    w = FiltrationWitness(0, [(c, b) for c, b in zip((1, -2, 5), in_space)])
+    assert w.value(space, scope) == reference_value(w.entries, space)
 
 
 def count_products(monkeypatch):
@@ -213,21 +214,21 @@ def test_each_label_is_resolved_once_per_context(tmp_path, monkeypatch):
     original, build = artifacts.resolve, artifacts._resolve
     calls, built = [], []
 
-    def calling(lookup, label):
-        calls.append((lookup.__name__, repr(label)))
-        return original(lookup, label)
+    def calling(ctx, label):
+        calls.append(repr(label))
+        return original(ctx, label)
 
-    def building(lookup, label):
-        built.append((lookup.__name__, repr(label)))
-        return build(lookup, label)
+    def building(ctx, label):
+        built.append(repr(label))
+        return build(ctx, label)
 
     monkeypatch.setattr(artifacts, "resolve", calling)
     monkeypatch.setattr(artifacts, "_resolve", building)
     assert all(ok for _name, ok in check_pair_artifacts(tmp_path))
-    # 499 lookups of 26 (kind, label) pairs; a record names no codomain,
-    # so the 8 labels only record codomains named are gone, and the point's
-    # wedge has one label, not also ("wedgept",)
-    assert len(built) == len(set(built)) == len(set(calls)) == 26
+    # 173 lookups of 10 labels, one per record domain: a block names no
+    # wedge and no space, so the 16 wedge and space labels blocks named
+    # (26 labels, 499 lookups, before) are gone
+    assert len(built) == len(set(built)) == len(set(calls)) == 10
     assert len(calls) > 10 * len(built)
 
 
@@ -262,13 +263,11 @@ def test_the_checkers_build_no_reduced_cone_of_a_suspension(tmp_path, monkeypatc
 )
 def test_a_failing_label_fails_on_every_call(label):
     ctx = WedgeContext((1,), (1,))
-    for lookup in (ctx.obj, ctx.labelled_space):
-        for _ in range(3):
-            with pytest.raises(ArtifactError):
-                resolve(lookup, label)
-        # a good label resolves, once, to the context's object
-        assert resolve(lookup, ["WL", [1]]) is resolve(lookup, ["WL", [1]])
-    assert resolve(ctx.obj, ["WL", [1]]) is ctx.w_obj
+    for _ in range(3):
+        with pytest.raises(ArtifactError):
+            resolve(ctx, label)
+    # a good label resolves, once, to the context's object
+    assert resolve(ctx, ["point"]) is resolve(ctx, ["point"]) is ctx.point_obj()
 
 
 def test_counts_hold_under_optimize(run_optimized):

@@ -191,3 +191,31 @@ try:
 except AttributeError as exc:
     print(exc)"""
     assert _fresh(code) == "module 'fissile' has no attribute 'no_such_name'"
+
+
+def test_every_traced_layer_names_a_package_function():
+    # perfbench/spans.py wraps each (module, attribute) of its LAYERS, and a
+    # traced run (``perfbench/run.py --trace 1``) fails on a name that no
+    # longer resolves.  LAYERS is read from the file's text, not imported
+    import importlib
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["LAYERS"]
+    ]
+    assert layers
+    for _prefix, module, attribute, _fields in layers:
+        obj = importlib.import_module(f"fissile.{module}")
+        for name in attribute.split("."):
+            assert hasattr(obj, name), f"fissile.{module}.{attribute}"
+            obj = getattr(obj, name)
+        assert callable(obj), f"fissile.{module}.{attribute}"
+    # the tracer counts wedge builds through every binding of the function
+    from fissile import artifacts, simplicial, wedge, witnesses
+
+    for module in (witnesses, wedge, artifacts):
+        assert module.wedge is simplicial.wedge, module.__name__

@@ -1109,3 +1109,25 @@ def test_face_breaking_row_rejected_under_optimize(run_optimized):
 
 def test_plus_base_iso_rejects_a_larger_reduced_cone_under_optimize(run_optimized):
     run_optimized(f"{__file__}::test_plus_base_iso_rejects_a_larger_reduced_cone")
+
+
+DERIVED_TABLES = {
+    "nondegenerate": lambda s: [s.nondegenerate(n) for n in range(s.bound + 1)],
+    "nondegenerate_ids": lambda s: s.nondegenerate_ids(),
+    "level_key": lambda s: s.level_key,
+    "key_levels": lambda s: s.key_levels(),
+    "normal_forms": lambda s: [s.normal_forms(n) for n in range(s.bound + 1)],
+    "face_forms": lambda s: [s.face_forms(n) for n in range(1, s.bound + 1)],
+}
+
+
+@pytest.mark.parametrize("table", DERIVED_TABLES)
+def test_each_derived_table_is_computed_on_its_first_read(table):
+    # read first on a fresh set, each table equals the one read after every
+    # other; face_forms and level_key once needed nondegenerate_ids first
+    first = DERIVED_TABLES[table](standard_simplex(1, 2))
+    other = standard_simplex(1, 2)
+    for read in DERIVED_TABLES.values():
+        read(other)
+    assert first is not None
+    assert first == DERIVED_TABLES[table](other)

@@ -130,7 +130,7 @@ def test_one_action_validation_per_context(monkeypatch):
     validate = witnesses.PSpace._validate
 
     def counted(self):
-        calls.append(self.label)
+        calls.append(self.obj.label)
         validate(self)
 
     monkeypatch.setattr(witnesses.PSpace, "_validate", counted)
@@ -245,7 +245,7 @@ def test_construction_conditions_small(built_21):
     for (f, j), rec in res.pairs.items():
         assert augmentation(rec.ensemble) == 1
         alt = alternating_sum(lambda g, k: res.pairs[(g, k)].ensemble, f, j)
-        assert verify_witness(alt, rec.alt_witness, len(j), ctx.monoid)
+        assert verify_witness(alt, rec.alt_witness, len(j), ctx.space(j))
     assert augmentation(qrec.ensemble) == 1
 
 
@@ -265,7 +265,7 @@ def test_boundary_witness_level(built_21):
         boundary_defect(ctx, qrec.ensemble, ctx.e_set, ctx.i_set),
         qrec.boundary_witness,
         len(res.ctx.i_set),
-        res.ctx.monoid,
+        res.ctx.full_space,
     )
     assert rep
 
@@ -363,8 +363,8 @@ def test_constant_morphism_alternating_sum_witnessed(ctx):
                     ctx.xi(k, f)
                 )
             wit = ctx.omega_witness(j, f)
-            assert wit.value() == expanded
-            assert verify_witness(expanded, wit, len(j), ctx.monoid)
+            assert wit.value(ctx.space(j)) == expanded
+            assert verify_witness(expanded, wit, len(j), ctx.space(j))
 
 
 def act(space, k, target):
@@ -514,10 +514,12 @@ def record_wedge_builds(monkeypatch):
 
 
 def stored_labels(data):
-    """The JSON text of every object, wedge and space label in an artifact."""
+    """The JSON text of every label in an artifact: a record's domain is
+    the one field that holds one."""
     if isinstance(data, dict):
         for key, val in data.items():
-            if key in ("domain", "wedge", "space"):
+            assert key not in ("wedge", "space")
+            if key == "domain":
                 yield json.dumps(val)
             else:
                 yield from stored_labels(val)
@@ -528,7 +530,9 @@ def stored_labels(data):
 
 def test_stored_labels_name_the_builders_objects(tmp_path, built_21):
     # the checker's label factory is the builder's context: there each
-    # stored label resolves to the very object that carries it
+    # stored label, a record's domain, resolves to the very object that
+    # carries it, and each block's wedge is the context's wedge of the
+    # objects its parts' terms lie on
     res, qrec = built_21
     ctx = res.ctx
     write_pair_artifacts(res, tmp_path / "pj")
@@ -537,23 +541,17 @@ def test_stored_labels_name_the_builders_objects(tmp_path, built_21):
     witnesses = [rec.alt_witness for rec in res.pairs.values()]
     witnesses += [*qrec.layout_witnesses.values(), qrec.boundary_witness]
     morphs = [m for s in ensembles for m in s.terms]
-    objs, spaces = [], []
     for w in witnesses:
         for _c, b in w.entries:
-            assert b.wedge_obj.insertions is not None
-            objs.append(b.wedge_obj)
-            spaces.append(b.space)
+            summands = [p.terms[0].morphism.domain for p in b.parts]
+            assert b.wedge is ctx.wedge_of(summands)
             morphs.append(b.f)
-            objs.extend(ins.domain for ins in b.wedge_obj.insertions)
             for p in b.parts:
                 morphs.extend(t.morphism for t in p.terms)
-    objs += [x for m in morphs for x in (m.domain, m.codomain)]
+    objs = [m.domain for m in morphs]
     for x in objs:
-        assert artifacts_module.resolve(ctx.obj, json.loads(json.dumps(x.label))) is x
-    for sp in spaces:
-        label = json.loads(json.dumps(sp.label))
-        assert artifacts_module.resolve(ctx.labelled_space, label) is sp
-    named = {json.dumps(jsonable(x.label)) for x in objs + spaces}
+        assert artifacts_module.resolve(ctx, json.loads(json.dumps(x.label))) is x
+    named = {json.dumps(jsonable(x.label)) for x in objs}
     stored = set()
     for path in tmp_path.glob("*/*.json"):
         if path.name != "manifest.json":
@@ -561,23 +559,50 @@ def test_stored_labels_name_the_builders_objects(tmp_path, built_21):
     assert stored and stored <= named
 
 
-def test_wedge_label_resolves_once():
+@pytest.mark.parametrize("i_set, run_q", [((1, 2), True), ((1, 2, 3), False)])
+def test_every_built_block_holds_to_the_readers_rule(i_set, run_q):
+    # the checker reads a block's wedge as the context's wedge of the
+    # objects its parts' terms lie on; every block the builder makes is
+    # read back so: f lands in a wedge with insertions, one part per
+    # summand, each part nonempty and all its terms on its summand
+    result = construct_p(i_set, (1, 2), enforce_guard=False)
+    ctx = result.ctx
+    witnesses = [rec.alt_witness for rec in result.pairs.values()]
+    if run_q:
+        qrec = construct_q(result)
+        witnesses += [*qrec.layout_witnesses.values(), qrec.boundary_witness]
+    blocks = [b for w in witnesses for _c, b in w.entries]
+    assert len(blocks) > 50
+    for b in blocks:
+        insertions = b.f.codomain.insertions
+        assert insertions is not None and b.wedge is b.f.codomain
+        assert len(b.parts) == len(insertions)
+        for p, ins in zip(b.parts, insertions):
+            assert p.terms
+            assert all(t.morphism.domain is ins.domain for t in p.terms)
+        assert ctx.wedge_of([ins.domain for ins in insertions]) is b.wedge
+
+
+def test_a_wedge_is_built_once_per_summand_tuple_and_named_by_no_label():
     ctx = WedgeContext((1, 2), (1, 2))
-    labels = [
-        ("wedge", (("point",),)),
-        ("wedge", (("plusbase", (2,)),)),
-        ("wedge", (("redcone", ("plusbase", (1,))), ("point",))),
-        ("wedge", (("conelayout", ((1,),)), ("conelayout", ((2,),)))),
+    summands = [
+        [ctx.point_obj()],
+        [ctx.plus_base_of((2,))],
+        [ctx.reduced_domain(ctx.plus_base_of((1,)))[0], ctx.point_obj()],
+        [ctx.cone_face((1,)), ctx.cone_face((2,))],
     ]
-    for label in labels:
-        wobj = ctx.obj(label)
-        assert wobj.insertions is not None
-        assert ctx.obj(label) is wobj and wobj.label == label
-    # one label per tuple of summands: the wedges the context builds are the
-    # ones those labels name
+    for parts in summands:
+        wobj = ctx.wedge_of(parts)
+        assert [ins.domain for ins in wobj.insertions] == parts
+        assert ctx.wedge_of(list(parts)) is wobj
+        assert wobj.label == ("wedge", tuple(p.label for p in parts))
+        # a wedge is derived from its summands, never read from a label
+        with pytest.raises(TypeError, match="names no object"):
+            ctx.obj(wobj.label)
+    # the wedges the context builds are those of their summands
     (_c, point_block), = ctx.constant_witness(ctx.cone_face((1,)), ctx.full_space).entries
-    assert point_block.wedge_obj is ctx.obj(labels[0])
-    assert ctx.iota(((1,), (2,))).codomain is ctx.obj(labels[3])
+    assert point_block.wedge is ctx.wedge_of(summands[0])
+    assert ctx.iota(((1,), (2,))).codomain is ctx.wedge_of(summands[3])
     for gone in [("wedgept",), ("wedge1", ("point",)), ("wedgecones", ((1,), (2,)))]:
         with pytest.raises(TypeError, match="names no object"):
             ctx.obj(gone)
@@ -585,11 +610,14 @@ def test_wedge_label_resolves_once():
 
 def test_reduced_cone_label_resolves_to_the_object_that_carries_it():
     ctx = WedgeContext((1, 2), (1,))
-    for inner in (("WL", (1, 2)), ("WL", (1,))):
+    for inner in (("plusbase", (1,)), ("conelayout", ((1,),)), ("point",)):
         label = ("redcone", inner)
         assert ctx.obj(label).label == label
-    # the reduced cone of the full wedge has one label, that of ("WL", I)
-    assert ctx.obj(("redcone", ("WL", (1, 2)))) is ctx.reduced_domain(ctx.w_obj)[0]
+        assert ctx.obj(label) is ctx.reduced_domain(ctx.obj(inner))[0]
+    # the wedge at l is the object of a space, never a record's domain
+    for inner in (("WL", (1, 2)), ("WL", (1,))):
+        with pytest.raises(TypeError, match="names no object"):
+            ctx.obj(("redcone", inner))
 
 
 def test_label_in_other_order_resolves_to_the_normal_form():
@@ -597,19 +625,17 @@ def test_label_in_other_order_resolves_to_the_normal_form():
     normal = ctx.obj(("conelayout", ((1, 2), (3,))))
     assert normal is ctx.cone_layout([(3,), (2, 1)])
     assert ctx.obj(("conelayout", ((3,), (2, 1)))) is normal
-    assert resolve(ctx.obj, ["conelayout", [[3], [2, 1]]]) is normal
+    assert resolve(ctx, ["conelayout", [[3], [2, 1]]]) is normal
     assert normal.label == ("conelayout", ((1, 2), (3,)))
-    assert ctx.labelled_space(("WL", (2, 1))) is ctx.space((1, 2))
+    assert ctx.space((2, 1)) is ctx.space((1, 2))
 
 
 @pytest.mark.optimized
 def test_checker_builds_each_wedge_label_once(tmp_path, monkeypatch, built_21):
     res, qrec = built_21
     write_q_artifacts(res, qrec, tmp_path)
-    payload = json.loads((tmp_path / "q.json").read_text())
-    witnesses = [e["witness"] for e in payload["layouts"]]
-    witnesses.append(payload["boundary_witness"])
-    stored = {json.dumps(b["wedge"]) for w in witnesses for b in w["blocks"]}
+    witnesses = [*qrec.layout_witnesses.values(), qrec.boundary_witness]
+    stored = {json.dumps(jsonable(b.wedge.label)) for w in witnesses for _c, b in w.entries}
 
     calls = record_wedge_builds(monkeypatch)
     assert all(ok for _name, ok in check_q_artifacts(tmp_path))
@@ -617,9 +643,9 @@ def test_checker_builds_each_wedge_label_once(tmp_path, monkeypatch, built_21):
     assert stored and built
     assert len(built) == len(set(built))
     assert stored <= set(built)
-    # beyond the stored wedges, only the context's own: the full wedge,
-    # ("WL", I), and the wedges of per-block cones that the layout
-    # conditions combine over
+    # beyond the wedges of the written blocks, only the context's own: the
+    # full wedge, ("WL", I), and the wedges of per-block cones that the
+    # layout conditions combine over
     for extra in map(json.loads, set(built) - stored):
         if extra[0] == "WL":
             assert extra == ["WL", [1, 2]]
@@ -784,10 +810,10 @@ def test_pair_scope_runs_each_distinct_morphism_once(monkeypatch):
             pairs[-1].append(("wedge_combine", key, (w, codomain, tuple(morphisms))))
         return combine(w, morphisms, codomain=codomain)
 
-    def evaluation(block, scope=None):
+    def evaluation(block, space, scope=None):
         evaluating.append(True)
         try:
-            return evaluate(block, scope)
+            return evaluate(block, space, scope)
         finally:
             evaluating.pop()
 
@@ -972,12 +998,12 @@ def expanded_cover_witness(ctx, b, cover_fns, witness_at, space, level, scope):
         combined = wedge_module.combine_witnesses_over_layout(ctx, b, per_block, space)
         entries.extend(combined.entries)
     compacted = wedge_module.compact_witness(witnesses.FiltrationWitness(level, entries))
-    return witnesses.drop_zero_blocks(compacted, scope)
+    return witnesses.drop_zero_blocks(compacted, space, scope)
 
 
 def entry_forms(w):
     return [
-        (c, b.f.table_key(), b.wedge_obj.label, [p.key for p in b.parts])
+        (c, b.f.table_key(), b.wedge.label, [p.key for p in b.parts])
         for c, b in w.entries
     ]
 
@@ -1157,7 +1183,7 @@ def concatenated_maps(wedge_obj, blocks, flat_wedge):
         level = {} if n else {base: flat_base}
         for i, b in enumerate(blocks):
             ins = wedge_obj.insertions[i]
-            block_base = b.wedge_obj.basepoint_at(n)
+            block_base = b.wedge.basepoint_at(n)
             for x, fx in b.f.items(n):
                 key = ins(n, x)
                 if key == base:
@@ -1180,7 +1206,7 @@ def test_every_wedge_witness_decomposition_equals_the_keyed_table(
 
     def recording(ws, wedge_obj, ctx):
         out = original(ws, wedge_obj, ctx)
-        calls.append((ws, wedge_obj, out))
+        calls.append((ws, wedge_obj, ctx, out))
         return out
 
     patch_bindings(monkeypatch, original, recording)
@@ -1189,16 +1215,18 @@ def test_every_wedge_witness_decomposition_equals_the_keyed_table(
     for i in (i_set, i_set + (len(i_set) + 1,)):
         construct_q(construct_p(i, e_set, enforce_guard=False))
     compared, shifted = 0, 0
-    for ws, wedge_obj, out in calls:
+    for ws, wedge_obj, ctx, out in calls:
         # the blocks of each output entry, in the order the product expands
         combos = [[]]
         for w in ws:
             combos = [chosen + [b] for chosen in combos for _c, b in w.entries]
         assert len(combos) == len(out.entries)
         for blocks, (_c, block) in zip(combos, out.entries):
-            maps = concatenated_maps(wedge_obj, blocks, block.wedge_obj)
-            ref = simplicial.tabulate(wedge_obj, block.wedge_obj, lambda n, x: maps[n][x])
-            assert block.f.rows == ref.rows and block.f.codomain is block.wedge_obj
+            summands = [ins.domain for b in blocks for ins in b.wedge.insertions]
+            flat_wedge = ctx.wedge_of(summands)
+            maps = concatenated_maps(wedge_obj, blocks, flat_wedge)
+            ref = simplicial.tabulate(wedge_obj, flat_wedge, lambda n, x: maps[n][x])
+            assert block.f.rows == ref.rows and block.wedge is flat_wedge
             compared += 1
             shifted += len(blocks) > 1
     assert compared > 80 and shifted > 40

@@ -90,7 +90,7 @@ def random_block(rng, ctx, t, space):
         )
     wobj = wedge(domains)
     f = rng.choice(enumerate_based_morphisms(t, wobj))
-    return Block(f=f, wedge_obj=wobj, parts=parts, space=space)
+    return Block(f, parts)
 
 
 def random_witness(rng, ctx, t, space, n_blocks=2):
@@ -102,21 +102,21 @@ def random_witness(rng, ctx, t, space, n_blocks=2):
     return FiltrationWitness(level, entries)
 
 
-def verify_nonzero(v, w, s, monoid):
-    """``verify_witness`` of w less its zero blocks, dropped by the
-    builder's own rule, in one scope."""
+def verify_nonzero(v, w, s, space):
+    """``verify_witness`` in the space of w less its zero blocks, dropped by
+    the builder's own rule, in one scope."""
     scope = PairScope()
-    return verify_witness(v, drop_zero_blocks(w, scope), s, monoid, scope)
+    return verify_witness(v, drop_zero_blocks(w, space, scope), s, space, scope)
 
 
-def make_block(monoid, f, wedge_obj, parts, space):
-    """Evaluate a block after checking that every part's pi lies in the
-    ideal at the part's level."""
-    block = Block(f=f, wedge_obj=wedge_obj, parts=parts, space=space)
+def make_block(space, f, parts):
+    """Evaluate a block in the space after checking that every part's pi
+    lies in the ideal of the space's monoid at the part's level."""
+    block = Block(f, parts)
     for p in parts:
-        if not p.in_ideal(monoid, PairScope()):
+        if not p.in_ideal(space.monoid, PairScope()):
             raise ValueError("ideal decomposition fails verification")
-    return block.value(), block
+    return block.value(space), block
 
 
 def test_make_block_and_trivial_cases(ctx):
@@ -126,20 +126,18 @@ def test_make_block_and_trivial_cases(ctx):
     w0 = pool[0]
     wobj = wedge([t])
     value, block = make_block(
-        ctx.monoid,
+        space,
         wobj.insertions[0],
-        wobj,
         [
             BlockPart(
                 level=0,
                 terms=[IdealTerm(singleton(ctx.i_set), w0)],
             )
         ],
-        space,
     )
     assert value == singleton(w0)
     assert block.rank() == 0
-    rep = verify_witness(value, FiltrationWitness(0, [(1, block)]), 0, ctx.monoid)
+    rep = verify_witness(value, FiltrationWitness(0, [(1, block)]), 0, space)
     assert rep
 
 
@@ -149,16 +147,14 @@ def test_make_block_zero_part(ctx):
     w0 = morphism_pool(ctx, t, space)[0]
     wobj = wedge([t])
     value, block = make_block(
-        ctx.monoid,
+        space,
         wobj.insertions[0],
-        wobj,
         [
             BlockPart(
                 level=1,
                 terms=[IdealTerm(Ensemble.zero(), w0)],
             )
         ],
-        space,
     )
     assert value == Ensemble.zero()
 
@@ -170,16 +166,14 @@ def test_make_block_rejects_bad_certificate(ctx):
     wobj = wedge([t])
     with pytest.raises(ValueError):
         make_block(
-            ctx.monoid,
+            space,
             wobj.insertions[0],
-            wobj,
             [
                 BlockPart(
                     level=2,  # claims rank 2 but pi is only in the level-1 ideal
                     terms=[IdealTerm(omega((1,)), w0)],
                 )
             ],
-            space,
         )
 
 
@@ -191,10 +185,10 @@ def test_verify_witness_detects_tampering(ctx):
     checked = 0
     while checked < 5:
         w = random_witness(rng, ctx, t, space)
-        v = w.value()
-        assert verify_nonzero(v, w, w.level, ctx.monoid)
+        v = w.value(space)
+        assert verify_nonzero(v, w, w.level, space)
         idx = next(
-            (i for i, (c, b) in enumerate(w.entries) if b.value()), None
+            (i for i, (c, b) in enumerate(w.entries) if b.value(space)), None
         )
         if idx is None:
             continue
@@ -202,7 +196,7 @@ def test_verify_witness_detects_tampering(ctx):
         c, b = entries[idx]
         entries[idx] = (c + 1, b)
         # reported ahead of any zero block w holds
-        rep = verify_witness(v, FiltrationWitness(w.level, entries), w.level, ctx.monoid)
+        rep = verify_witness(v, FiltrationWitness(w.level, entries), w.level, space)
         assert not rep and rep.diagnostic == "sum mismatch"
         checked += 1
 
@@ -212,8 +206,8 @@ def test_verify_witness_level_gate(ctx):
     space = ctx.space((1,))
     t = ctx.plus_base_of((1,))
     w = random_witness(rng, ctx, t, space)
-    v = w.value()
-    rep = verify_witness(v, w, w.level + 5, ctx.monoid)
+    v = w.value(space)
+    rep = verify_witness(v, w, w.level + 5, space)
     assert not rep
 
 
@@ -223,12 +217,12 @@ def test_verify_witness_rejects_a_level_above_a_block_rank(ctx):
     t = ctx.plus_base_of((1,))
     w = random_witness(rng, ctx, t, space)
     raised = FiltrationWitness(10**6, w.entries)
-    rep = verify_witness(w.value(), raised, w.level, ctx.monoid)
+    rep = verify_witness(w.value(space), raised, w.level, space)
     assert not rep
     first = w.entries[0][1].rank()
     assert rep.diagnostic == f"block of rank {first} below the witness level 1000000"
     # a witness with no blocks holds at any level
-    assert verify_witness(Ensemble.zero(), FiltrationWitness(10**6), 0, ctx.monoid)
+    assert verify_witness(Ensemble.zero(), FiltrationWitness(10**6), 0, space)
 
 
 @pytest.mark.optimized
@@ -239,11 +233,11 @@ def test_restrict_witness_pipeline(ctx):
     t_small = ctx.plus_base_of((1,))
     for _ in range(25):
         w = random_witness(rng, ctx, t, space)
-        v = w.value()
+        v = w.value(space)
         k = rng.choice(enumerate_based_morphisms(t_small, t))
         wr = restrict_witness(w, k)
         expected = map_ensemble(lambda m: compose(m, k), v)
-        assert verify_nonzero(expected, wr, w.level, ctx.monoid)
+        assert verify_nonzero(expected, wr, w.level, space)
 
 
 @pytest.mark.optimized
@@ -255,7 +249,7 @@ def test_restrict_witness_identity(ctx):
 
     w = random_witness(rng, ctx, t, space)
     wr = restrict_witness(w, inclusion(t, t))
-    assert verify_nonzero(w.value(), wr, w.level, ctx.monoid)
+    assert verify_nonzero(w.value(space), wr, w.level, space)
 
 
 @pytest.mark.optimized
@@ -265,12 +259,12 @@ def test_map_witness_pipeline(ctx):
     t = ctx.plus_base_of((1,))
     for _ in range(25):
         w = random_witness(rng, ctx, t, space)
-        v = w.value()
+        v = w.value(space)
         k = rng.choice(ctx.monoid.elements)
         h = space.action[k]
         wm = map_witness(w, h, space, space)
         expected = map_ensemble(lambda m: compose(h, m), v)
-        assert verify_nonzero(expected, wm, w.level, ctx.monoid)
+        assert verify_nonzero(expected, wm, w.level, space)
 
 
 def letter_swap(ctx):
@@ -318,7 +312,7 @@ def test_scope_rejects_nonequivariant_after_equivariant(ctx):
     scope = PairScope()
     identity = inclusion(full.obj, full.obj)
     for _ in range(2):
-        assert map_witness(w, identity, full, full, scope).value() == w.value()
+        assert map_witness(w, identity, full, full, scope).value(full) == w.value(full)
     with pytest.raises(SimplicialError, match="not equivariant"):
         map_witness(w, letter_swap(ctx), full, full, scope)
 
@@ -332,7 +326,7 @@ def test_pspace_rejects_unbased_action(ctx):
     action = {k: constant_morphism(t, t, free) for k in ctx.monoid.elements}
     action[ctx.monoid.identity()] = inclusion(t, t)
     with pytest.raises(SimplicialError, match="action is not based at the monoid"):
-        PSpace(t, ctx.monoid, action, label="edge")
+        PSpace(t, ctx.monoid, action)
 
 
 @pytest.mark.optimized
@@ -342,14 +336,14 @@ def test_cone_witness_pipeline(ctx):
     t = ctx.plus_base_of((1,))
     for _ in range(15):
         w = random_witness(rng, ctx, t, space)
-        v = w.value()
-        wc = cone_witness(w, ctx)
+        v = w.value(space)
+        wc = cone_witness(w, space, ctx)
         red_t = ctx.reduced_domain(t)
         red_space = ctx.reduced_space(space)
         expected = map_ensemble(
             lambda m: reduced_cone_map(m, red_t, red_space[1]), v
         )
-        assert verify_nonzero(expected, wc, w.level, ctx.monoid)
+        assert verify_nonzero(expected, wc, w.level, red_space[0])
 
 
 @pytest.mark.optimized
@@ -363,8 +357,8 @@ def test_wedge_witness_pipeline(ctx):
         wobj = wedge([t, t])
         ww = wedge_witness([w1, w2], wobj, ctx)
         assert ww.level == w1.level + w2.level
-        expected = combine_over_wedge(wobj, [w1.value(), w2.value()])
-        assert verify_nonzero(expected, ww, ww.level, ctx.monoid)
+        expected = combine_over_wedge(wobj, [w1.value(space), w2.value(space)])
+        assert verify_nonzero(expected, ww, ww.level, space)
 
 
 @pytest.mark.optimized
@@ -390,7 +384,7 @@ def test_witness_sum_concatenates_and_difference_compacts(ctx):
         assert [(c, id(blk)) for c, blk in diff.entries] == [
             (c, id(blk)) for c, blk in expected.entries
         ]
-        assert diff.value() == a.value() - b.value()
+        assert diff.value(space) == a.value(space) - b.value(space)
         assert not (a - a).entries
 
 
@@ -401,16 +395,16 @@ def test_transform_chain_preserves_validity(ctx):
     t = ctx.plus_base_of((1,))
     for _ in range(10):
         w = random_witness(rng, ctx, t, space)
-        v = w.value()
+        v = w.value(space)
         k = rng.choice(ctx.monoid.elements)
         h = space.action[k]
         step1 = map_witness(w, h, space, space)
         v1 = map_ensemble(lambda m: compose(h, m), v)
-        step2 = cone_witness(step1, ctx)
+        step2 = cone_witness(step1, space, ctx)
         red_t = ctx.reduced_domain(t)
         red_space = ctx.reduced_space(space)
         v2 = map_ensemble(lambda m: reduced_cone_map(m, red_t, red_space[1]), v1)
-        assert verify_nonzero(v2, step2, w.level, ctx.monoid)
+        assert verify_nonzero(v2, step2, w.level, red_space[0])
 
 
 # -- evaluation builds each distinct wedge combination once ---------------------
@@ -428,10 +422,11 @@ def trivial_space(ctx, z):
 
 def identity_block(ctx, t, part_morphism):
     """One rank-0 block over the wedge of t alone, with f its insertion,
-    whose part carries ``part_morphism`` into t under the trivial action."""
+    whose part carries ``part_morphism`` into t, to be evaluated under the
+    trivial action on t."""
     wobj = wedge([t])
     part = BlockPart(0, [IdealTerm(singleton(ctx.i_set), part_morphism)])
-    return Block(wobj.insertions[0], wobj, [part], trivial_space(ctx, t))
+    return Block(wobj.insertions[0], [part])
 
 
 def count_validations(monkeypatch, domain):
@@ -465,8 +460,9 @@ def assert_face_breaking_twin_rejected(ctx, scope):
     # its table key is recomputed from the broken table, so the shared
     # wedge combination must still be precomposed with each block's own f
     t = edge()
+    space = trivial_space(ctx, t)
     good = identity_block(ctx, t, inclusion(t, t))
-    wobj = good.wedge_obj
+    wobj = good.wedge
     maps = [dict(good.f.items(n)) for n in range(t.bound + 1)]
     x = t.nondegenerate(1)[0]
     maps[1][x] = next(
@@ -474,17 +470,12 @@ def assert_face_breaking_twin_rejected(ctx, scope):
     )
     with pytest.raises(SimplicialError, match="faces"):
         SMorphism(t, wobj, id_rows(t, maps))
-    broken = Block(
-        f=SMorphism(t, wobj, id_rows(t, maps), check=False),
-        wedge_obj=wobj,
-        parts=good.parts,
-        space=good.space,
-    )
+    broken = Block(SMorphism(t, wobj, id_rows(t, maps), check=False), good.parts)
     assert broken.f.is_based() and broken.f.table_key() != good.f.table_key()
-    v = FiltrationWitness(0, [(1, good), (1, good)]).value(scope)
+    v = FiltrationWitness(0, [(1, good), (1, good)]).value(space, scope)
     assert v == 2 * singleton(inclusion(t, t))
     tampered = FiltrationWitness(0, [(1, good), (1, broken)])
-    rep = verify_witness(v, tampered, 0, ctx.monoid, scope)
+    rep = verify_witness(v, tampered, 0, space, scope)
     assert not rep and rep.diagnostic == "sum mismatch"
 
 
@@ -494,21 +485,21 @@ def test_a_zero_block_fails_until_dropped(ctx):
     # sums to v, but verify_witness names the block, unless the sum is
     # wrong too; with the block dropped the witness holds
     t = edge()
+    space = trivial_space(ctx, t)
     good = identity_block(ctx, t, inclusion(t, t))
     term = good.parts[0].terms[0]
     cancelling = [term, IdealTerm(-term.pi, term.morphism)]
-    part = good.parts[0]
-    zero = Block(good.f, good.wedge_obj, [BlockPart(part.level, cancelling)], good.space)
+    zero = Block(good.f, [BlockPart(good.parts[0].level, cancelling)])
     v = singleton(inclusion(t, t))
     w = FiltrationWitness(0, [(1, good), (2, zero)])
-    rep = verify_witness(v, w, 0, ctx.monoid)
+    rep = verify_witness(v, w, 0, space)
     assert not rep and rep.diagnostic == "block 1 is zero"
-    rep = verify_witness(2 * v, w, 0, ctx.monoid)
+    rep = verify_witness(2 * v, w, 0, space)
     assert not rep and rep.diagnostic == "sum mismatch"
     scope = PairScope()
-    dropped = drop_zero_blocks(w, scope)
+    dropped = drop_zero_blocks(w, space, scope)
     assert [(c, id(b)) for c, b in dropped.entries] == [(1, id(good))]
-    assert verify_witness(v, dropped, 0, ctx.monoid, scope) is True
+    assert verify_witness(v, dropped, 0, space, scope) is True
 
 
 def test_verify_witness_rejects_face_breaking_f_beside_its_twin(ctx):
@@ -562,10 +553,10 @@ def test_scope_reglues_part_with_equal_key_but_other_table(ctx):
     good = identity_block(ctx, t, inclusion(t, t))
     part = good.parts[0]
     term = IdealTerm(part.terms[0].pi, edge_row_broken(t))
-    bad = Block(good.f, good.wedge_obj, [BlockPart(part.level, [term])], good.space)
-    scope = PairScope()
-    assert good.value(scope) == singleton(inclusion(t, t))
-    assert bad.value(scope) == singleton(edge_row_broken(t))
+    bad = Block(good.f, [BlockPart(part.level, [term])])
+    space, scope = trivial_space(ctx, t), PairScope()
+    assert good.value(space, scope) == singleton(inclusion(t, t))
+    assert bad.value(space, scope) == singleton(edge_row_broken(t))
 
 
 def test_scope_recones_map_with_equal_key_but_other_table():
@@ -608,27 +599,28 @@ def test_invert_iso_needs_a_bijection_of_nondegenerate_simplices():
 
 
 def test_equal_part_tables_on_distinct_domains_each_validated(ctx, monkeypatch):
-    # a part is valued in its block's space, so its terms land in the
+    # a part is valued in its claim's space, so its terms land in the
     # space's own object and their gluing is not validated; a part on
     # another object than its summand is refused
     t = edge()
+    space = trivial_space(ctx, t)
     first = identity_block(ctx, t, inclusion(t, t))
-    seen = count_validations(monkeypatch, first.wedge_obj)
+    seen = count_validations(monkeypatch, first.wedge)
     for dom in (t, edge()):
         # an equal table in a new object, out of t itself or out of a copy
         m = SMorphism(dom, t, inclusion(t, t).rows)
         term = IdealTerm(first.parts[0].terms[0].pi, m)
         part = BlockPart(first.parts[0].level, [term])
-        twin = Block(first.f, first.wedge_obj, [part], first.space)
+        twin = Block(first.f, [part])
         w = FiltrationWitness(0, [(1, first), (1, twin)])
         seen.clear()
         if dom is t:
-            assert verify_witness(2 * singleton(inclusion(t, t)), w, 0, ctx.monoid)
+            assert verify_witness(2 * singleton(inclusion(t, t)), w, 0, space)
             assert not seen
         else:
             # a part is glued only on the summand object itself
             with pytest.raises(SimplicialError, match="is not on the summand"):
-                verify_witness(2 * singleton(inclusion(t, t)), w, 0, ctx.monoid)
+                verify_witness(2 * singleton(inclusion(t, t)), w, 0, space)
 
 
 def test_wedge_witness_validates_a_repeated_decomposition_once(ctx, monkeypatch):
@@ -641,7 +633,7 @@ def test_wedge_witness_validates_a_repeated_decomposition_once(ctx, monkeypatch)
     constant = constant_morphism(t, t, t.basepoint)
     term = IdealTerm(first.parts[0].terms[0].pi, constant)
     part = BlockPart(first.parts[0].level, [term])
-    second = Block(first.f, first.wedge_obj, [part], first.space)
+    second = Block(first.f, [part])
     other = identity_block(ctx, t, inclusion(t, t))
     wobj = wedge([t, t])
     seen = count_builds(monkeypatch, wobj)
