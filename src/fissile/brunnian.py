@@ -162,23 +162,33 @@ class MagnusSeries:
         return self.terms.get((), 0)
 
 
-def _generator_series(i, exp, degree):
-    if exp == 1:
-        return MagnusSeries(degree, {(): 1, (i,): 1})
-    terms = {}
-    for k in range(degree + 1):
-        terms[(i,) * k] = (-1) ** k
-    return MagnusSeries(degree, terms)
-
-
 def magnus(word, degree) -> MagnusSeries:
-    """Multiplicative expansion of a reduced word, truncated by degree."""
+    """Multiplicative expansion of a reduced word, truncated by degree.
+
+    The series is right-multiplied by one letter at a time: by 1 + X_g, or
+    by the alternating series of X_g for g^-1, each truncated.  Terms are
+    visited as ``MagnusSeries.__mul__`` by that letter's series would visit
+    them, so the result equals that product term for term, in the same
+    order."""
     if degree < 1:
         raise ValueError("truncation degree must be at least 1")
-    out = MagnusSeries.one(degree)
+    terms = {(): 1}
     for g, e in word:
-        out = out * _generator_series(g, e, degree)
-    return out
+        out = {}
+        get = out.get
+        for mon, c in terms.items():
+            out[mon] = get(mon, 0) + c
+            if e == 1:
+                if len(mon) < degree:
+                    mon += (g,)
+                    out[mon] = get(mon, 0) + c
+            else:
+                for _ in range(degree - len(mon)):
+                    mon += (g,)
+                    c = -c
+                    out[mon] = get(mon, 0) + c
+        terms = {mon: c for mon, c in out.items() if c}
+    return MagnusSeries(degree, terms)
 
 
 def lcs_degree(word, degree):

@@ -4,11 +4,13 @@ Subsets of the index set are canonical sorted tuples.  The ring element
 ``omega(J)`` is the alternating sum over subsets of J; the level-s ideal is
 generated by all products <L>*omega(J) with |J| >= s.  The omega(J) form a
 basis of the ring, and membership in the ideal is read off an element's
-coordinates in that basis, in closed form, with a certificate.
+coordinates in that basis, in closed form, with a certificate.  Covers,
+the functions from an index set to subsets whose values union to the
+ground set, are listed beside the subsets.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from types import MappingProxyType
 
 from .canon import ckey
@@ -30,6 +32,21 @@ def _subsets(s):
 def subsets_of(s):
     """Every subset of s in canonical order, as a new list."""
     return list(_subsets(subset_key(s)))
+
+
+def covers(a_size, ground):
+    """All functions from an index set of the given size to subsets of the
+    ground set whose values union to the whole ground set."""
+    ground = subset_key(ground)
+    pool = subsets_of(ground)
+    n = len(ground)
+    return [k for k in product(pool, repeat=a_size) if len(set().union(*k)) == n]
+
+
+def proper_covers(a_size, ground):
+    """Covers whose every value is a proper subset of the ground set."""
+    ground = subset_key(ground)
+    return [k for k in covers(a_size, ground) if ground not in k]
 
 
 class SubsetMonoid:

@@ -5,8 +5,8 @@ encoded elements.  Coefficients are Python ints, hence arbitrary precision;
 zero coefficients are never stored.  The group core never interprets
 elements: every universe (subsets, layouts, tuples, simplicial morphisms)
 supplies its own canonical values, see :mod:`fissile.canon`.  Subgroup
-membership is decided exactly against one integer echelon per generator
-family, and a member comes with its coefficients.
+membership is decided exactly against one integer echelon and its pivot
+table per generator family, and a member comes with its coefficients.
 
 ``Ensemble(terms)`` is the one filter that drops zero coefficients from a
 caller's table.  The group operations ``+``, ``-``, unary ``-`` and ``n*``
@@ -93,9 +93,9 @@ def _exact(terms):
 
 
 def _accumulate(out, terms, sign):
-    """Add sign times a zero-free table into ``out`` in one pass, deleting
-    each entry whose sum cancels.  Keys keep their first-insertion order, as
-    a filtered copy of the unfiltered sum would."""
+    """Add ``sign`` (a nonzero int) times a zero-free table into ``out`` in
+    one pass, deleting each entry whose sum cancels.  Keys keep their
+    first-insertion order, as a filtered copy of the unfiltered sum would."""
     get = out.get
     for el, c in terms.items():
         c = get(el, 0) + sign * c
@@ -161,7 +161,8 @@ def combining_product(factors, combiner) -> Ensemble:
 
 class SubgroupGenerators:
     """A finitely generated subgroup, given by explicit ensemble generators,
-    with its coordinate index and integer echelon, each built on first use."""
+    with its coordinate index, integer echelon and pivot table, each built
+    on first use."""
 
     def __init__(self, generators):
         self.generators = tuple(generators)
@@ -182,6 +183,18 @@ class SubgroupGenerators:
                 row[self.index[el]] = c
             rows.append(row)
         return _echelon_form(rows)
+
+    @cached_property
+    def pivots(self):
+        """(pivot column, row from that column on) of each nonzero row of H,
+        in row order; H's zero rows all come after its nonzero rows."""
+        out = []
+        for row in self.echelon[0]:
+            piv = next((j for j, val in enumerate(row) if val), None)
+            if piv is None:
+                break
+            out.append((piv, row[piv:]))
+        return out
 
 
 class Membership:
@@ -253,12 +266,14 @@ def _echelon_form(rows):
 def subgroup_membership(v: Ensemble, gens: SubgroupGenerators) -> Membership:
     """Decide whether ``v`` is an integer combination of the generators.
 
-    The generators' echelon H is built once per :class:`SubgroupGenerators`.
-    A target is reduced against H's pivots, one multiplier per row; the
-    coefficients (one per generator) are those multipliers pushed back
-    through the recorded row operations in reverse, and are verified by
-    re-evaluation.  Negative answers are definite: a coordinate outside
-    every generator, a pivot that does not divide, or a nonzero residual.
+    The generators' echelon H and its pivot table are built once per
+    :class:`SubgroupGenerators`.  A target is reduced against H's pivots,
+    one multiplier per row, from each pivot column on, since H is zero left
+    of its pivots; the coefficients (one per generator) are those
+    multipliers pushed back through the recorded row operations in reverse,
+    and are verified by re-evaluation.  Negative answers are definite: a
+    coordinate outside every generator, a pivot that does not divide, or a
+    nonzero residual.
     """
     index = gens.index
     for el in v.terms:
@@ -266,28 +281,25 @@ def subgroup_membership(v: Ensemble, gens: SubgroupGenerators) -> Membership:
             return Membership(False, None, "coordinate outside every generator")
     if not v.terms:
         return Membership(True, (0,) * len(gens.generators), "zero element")
-    h, ops = gens.echelon
     residual = [0] * len(index)
     for el, c in v.terms.items():
         residual[index[el]] = c
-    combo = [0] * len(h)
-    for i, row in enumerate(h):
-        piv = next((j for j, val in enumerate(row) if val), None)
-        if piv is None:
-            break
-        if residual[piv] % row[piv] != 0:
+    combo = [0] * len(gens.generators)
+    for i, (piv, row) in enumerate(gens.pivots):
+        t, rest = divmod(residual[piv], row[0])
+        if rest:
             return Membership(False, None, "divisibility obstruction")
-        t = combo[i] = residual[piv] // row[piv]
         if t:
-            for j in range(len(row)):
-                residual[j] -= t * row[j]
+            combo[i] = t
+            residual[piv:] = [x - t * y for x, y in zip(residual[piv:], row)]
     if any(residual):
         return Membership(False, None, "residual outside the lattice")
-    for r, i, a, b, c, d in reversed(ops):
+    for r, i, a, b, c, d in reversed(gens.echelon[1]):
         combo[r], combo[i] = a * combo[r] + c * combo[i], b * combo[r] + d * combo[i]
-    check = Ensemble.zero()
+    check = {}
     for c, g in zip(combo, gens.generators):
-        check = check + c * g
-    if check != v:
+        if c:
+            _accumulate(check, g.terms, c)
+    if check != v.terms:
         raise ValueError("subgroup membership: the combination fails re-evaluation")
     return Membership(True, tuple(combo), "certified combination")

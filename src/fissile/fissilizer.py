@@ -215,8 +215,12 @@ def defect_subgroup_family(lp, seeds):
     """The smallest family containing every combining-product defect of the
     seed ensembles and closed under restriction and the extender.
 
-    Closure terminates because the generated subgroups sit inside finitely
-    generated integer lattices, which have no infinite ascending chains.
+    Each generator is pushed once along each pair a > b and direction: a
+    generator pushed before stays a member of its target's span, since
+    spans only grow, so each round pushes only the generators that arrived
+    since the last one.  Closure terminates because the generated subgroups
+    sit inside finitely generated integer lattices, which have no infinite
+    ascending chains.
     """
     lattice = lp.lattice
     family = {a: SubgroupGenerators(()) for a in lattice.layouts}
@@ -231,15 +235,20 @@ def defect_subgroup_family(lp, seeds):
         wrapped = lp.wrap(q)
         for a in lattice.layouts:
             push(a, q_square(lp, q, a) - lp.restrict(wrapped, lp.top, a))
+    moves = [
+        (source, target, move, a, b)
+        for a in lattice.layouts
+        for b in lattice.layouts
+        if a != b and lattice.geq(a, b)
+        for source, target, move in ((a, b, lp.restrict), (b, a, lp.extend))
+    ]
+    pushed = [0] * len(moves)
     changed = True
     while changed:
         changed = False
-        for a in lattice.layouts:
-            for b in lattice.layouts:
-                if a == b or not lattice.geq(a, b):
-                    continue
-                for g in family[a].generators:
-                    changed |= push(b, lp.restrict(g, a, b))
-                for g in family[b].generators:
-                    changed |= push(a, lp.extend(g, a, b))
+        for k, (source, target, move, a, b) in enumerate(moves):
+            gens = family[source].generators
+            for g in gens[pushed[k]:]:
+                changed |= push(target, move(g, a, b))
+            pushed[k] = len(gens)
     return family

@@ -14,23 +14,8 @@ when it is compared.
 
 from itertools import product
 
-from .chained import omega, omega_terms, subset_key, subsets_of
+from .chained import covers, omega, omega_terms, proper_covers, subset_key, subsets_of
 from .ensembles import Ensemble, expand_into, singleton
-
-
-def covers(a_size, ground):
-    """All functions from an index set of the given size to subsets of the
-    ground set whose values union to the whole ground set."""
-    ground = subset_key(ground)
-    pool = subsets_of(ground)
-    n = len(ground)
-    return [k for k in product(pool, repeat=a_size) if len(set().union(*k)) == n]
-
-
-def proper_covers(a_size, ground):
-    """Covers whose every value is a proper subset of the ground set."""
-    ground = subset_key(ground)
-    return [k for k in covers(a_size, ground) if ground not in k]
 
 
 def _omega_tensors(functions):

@@ -14,7 +14,7 @@ from functools import reduce
 from operator import add
 
 from .canon import ckey
-from .ensembles import Ensemble
+from .ensembles import Ensemble, _accumulate, _exact
 
 
 class FinitePoset:
@@ -95,16 +95,17 @@ def _require_elements(poset: FinitePoset, family: Section):
 
 
 def nabla(poset: FinitePoset, restrict, family: Section) -> Section:
-    """Triangular transform: output at q sums the restrictions from all p >= q."""
+    """Triangular transform: output at q sums the restrictions from all p >= q,
+    in one table per q."""
     _require_elements(poset, family)
     out = Section()
     for q in poset.elements:
-        acc = Ensemble.zero()
+        acc = {}
         for p, val in family.items():
             if val and poset.leq(q, p):
-                acc = acc + restrict(p, q, val)
+                _accumulate(acc, restrict(p, q, val).terms, 1)
         if acc:
-            out[q] = acc
+            out[q] = _exact(acc)
     return out
 
 

@@ -13,7 +13,7 @@ witnessed deep in the block filtration.
 import functools
 
 from .canon import ckey
-from .chained import SubsetMonoid, omega, subset_key, subsets_of
+from .chained import SubsetMonoid, covers, omega, proper_covers, subset_key, subsets_of
 from .ensembles import (
     Ensemble,
     augmentation,
@@ -21,7 +21,6 @@ from .ensembles import (
     map_ensemble,
     singleton,
 )
-from .identities import covers, proper_covers
 from .layouts import GuardExceeded, LayoutLattice, guard_setting, layout_key
 from .posets import Section, extend_to, nabla_inverse
 from .simplicial import (

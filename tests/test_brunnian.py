@@ -200,6 +200,29 @@ def test_magnus_inverse_is_inverse():
         assert magnus(concat(w, invert(w)), 3) == MagnusSeries.one(3)
 
 
+def generator_series(i, exp, degree):
+    """Reference: the truncated series of one letter, 1 + X_i for x_i and
+    the alternating series of X_i for its inverse."""
+    if exp == 1:
+        return MagnusSeries(degree, {(): 1, (i,): 1})
+    return MagnusSeries(degree, {(i,) * k: (-1) ** k for k in range(degree + 1)})
+
+
+def test_magnus_equals_the_product_of_generator_series():
+    # the left fold of the general product, term for term and in order
+    rng = random.Random(58)
+    words = [()] + [random_word(rng, (1, 2, 3), rng.randint(1, 9)) for _ in range(60)]
+    assert {e for w in words for _, e in w} == {1, -1}
+    for w in words:
+        for d in (1, 2, 3, 4):
+            want = MagnusSeries.one(d)
+            for g, e in w:
+                want = want * generator_series(g, e, d)
+            got = magnus(w, d)
+            assert got.degree == d
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
 def substitute_zero(series, killed):
     """The series with every monomial that mentions a killed generator
     dropped."""

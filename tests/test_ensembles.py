@@ -480,3 +480,88 @@ def test_family_builds_its_echelon_once(monkeypatch):
 
 def test_subgroup_membership_reevaluation_raises_under_optimize(run_optimized):
     run_optimized(f"{__file__}::test_subgroup_membership_reevaluation_raises")
+
+
+def reference_membership(v, gens):
+    """Reference: the membership algorithm that scans each row of H for its
+    pivot on every call, reduces whole rows and re-evaluates through one
+    new ensemble per generator."""
+    index = gens.index
+    if any(el not in index for el in v.terms):
+        return False, None, "coordinate outside every generator"
+    if not v.terms:
+        return True, (0,) * len(gens.generators), "zero element"
+    h, ops = gens.echelon
+    residual = [0] * len(index)
+    for el, c in v.terms.items():
+        residual[index[el]] = c
+    combo = [0] * len(h)
+    for i, row in enumerate(h):
+        piv = next((j for j, val in enumerate(row) if val), None)
+        if piv is None:
+            break
+        if residual[piv] % row[piv] != 0:
+            return False, None, "divisibility obstruction"
+        t = combo[i] = residual[piv] // row[piv]
+        for j in range(len(row)):
+            residual[j] -= t * row[j]
+    if any(residual):
+        return False, None, "residual outside the lattice"
+    for r, i, a, b, c, d in reversed(ops):
+        combo[r], combo[i] = a * combo[r] + c * combo[i], b * combo[r] + d * combo[i]
+    check = Ensemble.zero()
+    for c, g in zip(combo, gens.generators):
+        check = check + c * g
+    assert check == v
+    return True, tuple(combo), "certified combination"
+
+
+def test_membership_matches_the_reference_algorithm():
+    rng = random.Random(23)
+    universe = ["a", "b", "c", "d", "e"]
+    reasons = set()
+    for trial in range(200):
+        bound = 10**20 if trial % 7 == 0 else 6
+        gens = [
+            random_ensemble(rng, universe[:4], max_terms=4, coeff_bound=bound)
+            for _ in range(rng.randint(1, 5))
+        ]
+        # zero rows: a zero generator, a repeated one, a dependent one
+        gens += [Ensemble.zero()] * rng.randint(0, 1)
+        gens += [rng.choice(gens) for _ in range(rng.randint(0, 1))]
+        if trial % 2:
+            gens.append(rng.randint(-3, 3) * gens[0] + rng.randint(1, 3) * gens[-1])
+        # non-unit pivots: scaled copies make divisibility obstructions
+        gens = [rng.choice((1, 2, 3, -2)) * g for g in gens]
+        rng.shuffle(gens)
+        family = SubgroupGenerators(gens)
+        targets = [Ensemble.zero(), singleton("e")]
+        targets += [random_ensemble(rng, universe[:4], coeff_bound=bound) for _ in range(3)]
+        for _ in range(3):
+            v = Ensemble.zero()
+            for g in gens:
+                v = v + rng.randint(-4, 4) * g
+            targets += [v, v + singleton(rng.choice(universe[:4]))]
+        for v in targets:
+            res = subgroup_membership(v, family)
+            got = (res.member, res.coefficients, res.reason)
+            assert got == reference_membership(v, family)
+            reasons.add(res.reason)
+    assert reasons == {
+        "zero element",
+        "coordinate outside every generator",
+        "divisibility obstruction",
+        "residual outside the lattice",
+        "certified combination",
+    }
+
+
+def test_the_pivot_table_lists_each_nonzero_row_of_h_from_its_pivot():
+    gens = SubgroupGenerators(
+        [Ensemble({"a": 2, "b": 4}), Ensemble({"a": 1, "b": 2}), Ensemble({"c": 3})]
+    )
+    h, _ = gens.echelon
+    assert h[-1] == [0, 0, 0]
+    assert gens.pivots == [(piv, h[i][piv:]) for i, piv in enumerate((0, 2))]
+    assert gens.pivots is gens.pivots
+

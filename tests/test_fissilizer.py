@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from fissile import posets
-from fissile.ensembles import Ensemble, augmentation, map_ensemble, singleton
+from fissile import fissilizer, posets
+from fissile.ensembles import (
+    Ensemble,
+    SubgroupGenerators,
+    augmentation,
+    map_ensemble,
+    singleton,
+)
 from fissile.fissilizer import (
     FunctionFacePresheaf,
     ProductLayoutPresheaf,
@@ -147,8 +153,6 @@ def test_defect_check_trivial_cases():
     universe = {
         a: lp.enumerate_universe(a) for a in lp.lattice.layouts
     }
-    from fissile.ensembles import SubgroupGenerators
-
     full = {
         a: SubgroupGenerators([singleton(el) for el in universe[a]])
         for a in lp.lattice.layouts
@@ -162,8 +166,6 @@ def test_defect_check_trivial_cases():
 
 
 def test_defect_check_reports_hypothesis_failure_distinctly():
-    from fissile.ensembles import SubgroupGenerators
-
     lp = presheaf_on((1,))
     bad = {a: SubgroupGenerators([]) for a in lp.lattice.layouts}
     q = 2 * singleton((0,))
@@ -171,6 +173,67 @@ def test_defect_check_reports_hypothesis_failure_distinctly():
     assert not report.hypothesis_ok
     assert report.conclusion is None
     assert any(kind == "defect" for kind, *_ in report.hypothesis_failures)
+
+
+def rescan_defect_family(lp, seeds):
+    """Reference: the defect closure that pushes every generator of every
+    family along every pair a > b and direction, each round."""
+    lattice = lp.lattice
+    family = {a: SubgroupGenerators(()) for a in lattice.layouts}
+
+    def push(a, g):
+        if not g or fissilizer.subgroup_membership(g, family[a]):
+            return False
+        family[a] = SubgroupGenerators(family[a].generators + (g,))
+        return True
+
+    for q in seeds:
+        wrapped = lp.wrap(q)
+        for a in lattice.layouts:
+            push(a, q_square(lp, q, a) - lp.restrict(wrapped, lp.top, a))
+    changed = True
+    while changed:
+        changed = False
+        for a in lattice.layouts:
+            for b in lattice.layouts:
+                if a == b or not lattice.geq(a, b):
+                    continue
+                for g in family[a].generators:
+                    changed |= push(b, lp.restrict(g, a, b))
+                for g in family[b].generators:
+                    changed |= push(a, lp.extend(g, a, b))
+    return family
+
+
+def test_defect_family_equals_the_full_rescan_closure(monkeypatch):
+    calls = {"incremental": 0, "rescan": 0}
+    counting = ["incremental"]
+    membership = fissilizer.subgroup_membership
+
+    def counted(v, gens):
+        calls[counting[0]] += 1
+        return membership(v, gens)
+
+    monkeypatch.setattr(fissilizer, "subgroup_membership", counted)
+    rng = random.Random(31)
+    for n in (1, 2, 2, 3):
+        lp = presheaf_on(tuple(range(1, n + 1)))
+        for _ in range(8):
+            seeds = [
+                random_top_ensemble(rng, lp, max_terms=3, coeff=3)
+                for _ in range(rng.randint(1, 2))
+            ]
+            counting[0] = "incremental"
+            got = defect_subgroup_family(lp, seeds)
+            counting[0] = "rescan"
+            want = rescan_defect_family(lp, seeds)
+            assert list(got) == list(want)
+            for a, gens in want.items():
+                assert [list(g.terms.items()) for g in got[a].generators] == [
+                    list(g.terms.items()) for g in gens.generators
+                ]
+    # each generator is pushed once per pair and direction
+    assert calls["incremental"] < calls["rescan"]
 
 
 def reference_restrict(lp, a, b, el):

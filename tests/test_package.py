@@ -158,11 +158,17 @@ def _fresh(code):
 
 @pytest.mark.parametrize("modules", ["fissile.artifacts, fissile.wedge", "fissile.cli"])
 def test_a_command_imports_only_what_it_runs(modules):
-    # a construct or check reads neither the fissilizer, the suites nor the
-    # word calculus, and no module imports dataclasses; the command line
-    # imports the suites for ``verify`` and the word calculus for the word
-    # commands only
-    unused = ["dataclasses", "fissile.fissilizer", "fissile.suites", "fissile.brunnian"]
+    # a construct or check reads neither the fissilizer, the suites, the
+    # cover identities nor the word calculus, and no module imports
+    # dataclasses; the command line imports the suites for ``verify`` and
+    # the word calculus for the word commands only
+    unused = [
+        "dataclasses",
+        "fissile.fissilizer",
+        "fissile.suites",
+        "fissile.identities",
+        "fissile.brunnian",
+    ]
     code = f"import sys, {modules}\nprint(sorted(set({unused}) & set(sys.modules)))"
     assert _fresh(code) == "[]"
 

@@ -81,6 +81,37 @@ def test_nabla_is_zeta_transform_on_boolean_lattice():
         assert nabla(b3, const_restrict, fam) == zeta_oracle(b3, fam)
 
 
+def chained_nabla(poset, restrict, family):
+    """Reference: the transform summed through a chain of ensemble sums."""
+    out = Section()
+    for q in poset.elements:
+        acc = Ensemble.zero()
+        for p, val in family.items():
+            if val and poset.leq(q, p):
+                acc = acc + restrict(p, q, val)
+        if acc:
+            out[q] = acc
+    return out
+
+
+def test_nabla_equals_the_chained_sum_in_key_order():
+    rng = random.Random(21)
+    for ground in ((1,), (1, 2), (1, 2, 3)):
+        lp, poset, restrict, _ = layout_system(ground)
+        for _ in range(15):
+            fam = Section()
+            for a in rng.sample(poset.elements, rng.randint(0, len(poset.elements))):
+                universe = lp.enumerate_universe(a)
+                fam[a] = Ensemble.zero()
+                for _ in range(rng.randint(0, 4)):
+                    fam[a] = fam[a] + rng.randint(-2, 2) * singleton(rng.choice(universe))
+            got, want = nabla(poset, restrict, fam), chained_nabla(poset, restrict, fam)
+            assert list(got) == list(want)
+            assert [list(v.terms.items()) for v in got.values()] == [
+                list(v.terms.items()) for v in want.values()
+            ]
+
+
 def test_nabla_inverse_round_trip_on_layout_lattice():
     rng = random.Random(4)
     poset = LayoutLattice((1, 2, 3)).poset()
