@@ -2,11 +2,17 @@
 
 A morphism record names its domain by a label, whose grammar
 :class:`fissile.wedge.WedgeContext` documents; nothing else in a dump is a
-label.  The checker rebuilds each domain from the manifest sizes through
+label.  Each witness file, a pair file or ``q.json``, writes each distinct
+part once, in its ``parts`` table, and each witness as its level, its block
+count and its blocks grouped by the id of their f, each block a
+coefficient and the indices of its parts in the table.  The checker
+rebuilds each domain from the manifest sizes through
 :meth:`~fissile.wedge.WedgeContext.obj`, the constructors the builder
 calls, and derives every other object from what it reads: a block's wedge
 is the wedge of the objects its parts' terms lie on, and a witness's space
 is its claim's, the space at J for a pair (F, J) and the full space for q.
+It reads each table entry once, into one part that every block naming it
+shares, and decodes a witness's blocks group by group.
 It revalidates every stored morphism table against those objects and
 re-verifies all claims from file contents alone, never trusting the
 builder's bookkeeping.  The claims are evaluated by the
@@ -226,14 +232,16 @@ def _fields(x, what, *keys):
     """The fields ``keys`` of x, in order; x must be a JSON object that has
     each and no other, so every field written is one the checker reads.
     The checker reads every field here, or through ``get`` where a missing
-    one is checked as a bad value."""
+    one is checked as a bad value.  A field it does not read is named
+    ahead of a missing one, so a file in an older layout names what it
+    holds that is no longer read."""
     x = _object(x, what)
+    extra = x.keys() - set(keys)
+    if extra:
+        raise ArtifactError(f"{what} has the field {min(extra)!r:.60}, which is not read")
     for key in keys:
         if key not in x:
             raise ArtifactError(f"{what} lacks the field {key!r}")
-    if len(x) != len(keys):
-        extra = min(x.keys() - set(keys))
-        raise ArtifactError(f"{what} has the field {extra!r:.60}, which is not read")
     return [x[key] for key in keys]
 
 
@@ -282,62 +290,130 @@ def _pi_from_json(data) -> Ensemble:
     return Ensemble(out)
 
 
-def witness_to_json(w: FiltrationWitness, store: MorphismStore):
-    blocks = []
+class PartTable:
+    """The part table of one witness file as it is written: each distinct
+    part once, ``{"level", "terms": [{"pi", "w"}]}``, in first-use order,
+    and named by its index.  Two parts are one entry when they are written
+    alike, level, terms, pi and ids; each part object is encoded once."""
+
+    def __init__(self, store: MorphismStore):
+        self.store, self.rows = store, []
+        self._index, self._of = {}, {}
+
+    def index(self, p: BlockPart) -> int:
+        """The index of p's entry, which the first use of its form makes."""
+
+        def entry():
+            terms = [(t.pi.sorted_items(), self.store.ref(t.morphism)) for t in p.terms]
+            key = (p.level, tuple((tuple(pi), w) for pi, w in terms))
+            if key not in self._index:
+                self._index[key] = len(self.rows)
+                rows = [{"pi": pi, "w": w} for pi, w in terms]
+                self.rows.append({"level": p.level, "terms": rows})
+            return self._index[key]
+
+        return once(self._of, p, entry)
+
+
+def witness_to_json(w: FiltrationWitness, store: MorphismStore, parts: PartTable):
+    """The witness as data: its level, its number of blocks, and its blocks
+    in groups, one per distinct id of their f, in first-occurrence order.
+    A group is ``{"f", "blocks"}``, and each of its blocks, in witness
+    order, is ``[coeff, [part index, ...]]`` into the file's part table."""
+    groups = {}
     for c, b in w.entries:
-        blocks.append(
-            {
-                "coeff": c,
-                "f": store.ref(b.f),
-                "parts": [
-                    {
-                        "level": p.level,
-                        "terms": [
-                            {"pi": t.pi.sorted_items(), "w": store.ref(t.morphism)}
-                            for t in p.terms
-                        ],
-                    }
-                    for p in b.parts
-                ],
-            }
-        )
-    return {"level": w.level, "blocks": blocks}
+        block = [c, [parts.index(p) for p in b.parts]]
+        groups.setdefault(store.ref(b.f), []).append(block)
+    return {
+        "level": w.level,
+        "block_count": len(w.entries),
+        "groups": [{"f": fid, "blocks": blocks} for fid, blocks in groups.items()],
+    }
 
 
-def witness_from_json(data, store: MorphismStore, ctx: WedgeContext, space):
-    """The witness written as data, claimed in the space.  Part j of a
-    block is a nonempty list of terms on one object, the block's summand j,
-    each valued in the space, whose actions are composed with it; the
-    block's wedge is the context's wedge of those summands, and its f must
-    map into it."""
-    blocks, level = _fields(data, "witness", "blocks", "level")
-    entries = []
-    for b, brec in enumerate(_list(blocks, "blocks")):
-        precs, fid, coeff = _fields(brec, "block", "parts", "f", "coeff")
-        parts = []
-        for j, prec in enumerate(_list(precs, "parts")):
-            trecs, plevel = _fields(prec, "part", "terms", "level")
-            terms = []
-            for trec in _list(trecs, "terms"):
-                w, pi = _fields(trec, "term", "w", "pi")
-                # sets compare by identity, and every one comes from ctx
-                if terms and store.domain(w) is not terms[0].morphism.domain:
-                    raise ArtifactError(
-                        f"block {b} part {j} has terms on "
-                        f"{terms[0].morphism.domain.label!r} and on "
-                        f"{store.domain(w).label!r}"
-                    )
-                morphism = store.morph(w, space.obj, f"block {b} part {j} term")
-                terms.append(IdealTerm(_pi_from_json(pi), morphism))
-            if not terms:
-                raise ArtifactError(f"block {b} part {j} has no terms")
-            parts.append(BlockPart(_int(plevel, "part level"), terms))
-        if not parts:
-            raise ArtifactError(f"block {b} has no parts")
-        wedge_obj = ctx.wedge_of([p.terms[0].morphism.domain for p in parts])
-        f = store.morph(fid, wedge_obj, f"block {b} decomposition")
-        entries.append((_int(coeff, "block coeff"), Block(f, parts)))
+def parts_from_json(data, store: MorphismStore, space) -> list:
+    """The part table written as data, each entry read once into one
+    :class:`BlockPart` in the file's space: a nonempty list of terms on one
+    object, each valued in the space, whose actions are composed with it.
+    Two entries written alike are one part written twice."""
+    parts, seen = [], {}
+    for i, prec in enumerate(_list(data, "parts")):
+        trecs, plevel = _fields(prec, "part", "terms", "level")
+        terms, key = [], []
+        for trec in _list(trecs, "terms"):
+            w, pi = _fields(trec, "term", "w", "pi")
+            # sets compare by identity, and every one comes from ctx
+            if terms and store.domain(w) is not terms[0].morphism.domain:
+                raise ArtifactError(
+                    f"part {i} has terms on {terms[0].morphism.domain.label!r} "
+                    f"and on {store.domain(w).label!r}"
+                )
+            morphism = store.morph(w, space.obj, f"part {i} term")
+            terms.append(IdealTerm(_pi_from_json(pi), morphism))
+            key.append((w, tuple(terms[-1].pi.terms.items())))
+        if not terms:
+            raise ArtifactError(f"part {i} has no terms")
+        level = _int(plevel, "part level")
+        k = seen.setdefault((level, tuple(key)), i)
+        if k != i:
+            raise ArtifactError(f"parts {k} and {i} are written alike")
+        parts.append(BlockPart(level, terms))
+    return parts
+
+
+def witness_from_json(data, store: MorphismStore, ctx: WedgeContext, parts, used):
+    """The witness written as data over the file's part table ``parts``;
+    each part index read is added to the set ``used``.  Its blocks are
+    decoded group by group, each group's in order, and numbered so in
+    diagnostics; there must be as many as the witness counts, so no group
+    is dropped unseen, even one whose blocks cancel.  A block's part j is
+    its wedge's summand j, the object its terms lie on; the wedge is the
+    context's wedge of those summands, and the group's f must map into it."""
+    groups, count, level = _fields(data, "witness", "groups", "block_count", "level")
+    entries, heads = [], {}
+    for g, grec in enumerate(_list(groups, "groups")):
+        blocks, fid = _fields(grec, "group", "blocks", "f")
+        store.domain(fid)
+        if heads.setdefault(fid, g) != g:
+            raise ArtifactError(f"groups {heads[fid]} and {g} have one f")
+        if not _list(blocks, "blocks"):
+            raise ArtifactError(f"group {g} has no blocks")
+        for entry in blocks:
+            b = len(entries)
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise ArtifactError(f"block {b} {entry!r:.60} is not [coeff, [part index, ...]]")
+            block_parts = []
+            for i in _list(entry[1], "part indices"):
+                if type(i) is not int or not 0 <= i < len(parts):
+                    raise ArtifactError(f"block {b} part index {i!r:.60} is not in the part table")
+                used.add(i)
+                block_parts.append(parts[i])
+            if not block_parts:
+                raise ArtifactError(f"block {b} has no parts")
+            wedge_obj = ctx.wedge_of([p.terms[0].morphism.domain for p in block_parts])
+            f = store.morph(fid, wedge_obj, f"block {b} decomposition")
+            entries.append((_int(entry[0], "block coeff"), Block(f, block_parts)))
+    if _int(count, "witness block_count") != len(entries):
+        raise ArtifactError(f"witness block_count {count} is not its {len(entries)} blocks")
     return FiltrationWitness(_int(level, "witness level"), entries)
+
+
+def witnesses_from_json(table, witnesses, store: MorphismStore, ctx: WedgeContext, space):
+    """The witnesses written as data in one file, all claimed in the space,
+    whose part table is ``table``, and the first entry of the table that no
+    block names, or None.  The caller fails an unused entry, as it fails an
+    unused morphism record, once the claims match."""
+    parts, used = parts_from_json(table, store, space), set()
+    out = [witness_from_json(w, store, ctx, parts, used) for w in witnesses]
+    return out, min(set(range(len(parts))) - used, default=None)
+
+
+def _require_all_parts_used(unused):
+    """Every entry of every part table is named by some block; ``unused``
+    holds the (file name, first unused entry or None) of each table."""
+    for name, i in unused:
+        if i is not None:
+            raise ArtifactError(f"{name} part {i} is used by no block")
 
 
 # -- writing -------------------------------------------------------------------
@@ -364,11 +440,13 @@ def write_pair_artifacts(result, out_dir):
     pair_files = []
     for (f, j), rec in sorted(result.pairs.items()):
         name = f"pair_F{_slug(f)}_J{_slug(j)}.json"
+        parts = PartTable(store)
         payload = {
             "face": f,
             "subset": j,
             "ensemble": ensemble_to_json(rec.ensemble, store),
-            "alt_witness": witness_to_json(rec.alt_witness, store),
+            "alt_witness": witness_to_json(rec.alt_witness, store, parts),
+            "parts": parts.rows,
         }
         _dump(os.path.join(out_dir, name), payload)
         pair_files.append(name)
@@ -390,16 +468,18 @@ def write_q_artifacts(result, record, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     ctx = result.ctx
     store = MorphismStore()
+    parts = PartTable(store)
     payload = {
         "ensemble": ensemble_to_json(record.ensemble, store),
         "layouts": [
             {
                 "layout": a,
-                "witness": witness_to_json(record.layout_witnesses[a], store),
+                "witness": witness_to_json(record.layout_witnesses[a], store, parts),
             }
             for a in sorted(record.layout_witnesses)
         ],
-        "boundary_witness": witness_to_json(record.boundary_witness, store),
+        "boundary_witness": witness_to_json(record.boundary_witness, store, parts),
+        "parts": parts.rows,
     }
     _dump(os.path.join(out_dir, "q.json"), payload)
     _dump(
@@ -417,7 +497,7 @@ def write_q_artifacts(result, record, out_dir):
 # -- checking -------------------------------------------------------------------
 
 
-# the readers recurse on what they read; real dumps nest at most 13 deep
+# the readers recurse on what they read; real dumps nest at most 10 deep
 MAX_DEPTH = 64
 
 
@@ -499,7 +579,7 @@ def check_pair_artifacts(in_dir):
     once; otherwise only the failed claims are returned.
     """
     manifest, ctx, store = _open_dump(in_dir, "pair-construction")
-    claims, pairs, witnesses = [], {}, {}
+    claims, pairs, witnesses, unused = [], {}, {}, []
     for name in _list(manifest["pairs"], "manifest 'pairs'"):
         plain = type(name) is str and os.path.basename(name) == name
         if not plain or name in ("", ".", ".."):
@@ -507,21 +587,25 @@ def check_pair_artifacts(in_dir):
                 f"manifest pair file {name!r:.60} is not a file name in the dump"
             )
         payload = _load(os.path.join(in_dir, name))
-        face, subset, ens, wit = _fields(
-            payload, name, "face", "subset", "ensemble", "alt_witness"
+        face, subset, ens, wit, table = _fields(
+            payload, name, "face", "subset", "ensemble", "alt_witness", "parts"
         )
         f, j = subset_key(_subset(face, "face")), subset_key(_subset(subset, "subset"))
         claims.append((f, j))
         pairs[(f, j)] = ensemble_from_json(ens, store, ctx.w_obj)
         # a J outside I is a claim-extra line, and has no space to read into
         if set(j) <= set(ctx.i_set):
-            witnesses[(f, j)] = witness_from_json(wit, store, ctx, ctx.space(j))
+            (witnesses[(f, j)],), first = witnesses_from_json(
+                table, [wit], store, ctx, ctx.space(j)
+            )
+            unused.append((name, first))
     mismatches = _claim_mismatches(
         pair_claims(ctx.i_set, ctx.e_set), claims, lambda c: f"F={c[0]} J={c[1]}"
     )
     if mismatches:
         return mismatches
     store.require_all_used()
+    _require_all_parts_used(unused)
     checks = []
     for f, j in sorted(pairs):
         checks.extend(
@@ -532,20 +616,22 @@ def check_pair_artifacts(in_dir):
 
 def _read_q(path, store: MorphismStore, ctx: WedgeContext):
     """The ensemble, the (layout, witness) pairs and the boundary witness
-    written in the ``q.json`` at path; the parsed file is dropped when this
-    returns."""
-    ens, layouts, bdata = _fields(
-        _load(path), "q.json", "ensemble", "layouts", "boundary_witness"
+    written in the ``q.json`` at path, and the first entry of its part
+    table that no block names, or None; the parsed file is dropped when
+    this returns."""
+    ens, layouts, bdata, table = _fields(
+        _load(path), "q.json", "ensemble", "layouts", "boundary_witness", "parts"
     )
     q_ens = ensemble_from_json(ens, store, ctx.w_obj)
-    space = ctx.full_space
-    layout_witnesses = []
-    for entry in _list(layouts, "layouts"):
-        layout, wit = _fields(entry, "layout entry", "layout", "witness")
-        layout_witnesses.append(
-            (_layout(layout), witness_from_json(wit, store, ctx, space))
-        )
-    return q_ens, layout_witnesses, witness_from_json(bdata, store, ctx, space)
+    entries = [
+        _fields(entry, "layout entry", "layout", "witness")
+        for entry in _list(layouts, "layouts")
+    ]
+    layouts = [_layout(a) for a, _w in entries]
+    (*wits, bwit), unused = witnesses_from_json(
+        table, [w for _a, w in entries] + [bdata], store, ctx, ctx.full_space
+    )
+    return q_ens, list(zip(layouts, wits)), bwit, unused
 
 
 def check_q_artifacts(in_dir):
@@ -554,7 +640,9 @@ def check_q_artifacts(in_dir):
     they must be the layouts of E, each once; otherwise only the failed
     claims are returned."""
     _manifest, ctx, store = _open_dump(in_dir, "almost-fissile")
-    q_ens, layout_witnesses, bwit = _read_q(os.path.join(in_dir, "q.json"), store, ctx)
+    q_ens, layout_witnesses, bwit, unused = _read_q(
+        os.path.join(in_dir, "q.json"), store, ctx
+    )
     mismatches = _claim_mismatches(
         LayoutLattice(ctx.e_set, bound=len(ctx.e_set)).layouts,
         [a for a, _ in layout_witnesses],
@@ -563,4 +651,5 @@ def check_q_artifacts(in_dir):
     if mismatches:
         return mismatches
     store.require_all_used()
+    _require_all_parts_used([("q.json", unused)])
     return list(q_checks(ctx, q_ens, layout_witnesses, bwit))

@@ -325,22 +325,41 @@ def test_label_of_another_index_set_is_rejected(label):
     assert ctx.space((2, 1)) is ctx.full_space and ctx.full_space.obj is ctx.w_obj
 
 
-def _put_on_blocks(node, key, value):
-    """Put ``key: value`` on every witness block under node."""
-    for block in list(_blocks(node)):
-        block[key] = value
+def _put_on_groups(node, key, value):
+    """Put ``key: value`` on every witness group under node."""
+    for group in list(_groups(node)):
+        group[key] = value
 
 
-def _blocks(node):
-    """Every witness block under node."""
+def _groups(node):
+    """Every witness group under node."""
     if isinstance(node, dict):
-        if "parts" in node and "f" in node:
+        if "blocks" in node and "f" in node:
             yield node
         for child in node.values():
-            yield from _blocks(child)
+            yield from _groups(child)
     elif isinstance(node, list):
         for child in node:
-            yield from _blocks(child)
+            yield from _groups(child)
+
+
+def _blocks(witness):
+    """The (f, block) of each block of a witness as written, in the order
+    the checker decodes and numbers them: group by group."""
+    return [(g["f"], block) for g in witness["groups"] for block in g["blocks"]]
+
+
+def _first_block(data):
+    return next(_groups(data))["blocks"][0]
+
+
+def _q_witnesses(data):
+    """The (check name, witness) of each witness of a ``q.json``."""
+    named = [
+        (f"layout-defect-witness A={_tuples(e['layout'])}", e["witness"])
+        for e in data["layouts"]
+    ]
+    return named + [("boundary-witness", data["boundary_witness"])]
 
 
 @pytest.mark.parametrize("kind", ["pj", "q"])
@@ -349,13 +368,14 @@ def _blocks(node):
 )
 def test_check_rejects_block_wedge_that_is_no_wedge(tmp_path, kind, label):
     # a block's wedge is derived from its parts, so a written one, a wedge
-    # or not, is a field the checker does not read
+    # or not, put where a group's blocks would share it, is a field the
+    # checker does not read
     out = tmp_path / kind
     run_cli([f"construct-{kind}", "--i", "2", "--e", "1", "--out", str(out)])
     files = [out / "q.json"] if kind == "q" else sorted(out.glob("pair_*.json"))
-    path = next(p for p in files if any(_blocks(json.loads(p.read_text()))))
+    path = next(p for p in files if any(_groups(json.loads(p.read_text()))))
     data = json.loads(path.read_text())
-    next(_blocks(data))["wedge"] = label
+    next(_groups(data))["wedge"] = label
     path.write_text(json.dumps(data))
     rc, out_text, err = run_cli([f"check-{kind}", "--in", str(out)])
     assert rc == 1
@@ -363,7 +383,7 @@ def test_check_rejects_block_wedge_that_is_no_wedge(tmp_path, kind, label):
     report = json.loads(line)
     assert report["verdict"] == "fail"
     assert report["case"]["check"] == (
-        "artifact-structure (block has the field 'wedge', which is not read)"
+        "artifact-structure (group has the field 'wedge', which is not read)"
     )
     assert "Traceback" not in err
 
@@ -445,8 +465,12 @@ def test_check_q_rejects_a_manifest_field_it_does_not_read(dumps, tmp_path, fiel
     assert "Traceback" not in err
 
 
+def _first_part(data):
+    return data["parts"][0]
+
+
 def _first_term(data):
-    return next(_blocks(data))["parts"][0]["terms"][0]
+    return _first_part(data)["terms"][0]
 
 
 def _set(get, key, was, value):
@@ -467,13 +491,14 @@ def _pi_entry(was):
 # each of these reads as the same value in Python, so only a strict reader
 # sees it; the field its ArtifactError names comes second
 LOOSE_WITNESS_VALUES = [
-    (_set(lambda d: next(_blocks(d)), "coeff", 1, True), "block coeff"),
+    (_set(_first_block, 0, 1, True), "block coeff"),
     (_set(_pi_entry([1, 2]), 1, 1, True), "pi coefficient"),
-    (_set(lambda d: next(_blocks(d))["parts"][0], "level", 2, 2.0), "part level"),
-    (_set(lambda d: next(_blocks(d))["parts"][0], "level", 2, "2"), "part level"),
+    (_set(_first_part, "level", 2, 2.0), "part level"),
+    (_set(_first_part, "level", 2, "2"), "part level"),
     (_set(_pi_entry([]), 0, [], {}), "pi key"),
     (_set(_pi_entry([]), 0, [], ""), "pi key"),
     (_set(lambda d: d["ensemble"][0], "coeff", "1", " 1"), "ensemble coeff"),
+    (_set(lambda d: d["boundary_witness"], "block_count", 1, 1.0), "witness block_count"),
 ]
 
 
@@ -514,10 +539,6 @@ def _first_record_a_list(data):
     return data
 
 
-def _first_part(data):
-    return next(_blocks(data))["parts"][0]
-
-
 PAIR = "pair_F1_Jempty.json"
 
 # a value of the wrong JSON type where each reader expects a container, or
@@ -525,10 +546,13 @@ PAIR = "pair_F1_Jempty.json"
 # (dump, file, edit, the field its ArtifactError names)
 WRONG_CONTAINERS = [
     ("q1", "q.json", _put(lambda d: d, "boundary_witness", -1), "witness"),
-    ("q1", "q.json", _put(lambda d: d["boundary_witness"], "blocks", "str"), "blocks"),
-    ("q1", "q.json", _put(lambda d: d["boundary_witness"]["blocks"], 0, None), "block"),
-    ("q1", "q.json", _put(lambda d: next(_blocks(d)), "parts", -1), "parts"),
-    ("q1", "q.json", _put(lambda d: next(_blocks(d))["parts"], 0, "str"), "part"),
+    ("q1", "q.json", _put(lambda d: d["boundary_witness"], "groups", "str"), "groups"),
+    ("q1", "q.json", _put(lambda d: d["boundary_witness"]["groups"], 0, None), "group"),
+    ("q1", "q.json", _put(lambda d: next(_groups(d)), "blocks", "str"), "blocks"),
+    ("q1", "q.json", _put(lambda d: next(_groups(d))["blocks"], 0, None), "block"),
+    ("q1", "q.json", _put(_first_block, 1, -1), "part indices"),
+    ("q1", "q.json", _put(lambda d: d, "parts", -1), "parts"),
+    ("q1", "q.json", _put(lambda d: d["parts"], 0, "str"), "part"),
     ("q1", "q.json", _put(_first_part, "terms", True), "terms"),
     ("q1", "q.json", _put(lambda d: _first_part(d)["terms"], 0, -1), "term"),
     ("q1", "q.json", _put(lambda d: d, "ensemble", -1), "ensemble"),
@@ -654,7 +678,7 @@ def _one_in_summand_domain_as(value):
 
     def edit(in_dir):
         data = json.loads((in_dir / "q.json").read_text())
-        term = next(_blocks(data))["parts"][0]["terms"][0]
+        term = _first_term(data)
         morphisms = json.loads((in_dir / "morphisms.json").read_text())
         rec = morphisms[term["w"]]
         assert rec["domain"] == ["plusbase", [1]]
@@ -703,9 +727,10 @@ def test_check_q_rejects_a_label_atom_other_than_a_str_or_int(
 
 
 def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
-    # every term of every pair file, its morphism swapped for each stored
-    # morphism on another domain than the term's part; every part here has
-    # one term, so the swap moves the part to another summand
+    # every term of every part table entry of every pair file, its morphism
+    # swapped for each stored morphism on another domain than the term's
+    # part; every part here has one term, so the swap moves the part, in
+    # every block that names it, to another summand
     in_dir = tmp_path / "dump"
     shutil.copytree(dumps / "pj1", in_dir)
     morphisms = json.loads((in_dir / "morphisms.json").read_text())
@@ -713,35 +738,36 @@ def test_check_pj_rejects_a_term_on_another_domain(dumps, tmp_path):
     for path in sorted(in_dir.glob("pair_*.json")):
         original = path.read_text()
         data = json.loads(original)
-        for b, block in enumerate(_blocks(data)):
-            for j, part in enumerate(block["parts"]):
-                summand = morphisms[part["terms"][0]["w"]]["domain"]
-                assert len(part["terms"]) == 1
-                for term in part["terms"]:
-                    was = term["w"]
-                    assert morphisms[was]["domain"] == summand
-                    for mid, rec in morphisms.items():
-                        if rec["domain"] == summand:
-                            continue
-                        term["w"] = mid
-                        path.write_text(json.dumps(data))
-                        rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
-                        assert rc == 1 and "Traceback" not in err
-                        (line,) = out.strip().splitlines()
-                        report = json.loads(line)
-                        assert report["verdict"] == "fail"
-                        # the term no longer lands in the pair's space, f no
-                        # longer maps into the wedge of the new summands, or
-                        # it does (a constant f maps into every wedge) and
-                        # the swapped-out record is left unused
-                        assert re.match(
-                            rf"artifact-structure \((block {b} (part {j} term|"
-                            r"decomposition) is not a morphism into |morphism "
-                            r"record \S+ is used by no reference\))",
-                            report["case"]["check"],
-                        )
-                        cases += 1
-                    term["w"] = was
+        for i, part in enumerate(data["parts"]):
+            summand = morphisms[part["terms"][0]["w"]]["domain"]
+            assert len(part["terms"]) == 1
+            for term in part["terms"]:
+                was = term["w"]
+                assert morphisms[was]["domain"] == summand
+                for mid, rec in morphisms.items():
+                    if rec["domain"] == summand:
+                        continue
+                    term["w"] = mid
+                    path.write_text(json.dumps(data))
+                    rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
+                    assert rc == 1 and "Traceback" not in err
+                    (line,) = out.strip().splitlines()
+                    report = json.loads(line)
+                    assert report["verdict"] == "fail"
+                    # the term no longer lands in the pair's space, the part
+                    # is now written as another entry is, the f of a block
+                    # that names the part no longer maps into the wedge of
+                    # the new summands, or it does (a constant f maps into
+                    # every wedge) and the swapped-out record is left unused
+                    assert re.match(
+                        rf"artifact-structure \(((part {i} term|block \d+ "
+                        rf"decomposition) is not a morphism into |parts (\d+ and {i}|"
+                        rf"{i} and \d+) are written alike|morphism record \S+ is "
+                        r"used by no reference\))",
+                        report["case"]["check"],
+                    )
+                    cases += 1
+                term["w"] = was
         path.write_text(original)
     assert cases == 44
 
@@ -759,27 +785,22 @@ def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, parts):
     in_dir = tmp_path / "dump"
     shutil.copytree(dumps / "q2", in_dir)
     data = json.loads((in_dir / "q.json").read_text())
-    witnesses = [
-        (f"layout-defect-witness A={_tuples(e['layout'])}", e["witness"])
-        for e in data["layouts"]
-    ]
-    witnesses.append(("boundary-witness", data["boundary_witness"]))
     name, b, block = next(
         (name, b, blk)
-        for name, w in witnesses
-        for b, blk in enumerate(w["blocks"])
-        if len(blk["parts"]) == 2
+        for name, w in _q_witnesses(data)
+        for b, (_f, blk) in enumerate(_blocks(w))
+        if len(blk[1]) == 2
     )
     morphisms = json.loads((in_dir / "morphisms.json").read_text())
-    summands = [_tuples(morphisms[p["terms"][0]["w"]]["domain"]) for p in block["parts"]]
+    summands = [_tuples(d) for d in _summands(morphisms, data, block)]
     assert summands[0] != summands[1]
-    block["parts"] = parts(block["parts"])
+    block[1] = parts(block[1])
     (in_dir / "q.json").write_text(json.dumps(data))
     rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
     assert rc == 1 and "Traceback" not in err
     reports = [json.loads(line) for line in out.strip().splitlines()]
     failed = [r for r in reports if r["verdict"] == "fail"]
-    if len(block["parts"]) == 3:
+    if len(block[1]) == 3:
         # f maps into the wider wedge too, missing its last summand, so the
         # block's value is scaled by the sum of that part's coefficients
         assert len(reports) == 7
@@ -795,18 +816,18 @@ def test_check_rejects_block_wedge_of_other_summands(dumps, tmp_path, parts):
     )
 
 
-def _no_terms(block, other):
-    block["parts"][0]["terms"] = []
-    return "block {b} part 0 has no terms"
+def _no_terms(part, block, other):
+    part["terms"] = []
+    return "part {i} has no terms"
 
 
-def _terms_on_two_objects(block, other):
-    block["parts"][0]["terms"].append(dict(block["parts"][0]["terms"][0], w=other))
-    return "block {b} part 0 has terms on {d0!r} and on {d1!r}"
+def _terms_on_two_objects(part, block, other):
+    part["terms"].append(dict(part["terms"][0], w=other))
+    return "part {i} has terms on {d0!r} and on {d1!r}"
 
 
-def _no_parts(block, other):
-    block["parts"] = []
+def _no_parts(part, block, other):
+    block[1] = []
     return "block {b} has no parts"
 
 
@@ -824,12 +845,14 @@ def test_check_rejects_a_part_on_no_one_summand(dumps, tmp_path, edit):
     shutil.copytree(dumps / "q2", in_dir)
     data = json.loads((in_dir / "q.json").read_text())
     morphisms = json.loads((in_dir / "morphisms.json").read_text())
-    witnesses = [e["witness"] for e in data["layouts"]] + [data["boundary_witness"]]
-    b, block = next((b, blk) for w in witnesses for b, blk in enumerate(w["blocks"]))
-    d0 = _summands(morphisms, block)[0]
+    b, block = next(
+        (b, blk) for _name, w in _q_witnesses(data) for b, (_f, blk) in enumerate(_blocks(w))
+    )
+    i = block[1][0]
+    d0 = _summands(morphisms, data, block)[0]
     other = next(mid for mid, rec in sorted(morphisms.items()) if rec["domain"] != d0)
     d0, d1 = _tuples(d0), _tuples(morphisms[other]["domain"])
-    message = edit(block, other).format(b=b, d0=d0, d1=d1)
+    message = edit(data["parts"][i], block, other).format(i=i, b=b, d0=d0, d1=d1)
     (in_dir / "q.json").write_text(json.dumps(data))
     rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
     assert rc == 1 and "Traceback" not in err
@@ -837,6 +860,180 @@ def test_check_rejects_a_part_on_no_one_summand(dumps, tmp_path, edit):
     report = json.loads(line)
     assert report["verdict"] == "fail"
     assert report["case"]["check"] == f"artifact-structure ({message})"
+
+
+def _unused_entry(data):
+    # a part no block names: the first entry at another level
+    part = data["parts"][0]
+    data["parts"].append(dict(part, level=part["level"] + 1))
+    return "{name}" + f" part {len(data['parts']) - 1} is used by no block"
+
+
+def _repeated_entry(data):
+    data["parts"].append(data["parts"][0])
+    return f"parts 0 and {len(data['parts']) - 1} are written alike"
+
+
+def _index_as(value):
+    def edit(data):
+        _first_block(data)[1][0] = len(data["parts"]) if value is None else value
+        shown = len(data["parts"]) if value is None else value
+        return f"block 0 part index {shown!r} is not in the part table"
+
+    return edit
+
+
+def _block_as(value):
+    def edit(data):
+        next(_groups(data))["blocks"][0] = value
+        return f"block 0 {value!r} is not [coeff, [part index, ...]]"
+
+    return edit
+
+
+def _empty_group(data):
+    next(_groups(data))["blocks"] = []
+    return "group 0 has no blocks"
+
+
+def _one_f_in_two_groups(data):
+    # a group of two blocks or more split in two, each half under its f
+    for w in _witnesses_of(data):
+        for k, group in enumerate(w["groups"]):
+            if len(group["blocks"]) > 1:
+                blocks = group["blocks"]
+                halves = [dict(group, blocks=blocks[:1]), dict(group, blocks=blocks[1:])]
+                w["groups"][k : k + 1] = halves
+                return f"groups {k} and {k + 1} have one f"
+    raise AssertionError("no group of two blocks")
+
+
+def _block_count_plus_one(data):
+    w = next(w for w in _witnesses_of(data) if w["groups"])
+    w["block_count"] += 1
+    return f"witness block_count {w['block_count']} is not its {w['block_count'] - 1} blocks"
+
+
+def _witnesses_of(data):
+    """The witnesses of a pair file or of a ``q.json``, in the order the
+    checker reads them."""
+    if "alt_witness" in data:
+        return [data["alt_witness"]]
+    return [w for _name, w in _q_witnesses(data)]
+
+
+# an edit of the part table or of the groups of a witness file, and the
+# artifact-structure message it must give, {name} the file's
+PART_AND_GROUP_TAMPERS = {
+    "unused-entry": _unused_entry,
+    "repeated-entry": _repeated_entry,
+    "index-past-the-table": _index_as(None),
+    "negative-index": _index_as(-1),
+    "index-true": _index_as(True),
+    "index-str": _index_as("0"),
+    "index-float": _index_as(0.0),
+    "block-of-one": _block_as([1]),
+    "block-of-three": _block_as([1, [0], 2]),
+    "block-object": _block_as({"coeff": 1, "parts": [0]}),
+    "block-int": _block_as(7),
+    "empty-group": _empty_group,
+    "one-f-in-two-groups": _one_f_in_two_groups,
+    "block-count-plus-one": _block_count_plus_one,
+}
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize("dump, name", [("q2", "q.json"), ("pj2", "pair_F1-2_J1.json")])
+@pytest.mark.parametrize("case", PART_AND_GROUP_TAMPERS)
+def test_check_rejects_a_part_table_or_group_out_of_form(dumps, tmp_path, dump, name, case):
+    # a dump whose witness files are each edited once in their part table
+    # or their groups: one artifact-structure line that says what is wrong
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    path = in_dir / name
+    data = json.loads(path.read_text())
+    message = PART_AND_GROUP_TAMPERS[case](data).replace("{name}", name)
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"] == f"artifact-structure ({message})"
+
+
+@pytest.mark.optimized
+def test_check_pj_counts_the_blocks_of_a_group_that_cancels(dumps, tmp_path):
+    # the blocks of one group can sum to zero: such a group dropped, with
+    # the block count lowered to match, leaves a witness that still holds
+    # its claim, so the count is what makes every dropped group fail
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / "pj2", in_dir)
+    cancelling = 0
+    for path in sorted(in_dir.glob("pair_*.json")):
+        original = path.read_text()
+        for k in range(len(json.loads(original)["alt_witness"]["groups"])):
+            data = json.loads(original)
+            w = data["alt_witness"]
+            count, dropped = w["block_count"], w["groups"].pop(k)
+            path.write_text(json.dumps(data))
+            rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
+            assert rc == 1 and "Traceback" not in err
+            (line,) = out.strip().splitlines()
+            kept = count - len(dropped["blocks"])
+            assert json.loads(line)["case"]["check"] == (
+                f"artifact-structure (witness block_count {count} is not its {kept} blocks)"
+            )
+            w["block_count"] = kept
+            path.write_text(json.dumps(data))
+            cancelling += run_cli(["check-pj", "--in", str(in_dir)])[0] == 0
+        path.write_text(original)
+    assert cancelling == 6
+
+
+def _blocks_inline(data):
+    """A witness file as written before the part table: each block
+    ``{"coeff", "f", "parts"}`` with its parts written out, in the order
+    the checker decodes them."""
+    parts = data.pop("parts")
+    for w in _witnesses_of(data):
+        blocks = [
+            {"coeff": block[0], "f": f, "parts": [parts[i] for i in block[1]]}
+            for f, block in _blocks(w)
+        ]
+        del w["groups"], w["block_count"]
+        w["blocks"] = blocks
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize("dump, first", [("pj2", "pair_F1_Jempty.json"), ("q2", "q.json")])
+def test_check_rejects_a_dump_with_blocks_written_inline(dumps, tmp_path, dump, first):
+    # a dump in the layout before part tables and groups, every witness file
+    # rewritten: the first file read lacks its part table
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / dump, in_dir)
+    for path in in_dir.glob("*.json"):
+        if path.name not in ("manifest.json", "morphisms.json"):
+            data = json.loads(path.read_text())
+            _blocks_inline(data)
+            path.write_text(json.dumps(data))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    report = json.loads(line)
+    assert report["verdict"] == "fail"
+    assert report["case"]["check"] == f"artifact-structure ({first} lacks the field 'parts')"
+    # given a part table, the file's first witness names its unread blocks
+    path = in_dir / first
+    data = json.loads(path.read_text())
+    data["parts"] = []
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli([f"check-{dump[:-1]}", "--in", str(in_dir)])
+    assert rc == 1 and "Traceback" not in err
+    (line,) = out.strip().splitlines()
+    assert json.loads(line)["case"]["check"] == (
+        "artifact-structure (witness has the field 'blocks', which is not read)"
+    )
 
 
 @pytest.mark.optimized
@@ -903,16 +1100,15 @@ def test_check_rejects_a_block_decomposition_outside_its_wedge(dumps, tmp_path):
     codomains = _codomains(in_dir, ctx)
     morphisms = json.loads((in_dir / "morphisms.json").read_text())
     data = json.loads((in_dir / "q.json").read_text())
-    witnesses = [e["witness"] for e in data["layouts"]] + [data["boundary_witness"]]
-    b, block, mid = next(
-        (b, block, mid)
-        for w in witnesses
-        for b, block in enumerate(w["blocks"])
+    b, group, mid = next(
+        (sum(len(g["blocks"]) for g in w["groups"][:k]), group, mid)
+        for _name, w in _q_witnesses(data)
+        for k, group in enumerate(w["groups"])
         for mid, rec in morphisms.items()
         if codomains[mid].label[0] == "WL"
-        and rec["domain"] == morphisms[block["f"]]["domain"]
+        and rec["domain"] == morphisms[group["f"]]["domain"]
     )
-    block["f"] = mid
+    group["f"] = mid
     (in_dir / "q.json").write_text(json.dumps(data))
     rc, out, err = run_cli(["check-q", "--in", str(in_dir)])
     assert rc == 1 and "Traceback" not in err
@@ -921,12 +1117,12 @@ def test_check_rejects_a_block_decomposition_outside_its_wedge(dumps, tmp_path):
     assert report["verdict"] == "fail"
     assert report["case"]["check"].startswith(
         f"artifact-structure (block {b} decomposition is not a morphism into "
-        f"{_wedge(ctx, morphisms, block).label!r}: "
+        f"{_wedge(ctx, morphisms, data, group['blocks'][0]).label!r}: "
     )
 
 
 def _deep_block_wedge(data):
-    next(_blocks(data))["wedge"] = "DEEP"
+    next(_groups(data))["wedge"] = "DEEP"
 
 
 def _deep_table_value(data):
@@ -1089,26 +1285,27 @@ def test_check_complete_dump_passes_every_claim(dumps, dump, lines):
 
 @pytest.mark.parametrize("kind", ["pj", "q"])
 def test_check_rejects_block_space_of_another_index_set(tmp_path, kind):
-    # each witness is checked in its claim's space, so a block's space, of
-    # this index set or another, is a field the checker does not read
+    # each witness is checked in its claim's space, so a space put where a
+    # group's blocks would share it, of this index set or another, is a
+    # field the checker does not read
     out = tmp_path / kind
     run_cli([f"construct-{kind}", "--i", "2", "--e", "1", "--out", str(out)])
     files = [out / "q.json"] if kind == "q" else sorted(out.glob("pair_*.json"))
     for path in files:
         data = json.loads(path.read_text())
-        _put_on_blocks(data, "space", ["WL", [1, 3]])
+        _put_on_groups(data, "space", ["WL", [1, 3]])
         path.write_text(json.dumps(data))
     rc, out_text, _err = run_cli([f"check-{kind}", "--in", str(out)])
     assert rc == 1
     lines = [json.loads(line) for line in out_text.strip().splitlines()]
     assert len(lines) == 1 and lines[0]["verdict"] == "fail"
     assert lines[0]["case"]["check"] == (
-        "artifact-structure (block has the field 'space', which is not read)"
+        "artifact-structure (group has the field 'space', which is not read)"
     )
 
 
 def test_check_pj_rejects_the_space_of_another_claim(dumps, tmp_path):
-    # every block of the pair (F, J) = ((1,), (1,)) given the space at
+    # every group of the pair (F, J) = ((1,), (1,)) given the space at
     # (1, 2), as a dump of the layout that wrote a space per block would:
     # the pair's witness is checked in the space at J alone, so the dump
     # fails, where that layout passed every check
@@ -1116,8 +1313,8 @@ def test_check_pj_rejects_the_space_of_another_claim(dumps, tmp_path):
     shutil.copytree(dumps / "pj1", in_dir)
     path = in_dir / "pair_F1_J1.json"
     data = json.loads(path.read_text())
-    assert any(_blocks(data))
-    _put_on_blocks(data, "space", ["WL", [1, 2]])
+    assert any(_groups(data))
+    _put_on_groups(data, "space", ["WL", [1, 2]])
     path.write_text(json.dumps(data))
     rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
     assert rc == 1 and "Traceback" not in err
@@ -1125,7 +1322,7 @@ def test_check_pj_rejects_the_space_of_another_claim(dumps, tmp_path):
     report = json.loads(line)
     assert report["verdict"] == "fail"
     assert report["case"]["check"] == (
-        "artifact-structure (block has the field 'space', which is not read)"
+        "artifact-structure (group has the field 'space', which is not read)"
     )
 
 
@@ -1271,14 +1468,20 @@ def test_check_pj_rejects_a_pi_key_outside_the_monoid(dumps, tmp_path, forged):
     shutil.copytree(dumps / "pj1", in_dir)
     target = in_dir / "pair_F1_J2.json"
     payload = json.loads(target.read_text())
-    forged_at = []
-    for b, block in enumerate(payload["alt_witness"]["blocks"]):
-        for j, part in enumerate(block["parts"]):
-            for term in part["terms"]:
-                for entry in term["pi"]:
-                    if entry[0] == [2]:
-                        entry[0] = forged
-                        forged_at.append((b, j, part["level"]))
+    levels = {}
+    for i, part in enumerate(payload["parts"]):
+        for term in part["terms"]:
+            for entry in term["pi"]:
+                if entry[0] == [2]:
+                    entry[0] = forged
+                    levels[i] = part["level"]
+    # each (block, part) in decoded order that names a forged part
+    forged_at = [
+        (b, j, levels[i])
+        for b, (_f, block) in enumerate(_blocks(payload["alt_witness"]))
+        for j, i in enumerate(block[1])
+        if i in levels
+    ]
     assert forged_at
     target.write_text(json.dumps(payload))
     rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
@@ -1383,11 +1586,11 @@ def _codomains(in_dir, ctx):
         for entry in data["ensemble"]:
             out.setdefault(entry["key"], ctx.w_obj)
         space = _claim_space(ctx, data)
-        for block in _blocks(data):
-            out.setdefault(block["f"], _wedge(ctx, morphisms, block))
-            for part in block["parts"]:
-                for term in part["terms"]:
-                    out.setdefault(term["w"], space.obj)
+        for group in _groups(data):
+            out.setdefault(group["f"], _wedge(ctx, morphisms, data, group["blocks"][0]))
+        for part in data["parts"]:
+            for term in part["terms"]:
+                out.setdefault(term["w"], space.obj)
     return out
 
 
@@ -1396,10 +1599,11 @@ def _claim_space(ctx, data):
     return ctx.space(tuple(data["subset"])) if "subset" in data else ctx.full_space
 
 
-def _wedge(ctx, morphisms, block):
+def _wedge(ctx, morphisms, data, block):
     """The wedge a block's f is read into: the context's wedge of the
-    domains of its parts' terms."""
-    return ctx.wedge_of([resolve(ctx, d) for d in _summands(morphisms, block)])
+    domains of its parts' terms, its parts the entries of the part table of
+    the file ``data`` that it names."""
+    return ctx.wedge_of([resolve(ctx, d) for d in _summands(morphisms, data, block)])
 
 
 def _tuples(x):
@@ -1407,10 +1611,11 @@ def _tuples(x):
     return tuple(map(_tuples, x)) if isinstance(x, list) else x
 
 
-def _summands(morphisms, block):
-    """The domain labels, as written, of the summands of a block's wedge:
-    those of each part's first term."""
-    return [morphisms[p["terms"][0]["w"]]["domain"] for p in block["parts"]]
+def _summands(morphisms, data, block):
+    """The domain labels, as written, of the summands of the wedge of a
+    block ``[coeff, [part index, ...]]`` of the file ``data``: those of
+    each named part's first term."""
+    return [morphisms[data["parts"][i]["terms"][0]["w"]]["domain"] for i in block[1]]
 
 
 def _dimensions(dom):
@@ -1697,12 +1902,11 @@ def test_check_rejects_a_term_outside_its_part_space(dumps, tmp_path, dump):
         payload = json.loads(path.read_text())
         found = next(
             (
-                (b, j, term, mid)
-                for b, block in enumerate(payload["alt_witness"]["blocks"])
-                for j, part in enumerate(block["parts"])
+                (i, term, mid)
+                for i, part in enumerate(payload["parts"])
                 for term in part["terms"]
                 for mid, rec in sorted(data.items())
-                if rec["domain"] == _summands(data, block)[j]
+                if rec["domain"] == data[part["terms"][0]["w"]]["domain"]
                 and _lands_in(store, mid, codomains[mid])
                 and not _lands_in(store, mid, _claim_space(ctx, payload).obj)
             ),
@@ -1710,7 +1914,7 @@ def test_check_rejects_a_term_outside_its_part_space(dumps, tmp_path, dump):
         )
         if found:
             break
-    b, j, term, mid = found
+    i, term, mid = found
     term["w"] = mid
     path.write_text(json.dumps(payload))
     rc, out, err = run_cli(["check-pj", "--in", str(in_dir)])
@@ -1719,7 +1923,7 @@ def test_check_rejects_a_term_outside_its_part_space(dumps, tmp_path, dump):
     report = json.loads(line)
     assert report["verdict"] == "fail"
     assert report["case"]["check"].startswith(
-        f"artifact-structure (block {b} part {j} term is not a morphism into "
+        f"artifact-structure (part {i} term is not a morphism into "
     )
 
 
@@ -1749,13 +1953,16 @@ def test_check_rejects_an_ensemble_key_outside_w(dumps, tmp_path, dump):
 # the object, the field, the name the line gives the object)
 MISSING_FIELDS = [
     ("q1", "q.json", lambda d: d["boundary_witness"], "level", "witness"),
-    ("q1", "q.json", lambda d: next(_blocks(d)), "coeff", "block"),
+    ("q1", "q.json", lambda d: next(_groups(d)), "f", "group"),
+    ("q1", "q.json", lambda d: d["boundary_witness"], "block_count", "witness"),
     ("q1", "q.json", _first_part, "level", "part"),
     ("q1", "q.json", _first_term, "w", "term"),
     ("q1", "q.json", lambda d: d["ensemble"][0], "key", "ensemble entry"),
     ("q1", "q.json", lambda d: d["layouts"][0], "witness", "layout entry"),
     ("q1", "q.json", lambda d: d, "boundary_witness", "q.json"),
+    ("q1", "q.json", lambda d: d, "parts", "q.json"),
     ("pj1", PAIR, lambda d: d, "face", PAIR),
+    ("pj1", PAIR, lambda d: d, "parts", PAIR),
 ]
 
 
@@ -1787,7 +1994,7 @@ def test_check_names_a_missing_field(dumps, tmp_path, dump, name, get, field, wh
 # certificate entry [L, J, c] that terms once carried
 EXTRA_FIELDS = [
     ("q1", "q.json", _put(_first_term, "cert", [[[1, 2], [1, 2], 1]]), "term", "cert"),
-    ("pj1", PAIR, _put(lambda d: next(_blocks(d)), "rank", 0), "block", "rank"),
+    ("pj1", PAIR, _put(lambda d: next(_groups(d)), "rank", 0), "group", "rank"),
     # the domain and space a part held before it took its block's
     ("q1", "q.json", _put(_first_part, "domain", ["plusbase", [1]]), "part", "domain"),
     ("q1", "q.json", _put(_first_part, "space", ["WL", [1, 2]]), "part", "space"),
@@ -1858,7 +2065,7 @@ def test_check_q_rejects_swapped_layout_witnesses(tmp_path):
     payload = json.loads((qd / "q.json").read_text())
     by_layout = {json.dumps(e["layout"]): e for e in payload["layouts"]}
     full, empty = by_layout["[[1], [2]]"], by_layout["[[1]]"]
-    assert full["witness"]["blocks"] and not empty["witness"]["blocks"]
+    assert full["witness"]["groups"] and not empty["witness"]["groups"]
     full["witness"], empty["witness"] = empty["witness"], full["witness"]
     (qd / "q.json").write_text(json.dumps(payload))
 
@@ -2087,3 +2294,11 @@ def test_alphabet_and_full_wedge_label_checks_under_optimize(run_optimized):
 
 def test_check_reads_each_table_strictly_under_optimize(run_optimized):
     run_optimized(f"{__file__}::test_check_reads_each_table_strictly")
+
+
+def test_part_table_and_group_checks_under_optimize(run_optimized):
+    run_optimized(
+        f"{__file__}::test_check_rejects_a_part_table_or_group_out_of_form",
+        f"{__file__}::test_check_pj_counts_the_blocks_of_a_group_that_cancels",
+        f"{__file__}::test_check_rejects_a_dump_with_blocks_written_inline",
+    )

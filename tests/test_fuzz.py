@@ -5,11 +5,14 @@ it, and runs the checker on the result.  A mutation whose JSON text equals
 the original is skipped.  Every other one must end in exit 1 with a
 ``fail`` line, never in a traceback, unless an entry of ``ALLOWED`` below
 matches it: a field that no check rests on, while the claim the file makes
-still holds.  A second operator adds a key that nothing reads to one JSON
-object of a dump; each such case must end in a ``fail`` line, with no
-allowance.  The mutations are drawn from fixed seeds, so each run makes
-the same ones (after Zeller et al., *The Fuzzing Book*, "Mutation-Based
-Fuzzing")."""
+still holds.  The first gate draws its paths from every file of a dump;
+the second draws them from the witness encoding alone, the part table and
+each witness's count and groups, one path of each shape in turn, so that
+every kind of entry there, down to a single part index, is mutated.  A
+third operator adds a key that nothing reads to one JSON object of a dump;
+each such case must end in a ``fail`` line, with no allowance.  The
+mutations are drawn from fixed seeds, so each run makes the same ones
+(after Zeller et al., *The Fuzzing Book*, "Mutation-Based Fuzzing")."""
 
 import io
 import json
@@ -22,6 +25,8 @@ import pytest
 from fissile.cli import main
 
 MUTATIONS_PER_DUMP = 200
+# rounds of the witness gate, each one mutation of every path shape
+WITNESS_ROUNDS = 8
 KEYS_ADDED_PER_DUMP = 40
 DELETE = object()
 VALUES = [None, "str", -1, [], {}, 10**6, True, DELETE]
@@ -47,6 +52,19 @@ def _objects(x, prefix=()):
         yield prefix
     for key, child in _children(x):
         yield from _objects(child, prefix + (key,))
+
+
+def _shape(files, name, path):
+    """The shape of a path into the witness encoding of a file: the path
+    from the ``parts`` table or the ``groups`` it runs through, each list
+    index written as "#", or a witness's own field; None for any other."""
+    for anchor in ("parts", "groups"):
+        if anchor in path:
+            return tuple("#" if type(k) is int else k for k in path[path.index(anchor) :])
+    parent = _get(files[name], path[:-1])
+    if isinstance(parent, dict) and "groups" in parent:
+        return ("witness", path[-1])
+    return None
 
 
 def _get(x, path):
@@ -78,13 +96,13 @@ def _in_level_0_pi(files, name, path):
 # Mutations that may pass, each a predicate on (original files, file name,
 # path), with the reason the claim still holds.
 ALLOWED = {
-    # an empty witness holds at any level, so a witness with no blocks
-    # passes with any level that reaches the one it is checked at; q(2,1)'s
-    # layout witnesses are empty
+    # an empty witness holds at any level, so a witness with no blocks, and
+    # so no groups, passes with any level that reaches the one it is checked
+    # at; q(2,1)'s layout witnesses are empty
     "level of a witness with no blocks": lambda files, name, path: (
         path[-1] == "level"
         and isinstance(_get(files[name], path[:-1]), dict)
-        and _get(files[name], path[:-1]).get("blocks") == []
+        and _get(files[name], path[:-1]).get("groups") == []
     ),
     # the level-0 ideal is the whole monoid ring, so the pi of a level-0
     # part is checked only for its keys and through the witness's value,
@@ -157,6 +175,42 @@ def test_every_one_field_mutation_fails(dumps, tmp_path, kind, e, seed):
             continue
         if rc != 0 or not any(match(files, name, path) for match in ALLOWED.values()):
             wrong.append(f"{case}: exit {rc}, {lines}")
+    assert not wrong, "\n".join(wrong)
+
+
+@pytest.mark.optimized
+@pytest.mark.parametrize("kind, e, seed", DUMPS, ids=[f"{k}-2x{e}" for k, e, _ in DUMPS])
+def test_every_witness_field_mutation_fails(dumps, tmp_path, kind, e, seed):
+    # part table entries, terms and pi, groups, their f and blocks, each
+    # block's coeff and index list, and each part index, drawn shape by
+    # shape; a deleted group whose blocks cancel fails on the block count
+    in_dir = tmp_path / "dump"
+    shutil.copytree(dumps / f"{kind}{e}", in_dir)
+    names = sorted(p.name for p in in_dir.glob("*.json"))
+    files = {name: json.loads((in_dir / name).read_text()) for name in names}
+    by_shape = {}
+    for name in names:
+        for path in _paths(files[name]):
+            shape = _shape(files, name, path)
+            if shape is not None:
+                by_shape.setdefault(shape, []).append((name, path))
+    index = ("groups", "#", "blocks", "#", "#", "#")
+    assert {("parts", "#"), ("groups", "#", "f"), index} <= set(by_shape)
+    rng = random.Random(seed)
+    wrong = []
+    for shape in sorted(by_shape) * WITNESS_ROUNDS:
+        while True:
+            name, path = rng.choice(by_shape[shape])
+            value = rng.choice(VALUES)
+            mutated = _mutated(files[name], path, value)
+            if json.dumps(mutated) != json.dumps(files[name]):
+                break
+        rc, lines = _check_mutated(kind, in_dir, name, files[name], mutated)
+        if _failed(rc, lines):
+            continue
+        if rc != 0 or not any(match(files, name, path) for match in ALLOWED.values()):
+            shown = "deleted" if value is DELETE else json.dumps(value)
+            wrong.append(f"{name} {list(path)} = {shown}: exit {rc}, {lines}")
     assert not wrong, "\n".join(wrong)
 
 

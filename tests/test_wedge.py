@@ -306,7 +306,7 @@ def test_checker_catches_tampered_witness(tmp_path, built_21):
     write_q_artifacts(res, qrec, out)
     qfile = out / "q.json"
     payload = json.loads(qfile.read_text())
-    payload["boundary_witness"]["blocks"][0]["coeff"] += 1
+    payload["boundary_witness"]["groups"][0]["blocks"][0][0] += 1
     qfile.write_text(json.dumps(payload))
     checks = check_q_artifacts(out)
     assert any(not ok for _name, ok in checks)
@@ -320,8 +320,8 @@ def test_checker_catches_inflated_part_level(tmp_path, built_21):
     write_q_artifacts(res, qrec, out)
     qfile = out / "q.json"
     payload = json.loads(qfile.read_text())
-    block = payload["boundary_witness"]["blocks"][0]
-    part = block["parts"][0]
+    block = payload["boundary_witness"]["groups"][0]["blocks"][0]
+    part = payload["parts"][block[1][0]]
     part["level"] += 1
     qfile.write_text(json.dumps(payload))
     stdout = io.StringIO()
